@@ -17,8 +17,7 @@ The *flat* arm reconstructs the previous kernel's delivery contract on
 top of today's kernel: every automaton is forced through full Message
 materialization plus per-receiver re-derivation of the round structure
 — exactly the work the shared :class:`~repro.sim.view.RoundView`
-buckets eliminate.  That is also what any unported out-of-tree
-automaton pays via the ``deliver_view`` fallback shim.
+buckets eliminate.
 
 Besides the printed table, the run persists machine-readable per-system
 timings to ``BENCH_kernel.json`` (path override:
@@ -46,11 +45,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from types import MethodType
 
 import pytest
 
-from repro.algorithms.base import Automaton, make_automata
+from repro.algorithms.base import make_automata
 from repro.algorithms.registry import get_factory
 from repro.core.att2 import ATt2
 from repro.core.att2_optimized import ATt2Optimized
@@ -61,6 +59,7 @@ from repro.engine.grids import DEFAULT_SWEEP_ALGORITHMS
 from repro.model.schedule import Schedule
 from repro.sim.kernel import execute, execute_reference
 from repro.sim.random_schedules import random_es_schedule
+from repro.sim.view import RoundView
 from conftest import emit
 
 #: Systems measured against the full pre-compile *reference* pipeline
@@ -144,19 +143,24 @@ def _reference_case(
 def _flat_factory(factory):
     """Wrap *factory* so its automata take the flat delivery path.
 
-    Forcing the base-class shim (``Automaton.deliver_view``) onto each
-    instance reconstructs the PR-4 delivery contract exactly: the flat
-    message tuple is materialized and the round structure re-derived
-    per receiver — the work every automaton's filtering boilerplate
-    used to do each round, and what any unported out-of-tree automaton
-    still pays.
+    Each automaton's receive hook gets its round's canonically ordered
+    message tuple re-delivered through :meth:`RoundView.from_messages
+    <repro.sim.view.RoundView.from_messages>`, which reconstructs the
+    original flat-tuple delivery contract: the tuple is materialized
+    and the round structure re-derived per receiver — the work every
+    automaton's filtering boilerplate used to do each round.
     """
 
     def build(pid, n, t, proposal):
         automaton = factory(pid, n, t, proposal)
-        automaton.deliver_view = MethodType(
-            Automaton.deliver_view, automaton
-        )
+        deliver_view = automaton.deliver_view
+
+        def deliver_flat(k, view):
+            deliver_view(
+                k, RoundView.from_messages(k, pid, n, view.messages)
+            )
+
+        automaton.deliver_view = deliver_flat
         return automaton
 
     return build

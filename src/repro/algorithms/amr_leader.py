@@ -54,7 +54,7 @@ def lowest_sender_items(
 
     Kernel-built views arrive ascending by sender already, so the sort
     is a near-free stability pass; it stays for hand-ordered inboxes
-    reaching the ported algorithms through the legacy bridges.
+    built with :meth:`~repro.sim.view.RoundView.from_messages`.
     """
     return sorted(items, key=lambda item: item[0])[:quota]
 

@@ -7,14 +7,9 @@ Automata are strictly deterministic — their behaviour is a function of
 (pid, n, t, proposal) and the delivered messages — which is what makes
 run views comparable across schedules.
 
-Automata may implement the receive phase at either level:
-
-* :meth:`Automaton.deliver_view` — the fast path; consumes the view's
-  pre-partitioned buckets and never materializes flat message tuples;
-* :meth:`Automaton.deliver` — the legacy path over the canonically
-  ordered flat message tuple.  The base :meth:`deliver_view` shim falls
-  back to it, so out-of-tree automata written against the old contract
-  run unchanged.
+``deliver_view`` is the one receive hook.  Callers holding a flat,
+already-ordered message tuple (the reference kernel, hand-built test
+inboxes) wrap it with :meth:`~repro.sim.view.RoundView.from_messages`.
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
 
 from repro.errors import AlgorithmError
-from repro.model.messages import Message
 from repro.types import Payload, ProcessId, Round, Value, validate_system_size
 
 if TYPE_CHECKING:  # import cycle: repro.sim.view never imports algorithms
@@ -34,9 +28,8 @@ if TYPE_CHECKING:  # import cycle: repro.sim.view never imports algorithms
 class Automaton(ABC):
     """One process's deterministic state machine.
 
-    Subclasses implement :meth:`payload` plus at least one receive hook
-    (:meth:`deliver_view`, or the legacy :meth:`deliver`) and report
-    decisions via :meth:`_decide`; they signal that the process *returns*
+    Subclasses implement :meth:`payload` and :meth:`deliver_view`, report
+    decisions via :meth:`_decide`, and signal that the process *returns*
     from the consensus invocation via :meth:`_halt` (after which the kernel
     stops driving the automaton — it sends nothing and receives nothing).
     """
@@ -75,49 +68,19 @@ class Automaton(ABC):
         all-to-all exchange pattern alive for suspicion semantics).
         """
 
-    def deliver(self, k: Round, messages: tuple[Message, ...]) -> None:
+    @abstractmethod
+    def deliver_view(self, k: Round, view: "RoundView") -> None:
         """Process the messages received in round *k* (receive phase).
 
-        *messages* contains round-k messages delivered in round k **and**
-        any earlier-round messages whose delayed delivery lands in round k,
-        in canonical order.  Round-based algorithms typically act on
-        current-round messages (``m.sent_round == k``) and on control
-        messages such as DECIDE regardless of age.
-
-        The default bridges direct legacy calls (tests, out-of-tree
-        drivers) into an overridden :meth:`deliver_view`; an automaton
-        must override at least one of the two hooks.
+        *view* carries the round-k messages delivered in round k **and**
+        any earlier-round messages whose delayed delivery lands in round
+        k, pre-partitioned: current items by tag, delayed items
+        separate, the present-sender set; ``view.messages`` is the same
+        delivery as one canonically ordered flat tuple.  Round-based
+        algorithms typically act on current-round items and on control
+        messages such as DECIDE regardless of age.  See
+        :class:`~repro.sim.view.RoundView`.
         """
-        if type(self).deliver_view is Automaton.deliver_view:
-            raise AlgorithmError(
-                f"{type(self).__name__} implements neither deliver nor "
-                f"deliver_view"
-            )
-        from repro.sim.view import RoundView
-
-        self.deliver_view(
-            k, RoundView.from_messages(k, self.pid, self.n, messages)
-        )
-
-    def deliver_view(self, k: Round, view: "RoundView") -> None:
-        """Process round *k*'s delivery as a structured round view.
-
-        The kernel's entry point.  *view* carries the same delivery as
-        the legacy flat tuple, pre-partitioned (current items by tag,
-        delayed separate, present-sender set); see
-        :class:`~repro.sim.view.RoundView`.  The default implementation
-        is the compatibility shim: it materializes the canonical flat
-        message tuple and hands it to :meth:`deliver`, so automata
-        written before views existed behave identically.  Subclasses
-        that override this should never also need :meth:`deliver` to
-        run — the kernel calls only ``deliver_view``.
-        """
-        if type(self).deliver is Automaton.deliver:
-            raise AlgorithmError(
-                f"{type(self).__name__} implements neither deliver nor "
-                f"deliver_view"
-            )
-        self.deliver(k, view.messages)
 
     def bind_phase1_plane(self, plane: "Phase1Plane") -> None:
         """Accept the run's shared Phase-1 plane (kernel, once per run).
@@ -167,19 +130,6 @@ class Automaton(ABC):
     def _halt(self) -> None:
         self._halted = True
 
-    # -- shared helpers ------------------------------------------------------
-
-    @staticmethod
-    def current_round(
-        messages: Sequence[Message], k: Round
-    ) -> tuple[Message, ...]:
-        """The subset of *messages* that were sent in round *k*."""
-        return tuple(m for m in messages if m.sent_round == k)
-
-    def others(self) -> tuple[ProcessId, ...]:
-        """All process ids except this process's own."""
-        return tuple(p for p in range(self.n) if p != self.pid)
-
     def __repr__(self) -> str:
         state = "halted" if self._halted else (
             f"decided={self._decision!r}" if self.decided else "running"
@@ -189,54 +139,6 @@ class Automaton(ABC):
 
 AlgorithmFactory = Callable[[ProcessId, int, int, Value], Automaton]
 """Constructor signature shared by all algorithms: (pid, n, t, proposal)."""
-
-
-def legacy_hook_wins(
-    cls: type,
-    stop: type,
-    view_name: str,
-    legacy_name: str,
-    cache: dict[type, bool],
-) -> bool:
-    """The one dispatch rule for a (view hook, legacy hook) pair.
-
-    Walking the MRO from the most-derived class, the first class below
-    *stop* that defines either hook decides: True iff it defines only
-    the legacy hook (defining both prefers the view hook).  This keeps
-    a subclass that overrides only the legacy hook running its override
-    even when an ancestor ported to the view hook — a plain identity
-    check against the base default cannot see that shadowing.  Both
-    hook pairs (``deliver``/``deliver_view`` here,
-    ``round_deliver``/``round_deliver_view`` in
-    :mod:`repro.algorithms.common`) share this walk so the two dispatch
-    levels can never disagree on the rule.  *cache* memoizes per class
-    (one MRO walk per automaton class, ever).
-    """
-    cached = cache.get(cls)
-    if cached is None:
-        cached = False
-        for klass in cls.__mro__:
-            if klass is stop:
-                break
-            defines_view = view_name in klass.__dict__
-            defines_legacy = legacy_name in klass.__dict__
-            if defines_view or defines_legacy:
-                cached = defines_legacy and not defines_view
-                break
-        cache[cls] = cached
-    return cached
-
-
-_DELIVER_HOOK_CACHE: dict[type, bool] = {}
-
-
-def prefers_legacy_deliver(cls: type) -> bool:
-    """True when ``cls``'s most-derived delivery hook is legacy
-    ``deliver`` — the kernel's dispatch rule for the
-    ``deliver``/``deliver_view`` pair (see :func:`legacy_hook_wins`)."""
-    return legacy_hook_wins(
-        cls, Automaton, "deliver_view", "deliver", _DELIVER_HOOK_CACHE
-    )
 
 
 def make_automata(

@@ -14,23 +14,16 @@ returns") and the standard decision-flooding of the rotating-coordinator
 baselines.  Algorithms implement :meth:`round_payload` and
 :meth:`round_deliver_view` and never deal with DECIDE plumbing themselves.
 
-The protocol itself runs on :class:`~repro.sim.view.RoundView`\\ s: the
-view's precomputed ``decides`` tuple replaces the full-inbox DECIDE scan,
-and the algorithm hook receives the structured view.  The legacy
-message-tuple entry points remain as bridges — a direct
-``deliver(k, messages)`` call (tests, out-of-tree drivers) builds a view
-and lands in exactly the same code path, and an old-style subclass that
-only overrides :meth:`round_deliver` still works through the default
-:meth:`round_deliver_view`.
+The protocol runs on :class:`~repro.sim.view.RoundView`\\ s: the view's
+precomputed ``decides`` tuple replaces a full-inbox DECIDE scan, and
+the algorithm hook receives the structured view.
 """
 
 from __future__ import annotations
 
 from abc import abstractmethod
 
-from repro.algorithms.base import Automaton, legacy_hook_wins
-from repro.errors import AlgorithmError
-from repro.model.messages import Message
+from repro.algorithms.base import Automaton
 from repro.sim.view import RoundView
 from repro.types import Payload, Round, Value
 
@@ -39,32 +32,6 @@ DECIDE = "DECIDE"
 
 def decide_payload(value: Value) -> Payload:
     return (DECIDE, value)
-
-
-def is_decide(message: Message) -> bool:
-    payload = message.payload
-    return isinstance(payload, tuple) and bool(payload) and payload[0] == DECIDE
-
-
-_ROUND_HOOK_CACHE: dict[type, bool] = {}
-
-
-def _legacy_round_hook_wins(cls: type) -> bool:
-    """True when ``cls``'s most-derived round hook is the legacy one.
-
-    The :func:`repro.algorithms.base.legacy_hook_wins` rule applied to
-    the ``round_deliver``/``round_deliver_view`` pair.  This is what
-    keeps pre-view subclasses of *ported* algorithms working: e.g. an
-    out-of-tree ``class MyFloodSet(FloodSet)`` overriding only
-    ``round_deliver`` must run its override, not FloodSet's inherited
-    ``round_deliver_view`` — a plain identity check against the
-    ConsensusAutomaton default cannot see that, because the ancestor's
-    view hook shadows it.
-    """
-    return legacy_hook_wins(
-        cls, ConsensusAutomaton, "round_deliver_view", "round_deliver",
-        _ROUND_HOOK_CACHE,
-    )
 
 
 class ConsensusAutomaton(Automaton):
@@ -95,29 +62,6 @@ class ConsensusAutomaton(Automaton):
         return self.round_payload(k)
 
     def deliver_view(self, k: Round, view: RoundView) -> None:
-        if type(self).deliver is not ConsensusAutomaton.deliver:
-            # An old-style subclass took over the whole receive phase —
-            # the pre-view kernel called ``deliver`` directly, so that
-            # override, not the decide protocol, defines its behavior.
-            self.deliver(k, view.messages)
-            return
-        self._deliver_protocol(k, view)
-
-    def deliver(self, k: Round, messages: tuple[Message, ...]) -> None:
-        # Legacy entry point: structure the flat tuple and run the one
-        # protocol implementation.  ``from_messages`` preserves the
-        # caller's message order, so hand-built test inboxes behave as
-        # they always did.
-        view = RoundView.from_messages(k, self.pid, self.n, messages)
-        if type(self).deliver_view is not ConsensusAutomaton.deliver_view:
-            # The mirror of deliver_view's check above: a subclass that
-            # took over the receive phase at the view level defines the
-            # behavior of direct legacy calls too.
-            self.deliver_view(k, view)
-            return
-        self._deliver_protocol(k, view)
-
-    def _deliver_protocol(self, k: Round, view: RoundView) -> None:
         """The universal decide/announce/halt protocol, on a view."""
         if self.decided:
             # The DECIDE broadcast for this round went out in the send
@@ -134,10 +78,7 @@ class ConsensusAutomaton(Automaton):
             ):
                 self._halt()
             return
-        if _legacy_round_hook_wins(type(self)):
-            self.round_deliver(k, view.messages)
-        else:
-            self.round_deliver_view(k, view)
+        self.round_deliver_view(k, view)
         if self.decided and not self.announce_decision:
             self._halt()
 
@@ -147,39 +88,10 @@ class ConsensusAutomaton(Automaton):
     def round_payload(self, k: Round) -> Payload | None:
         """Payload for round *k*; called only while undecided."""
 
+    @abstractmethod
     def round_deliver_view(self, k: Round, view: RoundView) -> None:
         """Receive phase for round *k*; called only while undecided.
 
         *view* still carries any DECIDE messages (already acted on);
         implementations normally consume only their own tag buckets.
-
-        The default falls back to the legacy :meth:`round_deliver` for
-        old-style subclasses.  A subclass must override at least one of
-        the two hooks; the most-derived override wins the dispatch (a
-        class defining both prefers the view hook, which skips
-        flat-tuple materialization on the kernel's hot path).
         """
-        if type(self).round_deliver is ConsensusAutomaton.round_deliver:
-            raise AlgorithmError(
-                f"{type(self).__name__} implements neither "
-                f"round_deliver_view nor round_deliver"
-            )
-        self.round_deliver(k, view.messages)
-
-    def round_deliver(self, k: Round, messages: tuple[Message, ...]) -> None:
-        """Legacy message-tuple receive hook (see :meth:`round_deliver_view`).
-
-        Kept so direct callers of old-style hooks keep working; the
-        default bridges to the view implementation.
-        """
-        if (
-            type(self).round_deliver_view
-            is ConsensusAutomaton.round_deliver_view
-        ):
-            raise AlgorithmError(
-                f"{type(self).__name__} implements neither "
-                f"round_deliver_view nor round_deliver"
-            )
-        self.round_deliver_view(
-            k, RoundView.from_messages(k, self.pid, self.n, messages)
-        )

@@ -35,10 +35,6 @@ class FloodSet(ConsensusAutomaton):
         super().__init__(pid, n, t, proposal)
         self.known: frozenset[Value] = intern_values(frozenset({proposal}))
 
-    @property
-    def decision_round_bound(self) -> Round:
-        return self.t + 1
-
     def round_payload(self, k: Round) -> Payload | None:
         return (FLOOD, k, self.known)
 

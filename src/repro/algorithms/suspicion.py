@@ -27,13 +27,12 @@ rare second-scan correction).  The suspected-now set is one
 word-complement, and the Halt union is one ``|`` — the public ``halt``
 frozenset is materialized (interned, so structurally equal rows share
 one object) only when the row actually changed.  No per-step list
-materialization, no ``frozenset(range(n))`` rebuild.  The fast entry
-point is :meth:`EstimateState.compute_view`
-(fed by the kernel's pre-bucketed :class:`~repro.sim.view.RoundView`);
-:meth:`EstimateState.compute` keeps the message-tuple signature for
-direct callers and runs the identical batched update after extracting
-the items — the equivalence with the original two-pass formulation is
-property-tested in ``tests/algorithms/test_suspicion.py``.
+materialization, no ``frozenset(range(n))`` rebuild.  The entry
+point is :meth:`EstimateState.compute_view`, fed by a pre-bucketed
+:class:`~repro.sim.view.RoundView` (flat inboxes go through
+:meth:`~repro.sim.view.RoundView.from_messages`); the equivalence with
+the original two-pass formulation is property-tested in
+``tests/algorithms/test_suspicion.py``.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from repro.model.messages import Message
 from repro.sim.bitset import full_mask, interned_set, mask_of
 from repro.types import Payload, ProcessId, Round, Value
 
@@ -77,25 +75,13 @@ class EstimateState:
     def payload(self, k: Round) -> Payload:
         return estimate_payload(k, self.est, self.halt)
 
-    def compute(self, k: Round, messages: tuple[Message, ...]) -> None:
-        """The paper's ``compute()`` for round k, from a flat inbox.
-
-        *messages* is the full round-k delivery; only current-round
-        ESTIMATE messages participate (delayed estimates are stale and the
-        suspicion semantics are defined on current-round receipt).
-        """
-        self._compute_items(
-            (m.sender, m.payload)
-            for m in messages
-            if m.sent_round == k and m.tag == ESTIMATE
-        )
-
     def compute_view(self, k: Round, view: "RoundView") -> None:
         """The paper's ``compute()`` for round k, from a round view.
 
-        The kernel-facing fast path: the view already bucketed the
-        current-round ESTIMATE items, so the update touches nothing
-        else.
+        Only current-round ESTIMATE items participate (delayed
+        estimates are stale and the suspicion semantics are defined on
+        current-round receipt); the view already bucketed them, so the
+        update touches nothing else.
         """
         self._compute_items(view.tagged(ESTIMATE))
 
@@ -151,15 +137,3 @@ class EstimateState:
                     est = value
         if have_est:
             self.est = est
-
-    def msg_set_senders(
-        self, k: Round, messages: tuple[Message, ...]
-    ) -> frozenset[ProcessId]:
-        """Senders of the current-round messages outside Halt (for checks)."""
-        return frozenset(
-            m.sender
-            for m in messages
-            if m.sent_round == k
-            and m.tag == ESTIMATE
-            and m.sender not in self.halt
-        )

@@ -1083,7 +1083,7 @@ def build_parser() -> argparse.ArgumentParser:
     orch_parser.add_argument(
         "--chaos-kill", type=int, default=None, metavar="SHARD",
         help="fault-injection: SIGKILL this shard's first attempt "
-             "mid-run (CI exercises the retry path with this)",
+             "at spawn (CI exercises the retry path with this)",
     )
     orch_parser.add_argument(
         "--json", default="",

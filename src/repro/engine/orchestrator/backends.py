@@ -119,15 +119,16 @@ async def _run_process(
     argv: list[str],
     *,
     env: Mapping | None = None,
-    kill_after: float | None = None,
+    kill: bool = False,
 ) -> tuple[int, bytes, bytes]:
     """Run *argv*, returning ``(returncode, stdout, stderr)``.
 
     The subprocess is killed — deterministically, not at GC — when the
     surrounding task is cancelled (driver timeout or a heartbeat-dead
-    worker).  ``kill_after`` is the fault-injection hook: the process is
-    SIGKILLed after that many seconds, simulating a worker dying
-    mid-shard.
+    worker).  ``kill`` is the fault-injection hook: the process is
+    SIGKILLed as soon as it has been spawned, simulating a worker that
+    dies before producing an export — no timer races the child, so the
+    injected failure happens on every run.
     """
     proc = await asyncio.create_subprocess_exec(
         *argv,
@@ -135,14 +136,8 @@ async def _run_process(
         stderr=asyncio.subprocess.PIPE,
         env=dict(env) if env is not None else None,
     )
-    killer = None
-    if kill_after is not None:
-        async def _kill_later() -> None:
-            await asyncio.sleep(kill_after)
-            if proc.returncode is None:
-                proc.kill()
-
-        killer = asyncio.ensure_future(_kill_later())
+    if kill:
+        proc.kill()
     try:
         stdout, stderr = await proc.communicate()
     except asyncio.CancelledError:
@@ -150,9 +145,6 @@ async def _run_process(
             proc.kill()
             await proc.wait()
         raise
-    finally:
-        if killer is not None:
-            killer.cancel()
     return proc.returncode, stdout, stderr
 
 
@@ -180,9 +172,8 @@ class LocalWorkerBackend:
             (default serial: with one worker process per machine slot,
             the orchestrator already owns the parallelism).
         chaos_kill: fault-injection knob — shard indices whose *first*
-            attempt is SIGKILLed mid-run (used by tests and the CI
+            attempt is SIGKILLed at spawn (used by tests and the CI
             lane's forced-retry check; harmless in production).
-        chaos_kill_delay: seconds before the injected kill fires.
     """
 
     grid_args: tuple[str, ...]
@@ -191,7 +182,6 @@ class LocalWorkerBackend:
     trace: str = "lean"
     worker_backend: str = "serial"
     chaos_kill: frozenset[int] = frozenset()
-    chaos_kill_delay: float = 0.25
     _env: dict = field(default_factory=_child_env, repr=False)
 
     def _attempt_path(
@@ -215,13 +205,10 @@ class LocalWorkerBackend:
             trace=self.trace,
             cache=self.cache,
         )
-        kill_after = (
-            self.chaos_kill_delay
-            if shard.index in self.chaos_kill and attempt == 1
-            else None
-        )
         returncode, _stdout, stderr = await _run_process(
-            argv, env=self._env, kill_after=kill_after
+            argv,
+            env=self._env,
+            kill=shard.index in self.chaos_kill and attempt == 1,
         )
         try:
             return BatchResult.load(str(out))

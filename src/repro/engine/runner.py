@@ -23,10 +23,7 @@ make this hold:
 
 Backends are selected with ``executor=`` — :class:`SerialExecutor`,
 :class:`ProcessExecutor` or :class:`ThreadExecutor` (or anything else
-satisfying the :class:`~repro.engine.executors.Executor` protocol).  The
-bare ``workers=`` integer of the original API still works as a deprecated
-shim (``1`` → serial, ``0`` → auto-sized process pool, ``N`` → pool of
-N) and warns.
+satisfying the :class:`~repro.engine.executors.Executor` protocol).
 
 Passing a :class:`~repro.engine.cache.ResultCache` as ``cache=`` splits
 the cases into hits and misses up front: hits are answered from disk
@@ -44,10 +41,9 @@ back to serial execution and are never cached (see
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, cast
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.analysis.sweep import SweepRecord
 from repro.engine.cases import Case
@@ -57,7 +53,6 @@ from repro.engine.executors import (
     SerialExecutor,
     ThreadExecutor,
     execute_case,
-    executor_from_workers,
     resolve_executor,
     resolve_workers,
 )
@@ -83,8 +78,6 @@ __all__ = [
 
 OnRecord = Callable[[int, SweepRecord], None]
 
-_UNSET = object()
-
 
 def _check_unique_indices(cases: Sequence[Case]) -> None:
     """Reject duplicate case indices before anything executes.
@@ -102,36 +95,10 @@ def _check_unique_indices(cases: Sequence[Case]) -> None:
         )
 
 
-def _resolve_backend(
-    executor: Executor | None, workers: "int | None | object"
-) -> Executor:
-    """The executor to run on, honoring the deprecated ``workers=`` shim.
-
-    ``stacklevel=3`` attributes the warning to whoever called
-    ``run_cases``/``run_batch`` — both resolve their backend directly
-    (``run_batch`` before delegating), so the caller's frame is always
-    exactly two above this helper's.
-    """
-    if workers is not _UNSET:
-        if executor is not None:
-            raise TypeError(
-                "pass either executor= or the deprecated workers=, not both"
-            )
-        warnings.warn(
-            "workers= is deprecated; pass executor=SerialExecutor() / "
-            "ProcessExecutor(workers=N) / ThreadExecutor(workers=N) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return executor_from_workers(cast("int | None", workers))
-    return executor if executor is not None else SerialExecutor()
-
-
 def run_cases(
     cases: Iterable[Case],
     *,
     executor: Executor | None = None,
-    workers: "int | None | object" = _UNSET,
     on_record: OnRecord | None = None,
     cache: "ResultCache | None" = None,
     trace: str | None = None,
@@ -145,9 +112,6 @@ def run_cases(
             order (they need not be contiguous, but must be unique —
             duplicates raise :class:`GridError`).
         executor: execution backend (default :class:`SerialExecutor`).
-        workers: deprecated pool-size shim; <= 1 selects the serial path,
-            0 an auto-sized process pool.  Mutually exclusive with
-            ``executor``.
         on_record: optional streaming callback, invoked as each record
             arrives — cache hits first (in case order), then executed
             misses in the executor's completion order, which under a pool
@@ -168,7 +132,7 @@ def run_cases(
             the driver's memory by one record instead of the batch; the
             canonical order is restored when the spool is read back.
     """
-    backend = _resolve_backend(executor, workers)
+    backend = executor if executor is not None else SerialExecutor()
     cases = list(cases)  # tolerate one-shot iterators: we iterate twice
     if trace is not None:
         cases = [
@@ -238,7 +202,6 @@ def run_batch(
     grid: GridSpec | Iterable[Case],
     *,
     executor: Executor | None = None,
-    workers: "int | None | object" = _UNSET,
     shard: ShardSpec | None = None,
     on_record: OnRecord | None = None,
     cache: "ResultCache | None" = None,
@@ -254,7 +217,6 @@ def run_batch(
     overrides every case's kernel trace mode (see :func:`run_cases`);
     the result is byte-identical across modes.
     """
-    backend = _resolve_backend(executor, workers)
     if isinstance(grid, GridSpec):
         cases: Sequence[Case] = expand_grid(grid)
     else:
@@ -263,7 +225,7 @@ def run_batch(
         cases = shard.select(cases)
     return BatchResult(
         records=tuple(
-            run_cases(cases, executor=backend,
+            run_cases(cases, executor=executor,
                       on_record=on_record, cache=cache, trace=trace)
         )
     )

@@ -33,6 +33,3 @@ def suspected_by(
     received_from = same_round_senders(schedule, receiver, k)
     return frozenset(schedule.processes) - received_from
 
-
-def crash_count(schedule: Schedule) -> int:
-    return len(schedule.crashes)

@@ -22,12 +22,13 @@ builds each receiver's structured inbox (current-round items bucketed
 by tag, delayed messages separate, present-sender set) straight from
 the plan — shared across receivers with identical delivery plans — and
 drives the automata through
-:meth:`~repro.algorithms.base.Automaton.deliver_view`.  Automata that
-only implement the legacy ``deliver`` receive the canonically ordered
-flat message tuple via the base-class shim.  The original
-query-at-a-time loop is preserved verbatim as
-:func:`execute_reference`; the equivalence tests and the kernel
-microbenchmark hold the two byte-identical on full traces.
+:meth:`~repro.algorithms.base.Automaton.deliver_view`, the one receive
+hook.  One loop serves both trace modes: full mode additionally stores
+each receiver's flat inbox and appends a per-round record.  The
+original query-at-a-time loop is preserved as :func:`execute_reference`
+(it wraps each sorted inbox in a view itself, sharing neither the plan
+nor the lazy buckets with the fast path); the equivalence tests and
+the kernel microbenchmark hold the two byte-identical on full traces.
 
 The kernel is *model-agnostic*: it executes any schedule.  Whether the
 schedule obeys SCS or ES is checked separately by the validators in
@@ -38,15 +39,11 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.algorithms.base import (
-    AlgorithmFactory,
-    Automaton,
-    prefers_legacy_deliver,
-)
+from repro.algorithms.base import AlgorithmFactory, Automaton
 from repro.errors import SimulationError
 from repro.model.messages import DUMMY, Message, sort_delivery
 from repro.model.schedule import Schedule
-from repro.sim.bitset import interned_set, mask_of
+from repro.sim.bitset import interned_set
 from repro.sim.compiled import CompiledSchedule, compile_schedule
 from repro.sim.phase1_plane import Phase1Plane, build_run_plane
 from repro.sim.trace import AnyTrace, LeanTrace, RoundRecord, Trace
@@ -78,10 +75,7 @@ def _round_view_factory(
 ) -> Callable[[ProcessId], RoundView]:
     """One round's view builder, sharing buckets across plan groups.
 
-    Returns ``view_for(pid)``; both trace-mode loops drive it, so the
-    bucket-sharing and decide-concatenation logic exists exactly once —
-    a divergence here would break the byte-identical-across-modes
-    invariant the suite asserts.  ``shared_current``/``shared_delayed``
+    Returns ``view_for(pid)``.  ``shared_current``/``shared_delayed``
     are the run's preallocated group-bucket maps; the caller clears them
     between rounds instead of allocating fresh dicts.
 
@@ -177,22 +171,17 @@ def execute(
     proposals = tuple(a.proposal for a in automata)
     # The run-level batched-delivery plane (None unless every automaton
     # declares the protocol — see repro.sim.phase1_plane).  The plane is
-    # active only between begin_round/end_round below, so automata
-    # driven outside this kernel (execute_reference, direct deliver
+    # active only between begin_round/end_round in the loop, so automata
+    # driven outside this kernel (execute_reference, direct deliver_view
     # calls) always take their per-automaton path.
     plane = build_run_plane(automata)
-    if trace == "lean":
-        return _execute_lean(
-            automata, schedule, plan, horizon, stop_when_quiescent,
-            proposals, plane,
-        )
-    return _execute_full(
+    return _run(
         automata, schedule, plan, horizon, stop_when_quiescent,
-        proposals, plane,
+        proposals, plane, trace == "full",
     )
 
 
-def _execute_full(
+def _run(
     automata: Sequence[Automaton],
     schedule: Schedule,
     plan: CompiledSchedule,
@@ -200,26 +189,31 @@ def _execute_full(
     stop_when_quiescent: bool,
     proposals: tuple[Value, ...],
     plane: Phase1Plane | None,
-) -> Trace:
+    full: bool,
+) -> AnyTrace:
+    """The round loop behind :func:`execute`, for both trace modes.
+
+    Both modes keep the lean counters (rounds executed, messages
+    delivered, halt rounds) and drive the automata identically; *full*
+    additionally stores each receiver's flat inbox and appends one
+    :class:`~repro.sim.trace.RoundRecord` per round.
+    """
     n = schedule.n
     halted: set[ProcessId] = set()
+    halted_rounds: dict[ProcessId, Round] = {}
     decided_at: dict[ProcessId, tuple[Value, Round]] = {}
     # payloads[pid][k] is what pid broadcast in round k (or _NOT_SENT).
     payloads = [[_NOT_SENT] * (horizon + 1) for _ in range(n)]
-    # Per-automaton delivery dispatch: a class whose most-derived hook
-    # is the legacy ``deliver`` gets the flat tuple directly, so legacy
-    # overrides are honored even when an ancestor ported to views.
-    legacy_entry = [prefers_legacy_deliver(type(a)) for a in automata]
     records: list[RoundRecord] = []
+    message_count = 0
+    rounds_executed = 0
     # Preallocated per-run buffers, reset (not reallocated) per round.
     table = SendTable(n)
     shared_current: dict[ProcessId, CurrentCell] = {}
     shared_delayed: dict[ProcessId, tuple] = {}
 
     for k in range(1, horizon + 1):
-        sent: dict[ProcessId, object | None] = dict.fromkeys(range(n))
-        decided_this_round: dict[ProcessId, Value] = {}
-        halted_this_round: set[ProcessId] = set()
+        rounds_executed = k
 
         # --- send phase ---------------------------------------------------
         table.reset()
@@ -232,13 +226,18 @@ def _execute_full(
                 payload = DUMMY
             else:
                 hash(payload)  # fail fast on unhashable payloads
-            sent[pid] = payload
             payloads[pid][k] = payload
             record_send(pid, payload)
         table.seal()
 
         # --- receive phase --------------------------------------------------
+        # Message objects are built only for the full trace's records:
+        # automata consume the shared per-group buckets directly, so the
+        # per-round delivery cost is one bucket build per view group plus
+        # the automaton logic itself.
         delivered: dict[ProcessId, tuple[Message, ...]] = {}
+        decided_now: dict[ProcessId, Value] = {}
+        halted_now = 0
         shared_current.clear()
         shared_delayed.clear()
         view_for = _round_view_factory(
@@ -253,124 +252,48 @@ def _execute_full(
             if pid in halted:
                 continue
             view = view_for(pid)
-            # Materialize the receiver's inbox for the round record; the
-            # automaton sees the structured view (or, on the legacy
-            # path, the same tuple).
-            inbox = view.messages
+            if full:
+                delivered[pid] = view.messages
             automaton = automata[pid]
-            if legacy_entry[pid]:
-                automaton.deliver(k, inbox)
-            else:
-                automaton.deliver_view(k, view)
-            delivered[pid] = inbox
-            if automaton.decided and pid not in decided_at:
-                decided_at[pid] = (automaton.decision, k)
-                decided_this_round[pid] = automaton.decision
-            if automaton.halted:
-                halted_this_round.add(pid)
-        if plane is not None:
-            plane.end_round()
-
-        halted.update(halted_this_round)
-        records.append(
-            RoundRecord(
-                round=k,
-                sent=sent,
-                delivered=delivered,
-                decided=decided_this_round,
-                crashed=plan.crashed[k],
-                halted=interned_set(mask_of(halted_this_round)),
-            )
-        )
-
-        if stop_when_quiescent and all(
-            pid in halted for pid in plan.completers[k]
-        ):
-            break
-
-    return Trace(
-        schedule=schedule,
-        proposals=proposals,
-        rounds=tuple(records),
-        decisions=decided_at,
-    )
-
-
-def _execute_lean(
-    automata: Sequence[Automaton],
-    schedule: Schedule,
-    plan: CompiledSchedule,
-    horizon: Round,
-    stop_when_quiescent: bool,
-    proposals: tuple[Value, ...],
-    plane: Phase1Plane | None,
-) -> LeanTrace:
-    n = schedule.n
-    halted: set[ProcessId] = set()
-    halted_rounds: dict[ProcessId, Round] = {}
-    decided_at: dict[ProcessId, tuple[Value, Round]] = {}
-    payloads = [[_NOT_SENT] * (horizon + 1) for _ in range(n)]
-    legacy_entry = [prefers_legacy_deliver(type(a)) for a in automata]
-    message_count = 0
-    rounds_executed = 0
-    # Preallocated per-run buffers, reset (not reallocated) per round.
-    table = SendTable(n)
-    shared_current: dict[ProcessId, CurrentCell] = {}
-    shared_delayed: dict[ProcessId, tuple] = {}
-
-    for k in range(1, horizon + 1):
-        rounds_executed = k
-
-        table.reset()
-        record_send = table.record
-        for pid in plan.senders[k]:
-            if pid in halted:
-                continue
-            payload = automata[pid].payload(k)
-            if payload is None:
-                payload = DUMMY
-            else:
-                hash(payload)  # fail fast on unhashable payloads
-            payloads[pid][k] = payload
-            record_send(pid, payload)
-        table.seal()
-
-        # The lean receive phase never materializes Message objects
-        # unless an automaton falls back to the legacy ``deliver``
-        # (the RoundView then builds the flat tuple on demand): ported
-        # automata consume the shared per-group buckets directly, so
-        # the per-round delivery cost is one bucket build per view
-        # group plus the automaton logic itself.
-        shared_current.clear()
-        shared_delayed.clear()
-        view_for = _round_view_factory(
-            k, n, plan, table, payloads, shared_current, shared_delayed
-        )
-        if plane is not None:
-            plane.begin_round(k, table)
-        for pid in plan.completers[k]:
-            if pid in halted:
-                continue
-            view = view_for(pid)
-            automaton = automata[pid]
-            if legacy_entry[pid]:
-                automaton.deliver(k, view.messages)
-            else:
-                automaton.deliver_view(k, view)
+            automaton.deliver_view(k, view)
             message_count += view.size
             if automaton.decided and pid not in decided_at:
                 decided_at[pid] = (automaton.decision, k)
+                decided_now[pid] = automaton.decision
             if automaton.halted:
                 halted.add(pid)
                 halted_rounds[pid] = k
+                halted_now |= 1 << pid
         if plane is not None:
             plane.end_round()
+
+        if full:
+            records.append(
+                RoundRecord(
+                    round=k,
+                    sent={
+                        pid: None if row[k] is _NOT_SENT else row[k]
+                        for pid, row in enumerate(payloads)
+                    },
+                    delivered=delivered,
+                    decided=decided_now,
+                    crashed=plan.crashed[k],
+                    halted=interned_set(halted_now),
+                )
+            )
 
         if stop_when_quiescent and all(
             pid in halted for pid in plan.completers[k]
         ):
             break
 
+    if full:
+        return Trace(
+            schedule=schedule,
+            proposals=proposals,
+            rounds=tuple(records),
+            decisions=decided_at,
+        )
     return LeanTrace(
         schedule=schedule,
         proposals=proposals,
@@ -449,7 +372,9 @@ def execute_reference(
                 continue
             inbox = sort_delivery(pending.pop((pid, k), []))
             automaton = automata[pid]
-            automaton.deliver(k, inbox)
+            automaton.deliver_view(
+                k, RoundView.from_messages(k, pid, n, inbox)
+            )
             delivered[pid] = inbox
             if automaton.decided and pid not in decided_at:
                 decided_at[pid] = (automaton.decision, k)

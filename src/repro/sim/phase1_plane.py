@@ -54,7 +54,7 @@ per round around the receive phase; between the two, bound automata
 route their Phase-1 state updates through
 :meth:`Phase1Plane.compute_view`, which falls back to the exact
 per-receiver :meth:`~repro.algorithms.suspicion.EstimateState.
-compute_view` whenever the plane is not mid-round (direct ``deliver``
+compute_view` whenever the plane is not mid-round (direct ``deliver_view``
 calls, ``execute_reference``, post-run pokes) — so every entry point
 computes the identical update and the byte-identity suite can hold the
 batched kernel to ``execute_reference`` across trace modes.
@@ -287,8 +287,8 @@ def build_run_plane(
     """Build and bind one plane for *automata*, or ``None``.
 
     The batched dispatch engages only when **every** automaton in the
-    run declares the (one) known protocol — a mixed or legacy run keeps
-    the untouched per-automaton delivery path.  On success the plane is
+    run declares the (one) known protocol — a mixed run keeps the
+    untouched per-automaton delivery path.  On success the plane is
     bound into each automaton via
     :meth:`~repro.algorithms.base.Automaton.bind_phase1_plane` and
     returned for the kernel's per-round ``begin_round``/``end_round``

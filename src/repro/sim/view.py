@@ -27,8 +27,7 @@ runs:
   iteration instead of a full-inbox scan.
 
 Message objects are materialized lazily (:attr:`RoundView.messages`):
-an automaton ported onto :meth:`~repro.algorithms.base.Automaton.
-deliver_view` that only touches the structured accessors never pays for
+an automaton that only touches the structured accessors never pays for
 them, which is where most of the large-n delivery speedup comes from.
 Receivers with byte-identical delivery plans share one set of buckets
 per round — current-round and delayed plans are keyed independently
@@ -74,8 +73,7 @@ _DECIDE = "DECIDE"
 
 
 def _is_decide_payload(payload: Payload) -> bool:
-    """Payload-level ``is_decide`` (tuple-tagged DECIDE, same predicate
-    as ``repro.algorithms.common.is_decide``).  Every bucket builder
+    """Whether *payload* is a tuple-tagged DECIDE.  Every bucket builder
     must classify decides identically — the byte-identical-across-paths
     invariant hinges on this being the one definition.
     (``SendTable.record`` keeps an inlined copy fused into its tag
@@ -295,13 +293,12 @@ class RoundView:
 
     @property
     def messages(self) -> tuple[Message, ...]:
-        """The legacy flat inbox, in canonical delivery order.
+        """The flat inbox, in canonical delivery order.
 
         Materialized on first access (and cached): delayed messages first
         — they sort ahead on ``sent_round`` — then current-round messages
-        ascending by sender.  This is what the
-        :meth:`~repro.algorithms.base.Automaton.deliver_view` fallback
-        shim feeds to unported ``deliver`` implementations.
+        ascending by sender.  The full-trace kernel records it per
+        receiver; automata consume the structured accessors instead.
         """
         messages = self._messages
         if messages is None:
@@ -374,12 +371,13 @@ class RoundView:
     ) -> "RoundView":
         """Build a view from an already-materialized flat inbox.
 
-        The bridge for legacy entry points: direct ``deliver`` calls
-        (tests, out-of-tree drivers) reach the ported
-        ``round_deliver_view`` implementations through this constructor.
-        Message order is preserved — for kernel-built inboxes that is
-        the canonical order; hand-built test inboxes keep whatever order
-        the test chose, exactly as the flat ``deliver`` path did.
+        How flat inboxes reach the one receive hook: the reference
+        kernel wraps each sorted inbox with it, so the oracle shares
+        neither the compiled plan nor the lazy buckets with the fast
+        path, and tests feed hand-built inboxes through it.  Message
+        order is preserved — for kernel-built inboxes that is the
+        canonical order; hand-built test inboxes keep whatever order the
+        test chose.
         """
         view = cls.from_entries(
             round, receiver, n,

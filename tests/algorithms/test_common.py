@@ -7,6 +7,7 @@ from repro.errors import AlgorithmError
 from repro.model.messages import Message
 from repro.model.schedule import Schedule
 from repro.sim.kernel import execute
+from repro.sim.view import RoundView
 
 
 class DecideAtRound(ConsensusAutomaton):
@@ -17,7 +18,7 @@ class DecideAtRound(ConsensusAutomaton):
     def round_payload(self, k):
         return ("BEAT", k)
 
-    def round_deliver(self, k, messages):
+    def round_deliver_view(self, k, view):
         if k == self.decide_round:
             self._decide(self.proposal, k)
 
@@ -26,13 +27,20 @@ class NeverDecides(ConsensusAutomaton):
     def round_payload(self, k):
         return ("BEAT", k)
 
-    def round_deliver(self, k, messages):
+    def round_deliver_view(self, k, view):
         pass
 
 
 def decide_message(k, sender, receiver, value):
     return Message(sent_round=k, sender=sender, receiver=receiver,
                    payload=decide_payload(value))
+
+
+def deliver_inbox(automaton, k, messages):
+    """Hand *automaton* a hand-built round-*k* inbox."""
+    automaton.deliver_view(
+        k, RoundView.from_messages(k, automaton.pid, automaton.n, messages)
+    )
 
 
 class TestDecideFlow:
@@ -82,7 +90,8 @@ class TestDecideFlow:
     def test_conflicting_decides_in_one_round_raise(self):
         follower = NeverDecides(0, 3, 1, "x")
         with pytest.raises(AlgorithmError, match="decided"):
-            follower.deliver(
+            deliver_inbox(
+                follower,
                 5,
                 (
                     decide_message(5, 1, 0, "a"),
@@ -94,14 +103,15 @@ class TestDecideFlow:
         # Once decided, the wrapper halts on the next delivery without
         # re-examining messages (the invocation has returned).
         follower = NeverDecides(0, 3, 1, "x")
-        follower.deliver(5, (decide_message(5, 1, 0, "a"),))
-        follower.deliver(6, (decide_message(6, 2, 0, "b"),))
+        deliver_inbox(follower, 5, (decide_message(5, 1, 0, "a"),))
+        deliver_inbox(follower, 6, (decide_message(6, 2, 0, "b"),))
         assert follower.decision == "a"
         assert follower.halted
 
     def test_redundant_equal_decide_is_fine(self):
         follower = NeverDecides(0, 3, 1, "x")
-        follower.deliver(
+        deliver_inbox(
+            follower,
             5,
             (
                 decide_message(5, 1, 0, "a"),

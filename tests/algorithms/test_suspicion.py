@@ -2,6 +2,7 @@
 
 from repro.algorithms.suspicion import ESTIMATE, EstimateState, estimate_payload
 from repro.model.messages import Message
+from repro.sim.view import RoundView
 
 
 def est_message(k, sender, receiver, est, halt=frozenset()):
@@ -13,10 +14,18 @@ def est_message(k, sender, receiver, est, halt=frozenset()):
     )
 
 
+def compute(state, k, messages):
+    """Run ``compute()`` on a hand-built inbox, keeping its order."""
+    state.compute_view(
+        k, RoundView.from_messages(k, state.pid, state.n, tuple(messages))
+    )
+
+
 class TestCompute:
     def test_min_estimate_adopted(self):
         state = EstimateState(pid=0, n=3, est=5)
-        state.compute(
+        compute(
+            state,
             1,
             (
                 est_message(1, 0, 0, 5),
@@ -29,7 +38,8 @@ class TestCompute:
 
     def test_missing_sender_is_suspected(self):
         state = EstimateState(pid=0, n=3, est=5)
-        state.compute(
+        compute(
+            state,
             1,
             (est_message(1, 0, 0, 5), est_message(1, 1, 0, 3)),
         )
@@ -37,7 +47,8 @@ class TestCompute:
 
     def test_sender_suspecting_me_joins_halt(self):
         state = EstimateState(pid=0, n=3, est=5)
-        state.compute(
+        compute(
+            state,
             1,
             (
                 est_message(1, 0, 0, 5),
@@ -49,7 +60,8 @@ class TestCompute:
 
     def test_halt_members_excluded_from_msgset(self):
         state = EstimateState(pid=0, n=3, est=5, halt=frozenset({1}))
-        state.compute(
+        compute(
+            state,
             1,
             (
                 est_message(1, 0, 0, 5),
@@ -61,7 +73,8 @@ class TestCompute:
 
     def test_estimate_monotone_nonincreasing(self):
         state = EstimateState(pid=0, n=3, est=2)
-        state.compute(
+        compute(
+            state,
             1,
             (
                 est_message(1, 0, 0, 2),
@@ -75,14 +88,14 @@ class TestCompute:
     def test_never_self_suspects(self):
         state = EstimateState(pid=0, n=3, est=5)
         for k in (1, 2, 3):
-            state.compute(k, (est_message(k, 0, 0, state.est),))
+            compute(state, k, (est_message(k, 0, 0, state.est),))
         assert 0 not in state.halt
         assert state.halt == frozenset({1, 2})
 
     def test_delayed_and_foreign_messages_ignored(self):
         state = EstimateState(pid=0, n=3, est=5)
         stale = est_message(1, 1, 0, 0)  # sent in round 1...
-        state.compute(2, (est_message(2, 0, 0, 5), stale))
+        compute(state, 2, (est_message(2, 0, 0, 5), stale))
         # ... so in round 2 it neither updates est nor clears suspicion.
         assert state.est == 5
         assert 1 in state.halt
@@ -91,14 +104,6 @@ class TestCompute:
         state = EstimateState(pid=0, n=3, est=5, halt=frozenset({2}))
         assert state.payload(4) == (ESTIMATE, 4, 5, frozenset({2}))
 
-    def test_msg_set_senders(self):
-        state = EstimateState(pid=0, n=3, est=5, halt=frozenset({1}))
-        msgs = (
-            est_message(2, 0, 0, 5),
-            est_message(2, 1, 0, 1),
-            est_message(2, 2, 0, 3),
-        )
-        assert state.msg_set_senders(2, msgs) == frozenset({0, 2})
 
 
 class TwoPassReference:
@@ -185,16 +190,16 @@ class TestBatchedComputeEqualsTwoPassReference:
             halt = frozenset(halt) - {pid}  # a process never self-suspects
             batched = EstimateState(pid=pid, n=n, est=99, halt=halt)
             reference = TwoPassReference(pid=pid, n=n, est=99, halt=halt)
-            batched.compute(k, tuple(messages))
+            compute(batched, k, messages)
             reference.compute(k, tuple(messages))
             assert batched.halt == reference.halt
             assert batched.est == reference.est
 
         check()
 
-    def test_view_entry_point_equals_message_entry_point(self):
-        from repro.sim.view import RoundView
-
+    def test_canonical_inboxes_equal_reference(self):
+        # Kernel-shaped inboxes: canonically sorted, delayed messages
+        # mixed in, the view built the way execute_reference builds it.
         for seed in range(40):
             import random
 
@@ -218,11 +223,11 @@ class TestBatchedComputeEqualsTwoPassReference:
                     payload=payload,
                 ))
             messages.sort()
-            via_messages = EstimateState(pid=pid, n=n, est=42)
+            reference = TwoPassReference(pid=pid, n=n, est=42)
             via_view = EstimateState(pid=pid, n=n, est=42)
-            via_messages.compute(k, tuple(messages))
+            reference.compute(k, tuple(messages))
             via_view.compute_view(
                 k, RoundView.from_messages(k, pid, n, tuple(messages))
             )
-            assert via_messages.halt == via_view.halt
-            assert via_messages.est == via_view.est
+            assert reference.halt == via_view.halt
+            assert reference.est == via_view.est

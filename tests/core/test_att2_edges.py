@@ -3,7 +3,7 @@
 import pytest
 
 from repro import ATt2, ChandraTouegES, HurfinRaynalES, Schedule
-from repro.algorithms.suspicion import estimate_payload
+from repro.algorithms.suspicion import EstimateState, estimate_payload
 from repro.core.att2_optimized import ATt2Optimized
 from repro.model.messages import Message
 from repro.model.schedule import ScheduleBuilder
@@ -90,24 +90,20 @@ class TestHaltBookkeeping:
                 assert previous <= halt
                 previous = halt
 
-    def test_msg_set_senders_excludes_halt_stale_and_foreign(self):
-        automaton = ATt2(0, 5, 2, 7)
-        automaton.state.halt = frozenset({3})
+    def test_msgset_excludes_halt_stale_and_foreign(self):
+        state = EstimateState(pid=0, n=5, est=7, halt=frozenset({3}))
         messages = (
             Message(2, 0, 0, estimate_payload(2, 7, frozenset())),
-            Message(2, 1, 0, estimate_payload(2, 1, frozenset({0}))),
+            Message(2, 1, 0, estimate_payload(2, 4, frozenset())),
             Message(2, 3, 0, estimate_payload(2, 0, frozenset())),  # in Halt
             Message(1, 4, 0, estimate_payload(1, 2, frozenset())),  # stale
-            Message(2, 2, 0, ("NEWESTIMATE", 2, 5)),                # foreign
+            Message(2, 2, 0, ("NEWESTIMATE", 2, 1)),                # foreign
         )
-        senders = automaton.state.msg_set_senders(2, messages)
-        # Halt exclusion reads the *current* Halt; a sender suspecting
-        # p0 still counts until compute() actually adds it.
-        assert senders == frozenset({0, 1})
-
-    def test_msg_set_senders_empty_inbox(self):
-        automaton = ATt2(0, 5, 2, 7)
-        assert automaton.state.msg_set_senders(1, ()) == frozenset()
+        state.compute_view(2, RoundView.from_messages(2, 0, 5, messages))
+        # Only p0 and p1 are in msgSet; p2 and p4 sent no current-round
+        # ESTIMATE, so they join Halt.
+        assert state.est == 4
+        assert state.halt == frozenset({2, 3, 4})
 
     def test_crashed_processes_accumulate_in_halt(self):
         schedule = Schedule.synchronous(

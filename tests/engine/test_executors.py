@@ -13,6 +13,7 @@ from repro.engine import (
     SerialExecutor,
     ThreadExecutor,
     resolve_executor,
+    run_batch,
     run_cases,
 )
 
@@ -162,6 +163,25 @@ class TestFactoryCases:
         assert [record.global_round for _i, record in pairs] == [3, 3, 3]
 
 
+class TestExecutorArgument:
+    """``executor=`` is the only way to choose a backend."""
+
+    def test_run_cases_rejects_workers_argument(self):
+        with pytest.raises(TypeError, match="workers"):
+            run_cases([_case(0)], workers=2)
+
+    def test_run_batch_rejects_workers_argument(self):
+        with pytest.raises(TypeError, match="workers"):
+            run_batch([_case(0)], workers=2)
+
+    def test_default_is_serial_and_silent(self, recwarn):
+        records = run_cases([_case(i) for i in range(3)])
+        assert records == run_cases(
+            [_case(i) for i in range(3)], executor=SerialExecutor()
+        )
+        assert not recwarn.list
+
+
 class TestResolveExecutor:
     def test_maps_backend_names(self):
         assert isinstance(resolve_executor("serial"), SerialExecutor)
@@ -180,27 +200,3 @@ class TestResolveExecutor:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ExecutorError, match="unknown backend"):
             resolve_executor("carrier-pigeons")
-
-
-class TestWorkersShim:
-    def test_workers_still_works_but_warns(self):
-        cases = [_case(i) for i in range(3)]
-        with pytest.deprecated_call():
-            records = run_cases(cases, workers=2)
-        assert records == run_cases(cases)
-
-    def test_workers_one_means_serial(self):
-        with pytest.deprecated_call():
-            records = run_cases([_case(0)], workers=1)
-        assert records[0].global_round == 3
-
-    def test_executor_and_workers_are_mutually_exclusive(self):
-        with pytest.raises(TypeError, match="not both"):
-            run_cases([_case(0)], executor=SerialExecutor(), workers=2)
-
-    def test_default_is_serial_and_silent(self, recwarn):
-        run_cases([_case(0)])
-        assert not [
-            w for w in recwarn.list
-            if issubclass(w.category, DeprecationWarning)
-        ]

@@ -172,24 +172,35 @@ class TestPhase1PlaneDispatch:
 
 
 class TestLeanTraceMetrics:
-    @pytest.mark.parametrize(
-        "name", ["att2", "att2_optimized", "adiamond_s", "hurfin_raynal",
-                 "chandra_toueg"]
-    )
+    @pytest.mark.parametrize("name", sorted(available_algorithms()))
     def test_lean_and_full_metrics_identical(self, name):
+        # Every registered algorithm, on every generator its model
+        # admits: one kernel loop serves both modes, and the FloodSet
+        # family's announce_decision=False halting is covered too.
+        n, t = _system_for(name)
         factory = get_factory(name)
-        for seed in SEEDS:
-            schedule = random_es_schedule(5, 2, seed, horizon=14)
-            proposals = random_proposals(5, seed)
-            full = run_algorithm(factory, schedule, proposals, trace="full")
-            lean = run_algorithm(factory, schedule, proposals, trace="lean")
-            assert dict(lean.decisions) == dict(full.decisions)
-            assert lean.rounds_executed == full.rounds_executed
-            assert lean.message_count() == full.message_count()
-            assert summarize(lean) == summarize(full)
-            assert check_consensus(
-                lean, expect_termination=False
-            ) == check_consensus(full, expect_termination=False)
+        for generator in _generators_for(name):
+            for seed in SEEDS:
+                schedule = generator(n, t, seed, horizon=14)
+                proposals = random_proposals(n, seed)
+                full = run_algorithm(
+                    factory, schedule, proposals, trace="full"
+                )
+                lean = run_algorithm(
+                    factory, schedule, proposals, trace="lean"
+                )
+                assert dict(lean.decisions) == dict(full.decisions)
+                assert lean.rounds_executed == full.rounds_executed
+                assert lean.message_count() == full.message_count()
+                assert dict(lean.halted_rounds) == {
+                    pid: record.round
+                    for record in full.rounds
+                    for pid in record.halted
+                }
+                assert summarize(lean) == summarize(full)
+                assert check_consensus(
+                    lean, expect_termination=False
+                ) == check_consensus(full, expect_termination=False)
 
     def test_lean_halt_rounds_match_full_trace(self):
         factory = get_factory("att2")

@@ -1,13 +1,12 @@
-"""Round-view delivery: bucket structure, sharing, and the legacy shim.
+"""Round-view delivery: bucket structure, sharing, and the one hook.
 
-The RoundView contract the ported algorithms rely on: current-round
-items pre-partitioned by tag in canonical order, delayed triples
-separate, DECIDE payloads collected across both in message order, and
-lazily materialized flat messages identical to what the old kernel
-delivered.  Plus the two compatibility guarantees: an automaton that
-only implements the legacy ``deliver`` runs unchanged through the
-base-class shim, and the compiled plan's sharing groups never mix
-receivers with different delivery plans.
+The RoundView contract the algorithms rely on: current-round items
+pre-partitioned by tag in canonical order, delayed triples separate,
+DECIDE payloads collected across both in message order, and lazily
+materialized flat messages identical to what the reference kernel
+delivers.  Plus: ``deliver_view`` is the one (abstract) receive hook,
+and the compiled plan's sharing groups never mix receivers with
+different delivery plans.
 """
 
 import pytest
@@ -15,7 +14,6 @@ import pytest
 from repro.algorithms.base import Automaton, make_automata
 from repro.algorithms.common import ConsensusAutomaton, decide_payload
 from repro.algorithms.registry import get_factory
-from repro.errors import AlgorithmError
 from repro.model.messages import Message
 from repro.model.schedule import Schedule, ScheduleBuilder
 from repro.sim.compiled import compile_schedule
@@ -133,7 +131,7 @@ class TestShifted:
 
 
 class Recorder(Automaton):
-    """A deliver-only automaton: exercises the base-class shim."""
+    """Records each round's flat inbox, then decides and halts."""
 
     def __init__(self, pid, n, t, proposal):
         super().__init__(pid, n, t, proposal)
@@ -142,53 +140,67 @@ class Recorder(Automaton):
     def payload(self, k):
         return ("REC", k, self.pid)
 
-    def deliver(self, k, messages):
-        self.seen.append((k, messages))
+    def deliver_view(self, k, view):
+        self.seen.append((k, view.messages))
         if k >= 3:
             self._decide(self.proposal, k)
             self._halt()
 
 
-class TestLegacyShim:
-    def test_unported_automaton_gets_canonical_flat_inboxes(self):
+class TestOneHook:
+    def test_view_messages_is_the_canonical_flat_inbox(self):
         builder = ScheduleBuilder(3, 1, horizon=5)
         builder.delay(sender=2, receiver=0, k=1, until=2)
         schedule = builder.build()
         automata = make_automata(Recorder, 3, 1, [0, 1, 2])
-        reference = execute_reference(
-            make_automata(Recorder, 3, 1, [0, 1, 2]), schedule
-        )
+        reference_automata = make_automata(Recorder, 3, 1, [0, 1, 2])
+        reference = execute_reference(reference_automata, schedule)
         trace = execute(automata, schedule, trace="full")
         assert trace == reference
+        assert [a.seen for a in automata] == [
+            a.seen for a in reference_automata
+        ]
         k, inbox = automata[0].seen[1]  # round 2 at the delayed receiver
         assert k == 2
         assert [m.sent_round for m in inbox] == [1, 2, 2, 2]
         assert all(m.receiver == 0 for m in inbox)
 
-    def test_consensus_bridge_rejects_hookless_subclass(self):
-        class Hookless(ConsensusAutomaton):
-            def round_payload(self, k):
-                return None
-
-        automaton = Hookless(0, 3, 1, 0)
-        with pytest.raises(AlgorithmError, match="neither"):
-            automaton.deliver(1, ())
-
-    def test_automaton_rejects_hookless_subclass_at_delivery(self):
+    def test_hookless_subclass_fails_at_construction(self):
         class NoHooks(Automaton):
             def payload(self, k):
                 return None
 
-        automaton = NoHooks(0, 3, 1, 0)
-        with pytest.raises(AlgorithmError, match="neither"):
-            automaton.deliver(1, ())
-        with pytest.raises(AlgorithmError, match="neither"):
-            automaton.deliver_view(1, view_of(n=3))
+        class Hookless(ConsensusAutomaton):
+            def round_payload(self, k):
+                return None
 
-    def test_view_only_automaton_runs_and_bridges(self):
-        # The documented contract: implementing only the fast hook is
-        # enough — the kernel drives it directly, and direct legacy
-        # deliver() calls bridge through from_messages.
+        for cls in (NoHooks, Hookless):
+            with pytest.raises(TypeError, match="abstract"):
+                cls(0, 3, 1, 0)
+
+    def test_removed_flat_hooks_do_not_satisfy_the_contract(self):
+        # An automaton written against the removed flat-inbox hooks
+        # must fail loudly, not run with its receive phase ignored.
+        class FlatOnly(Automaton):
+            def payload(self, k):
+                return None
+
+            def deliver(self, k, messages):  # pragma: no cover
+                raise AssertionError("flat hook must never be driven")
+
+        class FlatRoundOnly(ConsensusAutomaton):
+            def round_payload(self, k):
+                return None
+
+            def round_deliver(self, k, messages):  # pragma: no cover
+                raise AssertionError("flat hook must never be driven")
+
+        for cls in (FlatOnly, FlatRoundOnly):
+            with pytest.raises(TypeError, match="abstract"):
+                cls(0, 3, 1, 0)
+
+    @pytest.mark.parametrize("mode", ["full", "lean"])
+    def test_view_only_automaton_runs_in_both_trace_modes(self, mode):
         class ViewOnly(Automaton):
             def __init__(self, pid, n, t, proposal):
                 super().__init__(pid, n, t, proposal)
@@ -204,95 +216,58 @@ class TestLegacyShim:
                     self._halt()
 
         schedule = Schedule.failure_free(3, 1, 4)
-        trace = execute(
-            make_automata(ViewOnly, 3, 1, [0, 1, 2]), schedule,
-            trace="full",
-        )
-        assert trace.decided_values() == {0, 1, 2}
-        direct = ViewOnly(0, 3, 1, 5)
-        direct.deliver(
-            1, (Message(sent_round=1, sender=1, receiver=0,
-                        payload=("VO", 1)),)
-        )
-        assert direct.tagged_counts == [1]
+        automata = make_automata(ViewOnly, 3, 1, [0, 1, 2])
+        trace = execute(automata, schedule, trace=mode)
+        assert trace.decisions == {0: (0, 2), 1: (1, 2), 2: (2, 2)}
+        assert [a.tagged_counts for a in automata] == [[3, 3]] * 3
 
-    def test_legacy_round_hook_on_ported_algorithm_subclass_wins(self):
-        # Pre-view contract for the primary extension surface: an
-        # out-of-tree subclass of a *ported* stock algorithm overriding
-        # only the legacy round_deliver must run its override — the
-        # ancestor's round_deliver_view must not shadow it.
-        from repro.algorithms.floodset import FloodSet
+    def test_round_hook_override_on_algorithm_subclass_wins(self):
+        # The extension surface: a subclass of a stock algorithm that
+        # overrides round_deliver_view runs its override, under the
+        # compiled kernel and the reference kernel alike.
+        from repro.algorithms.floodset import FLOOD, FloodSet
 
         calls = []
 
-        class MyFloodSet(FloodSet):
-            def round_deliver(self, k, messages):
+        class MaxFloodSet(FloodSet):
+            def round_deliver_view(self, k, view):
                 calls.append(k)
-                # tweak: decide the *max* known value instead
                 union = set(self.known)
-                for m in self.current_round(messages, k):
-                    if m.tag == "FLOOD":
-                        union.update(m.payload[2])
+                for _sender, payload in view.tagged(FLOOD):
+                    union.update(payload[2])
                 self.known = frozenset(union)
                 if k == self.t + 1:
                     self._decide(max(self.known), k)
 
         schedule = Schedule.failure_free(4, 1, 6)
         trace = execute(
-            make_automata(MyFloodSet, 4, 1, [3, 1, 4, 1]), schedule,
+            make_automata(MaxFloodSet, 4, 1, [3, 1, 4, 1]), schedule,
             trace="full",
         )
-        assert calls, "the subclass's legacy round hook never ran"
+        assert calls, "the subclass's round hook never ran"
         assert trace.decided_values() == {4}
         reference = execute_reference(
-            make_automata(MyFloodSet, 4, 1, [3, 1, 4, 1]), schedule
+            make_automata(MaxFloodSet, 4, 1, [3, 1, 4, 1]), schedule
         )
         assert trace == reference
 
-    def test_consensus_deliver_view_override_bridges_from_deliver(self):
-        # The symmetric takeover: a subclass overriding only
-        # deliver_view defines the behavior of direct legacy deliver()
-        # calls too — they must land in the override, not the protocol.
-        class ViewTakeover(ConsensusAutomaton):
-            announce_decision = False
-
-            def __init__(self, pid, n, t, proposal):
-                super().__init__(pid, n, t, proposal)
-                self.rounds_seen = []
-
-            def round_payload(self, k):
-                return ("VT", k)
-
-            def deliver_view(self, k, view):
-                self.rounds_seen.append((k, len(view.current)))
-
-        automaton = ViewTakeover(0, 3, 1, 9)
-        automaton.deliver(
-            2, (Message(sent_round=2, sender=1, receiver=0,
-                        payload=("VT", 2)),)
-        )
-        assert automaton.rounds_seen == [(2, 1)]
-
-    def test_consensus_deliver_override_still_drives_the_run(self):
-        # Pre-view contract: a ConsensusAutomaton subclass could take
-        # over the whole receive phase by overriding deliver(); the
-        # kernel must still honor that override through deliver_view.
+    def test_consensus_deliver_view_override_drives_the_run(self):
+        # A ConsensusAutomaton subclass may take over the whole receive
+        # phase, DECIDE handling included, by overriding deliver_view.
         class TakesOver(ConsensusAutomaton):
             announce_decision = False
 
             def round_payload(self, k):
                 return ("TO", k, self.proposal)
 
-            def deliver(self, k, messages):
-                # bespoke protocol: decide own proposal in round 2,
-                # ignoring DECIDE handling entirely
-                assert all(isinstance(m, Message) for m in messages)
+            def deliver_view(self, k, view):
+                assert all(isinstance(m, Message) for m in view.messages)
                 if k == 2:
                     self._decide(self.proposal, k)
                     self._halt()
 
-            def round_deliver(self, k, messages):  # pragma: no cover
-                raise AssertionError("deliver override bypasses hooks")
+            def round_deliver_view(self, k, view):  # pragma: no cover
+                raise AssertionError("deliver_view override bypasses hooks")
 
         schedule = Schedule.failure_free(3, 1, 5)
         trace = execute(
@@ -304,35 +279,6 @@ class TestLegacyShim:
         )
         assert trace == reference
         assert trace.decisions == {0: (4, 2), 1: (5, 2), 2: (6, 2)}
-
-    def test_old_style_round_deliver_subclass_still_runs(self):
-        class OldStyle(ConsensusAutomaton):
-            announce_decision = False
-
-            def __init__(self, pid, n, t, proposal):
-                super().__init__(pid, n, t, proposal)
-                self.best = proposal
-
-            def round_payload(self, k):
-                return ("OS", k, self.best)
-
-            def round_deliver(self, k, messages):
-                for m in self.current_round(messages, k):
-                    if m.tag == "OS":
-                        self.best = min(self.best, m.payload[2])
-                if k == self.t + 1:
-                    self._decide(self.best, k)
-
-        schedule = Schedule.failure_free(4, 1, 6)
-        trace = execute(
-            make_automata(OldStyle, 4, 1, [3, 1, 4, 1]), schedule,
-            trace="full",
-        )
-        reference = execute_reference(
-            make_automata(OldStyle, 4, 1, [3, 1, 4, 1]), schedule
-        )
-        assert trace == reference
-        assert trace.decided_values() == {1}
 
 
 class TestPlanSharingGroups:
@@ -383,14 +329,12 @@ class TestPlanSharingGroups:
 class TestViewKernelEquivalence:
     @pytest.mark.parametrize("name", ["att2", "chandra_toueg", "floodset_ws"])
     def test_view_and_flat_delivery_agree(self, name):
-        # Forcing every automaton through flat delivery (the base-class
-        # shim: materialized message tuples, structure re-derived per
-        # receiver — what any unported automaton pays) must not change
-        # a single record: the view is a faster representation, never a
-        # different one.  The same patch is the kernel microbench's
-        # "flat" arm, so this test pins the arm's semantics too.
-        from types import MethodType
-
+        # Forcing every automaton through flat delivery (materialized
+        # message tuples re-delivered via from_messages, structure
+        # re-derived per receiver) must not change a single record: the
+        # view is a faster representation, never a different one.  The
+        # same wrapper is the kernel microbench's "flat" arm, so this
+        # test pins the arm's semantics too.
         factory = get_factory(name)
         n, t = 5, 2
         for seed in range(6):
@@ -401,8 +345,21 @@ class TestViewKernelEquivalence:
             )
             flat_automata = make_automata(factory, n, t, list(range(n)))
             for automaton in flat_automata:
-                automaton.deliver_view = MethodType(
-                    Automaton.deliver_view, automaton
-                )
+                automaton.deliver_view = _flat(automaton)
             flat = execute(flat_automata, schedule, trace="full")
             assert ported == flat
+
+
+def _flat(automaton):
+    """*automaton*'s receive hook, fed its flat inbox via from_messages."""
+    deliver_view = automaton.deliver_view
+
+    def deliver_flat(k, view):
+        deliver_view(
+            k,
+            RoundView.from_messages(
+                k, automaton.pid, automaton.n, view.messages
+            ),
+        )
+
+    return deliver_flat
