@@ -14,7 +14,8 @@ Three backends ship with the engine:
 * :class:`ProcessExecutor` — a ``multiprocessing`` pool.  Cases cross a
   pipe, so they must be picklable; cases carrying an explicit in-process
   ``factory`` (the legacy :mod:`repro.analysis.sweep` path) are split
-  off and executed inline while everything else still runs on the pool.
+  off and executed inline while everything else still runs on the pool,
+  one task per schedule (:func:`group_by_schedule`).
 * :class:`ThreadExecutor` — a ``concurrent.futures.ThreadPoolExecutor``.
   Threads share the interpreter, so explicit factories are fine; the GIL
   bounds speedup for the pure-Python kernel, but the backend is the right
@@ -83,6 +84,25 @@ def execute_case(case: Case) -> tuple[int, SweepRecord]:
     return case.index, replace(record, case_index=case.index)
 
 
+def execute_group(cases: Sequence[Case]) -> list[tuple[int, SweepRecord]]:
+    """Run cases that share one schedule; one pool task per schedule.
+
+    The schedule crosses the pipe once per task and its compiled plan
+    (memoized on the instance) serves every case in the group.  Each
+    pair is :func:`execute_case`'s result, unchanged.
+    """
+    return [execute_case(case) for case in cases]
+
+
+def group_by_schedule(cases: Iterable[Case]) -> list[list[Case]]:
+    """*cases* grouped by :meth:`Schedule.digest`, in first-appearance
+    order — equal schedules share a group even as distinct objects."""
+    groups: dict[str, list[Case]] = {}
+    for case in cases:
+        groups.setdefault(case.schedule.digest(), []).append(case)
+    return list(groups.values())
+
+
 def resolve_workers(workers: int | None, n_cases: int) -> int:
     """Clamp a requested worker count to something sensible.
 
@@ -122,9 +142,11 @@ class ProcessExecutor:
     ``workers=None`` auto-sizes to the machine.  Cases carrying an
     explicit in-process factory (unpicklable in general) are partitioned
     out and executed inline, so one legacy case no longer forces the
-    whole batch onto the serial path; the pool runs everything else.
-    Falls back to serial entirely when the pool cannot help: a single
-    worker or fewer than two poolable cases.
+    whole batch onto the serial path; the pool runs everything else,
+    one task per schedule (:func:`execute_group`), so a schedule is
+    pickled once per task and compiled once per sweep.  Falls back to
+    serial entirely when the pool cannot help: a single worker or fewer
+    than two schedules to spread.
 
     Pool results are drained *inside* the pool context and forwarded
     afterwards, so the pool is torn down deterministically even when the
@@ -141,20 +163,21 @@ class ProcessExecutor:
         cases = list(cases)
         workers = resolve_workers(self.workers, len(cases))
         inline = [case for case in cases if case.factory is not None]
-        poolable = [case for case in cases if case.factory is None]
-        if workers <= 1 or len(poolable) < 2:
+        groups = group_by_schedule(
+            case for case in cases if case.factory is None
+        )
+        if workers <= 1 or len(groups) < 2:
             yield from SerialExecutor().map_cases(cases)
             return
         context = _pool_context()
-        chunksize = max(1, len(poolable) // (workers * 4))
-        with context.Pool(processes=min(workers, len(poolable))) as pool:
+        chunksize = max(1, len(groups) // (workers * 4))
+        with context.Pool(processes=min(workers, len(groups))) as pool:
             drained = list(
-                pool.imap_unordered(
-                    execute_case, poolable, chunksize=chunksize
-                )
+                pool.imap_unordered(execute_group, groups, chunksize=chunksize)
             )
         pool.join()
-        yield from drained
+        for pairs in drained:
+            yield from pairs
         yield from SerialExecutor().map_cases(inline)
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
+from itertools import chain
 from typing import Iterable, Mapping
 
 from repro.errors import ScheduleError
@@ -231,28 +232,40 @@ class Schedule:
     def sync_from(self) -> Round:
         """Smallest K such that every round >= K is synchronous.
 
-        A fully synchronous schedule returns 1.  Scans down from the
-        horizon; the result is the paper's (unknown-to-the-algorithm) K.
-        Memoized per instance (the scan is O(n² · horizon) and record
-        production asks for K once per case); the schedule compiler
-        (:mod:`repro.sim.compiled`) pre-seeds the cache as a by-product
-        of its delivery sweep.
+        A fully synchronous schedule returns 1; the result is the
+        paper's (unknown-to-the-algorithm) K.  Only a ``losses`` or
+        ``delays`` entry can make a round asynchronous — crash-round
+        messages are unconstrained — so K comes from those tables in
+        O(|delays| + |losses|): round k is asynchronous iff some entry
+        ``(s, r, k)`` within the horizon has s sending in round k and
+        not crashing in it, r ≠ s completing round k, and a delivery
+        other than round k.  This is :meth:`is_synchronous_round`'s
+        predicate, evaluated on the exceptions only.  Memoized per
+        instance.
         """
         cached = self.__dict__.get("_sync_from_cache")
         if cached is not None:
             return cached
+        never = self.horizon + 1
+        crash_at = {pid: spec.round for pid, spec in self.crashes.items()}
+        late = (
+            key for key, delivery in self.delays.items() if delivery != key[2]
+        )
         first_bad = 0
-        for k in range(1, self.horizon + 1):
-            if not self.is_synchronous_round(k):
+        for sender, receiver, k in chain(self.losses, late):
+            if (
+                first_bad < k < never
+                and sender != receiver
+                and crash_at.get(sender, never) > k
+                and crash_at.get(receiver, never) > k
+            ):
                 first_bad = k
         object.__setattr__(self, "_sync_from_cache", first_bad + 1)
         return first_bad + 1
 
     def is_synchronous_run(self) -> bool:
         """True iff the run is synchronous (K = 1)."""
-        return all(
-            self.is_synchronous_round(k) for k in range(1, self.horizon + 1)
-        )
+        return self.sync_from() == 1
 
     def is_serial_run(self) -> bool:
         """True iff synchronous, at most one crash per round, at most t total."""
@@ -266,13 +279,18 @@ class Schedule:
     # -- derived schedules -----------------------------------------------
 
     def with_horizon(self, horizon: Round) -> "Schedule":
-        """A copy of this schedule with a different horizon."""
+        """A copy of this schedule with a different horizon.
+
+        Shrinking is checked like :meth:`ScheduleBuilder.build`: no
+        crash and no delivery may fall after the new horizon.
+        """
         if horizon < self.horizon:
-            for delivery in self.delays.values():
-                if delivery > horizon:
-                    raise ScheduleError(
-                        "cannot shrink horizon below a scheduled delivery"
-                    )
+            try:
+                _check_horizon(horizon, self.crashes, self.delays)
+            except ScheduleError as err:
+                raise ScheduleError(
+                    f"cannot shrink horizon to {horizon}: {err}"
+                ) from None
         return Schedule(
             n=self.n,
             t=self.t,
@@ -329,10 +347,9 @@ class Schedule:
         """Pickle only the dataclass fields, never the lazy caches.
 
         Schedules memoize their digest, synchrony round and compiled
-        execution plan (:mod:`repro.sim.compiled`) on the instance; the
-        plan in particular is O(n² · horizon) and would dominate every
-        case pickled to a process-pool worker.  Workers recompute the
-        caches on first use.
+        execution plan (:mod:`repro.sim.compiled`) on the instance.  A
+        pool worker receives each schedule once per task and recomputes
+        the caches on first use, which is cheaper than shipping them.
         """
         return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
 
@@ -370,7 +387,12 @@ class Schedule:
                 return tuple(normalize(item) for item in value)
             return value
 
-        payload = repr(normalize(self._key()))
+        # The delay and loss components are tuples of ints, on which
+        # normalize is the identity; only the crash items need it.
+        n, t, horizon, crashes, delays, losses = self._key()
+        payload = repr(
+            (n, t, horizon, normalize(crashes), delays, losses)
+        )
         value = hashlib.sha256(payload.encode()).hexdigest()
         object.__setattr__(self, "_digest_cache", value)
         return value
@@ -394,6 +416,31 @@ class Schedule:
         for s, r, k in sorted(self.losses):
             lines.append(f"  lose   r{k} {s}->{r}")
         return "\n".join(lines)
+
+
+def _check_delivery(delivery: Round, horizon: Round) -> None:
+    if delivery > horizon:
+        raise ScheduleError(
+            f"delivery round {delivery} exceeds horizon {horizon}"
+        )
+
+
+def _check_horizon(
+    horizon: Round,
+    crashes: Mapping[ProcessId, CrashSpec],
+    delays: Mapping[tuple[ProcessId, ProcessId, Round], Round],
+) -> None:
+    """Reject a crash or a delayed delivery after *horizon*."""
+    for pid, spec in crashes.items():
+        if spec.round > horizon:
+            raise ScheduleError(
+                f"process {pid} crashes after the horizon; drop the crash "
+                f"or extend the horizon"
+            )
+        for _receiver, delivery in spec.delayed:
+            _check_delivery(delivery, horizon)
+    for delivery in delays.values():
+        _check_delivery(delivery, horizon)
 
 
 class ScheduleBuilder:
@@ -437,11 +484,7 @@ class ScheduleBuilder:
         if delayed:
             for receiver, delivery in delayed.items():
                 self._check_pid(receiver)
-                if delivery > self.horizon:
-                    raise ScheduleError(
-                        f"delayed delivery at round {delivery} exceeds "
-                        f"horizon {self.horizon}"
-                    )
+                _check_delivery(delivery, self.horizon)
             delayed_items = tuple(sorted(delayed.items()))
         self._crashes[pid] = CrashSpec(
             round=round_,
@@ -462,10 +505,7 @@ class ScheduleBuilder:
             raise ScheduleError(
                 f"delayed delivery round {until} must exceed sending round {k}"
             )
-        if until > self.horizon:
-            raise ScheduleError(
-                f"delivery round {until} exceeds horizon {self.horizon}"
-            )
+        _check_delivery(until, self.horizon)
         key = (sender, receiver, k)
         if key in self._losses:
             raise ScheduleError(f"message {key} is already lost")
@@ -503,12 +543,7 @@ class ScheduleBuilder:
                     f"process {sender} crashes in round {spec.round}; "
                     f"round-{k} losses are implied or impossible"
                 )
-        for pid, spec in self._crashes.items():
-            if spec.round > self.horizon:
-                raise ScheduleError(
-                    f"process {pid} crashes after the horizon; drop the crash "
-                    f"or extend the horizon"
-                )
+        _check_horizon(self.horizon, self._crashes, self._delays)
         return Schedule(
             n=self.n,
             t=self.t,

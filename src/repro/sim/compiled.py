@@ -40,15 +40,20 @@ the dynamic part — which processes have halted, and what payloads the
 automata produce — remains for the kernel's hot loop, whose per-round
 cost drops from O(n²) schedule method calls to plain list indexing.
 
-Compilation costs one O(n² · horizon) sweep — the same work as a single
-reference execution's bookkeeping — and is memoized on the schedule
+Compilation reads the schedule's *exceptions*, never its n² · horizon
+message triples.  By default a receiver completing round k hears every
+sender that does not crash in round k (``completer_masks[k]``); only the
+crash specs' same-round deliveries, ``losses`` and ``delays`` deviate
+from that, and only delayed messages land in ``delayed_inboxes``.  So a
+plan costs O(n · horizon + |exceptions|) to build, and rows are shared:
+one sender tuple per distinct mask, one row set for every exception-free
+round with the same completers.  The plan is memoized on the schedule
 instance, so a grid running A algorithms against one schedule compiles
-once and executes A times.  As a by-product the sweep also computes the
-schedule's synchrony round K, pre-seeding the
-:meth:`~repro.model.schedule.Schedule.sync_from` cache that record
-production reads.  The memo is stripped from pickles
-(:meth:`~repro.model.schedule.Schedule.__getstate__`), so process-pool
-workers receive lean schedules and recompile locally.
+once and executes A times.  The memo is stripped from pickles
+(:meth:`~repro.model.schedule.Schedule.__getstate__`); the process pool
+ships all of a schedule's cases in one task
+(:class:`~repro.engine.executors.ProcessExecutor`), so each worker
+compiles a schedule at most once per sweep.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.model.schedule import Schedule
-from repro.sim.bitset import interned_set, mask_of
+from repro.sim.bitset import full_mask, interned_set, iter_bits, mask_of
 from repro.types import ProcessId, Round
 
 __all__ = ["CompiledSchedule", "compile_schedule"]
@@ -142,8 +147,9 @@ class CompiledSchedule:
         canonically ordered ``(sent_round, sender)`` pairs.
 
         Derived on demand from the split halves the kernel actually
-        reads — storing it eagerly would double every memoized plan's
-        O(n² · horizon) footprint for a structure only diagnostics and
+        reads — storing it eagerly would give every memoized plan one
+        merged tuple per receiver per round, O(n² · horizon), where the
+        split halves share rows, for a structure only diagnostics and
         tests consume.
         """
         return tuple(
@@ -157,12 +163,67 @@ class CompiledSchedule:
         )
 
 
+def _set_bit(
+    table: dict[Round, dict[ProcessId, int]],
+    k: Round,
+    receiver: ProcessId,
+    sender: ProcessId,
+) -> None:
+    row = table.setdefault(k, {})
+    row[receiver] = row.get(receiver, 0) | 1 << sender
+
+
 def _compile(schedule: Schedule) -> CompiledSchedule:
     n = schedule.n
     horizon = schedule.horizon
-    crash_round = [schedule.crash_round(pid) for pid in range(n)]
     never = horizon + 1
-    crash_at = [never if r is None else r for r in crash_round]
+    crash_at = [never] * n
+    # Crash rounds bucketed once: rounds without an entry reuse the
+    # previous round's sender/completer rows wholesale instead of
+    # rebuilding n-element tuples per round.
+    crashes_in: dict[Round, list[ProcessId]] = {}
+    for pid, spec in schedule.crashes.items():
+        if spec.round <= horizon:
+            crash_at[pid] = spec.round
+            crashes_in.setdefault(spec.round, []).append(pid)
+
+    # The exceptions to the default round, bucketed by round and
+    # receiver: crash-round messages that still arrive in the crash
+    # round (adds), lost or delayed messages from senders that send in
+    # the round and do not crash in it (removes), and the messages each
+    # receiver gets in a later round (late).  Loss and delay entries
+    # that Schedule.delivery_round overrides are skipped exactly as it
+    # skips them: self-deliveries and a sender's crash round or later.
+    adds: dict[Round, dict[ProcessId, int]] = {}
+    removes: dict[Round, dict[ProcessId, int]] = {}
+    late: dict[Round, dict[ProcessId, list[tuple[Round, ProcessId]]]] = {}
+
+    def arrives_late(
+        sender: ProcessId, receiver: ProcessId, sent: Round, delivery: Round
+    ) -> None:
+        # A receiver that leaves the computation before the delivery
+        # round never receives the message.
+        if sent < delivery <= horizon and crash_at[receiver] > delivery:
+            late.setdefault(delivery, {}).setdefault(receiver, []).append(
+                (sent, sender)
+            )
+
+    for pid, spec in schedule.crashes.items():
+        k = spec.round
+        if k <= horizon:
+            for receiver in spec.delivered_same_round:
+                _set_bit(adds, k, receiver, pid)
+            for receiver, delivery in spec.delayed:
+                arrives_late(pid, receiver, k, delivery)
+    losses = schedule.losses
+    for sender, receiver, k in losses:
+        if sender != receiver and 1 <= k < crash_at[sender]:
+            _set_bit(removes, k, receiver, sender)
+    for (sender, receiver, k), delivery in schedule.delays.items():
+        if sender != receiver and 1 <= k < crash_at[sender] and delivery != k:
+            _set_bit(removes, k, receiver, sender)
+            if (sender, receiver, k) not in losses:
+                arrives_late(sender, receiver, k, delivery)
 
     senders: list[tuple[ProcessId, ...]] = [()]
     completers: list[tuple[ProcessId, ...]] = [()]
@@ -170,32 +231,39 @@ def _compile(schedule: Schedule) -> CompiledSchedule:
     sender_masks: list[int] = [0]
     completer_masks: list[int] = [0]
     crashed_masks: list[int] = [0]
-    inboxes: list[list[list[tuple[Round, ProcessId]]]] = [
-        [[] for _ in range(n)] for _ in range(horizon + 1)
-    ]
-    # sync_ok[k] goes False when round k violates the synchrony condition
-    # (a non-crash-round message to a completing receiver not arriving in
-    # its sending round) — the same predicate as
-    # Schedule.is_synchronous_round, folded into this sweep for free.
-    sync_ok = [True] * (horizon + 1)
+    delayed_inboxes: list[tuple] = [()]
+    current_senders: list[tuple] = [()]
+    current_groups: list[tuple] = [()]
+    current_masks: list[tuple] = [()]
+    delayed_groups: list[tuple] = [()]
 
-    # Crash rounds bucketed once: rounds without an entry reuse the
-    # previous round's sender/completer rows wholesale instead of
-    # rebuilding n-element tuples per round.
-    crashes_in: dict[Round, list[ProcessId]] = {}
-    for pid in range(n):
-        if crash_at[pid] <= horizon:
-            crashes_in.setdefault(crash_at[pid], []).append(pid)
+    # One sender tuple per distinct mask for the whole plan, and one
+    # current-round row set per completer set for rounds without
+    # exceptions: a failure-free plan holds a single row of each.
+    sender_tuples: dict[int, tuple[ProcessId, ...]] = {}
+    plain_rows: dict[int, tuple[tuple, tuple, tuple]] = {}
+    no_delayed = ((),) * n
+    no_delayed_groups = (0,) * n
 
-    # Live at the start of round 1: everyone whose crash round is >= 1
-    # (i.e. everyone — crash rounds are 1-based — unless a degenerate
-    # schedule crashes a process before the run starts).
-    live = tuple(pid for pid in range(n) if crash_at[pid] >= 1)
-    live_mask = mask_of(live)
+    def current_rows(masks: list[int]) -> tuple[tuple, tuple, tuple]:
+        reps: dict[int, ProcessId] = {}
+        row_senders = []
+        for mask in masks:
+            plan = sender_tuples.get(mask)
+            if plan is None:
+                plan = sender_tuples[mask] = tuple(iter_bits(mask))
+            row_senders.append(plan)
+        return (
+            tuple(row_senders),
+            tuple([
+                reps.setdefault(mask, pid) for pid, mask in enumerate(masks)
+            ]),
+            tuple(masks),
+        )
 
-    delivery_round = schedule.delivery_round
+    live = tuple(range(n))
+    live_mask = full_mask(n)
     for k in range(1, horizon + 1):
-        round_senders = live
         crashing = crashes_in.get(k)
         if crashing is None:
             round_completers = live
@@ -210,74 +278,50 @@ def _compile(schedule: Schedule) -> CompiledSchedule:
             completer_mask = live_mask & ~crashed_mask
             crashed.append(interned_set(crashed_mask))
             crashed_masks.append(crashed_mask)
-        senders.append(round_senders)
+        senders.append(live)
         sender_masks.append(live_mask)
         completers.append(round_completers)
         completer_masks.append(completer_mask)
         live = round_completers
         live_mask = completer_mask
-        for sender in round_senders:
-            sender_crashes_now = crash_at[sender] == k
-            for receiver in range(n):
-                delivery = delivery_round(sender, receiver, k)
-                if (
-                    not sender_crashes_now
-                    and receiver != sender
-                    and crash_at[receiver] > k
-                    and delivery != k
-                ):
-                    sync_ok[k] = False
-                if delivery is None or delivery > horizon:
-                    continue
-                if crash_at[receiver] <= delivery:
-                    # The receiver leaves the computation before the
-                    # delivery round; the message can never be received.
-                    continue
-                inboxes[delivery][receiver].append((k, sender))
 
-    delayed_inboxes: list[tuple] = [()]
-    current_senders: list[tuple] = [()]
-    current_groups: list[tuple] = [()]
-    current_masks: list[tuple] = [()]
-    delayed_groups: list[tuple] = [()]
-    for k in range(1, horizon + 1):
-        round_delayed = []
-        round_current = []
-        round_cgroups = []
-        round_cmasks = []
-        round_dgroups = []
-        cgroup_reps: dict[tuple, ProcessId] = {}
-        cmask_memo: dict[tuple, int] = {}
-        dgroup_reps: dict[tuple, ProcessId] = {}
-        for receiver in range(n):
-            entries = inboxes[k][receiver]
-            entries.sort()
-            delayed = tuple(
-                pair for pair in entries if pair[0] != k
-            )
-            current = tuple(
-                sender for sent_round, sender in entries if sent_round == k
-            )
-            round_delayed.append(delayed)
-            round_current.append(current)
-            round_cgroups.append(cgroup_reps.setdefault(current, receiver))
-            cmask = cmask_memo.get(current)
-            if cmask is None:
-                cmask = cmask_memo[current] = mask_of(current)
-            round_cmasks.append(cmask)
-            round_dgroups.append(dgroup_reps.setdefault(delayed, receiver))
-        delayed_inboxes.append(tuple(round_delayed))
-        current_senders.append(tuple(round_current))
-        current_groups.append(tuple(round_cgroups))
-        current_masks.append(tuple(round_cmasks))
-        delayed_groups.append(tuple(round_dgroups))
+        # A completing receiver hears every sender that does not crash
+        # in round k, give or take its exceptions; the rest hear nothing.
+        round_adds = adds.get(k, {})
+        round_removes = removes.get(k, {})
+        exceptional = bool(round_adds or round_removes)
+        rows = None if exceptional else plain_rows.get(completer_mask)
+        if rows is None:
+            masks = [0] * n
+            for pid in round_completers:
+                masks[pid] = completer_mask
+            for receiver in (*round_removes, *round_adds):
+                if crash_at[receiver] > k:
+                    masks[receiver] = (
+                        completer_mask & ~round_removes.get(receiver, 0)
+                    ) | round_adds.get(receiver, 0)
+            rows = current_rows(masks)
+            if not exceptional:
+                plain_rows[completer_mask] = rows
+        current_senders.append(rows[0])
+        current_groups.append(rows[1])
+        current_masks.append(rows[2])
 
-    if schedule.__dict__.get("_sync_from_cache") is None:
-        first_bad = 0
-        for k in range(1, horizon + 1):
-            if not sync_ok[k]:
-                first_bad = k
-        object.__setattr__(schedule, "_sync_from_cache", first_bad + 1)
+        arrivals = late.get(k)
+        if arrivals is None:
+            delayed_inboxes.append(no_delayed)
+            delayed_groups.append(no_delayed_groups)
+        else:
+            round_delayed: list[tuple] = [()] * n
+            for receiver, pairs in arrivals.items():
+                pairs.sort()
+                round_delayed[receiver] = tuple(pairs)
+            dreps: dict[tuple, ProcessId] = {}
+            delayed_inboxes.append(tuple(round_delayed))
+            delayed_groups.append(tuple([
+                dreps.setdefault(pairs, pid)
+                for pid, pairs in enumerate(round_delayed)
+            ]))
 
     return CompiledSchedule(
         schedule=schedule,
@@ -303,7 +347,7 @@ def compile_schedule(schedule: Schedule) -> CompiledSchedule:
     Schedules are immutable, so the plan is cached on the instance the
     same way as :meth:`~repro.model.schedule.Schedule.digest` — shared
     across every algorithm a grid runs against the schedule, and never
-    pickled (workers recompile on first use).
+    pickled (a pool worker compiles each schedule of its tasks once).
     """
     cached = schedule.__dict__.get("_compiled_cache")
     if cached is not None:

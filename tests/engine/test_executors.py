@@ -81,6 +81,62 @@ def _assert_no_live_pool_children(timeout=10.0):
         time.sleep(0.05)
 
 
+class TestScheduleGroups:
+    """The pool ships one task per schedule (``execute_group``)."""
+
+    def test_grouped_pool_output_equals_serial(self):
+        from repro.sim.random_schedules import random_es_schedule
+
+        schedules = [random_es_schedule(5, 2, seed) for seed in range(4)]
+        cases = [
+            Case(index=i, algorithm=name, workload=f"es/{j}",
+                 schedule=schedules[j], proposals=(0, 1, 0, 1, 1))
+            for i, (name, j) in enumerate(
+                (name, j)
+                for j in (0, 1, 2, 3, 1, 0)
+                for name in ("att2", "hurfin_raynal")
+            )
+        ]
+        pooled = sorted(ProcessExecutor(workers=2).map_cases(cases))
+        assert pooled == sorted(SerialExecutor().map_cases(cases))
+        assert run_cases(cases, executor=ProcessExecutor(workers=2)) == (
+            run_cases(cases, executor=SerialExecutor())
+        )
+
+    def test_equal_schedules_share_a_group_in_first_appearance_order(self):
+        from repro.engine.executors import group_by_schedule
+
+        cases = [
+            _case(0, horizon=9), _case(1, horizon=8), _case(2, horizon=9),
+            _case(3, horizon=8), _case(4, horizon=10),
+        ]
+        assert cases[0].schedule is not cases[2].schedule
+        groups = group_by_schedule(cases)
+        assert [[case.index for case in group] for group in groups] == [
+            [0, 2], [1, 3], [4],
+        ]
+
+    def test_execute_group_returns_execute_case_pairs(self):
+        from repro.engine.executors import execute_case, execute_group
+
+        cases = [_case(i, algorithm=name)
+                 for i, name in enumerate(("att2", "floodset"))]
+        assert execute_group(cases) == [execute_case(c) for c in cases]
+
+    def test_one_schedule_runs_inline(self, monkeypatch):
+        # A single group has nothing to spread over workers.
+        from repro.engine import executors as executors_module
+
+        def no_pool():
+            raise AssertionError("one schedule must not start a pool")
+
+        monkeypatch.setattr(executors_module, "_pool_context", no_pool)
+        cases = [_case(i, algorithm=name)
+                 for i, name in enumerate(("att2", "floodset", "att2"))]
+        pairs = list(ProcessExecutor(workers=3).map_cases(cases))
+        assert [index for index, _record in pairs] == [0, 1, 2]
+
+
 class TestPoolTeardown:
     def test_abandoned_iterator_leaves_no_live_pool(self):
         # Regression: map_cases used to yield lazily from inside the
@@ -117,6 +173,29 @@ class TestFactoryCases:
             self._factory_cases()
         ))
         assert [record.global_round for _i, record in pairs] == [3, 3, 3]
+
+    def test_factory_cases_run_inline_beside_schedule_groups(
+        self, monkeypatch
+    ):
+        from repro.engine import executors as executors_module
+
+        grouped = []
+        real_group = executors_module.group_by_schedule
+
+        def recording_group(cases):
+            groups = real_group(cases)
+            grouped.extend(case.index for group in groups for case in group)
+            return groups
+
+        monkeypatch.setattr(
+            executors_module, "group_by_schedule", recording_group
+        )
+        mixed = [_case(i, horizon=8 + i % 2) for i in range(4)]
+        mixed += self._factory_cases(count=2, start=4)
+        pairs = list(ProcessExecutor(workers=2).map_cases(mixed))
+        assert sorted(grouped) == [0, 1, 2, 3]
+        assert [index for index, _record in pairs[-2:]] == [4, 5]
+        assert sorted(index for index, _record in pairs) == list(range(6))
 
     def test_mixed_batch_pools_picklable_cases(self, monkeypatch):
         # Regression: one factory case used to force the *entire* batch

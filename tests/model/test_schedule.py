@@ -234,6 +234,24 @@ class TestScheduleIdentity:
         with pytest.raises(ScheduleError, match="shrink"):
             schedule.with_horizon(5)
 
+    def test_with_horizon_cannot_cut_a_crash(self):
+        schedule = ScheduleBuilder(4, 1, 10).crash(0, 8).build()
+        with pytest.raises(ScheduleError, match="shrink.*crashes after"):
+            schedule.with_horizon(5)
+
+    def test_with_horizon_cannot_cut_a_crash_round_delivery(self):
+        schedule = (
+            ScheduleBuilder(4, 1, 10).crash(0, 4, delayed={2: 10}).build()
+        )
+        with pytest.raises(ScheduleError, match="shrink.*exceeds horizon"):
+            schedule.with_horizon(8)
+        assert schedule.with_horizon(10) == schedule
+
+    def test_with_horizon_shrinks_to_the_last_event(self):
+        builder = ScheduleBuilder(4, 1, 10)
+        builder.crash(0, 4, delayed={2: 6}).delay(1, 3, 2, 5)
+        assert builder.build().with_horizon(6).horizon == 6
+
     def test_describe_mentions_crashes_and_delays(self):
         builder = ScheduleBuilder(3, 1, 8)
         builder.crash(0, 2, delivered_to=(1,))
@@ -270,6 +288,51 @@ class TestScheduleDigest:
         assert Schedule.failure_free(3, 1, 8).digest() == (
             "e4e2589bc8bc2deb4fb880b2dbed19bf781ae997757f0545138d47fc4031a035"
         )
+
+    #: Digests computed before the delay and loss components skipped the
+    #: generic normalizer; cache keys embed them, so they must not move.
+    PINNED = {
+        "failure_free":
+            "11fdf6e34e0a64f6b1a66817fa8e0db677a466a2125091232f70dae9cdb17109",
+        "hand_built":
+            "88978d7a91921c247c1e14bcfbe6f8234dece1d2a5de0c498bf6a73775241be8",
+        "synchronous":
+            "600b24846c4d12c09c0a05b94597a7c73e810a9c255ccee8b92c7c95c4d4bac6",
+        "es_n9_seed3":
+            "fa4fca470cf8e5171c2c8cf13e4447de771a9a19c966130d2d2f5c1c6f38302e",
+        "scs_n9_seed3":
+            "3db9c78b928ce2771ebc7439411ed3c9ad93360fcef6077efcaf8e99da3ee11b",
+        "serial_n9_seed5":
+            "7da73da51fd016199cc64560d830935bc117aee2c3f6b7b8f6219f80264a79b3",
+        "es_n25_seed7":
+            "0dd047e3bab758ea14a48f0735cefb75d12ed1db5bbb49214b6ddaa69318e0df",
+    }
+
+    def test_digests_are_pinned(self):
+        from repro.sim.random_schedules import (
+            random_es_schedule,
+            random_scs_schedule,
+            random_serial_schedule,
+        )
+
+        builder = ScheduleBuilder(5, 2, 9)
+        builder.crash(0, 2, delivered_to=[1, 3], delayed={2: 4})
+        builder.crash(4, 1)
+        builder.delay(1, 2, 1, 3).delay(2, 3, 3, 5).lose(3, 1, 2)
+        schedules = {
+            "failure_free": Schedule.failure_free(4, 1, 6),
+            "hand_built": builder.build(),
+            "synchronous": Schedule.synchronous(
+                3, 1, 5, crashes={0: (1, [1])}
+            ),
+            "es_n9_seed3": random_es_schedule(9, 4, 3),
+            "scs_n9_seed3": random_scs_schedule(9, 4, 3),
+            "serial_n9_seed5": random_serial_schedule(9, 4, 5),
+            "es_n25_seed7": random_es_schedule(25, 12, 7, horizon=16),
+        }
+        assert {
+            name: schedule.digest() for name, schedule in schedules.items()
+        } == self.PINNED
 
     def test_digest_covers_every_crash_spec_field(self):
         # The digest is derived from _key() via a generic normalizer, so

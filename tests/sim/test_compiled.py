@@ -11,19 +11,26 @@ tests pin that down three ways:
 * the lean trace mode must yield identical decisions and identical
   metrics (``summarize``, consensus checks, message counts);
 * the compiled plan itself must be canonical (sorted inboxes, memoized
-  per schedule) and must never leak into pickles.
+  per schedule) and must never leak into pickles, and it must equal,
+  field by field, the plan of :func:`_dense_compile` — the original
+  n² · horizon ``delivery_round`` sweep, kept here as the oracle for
+  the exception-driven compiler.
 """
 
 import pickle
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.base import make_automata
 from repro.algorithms.registry import available_algorithms, get_factory
 from repro.analysis.metrics import check_consensus, summarize
 from repro.errors import SimulationError
-from repro.model.schedule import Schedule, ScheduleBuilder
-from repro.sim.compiled import compile_schedule
+from repro.model.schedule import CrashSpec, Schedule, ScheduleBuilder
+from repro.sim.bitset import interned_set, mask_of
+from repro.sim.compiled import CompiledSchedule, compile_schedule
 from repro.sim.kernel import execute, execute_reference, run_algorithm
 from repro.sim.random_schedules import (
     random_es_schedule,
@@ -46,6 +53,92 @@ def _generators_for(name: str):
     if info.model == "SCS":
         return (random_scs_schedule, random_serial_schedule)
     return (random_es_schedule, random_scs_schedule, random_serial_schedule)
+
+
+def _dense_compile(schedule: Schedule) -> CompiledSchedule:
+    """The plan by brute force: one ``delivery_round`` query per
+    (sender, receiver, round) triple, bucketed by delivery round."""
+    n, horizon = schedule.n, schedule.horizon
+    never = horizon + 1
+    crash_at = [
+        never if schedule.crash_round(pid) is None
+        else schedule.crash_round(pid)
+        for pid in range(n)
+    ]
+    senders, completers, crashed = [()], [()], [frozenset()]
+    sender_masks, completer_masks, crashed_masks = [0], [0], [0]
+    inboxes = [[[] for _ in range(n)] for _ in range(horizon + 1)]
+    for k in range(1, horizon + 1):
+        round_senders = tuple(
+            pid for pid in range(n) if schedule.sends_in_round(pid, k)
+        )
+        round_completers = tuple(
+            pid for pid in range(n) if schedule.completes_round(pid, k)
+        )
+        crashing = mask_of(p for p in range(n) if crash_at[p] == k)
+        senders.append(round_senders)
+        completers.append(round_completers)
+        crashed.append(interned_set(crashing))
+        sender_masks.append(mask_of(round_senders))
+        completer_masks.append(mask_of(round_completers))
+        crashed_masks.append(crashing)
+        for sender in round_senders:
+            for receiver in range(n):
+                delivery = schedule.delivery_round(sender, receiver, k)
+                if delivery is None or delivery > horizon:
+                    continue
+                if crash_at[receiver] <= delivery:
+                    continue
+                inboxes[delivery][receiver].append((k, sender))
+
+    delayed_inboxes, current_senders, current_masks = [()], [()], [()]
+    current_groups, delayed_groups = [()], [()]
+    for k in range(1, horizon + 1):
+        delayed_row, current_row = [], []
+        for receiver in range(n):
+            entries = sorted(inboxes[k][receiver])
+            delayed_row.append(tuple(p for p in entries if p[0] != k))
+            current_row.append(tuple(s for r, s in entries if r == k))
+        creps, dreps = {}, {}
+        delayed_inboxes.append(tuple(delayed_row))
+        current_senders.append(tuple(current_row))
+        current_masks.append(tuple(mask_of(c) for c in current_row))
+        current_groups.append(tuple(
+            creps.setdefault(c, r) for r, c in enumerate(current_row)
+        ))
+        delayed_groups.append(tuple(
+            dreps.setdefault(d, r) for r, d in enumerate(delayed_row)
+        ))
+    return CompiledSchedule(
+        schedule=schedule, n=n, horizon=horizon,
+        senders=tuple(senders), completers=tuple(completers),
+        delayed_inboxes=tuple(delayed_inboxes),
+        current_senders=tuple(current_senders),
+        current_groups=tuple(current_groups),
+        current_masks=tuple(current_masks),
+        delayed_groups=tuple(delayed_groups),
+        crashed=tuple(crashed),
+        sender_masks=tuple(sender_masks),
+        completer_masks=tuple(completer_masks),
+        crashed_masks=tuple(crashed_masks),
+    )
+
+
+def _assert_plan_matches_oracle(schedule: Schedule) -> None:
+    plan = compile_schedule(schedule)
+    oracle = _dense_compile(schedule)
+    for field in fields(CompiledSchedule):
+        assert getattr(plan, field.name) == getattr(oracle, field.name), (
+            f"{field.name} differs from the dense oracle"
+        )
+
+
+def _sync_from_by_scan(schedule: Schedule) -> int:
+    first_bad = 0
+    for k in range(1, schedule.horizon + 1):
+        if not schedule.is_synchronous_round(k):
+            first_bad = k
+    return first_bad + 1
 
 
 class TestCompiledMatchesReference:
@@ -267,16 +360,16 @@ class TestCompiledPlan:
                     for sender, sent in schedule.deliveries_to(receiver, k)
                 }
 
-    def test_compile_seeds_the_sync_from_memo(self):
-        schedule = random_es_schedule(5, 2, 17, horizon=10)
-        expected = Schedule(
-            n=schedule.n, t=schedule.t, horizon=schedule.horizon,
-            crashes=dict(schedule.crashes), delays=dict(schedule.delays),
-            losses=schedule.losses,
-        ).sync_from()  # computed the slow way on an uncompiled twin
-        compile_schedule(schedule)
-        assert schedule.__dict__.get("_sync_from_cache") == expected
-        assert schedule.sync_from() == expected
+    def test_sync_from_matches_per_round_scan(self):
+        # sync_from reads only the delay and loss tables; the per-round
+        # is_synchronous_round scan over every message is the oracle.
+        for generator in (random_es_schedule, random_scs_schedule):
+            for seed in SEEDS:
+                schedule = generator(5, 2, seed, horizon=10)
+                assert schedule.sync_from() == _sync_from_by_scan(schedule)
+                assert schedule.is_synchronous_run() == (
+                    _sync_from_by_scan(schedule) == 1
+                )
 
     def test_caches_never_pickled(self):
         schedule = random_es_schedule(5, 2, 19)
@@ -309,6 +402,125 @@ class TestCompiledPlan:
         # survives pickling (the lazy map is rebuilt on demand)
         clone = pickle.loads(pickle.dumps(schedule))
         assert clone.crashes[0].delayed_delivery(2) == 4
+
+
+GENERATOR_SYSTEMS = [
+    pytest.param(generator, n, t, id=f"{generator.__name__}-n{n}")
+    for generator in (
+        random_es_schedule, random_scs_schedule, random_serial_schedule
+    )
+    for n, t in ((4, 1), (9, 4), (25, 12))
+]
+
+
+class TestPlanMatchesDenseOracle:
+    """The exception-driven compiler against the brute-force sweep."""
+
+    @pytest.mark.parametrize("generator,n,t", GENERATOR_SYSTEMS)
+    def test_generated_schedules(self, generator, n, t):
+        for seed in range(12):
+            _assert_plan_matches_oracle(
+                generator(n, t, seed, horizon=max(8, t + 4))
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_direct_schedules(self, data):
+        # Directly constructed schedules skip the builder's checks, so
+        # they can name self-deliveries, a sender's crash round or later
+        # rounds, rounds past the horizon, and delays that also appear
+        # among the losses.  Delays never deliver before the send round.
+        n = data.draw(st.integers(2, 6), label="n")
+        horizon = data.draw(st.integers(1, 6), label="horizon")
+        pid = st.integers(0, n - 1)
+        k = st.integers(1, horizon + 1)
+        crashes = {}
+        for crasher in data.draw(st.sets(pid), label="crashers"):
+            round_ = data.draw(k)
+            delayed = data.draw(st.dictionaries(
+                pid, st.integers(round_ + 1, horizon + 2), max_size=n
+            ))
+            crashes[crasher] = CrashSpec(
+                round=round_,
+                delivered_same_round=data.draw(st.frozensets(pid))
+                - set(delayed),
+                delayed=tuple(sorted(delayed.items())),
+            )
+        triple = st.tuples(pid, pid, k)
+        delays = {
+            key: key[2] + data.draw(st.integers(0, 3))
+            for key in data.draw(st.sets(triple, max_size=12))
+        }
+        losses = data.draw(st.frozensets(triple, max_size=8))
+        schedule = Schedule(
+            n=n, t=n - 1, horizon=horizon, crashes=crashes, delays=delays,
+            losses=losses,
+        )
+        _assert_plan_matches_oracle(schedule)
+        assert schedule.sync_from() == _sync_from_by_scan(schedule)
+
+    def test_crash_in_round_one(self):
+        builder = ScheduleBuilder(5, 2, 6)
+        builder.crash(0, 1, delivered_to=[2], delayed={3: 2})
+        builder.crash(1, 1)
+        _assert_plan_matches_oracle(builder.build())
+
+    def test_crash_delayed_past_horizon_or_to_crashed_receiver(self):
+        # Receiver 2 crashes in round 3, before the round-4 delivery;
+        # receiver 4's delivery lies past the horizon.
+        schedule = Schedule(
+            n=5, t=2, horizon=5,
+            crashes={
+                0: CrashSpec(round=2, delayed=((2, 4), (3, 3), (4, 7))),
+                2: CrashSpec(round=3),
+            },
+        )
+        _assert_plan_matches_oracle(schedule)
+        plan = compile_schedule(schedule)
+        assert plan.delayed_inboxes[3][3] == ((2, 0),)
+        assert all(not plan.delayed_inboxes[4][r] for r in range(5))
+
+    def test_delay_to_receiver_crashing_before_delivery(self):
+        builder = ScheduleBuilder(5, 2, 8)
+        builder.crash(2, 4)
+        builder.delay(0, 2, 1, 4)  # lands in 2's crash round: dropped
+        builder.delay(1, 2, 2, 3)  # lands before it: delivered
+        builder.delay(1, 3, 2, 6)
+        schedule = builder.build()
+        _assert_plan_matches_oracle(schedule)
+        plan = compile_schedule(schedule)
+        assert plan.delayed_inboxes[3][2] == ((2, 1),)
+        assert plan.delayed_inboxes[4][2] == ()
+
+    def test_loss_to_receiver_crashing_in_the_send_round(self):
+        builder = ScheduleBuilder(5, 2, 6)
+        builder.crash(3, 2)
+        builder.lose(0, 3, 2)
+        builder.lose(1, 4, 2)
+        _assert_plan_matches_oracle(builder.build())
+
+    def test_exceptions_at_or_after_the_senders_crash_round(self):
+        # delivery_round ignores these entries; so must the compiler.
+        schedule = Schedule(
+            n=4, t=1, horizon=6,
+            crashes={
+                0: CrashSpec(round=3, delivered_same_round=frozenset({1}))
+            },
+            delays={(0, 1, 3): 5, (0, 2, 4): 6, (1, 2, 2): 4},
+            losses=frozenset({(0, 1, 3), (0, 3, 5), (2, 3, 1)}),
+        )
+        _assert_plan_matches_oracle(schedule)
+        plan = compile_schedule(schedule)
+        assert 0 in plan.current_senders[3][1]
+        assert plan.delayed_inboxes[5][1] == ()
+        assert plan.delayed_inboxes[4][2] == ((2, 1),)
+
+    def test_exception_free_rounds_share_rows(self):
+        plan = compile_schedule(Schedule.failure_free(6, 2, 9))
+        row = plan.current_senders[1]
+        assert all(other is row for other in plan.current_senders[1:])
+        assert all(senders is row[0] for senders in row)
+        assert plan.current_groups[1] == (0,) * 6
 
 
 class TestRecordEquivalencePerAlgorithm:
