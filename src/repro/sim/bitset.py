@@ -28,7 +28,8 @@ by the set itself rather than a mask.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import compress
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from repro.types import ProcessId
 
@@ -36,9 +37,16 @@ __all__ = [
     "full_mask",
     "mask_of",
     "iter_bits",
+    "select_bits",
     "interned_set",
     "intern_values",
 ]
+
+_T = TypeVar("_T")
+
+#: Maps a mask's binary digits to the 0/1 selector bytes of
+#: :func:`select_bits`.
+_DIGIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 
 #: Per-table entry cap; beyond it sets are built uncached (no eviction —
 #: the first shapes seen are overwhelmingly the recurring ones).
@@ -71,6 +79,18 @@ def iter_bits(mask: int) -> Iterator[ProcessId]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def select_bits(items: Sequence[_T], mask: int) -> Iterator[_T]:
+    """``items[i]`` for every set bit ``i`` of *mask*, ascending.
+
+    One C-level pass over the mask's binary digits: for the dense masks
+    of a delivery round it is several times faster than
+    :func:`iter_bits`, whose per-bit big-int arithmetic grows with the
+    mask's width.
+    """
+    digits = bin(mask)[:1:-1].encode()  # least significant bit first
+    return compress(items, digits.translate(_DIGIT_SELECTORS))
 
 
 def interned_set(mask: int) -> frozenset[ProcessId]:

@@ -19,8 +19,9 @@ schedule, so the per-round hot loop touches only flat tuples — no
 ``sends_in_round``/``delivery_round``/``completes_round`` calls.
 Delivery goes through :class:`~repro.sim.view.RoundView`: the kernel
 builds each receiver's structured inbox (current-round items bucketed
-by tag, delayed messages separate, present-sender set) straight from
-the plan — shared across receivers with identical delivery plans — and
+by tag, delayed messages separate, present-sender mask) straight from
+the plan — current buckets shared across receivers that heard the same
+senders, delayed buckets across receivers with equal delayed rows — and
 drives the automata through
 :meth:`~repro.algorithms.base.Automaton.deliver_view`, the one receive
 hook.  One loop serves both trace modes: full mode additionally stores
@@ -70,45 +71,38 @@ def _round_view_factory(
     plan: CompiledSchedule,
     table: SendTable,
     payloads: Sequence[Sequence[Payload]],
-    shared_current: dict[ProcessId, CurrentCell],
-    shared_delayed: dict[ProcessId, tuple],
+    shared_current: dict[int, CurrentCell],
+    shared_delayed: dict[tuple, tuple],
 ) -> Callable[[ProcessId], RoundView]:
-    """One round's view builder, sharing buckets across plan groups.
+    """One round's view builder, sharing buckets across receivers.
 
     Returns ``view_for(pid)``.  ``shared_current``/``shared_delayed``
-    are the run's preallocated group-bucket maps; the caller clears them
+    are the run's preallocated bucket maps; the caller clears them
     between rounds instead of allocating fresh dicts.
 
-    Current-round buckets are *lazy*: each plan group gets one shared
-    :class:`CurrentCell` and views carry only the arrived-sender mask
-    (the compiled plan mask ANDed with the round's broadcaster mask —
-    exactly the senders surviving the table filter in
-    :func:`build_current_buckets`).  A receiver whose round never
-    touches ``current``/``by_tag``/``decides`` — the batched Phase-1
-    plane path — skips the O(plan-size) build entirely.
+    Sharing is keyed by the data itself.  A receiver's arrived-sender
+    mask (its compiled plan mask ANDed with the round's broadcaster
+    mask) keys one shared, lazily built :class:`CurrentCell`, and its
+    delayed row keys one shared delayed bucket.  A receiver whose round
+    never touches ``current``/``by_tag``/``decides`` — the batched
+    Phase-1 plane path — skips the current bucket build entirely.
     """
     delayed_plan = plan.delayed_inboxes[k]
-    current_plan = plan.current_senders[k]
-    cgroups = plan.current_groups[k]
     cmasks = plan.current_masks[k]
-    dgroups = plan.delayed_groups[k]
     sender_mask = table.sender_mask
 
     def view_for(pid: ProcessId) -> RoundView:
         cmask = cmasks[pid] & sender_mask
-        rep = cgroups[pid]
-        cell = shared_current.get(rep)
+        cell = shared_current.get(cmask)
         if cell is None:
-            cell = shared_current[rep] = CurrentCell(
-                current_plan[pid], table, cmask
-            )
-        rep = dgroups[pid]
-        dly = shared_delayed.get(rep)
+            cell = shared_current[cmask] = CurrentCell(table, cmask)
+        row = delayed_plan[pid]
+        dly = shared_delayed.get(row)
         if dly is None:
-            dly = shared_delayed[rep] = build_delayed_buckets(
-                delayed_plan[pid], payloads, _NOT_SENT
+            dly = shared_delayed[row] = build_delayed_buckets(
+                row, payloads, _NOT_SENT
             )
-        return RoundView.lazy(k, pid, n, dly[0], dly[1], cell, cmask)
+        return RoundView.lazy(k, pid, n, dly[0], dly[1], cell)
 
     return view_for
 
@@ -209,8 +203,8 @@ def _run(
     rounds_executed = 0
     # Preallocated per-run buffers, reset (not reallocated) per round.
     table = SendTable(n)
-    shared_current: dict[ProcessId, CurrentCell] = {}
-    shared_delayed: dict[ProcessId, tuple] = {}
+    shared_current: dict[int, CurrentCell] = {}
+    shared_delayed: dict[tuple, tuple] = {}
 
     for k in range(1, horizon + 1):
         rounds_executed = k
@@ -228,13 +222,12 @@ def _run(
                 hash(payload)  # fail fast on unhashable payloads
             payloads[pid][k] = payload
             record_send(pid, payload)
-        table.seal()
 
         # --- receive phase --------------------------------------------------
         # Message objects are built only for the full trace's records:
-        # automata consume the shared per-group buckets directly, so the
-        # per-round delivery cost is one bucket build per view group plus
-        # the automaton logic itself.
+        # automata consume the shared buckets directly, so the per-round
+        # delivery cost is one bucket build per distinct arrived-sender
+        # mask (and delayed row) plus the automaton logic itself.
         delivered: dict[ProcessId, tuple[Message, ...]] = {}
         decided_now: dict[ProcessId, Value] = {}
         halted_now = 0
@@ -246,7 +239,7 @@ def _run(
         if plane is not None:
             # Post-send, pre-receive: the plane's refreshed rows are
             # exactly the Halt sets this round's payloads carry, and
-            # the sealed table is the round's broadcast universe.
+            # the filled table is the round's broadcast universe.
             plane.begin_round(k, table)
         for pid in plan.completers[k]:
             if pid in halted:

@@ -19,7 +19,7 @@ at once*, against the same state rows, with three structural moves:
   ESTIMATE-broadcaster bitmask and one est-sorted ``(est, sender_bit)``
   order.  A receiver's arrived-ESTIMATE set is then a single word op —
   ``est_mask & view.current_mask`` — because each sender broadcasts
-  exactly one payload per round; no per-receiver (or even per-group)
+  exactly one payload per round; no per-receiver (or even per-mask)
   bucket, scan, or sort exists on this path at all.  Combined with the
   lazy :class:`~repro.sim.view.RoundView` buckets, a Phase-1 round
   never materializes current-round item tuples for any receiver.
@@ -145,7 +145,7 @@ class Phase1Plane:
 
         Re-transposes exactly the Halt rows that changed since the last
         refresh, then derives the round's global fold inputs from the
-        sealed send *table*: the ESTIMATE-broadcaster mask and the
+        filled send *table*: the ESTIMATE-broadcaster mask and the
         est-sorted ``(est, sender_bit)`` order.  Runs *after* the send
         phase, so the refreshed rows are the rows the round-k ESTIMATE
         payloads carry — which is what makes ``arrived &

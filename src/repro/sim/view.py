@@ -19,9 +19,7 @@ runs:
 * ``delayed`` — earlier-round ``(sent_round, sender, payload)`` triples
   whose delayed delivery lands in this round;
 * ``current_mask`` / ``absent_mask`` — the present/absent sender sets as
-  int bitmasks (the suspicion machinery's working representation), with
-  ``current_senders`` / ``absent`` lazily materializing the interned
-  frozensets for set-consuming call sites;
+  int bitmasks, the one representation of "who was heard";
 * ``decides`` — every DECIDE payload in the delivery, in canonical
   message order, so the universal decide-adoption protocol is one tuple
   iteration instead of a full-inbox scan.
@@ -29,29 +27,23 @@ runs:
 Message objects are materialized lazily (:attr:`RoundView.messages`):
 an automaton that only touches the structured accessors never pays for
 them, which is where most of the large-n delivery speedup comes from.
-Receivers with byte-identical delivery plans share one set of buckets
-per round — current-round and delayed plans are keyed independently
-(``CompiledSchedule.current_groups`` / ``delayed_groups``), so a sparse
-delayed delivery only desynchronizes the small delayed bucket and the
-expensive current-round partitioning is still paid once per round in
-the common all-to-all case.  The partitioning itself starts from a
-:class:`SendTable` the kernel fills during the send phase, so payload
-tags are classified once per broadcast, not once per receiver.
 
-The current-round partitioning is itself lazy on the kernel path
-(:class:`CurrentCell`, :meth:`RoundView.lazy`): a kernel-built view
-carries only the arrived-sender *mask* (one ``&`` of the compiled
-plan's per-receiver mask against the send table's broadcaster mask) and
-a per-group cell that materializes the ``(sender, payload)`` buckets on
-first structured access.  A receiver whose round consumes only masks —
-the batched Phase-1 suspicion plane (:mod:`repro.sim.phase1_plane`) is
-the flagship — never builds its bucket set at all, which is what breaks
-the O(n · plan-size) per-round floor on schedules whose per-receiver
-delivery plans are all distinct (random ES runs at n ≥ 500).  The
-DECIDE scan stays O(1) on bucket-free rounds: the send table already
-knows whether *any* broadcast this round was a DECIDE, so
-:attr:`RoundView.decides` materializes buckets only in announcement
-rounds (plus whatever delayed DECIDEs the eager delayed bucket carries).
+On the kernel path (:meth:`RoundView.lazy`) a view carries only its
+arrived-sender *mask* — one ``&`` of the compiled plan's per-receiver
+mask against the :class:`SendTable`'s broadcaster mask — and a
+:class:`CurrentCell` that materializes the ``(sender, payload)`` buckets
+on first structured access.  The kernel keys cells by that mask, so all
+receivers that heard the same senders share one cell per round (in an
+all-to-all round, one cell for everybody), and delayed buckets are
+likewise shared per distinct delayed row.  A receiver whose round
+consumes only masks — the batched Phase-1 suspicion plane
+(:mod:`repro.sim.phase1_plane`) is the flagship — never builds its
+bucket set at all.  The DECIDE scan stays O(1) on bucket-free rounds:
+the send table already knows whether *any* broadcast this round was a
+DECIDE, so :attr:`RoundView.decides` materializes buckets only in
+announcement rounds (plus whatever delayed DECIDEs the eager delayed
+bucket carries).  Payload tags are classified once per broadcast, when
+the kernel fills the send table, not once per receiver.
 """
 
 from __future__ import annotations
@@ -59,7 +51,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.model.messages import Message, fast_message
-from repro.sim.bitset import full_mask, interned_set
+from repro.sim.bitset import full_mask, select_bits
 from repro.types import Payload, ProcessId, Round
 
 __all__ = [
@@ -114,25 +106,23 @@ class RoundView:
         decides: every DECIDE payload in the whole delivery (delayed and
             current), in canonical message order.
         current_mask: the senders of ``current`` as an int bitmask (bit
-            ``i`` set iff process ``i``'s round-k message arrived) — the
-            working representation; :attr:`current_senders` /
-            :attr:`absent` materialize the interned frozensets lazily.
+            ``i`` set iff process ``i``'s round-k message arrived).
 
     The bucket attributes may be shared between views of different
-    receivers with identical delivery plans; views are read-only.
+    receivers that heard the same senders; views are read-only.
 
     On the kernel path (:meth:`lazy`) the current-round buckets are not
-    built up front: the view carries the arrived-sender mask plus a
-    per-group :class:`CurrentCell`, and ``current`` / ``by_tag`` /
-    ``decides`` materialize (group-shared, once) on first access.  Every
-    accessor returns exactly what the eager constructor would have been
-    handed, so callers cannot observe which constructor built the view.
+    built up front: the view carries a :class:`CurrentCell` shared by
+    every receiver with the same arrived-sender mask, and ``current`` /
+    ``by_tag`` / ``decides`` materialize (once per cell) on first
+    access.  Every accessor returns exactly what the eager constructor
+    would have been handed, so callers cannot observe which constructor
+    built the view.
     """
 
     __slots__ = (
         "round", "receiver", "n", "delayed", "current_mask", "_current",
         "_by_tag", "_decides", "_cell", "_delayed_decides", "_messages",
-        "_current_senders", "_absent",
     )
 
     def __init__(
@@ -157,8 +147,6 @@ class RoundView:
         self._cell = None
         self._delayed_decides = ()
         self._messages = None
-        self._current_senders = None
-        self._absent = None
 
     @classmethod
     def lazy(
@@ -169,34 +157,29 @@ class RoundView:
         delayed: tuple[tuple[Round, ProcessId, Payload], ...],
         delayed_decides: tuple[Payload, ...],
         cell: "CurrentCell",
-        current_mask: int,
     ) -> "RoundView":
         """A kernel-path view whose current buckets build on demand.
 
-        *current_mask* must equal the mask of senders the cell's built
-        ``current`` bucket will carry (the compiled plan mask ANDed with
-        the round's broadcaster mask) — the kernel computes it in O(1)
-        so mask-only consumers never trigger the build.
+        The view's ``current_mask`` is the cell's mask, so mask-only
+        consumers never trigger the build.
         """
         view = cls.__new__(cls)
         view.round = round
         view.receiver = receiver
         view.n = n
         view.delayed = delayed
-        view.current_mask = current_mask
+        view.current_mask = cell.mask
         view._current = None
         view._by_tag = None
         view._decides = None
         view._cell = cell
         view._delayed_decides = delayed_decides
         view._messages = None
-        view._current_senders = None
-        view._absent = None
         return view
 
     def _materialize(self) -> None:
-        """Pull the group-shared buckets out of the cell (lazy views)."""
-        current, by_tag, decides, _mask = self._cell.built()
+        """Pull the shared buckets out of the cell (lazy views)."""
+        current, by_tag, decides = self._cell.built()
         self._current = current
         self._by_tag = by_tag
         # Canonical delivery order: delayed messages sort ahead of
@@ -245,39 +228,15 @@ class RoundView:
         return by_tag.get(tag, ())
 
     @property
-    def all_pids(self) -> frozenset[ProcessId]:
-        return all_pids(self.n)
-
-    @property
-    def current_senders(self) -> frozenset[ProcessId]:
-        """The senders of ``current`` as an interned frozenset.
-
-        Materialized lazily from :attr:`current_mask` — mask-consuming
-        call sites never pay for the set object.
-        """
-        senders = self._current_senders
-        if senders is None:
-            senders = self._current_senders = interned_set(self.current_mask)
-        return senders
-
-    @property
     def absent_mask(self) -> int:
-        """:attr:`absent` as a bitmask — the complement of
-        :attr:`current_mask` within the n-process universe."""
-        return full_mask(self.n) & ~self.current_mask
-
-    @property
-    def absent(self) -> frozenset[ProcessId]:
-        """Processes from which no current-round message arrived.
+        """Processes from which no current-round message arrived: the
+        complement of :attr:`current_mask` within the n-process universe.
 
         Includes the receiver itself when its own message is missing;
-        suspicion call sites subtract their own pid, matching the
-        paper's "a process never suspects itself".
+        suspicion call sites clear their own bit, matching the paper's
+        "a process never suspects itself".
         """
-        absent = self._absent
-        if absent is None:
-            absent = self._absent = interned_set(self.absent_mask)
-        return absent
+        return full_mask(self.n) & ~self.current_mask
 
     @property
     def size(self) -> int:
@@ -419,44 +378,30 @@ class RoundView:
 
 
 class CurrentCell:
-    """One current-group's lazily-built shared buckets.
+    """One arrived-sender mask's lazily built current-round buckets.
 
-    The kernel creates one cell per ``current_groups`` representative
-    per round and hands it to every :meth:`RoundView.lazy` view in the
-    group; the first structured access on *any* of them runs
+    The kernel creates one cell per distinct arrived-sender mask per
+    round and hands it to every :meth:`RoundView.lazy` view with that
+    mask; the first structured access on *any* of them runs
     :func:`build_current_buckets` and the result is shared by the rest.
     Rounds whose receivers consume only masks (the batched Phase-1
     plane) never trigger the build at all.
 
-    *mask* is the group's surviving-sender mask (plan ∩ broadcasters).
-    A group that hears **every** broadcaster — the overwhelmingly common
-    shape even on schedules whose delivery plans are all distinct, where
-    fragmentation comes from a few delayed messages — resolves to the
-    table's round-wide full bucket set instead of building its own, so
-    the per-round materialization cost collapses from O(groups · n) to
-    O(n) plus the stragglers.
+    *mask* must be a subset of the table's broadcaster mask.
     """
 
-    __slots__ = ("plan", "table", "mask", "_built")
+    __slots__ = ("table", "mask", "_built")
 
-    def __init__(
-        self, plan: Sequence[ProcessId], table: "SendTable", mask: int
-    ) -> None:
-        self.plan = plan
+    def __init__(self, table: "SendTable", mask: int) -> None:
         self.table = table
         self.mask = mask
         self._built: tuple | None = None
 
     def built(self) -> tuple:
-        """The group's ``(current, by_tag, decides, mask)``, built once."""
+        """The cell's ``(current, by_tag, decides)``, built once."""
         built = self._built
         if built is None:
-            table = self.table
-            if self.mask == table.sender_mask:
-                built = table.full_buckets()
-            else:
-                built = build_current_buckets(self.plan, table, self.mask)
-            self._built = built
+            built = self._built = build_current_buckets(self.mask, self.table)
         return built
 
 
@@ -467,10 +412,9 @@ class SendTable:
     every process that actually broadcast, the interned ``(sender,
     payload)`` item and the payload tag; plus three round-level facts
     the bucket builders use for their fast paths — the broadcaster
-    bitmask (and its interned frozenset), whether the whole round
-    carries a single tag, and whether any broadcast is a DECIDE
-    announcement.  All of it is a pure function of the round's sends, so
-    every receiver shares one table.
+    bitmask, whether the whole round carries a single tag, and whether
+    any broadcast is a DECIDE announcement.  All of it is a pure
+    function of the round's sends, so every receiver shares one table.
 
     The table is a preallocated per-run buffer: the kernel allocates one
     per execution and calls :meth:`reset` between rounds, which clears
@@ -479,25 +423,21 @@ class SendTable:
     """
 
     __slots__ = (
-        "items", "tags", "is_decide", "count", "sender_mask", "senders",
-        "single_tag", "has_decides", "_full_buckets",
+        "items", "tags", "is_decide", "sender_mask", "single_tag",
+        "has_decides",
     )
 
     def __init__(self, n: int):
         self.items: list = [None] * n      # (sender, payload) or None
         self.tags: list = [None] * n       # payload tag, for senders
         self.is_decide: list = [False] * n
-        self.count = 0                      # number of broadcasters
         self.sender_mask = 0                # broadcasters as a bitmask
-        self.senders: frozenset = interned_set(0)
         self.single_tag = None              # the round's tag, if unique
         self.has_decides = False
-        self._full_buckets: tuple | None = None
 
     def record(self, sender: ProcessId, payload: Payload) -> None:
         """Note that *sender* broadcast *payload* this round."""
         self.items[sender] = (sender, payload)
-        self.sender_mask |= 1 << sender
         if isinstance(payload, tuple) and payload:
             tag = payload[0]
             if tag == _DECIDE:
@@ -506,34 +446,11 @@ class SendTable:
         else:
             tag = payload
         self.tags[sender] = tag
-        if self.count == 0:
+        if not self.sender_mask:
             self.single_tag = tag
         elif tag != self.single_tag:
             self.single_tag = None
-        self.count += 1
-
-    def seal(self) -> None:
-        """Finalize after the send phase (interns the sender set)."""
-        self.senders = interned_set(self.sender_mask)
-
-    def full_buckets(self) -> tuple:
-        """The complete-hearing bucket set ``(current, by_tag, decides,
-        sender_mask)`` — what :func:`build_current_buckets` returns for
-        any plan whose surviving senders are *all* of this round's
-        broadcasters.  Built once per round, shared by every such group
-        (see :class:`CurrentCell`)."""
-        built = self._full_buckets
-        if built is None:
-            senders = []
-            mask = self.sender_mask
-            while mask:
-                low = mask & -mask
-                senders.append(low.bit_length() - 1)
-                mask ^= low
-            built = self._full_buckets = build_current_buckets(
-                senders, self, self.sender_mask
-            )
-        return built
+        self.sender_mask |= 1 << sender
 
     def reset(self) -> None:
         """Clear for the next round, touching only last round's slots."""
@@ -549,52 +466,27 @@ class SendTable:
                 tags[sender] = None
                 is_decide[sender] = False
                 mask ^= low
-        self.count = 0
         self.sender_mask = 0
-        self.senders = interned_set(0)
         self.single_tag = None
         self.has_decides = False
-        self._full_buckets = None
 
 
-def build_current_buckets(
-    current_plan: Sequence[ProcessId],
-    table: SendTable,
-    known_mask: int | None = None,
-) -> tuple:
-    """One current-group's shared buckets: ``(current, by_tag, decides,
-    current_mask)``.
+def build_current_buckets(mask: int, table: SendTable) -> tuple:
+    """The current-round buckets ``(current, by_tag, decides)`` of the
+    senders in *mask*, which must all have broadcast (*mask* is a
+    subset of ``table.sender_mask``).
 
-    *current_plan* is the compiled ascending sender list for one
-    receiver group; senders that never broadcast (halted) drop out via
-    the table.  The sender set travels as a bitmask — the
-    :class:`RoundView` interns the frozenset only on demand; callers
-    that already hold the surviving-sender mask (the kernel's
-    :class:`CurrentCell` computes it in O(1) from the compiled plan
-    mask) pass it as *known_mask* to skip the recomputation.  The
-    common round shape — every broadcast carries the same tag, none of
-    them a DECIDE — collapses to a single filtered copy of the table's
-    items; mixed rounds (coordinator phases, decide announcements) take
-    the general partitioning path.
+    The common round shape — every broadcast carries the same tag, none
+    of them a DECIDE — collapses to a single walk over *mask*'s bits;
+    mixed rounds (coordinator phases, decide announcements) take the
+    general partitioning path.
     """
-    items = table.items
-    current = [
-        item for s in current_plan if (item := items[s]) is not None
-    ]
-    if not current:
-        return ((), {}, (), 0)
-    current = tuple(current)
-    if known_mask is not None:
-        sender_mask = known_mask
-    elif len(current) == table.count:
-        sender_mask = table.sender_mask
-    else:
-        sender_mask = 0
-        for item in current:
-            sender_mask |= 1 << item[0]
+    if not mask:
+        return ((), {}, ())
+    current = tuple(select_bits(table.items, mask))
     single_tag = table.single_tag
     if single_tag is not None and not table.has_decides:
-        return (current, {single_tag: current}, (), sender_mask)
+        return (current, {single_tag: current}, ())
     tags = table.tags
     is_decide = table.is_decide
     by_tag: dict = {}
@@ -613,7 +505,6 @@ def build_current_buckets(
         current,
         {tag: tuple(bucket) for tag, bucket in by_tag.items()},
         tuple(decides),
-        sender_mask,
     )
 
 
@@ -622,7 +513,7 @@ def build_delayed_buckets(
     payloads: Sequence[Sequence[Payload]],
     not_sent: object,
 ) -> tuple:
-    """One delayed-group's shared buckets: ``(delayed, decides)``.
+    """One delayed row's shared buckets: ``(delayed, decides)``.
 
     *payloads* is the kernel's ``payloads[sender][sent_round]`` grid
     with *not_sent* marking senders that never broadcast in the

@@ -5,7 +5,7 @@ preserved :meth:`~repro.algorithms.suspicion.EstimateState.compute_view`
 — the same oracle pattern as ``test_suspicion.py``, lifted to whole
 rounds: for random suspicion patterns, crash sets, and per-receiver
 delivery subsets, drive both implementations through the *real* kernel
-wiring (a sealed :class:`~repro.sim.view.SendTable`, lazy
+wiring (a filled :class:`~repro.sim.view.SendTable`, lazy
 :class:`~repro.sim.view.RoundView` views over shared
 :class:`~repro.sim.view.CurrentCell` buckets, ``begin_round`` /
 ``end_round``) and assert every receiver's ``(est, halt)`` matches.
@@ -48,14 +48,11 @@ XXL_THRESHOLD = 500
 
 def _lazy_view(k, pid, n, delivered, table):
     """A receiver's round view exactly as the kernel builds it."""
-    plan = tuple(sorted(delivered))
     mask = 0
-    for sender in plan:
+    for sender in delivered:
         mask |= 1 << sender
     mask &= table.sender_mask
-    return RoundView.lazy(
-        k, pid, n, (), (), CurrentCell(plan, table, mask), mask
-    )
+    return RoundView.lazy(k, pid, n, (), (), CurrentCell(table, mask))
 
 
 def _drive_round(plane, states, oracles, k, broadcasts, deliveries):
@@ -70,7 +67,6 @@ def _drive_round(plane, states, oracles, k, broadcasts, deliveries):
     table = SendTable(n)
     for sender, payload in sorted(broadcasts.items()):
         table.record(sender, payload)
-    table.seal()
     plane.begin_round(k, table)
     for pid, delivered in sorted(deliveries.items()):
         delivered = [s for s in delivered if s in broadcasts]
@@ -256,7 +252,6 @@ class TestRound2Stats:
             for i in range(n):
                 if i not in crashed:
                     table.record(i, states[i].payload(2))
-            table.seal()
             plane.begin_round(2, table)
             view = _lazy_view(2, 0, n, delivered - crashed, table)
             stats = plane.round2_stats(2, view)
@@ -272,7 +267,6 @@ class TestRound2Stats:
         table = SendTable(3)
         for i in range(3):
             table.record(i, states[i].payload(2))
-        table.seal()
         plane.begin_round(2, table)
         view = _lazy_view(2, 0, 3, (), table)
         assert plane.round2_stats(2, view) == (0, False, None)
@@ -288,7 +282,6 @@ class TestDispatchGuards:
         table = SendTable(3)
         for i in range(3):
             table.record(i, states[i].payload(1))
-        table.seal()
         return plane, states, oracles, table
 
     def test_inactive_plane_falls_back_to_oracle(self):

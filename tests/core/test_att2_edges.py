@@ -212,7 +212,6 @@ class TestFailureFreeFastPathEdges:
             table = SendTable(5)
             for sender, _est, _halt in items:
                 table.record(sender, by_pid[sender].state.payload(2))
-            table.seal()
             plane.begin_round(2, table)
             view = _round2_view(0, 5, items)
             assert (

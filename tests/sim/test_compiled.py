@@ -29,7 +29,7 @@ from repro.algorithms.registry import available_algorithms, get_factory
 from repro.analysis.metrics import check_consensus, summarize
 from repro.errors import SimulationError
 from repro.model.schedule import CrashSpec, Schedule, ScheduleBuilder
-from repro.sim.bitset import interned_set, mask_of
+from repro.sim.bitset import interned_set, iter_bits, mask_of
 from repro.sim.compiled import CompiledSchedule, compile_schedule
 from repro.sim.kernel import execute, execute_reference, run_algorithm
 from repro.sim.random_schedules import (
@@ -66,7 +66,6 @@ def _dense_compile(schedule: Schedule) -> CompiledSchedule:
         for pid in range(n)
     ]
     senders, completers, crashed = [()], [()], [frozenset()]
-    sender_masks, completer_masks, crashed_masks = [0], [0], [0]
     inboxes = [[[] for _ in range(n)] for _ in range(horizon + 1)]
     for k in range(1, horizon + 1):
         round_senders = tuple(
@@ -79,9 +78,6 @@ def _dense_compile(schedule: Schedule) -> CompiledSchedule:
         senders.append(round_senders)
         completers.append(round_completers)
         crashed.append(interned_set(crashing))
-        sender_masks.append(mask_of(round_senders))
-        completer_masks.append(mask_of(round_completers))
-        crashed_masks.append(crashing)
         for sender in round_senders:
             for receiver in range(n):
                 delivery = schedule.delivery_round(sender, receiver, k)
@@ -91,36 +87,29 @@ def _dense_compile(schedule: Schedule) -> CompiledSchedule:
                     continue
                 inboxes[delivery][receiver].append((k, sender))
 
-    delayed_inboxes, current_senders, current_masks = [()], [()], [()]
-    current_groups, delayed_groups = [()], [()]
+    delayed_inboxes, current_masks = [()], [()]
     for k in range(1, horizon + 1):
-        delayed_row, current_row = [], []
+        delayed_row, mask_row = [], []
         for receiver in range(n):
             entries = sorted(inboxes[k][receiver])
             delayed_row.append(tuple(p for p in entries if p[0] != k))
-            current_row.append(tuple(s for r, s in entries if r == k))
-        creps, dreps = {}, {}
+            mask_row.append(mask_of(s for r, s in entries if r == k))
         delayed_inboxes.append(tuple(delayed_row))
-        current_senders.append(tuple(current_row))
-        current_masks.append(tuple(mask_of(c) for c in current_row))
-        current_groups.append(tuple(
-            creps.setdefault(c, r) for r, c in enumerate(current_row)
-        ))
-        delayed_groups.append(tuple(
-            dreps.setdefault(d, r) for r, d in enumerate(delayed_row)
-        ))
+        current_masks.append(tuple(mask_row))
     return CompiledSchedule(
         schedule=schedule, n=n, horizon=horizon,
         senders=tuple(senders), completers=tuple(completers),
         delayed_inboxes=tuple(delayed_inboxes),
-        current_senders=tuple(current_senders),
-        current_groups=tuple(current_groups),
         current_masks=tuple(current_masks),
-        delayed_groups=tuple(delayed_groups),
         crashed=tuple(crashed),
-        sender_masks=tuple(sender_masks),
-        completer_masks=tuple(completer_masks),
-        crashed_masks=tuple(crashed_masks),
+    )
+
+
+def _inbox(plan: CompiledSchedule, k: int, receiver: int) -> tuple:
+    """*receiver*'s merged round-*k* plan: the canonically ordered
+    ``(sent_round, sender)`` pairs, delayed ones first."""
+    return plan.delayed_inboxes[k][receiver] + tuple(
+        (k, sender) for sender in iter_bits(plan.current_masks[k][receiver])
     )
 
 
@@ -338,7 +327,7 @@ class TestCompiledPlan:
         plan = compile_schedule(schedule)
         for k in range(1, plan.horizon + 1):
             for receiver in range(plan.n):
-                entries = plan.inboxes[k][receiver]
+                entries = _inbox(plan, k, receiver)
                 assert list(entries) == sorted(entries)
 
     def test_plan_matches_schedule_queries(self):
@@ -355,7 +344,7 @@ class TestCompiledPlan:
             for receiver in range(5):
                 if not schedule.completes_round(receiver, k):
                     continue
-                assert set(plan.inboxes[k][receiver]) == {
+                assert set(_inbox(plan, k, receiver)) == {
                     (sent, sender)
                     for sender, sent in schedule.deliveries_to(receiver, k)
                 }
@@ -511,16 +500,19 @@ class TestPlanMatchesDenseOracle:
         )
         _assert_plan_matches_oracle(schedule)
         plan = compile_schedule(schedule)
-        assert 0 in plan.current_senders[3][1]
+        assert plan.current_masks[3][1] & (1 << 0)
         assert plan.delayed_inboxes[5][1] == ()
         assert plan.delayed_inboxes[4][2] == ((2, 1),)
 
     def test_exception_free_rounds_share_rows(self):
         plan = compile_schedule(Schedule.failure_free(6, 2, 9))
-        row = plan.current_senders[1]
-        assert all(other is row for other in plan.current_senders[1:])
-        assert all(senders is row[0] for senders in row)
-        assert plan.current_groups[1] == (0,) * 6
+        row = plan.current_masks[1]
+        assert all(other is row for other in plan.current_masks[1:])
+        assert row == (mask_of(range(6)),) * 6
+        assert all(
+            delayed is plan.delayed_inboxes[1]
+            for delayed in plan.delayed_inboxes[1:]
+        )
 
 
 class TestRecordEquivalencePerAlgorithm:

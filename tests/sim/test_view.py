@@ -5,11 +5,14 @@ pre-partitioned by tag in canonical order, delayed triples separate,
 DECIDE payloads collected across both in message order, and lazily
 materialized flat messages identical to what the reference kernel
 delivers.  Plus: ``deliver_view`` is the one (abstract) receive hook,
-and the compiled plan's sharing groups never mix receivers with
-different delivery plans.
+the kernel shares current-round buckets exactly between receivers that
+heard the same senders, and the lazy bit-walking bucket builder agrees
+with the eager constructor on arbitrary send tables.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.base import Automaton, make_automata
 from repro.algorithms.common import ConsensusAutomaton, decide_payload
@@ -17,9 +20,16 @@ from repro.algorithms.registry import get_factory
 from repro.model.messages import Message
 from repro.model.schedule import Schedule, ScheduleBuilder
 from repro.sim.compiled import compile_schedule
+from repro.sim.bitset import full_mask, iter_bits, mask_of, select_bits
 from repro.sim.kernel import execute, execute_reference
-from repro.sim.random_schedules import random_es_schedule
-from repro.sim.view import RoundView, all_pids
+from repro.sim.random_schedules import random_es_schedule, random_proposals
+from repro.sim.view import (
+    CurrentCell,
+    RoundView,
+    SendTable,
+    all_pids,
+    build_delayed_buckets,
+)
 
 
 def entry(sent_round, sender, payload):
@@ -61,9 +71,9 @@ class TestBucketStructure:
             entry(2, 0, ("A",)),
             entry(2, 2, ("A",)),
         )
-        assert view.current_senders == frozenset({0, 2})
-        assert view.absent == frozenset({1, 3})
-        assert view.all_pids == frozenset(range(4))
+        assert view.current_mask == mask_of({0, 2})
+        assert view.absent_mask == mask_of({1, 3})
+        assert view.current_mask | view.absent_mask == full_mask(view.n)
 
     def test_decides_collected_in_canonical_order(self):
         view = view_of(
@@ -122,7 +132,8 @@ class TestShifted:
         assert shifted.round == 2
         assert shifted.delayed == ((1, 1, ("MID", 2)),)
         assert shifted.current == view.current
-        assert shifted.current_senders == view.current_senders
+        assert shifted.current_mask == view.current_mask
+        assert shifted.absent_mask == view.absent_mask
 
     def test_shift_refuses_decides(self):
         view = view_of(entry(6, 1, decide_payload(0)), round=6)
@@ -281,33 +292,110 @@ class TestOneHook:
         assert trace.decisions == {0: (4, 2), 1: (5, 2), 2: (6, 2)}
 
 
+def _capture_views(automata):
+    """Wrap each automaton's receive hook to record, per round, every
+    delivered view with the round's broadcaster mask at delivery time
+    (the kernel reuses one send table per run)."""
+    seen = {}
+    for automaton in automata:
+        deliver_view = automaton.deliver_view
+
+        def capture(k, view, deliver_view=deliver_view):
+            seen.setdefault(k, []).append(
+                (view, view._cell.table.sender_mask)
+            )
+            deliver_view(k, view)
+
+        automaton.deliver_view = capture
+    return seen
+
+
+class HaltsEarly(Automaton):
+    """Builds its current buckets every round; process 0 decides and
+    halts in round 1, everybody else in round 3."""
+
+    def payload(self, k):
+        return ("HE", k)
+
+    def deliver_view(self, k, view):
+        assert len(view.current) == view.current_mask.bit_count()
+        if k >= (1 if self.pid == 0 else 3):
+            self._decide(self.proposal, k)
+            self._halt()
+
+
 class TestPlanSharingGroups:
-    def test_groups_partition_by_plan_equality(self):
-        schedule = random_es_schedule(6, 2, seed=11, horizon=10)
+    def _assert_sharing_follows_the_data(self, plan, seen):
+        for k, views in seen.items():
+            for view, sender_mask in views:
+                pid = view.receiver
+                assert view.current_mask == (
+                    plan.current_masks[k][pid] & sender_mask
+                )
+                for other, _ in views:
+                    same_mask = view.current_mask == other.current_mask
+                    assert (view._cell is other._cell) == same_mask
+                    if (
+                        plan.delayed_inboxes[k][pid]
+                        == plan.delayed_inboxes[k][other.receiver]
+                    ):
+                        assert view.delayed is other.delayed
+
+    @pytest.mark.parametrize("name", ["att2", "chandra_toueg"])
+    def test_groups_partition_by_plan_equality(self, name):
+        # Within a kernel round, views share one CurrentCell exactly
+        # when they heard the same senders, and views with equal
+        # delayed plan rows share one delayed bucket.
+        factory = get_factory(name)
+        for seed in range(6):
+            schedule = random_es_schedule(6, 2, seed=seed, horizon=10)
+            proposals = random_proposals(6, seed)
+            automata = make_automata(factory, 6, 2, proposals)
+            seen = _capture_views(automata)
+            trace = execute(automata, schedule, trace="full")
+            self._assert_sharing_follows_the_data(
+                compile_schedule(schedule), seen
+            )
+            assert trace == execute_reference(
+                make_automata(factory, 6, 2, proposals), schedule
+            )
+
+    def test_halted_sender_does_not_split_cells(self):
+        # Receivers 1 and 2 have round-2 plan masks that differ only in
+        # process 0, which halted in round 1 and never broadcasts
+        # again: they heard the same senders, so they share one cell.
+        builder = ScheduleBuilder(4, 1, 4)
+        builder.lose(0, 1, 2)
+        schedule = builder.build()
         plan = compile_schedule(schedule)
-        for k in range(1, plan.horizon + 1):
-            for receiver in range(plan.n):
-                crep = plan.current_groups[k][receiver]
-                drep = plan.delayed_groups[k][receiver]
-                assert crep <= receiver and drep <= receiver
-                assert (
-                    plan.current_senders[k][crep]
-                    == plan.current_senders[k][receiver]
-                )
-                assert (
-                    plan.delayed_inboxes[k][drep]
-                    == plan.delayed_inboxes[k][receiver]
-                )
+        assert plan.current_masks[2][1] ^ plan.current_masks[2][2] == 1
+        automata = make_automata(HaltsEarly, 4, 1, [0, 1, 2, 3])
+        seen = _capture_views(automata)
+        trace = execute(automata, schedule, trace="full")
+        self._assert_sharing_follows_the_data(plan, seen)
+        views = [view for view, _ in seen[2]]
+        assert [view.receiver for view in views] == [1, 2, 3]
+        assert all(view._cell is views[0]._cell for view in views)
+        assert trace == execute_reference(
+            make_automata(HaltsEarly, 4, 1, [0, 1, 2, 3]), schedule
+        )
 
     def test_failure_free_rounds_share_one_current_group(self):
-        plan = compile_schedule(Schedule.failure_free(5, 2, 6))
-        for k in range(1, plan.horizon + 1):
-            assert set(plan.current_groups[k]) == {0}
-            assert set(plan.delayed_groups[k]) == {0}
+        schedule = Schedule.failure_free(5, 2, 6)
+        plan = compile_schedule(schedule)
+        automata = make_automata(get_factory("att2"), 5, 2, [3, 1, 4, 1, 5])
+        seen = _capture_views(automata)
+        execute(automata, schedule, trace="full")
+        assert seen
+        for k, captured in seen.items():
+            assert set(plan.current_masks[k]) == {full_mask(5)}
+            first = captured[0][0]
+            for view, _ in captured:
+                assert view._cell is first._cell
+                assert view.delayed is first.delayed
 
     def test_split_inboxes_match_schedule_queries(self):
-        # The split halves against the declarative schedule directly
-        # (not via the derived `inboxes` property, which merges them).
+        # The split halves against the declarative schedule directly.
         schedule = random_es_schedule(6, 2, seed=23, horizon=10)
         plan = compile_schedule(schedule)
         for k in range(1, plan.horizon + 1):
@@ -319,11 +407,81 @@ class TestPlanSharingGroups:
                     for sender, sent in schedule.deliveries_to(receiver, k)
                 }
                 delayed = plan.delayed_inboxes[k][receiver]
-                current = plan.current_senders[k][receiver]
+                current = plan.current_masks[k][receiver]
                 assert all(sent < k for sent, _sender in delayed)
-                assert list(current) == sorted(current)
-                merged = set(delayed) | {(k, s) for s in current}
+                assert list(delayed) == sorted(delayed)
+                merged = set(delayed) | {(k, s) for s in iter_bits(current)}
                 assert merged == expected
+
+
+#: Payloads with mixed tags: tuple-tagged ones (DECIDE included) and
+#: scalars, which tag as themselves — a bare "DECIDE" string is no
+#: decide.
+_PAYLOADS = st.one_of(
+    st.tuples(st.sampled_from(["EST", "DECIDE", "PH2", 7]), st.integers(0, 2)),
+    st.sampled_from(["DECIDE", "EST", 5, ()]),
+)
+_TAGS = ["EST", "DECIDE", "PH2", 7, 5, (), "MISSING"]
+_ACCESSORS = ["current", "tagged", "decides", "size", "messages"]
+_NOT_SENT = object()
+
+
+def _read(view, accessor):
+    if accessor == "tagged":
+        return [view.tagged(tag) for tag in _TAGS]
+    return getattr(view, accessor)
+
+
+class TestLazyBucketBuilder:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 140), data=st.data())
+    def test_select_bits_follows_iter_bits(self, n, data):
+        mask = data.draw(st.integers(0, full_mask(n)), label="mask")
+        items = [("item", i) for i in range(n)]
+        assert list(select_bits(items, mask)) == [
+            items[i] for i in iter_bits(mask)
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_lazy_view_matches_eager_construction(self, data):
+        # The kernel path (a filled SendTable, a CurrentCell walking the
+        # arrived mask's bits, build_delayed_buckets over the payload
+        # grid) against RoundView.from_entries on the same entries.
+        n = data.draw(st.integers(1, 70), label="n")
+        k = data.draw(st.integers(2, 5), label="k")
+        pid = st.integers(0, n - 1)
+        table = SendTable(n)
+        previous = data.draw(st.dictionaries(pid, _PAYLOADS), label="prev")
+        for sender, payload in sorted(previous.items()):
+            table.record(sender, payload)
+        table.reset()
+        sends = data.draw(st.dictionaries(pid, _PAYLOADS), label="sends")
+        for sender, payload in sorted(sends.items()):
+            table.record(sender, payload)
+        mask = data.draw(st.integers(0, full_mask(n)), label="mask")
+        mask &= table.sender_mask
+        late = data.draw(st.dictionaries(
+            st.tuples(st.integers(1, k - 1), pid),
+            st.one_of(_PAYLOADS, st.none()),  # None: never broadcast
+            max_size=6,
+        ), label="late")
+        grid = [[_NOT_SENT] * k for _ in range(n)]
+        for (sent, sender), payload in late.items():
+            if payload is not None:
+                grid[sender][sent] = payload
+        delayed, delayed_decides = build_delayed_buckets(
+            tuple(sorted(late)), grid, _NOT_SENT
+        )
+        lazy = RoundView.lazy(
+            k, 0, n, delayed, delayed_decides, CurrentCell(table, mask)
+        )
+        arrived = [(k, sender, sends[sender]) for sender in iter_bits(mask)]
+        eager = RoundView.from_entries(k, 0, n, [*delayed, *arrived])
+        assert lazy.current_mask == eager.current_mask
+        # Each accessor may be the first to touch the lazy view.
+        for accessor in data.draw(st.permutations(_ACCESSORS), label="order"):
+            assert _read(lazy, accessor) == _read(eager, accessor), accessor
 
 
 class TestViewKernelEquivalence:
