@@ -1,23 +1,16 @@
-"""Kernel microbenchmark: round-view delivery vs the older pipelines.
+"""Kernel microbenchmark: round-view delivery vs the reference kernel.
 
 Two claims, both load-bearing for large-n sweeps (docs/performance.md):
 
 * **equivalence** — the compiled kernel (:func:`repro.sim.kernel.execute`)
-  produces full traces identical to the original query-at-a-time kernel
-  (:func:`repro.sim.kernel.execute_reference`), and the lean trace mode
-  produces byte-identical :class:`~repro.analysis.sweep.SweepRecord`\\ s;
+  produces full traces, counters included, identical to the original
+  query-at-a-time kernel (``execute_reference`` in
+  ``tests/kernel_oracle.py``), and the lean runs the engine makes
+  produce byte-identical :class:`~repro.analysis.sweep.SweepRecord`\\ s;
 * **speed** — the round-view delivery pipeline (shared pre-bucketed
-  inboxes, no per-receiver Message materialization) beats both the
+  inboxes, no per-receiver Message materialization) beats the
   pre-compile pipeline (*reference* arm: query-at-a-time kernel, full
-  trace, per-case synchrony scan) and the PR-4-era flat delivery path
-  (*flat* arm: per-receiver flat message tuples re-structured per
-  automaton), by a growing factor as n grows.
-
-The *flat* arm reconstructs the previous kernel's delivery contract on
-top of today's kernel: every automaton is forced through full Message
-materialization plus per-receiver re-derivation of the round structure
-— exactly the work the shared :class:`~repro.sim.view.RoundView`
-buckets eliminate.
+  trace) by a growing factor as n grows.
 
 Besides the printed table, the run persists machine-readable per-system
 timings to ``BENCH_kernel.json`` (path override:
@@ -26,8 +19,8 @@ artifact so the perf trajectory is tracked across pushes.  The XXL
 rows (n = 250/500/1000, the bitset data plane at scale) land in the
 same file under ``xxl_systems`` — they time the full default sweep set
 with a ``per_algorithm_ms`` breakdown (so the trajectory attributes a
-future ceiling to its owner, not just to a total), with the flat arm
-only where it is affordable.  The ``att2_focus`` rows isolate the
+future ceiling to its owner, not just to a total).  The ``att2_focus``
+rows isolate the
 batched Phase-1 plane: both A_{t+2} variants at n = 500, plane engaged
 vs opted out.
 
@@ -44,7 +37,9 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -52,27 +47,29 @@ from repro.algorithms.base import make_automata
 from repro.algorithms.registry import get_factory
 from repro.core.att2 import ATt2
 from repro.core.att2_optimized import ATt2Optimized
-from repro.analysis.metrics import check_agreement, check_validity
-from repro.analysis.sweep import SweepRecord, run_case
+from repro.analysis.sweep import SweepRecord, case_record, run_case
 from repro.analysis.tables import format_table
 from repro.engine.grids import DEFAULT_SWEEP_ALGORITHMS
 from repro.model.schedule import Schedule
-from repro.sim.kernel import execute, execute_reference
+from repro.sim.kernel import execute, run_algorithm
 from repro.sim.random_schedules import random_es_schedule
-from repro.sim.view import RoundView
 from conftest import emit
+
+# The reference kernel is a test oracle; it lives with the tests.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from kernel_oracle import execute_reference
 
 #: Systems measured against the full pre-compile *reference* pipeline
 #: (it is O(n²·horizon) method calls per case — impractical past n=25).
 SYSTEMS = ((9, 4), (25, 8))
-#: The large-n rows: view delivery vs the PR-4-era flat delivery path.
+#: The large-n rows: view delivery in both trace modes.
 LARGE_SYSTEMS = ((50, 16), (100, 32))
 #: The n >= 250 milestone rows (bitset data plane): t pinned so the
 #: rounds-to-decide stay constant and the rows isolate per-round n²
-#: data-plane cost.  The flat arm is affordable only at n = 250.
+#: data-plane cost.
 XXL_SYSTEMS = ((250, 16), (500, 16), (1000, 16))
-#: Same-shape baseline row so the XXL flat-speedup trajectory compares
-#: like for like (same t, same algorithm set) against n = 100.
+#: Same-shape baseline row so the XXL trajectory compares like for like
+#: (same t, same algorithm set) against n = 100.
 XXL_BASELINE = (100, 16)
 #: att2 used to be excluded here: its per-receiver ESTIMATE fold did
 #: O(n²) *automaton-state* work per round, swamping the delivery plane
@@ -102,68 +99,16 @@ def _bench_schedules(n: int, t: int):
     )
 
 
-def _uncached_sync_from(schedule: Schedule) -> int:
-    """The pre-refactor synchrony scan, bypassing the sync_from memo."""
-    first_bad = 0
-    for k in range(1, schedule.horizon + 1):
-        if not schedule.is_synchronous_round(k):
-            first_bad = k
-    return first_bad + 1
-
-
 def _reference_case(
     algorithm: str, workload: str, schedule: Schedule, proposals
 ) -> SweepRecord:
-    """The pre-compile per-case pipeline, reproduced faithfully:
-    query-at-a-time kernel, full trace, per-case synchrony scan."""
+    """The pre-compile per-case pipeline: query-at-a-time kernel, full
+    trace."""
     factory = get_factory(algorithm)
     trace = execute_reference(
         make_automata(factory, schedule.n, schedule.t, proposals), schedule
     )
-    return SweepRecord(
-        algorithm=algorithm,
-        workload=workload,
-        n=schedule.n,
-        t=schedule.t,
-        crashes=len(schedule.crashes),
-        sync_from=_uncached_sync_from(schedule),
-        global_round=trace.global_decision_round(),
-        first_round=trace.first_decision_round(),
-        deciders=len(trace.decisions),
-        agreement_ok=not check_agreement(trace),
-        validity_ok=not check_validity(trace),
-        messages=trace.message_count(),
-        horizon=schedule.horizon,
-        correct_undecided=sum(
-            1 for pid in schedule.correct if pid not in trace.decisions
-        ),
-    )
-
-
-def _flat_factory(factory):
-    """Wrap *factory* so its automata take the flat delivery path.
-
-    Each automaton's receive hook gets its round's canonically ordered
-    message tuple re-delivered through :meth:`RoundView.from_messages
-    <repro.sim.view.RoundView.from_messages>`, which reconstructs the
-    original flat-tuple delivery contract: the tuple is materialized
-    and the round structure re-derived per receiver — the work every
-    automaton's filtering boilerplate used to do each round.
-    """
-
-    def build(pid, n, t, proposal):
-        automaton = factory(pid, n, t, proposal)
-        deliver_view = automaton.deliver_view
-
-        def deliver_flat(k, view):
-            deliver_view(
-                k, RoundView.from_messages(k, pid, n, view.messages)
-            )
-
-        automaton.deliver_view = deliver_flat
-        return automaton
-
-    return build
+    return case_record(algorithm, workload, trace)
 
 
 class _NoPlaneATt2(ATt2):
@@ -217,19 +162,10 @@ def _assert_equivalent() -> int:
                 )
                 lean_record, _trace = run_case(
                     algorithm, factory, workload, schedule, proposals,
-                    trace_mode="lean",
                 )
                 assert lean_record == ref_record, (
                     f"lean record diverged from the reference pipeline: "
                     f"{algorithm} on {workload} (n={n}, t={t})"
-                )
-                flat_record, _trace = run_case(
-                    algorithm, _flat_factory(factory), workload, schedule,
-                    proposals, trace_mode="lean",
-                )
-                assert flat_record == ref_record, (
-                    f"flat-delivery record diverged from the reference "
-                    f"pipeline: {algorithm} on {workload} (n={n}, t={t})"
                 )
                 checked += 1
     return checked
@@ -258,10 +194,10 @@ def speedup_measurements() -> list[dict]:
     """Measured per-case wall-clock for every arm, per system.
 
     The reference arm is measured only where it is affordable
-    (``SYSTEMS``); the large-n rows compare the view pipeline against
-    the flat-delivery arm, which *is* the PR-4 kernel's per-case cost
-    model.  Compile memos are warmed before timing — in a sweep the
-    plan is compiled once per schedule and shared by every algorithm.
+    (``SYSTEMS``); the large-n rows time the view pipeline in both
+    trace modes.  Compile memos are warmed before timing — in a sweep
+    the plan is compiled once per schedule and shared by every
+    algorithm.
     """
     measurements = []
     for n, t in SYSTEMS + LARGE_SYSTEMS:
@@ -271,17 +207,14 @@ def speedup_measurements() -> list[dict]:
         def reference_arm(algorithm, workload, schedule):
             _reference_case(algorithm, workload, schedule, proposals)
 
-        def flat_arm(algorithm, workload, schedule):
-            run_case(algorithm, _flat_factory(get_factory(algorithm)),
-                     workload, schedule, proposals, trace_mode="lean")
-
         def full_arm(algorithm, workload, schedule):
-            run_case(algorithm, get_factory(algorithm), workload,
-                     schedule, proposals, trace_mode="full")
+            case_record(algorithm, workload, run_algorithm(
+                get_factory(algorithm), schedule, proposals, trace="full"
+            ))
 
         def lean_arm(algorithm, workload, schedule):
             run_case(algorithm, get_factory(algorithm), workload,
-                     schedule, proposals, trace_mode="lean")
+                     schedule, proposals)
 
         for workload, schedule in schedules:  # warm the compile memos
             lean_arm("att2", workload, schedule)
@@ -291,7 +224,6 @@ def speedup_measurements() -> list[dict]:
             _per_case_seconds(reference_arm, schedules, repeats)
             if with_reference else None
         )
-        flat = _per_case_seconds(flat_arm, schedules, repeats)
         full = _per_case_seconds(full_arm, schedules, repeats)
         lean = _per_case_seconds(lean_arm, schedules, repeats)
         measurements.append({
@@ -300,13 +232,11 @@ def speedup_measurements() -> list[dict]:
             "reference_ms": (
                 round(reference * 1e3, 3) if reference is not None else None
             ),
-            "flat_ms": round(flat * 1e3, 3),
             "full_ms": round(full * 1e3, 3),
             "lean_ms": round(lean * 1e3, 3),
             "reference_speedup": (
                 round(reference / lean, 2) if reference is not None else None
             ),
-            "flat_speedup": round(flat / lean, 2),
         })
     return measurements
 
@@ -338,20 +268,18 @@ def test_compiled_kernel_speedup(benchmark):
     rows = [
         (
             m["n"], m["t"],
-            fmt(m["reference_ms"]), fmt(m["flat_ms"]),
-            fmt(m["full_ms"]), fmt(m["lean_ms"]),
-            fmt(m["reference_speedup"], "x"), fmt(m["flat_speedup"], "x"),
+            fmt(m["reference_ms"]), fmt(m["full_ms"]), fmt(m["lean_ms"]),
+            fmt(m["reference_speedup"], "x"),
         )
         for m in measurements
     ]
     emit(
         format_table(
-            ["n", "t", "reference ms/case", "flat ms/case",
-             "view-full ms/case", "view-lean ms/case",
-             "vs reference", "vs flat"],
+            ["n", "t", "reference ms/case",
+             "view-full ms/case", "view-lean ms/case", "vs reference"],
             rows,
             title="Kernel microbench: per-case cost — pre-compile "
-                  "reference, flat delivery, round-view delivery "
+                  "reference vs round-view delivery "
                   "(5 stock algorithms, ff + random ES)",
         )
     )
@@ -359,8 +287,8 @@ def test_compiled_kernel_speedup(benchmark):
     # Timing floors only where the operator opted in (nightly lane):
     # a one-shot measurement on a shared runner must not fail pushes.
     # See docs/performance.md for reference numbers on quiet hardware
-    # (≈ 13x vs the reference pipeline at n = 25; ≈ 3.9–4.3x vs flat
-    # delivery at n ≥ 25 — the floors leave generous headroom).
+    # (≈ 13x vs the reference pipeline at n = 25 — the floor leaves
+    # generous headroom).
     if os.environ.get("REPRO_BENCH_ASSERT_SPEEDUP") == "1":
         for m in measurements:
             if m["n"] >= 20 and m["reference_speedup"] is not None:
@@ -368,23 +296,15 @@ def test_compiled_kernel_speedup(benchmark):
                     f"view-lean kernel only {m['reference_speedup']:.2f}x "
                     f"faster than the reference pipeline at n={m['n']}"
                 )
-            if m["n"] >= 50:
-                assert m["flat_speedup"] >= 2.0, (
-                    f"view-lean kernel only {m['flat_speedup']:.2f}x "
-                    f"faster than flat delivery at n={m['n']}"
-                )
 
 
 def xxl_measurements() -> list[dict]:
     """The n >= 250 rows: per-case cost of the bitset data plane at scale.
 
     Measures the full sweep set (:data:`XXL_ALGORITHMS`) lean per-case
-    cost at every XXL size — one timing per algorithm, so the
-    ``per_algorithm_ms`` breakdown attributes each row's cost — plus
-    the flat-delivery arm where it is affordable (the baseline and
-    n = 250) so the flat-speedup trajectory across n stays comparable
-    (same t, same algorithms, same workloads as the
-    :data:`XXL_BASELINE` row).  An att2 arm with the batched Phase-1
+    cost at every XXL size and at the :data:`XXL_BASELINE` row — one
+    timing per algorithm, so the ``per_algorithm_ms`` breakdown
+    attributes each row's cost.  An att2 arm with the batched Phase-1
     plane opted out isolates the plane's contribution per row.
     """
     measurements = []
@@ -392,21 +312,16 @@ def xxl_measurements() -> list[dict]:
         proposals = list(range(n))
         schedules = _bench_schedules(n, t)
 
-        def flat_arm(algorithm, workload, schedule):
-            run_case(algorithm, _flat_factory(get_factory(algorithm)),
-                     workload, schedule, proposals, trace_mode="lean")
-
         def lean_arm(algorithm, workload, schedule):
             run_case(algorithm, get_factory(algorithm), workload,
-                     schedule, proposals, trace_mode="lean")
+                     schedule, proposals)
 
         def noplane_arm(algorithm, workload, schedule):
             run_case(algorithm, _plane_opt_out_factory(algorithm),
-                     workload, schedule, proposals, trace_mode="lean")
+                     workload, schedule, proposals)
 
         for workload, schedule in schedules:  # warm the compile memos
             lean_arm("chandra_toueg", workload, schedule)
-        with_flat = n <= max(XXL_BASELINE[0], 250)
         per_algorithm = {
             algorithm: round(
                 _per_case_seconds(lean_arm, schedules, 1, (algorithm,))
@@ -416,24 +331,16 @@ def xxl_measurements() -> list[dict]:
             for algorithm in XXL_ALGORITHMS
         }
         lean = sum(per_algorithm.values()) / len(per_algorithm) / 1e3
-        flat = (
-            _per_case_seconds(flat_arm, schedules, 1, XXL_ALGORITHMS)
-            if with_flat else None
-        )
         noplane = _per_case_seconds(noplane_arm, schedules, 1, ("att2",))
         measurements.append({
             "n": n,
             "t": t,
             "algorithms": list(XXL_ALGORITHMS),
-            "flat_ms": round(flat * 1e3, 3) if flat is not None else None,
             "lean_ms": round(lean * 1e3, 3),
             "per_algorithm_ms": per_algorithm,
             "att2_noplane_ms": round(noplane * 1e3, 3),
             "plane_speedup": round(
                 noplane * 1e3 / per_algorithm["att2"], 2
-            ),
-            "flat_speedup": (
-                round(flat / lean, 2) if flat is not None else None
             ),
         })
     return measurements
@@ -469,46 +376,29 @@ def test_kernel_xxl_scaling(benchmark):
         return "-" if value is None else f"{value:.2f}{suffix}"
 
     rows = [
-        (m["n"], m["t"], fmt(m["flat_ms"]), fmt(m["lean_ms"]),
+        (m["n"], m["t"], fmt(m["lean_ms"]),
          fmt(m["per_algorithm_ms"]["att2"]), fmt(m["att2_noplane_ms"]),
-         fmt(m["plane_speedup"], "x"), fmt(m["flat_speedup"], "x"))
+         fmt(m["plane_speedup"], "x"))
         for m in measurements
     ]
     emit(
         format_table(
-            ["n", "t", "flat ms/case", "view-lean ms/case",
-             "att2 ms/case", "att2 no-plane", "plane", "vs flat"],
+            ["n", "t", "view-lean ms/case",
+             "att2 ms/case", "att2 no-plane", "plane"],
             rows,
             title="Kernel XXL scaling: per-case cost, full sweep set "
-                  "(bitset data plane; flat arm where affordable; "
-                  "att2 plane attribution)",
+                  "(bitset data plane; att2 plane attribution)",
         )
     )
     emit(f"\nmerged XXL rows into {BENCH_JSON}")
     # Same opt-in as the other floors: one-shot timings on a shared
-    # runner must not fail pushes.  The n = 250 flat speedup must hold
-    # the n = 100 baseline's ratio — the data plane's advantage grows
-    # with n, so a drop below the like-for-like baseline means the
-    # bitset plane regressed — plus the usual generous hard floor.
-    # The plane floors guard the batched Phase-1 fold the same way.
-    # Its advantage grows with n (the per-receiver fold it replaces is
-    # O(n) per receiver): ~1.7-2.4x measured at n = 250, ~3-7x at
-    # n = 500, ~4-5x at n = 1000.  So n = 250 gets a
-    # guard-against-pessimization
-    # floor and n >= 500 the usual generous 2x.
+    # runner must not fail pushes.  The plane floors guard the batched
+    # Phase-1 fold.  Its advantage grows with n (the per-receiver fold
+    # it replaces is O(n) per receiver): ~1.7-2.4x measured at
+    # n = 250, ~3-7x at n = 500, ~4-5x at n = 1000.  So n = 250 gets a
+    # guard-against-pessimization floor and n >= 500 the usual
+    # generous 2x.
     if os.environ.get("REPRO_BENCH_ASSERT_SPEEDUP") == "1":
-        by_n = {m["n"]: m for m in measurements}
-        baseline = by_n[XXL_BASELINE[0]]["flat_speedup"]
-        at_250 = by_n[250]["flat_speedup"]
-        assert at_250 >= 2.0, (
-            f"view-lean kernel only {at_250:.2f}x faster than flat "
-            f"delivery at n=250"
-        )
-        assert at_250 >= baseline, (
-            f"flat-delivery speedup shrank with n: {at_250:.2f}x at "
-            f"n=250 vs {baseline:.2f}x at the n={XXL_BASELINE[0]} "
-            f"baseline"
-        )
         for m in measurements:
             if m["n"] >= 250:
                 floor = 2.0 if m["n"] >= 500 else 1.2
@@ -535,11 +425,11 @@ def att2_focus_measurements() -> list[dict]:
 
     def lean_arm(algorithm, workload, schedule):
         run_case(algorithm, get_factory(algorithm), workload,
-                 schedule, proposals, trace_mode="lean")
+                 schedule, proposals)
 
     def noplane_arm(algorithm, workload, schedule):
         run_case(algorithm, _plane_opt_out_factory(algorithm),
-                 workload, schedule, proposals, trace_mode="lean")
+                 workload, schedule, proposals)
 
     for workload, schedule in schedules:  # warm the compile memos
         lean_arm("att2", workload, schedule)

@@ -38,7 +38,7 @@ SWEEP_ARGS = (
     "sweep", "--n", "250", "--t", "16",
     "--algorithms", "adiamond_s,chandra_toueg",
     "--cases-per-family", "1", "--seed", "20260730",
-    "--backend", "serial", "--trace", "lean",
+    "--backend", "serial",
 )
 EXPECTED_CASES = 16  # 8 schedule families x 2 algorithms
 

@@ -67,7 +67,6 @@ from repro.model.es import check_es, enforce_es, is_es
 from repro.model.scs import check_scs, enforce_scs, is_scs
 from repro.sim import (
     CompiledSchedule,
-    LeanTrace,
     RoundRecord,
     Trace,
     compile_schedule,
@@ -88,7 +87,7 @@ __all__ = [
     "Schedule", "ScheduleBuilder", "CrashSpec", "Message",
     "check_es", "enforce_es", "is_es", "check_scs", "enforce_scs", "is_scs",
     # simulation
-    "execute", "run_algorithm", "Trace", "LeanTrace", "RoundRecord",
+    "execute", "run_algorithm", "Trace", "RoundRecord",
     "CompiledSchedule", "compile_schedule",
     # batch engine
     "BatchResult", "Case", "GridSpec", "expand_grid", "run_batch",

@@ -9,11 +9,9 @@ The three consensus properties (paper, Section 1.3):
   finite trace this means "within the simulated horizon", so termination
   checks are only meaningful on schedules whose horizon is generous enough.
 
-Every checker accepts either trace kind — the full per-round
-:class:`~repro.sim.trace.Trace` or the decision-level
-:class:`~repro.sim.trace.LeanTrace` — and produces identical results for
-the same run: the properties are functions of proposals and decisions
-only, which both kinds carry.
+Every checker reads only a :class:`~repro.sim.trace.Trace`'s proposals,
+decisions and counters, which the kernel fills in both trace modes, so
+full and lean traces of the same run give identical results.
 """
 
 from __future__ import annotations
@@ -21,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConsensusViolation
-from repro.sim.trace import AnyTrace
+from repro.sim.trace import Trace
 from repro.types import Round, Value
 
 
-def check_validity(trace: AnyTrace) -> list[str]:
+def check_validity(trace: Trace) -> list[str]:
     """Violations of validity: decided values that nobody proposed."""
     proposed = set(trace.proposals)
     problems = []
@@ -38,7 +36,7 @@ def check_validity(trace: AnyTrace) -> list[str]:
     return problems
 
 
-def check_agreement(trace: AnyTrace) -> list[str]:
+def check_agreement(trace: Trace) -> list[str]:
     """Violations of uniform agreement: two processes deciding differently."""
     values = trace.decided_values()
     if len(values) <= 1:
@@ -50,7 +48,7 @@ def check_agreement(trace: AnyTrace) -> list[str]:
     return [f"uniform agreement: {len(values)} distinct decisions ({detail})"]
 
 
-def check_termination(trace: AnyTrace) -> list[str]:
+def check_termination(trace: Trace) -> list[str]:
     """Violations of termination: correct processes undecided at the horizon."""
     problems = []
     for pid in sorted(trace.schedule.correct):
@@ -63,7 +61,7 @@ def check_termination(trace: AnyTrace) -> list[str]:
 
 
 def check_consensus(
-    trace: AnyTrace, *, expect_termination: bool = True
+    trace: Trace, *, expect_termination: bool = True
 ) -> list[str]:
     """All consensus violations exhibited by the trace."""
     problems = check_validity(trace) + check_agreement(trace)
@@ -73,8 +71,8 @@ def check_consensus(
 
 
 def assert_consensus(
-    trace: AnyTrace, *, expect_termination: bool = True
-) -> AnyTrace:
+    trace: Trace, *, expect_termination: bool = True
+) -> Trace:
     """Raise :class:`ConsensusViolation` if the trace violates consensus."""
     problems = check_consensus(trace, expect_termination=expect_termination)
     if problems:
@@ -101,7 +99,7 @@ class DecisionSummary:
         return self.deciders > 0 and self.global_round is not None
 
 
-def summarize(trace: AnyTrace) -> DecisionSummary:
+def summarize(trace: Trace) -> DecisionSummary:
     return DecisionSummary(
         n=trace.n,
         t=trace.t,

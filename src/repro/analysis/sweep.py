@@ -17,7 +17,7 @@ from repro.algorithms.base import AlgorithmFactory
 from repro.analysis.metrics import check_agreement, check_validity
 from repro.model.schedule import Schedule
 from repro.sim.kernel import run_algorithm
-from repro.sim.trace import AnyTrace
+from repro.sim.trace import Trace
 from repro.types import Round, Value
 
 
@@ -73,21 +73,27 @@ def run_case(
     workload: str,
     schedule: Schedule,
     proposals: Sequence[Value],
-    *,
-    trace_mode: str = "full",
-) -> tuple[SweepRecord, AnyTrace]:
+) -> tuple[SweepRecord, Trace]:
     """Run one case and record its metrics (returns the trace for reuse).
 
-    ``trace_mode`` selects the kernel's trace kind (see
-    :func:`repro.sim.kernel.execute`): ``"full"`` returns the complete
-    per-round :class:`~repro.sim.trace.Trace`, ``"lean"`` the
-    decision-level :class:`~repro.sim.trace.LeanTrace`.  The record is
-    byte-identical either way — every metric it carries is derivable
-    from both kinds — so callers that discard the trace should prefer
-    ``"lean"`` (the engine does).
+    The run is lean (see :func:`repro.sim.kernel.execute`): every metric
+    the record carries comes from the decision-level fields, so per-round
+    records would only be built to be thrown away.  Callers that need
+    views or diagrams run :func:`~repro.sim.kernel.run_algorithm` with
+    ``trace="full"`` themselves.
     """
-    trace = run_algorithm(factory, schedule, proposals, trace=trace_mode)
-    record = SweepRecord(
+    trace = run_algorithm(factory, schedule, proposals, trace="lean")
+    return case_record(algorithm, workload, trace), trace
+
+
+def case_record(algorithm: str, workload: str, trace: Trace) -> SweepRecord:
+    """The :class:`SweepRecord` of one run.
+
+    Reads only the decision-level fields, so a full and a lean trace of
+    the same run give equal records.
+    """
+    schedule = trace.schedule
+    return SweepRecord(
         algorithm=algorithm,
         workload=workload,
         n=schedule.n,
@@ -105,7 +111,6 @@ def run_case(
             1 for pid in schedule.correct if pid not in trace.decisions
         ),
     )
-    return record, trace
 
 
 def _as_cases(

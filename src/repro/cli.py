@@ -10,8 +10,7 @@ Commands:
 * ``sweep`` — execute a declarative case grid (stock, from a versioned
   ``--grid`` JSON file or directory of them, or a named ``--profile``)
   on the batch engine (:mod:`repro.engine`), on a selectable execution
-  backend and kernel trace mode, optionally as one shard of a
-  distributed run.
+  backend, optionally as one shard of a distributed run.
 * ``orchestrate`` — drive a whole distributed sweep: plan shards,
   launch them on a worker inventory (``--local N`` subprocesses or a
   ``--workers-file hosts.toml`` of local/SSH machines), retry and
@@ -39,10 +38,9 @@ Examples::
     python -m repro sweep --grid grid.json --backend threads \
         --shard 0/2 --json shard0.json
     python -m repro sweep --grid experiments/ --json all.json
-    python -m repro sweep --profile large --trace lean
-    python -m repro sweep --profile xlarge --trace lean
-    python -m repro sweep --profile xxlarge --trace lean \
-        --spool xxl.jsonl --json xxl.json
+    python -m repro sweep --profile large
+    python -m repro sweep --profile xlarge
+    python -m repro sweep --profile xxlarge --spool xxl.jsonl --json xxl.json
     python -m repro orchestrate --grid grid.json --local 4 --json all.json
     python -m repro orchestrate --profile large --workers-file hosts.toml \
         --cache .sweep-cache --warm-cache --json large.json
@@ -102,13 +100,12 @@ in-memory path.
 Trace modes
 -----------
 
-``--trace {full,lean}`` selects the kernel's trace mode
-(:func:`repro.sim.kernel.execute`).  ``lean`` — the sweep default —
-skips all per-round trace records and materializes only decisions and
-counters, which is everything a sweep record consumes; ``full`` drives
-the automata identically but keeps the complete per-round
-:class:`~repro.sim.trace.Trace` alive while each case runs.  Records,
-exports and cache entries are **byte-identical** across modes.
+``sweep`` and ``orchestrate`` run every case lean
+(:func:`repro.sim.kernel.execute` with ``trace="lean"``): the kernel
+records decisions and counters, which is everything a sweep record
+consumes, and skips the per-round records.  ``run`` records the full
+per-round :class:`~repro.sim.trace.Trace`, so ``--diagram`` always has
+rounds to render.
 
 Backends and shards
 -------------------
@@ -197,17 +194,15 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.diagram and args.trace == "lean":
-        # Fail before the run, with the fix in the message: the diagram
-        # renders per-round records, which lean traces do not carry.
-        raise SystemExit(
-            "repro run --diagram requires --trace full: lean traces "
-            "record no per-round data to render"
-        )
+    if args.horizon < 1:
+        raise SystemExit(f"--horizon must be >= 1, got {args.horizon}")
     factory = get_factory(args.algorithm)
-    schedule = _build_workload(
-        args.workload, args.n, args.t, args.horizon, args.sync_after
-    )
+    try:
+        schedule = _build_workload(
+            args.workload, args.n, args.t, args.horizon, args.sync_after
+        )
+    except ValueError as exc:
+        raise SystemExit(f"invalid system size: {exc}")
     if args.proposals:
         try:
             proposals = [int(v) for v in args.proposals.split(",")]
@@ -223,7 +218,7 @@ def _cmd_run(args) -> int:
     else:
         proposals = list(range(args.n))
 
-    trace = run_algorithm(factory, schedule, proposals, trace=args.trace)
+    trace = run_algorithm(factory, schedule, proposals)
     print(schedule.describe())
     print()
     if args.diagram:
@@ -392,18 +387,26 @@ def _load_grids(args) -> list:
         if args.algorithms
         else DEFAULT_SWEEP_ALGORITHMS
     )
-    return [(None, default_sweep_grid(
-        args.n if args.n is not None else 5,
-        args.t if args.t is not None else 2,
-        seed=args.seed if args.seed is not None else 0,
-        algorithms=algorithms,
-        cases_per_family=(
-            args.cases_per_family
-            if args.cases_per_family is not None
-            else 12
-        ),
-        proposal_mode=args.proposals_mode or "random",
-    ))]
+    if args.cases_per_family is not None and args.cases_per_family < 1:
+        raise SystemExit(
+            f"--cases-per-family must be >= 1, got {args.cases_per_family}"
+        )
+    try:
+        grid = default_sweep_grid(
+            args.n if args.n is not None else 5,
+            args.t if args.t is not None else 2,
+            seed=args.seed if args.seed is not None else 0,
+            algorithms=algorithms,
+            cases_per_family=(
+                args.cases_per_family
+                if args.cases_per_family is not None
+                else 12
+            ),
+            proposal_mode=args.proposals_mode or "random",
+        )
+    except ValueError as exc:
+        raise SystemExit(f"invalid system size: {exc}")
+    return [(None, grid)]
 
 
 def _expand_grids(grids) -> list:
@@ -513,7 +516,7 @@ def _cmd_sweep(args) -> int:
         title = f"Batch sweep ({len(grids)} grids)"
     print(
         f"sweep: {len(cases)} cases ({shape}, "
-        f"backend={executor.name}, trace={args.trace}"
+        f"backend={executor.name}"
     )
     if args.spool:
         # Stream to the spool with a bounded driver: no record is ever
@@ -523,17 +526,14 @@ def _cmd_sweep(args) -> int:
         sink = JsonlRecordSink(args.spool)
         try:
             streamed = stream_batch(
-                cases, sink=sink, executor=executor,
-                cache=cache, trace=args.trace,
+                cases, sink=sink, executor=executor, cache=cache,
             )
         finally:
             sink.close()
         print(f"spooled {streamed} records to {args.spool}")
         result = BatchResult.load_spool(args.spool)
     else:
-        result = run_batch(
-            cases, executor=executor, cache=cache, trace=args.trace
-        )
+        result = run_batch(cases, executor=executor, cache=cache)
     rows = [summary.row() for summary in result.summaries()]
     print()
     print(format_table(
@@ -657,7 +657,6 @@ def _cmd_orchestrate(args) -> int:
         grid_args=grid_args,
         workdir=workdir,
         cache=args.cache,
-        trace=args.trace,
         worker_backend=args.worker_backend,
         chaos_kill=chaos,
     )
@@ -913,13 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--proposals", default="",
                             help="comma-separated ints (default 0..n-1)")
     run_parser.add_argument("--diagram", action="store_true",
-                            help="print a space-time diagram "
-                                 "(requires --trace full)")
-    run_parser.add_argument(
-        "--trace", choices=("full", "lean"), default="full",
-        help="kernel trace mode (default full; lean skips per-round "
-             "records and cannot drive --diagram)",
-    )
+                            help="print a space-time diagram")
 
     sub.add_parser("experiments", help="print the experiment tables")
 
@@ -939,11 +932,6 @@ def build_parser() -> argparse.ArgumentParser:
              "long horizons; xlarge: the n=100 milestone; xxlarge: the "
              "n=250 preset, best with --spool); mutually exclusive with "
              "--grid and the grid-shaping flags (except --seed)",
-    )
-    sweep_parser.add_argument(
-        "--trace", choices=("full", "lean"), default="lean",
-        help="kernel trace mode (default lean: skip per-round trace "
-             "records; output is byte-identical either way)",
     )
     sweep_parser.add_argument(
         "--save-grid", default="",
@@ -1054,10 +1042,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--heartbeat", type=float, default=15.0, metavar="SECONDS",
         help="liveness-probe interval for in-flight workers "
              "(default 15; 0 disables)",
-    )
-    orch_parser.add_argument(
-        "--trace", choices=("full", "lean"), default="lean",
-        help="kernel trace mode inside workers (default lean)",
     )
     orch_parser.add_argument(
         "--worker-backend", choices=("serial", "processes", "threads"),

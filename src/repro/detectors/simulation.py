@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.detectors.base import DetectorHistory
 from repro.model.constraints import suspected_by
 from repro.model.schedule import Schedule
-from repro.sim.trace import Trace
+from repro.sim.trace import Trace, require_full_trace
 from repro.types import ProcessId, Round
 
 
@@ -51,7 +51,7 @@ def simulate_from_trace(trace: Trace) -> DetectorHistory:
     """
     outputs: dict[tuple[ProcessId, Round], frozenset[ProcessId]] = {}
     everyone = frozenset(range(trace.n))
-    for rec in trace.rounds:
+    for rec in require_full_trace(trace, "simulating detector output"):
         for pid, inbox in rec.delivered.items():
             heard = {m.sender for m in inbox if m.sent_round == rec.round}
             outputs[(pid, rec.round)] = everyone - heard - {pid}

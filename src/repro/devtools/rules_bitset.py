@@ -22,9 +22,8 @@ hot-path files (``sim/kernel.py``, ``sim/view.py``, ``sim/compiled.py``):
   ``fast_message`` (the caller owns the one-per-broadcast hashability
   probe).
 
-The reference kernel (``execute_reference``) is kept verbatim as the
-equivalence oracle and carries explicit suppressions — the one place the
-old idiom is load-bearing.
+The query-at-a-time reference kernel, the equivalence oracle that keeps
+the old idioms on purpose, lives with the tests and is out of scope.
 """
 
 from __future__ import annotations

@@ -38,14 +38,6 @@ class Case:
         proposals: one proposal per process.
         factory: optional pre-built factory overriding registry resolution
             (serial execution only).
-        trace: kernel trace mode for this case (``"full"`` or ``"lean"``,
-            see :func:`repro.sim.kernel.execute`).  Excluded from case
-            identity: the :class:`~repro.analysis.sweep.SweepRecord` a
-            case produces is byte-identical in either mode (the mode only
-            decides whether per-round records are materialized along the
-            way), so it can never distinguish two cases — and the engine
-            defaults to the lean mode, whose trace costs nothing to
-            discard.
     """
 
     index: int
@@ -54,7 +46,6 @@ class Case:
     schedule: Schedule
     proposals: tuple[Value, ...]
     factory: AlgorithmFactory | None = field(default=None, compare=False)
-    trace: str = field(default="lean", compare=False)
 
     def resolve_factory(self) -> AlgorithmFactory:
         """The automaton factory this case runs: explicit or from the registry."""

@@ -79,7 +79,6 @@ def execute_case(case: Case) -> tuple[int, SweepRecord]:
         case.workload,
         case.schedule,
         list(case.proposals),
-        trace_mode=case.trace,
     )
     return case.index, replace(record, case_index=case.index)
 

@@ -91,7 +91,6 @@ def sweep_argv(
     json_path: str,
     *,
     backend: str = "serial",
-    trace: str = "lean",
     cache: str = "",
 ) -> list[str]:
     """The ``repro sweep`` argument vector one shard attempt runs.
@@ -107,7 +106,6 @@ def sweep_argv(
         *grid_args,
         "--shard", f"{shard.index}/{shard.count}",
         "--backend", backend,
-        "--trace", trace,
         "--json", json_path,
     ]
     if cache:
@@ -166,8 +164,6 @@ class LocalWorkerBackend:
         cache: optional shared result-cache directory forwarded as
             ``--cache`` — retried shards warm-hit everything a dead
             predecessor finished.
-        trace: kernel trace mode for workers (records are byte-identical
-            either way).
         worker_backend: execution backend *inside* each worker process
             (default serial: with one worker process per machine slot,
             the orchestrator already owns the parallelism).
@@ -179,7 +175,6 @@ class LocalWorkerBackend:
     grid_args: tuple[str, ...]
     workdir: str | os.PathLike
     cache: str = ""
-    trace: str = "lean"
     worker_backend: str = "serial"
     chaos_kill: frozenset[int] = frozenset()
     _env: dict = field(default_factory=_child_env, repr=False)
@@ -202,7 +197,6 @@ class LocalWorkerBackend:
             shard,
             str(out),
             backend=self.worker_backend,
-            trace=self.trace,
             cache=self.cache,
         )
         returncode, _stdout, stderr = await _run_process(
@@ -254,7 +248,6 @@ class SSHWorkerBackend(LocalWorkerBackend):
             shard,
             remote_out,
             backend=self.worker_backend,
-            trace=self.trace,
             cache=self.cache,
         )
         run = " ".join(shlex.quote(part) for part in argv)
@@ -336,7 +329,6 @@ def build_backend(
     grid_args: tuple[str, ...],
     workdir: str | os.PathLike,
     cache: str = "",
-    trace: str = "lean",
     worker_backend: str = "serial",
     chaos_kill: frozenset[int] = frozenset(),
 ) -> WorkerBackend:
@@ -356,7 +348,6 @@ def build_backend(
         grid_args=grid_args,
         workdir=workdir,
         cache=cache,
-        trace=trace,
         worker_backend=worker_backend,
         chaos_kill=chaos_kill,
     )

@@ -101,7 +101,6 @@ def run_cases(
     executor: Executor | None = None,
     on_record: OnRecord | None = None,
     cache: "ResultCache | None" = None,
-    trace: str | None = None,
     sink: "RecordSink | None" = None,
     collect: bool = True,
 ) -> list[SweepRecord]:
@@ -119,11 +118,6 @@ def run_cases(
         cache: optional :class:`~repro.engine.cache.ResultCache`; hits
             skip the executor entirely, misses are executed and stored
             back.
-        trace: optional kernel trace-mode override stamped onto every
-            case (``"full"`` or ``"lean"``; ``None`` keeps each case's
-            own mode).  Records — and therefore exports and cache
-            entries — are byte-identical across modes; the flag only
-            selects how much the kernel materializes along the way.
         sink: optional :class:`~repro.engine.sink.RecordSink`; every
             record is appended as it arrives (same ordering caveat as
             ``on_record``).  The caller owns the sink's lifecycle.
@@ -134,11 +128,6 @@ def run_cases(
     """
     backend = executor if executor is not None else SerialExecutor()
     cases = list(cases)  # tolerate one-shot iterators: we iterate twice
-    if trace is not None:
-        cases = [
-            case if case.trace == trace else replace(case, trace=trace)
-            for case in cases
-        ]
     _check_unique_indices(cases)
 
     indexed: list[tuple[int, SweepRecord]] = []
@@ -205,7 +194,6 @@ def run_batch(
     shard: ShardSpec | None = None,
     on_record: OnRecord | None = None,
     cache: "ResultCache | None" = None,
-    trace: str | None = None,
 ) -> BatchResult:
     """Expand (if needed) and execute a grid, returning the aggregate result.
 
@@ -213,9 +201,7 @@ def run_batch(
     (see :class:`~repro.engine.grids.ShardSpec`); the per-shard
     :class:`~repro.engine.results.BatchResult` exports recombine with
     :meth:`~repro.engine.results.BatchResult.merge` into exactly the
-    whole-grid result, regardless of backend or merge order.  ``trace``
-    overrides every case's kernel trace mode (see :func:`run_cases`);
-    the result is byte-identical across modes.
+    whole-grid result, regardless of backend or merge order.
     """
     if isinstance(grid, GridSpec):
         cases: Sequence[Case] = expand_grid(grid)
@@ -226,7 +212,7 @@ def run_batch(
     return BatchResult(
         records=tuple(
             run_cases(cases, executor=executor,
-                      on_record=on_record, cache=cache, trace=trace)
+                      on_record=on_record, cache=cache)
         )
     )
 
@@ -239,7 +225,6 @@ def stream_batch(
     shard: ShardSpec | None = None,
     on_record: OnRecord | None = None,
     cache: "ResultCache | None" = None,
-    trace: str | None = None,
 ) -> int:
     """Execute a grid streaming every record to *sink*; returns the count.
 
@@ -273,7 +258,6 @@ def stream_batch(
         executor=executor,
         on_record=counting,
         cache=cache,
-        trace=trace,
         sink=sink,
         collect=False,
     )

@@ -9,19 +9,16 @@ compare process *views* across runs.
 """
 
 from repro.sim.compiled import CompiledSchedule, compile_schedule
-from repro.sim.kernel import TRACE_MODES, execute, execute_reference
-from repro.sim.trace import AnyTrace, LeanTrace, RoundRecord, Trace
+from repro.sim.kernel import TRACE_MODES, execute
+from repro.sim.trace import RoundRecord, Trace
 from repro.sim.view import RoundView
 
 __all__ = [
-    "AnyTrace",
     "CompiledSchedule",
-    "LeanTrace",
     "RoundRecord",
     "RoundView",
     "TRACE_MODES",
     "Trace",
     "compile_schedule",
     "execute",
-    "execute_reference",
 ]

@@ -1,9 +1,9 @@
 """The deterministic round-based execution kernel.
 
 :func:`execute` runs one automaton per process against an adversary
-:class:`~repro.model.schedule.Schedule` and returns the run's trace — a
-complete :class:`~repro.sim.trace.Trace` (``trace="full"``) or a
-decision-level :class:`~repro.sim.trace.LeanTrace` (``trace="lean"``).
+:class:`~repro.model.schedule.Schedule` and returns the run's
+:class:`~repro.sim.trace.Trace` — with per-round records
+(``trace="full"``) or without them (``trace="lean"``).
 
 Round structure (paper, Section 1.2): each round k has a send phase — every
 non-crashed, non-halted process broadcasts one payload, timestamped k — and
@@ -26,10 +26,9 @@ drives the automata through
 :meth:`~repro.algorithms.base.Automaton.deliver_view`, the one receive
 hook.  One loop serves both trace modes: full mode additionally stores
 each receiver's flat inbox and appends a per-round record.  The
-original query-at-a-time loop is preserved as :func:`execute_reference`
-(it wraps each sorted inbox in a view itself, sharing neither the plan
-nor the lazy buckets with the fast path); the equivalence tests and
-the kernel microbenchmark hold the two byte-identical on full traces.
+original query-at-a-time loop lives on with the tests
+(``tests/kernel_oracle.py``); the equivalence tests and the kernel
+microbenchmark hold this kernel byte-identical to it.
 
 The kernel is *model-agnostic*: it executes any schedule.  Whether the
 schedule obeys SCS or ES is checked separately by the validators in
@@ -42,12 +41,12 @@ from typing import Callable, Sequence
 
 from repro.algorithms.base import AlgorithmFactory, Automaton
 from repro.errors import SimulationError
-from repro.model.messages import DUMMY, Message, sort_delivery
+from repro.model.messages import DUMMY, Message
 from repro.model.schedule import Schedule
 from repro.sim.bitset import interned_set
 from repro.sim.compiled import CompiledSchedule, compile_schedule
 from repro.sim.phase1_plane import Phase1Plane, build_run_plane
-from repro.sim.trace import AnyTrace, LeanTrace, RoundRecord, Trace
+from repro.sim.trace import RoundRecord, Trace
 from repro.sim.view import (
     CurrentCell,
     RoundView,
@@ -122,7 +121,11 @@ def _check_run(automata: Sequence[Automaton], schedule: Schedule) -> None:
 
 def _bounded_horizon(schedule: Schedule, max_rounds: Round | None) -> Round:
     horizon = schedule.horizon
+    if horizon < 0:
+        raise SimulationError(f"schedule horizon {horizon} is negative")
     if max_rounds is not None:
+        if max_rounds < 0:
+            raise SimulationError(f"max_rounds {max_rounds} is negative")
         horizon = min(horizon, max_rounds)
     return horizon
 
@@ -134,7 +137,7 @@ def execute(
     max_rounds: Round | None = None,
     stop_when_quiescent: bool = True,
     trace: str = "full",
-) -> AnyTrace:
+) -> Trace:
     """Execute one run and return its trace.
 
     Args:
@@ -143,17 +146,17 @@ def execute(
         max_rounds: optional tighter bound on the number of rounds.
         stop_when_quiescent: stop early once every process has crashed or
             halted (the run's outcome can no longer change).
-        trace: ``"full"`` records every round into a
-            :class:`~repro.sim.trace.Trace`; ``"lean"`` skips per-round
-            records and returns a :class:`~repro.sim.trace.LeanTrace`
-            carrying only what the metrics layer consumes.  Both modes
-            drive the automata identically, so decisions and metrics
-            never depend on the choice.
+        trace: ``"full"`` records every round into the trace's
+            ``rounds``; ``"lean"`` skips per-round records and leaves
+            ``rounds`` ``None``.  Both modes drive the automata
+            identically and fill in every other field, so decisions and
+            metrics never depend on the choice.
 
     Returns:
         The run's trace.  The kernel never raises on non-termination —
         a run that fails to decide simply ends at the horizon with missing
-        decisions, which the analysis layer reports.
+        decisions, which the analysis layer reports.  A negative horizon
+        or ``max_rounds`` raises :class:`~repro.errors.SimulationError`.
     """
     _check_run(automata, schedule)
     if trace not in TRACE_MODES:
@@ -166,8 +169,8 @@ def execute(
     # The run-level batched-delivery plane (None unless every automaton
     # declares the protocol — see repro.sim.phase1_plane).  The plane is
     # active only between begin_round/end_round in the loop, so automata
-    # driven outside this kernel (execute_reference, direct deliver_view
-    # calls) always take their per-automaton path.
+    # driven outside this kernel (the reference oracle, direct
+    # deliver_view calls) always take their per-automaton path.
     plane = build_run_plane(automata)
     return _run(
         automata, schedule, plan, horizon, stop_when_quiescent,
@@ -184,10 +187,10 @@ def _run(
     proposals: tuple[Value, ...],
     plane: Phase1Plane | None,
     full: bool,
-) -> AnyTrace:
+) -> Trace:
     """The round loop behind :func:`execute`, for both trace modes.
 
-    Both modes keep the lean counters (rounds executed, messages
+    Both modes keep the trace's counters (rounds executed, messages
     delivered, halt rounds) and drive the automata identically; *full*
     additionally stores each receiver's flat inbox and appends one
     :class:`~repro.sim.trace.RoundRecord` per round.
@@ -280,136 +283,14 @@ def _run(
         ):
             break
 
-    if full:
-        return Trace(
-            schedule=schedule,
-            proposals=proposals,
-            rounds=tuple(records),
-            decisions=decided_at,
-        )
-    return LeanTrace(
+    return Trace(
         schedule=schedule,
         proposals=proposals,
         rounds_executed=rounds_executed,
         decisions=decided_at,
         halted_rounds=halted_rounds,
         messages=message_count,
-    )
-
-
-def execute_reference(
-    automata: Sequence[Automaton],
-    schedule: Schedule,
-    *,
-    max_rounds: Round | None = None,
-    stop_when_quiescent: bool = True,
-) -> Trace:
-    """The original query-at-a-time kernel, kept as the oracle.
-
-    Semantically identical to ``execute(..., trace="full")`` but issues
-    O(n²) schedule method calls per round; the equivalence test suite
-    (``tests/sim/test_compiled.py``) and the ``kernel-bench`` CI lane
-    assert the compiled kernel's traces match this one exactly.
-    """
-    _check_run(automata, schedule)
-    n = schedule.n
-    horizon = _bounded_horizon(schedule, max_rounds)
-
-    proposals = tuple(a.proposal for a in automata)
-    halted: set[ProcessId] = set()
-    decided_at: dict[ProcessId, tuple[Value, Round]] = {}
-    # Messages awaiting delivery: (receiver, delivery_round) -> list.
-    pending: dict[tuple[ProcessId, Round], list[Message]] = {}
-    records: list[RoundRecord] = []
-
-    for k in range(1, horizon + 1):
-        sent: dict[ProcessId, object | None] = {}
-        delivered: dict[ProcessId, tuple[Message, ...]] = {}
-        decided_this_round: dict[ProcessId, Value] = {}
-        halted_this_round: set[ProcessId] = set()
-
-        # --- send phase ---------------------------------------------------
-        for pid in range(n):
-            if pid in halted or not schedule.sends_in_round(pid, k):
-                sent[pid] = None
-                continue
-            payload = automata[pid].payload(k)
-            if payload is None:
-                payload = DUMMY
-            sent[pid] = payload
-            for receiver in range(n):
-                delivery = schedule.delivery_round(pid, receiver, k)
-                if delivery is None:
-                    continue
-                if receiver in halted or not schedule.completes_round(
-                    receiver, delivery
-                ):
-                    # The receiver leaves the computation before the
-                    # delivery round, so the message can never be received;
-                    # buffering it would leak until the end of the run.
-                    continue
-                # The reference kernel is the equivalence oracle and is
-                # kept on the original, obviously-correct idioms on
-                # purpose — it must share no shortcuts with the fast
-                # path it checks.
-                message = Message(  # repro: noqa[BIT002]
-                    sent_round=k, sender=pid, receiver=receiver,
-                    payload=payload,
-                )
-                pending.setdefault((receiver, delivery), []).append(message)
-
-        # --- receive phase --------------------------------------------------
-        for pid in range(n):
-            if pid in halted or not schedule.completes_round(pid, k):
-                pending.pop((pid, k), None)
-                continue
-            inbox = sort_delivery(pending.pop((pid, k), []))
-            automaton = automata[pid]
-            automaton.deliver_view(
-                k, RoundView.from_messages(k, pid, n, inbox)
-            )
-            delivered[pid] = inbox
-            if automaton.decided and pid not in decided_at:
-                decided_at[pid] = (automaton.decision, k)
-                decided_this_round[pid] = automaton.decision
-            if automaton.halted:
-                halted_this_round.add(pid)
-
-        halted.update(halted_this_round)
-        if halted_this_round:
-            # Purge messages already buffered for processes that halted
-            # this round; they would otherwise sit in ``pending`` until
-            # their delivery round only to be dropped there.
-            for key in [
-                key for key in pending if key[0] in halted_this_round
-            ]:
-                del pending[key]
-        records.append(
-            RoundRecord(
-                round=k,
-                sent=sent,
-                delivered=delivered,
-                decided=decided_this_round,
-                crashed=schedule.crashed_in(k),
-                # Oracle idiom, uninterned on purpose (see above).
-                halted=frozenset(halted_this_round),  # repro: noqa[BIT001]
-            )
-        )
-
-        if stop_when_quiescent:
-            still_running = [
-                pid
-                for pid in range(n)
-                if pid not in halted and schedule.completes_round(pid, k)
-            ]
-            if not still_running:
-                break
-
-    return Trace(
-        schedule=schedule,
-        proposals=proposals,
-        rounds=tuple(records),
-        decisions=decided_at,
+        rounds=tuple(records) if full else None,
     )
 
 
@@ -420,7 +301,7 @@ def run_algorithm(
     *,
     max_rounds: Round | None = None,
     trace: str = "full",
-) -> AnyTrace:
+) -> Trace:
     """Convenience wrapper: build automata from *factory* and execute.
 
     Equivalent to ``execute(make_automata(factory, n, t, proposals),

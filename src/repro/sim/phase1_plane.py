@@ -55,9 +55,9 @@ route their Phase-1 state updates through
 :meth:`Phase1Plane.compute_view`, which falls back to the exact
 per-receiver :meth:`~repro.algorithms.suspicion.EstimateState.
 compute_view` whenever the plane is not mid-round (direct ``deliver_view``
-calls, ``execute_reference``, post-run pokes) — so every entry point
-computes the identical update and the byte-identity suite can hold the
-batched kernel to ``execute_reference`` across trace modes.
+calls, the tests' reference kernel, post-run pokes) — so every entry
+point computes the identical update and the byte-identity suite can
+hold the batched kernel to the reference kernel in both trace modes.
 
 Protocol contract (what declaring ``PHASE1_ESTIMATE`` promises): the
 automaton owns an :class:`~repro.algorithms.suspicion.EstimateState`

@@ -1,10 +1,11 @@
-"""Run traces: the complete record of one simulated execution.
+"""Run traces: the record of one simulated execution.
 
-A :class:`Trace` captures, for every round, what each process sent, what it
-received, when it decided, crashed or halted.  Two runs are
-*indistinguishable at process p through round k* exactly when p's
-:meth:`Trace.view` prefixes agree — the central notion of the paper's lower
-bound proof (Section 2).
+A :class:`Trace` captures when each process decided and halted and how
+many messages were delivered; a full trace also captures, for every
+round, what each process sent, what it received, and who crashed or
+halted.  Two runs are *indistinguishable at process p through round k*
+exactly when p's :meth:`Trace.view` prefixes agree — the central notion
+of the paper's lower bound proof (Section 2).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
+from repro.errors import SimulationError
 from repro.model.messages import Message
 from repro.model.schedule import Schedule
 from repro.types import Payload, ProcessId, Round, Value
@@ -43,22 +45,37 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class Trace:
-    """The full record of one run.
+    """The record of one run.
+
+    The kernel fills in every field except ``rounds`` in both trace
+    modes; ``execute(..., trace="lean")`` leaves ``rounds`` ``None``, so
+    a lean trace equals the full trace of the same run with its
+    per-round records dropped.  Decisions and metrics read only the
+    decision-level fields; views, diagrams and replay need ``rounds``
+    (see :func:`require_full_trace`).
 
     Attributes:
         schedule: the adversary schedule the run was executed against.
         proposals: the value proposed by each process, by id.
-        rounds: per-round records, ``rounds[0]`` being round 1.
+        rounds_executed: number of rounds the kernel simulated.
         decisions: for each process that decided, its decision value and
             the round in which it decided.
+        halted_rounds: for each process that halted (returned), the
+            round at whose end it did so.
+        messages: total messages delivered over the whole run.
+        rounds: per-round records, ``rounds[0]`` being round 1, or
+            ``None`` for a lean trace.
     """
 
     schedule: Schedule
     proposals: tuple[Value, ...]
-    rounds: tuple[RoundRecord, ...]
+    rounds_executed: int
     decisions: Mapping[ProcessId, tuple[Value, Round]] = field(
         default_factory=dict
     )
+    halted_rounds: Mapping[ProcessId, Round] = field(default_factory=dict)
+    messages: int = 0
+    rounds: tuple[RoundRecord, ...] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -70,13 +87,9 @@ class Trace:
     def t(self) -> int:
         return self.schedule.t
 
-    @property
-    def rounds_executed(self) -> int:
-        return len(self.rounds)
-
     def record(self, k: Round) -> RoundRecord:
-        """The record for round *k* (1-based)."""
-        return self.rounds[k - 1]
+        """The record for round *k* (1-based); full traces only."""
+        return require_full_trace(self, "round records")[k - 1]
 
     def decision_value(self, pid: ProcessId) -> Value | None:
         entry = self.decisions.get(pid)
@@ -167,16 +180,12 @@ class Trace:
 
     def iter_messages(self) -> Iterator[Message]:
         """All messages delivered in the run, in round order."""
-        for rec in self.rounds:
+        for rec in require_full_trace(self, "iterating messages"):
             for msgs in rec.delivered.values():
                 yield from msgs
 
     def message_count(self) -> int:
-        return sum(
-            len(msgs)
-            for rec in self.rounds
-            for msgs in rec.delivered.values()
-        )
+        return self.messages
 
     def describe(self) -> str:
         """Human-readable multi-line dump, for examples and debugging."""
@@ -184,7 +193,7 @@ class Trace:
             f"Trace: n={self.n} t={self.t} "
             f"rounds={self.rounds_executed} proposals={list(self.proposals)}"
         ]
-        for rec in self.rounds:
+        for rec in self.rounds or ():
             parts = [f"  round {rec.round}:"]
             if rec.crashed:
                 parts.append(f"crashed={sorted(rec.crashed)}")
@@ -214,147 +223,19 @@ def views_equal(
     return trace_a.view(pid, upto) == trace_b.view(pid, upto)
 
 
-@dataclass(frozen=True)
-class LeanTrace:
-    """The decision-level record of one run — everything metrics need,
-    nothing else.
-
-    Sweeps consume only decisions and aggregate counters, yet the kernel
-    used to materialize a full per-round :class:`Trace` for every case.
-    A ``LeanTrace`` carries the proposals, the decisions, each process's
-    halt round, the executed round count and the delivered-message total
-    — so :mod:`repro.analysis.metrics` produces **identical** numbers
-    from either trace kind, while the lean kernel path skips all
-    per-round record construction.
-
-    Per-round payloads and inboxes are *not* recorded; anything that
-    needs views or round records (replay, diagrams, the lower-bound
-    machinery) must request ``trace="full"``.
-
-    Attributes:
-        schedule: the adversary schedule the run was executed against.
-        proposals: the value proposed by each process, by id.
-        rounds_executed: number of rounds the kernel simulated.
-        decisions: for each process that decided, its decision value and
-            the round in which it decided.
-        halted_rounds: for each process that halted (returned), the
-            round at whose end it did so.
-        messages: total messages delivered over the whole run.
-    """
-
-    schedule: Schedule
-    proposals: tuple[Value, ...]
-    rounds_executed: int
-    decisions: Mapping[ProcessId, tuple[Value, Round]] = field(
-        default_factory=dict
-    )
-    halted_rounds: Mapping[ProcessId, Round] = field(default_factory=dict)
-    messages: int = 0
-
-    # -- the Trace-compatible surface metrics consume ----------------------
-
-    @property
-    def n(self) -> int:
-        return self.schedule.n
-
-    @property
-    def t(self) -> int:
-        return self.schedule.t
-
-    def decision_value(self, pid: ProcessId) -> Value | None:
-        entry = self.decisions.get(pid)
-        return entry[0] if entry is not None else None
-
-    def decision_round(self, pid: ProcessId) -> Round | None:
-        entry = self.decisions.get(pid)
-        return entry[1] if entry is not None else None
-
-    def decided_values(self) -> set[Value]:
-        """The distinct decided values, as an (unordered) set.
-
-        Callers that iterate the result into anything order-sensitive
-        must wrap it in ``sorted()`` — set order is hash-seed-dependent
-        and would leak into records/exports.  Audited consumers either
-        sort (metrics disagreement listing, figure1, experiments) or
-        consume order-insensitively (len, membership in valency).
-        """
-        return {value for value, _round in self.decisions.values()}
-
-    def deciders(self) -> frozenset[ProcessId]:
-        """The processes that decided (memoized — the trace is frozen)."""
-        cached = self.__dict__.get("_deciders_cache")
-        if cached is None:
-            cached = frozenset(self.decisions)
-            object.__setattr__(self, "_deciders_cache", cached)
-        return cached
-
-    def global_decision_round(self) -> Round | None:
-        if not self.decisions:
-            return None
-        return max(round_ for _value, round_ in self.decisions.values())
-
-    def first_decision_round(self) -> Round | None:
-        if not self.decisions:
-            return None
-        return min(round_ for _value, round_ in self.decisions.values())
-
-    def message_count(self) -> int:
-        return self.messages
-
-    def crash_rounds(self) -> dict[ProcessId, Round]:
-        return {
-            pid: spec.round for pid, spec in self.schedule.crashes.items()
-        }
-
-    def alive_at_end(self) -> frozenset[ProcessId]:
-        # Schedule.correct is itself memoized, so this is one dict hit.
-        return self.schedule.correct
-
-    def describe(self) -> str:
-        """Human-readable one-screen summary (no per-round detail)."""
-        lines = [
-            f"LeanTrace: n={self.n} t={self.t} "
-            f"rounds={self.rounds_executed} proposals={list(self.proposals)}"
-        ]
-        if self.decisions:
-            lines.append(
-                "  decisions: "
-                + ", ".join(
-                    f"p{p}->{v}@r{r}"
-                    for p, (v, r) in sorted(self.decisions.items())
-                )
-            )
-        else:
-            lines.append("  decisions: none within horizon")
-        if self.halted_rounds:
-            lines.append(
-                "  halted: "
-                + ", ".join(
-                    f"p{p}@r{r}"
-                    for p, r in sorted(self.halted_rounds.items())
-                )
-            )
-        return "\n".join(lines)
-
-
-#: Either trace kind; the shared surface consumed by the metrics layer.
-AnyTrace = Trace | LeanTrace
-
-
-def require_full_trace(trace: AnyTrace, what: str) -> None:
-    """Fail with an actionable message when *what* needs per-round data.
+def require_full_trace(trace: Trace, what: str) -> tuple[RoundRecord, ...]:
+    """*trace*'s round records, or an actionable error naming *what*.
 
     Lean traces carry no round records, so consumers that render or
     compare rounds (diagrams, replay, the lower-bound machinery) cannot
-    work from them; without this guard the failure surfaces as an
-    ``AttributeError`` deep inside the consumer.  The error names the
-    fix so callers don't have to.
+    work from them; without this guard the failure surfaces as a
+    ``TypeError`` deep inside the consumer.  The error names the fix so
+    callers don't have to.
     """
-    if not isinstance(trace, Trace):
-        from repro.errors import SimulationError
-
+    if trace.rounds is None:
         raise SimulationError(
             f"{what} requires a full trace; this run was executed with "
             f"trace=\"lean\", which records no per-round data — re-run "
             f"with trace=\"full\""
         )
+    return trace.rounds

@@ -51,7 +51,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.model.messages import Message, fast_message
-from repro.sim.bitset import full_mask, select_bits
+from repro.sim.bitset import full_mask, interned_set, select_bits
 from repro.types import Payload, ProcessId, Round
 
 __all__ = [
@@ -84,9 +84,9 @@ def all_pids(n: int) -> frozenset[ProcessId]:
     absent-sender sets against it every round, so it is cached per n."""
     cached = _ALL_PIDS_CACHE.get(n)
     if cached is None:
-        # This IS an interning table: one materialization per n for the
-        # process lifetime, never evicted (unlike bitset's capped cache).
-        cached = _ALL_PIDS_CACHE[n] = frozenset(range(n))  # repro: noqa[BIT001]
+        # Held here for the process lifetime, never evicted (unlike
+        # bitset's capped cache).
+        cached = _ALL_PIDS_CACHE[n] = interned_set(full_mask(n))
     return cached
 
 

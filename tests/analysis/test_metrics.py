@@ -1,5 +1,7 @@
 """Tests for consensus property checking and summaries."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import ATt2, FloodSetWS, Schedule
@@ -42,12 +44,7 @@ class TestChecks:
     def test_validity_violation_reported(self):
         trace = good_trace()
         # Forge a decision on a non-proposed value.
-        forged = type(trace)(
-            schedule=trace.schedule,
-            proposals=trace.proposals,
-            rounds=trace.rounds,
-            decisions={0: (999, 3)},
-        )
+        forged = replace(trace, decisions={0: (999, 3)})
         problems = check_validity(forged)
         assert "which no process proposed" in problems[0]
 

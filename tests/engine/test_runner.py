@@ -255,7 +255,7 @@ class TestCorrectUndecided:
 
 
 class TestTraceModes:
-    """``trace=`` threads through the runners without touching the bytes."""
+    """The engine runs every case lean; records never depend on it."""
 
     def _grid(self):
         return GridSpec(
@@ -268,51 +268,32 @@ class TestTraceModes:
             seed=3, proposal_mode="random",
         )
 
-    def test_records_identical_across_trace_modes(self):
-        grid = self._grid()
-        full = run_batch(grid, trace="full")
-        lean = run_batch(grid, trace="lean")
-        assert full == lean
-        assert full.to_json() == lean.to_json()
+    def test_run_case_returns_a_lean_trace(self):
+        from repro.analysis.sweep import case_record, run_case
+        from repro.sim.kernel import run_algorithm
 
-    def test_cases_default_to_lean(self):
-        assert _case(0).trace == "lean"
+        schedule = Schedule.failure_free(5, 2, 8)
+        record, trace = run_case(
+            "att2", ATt2.factory(), "ff", schedule, [3, 1, 4, 1, 5]
+        )
+        assert trace.rounds is None
+        full = run_algorithm(ATt2.factory(), schedule, [3, 1, 4, 1, 5])
+        assert case_record("att2", "ff", full) == record
 
-    def test_trace_mode_excluded_from_case_identity(self):
-        from dataclasses import replace
+    def test_trace_mode_is_not_an_engine_argument(self):
+        from dataclasses import fields
 
-        case = _case(0)
-        assert replace(case, trace="full") == case
-
-    def test_runner_override_stamps_every_case(self):
-        from repro.engine import SerialExecutor, execute_case
-
-        seen = []
-
-        class Spy(SerialExecutor):
-            def map_cases(self, cases):
-                for case in cases:
-                    seen.append(case.trace)
-                    yield execute_case(case)
-
-        run_cases([_case(0), _case(1, algorithm="floodset")],
-                  executor=Spy(), trace="full")
-        assert seen == ["full", "full"]
-
-    def test_invalid_trace_mode_surfaces_from_kernel(self):
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError, match="unknown trace mode"):
-            run_cases([_case(0)], trace="chatty")
+        assert "trace" not in {field.name for field in fields(Case)}
+        for runner in (run_cases, run_batch):
+            with pytest.raises(TypeError, match="trace"):
+                runner([_case(0)], trace="full")
 
     def test_process_pool_runs_lean_cases(self):
         # Lean mode must survive pickling to workers (the compiled-plan
         # and digest memos are stripped from schedule pickles).
         grid = self._grid()
-        serial = run_batch(grid, trace="lean")
-        pooled = run_batch(
-            grid, executor=ProcessExecutor(workers=2), trace="lean"
-        )
+        serial = run_batch(grid)
+        pooled = run_batch(grid, executor=ProcessExecutor(workers=2))
         assert serial == pooled
 
     def test_stock_grid_records_match_the_prerefactor_pipeline(self):
@@ -325,10 +306,10 @@ class TestTraceModes:
         from repro.algorithms.registry import get_factory
         from repro.analysis.metrics import check_agreement, check_validity
         from repro.engine import default_sweep_grid, expand_grid
-        from repro.sim.kernel import execute_reference
+        from kernel_oracle import execute_reference
 
         grid = default_sweep_grid(5, 2, cases_per_family=2, seed=11)
-        engine_records = run_batch(grid, trace="lean").records
+        engine_records = run_batch(grid).records
 
         def reference_record(case):
             schedule = case.schedule

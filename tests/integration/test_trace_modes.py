@@ -1,0 +1,35 @@
+"""The trace-mode invariant at sweep scale.
+
+Sweeps run every case lean, so a sweep record must not depend on the
+per-round records a full trace adds.  Every case of the ``--profile
+large`` grids (n = 25 and n = 50) runs in both modes here: the full
+trace with its ``rounds`` dropped must equal the lean trace, and the
+records built from the two must be equal.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from repro.analysis.sweep import case_record
+from repro.engine import expand_grid, profile_grids
+from repro.sim.kernel import run_algorithm
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [grid for _label, grid in profile_grids("large")],
+    ids=[label for label, _grid in profile_grids("large")],
+)
+def test_full_and_lean_traces_agree_on_profile_large(grid):
+    for case in expand_grid(grid):
+        factory = case.resolve_factory()
+        proposals = list(case.proposals)
+        full = run_algorithm(factory, case.schedule, proposals, trace="full")
+        lean = run_algorithm(factory, case.schedule, proposals, trace="lean")
+        label = f"{case.algorithm} on {case.workload}"
+        assert full.rounds is not None and lean.rounds is None, label
+        assert replace(full, rounds=None) == lean, label
+        assert case_record(case.algorithm, case.workload, full) == (
+            case_record(case.algorithm, case.workload, lean)
+        ), label

@@ -18,7 +18,7 @@ tests pin that down three ways:
 """
 
 import pickle
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -31,13 +31,15 @@ from repro.errors import SimulationError
 from repro.model.schedule import CrashSpec, Schedule, ScheduleBuilder
 from repro.sim.bitset import interned_set, iter_bits, mask_of
 from repro.sim.compiled import CompiledSchedule, compile_schedule
-from repro.sim.kernel import execute, execute_reference, run_algorithm
+from repro.sim.kernel import execute, run_algorithm
 from repro.sim.random_schedules import (
     random_es_schedule,
     random_proposals,
     random_scs_schedule,
     random_serial_schedule,
 )
+
+from kernel_oracle import execute_reference
 
 SEEDS = range(25)
 
@@ -271,6 +273,7 @@ class TestLeanTraceMetrics:
                 lean = run_algorithm(
                     factory, schedule, proposals, trace="lean"
                 )
+                assert replace(full, rounds=None) == lean
                 assert dict(lean.decisions) == dict(full.decisions)
                 assert lean.rounds_executed == full.rounds_executed
                 assert lean.message_count() == full.message_count()
@@ -555,7 +558,7 @@ class TestRecordEquivalencePerAlgorithm:
 
     @pytest.mark.parametrize("name", sorted(available_algorithms()))
     def test_lean_and_full_records_match_reference_pipeline(self, name):
-        from repro.analysis.sweep import run_case
+        from repro.analysis.sweep import case_record, run_case
 
         n, t = _system_for(name)
         factory = get_factory(name)
@@ -566,12 +569,17 @@ class TestRecordEquivalencePerAlgorithm:
                 expected = self._reference_record(
                     name, generator.__name__, schedule, proposals
                 )
-                for mode in ("full", "lean"):
-                    record, _trace = run_case(
-                        name, factory, generator.__name__, schedule,
-                        proposals, trace_mode=mode,
-                    )
-                    assert record == expected, (
-                        f"{name} {mode} record diverged on "
-                        f"{generator.__name__}(seed={seed})"
-                    )
+                record, lean = run_case(
+                    name, factory, generator.__name__, schedule, proposals,
+                )
+                full = run_algorithm(
+                    factory, schedule, proposals, trace="full"
+                )
+                assert record == expected, (
+                    f"{name} record diverged on "
+                    f"{generator.__name__}(seed={seed})"
+                )
+                assert case_record(
+                    name, generator.__name__, full
+                ) == expected
+                assert replace(full, rounds=None) == lean

@@ -160,6 +160,30 @@ class TestKernelValidation:
         with pytest.raises(SimulationError, match="reports pid"):
             execute(automata, schedule)
 
+    def test_negative_horizon_rejected(self):
+        schedule = Schedule.failure_free(4, 1, -2)
+        with pytest.raises(SimulationError, match="horizon -2 is negative"):
+            execute(make(Recorder, schedule), schedule)
+
+    @pytest.mark.parametrize("trace", ["full", "lean"])
+    def test_negative_max_rounds_rejected(self, trace):
+        from repro import ATt2
+        from repro.sim.kernel import run_algorithm
+
+        schedule = Schedule.failure_free(4, 1, 8)
+        with pytest.raises(SimulationError, match="max_rounds -3"):
+            run_algorithm(
+                ATt2.factory(), schedule, [0, 1, 2, 3], max_rounds=-3,
+                trace=trace,
+            )
+
+    def test_zero_horizon_runs_no_rounds(self):
+        schedule = Schedule.failure_free(3, 1, 0)
+        trace = execute(make(Recorder, schedule), schedule)
+        assert trace.rounds_executed == 0
+        assert trace.rounds == ()
+        assert trace.decisions == {}
+
 
 class TestDeterminism:
     def test_identical_runs_identical_traces(self):

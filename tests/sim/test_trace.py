@@ -1,6 +1,11 @@
 """Tests for traces: views, decisions, summaries."""
 
+from dataclasses import replace
+
+import pytest
+
 from repro import ATt2, FloodSet, Schedule
+from repro.errors import SimulationError
 from repro.model.schedule import ScheduleBuilder
 from repro.sim.kernel import run_algorithm
 from repro.sim.trace import views_equal
@@ -97,6 +102,39 @@ class TestCounting:
         trace = floodset_trace(Schedule.failure_free(3, 1, 5), [1, 2, 3])
         text = trace.describe()
         assert "p0->1@r2" in text
+
+
+class TestLeanTrace:
+    """A lean trace is the full trace of the same run minus ``rounds``."""
+
+    def _pair(self):
+        schedule = Schedule.synchronous(5, 2, 12, crashes={0: (1, [1])})
+        full = run_algorithm(ATt2.factory(), schedule, [3, 1, 4, 1, 5])
+        lean = run_algorithm(
+            ATt2.factory(), schedule, [3, 1, 4, 1, 5], trace="lean"
+        )
+        return full, lean
+
+    def test_lean_is_full_without_rounds(self):
+        full, lean = self._pair()
+        assert lean.rounds is None
+        assert replace(full, rounds=None) == lean
+
+    def test_round_accessors_refuse_lean_traces(self):
+        _full, lean = self._pair()
+        with pytest.raises(SimulationError, match="requires a full trace"):
+            lean.record(1)
+        with pytest.raises(SimulationError, match="requires a full trace"):
+            lean.view(2, 3)
+        with pytest.raises(SimulationError, match="requires a full trace"):
+            list(lean.iter_messages())
+
+    def test_describe_skips_rounds(self):
+        full, lean = self._pair()
+        assert "round 1:" in full.describe()
+        assert "round 1:" not in lean.describe()
+        decisions = full.describe().splitlines()[-1]
+        assert lean.describe().splitlines()[-1] == decisions
 
 
 class TestDelayedMessagesInViews:

@@ -21,7 +21,7 @@ from repro.model.messages import Message
 from repro.model.schedule import Schedule, ScheduleBuilder
 from repro.sim.compiled import compile_schedule
 from repro.sim.bitset import full_mask, iter_bits, mask_of, select_bits
-from repro.sim.kernel import execute, execute_reference
+from repro.sim.kernel import execute
 from repro.sim.random_schedules import random_es_schedule, random_proposals
 from repro.sim.view import (
     CurrentCell,
@@ -30,6 +30,8 @@ from repro.sim.view import (
     all_pids,
     build_delayed_buckets,
 )
+
+from kernel_oracle import execute_reference
 
 
 def entry(sent_round, sender, payload):

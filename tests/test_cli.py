@@ -60,6 +60,22 @@ class TestRun:
         with pytest.raises(SystemExit, match="unknown workload"):
             main(["run", "--workload", "nope"])
 
+    def test_diagram_renders_the_full_trace(self, capsys):
+        # run always records every round, so --diagram needs no flag.
+        code = main([
+            "run", "--algorithm", "att2", "--n", "5", "--t", "2",
+            "--workload", "cascade", "--diagram",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "att2 on cascade" in out
+        assert "round 4: decided=" in out
+
+    @pytest.mark.parametrize("horizon", ["-2", "0"])
+    def test_horizon_below_one_exits_cleanly(self, horizon):
+        with pytest.raises(SystemExit, match="--horizon must be >= 1"):
+            main(["run", "--horizon", horizon])
+
     def test_async_prefix_workload(self, capsys):
         code = main([
             "run", "--algorithm", "afp2", "--n", "4", "--t", "1",
@@ -351,28 +367,6 @@ class TestCacheStats:
             main(["cache", "stats", str(tmp_path / "absent")])
 
 
-class TestSweepTraceModes:
-    ARGS = [
-        "sweep", "--cases-per-family", "2", "--seed", "5",
-        "--algorithms", "att2,hurfin_raynal", "--backend", "serial",
-    ]
-
-    def test_full_and_lean_exports_byte_identical(self, capsys, tmp_path):
-        lean, full = str(tmp_path / "lean.json"), str(tmp_path / "full.json")
-        assert main(self.ARGS + ["--trace", "lean", "--json", lean]) == 0
-        assert main(self.ARGS + ["--trace", "full", "--json", full]) == 0
-        with open(lean, "rb") as a, open(full, "rb") as b:
-            assert a.read() == b.read()
-
-    def test_trace_mode_announced(self, capsys):
-        assert main(self.ARGS) == 0
-        assert "trace=lean" in capsys.readouterr().out
-
-    def test_unknown_trace_mode_rejected(self):
-        with pytest.raises(SystemExit):
-            main(self.ARGS + ["--trace", "chatty"])
-
-
 class TestSweepGridDirectory:
     def _write_grid(self, path, n, t):
         from repro.engine import default_sweep_grid
@@ -530,44 +524,6 @@ class TestCacheGcCommand:
         assert "last gc: never" in capsys.readouterr().out
 
 
-class TestRunTraceMode:
-    def test_lean_run_works_without_diagram(self, capsys):
-        code = main([
-            "run", "--algorithm", "att2", "--n", "5", "--t", "2",
-            "--workload", "cascade", "--trace", "lean",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "global decision round: 4" in out
-        assert "consensus properties: ok" in out
-
-    def test_diagram_with_lean_trace_exits_cleanly(self):
-        # Full-trace-only consumers must say what to do, not crash deep
-        # inside the renderer (the lean-trace consumers follow-up).
-        with pytest.raises(SystemExit, match="requires --trace full"):
-            main([
-                "run", "--algorithm", "att2", "--n", "5", "--t", "2",
-                "--workload", "cascade", "--trace", "lean", "--diagram",
-            ])
-
-    def test_lean_and_full_report_identical_decisions(self, capsys):
-        main([
-            "run", "--algorithm", "att2", "--n", "5", "--t", "2",
-            "--workload", "cascade", "--trace", "full",
-        ])
-        full_out = capsys.readouterr().out
-        main([
-            "run", "--algorithm", "att2", "--n", "5", "--t", "2",
-            "--workload", "cascade", "--trace", "lean",
-        ])
-        lean_out = capsys.readouterr().out
-        pick = lambda out: [
-            line for line in out.splitlines()
-            if "global decision round" in line or "decisions:" in line
-        ]
-        assert pick(full_out) == pick(lean_out)
-
-
 class TestOrchestrate:
     """The distributed-sweep driver behind ``repro orchestrate``."""
 
@@ -680,3 +636,52 @@ class TestOrchestrate:
         with pytest.raises(SystemExit, match="needs repo="):
             main(["orchestrate", "--grid", str(grid_path),
                   "--workers-file", str(hosts)])
+
+
+class TestSizeErrors:
+    """Bad system sizes exit with one line, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_no_processes(self, command):
+        with pytest.raises(
+            SystemExit, match="invalid system size: need at least one"
+        ):
+            main([command, "--n", "0", "--t", "0"])
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_t_not_below_n(self, command):
+        with pytest.raises(
+            SystemExit, match="invalid system size: t must be smaller"
+        ):
+            main([command, "--n", "3", "--t", "5"])
+
+    def test_zero_cases_per_family(self):
+        with pytest.raises(
+            SystemExit, match="--cases-per-family must be >= 1, got 0"
+        ):
+            main(["sweep", "--n", "5", "--t", "2",
+                  "--cases-per-family", "0"])
+
+
+class TestNoTraceFlag:
+    """The trace mode is a library argument: sweeps run lean and
+    ``run`` records every round, so no command takes ``--trace``."""
+
+    @pytest.mark.parametrize("command", [
+        ["run"],
+        ["sweep", "--backend", "serial"],
+        ["orchestrate", "--profile", "large", "--local", "1"],
+    ])
+    def test_trace_flag_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--trace", "lean"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trace" in capsys.readouterr().err
+
+    def test_sweep_banner_names_no_trace_mode(self, capsys):
+        assert main([
+            "sweep", "--cases-per-family", "1", "--algorithms", "att2",
+            "--backend", "serial",
+        ]) == 0
+        banner = capsys.readouterr().out.splitlines()[0]
+        assert banner.endswith("backend=serial")
