@@ -10,7 +10,7 @@ factories and schedules in hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from repro.algorithms.base import AlgorithmFactory
@@ -65,6 +65,17 @@ class SweepRecord:
         "algorithm", "workload", "n", "t", "f", "K",
         "global round", "deciders", "safe",
     )
+
+    def to_data(self) -> dict:
+        """The record as a flat dict of its (scalar) fields.
+
+        The one encoding that exports, spools and the result cache
+        serialize; unlike ``dataclasses.asdict`` it deep-copies nothing.
+        """
+        return {name: getattr(self, name) for name in _RECORD_FIELDS}
+
+
+_RECORD_FIELDS = tuple(field.name for field in fields(SweepRecord))
 
 
 def run_case(

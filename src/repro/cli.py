@@ -20,8 +20,8 @@ Commands:
   whole-grid result.
 * ``grid validate`` — lint grid JSON files (or directories of them)
   without running anything.
-* ``cache stats`` — inspect a result-cache directory (entries, bytes,
-  lifetime hit rate, last gc).
+* ``cache stats`` — inspect a result-cache directory's database
+  (entries, bytes, lifetime hit rate, last gc); creates nothing.
 * ``cache gc`` — evict cache entries by age and/or LRU size bound.
 
 Examples::
@@ -127,18 +127,21 @@ The ``sweep`` result cache
 --------------------------
 
 ``--cache DIR`` threads a content-addressed on-disk record cache
-(:mod:`repro.engine.cache`) through the engine: each case is keyed by
-SHA-256 over (key-scheme tag, algorithm name, a source hash of the
-algorithm's transitive module closure, a source hash of the simulation
-kernel and record machinery, the schedule's canonical digest, the
-proposals), so only cache *misses* ever reach the kernel.  Re-running an
-identical grid against a warm cache executes zero cases and produces
-byte-identical ``--json`` output; editing an algorithm's source
+(:mod:`repro.engine.cache`, one SQLite file ``DIR/cache.sqlite3``)
+through the engine: each case is keyed by SHA-256 over (key-scheme tag,
+algorithm name, a source hash of the algorithm's transitive module
+closure, a source hash of the simulation kernel and record machinery,
+the schedule's canonical digest, the proposals), so only cache *misses*
+ever reach the kernel.  Re-running an identical grid against a warm
+cache executes zero cases and produces byte-identical ``--json`` output; editing an algorithm's source
 invalidates only that algorithm's entries (and its dependents'), while
 editing the kernel or metrics invalidates everything.  The CLI prints
-the hit/miss tally after each cached sweep; ``--no-cache`` bypasses a
+the hit/miss tally after each cached sweep, then closes the database,
+so an idle cache directory is that one file; ``--no-cache`` bypasses a
 configured ``--cache`` without having to edit scripted invocations, and
 deleting the directory is always safe — it costs only recomputation.
+Directories of the old one-JSON-file-per-entry layout are not read:
+delete them.
 """
 
 from __future__ import annotations
@@ -543,6 +546,7 @@ def _cmd_sweep(args) -> int:
     if cache is not None:
         print(f"\n{cache.describe()}")
         cache.flush_stats()
+        cache.close()
     violations = result.violations()
     if args.json:
         result.save(args.json)
@@ -985,8 +989,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--cache", default="",
-        help="content-addressed result cache directory: repeated "
-             "identical grids only execute cache misses",
+        help="content-addressed result cache directory (one SQLite "
+             "file): repeated identical grids only execute cache misses",
     )
     sweep_parser.add_argument(
         "--no-cache", action="store_true",
@@ -1122,7 +1126,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache_parser = sub.add_parser(
         "cache",
-        help="inspect or collect a result-cache directory",
+        help="inspect or collect a result-cache directory (its "
+             "cache.sqlite3 database)",
     )
     cache_sub = cache_parser.add_subparsers(
         dest="cache_command", required=True
@@ -1140,11 +1145,12 @@ def build_parser() -> argparse.ArgumentParser:
     gc_parser.add_argument("directory", help="cache directory to collect")
     gc_parser.add_argument(
         "--max-age", type=float, default=None, metavar="DAYS",
-        help="remove entries older than this many days",
+        help="remove entries last used more than this many days ago",
     )
     gc_parser.add_argument(
         "--max-bytes", type=int, default=None, metavar="N",
-        help="then remove oldest entries until at most N bytes remain",
+        help="then remove least recently used entries until at most "
+             "N bytes remain",
     )
     return parser
 

@@ -26,14 +26,24 @@ that run the same code on the same inputs share one entry, and
 :meth:`ResultCache.lookup` re-stamps ``workload`` and ``case_index`` from
 the requesting case so a warm run is byte-identical to a cold one.
 
-Entries are one JSON file each under ``directory/<key[:2]>/<key>.json``,
-written atomically (temp file + ``os.replace``) so concurrent sweeps may
-share a directory.  Corrupted, truncated or version-skewed entries are
-treated as misses and overwritten on the next store — a cache directory
-can always be deleted wholesale without losing anything but time.
+The store is one SQLite database, ``directory/cache.sqlite3``: one
+``entries`` row per key (the algorithm, the record as key-sorted JSON
+from :func:`repro.engine.sink.record_to_line`, its size and its
+last-used time) and a ``stats`` table of lifetime counters and the last
+gc summary.  Each store commits before it returns (WAL journal,
+``synchronous=NORMAL``), so a killed process keeps every entry it
+finished and concurrent sweeps can share a directory.  Hits only read:
+their last-used times are written in one batch by
+:meth:`ResultCache.flush_stats` or :meth:`ResultCache.close`, and
+closing the last connection leaves the directory one database file.
+
+Every failure costs only time: a corrupted or shape-skewed row, or a
+``sqlite3`` error on lookup, is a miss (the next store overwrites the
+row), and an error on store or flush is counted in ``store_failures``.
+Deleting a cache directory is always safe; directories of the old
+one-JSON-file-per-entry layout are neither read nor migrated.
 :func:`cache_gc` (CLI: ``repro cache gc``) evicts entries by age and/or
-LRU-by-mtime size bound, so long-lived shared directories stop growing
-without bound; the same recomputability makes any eviction safe.
+an LRU size bound.
 
 Uncacheable cases (explicit in-process factories, whose captured state
 cannot be fingerprinted; or algorithms whose source is unavailable) are
@@ -46,16 +56,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
-from contextlib import contextmanager
-from dataclasses import asdict, replace
+from contextlib import closing, contextmanager
 from pathlib import Path
-from typing import Iterator, cast
-
-try:  # POSIX advisory locking for the shared stats sidecar
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
+from typing import TYPE_CHECKING, Iterable, Iterator, cast
 
 from repro.algorithms.registry import (
     algorithm_source_hash,
@@ -63,125 +68,127 @@ from repro.algorithms.registry import (
 )
 from repro.analysis.sweep import SweepRecord
 from repro.engine.cases import Case
+from repro.engine.sink import record_to_line
 
-#: On-disk entry format version; bumped whenever the entry layout changes.
-ENTRY_VERSION = 1
+if TYPE_CHECKING:  # sqlite3 is imported only when a cache is opened
+    import sqlite3
 
-#: Lifetime-counter sidecar file name (lives at the cache root, outside
-#: the ``<key[:2]>/`` entry fan-out so entry globs never see it).
-STATS_FILE = "stats.json"
+#: The database file inside a cache directory.
+DB_FILE = "cache.sqlite3"
 
-#: Counters accumulated in the stats sidecar.
+#: Seconds a write waits for another connection's write transaction.
+BUSY_TIMEOUT_S = 60.0
+
+#: Page-cache bound per connection, in KiB: hits are point reads.
+PAGE_CACHE_KIB = 256
+
+#: Counters accumulated in the ``stats`` table.
 _STAT_KEYS = ("hits", "misses", "deduped", "store_failures", "sweeps")
+
+_SCHEMA = """
+CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, algorithm TEXT
+    NOT NULL, record TEXT NOT NULL, size INTEGER NOT NULL, used REAL NOT NULL
+) WITHOUT ROWID;
+CREATE TABLE IF NOT EXISTS stats (name TEXT PRIMARY KEY, value) WITHOUT ROWID;
+"""
+
+#: Add a delta to a counter; a corrupt (non-counter) value counts as 0.
+_ADD_COUNTER = """
+INSERT INTO stats (name, value) VALUES (?, ?)
+ON CONFLICT (name) DO UPDATE SET value = excluded.value + (
+    CASE WHEN typeof(value) = 'integer' AND value >= 0 THEN value ELSE 0 END
+)
+"""
+
+_TOTALS = "SELECT COUNT(*), COALESCE(SUM(size), 0) FROM entries"
+
+#: Evict least recently used entries until at most ``?`` bytes remain:
+#: an entry survives iff it and every more recently used one fit.
+_EVICT_LRU = """
+DELETE FROM entries WHERE key IN (
+    SELECT key FROM (
+        SELECT key, SUM(size) OVER (ORDER BY used DESC, key DESC) AS kept
+        FROM entries
+    ) WHERE kept > ?
+)
+"""
+
+
+def _connect(path: Path) -> "sqlite3.Connection":
+    """An autocommit, any-thread connection to *path*, schema ensured."""
+    import sqlite3
+
+    db = sqlite3.connect(
+        path, timeout=BUSY_TIMEOUT_S, isolation_level=None,
+        check_same_thread=False,
+    )
+    try:
+        db.execute("PRAGMA journal_mode = WAL")
+        db.execute("PRAGMA synchronous = NORMAL")
+        db.execute(f"PRAGMA cache_size = -{PAGE_CACHE_KIB}")
+        db.executescript(_SCHEMA)
+    except sqlite3.Error:
+        db.close()
+        raise
+    return db
 
 
 @contextmanager
-def _stats_lock(root: "Path") -> Iterator[None]:
-    """Serialize read-modify-write cycles on the stats sidecar.
+def _existing_db(
+    directory: str | os.PathLike,
+) -> Iterator["sqlite3.Connection | None"]:
+    """*directory*'s database for one command, ``None`` when it has none.
 
-    Uses an ``flock`` on a dedicated ``stats.json.lock`` file (the lock
-    file lives at the cache root, outside the entry fan-out, so entry
-    globs never see it).  Concurrent shard processes flushing their
-    counters into one shared directory each merge under the lock, so no
-    delta is ever lost to an unlocked read-modify-write race.  Best
-    effort by design: on platforms without ``fcntl`` or when the lock
-    file cannot be created (read-only directory), callers proceed
-    unlocked — stats are advisory metadata and must never abort a sweep.
+    Creates nothing.  Raises ``OSError`` when *directory* is not a
+    directory or its database is unreadable.
     """
-    if fcntl is None:
-        yield False
-        return
-    fd = None
-    try:
-        fd = os.open(
-            root / f"{STATS_FILE}.lock", os.O_CREAT | os.O_RDWR, 0o644
-        )
-        fcntl.flock(fd, fcntl.LOCK_EX)
-    except OSError:
-        if fd is not None:
-            os.close(fd)
-        yield False
+    import sqlite3
+
+    root = Path(directory)
+    if not root.is_dir():
+        raise OSError(f"not a cache directory: {directory}")
+    path = root / DB_FILE
+    if not path.is_file():
+        yield None
         return
     try:
-        yield True
-    finally:
-        try:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-        except OSError:
-            pass
-        os.close(fd)
+        with closing(_connect(path)) as db:
+            yield db
+    except sqlite3.Error as exc:
+        raise OSError(f"unreadable cache database {path}: {exc}") from exc
 
 
-def _read_stats_file(path: "Path") -> dict:
-    """The accumulated counters in *path* (zeros when absent/corrupt).
-
-    Also carries the ``last_gc`` summary (:func:`cache_gc`) through, so
-    counter flushes never erase it; ``None`` when no gc ever ran.
-    """
-    totals = {key: 0 for key in _STAT_KEYS}
+def _read_stats(db: "sqlite3.Connection | None") -> dict:
+    """The lifetime counters and ``last_gc`` (corrupt values unset)."""
+    totals: dict = dict.fromkeys(_STAT_KEYS, 0)
     totals["last_gc"] = None
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-        for key in _STAT_KEYS:
-            value = data.get(key, 0)
-            if isinstance(value, int) and value >= 0:
-                totals[key] = value
-        last_gc = data.get("last_gc")
-        if isinstance(last_gc, dict):
-            totals["last_gc"] = last_gc
-    except (OSError, ValueError, AttributeError):
-        pass
+    rows = db.execute("SELECT name, value FROM stats") if db else ()
+    for name, value in rows:
+        if name == "last_gc":
+            try:
+                last_gc = json.loads(value)
+            except (TypeError, ValueError):
+                continue
+            if isinstance(last_gc, dict):
+                totals["last_gc"] = last_gc
+        elif name in _STAT_KEYS and isinstance(value, int) and value >= 0:
+            totals[name] = value
     return totals
-
-
-def _is_entry_path(path: "Path") -> bool:
-    """True iff *path* has the exact shape of a cache entry.
-
-    Entries are always ``<2 hex>/<64 hex>.json`` with the directory
-    equal to the key's first two characters.  Everything that touches
-    entries in bulk — stats, gc — filters on this shape, so a mistyped
-    directory handed to the *destructive* ``cache gc`` can never match
-    (and therefore never delete) unrelated JSON files that merely live
-    in some two-character subdirectory.
-    """
-    stem = path.stem
-    prefix = path.parent.name
-    if len(stem) != 64 or not stem.startswith(prefix):
-        return False
-    try:
-        int(stem, 16)
-    except ValueError:
-        return False
-    return True
-
-
-def _entry_paths(root: "Path") -> Iterator[Path]:
-    """All cache-entry files under *root* (shape-filtered, see above)."""
-    return (
-        path for path in root.glob("??/*.json") if _is_entry_path(path)
-    )
 
 
 def cache_stats(directory: str | os.PathLike) -> dict:
     """Inspect a cache directory without constructing a live cache.
 
     Returns entry count, total entry bytes, the lifetime counters folded
-    in by :meth:`ResultCache.flush_stats`, and the derived hit rate
-    (``None`` when no lookups were ever recorded).  Raises ``OSError``
-    when *directory* is not a readable directory.
+    in by :meth:`ResultCache.flush_stats`, the ``last_gc`` summary, and
+    the derived hit rate (``None`` when no lookups were ever recorded).
+    A directory without a database reads as empty and stays untouched.
+    Raises ``OSError`` when *directory* is not a directory or its
+    database is unreadable.
     """
-    root = Path(directory)
-    if not root.is_dir():
-        raise OSError(f"not a cache directory: {directory}")
-    entries = 0
-    total_bytes = 0
-    for path in _entry_paths(root):
-        try:
-            total_bytes += path.stat().st_size
-        except OSError:
-            continue  # entry vanished under a concurrent sweep
-        entries += 1
-    stats = _read_stats_file(root / STATS_FILE)
+    with _existing_db(directory) as db:
+        stats = _read_stats(db)
+        entries, total_bytes = db.execute(_TOTALS).fetchone() if db else (0, 0)
     lookups = stats["hits"] + stats["misses"]
     stats.update(
         entries=entries,
@@ -191,23 +198,6 @@ def cache_stats(directory: str | os.PathLike) -> dict:
     return stats
 
 
-def _write_stats_file(path: "Path", totals: dict) -> bool:
-    """Atomically replace *path* with *totals*; True on success."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(
-            json.dumps(totals, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        return False
-    return True
-
-
 def cache_gc(
     directory: str | os.PathLike,
     *,
@@ -215,31 +205,22 @@ def cache_gc(
     max_bytes: int | None = None,
     now: float | None = None,
 ) -> dict:
-    """Evict cache entries by age and/or total size (LRU by mtime).
+    """Evict cache entries by age and/or total size (LRU by last use).
 
-    Two independent bounds, either or both of which must be given:
+    ``max_age_days`` removes entries last used longer ago than that;
+    then ``max_bytes`` removes the least recently used entries until at
+    most that many bytes remain.  At least one bound must be given.  An
+    entry is used when stored *or served* (a hit is recorded when its
+    cache flushes or closes), so hot entries of a shared cache outlive
+    cold ones, and every entry is recomputable, so eviction is safe.
 
-    * ``max_age_days`` — entries whose mtime is older than this many
-      days are removed unconditionally;
-    * ``max_bytes`` — after the age pass, the oldest-mtime entries are
-      removed until the surviving total is at most this many bytes.
-      An entry's mtime is when it was last stored *or served*
-      (:meth:`ResultCache.lookup` touches entries on hit), so the size
-      bound really is LRU: hot entries of a shared cache outlive cold
-      ones.
-
-    Eviction is always safe: every entry is recomputable, so a gc can at
-    worst cost recomputation time, and entries that vanish mid-scan
-    (concurrent sweeps) are skipped silently.  The gc summary is folded
-    into the ``stats.json`` sidecar as ``last_gc`` — counter flushes
-    preserve it — so ``repro cache stats`` can report when the
-    directory was last collected.  Returns the summary dict:
-    ``removed`` / ``removed_bytes`` / ``remaining`` /
-    ``remaining_bytes`` / ``at`` (epoch seconds).
-
-    Raises ``ValueError`` when neither bound is given (a gc that can
-    never evict is a configuration error) or a bound is negative, and
-    ``OSError`` when *directory* is not a readable directory.
+    The gc is one write transaction that also stores its summary as
+    ``last_gc`` for ``repro cache stats``.  Returns the summary:
+    ``removed`` / ``removed_bytes`` / ``remaining`` / ``remaining_bytes``
+    / ``at`` (epoch seconds); all zeros, with nothing written, for a
+    directory without a database.  Raises ``ValueError`` for a missing
+    or negative bound and ``OSError`` when *directory* is not a
+    directory or its database is unreadable.
     """
     if max_age_days is None and max_bytes is None:
         raise ValueError(
@@ -249,59 +230,37 @@ def cache_gc(
         raise ValueError(f"max_age_days must be >= 0, got {max_age_days}")
     if max_bytes is not None and max_bytes < 0:
         raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-    root = Path(directory)
-    if not root.is_dir():
-        raise OSError(f"not a cache directory: {directory}")
     if now is None:
         now = time.time()
-
-    entries = []
-    for path in _entry_paths(root):
-        try:
-            stat = path.stat()
-        except OSError:
-            continue  # entry vanished under a concurrent sweep
-        entries.append((stat.st_mtime, stat.st_size, path))
-    entries.sort(key=lambda item: (item[0], str(item[2])))
-
-    doomed = []
-    if max_age_days is not None:
-        cutoff = now - max_age_days * 86400.0
-        while entries and entries[0][0] < cutoff:
-            doomed.append(entries.pop(0))
-    if max_bytes is not None:
-        remaining_bytes = sum(size for _mtime, size, _path in entries)
-        while entries and remaining_bytes > max_bytes:
-            mtime, size, path = entries.pop(0)
-            doomed.append((mtime, size, path))
-            remaining_bytes -= size
-
-    removed = removed_bytes = 0
-    for mtime, size, path in doomed:
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            continue  # already collected by a concurrent gc
-        except OSError:
-            # Unwritable — skip, never fail, but count the survivor so
-            # the reported (and persisted) totals reflect the disk.
-            entries.append((mtime, size, path))
-            continue
-        removed += 1
-        removed_bytes += size
-
     summary = {
-        "at": now,
-        "removed": removed,
-        "removed_bytes": removed_bytes,
-        "remaining": len(entries),
-        "remaining_bytes": sum(size for _mtime, size, _path in entries),
+        "at": now, "removed": 0, "removed_bytes": 0,
+        "remaining": 0, "remaining_bytes": 0,
     }
-    stats_path = root / STATS_FILE
-    with _stats_lock(root):
-        totals = _read_stats_file(stats_path)
-        totals["last_gc"] = summary
-        _write_stats_file(stats_path, totals)
+    with _existing_db(directory) as db:
+        if db is None:
+            return summary
+        with db:
+            db.execute("BEGIN IMMEDIATE")
+            entries, total_bytes = db.execute(_TOTALS).fetchone()
+            if max_age_days is not None:
+                db.execute(
+                    "DELETE FROM entries WHERE used < ?",
+                    (now - max_age_days * 86400.0,),
+                )
+            if max_bytes is not None:
+                db.execute(_EVICT_LRU, (max_bytes,))
+            remaining, remaining_bytes = db.execute(_TOTALS).fetchone()
+            summary.update(
+                removed=entries - remaining,
+                removed_bytes=total_bytes - remaining_bytes,
+                remaining=remaining,
+                remaining_bytes=remaining_bytes,
+            )
+            db.execute(
+                "INSERT OR REPLACE INTO stats (name, value) "
+                "VALUES ('last_gc', ?)",
+                (json.dumps(summary, sort_keys=True),),
+            )
     return summary
 
 #: Key-scheme tag mixed into every key; bumped whenever key semantics change.
@@ -332,6 +291,11 @@ def _runtime_source_hash() -> str | None:
 class ResultCache:
     """A content-addressed cache mapping case keys to sweep records.
 
+    The database is opened on first use and may be used from any thread.
+    Call :meth:`close` when done (the CLI does after every sweep), so an
+    idle directory is one consistent file; a closed cache reopens on its
+    next use.
+
     Attributes:
         directory: root of the on-disk store (created on construction).
         hits: lookups answered from the store since construction.
@@ -339,6 +303,8 @@ class ResultCache:
         deduped: cases served in-flight from another case in the same
             batch that shares their content key (no disk lookup involved;
             counted by the runner).
+        store_failures: stores and flushes that failed since the last
+            successful flush.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
@@ -349,6 +315,15 @@ class ResultCache:
         self.deduped = 0
         self.store_failures = 0
         self._runtime_hash = _runtime_source_hash()
+        self._lock = threading.Lock()
+        self._db: "sqlite3.Connection | None" = None
+        self._served: set[str] = set()  # hit keys whose recency is unwritten
+
+    def _connection(self) -> "sqlite3.Connection":
+        """The open connection, opened on first use (call under the lock)."""
+        if self._db is None:
+            self._db = _connect(self.directory / DB_FILE)
+        return self._db
 
     # -- keys --------------------------------------------------------------
 
@@ -384,14 +359,6 @@ class ResultCache:
         ))
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def path_for(self, case: Case) -> Path | None:
-        """The on-disk entry path for *case* (``None`` if uncacheable)."""
-        key = self.case_key(case)
-        return None if key is None else self._entry_path(key)
-
-    def _entry_path(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.json"
-
     # -- lookup / store ----------------------------------------------------
 
     def lookup(
@@ -400,29 +367,41 @@ class ResultCache:
         """The cached record for *case*, re-stamped with its label and index.
 
         Returns ``None`` — and counts a miss — when the entry is absent or
-        unreadable (corrupted JSON, wrong version, key mismatch).
-        Uncacheable cases return ``None`` without touching the counters.
-        Callers that already derived the case's key (the runner's
-        partition loop) pass it to skip recomputation.
+        unreadable (corrupted JSON, a record of another shape, a row
+        naming another algorithm, a database error).  Uncacheable cases
+        return ``None`` without touching the counters.  Callers that
+        already derived the case's key (the runner's partition loop) pass
+        it to skip recomputation.
         """
         key = self.case_key(case) if key is _MISSING else cast(
             "str | None", key
         )
         if key is None:
             return None
-        record = self._load(key)
+        record = self._load(key, case)
         if record is None:
             self.misses += 1
             return None
         self.hits += 1
-        # Touch the entry so mtime really is a recency signal: without
-        # this, :func:`cache_gc`'s "LRU" size bound orders by store time
-        # and evicts the *hottest* entries of a shared cache first.
+        self._served.add(key)
+        return record
+
+    def _load(self, key: str, case: Case) -> SweepRecord | None:
+        import sqlite3
+
         try:
-            os.utime(self._entry_path(key))
-        except OSError:
-            pass  # read-only share / entry raced away — hit still counts
-        return replace(record, workload=case.workload, case_index=case.index)
+            with self._lock:
+                row = self._connection().execute(
+                    "SELECT algorithm, record FROM entries WHERE key = ?",
+                    (key,),
+                ).fetchone()
+            if row is None or row[0] != case.algorithm:
+                return None
+            data = json.loads(row[1])
+            data.update(workload=case.workload, case_index=case.index)
+            return SweepRecord(**data)
+        except (sqlite3.Error, ValueError, TypeError, AttributeError):
+            return None
 
     def store(
         self,
@@ -432,84 +411,98 @@ class ResultCache:
     ) -> None:
         """Persist *record* under *case*'s key (no-op when uncacheable).
 
-        Write failures (read-only directory, full disk) are swallowed and
-        counted in ``store_failures``: the cache's contract is to cost
-        only time, never to abort a sweep whose compute already happened.
-        A pre-derived *key* may be passed to skip recomputation.
+        The entry is committed before this returns.  Write failures
+        (read-only directory, full disk, an unreadable database) are
+        swallowed and counted in ``store_failures``: the cache's contract
+        is to cost only time, never to abort a sweep whose compute
+        already happened.  A pre-derived *key* may be passed to skip
+        recomputation.
         """
+        import sqlite3
+
         key = self.case_key(case) if key is _MISSING else cast(
             "str | None", key
         )
         if key is None:
             return
-        path = self._entry_path(key)
-        data = {
-            "version": ENTRY_VERSION,
-            "key": key,
-            "algorithm": case.algorithm,
-            "record": asdict(record),
-        }
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        line = record_to_line(record)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(
-                json.dumps(data, sort_keys=True) + "\n", encoding="utf-8"
-            )
-            os.replace(tmp, path)
-        except OSError:
+            with self._lock:
+                self._connection().execute(
+                    "INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?, ?)",
+                    (key, case.algorithm, line, len(line), time.time()),
+                )
+        except sqlite3.Error:
             self.store_failures += 1
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
 
-    def _load(self, key: str) -> SweepRecord | None:
+    # -- session -----------------------------------------------------------
+
+    def _write_session(self, counters: Iterable[tuple[str, int]]) -> bool:
+        """Add *counters* and the pending hit recency in one transaction.
+
+        Returns False (and keeps the pending recency) when it failed.
+        """
+        import sqlite3
+
+        served = list(self._served)
         try:
-            data = json.loads(
-                self._entry_path(key).read_text(encoding="utf-8")
-            )
-            if data.get("version") != ENTRY_VERSION or data.get("key") != key:
-                return None
-            return SweepRecord(**data["record"])
-        except (OSError, ValueError, TypeError, KeyError):
-            return None
-
-    # -- reporting ---------------------------------------------------------
-
-    def entry_count(self) -> int:
-        """Number of entries currently on disk."""
-        return sum(1 for _ in _entry_paths(self.directory))
+            with self._lock:
+                db = self._connection()
+                with db:
+                    db.execute("BEGIN IMMEDIATE")
+                    db.executemany(_ADD_COUNTER, counters)
+                    now = time.time()
+                    db.executemany(
+                        "UPDATE entries SET used = ? WHERE key = ?",
+                        ((now, key) for key in served),
+                    )
+        except sqlite3.Error:
+            return False
+        self._served.difference_update(served)
+        return True
 
     def flush_stats(self) -> None:
-        """Fold this cache's session counters into ``directory/stats.json``.
+        """Add this session's counters to the database's lifetime totals.
 
-        The stats file accumulates lifetime hit/miss/dedup/store-failure
-        totals (plus a sweep count) across processes, so ``repro cache
-        stats`` can report a hit rate for a long-lived directory.  A
-        successful flush zeroes the session counters, so flushing after
-        every sweep of a long-lived cache object never double-counts;
-        a failed flush keeps them for the next attempt.  The
-        read-merge-write cycle runs under an ``flock`` on a sidecar lock
-        file (see :func:`_stats_lock`), so parallel shards flushing into
-        one shared directory each add their delta instead of overwriting
-        each other's; the write itself stays atomic (``os.replace``).
-        Failures are swallowed like entry-store failures: stats must
-        never abort a sweep.
+        The totals (hits, misses, dedups, store failures and a sweep
+        count) let ``repro cache stats`` report a hit rate for a
+        long-lived directory.  The same write transaction records when
+        each entry served since the last flush was used.  Counters are
+        added in SQL under SQLite's write lock, so concurrent sweeps
+        sharing a directory never lose each other's deltas.  Success
+        zeroes the session counters, so flushing after every sweep never
+        double-counts; a failure keeps them for the next attempt and
+        counts a store failure instead of raising.
         """
-        path = self.directory / STATS_FILE
-        with _stats_lock(self.directory):
-            totals = _read_stats_file(path)
-            totals["hits"] += self.hits
-            totals["misses"] += self.misses
-            totals["deduped"] += self.deduped
-            totals["store_failures"] += self.store_failures
-            totals["sweeps"] += 1
-            flushed = _write_stats_file(path, totals)
-        if flushed:
+        counters = zip(_STAT_KEYS, (
+            self.hits, self.misses, self.deduped, self.store_failures, 1
+        ))
+        if self._write_session(counters):
             self.hits = self.misses = self.deduped = 0
             self.store_failures = 0
         else:
             self.store_failures += 1
+
+    def close(self) -> None:
+        """Write any pending hit recency and close the database.
+
+        Closing the directory's last connection leaves the database as
+        one self-contained file.  A failed recency write is not raised:
+        it only affects gc order.
+        """
+        if self._served:
+            self._write_session(())
+        with self._lock:
+            if self._db is not None:
+                self._db.close()
+                self._db = None
+
+    # -- reporting ---------------------------------------------------------
+
+    def entry_count(self) -> int:
+        """Number of entries currently in the database."""
+        with self._lock:
+            return int(self._connection().execute(_TOTALS).fetchone()[0])
 
     def describe(self) -> str:
         """One-line hit/miss summary, e.g. for the sweep CLI.

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Protocol
 
+from repro.engine.cache import DB_FILE
 from repro.engine.grids import ShardSpec
 from repro.engine.results import BatchResult
 from repro.engine.orchestrator.workers import OrchestratorError, WorkerSpec
@@ -286,19 +287,21 @@ class SSHWorkerBackend(LocalWorkerBackend):
     async def warm(self, worker: WorkerSpec) -> None:
         """Ship the local cache directory to the worker (tar over ssh).
 
-        Best-effort pre-start warm: a worker that already holds the
-        entries just overwrites them with identical bytes (the cache is
-        content-addressed), and a failed warm costs only recomputation.
+        Best-effort pre-start warm: the shipped database replaces the
+        worker's copy, and a failed warm costs only recomputation.  A
+        write-ahead log left on the worker by a killed sweep belongs to
+        the replaced file, so it is removed before the copy lands.
         """
         if not worker.is_remote or not self.cache:
             return None
-        remote_cache = f"{worker.repo}/.orchestrate-cache"
+        remote_cache = shlex.quote(f"{worker.repo}/.orchestrate-cache")
         argv = [
             "sh", "-c",
             f"tar -C {shlex.quote(self.cache)} -cf - . | "
             f"ssh {' '.join(self.ssh_options)} {shlex.quote(worker.host)} "
-            f"'mkdir -p {shlex.quote(remote_cache)} && "
-            f"tar -C {shlex.quote(remote_cache)} -xf -'",
+            f"'mkdir -p {remote_cache} && rm -f "
+            f"{remote_cache}/{DB_FILE}-wal {remote_cache}/{DB_FILE}-shm && "
+            f"tar -C {remote_cache} -xf -'",
         ]
         returncode, _stdout, stderr = await _run_process(argv)
         if returncode != 0:

@@ -147,7 +147,7 @@ class BatchResult:
         return {
             "version": FORMAT_VERSION,
             "cases": self.case_count,
-            "records": [asdict(record) for record in self.records],
+            "records": [record.to_data() for record in self.records],
             "summaries": [asdict(summary) for summary in self.summaries()],
         }
 

@@ -30,7 +30,6 @@ bytes the in-memory path would have exported.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from typing import Iterator, Protocol, runtime_checkable
 
 from repro.analysis.sweep import SweepRecord
@@ -68,7 +67,7 @@ def record_to_line(record: SweepRecord) -> str:
     the ``records`` array, so a spool line and an export entry are the
     same bytes modulo whitespace.
     """
-    return json.dumps(asdict(record), sort_keys=True)
+    return json.dumps(record.to_data(), sort_keys=True)
 
 
 class JsonlRecordSink:

@@ -1,7 +1,15 @@
 """Tests for the content-addressed result cache (repro.engine.cache)."""
 
-import json
 import linecache
+import os
+import signal
+import sqlite3
+import subprocess
+import sys
+import threading
+import time
+from contextlib import closing
+from pathlib import Path
 
 import pytest
 
@@ -16,10 +24,13 @@ from repro.engine import (
     Case,
     ProcessExecutor,
     ResultCache,
+    cache_gc,
+    cache_stats,
     run_batch,
     run_cases,
 )
 from repro.engine import executors as executors_module
+from repro.engine.cache import DB_FILE
 
 
 def _case(index, algorithm="att2", workload="ff", n=3, t=1, horizon=8,
@@ -45,6 +56,14 @@ def _small_batch():
 @pytest.fixture
 def cache(tmp_path):
     return ResultCache(tmp_path / "cache")
+
+
+def _raw(cache):
+    """A second connection to *cache*'s database, e.g. to damage it."""
+    cache.entry_count()  # opens, and so creates, the database
+    return closing(
+        sqlite3.connect(cache.directory / DB_FILE, isolation_level=None)
+    )
 
 
 class TestSourceHash:
@@ -277,43 +296,94 @@ class TestCorruptionRecovery:
     def test_corrupted_entry_is_a_miss_and_heals(self, cache):
         cases = _small_batch()
         cold = run_cases(cases, cache=cache)
-        cache.path_for(cases[0]).write_text("{not json")
+        with _raw(cache) as db:
+            db.execute(
+                "UPDATE entries SET record = '{not json' WHERE key = ?",
+                (cache.case_key(cases[0]),),
+            )
         assert run_cases(cases, cache=cache) == cold
         assert cache.misses == 3 + 1
         run_cases(cases, cache=cache)
         assert cache.hits == 2 + 3  # healed: third run is all hits
 
-    def test_store_failure_never_aborts_a_sweep(self, cache, monkeypatch):
-        # The cache costs only time: an unwritable store (read-only dir,
-        # full disk) is counted, not raised.
-        import repro.engine.cache as cache_module
-
-        def refuse(src, dst):
-            raise OSError("read-only file system")
-
-        monkeypatch.setattr(cache_module.os, "replace", refuse)
+    def test_store_failure_never_aborts_a_sweep(self, cache):
+        # The cache costs only time: a failing store (read-only
+        # directory, full disk) is counted, not raised.
+        with _raw(cache) as db:
+            db.execute(
+                "CREATE TRIGGER refuse BEFORE INSERT ON entries "
+                "BEGIN SELECT RAISE(ABORT, 'disk full'); END"
+            )
         cases = _small_batch()
         records = run_cases(cases, cache=cache)
-        assert len(records) == 3
+        assert records == run_cases(cases)
         assert cache.store_failures == 3
         assert cache.entry_count() == 0
         assert "3 store failures" in cache.describe()
 
     def test_version_or_key_skew_is_a_miss(self, cache):
-        case = _case(0)
-        run_cases([case], cache=cache)
-        path = cache.path_for(case)
-        data = json.loads(path.read_text())
-        data["version"] = 999
-        path.write_text(json.dumps(data))
-        run_cases([case], cache=cache)
-        assert cache.misses == 2
+        # A row written by another record version (an unknown field), or
+        # one naming an algorithm other than its key's, is never served.
+        first, second = _case(0), _case(1, algorithm="floodset")
+        run_cases([first, second], cache=cache)
+        with _raw(cache) as db:
+            db.execute(
+                "UPDATE entries SET record = json_set(record, '$.version', "
+                "999) WHERE key = ?", (cache.case_key(first),),
+            )
+            db.execute(
+                "UPDATE entries SET algorithm = 'att2' WHERE key = ?",
+                (cache.case_key(second),),
+            )
+        run_cases([first, second], cache=cache)
+        assert (cache.hits, cache.misses) == (0, 4)
+        run_cases([first, second], cache=cache)
+        assert cache.hits == 2  # both rows healed by the recompute
+
+
+class TestDurability:
+    def test_sigkilled_process_keeps_every_finished_store(self, tmp_path):
+        # A shard killed mid-sweep must leave every entry it finished:
+        # the orchestrator's retry warm-hits them.  The child kills
+        # itself right after its third store, so no timer races it.
+        import repro
+
+        child = (
+            "import os, signal, sys\n"
+            "sys.path.insert(0, sys.argv[2])\n"
+            "from test_cache import _small_batch\n"
+            "from repro.engine import ResultCache, run_cases\n"
+            "cases = _small_batch()\n"
+            "cache = ResultCache(sys.argv[1])\n"
+            "for case, record in zip(cases, run_cases(cases)):\n"
+            "    cache.store(case, record)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        directory = tmp_path / "cache"
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(directory),
+             str(Path(__file__).parent)],
+            env=env, timeout=120,
+        )
+        assert proc.returncode == -signal.SIGKILL
+        # The commits sit in the write-ahead log nobody checkpointed.
+        assert (directory / f"{DB_FILE}-wal").exists()
+
+        fresh = ResultCache(directory)
+        cases = _small_batch()
+        assert run_cases(cases, cache=fresh) == run_cases(cases)
+        assert (fresh.hits, fresh.misses) == (3, 0)
+        with _raw(fresh) as db:
+            assert db.execute("PRAGMA integrity_check").fetchall() == [
+                ("ok",)
+            ]
+        fresh.close()
 
 
 class TestStats:
     def test_flush_accumulates_lifetime_counters(self, cache, tmp_path):
-        from repro.engine import cache_stats
-
         cases = _small_batch()
         run_cases(cases, cache=cache)
         cache.flush_stats()
@@ -331,8 +401,6 @@ class TestStats:
     def test_repeated_flush_never_double_counts(self, cache):
         # One long-lived cache object flushed after every sweep: each
         # flush folds only the activity since the previous one.
-        from repro.engine import cache_stats
-
         cases = _small_batch()
         run_cases(cases, cache=cache)
         cache.flush_stats()
@@ -342,53 +410,44 @@ class TestStats:
         assert (stats["hits"], stats["misses"]) == (3, 3)
         assert stats["sweeps"] == 2
 
-    def test_stats_file_never_counts_as_an_entry(self, cache):
+    def test_counters_never_count_as_entries(self, cache):
         run_cases(_small_batch(), cache=cache)
         cache.flush_stats()
         assert cache.entry_count() == 3
+        assert cache_stats(cache.directory)["entries"] == 3
 
-    def test_concurrent_flushes_merge_instead_of_racing(
-        self, cache, monkeypatch
+    def test_flush_blocks_on_a_held_write_transaction_then_merges(
+        self, cache
     ):
-        # Regression: flush_stats used to do an unlocked read-modify-
-        # write of stats.json, so two shards flushing concurrently lost
-        # one delta.  The interleaving is forced deterministically: the
-        # first flusher pauses inside its read (under the lock), the
-        # second flushes meanwhile — it must block until the first is
-        # done and then merge on top of the first's totals.
-        import threading
-
-        from repro.engine import cache_stats
-        from repro.engine import cache as cache_module
-
+        # Two connections to one directory.  The first flusher pauses
+        # inside its write transaction; the second must block on
+        # SQLite's write lock, then add its delta on top of the first's
+        # totals — no delta is lost to a read-modify-write race.
         other = ResultCache(cache.directory)
         cache.hits, cache.misses = 3, 1
         other.hits, other.misses = 0, 5
+        inside = threading.Event()
+        release = threading.Event()
 
-        real_read = cache_module._read_stats_file
-        first_inside = threading.Event()
-        release_first = threading.Event()
+        def pause(statement):
+            if ("INSERT INTO stats" in statement
+                    and threading.current_thread().name == "first-flusher"
+                    and not inside.is_set()):
+                inside.set()
+                release.wait(10)
 
-        def pausing_read(path):
-            totals = real_read(path)
-            if threading.current_thread().name == "first-flusher":
-                first_inside.set()
-                release_first.wait(10)
-            return totals
-
-        monkeypatch.setattr(
-            cache_module, "_read_stats_file", pausing_read
-        )
+        with cache._lock:
+            cache._connection().set_trace_callback(pause)
         first = threading.Thread(
             target=cache.flush_stats, name="first-flusher"
         )
         first.start()
-        assert first_inside.wait(10)
+        assert inside.wait(10)
         second = threading.Thread(target=other.flush_stats)
         second.start()
         second.join(0.3)
         assert second.is_alive(), "second flusher should block on the lock"
-        release_first.set()
+        release.set()
         first.join(10)
         second.join(10)
         assert not first.is_alive() and not second.is_alive()
@@ -398,31 +457,93 @@ class TestStats:
         assert stats["sweeps"] == 2
         # both flushers zeroed their session counters on success
         assert (cache.hits, other.misses) == (0, 0)
+        assert (cache.store_failures, other.store_failures) == (0, 0)
+
+    def test_concurrent_sessions_lose_no_store_and_no_count(self, cache):
+        # More sessions than cores, each on its own connection, storing
+        # distinct entries and flushing between stores under a short
+        # switch interval: a lost write or counter update breaks the
+        # totals.
+        (record,) = run_cases([_case(0)])
+        sessions, rounds = 6, 20
+
+        def session(worker):
+            mine = ResultCache(cache.directory)
+            for i in range(rounds):
+                case = _case(i, proposals=(worker, i, 0))
+                mine.store(case, record)
+                mine.misses += 1
+                mine.flush_stats()
+            mine.close()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=session, args=(worker,))
+                for worker in range(sessions)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = cache_stats(cache.directory)
+        assert stats["entries"] == sessions * rounds
+        assert stats["misses"] == sessions * rounds
+        assert stats["sweeps"] == sessions * rounds
+        assert stats["store_failures"] == 0
 
     def test_unswept_directory_reports_no_rate(self, cache):
-        from repro.engine import cache_stats
-
         stats = cache_stats(cache.directory)
         assert stats["entries"] == 0
         assert stats["hit_rate"] is None
 
-    def test_corrupt_stats_file_reads_as_zeros(self, cache):
-        from repro.engine import cache_stats
-        from repro.engine.cache import STATS_FILE
-
+    def test_corrupt_counters_read_as_zeros(self, cache):
         run_cases(_small_batch(), cache=cache)
-        (cache.directory / STATS_FILE).write_text("{not json")
+        cache.flush_stats()
+        with _raw(cache) as db:
+            db.execute("UPDATE stats SET value = 'garbage'")
+            db.execute(
+                "INSERT INTO stats (name, value) VALUES ('last_gc', '{no')"
+            )
         stats = cache_stats(cache.directory)
         assert stats["entries"] == 3
-        assert stats["sweeps"] == 0
-        cache.flush_stats()  # heals: next flush rewrites from zeros
+        assert (stats["misses"], stats["sweeps"]) == (0, 0)
+        assert stats["last_gc"] is None
+        cache.flush_stats()  # heals: the next flush adds onto zero
         assert cache_stats(cache.directory)["sweeps"] == 1
 
     def test_missing_directory_raises_oserror(self, tmp_path):
-        from repro.engine import cache_stats
-
         with pytest.raises(OSError, match="not a cache directory"):
             cache_stats(tmp_path / "absent")
+
+    def test_stats_and_gc_on_an_empty_directory_create_nothing(
+        self, tmp_path
+    ):
+        ResultCache(tmp_path / "cache")  # opened lazily: never used
+        assert list((tmp_path / "cache").iterdir()) == []
+        stats = cache_stats(tmp_path / "cache")
+        assert (stats["entries"], stats["sweeps"]) == (0, 0)
+        assert stats["last_gc"] is None
+        summary = cache_gc(tmp_path / "cache", max_bytes=0, now=5.0)
+        assert summary == {
+            "at": 5.0, "removed": 0, "removed_bytes": 0,
+            "remaining": 0, "remaining_bytes": 0,
+        }
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_closed_cache_is_one_file(self, cache):
+        cases = _small_batch()
+        run_cases(cases, cache=cache)
+        cache.flush_stats()
+        cache.close()
+        assert [p.name for p in cache.directory.iterdir()] == [DB_FILE]
+        run_cases(cases, cache=cache)  # a closed cache reopens on use
+        assert cache.hits == 3
+        cache.close()
 
 
 class TestColdWarmIdenticalJson:
@@ -444,46 +565,44 @@ class TestColdWarmIdenticalJson:
         assert warm.to_json() == cold.to_json()
 
 
+
 class TestCacheGc:
     """Age- and size-bounded eviction (``repro cache gc``)."""
 
-    def _filled(self, cache, mtimes):
-        """Store one entry per mtime (oldest first) and stamp its mtime."""
-        import os
-
-        paths = []
-        for i, mtime in enumerate(mtimes):
+    def _filled(self, cache, used):
+        """Store one entry per last-used time (oldest first); their keys."""
+        keys = []
+        for i, when in enumerate(used):
             case = _case(i, workload=f"gc-{i}", proposals=(i, i, i))
             run_cases([case], cache=cache)
-            path = cache.path_for(case)
-            assert path is not None and path.exists()
-            os.utime(path, (mtime, mtime))
-            paths.append(path)
-        return paths
+            keys.append(cache.case_key(case))
+        with _raw(cache) as db:
+            db.executemany(
+                "UPDATE entries SET used = ? WHERE key = ?",
+                zip(used, keys),
+            )
+        return keys
+
+    def _sizes(self, cache):
+        """Key -> size of every stored entry."""
+        with _raw(cache) as db:
+            return dict(db.execute("SELECT key, size FROM entries"))
 
     def test_requires_at_least_one_bound(self, cache):
-        from repro.engine import cache_gc
-
         with pytest.raises(ValueError, match="at least one bound"):
             cache_gc(cache.directory)
 
     def test_negative_bounds_rejected(self, cache):
-        from repro.engine import cache_gc
-
         with pytest.raises(ValueError, match="max_age_days"):
             cache_gc(cache.directory, max_age_days=-1)
         with pytest.raises(ValueError, match="max_bytes"):
             cache_gc(cache.directory, max_bytes=-5)
 
     def test_missing_directory_raises_oserror(self, tmp_path):
-        from repro.engine import cache_gc
-
         with pytest.raises(OSError, match="not a cache directory"):
             cache_gc(tmp_path / "nope", max_bytes=0)
 
     def test_age_eviction(self, cache):
-        from repro.engine import cache_gc
-
         now = 1_000_000.0
         day = 86400.0
         old, older, fresh = self._filled(
@@ -491,35 +610,28 @@ class TestCacheGc:
         )
         summary = cache_gc(cache.directory, max_age_days=30, now=now)
         assert summary["removed"] == 2
-        assert not old.exists() and not older.exists()
-        assert fresh.exists()
+        assert set(self._sizes(cache)) == {fresh}
         assert summary["remaining"] == 1
 
     def test_lru_size_eviction_removes_oldest_first(self, cache):
-        from repro.engine import cache_gc
-
-        paths = self._filled(cache, [100.0, 200.0, 300.0])
-        sizes = [path.stat().st_size for path in paths]
+        keys = self._filled(cache, [100.0, 200.0, 300.0])
+        sizes = self._sizes(cache)
         # Bound that forces exactly the two oldest out.
         summary = cache_gc(
-            cache.directory, max_bytes=sizes[2], now=1000.0
+            cache.directory, max_bytes=sizes[keys[2]], now=1000.0
         )
         assert summary["removed"] == 2
-        assert not paths[0].exists() and not paths[1].exists()
-        assert paths[2].exists()
-        assert summary["remaining_bytes"] == sizes[2]
+        assert summary["removed_bytes"] == sizes[keys[0]] + sizes[keys[1]]
+        assert set(self._sizes(cache)) == {keys[2]}
+        assert summary["remaining_bytes"] == sizes[keys[2]]
 
     def test_max_bytes_zero_empties_the_cache(self, cache):
-        from repro.engine import cache_gc, cache_stats
-
         self._filled(cache, [100.0, 200.0])
         summary = cache_gc(cache.directory, max_bytes=0, now=1000.0)
         assert summary["removed"] == 2
         assert cache_stats(cache.directory)["entries"] == 0
 
     def test_gc_preserves_lifetime_counters_and_is_reported(self, cache):
-        from repro.engine import cache_gc, cache_stats
-
         self._filled(cache, [100.0, 200.0])
         cache.flush_stats()
         before = cache_stats(cache.directory)
@@ -527,7 +639,7 @@ class TestCacheGc:
         stats = cache_stats(cache.directory)
         # counters survive the gc, and the gc survives a counter flush
         assert stats["misses"] == before["misses"]
-        assert stats["last_gc"]["removed"] == summary["removed"]
+        assert stats["last_gc"] == summary
         assert stats["last_gc"]["at"] == 1234.5
         fresh = ResultCache(cache.directory)
         fresh.lookup(_case(9, proposals=(9, 9, 9)))  # a miss
@@ -535,70 +647,65 @@ class TestCacheGc:
         assert cache_stats(cache.directory)["last_gc"]["at"] == 1234.5
 
     def test_warm_hit_entry_survives_size_bounded_gc(self, cache):
-        # Regression: lookup never touched an entry on hit, so the
-        # "LRU" size bound ordered by store time and evicted the cache's
-        # hottest entries first.  The *older-stored* entry is served
-        # once; the size-bounded gc must then evict the colder (but
-        # newer-stored) one instead.
-        import time
-
-        from repro.engine import cache_gc
-
-        warm_path, cold_path = self._filled(cache, [100.0, 200.0])
+        # The *older-stored* entry is served once, by a session that is
+        # closed before the gc; the size-bounded gc must then evict the
+        # colder (but newer-stored) entry instead.
+        warm, cold = self._filled(cache, [100.0, 200.0])
         warm_case = _case(0, workload="gc-0", proposals=(0, 0, 0))
         fresh = ResultCache(cache.directory)
-        assert fresh.lookup(warm_case) is not None  # hit touches mtime
-        assert warm_path.stat().st_mtime > cold_path.stat().st_mtime
+        assert fresh.lookup(warm_case) is not None
+        fresh.close()  # writes the hit's recency
+        with _raw(cache) as db:
+            used = dict(db.execute("SELECT key, used FROM entries"))
+        assert used[warm] > used[cold]
         summary = cache_gc(
             cache.directory,
-            max_bytes=warm_path.stat().st_size,
+            max_bytes=self._sizes(cache)[warm],
             now=time.time(),
         )
         assert summary["removed"] == 1
-        assert warm_path.exists()
-        assert not cold_path.exists()
+        assert set(self._sizes(cache)) == {warm}
 
-    def test_touch_failure_on_hit_is_swallowed(self, cache, monkeypatch):
-        import os as os_module
-
+    def test_recency_write_failure_on_hit_is_swallowed(self, cache):
         case = _case(0, workload="touchy", proposals=(2, 2, 2))
         (record,) = run_cases([case], cache=cache)
-
-        def refuse(path, *args, **kwargs):
-            raise OSError("read-only share")
-
-        monkeypatch.setattr(os_module, "utime", refuse)
+        with _raw(cache) as db:
+            db.execute(
+                "CREATE TRIGGER refuse BEFORE UPDATE ON entries "
+                "BEGIN SELECT RAISE(ABORT, 'read-only share'); END"
+            )
         fresh = ResultCache(cache.directory)
         assert fresh.lookup(case) == record
         assert fresh.hits == 1
+        fresh.flush_stats()  # counted, never raised
+        assert (fresh.hits, fresh.store_failures) == (1, 1)
+        fresh.close()
 
     def test_gc_survivors_still_hit(self, cache):
-        from repro.engine import cache_gc
-
         case = _case(0, workload="keeper", proposals=(7, 7, 7))
         (record,) = run_cases([case], cache=cache)
-        cache_gc(cache.directory, max_age_days=365,
-                 now=__import__("time").time())
+        cache_gc(cache.directory, max_age_days=365, now=time.time())
         fresh = ResultCache(cache.directory)
         assert fresh.lookup(case) == record
         assert fresh.hits == 1
 
-    def test_gc_never_touches_non_entry_files(self, cache):
-        # `cache gc` is destructive; a mistyped directory containing
-        # two-character subdirs with ordinary JSON (ui/theme.json, ...)
-        # must come through a max_bytes=0 sweep untouched.
-        from repro.engine import cache_gc, cache_stats
-
+    def test_gc_never_touches_foreign_files(self, cache):
+        # `cache gc` is destructive, but only inside its database: a
+        # mistyped directory's files — and the entries and counters of
+        # an old one-file-per-entry cache — come through untouched.
         root = cache.directory
         (root / "ui").mkdir()
         bystander = root / "ui" / "theme.json"
         bystander.write_text('{"color": "blue"}', encoding="utf-8")
-        truncated = root / "ab" / ("c" * 64 + ".json")  # wrong prefix
-        truncated.parent.mkdir()
-        truncated.write_text("{}", encoding="utf-8")
+        old_entry = root / "ab" / ("ab" + "c" * 62 + ".json")
+        old_entry.parent.mkdir()
+        old_entry.write_text("{}", encoding="utf-8")
+        old_stats = root / "stats.json"
+        old_stats.write_text('{"sweeps": 4}', encoding="utf-8")
         self._filled(cache, [100.0])
         summary = cache_gc(cache.directory, max_bytes=0, now=1000.0)
         assert summary["removed"] == 1  # only the genuine entry
         assert bystander.exists()
-        assert truncated.exists()
+        assert old_entry.exists()
+        assert old_stats.exists()
         assert cache_stats(cache.directory)["entries"] == 0

@@ -328,6 +328,33 @@ class TestDriverWarm:
         warm_events = [event for event in events if event.kind == "warm"]
         assert any("continuing" in event.detail for event in warm_events)
 
+    def test_ssh_warm_drops_a_stale_write_ahead_log_first(
+        self, monkeypatch
+    ):
+        # A log left by a killed sweep on the worker belongs to the
+        # database file the warm replaces; replayed onto the shipped
+        # file it would corrupt it.
+        from repro.engine.orchestrator import SSHWorkerBackend, backends
+
+        commands = []
+
+        async def record(argv, **_kwargs):
+            commands.append(argv)
+            return 0, b"", b""
+
+        monkeypatch.setattr(backends, "_run_process", record)
+        backend = SSHWorkerBackend(
+            grid_args=(), workdir="work", cache=".sweep-cache"
+        )
+        far = WorkerSpec(name="far", host="far", repo="/srv/repro")
+        asyncio.run(backend.warm(far))
+        (argv,) = commands
+        script = argv[-1]
+        remote = "/srv/repro/.orchestrate-cache"
+        assert script.index(
+            f"rm -f {remote}/cache.sqlite3-wal {remote}/cache.sqlite3-shm"
+        ) < script.index(f"tar -C {remote} -xf -")
+
 
 class TestDriverValidation:
     def test_rejects_empty_worker_list(self):

@@ -194,6 +194,26 @@ class TestSweepCache:
         out = self._run(capsys, ["--cache", cache_dir, "--no-cache"])
         assert "cache:" not in out
 
+    def test_garbage_database_costs_only_time(self, capsys, tmp_path):
+        # cache.sqlite3 overwritten with garbage: every lookup misses and
+        # every store fails, but the sweep completes byte-identically.
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / "cache.sqlite3").write_bytes(b"not a database\n" * 512)
+        cached_json = tmp_path / "cached.json"
+        plain_json = tmp_path / "plain.json"
+        out = self._run(
+            capsys, ["--cache", str(cache_dir), "--json", str(cached_json)]
+        )
+        self._run(capsys, ["--json", str(plain_json)])
+        assert cached_json.read_bytes() == plain_json.read_bytes()
+        cases = int(out.splitlines()[0].split()[1])
+        assert (
+            f"cache: 0 hits, {cases} misses, {cases} store failures" in out
+        )
+        with pytest.raises(SystemExit, match="unreadable cache database"):
+            main(["cache", "stats", str(cache_dir)])
+
     def test_unusable_cache_dir_fails_cleanly(self, tmp_path):
         # A file where the cache directory should go: clean SystemExit,
         # not a Path.mkdir traceback.
