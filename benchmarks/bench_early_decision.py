@@ -12,37 +12,31 @@ import pytest
 
 from repro import ATt2, EarlyDecidingSCS
 from repro.analysis.tables import format_table
-from repro.lowerbound.serial_runs import (
-    enumerate_serial_partial_runs,
-    run_with_events,
-)
+from repro.lowerbound.adversary import AdversaryBudget, run_leaves
 
 from conftest import emit
 
 
+def worst_by_crash_count(factory, n, t):
+    """Worst global decision round per crash count over every serial run."""
+    worst = [0] * (t + 1)
+    for events, trace in run_leaves(
+        factory, list(range(n)), t=t,
+        budget=AdversaryBudget.serial(t, t + 2), horizon=t + 9,
+    ):
+        f = len(events)
+        worst[f] = max(worst[f], trace.global_decision_round())
+    return worst
+
+
 def early_decision_census(n, t):
     """Worst global decision round among serial runs with exactly f crashes."""
-    rows = []
-    for f in range(t + 1):
-        worst_es = 0
-        worst_scs = 0
-        for events in enumerate_serial_partial_runs(n, t, t + 2):
-            if len(events) != f:
-                continue
-            trace = run_with_events(
-                ATt2.factory(), list(range(n)), events,
-                t=t, horizon=t + 9,
-            )
-            worst_es = max(worst_es, trace.global_decision_round())
-            scs_trace = run_with_events(
-                EarlyDecidingSCS, list(range(n)), events,
-                t=t, horizon=t + 9,
-            )
-            worst_scs = max(worst_scs, scs_trace.global_decision_round())
-        rows.append(
-            (f, worst_es, f + 2, worst_scs, min(f + 2, t + 1))
-        )
-    return rows
+    worst_es = worst_by_crash_count(ATt2.factory(), n, t)
+    worst_scs = worst_by_crash_count(EarlyDecidingSCS, n, t)
+    return [
+        (f, worst_es[f], f + 2, worst_scs[f], min(f + 2, t + 1))
+        for f in range(t + 1)
+    ]
 
 
 @pytest.mark.parametrize("n,t", [(3, 1), (4, 1)])

@@ -13,7 +13,7 @@ import pytest
 
 from repro import ADiamondS, ATt2, ATt2Optimized, ChandraTouegES, HurfinRaynalES
 from repro.analysis.tables import format_table
-from repro.lowerbound.serial_runs import worst_case_serial
+from repro.lowerbound.model_check import worst_case_serial
 
 from conftest import emit
 

@@ -10,10 +10,8 @@ minimal-ish witness schedule, printed below.
 
 from repro import ATt2, ATt2Optimized, FloodSetWS, HurfinRaynalES
 from repro.analysis.tables import format_table
-from repro.lowerbound.model_check import (
-    AdversaryBudget,
-    check_consensus_safety,
-)
+from repro.lowerbound.adversary import AdversaryBudget
+from repro.lowerbound.model_check import check_consensus_safety
 
 from conftest import emit
 

@@ -6,8 +6,14 @@ final step (Claim 5.1, Figure 1) in which carefully delayed messages make
 asynchronous runs indistinguishable from synchronous ones.  This package
 makes each ingredient executable against any algorithm automaton:
 
-* :mod:`repro.lowerbound.serial_runs` — exhaustive enumeration of serial
-  partial runs and their extensions;
+* :mod:`repro.lowerbound.adversary` — the one adversary walk: path types
+  (crash and delay events), :class:`AdversaryBudget` (a serial run is the
+  budget with t crashes and no delays), one move generator, a depth-first
+  walk from an optional prefix, one path → schedule builder and one leaf
+  runner.  Every module below is a query over it;
+* :mod:`repro.lowerbound.model_check` — folds over the walk: worst/best
+  decision round over every serial run (Proposition 1, Lemma 13) and
+  validity + agreement against bounded asynchronous adversaries;
 * :mod:`repro.lowerbound.valency` — decision-value sets (0-valent /
   1-valent / bivalent) of partial runs, computed by exhaustive extension;
 * :mod:`repro.lowerbound.bivalency` — Lemma 3 (bivalent initial
@@ -19,6 +25,14 @@ makes each ingredient executable against any algorithm automaton:
   indistinguishability claims.
 """
 
+from repro.lowerbound.adversary import (
+    AdversaryBudget,
+    CrashEvent,
+    DelayEvent,
+    build_schedule,
+    run_leaves,
+    walk,
+)
 from repro.lowerbound.bivalency import (
     find_bivalent_initial,
     find_bivalent_serial_prefix,
@@ -27,24 +41,19 @@ from repro.lowerbound.bivalency import (
 from repro.lowerbound.figure1 import FigureOneReport, build_figure_one
 from repro.lowerbound.indistinguishability import distinguishers
 from repro.lowerbound.model_check import (
-    AdversaryBudget,
     CheckResult,
     check_consensus_safety,
-)
-from repro.lowerbound.serial_runs import (
-    CrashEvent,
-    enumerate_serial_extensions,
-    enumerate_serial_partial_runs,
-    schedule_from_events,
     worst_case_serial,
 )
 from repro.lowerbound.valency import classify_partial_runs, valency
 
 __all__ = [
     "CrashEvent",
-    "schedule_from_events",
-    "enumerate_serial_partial_runs",
-    "enumerate_serial_extensions",
+    "DelayEvent",
+    "AdversaryBudget",
+    "walk",
+    "build_schedule",
+    "run_leaves",
     "worst_case_serial",
     "valency",
     "classify_partial_runs",
@@ -54,7 +63,6 @@ __all__ = [
     "distinguishers",
     "FigureOneReport",
     "build_figure_one",
-    "AdversaryBudget",
     "CheckResult",
     "check_consensus_safety",
 ]

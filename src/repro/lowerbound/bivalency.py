@@ -7,8 +7,8 @@
   performs exactly this walk.
 * Lemma 4: a bivalent (t−1)-round serial partial run exists.
   :func:`find_bivalent_serial_prefix` searches for a bivalent k-round
-  prefix by greedy extension of bivalent prefixes (trying every one-round
-  serial option), mirroring the induction.
+  prefix by greedy extension of bivalent prefixes (walking every one-round
+  serial extension), mirroring the induction.
 * Lemma 5: A bivalent *t*-round serial partial run exists for indulgent
   algorithms — found by the same search with ``target_round=t`` — whereas
   the t + 1-round-deciding FloodSet in SCS has none (Lemma 2's
@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.algorithms.base import AlgorithmFactory
-from repro.lowerbound.serial_runs import Events, one_round_options
-from repro.lowerbound.valency import valency
+from repro.lowerbound.adversary import AdversaryBudget, Path, walk
+from repro.lowerbound.valency import is_bivalent, valency
 from repro.types import Round, Value
 
 
@@ -80,40 +80,26 @@ def find_bivalent_serial_prefix(
     t: int,
     target_round: Round,
     crash_rounds_limit: Round | None = None,
-) -> Events | None:
+) -> Path | None:
     """A bivalent *target_round*-round serial partial run, or ``None``.
 
     Depth-first search over serial prefixes keeping only bivalent ones, as
-    in the Lemma-4 induction.  ``target_round = 0`` asks whether the
+    in the Lemma-4 induction: the children of a k-round prefix are its
+    one-round walk to round k + 1.  ``target_round = 0`` asks whether the
     initial configuration itself is bivalent.
     """
     n = len(proposals)
 
-    def bivalent(events: Events, k: Round) -> bool:
-        return (
-            len(
-                valency(
-                    factory,
-                    proposals,
-                    events,
-                    t=t,
-                    prefix_rounds=k,
-                    crash_rounds_limit=crash_rounds_limit,
-                )
-            )
-            > 1
-        )
-
-    def extend(events: Events, k: Round) -> Events | None:
+    def extend(events: Path, k: Round) -> Path | None:
+        if not is_bivalent(factory, proposals, events, t=t, prefix_rounds=k,
+                           crash_rounds_limit=crash_rounds_limit):
+            return None
         if k == target_round:
             return events
-        for option in one_round_options(n, t, events, k + 1):
-            if bivalent(option, k + 1):
-                found = extend(option, k + 1)
-                if found is not None:
-                    return found
+        for child in walk(n, t, AdversaryBudget.serial(t, k + 1), events, k):
+            found = extend(child, k + 1)
+            if found is not None:
+                return found
         return None
 
-    if not bivalent((), 0):
-        return None
     return extend((), 0)

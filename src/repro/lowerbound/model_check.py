@@ -1,14 +1,16 @@
-"""Bounded exhaustive model checking of consensus safety in ES.
+"""Exhaustive checks over the adversary walk: decision rounds and safety.
 
-The serial-run enumeration (:mod:`repro.lowerbound.serial_runs`) covers
-every *synchronous* adversary; this module extends the exhaustive search
-to **asynchronous** adversaries with bounded budgets: up to
-``max_delays_per_round`` delayed messages in each of the first
-``async_rounds`` rounds, combined with up to ``max_crashes`` crashes (one
-per round).  Every complete schedule in the budget is executed and checked
-for validity and uniform agreement — if an algorithm has a safety bug
-reachable within the budget (as FloodSetWS does), the checker returns the
-witness schedule.
+:func:`worst_case_serial` folds every serial run into its worst and best
+global decision round: Proposition 1 says the worst is at least t + 2 for
+every indulgent algorithm, Lemma 13 that A_{t+2} attains exactly t + 2.
+
+:func:`check_consensus_safety` extends the search to **asynchronous**
+adversaries with bounded budgets: up to ``max_delays_per_round`` delayed
+messages in each of the first ``async_rounds`` rounds, combined with up to
+``max_crashes`` crashes (one per round).  Every complete schedule in the
+budget is executed and checked for validity and uniform agreement — if an
+algorithm has a safety bug reachable within the budget (as FloodSetWS
+does), the checker returns the witness schedule.
 
 This is how the paper's safety claims are verified against *all* small
 adversaries rather than sampled ones: false suspicions are exactly
@@ -19,37 +21,43 @@ delayed messages, so the budget directly bounds the amount of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.algorithms.base import AlgorithmFactory
 from repro.analysis.metrics import check_agreement, check_validity
-from repro.model.schedule import Schedule, ScheduleBuilder
-from repro.sim.kernel import run_algorithm
-from repro.types import ProcessId, Round, Value, validate_system_size
+from repro.lowerbound.adversary import AdversaryBudget, Path, run_leaves
+from repro.model.schedule import Schedule
+from repro.types import Round, Value
 
 
-@dataclass(frozen=True)
-class AdversaryBudget:
-    """Bounds on the explored adversary.
+def worst_case_serial(
+    factory: AlgorithmFactory,
+    proposals: Sequence[Value],
+    *,
+    t: int,
+    crash_rounds_limit: Round,
+    horizon: Round,
+) -> tuple[Round, Path, Round, Path]:
+    """Exhaustive worst/best-case global decision round over serial runs.
 
-    Attributes:
-        max_crashes: total crash budget (at most one crash per round, in
-            rounds 1..crash_rounds).
-        crash_rounds: last round in which a crash may be scheduled.
-        async_rounds: rounds 1..async_rounds may contain delayed messages
-            (the bounded asynchronous prefix; later rounds are
-            synchronous, so runs terminate).
-        max_delays_per_round: how many (sender → receiver) messages may be
-            delayed in one round.
-        delay_span: delayed messages arrive this many rounds late.
+    Explores every serial crash pattern with crashes in rounds
+    ``1 .. crash_rounds_limit`` and returns ``(worst_round, worst_events,
+    best_round, best_events)``.  Runs that do not decide within *horizon*
+    count as ``horizon + 1``.
     """
-
-    max_crashes: int = 1
-    crash_rounds: Round = 2
-    async_rounds: Round = 2
-    max_delays_per_round: int = 1
-    delay_span: Round = 1
+    worst, worst_events, best, best_events = -1, (), horizon + 2, ()
+    budget = AdversaryBudget.serial(t, crash_rounds_limit)
+    for events, trace in run_leaves(
+        factory, proposals, t=t, budget=budget, horizon=horizon
+    ):
+        global_round = trace.global_decision_round()
+        if global_round is None:
+            global_round = horizon + 1
+        if global_round > worst:
+            worst, worst_events = global_round, events
+        if global_round < best:
+            best, best_events = global_round, events
+    return worst, worst_events, best, best_events
 
 
 @dataclass(frozen=True)
@@ -68,89 +76,6 @@ class CheckResult:
         return self.violation is None
 
 
-@dataclass(frozen=True)
-class _Move:
-    """One round's adversary choice."""
-
-    crash: tuple[ProcessId, frozenset[ProcessId]] | None
-    delays: tuple[tuple[ProcessId, ProcessId], ...]
-
-
-def _round_moves(
-    n: int,
-    k: Round,
-    crashed: frozenset[ProcessId],
-    crash_budget: int,
-    budget: AdversaryBudget,
-) -> Iterator[_Move]:
-    alive = [p for p in range(n) if p not in crashed]
-    crash_options: list[tuple[ProcessId, frozenset[ProcessId]] | None]
-    crash_options = [None]
-    if crash_budget > 0 and k <= budget.crash_rounds:
-        for pid in alive:
-            receivers = [q for q in alive if q != pid]
-            for size in range(len(receivers) + 1):
-                for subset in combinations(receivers, size):
-                    crash_options.append((pid, frozenset(subset)))
-
-    for crash in crash_options:
-        crasher = crash[0] if crash else None
-        senders = [p for p in alive if p != crasher]
-        pairs = [
-            (s, r)
-            for s in senders
-            for r in alive
-            if r != s and r != crasher
-        ]
-        delay_sets: list[tuple[tuple[ProcessId, ProcessId], ...]] = [()]
-        if k <= budget.async_rounds:
-            for size in range(1, budget.max_delays_per_round + 1):
-                delay_sets.extend(combinations(pairs, size))
-        for delays in delay_sets:
-            yield _Move(crash=crash, delays=delays)
-
-
-def _schedules(
-    n: int,
-    t: int,
-    budget: AdversaryBudget,
-    horizon: Round,
-) -> Iterator[Schedule]:
-    last_move_round = max(budget.crash_rounds, budget.async_rounds)
-
-    def extend(
-        k: Round,
-        crashed: frozenset[ProcessId],
-        crash_budget: int,
-        moves: tuple[_Move, ...],
-    ) -> Iterator[tuple[_Move, ...]]:
-        if k > last_move_round:
-            yield moves
-            return
-        for move in _round_moves(n, k, crashed, crash_budget, budget):
-            new_crashed = crashed
-            new_budget = crash_budget
-            if move.crash is not None:
-                new_crashed = crashed | {move.crash[0]}
-                new_budget -= 1
-            yield from extend(
-                k + 1, new_crashed, new_budget, moves + (move,)
-            )
-
-    for moves in extend(1, frozenset(), min(budget.max_crashes, t), ()):
-        builder = ScheduleBuilder(n, t, horizon)
-        for index, move in enumerate(moves):
-            k = index + 1
-            if move.crash is not None:
-                pid, delivered = move.crash
-                builder.crash(pid, k, delivered_to=delivered)
-            for sender, receiver in move.delays:
-                until = min(k + budget.delay_span, horizon)
-                if until > k:
-                    builder.delay(sender, receiver, k, until)
-        yield builder.build()
-
-
 def check_consensus_safety(
     factory: AlgorithmFactory,
     proposals: Sequence[Value],
@@ -164,40 +89,27 @@ def check_consensus_safety(
     Termination is *not* asserted (the horizon may simply be too short for
     slow fallbacks); undecided runs are counted separately.  Returns the
     first violating schedule found, if any — FloodSetWS yields one within
-    the default budget, A_{t+2} must not.
+    the default budget, A_{t+2} must not.  The horizon defaults to
+    ``last_move_round + t + 12``.
     """
-    n = len(proposals)
-    validate_system_size(n, t)
-    budget = budget or AdversaryBudget()
-    sim_horizon = horizon or (
-        max(budget.crash_rounds, budget.async_rounds) + t + 12
-    )
+    budget = AdversaryBudget() if budget is None else budget
+    if horizon is None:
+        horizon = budget.last_move_round + t + 12
 
-    runs = 0
-    decided = 0
+    runs = decided = 0
     worst: Round | None = None
     best: Round | None = None
-    for schedule in _schedules(n, t, budget, sim_horizon):
+    for _path, trace in run_leaves(
+        factory, proposals, t=t, budget=budget, horizon=horizon
+    ):
         runs += 1
-        trace = run_algorithm(factory, schedule, proposals)
         problems = check_validity(trace) + check_agreement(trace)
         if problems:
-            return CheckResult(
-                runs=runs,
-                decided_runs=decided,
-                worst_global_round=worst,
-                best_global_round=best,
-                violation=schedule,
-                violation_detail=tuple(problems),
-            )
+            return CheckResult(runs, decided, worst, best, trace.schedule,
+                               tuple(problems))
         global_round = trace.global_decision_round()
         if global_round is not None:
             decided += 1
             worst = global_round if worst is None else max(worst, global_round)
             best = global_round if best is None else min(best, global_round)
-    return CheckResult(
-        runs=runs,
-        decided_runs=decided,
-        worst_global_round=worst,
-        best_global_round=best,
-    )
+    return CheckResult(runs, decided, worst, best)

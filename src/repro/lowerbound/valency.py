@@ -16,19 +16,14 @@ from typing import Sequence
 
 from repro.algorithms.base import AlgorithmFactory
 from repro.errors import SimulationError
-from repro.lowerbound.serial_runs import (
-    Events,
-    enumerate_serial_extensions,
-    enumerate_serial_partial_runs,
-    run_with_events,
-)
+from repro.lowerbound.adversary import AdversaryBudget, Path, run_leaves, walk
 from repro.types import Round, Value
 
 
 def valency(
     factory: AlgorithmFactory,
     proposals: Sequence[Value],
-    events: Events,
+    events: Path,
     *,
     t: int,
     prefix_rounds: Round,
@@ -39,7 +34,9 @@ def valency(
 
     Args:
         events: the crash events of the k-round serial partial run
-            (k = *prefix_rounds*; all event rounds must be <= k).
+            (k = *prefix_rounds*; all event rounds must be <= k, with at
+            most one crash per round and per process — ``ValueError``
+            otherwise).
         crash_rounds_limit: last round in which extensions may crash
             (default t + 2).
         horizon: simulated horizon (default crash_rounds_limit + 4, enough
@@ -51,16 +48,13 @@ def valency(
         or a too-small horizon — never expected for the shipped
         algorithms).
     """
-    n = len(proposals)
     limit = (t + 2) if crash_rounds_limit is None else crash_rounds_limit
     sim_horizon = (limit + 4) if horizon is None else horizon
     values: set[Value] = set()
-    for extension in enumerate_serial_extensions(
-        n, t, events, from_round=prefix_rounds + 1, upto_round=limit
+    for extension, trace in run_leaves(
+        factory, proposals, t=t, budget=AdversaryBudget.serial(t, limit),
+        horizon=sim_horizon, prefix=events, prefix_rounds=prefix_rounds,
     ):
-        trace = run_with_events(
-            factory, proposals, extension, t=t, horizon=sim_horizon
-        )
         decided = trace.decided_values()
         if not decided:
             raise SimulationError(
@@ -76,25 +70,16 @@ def valency(
 def is_bivalent(
     factory: AlgorithmFactory,
     proposals: Sequence[Value],
-    events: Events,
+    events: Path,
     *,
     t: int,
     prefix_rounds: Round,
     crash_rounds_limit: Round | None = None,
 ) -> bool:
-    return (
-        len(
-            valency(
-                factory,
-                proposals,
-                events,
-                t=t,
-                prefix_rounds=prefix_rounds,
-                crash_rounds_limit=crash_rounds_limit,
-            )
-        )
-        > 1
-    )
+    """Whether both decisions are reachable (see :func:`valency`)."""
+    return len(valency(factory, proposals, events, t=t,
+                       prefix_rounds=prefix_rounds,
+                       crash_rounds_limit=crash_rounds_limit)) > 1
 
 
 def classify_partial_runs(
@@ -104,7 +89,7 @@ def classify_partial_runs(
     t: int,
     prefix_rounds: Round,
     crash_rounds_limit: Round | None = None,
-) -> list[tuple[Events, frozenset[Value]]]:
+) -> list[tuple[Path, frozenset[Value]]]:
     """Valency of **every** *prefix_rounds*-round serial partial run.
 
     The executable form of the paper's Lemma 2 / Lemma 5 dichotomy: for a
@@ -113,20 +98,10 @@ def classify_partial_runs(
     serial partial run is bivalent — the certificate that one more round
     is unavoidable.
     """
-    n = len(proposals)
-    results = []
-    for events in enumerate_serial_partial_runs(n, t, prefix_rounds):
-        results.append(
-            (
-                events,
-                valency(
-                    factory,
-                    proposals,
-                    events,
-                    t=t,
-                    prefix_rounds=prefix_rounds,
-                    crash_rounds_limit=crash_rounds_limit,
-                ),
-            )
-        )
-    return results
+    return [
+        (events, valency(factory, proposals, events, t=t,
+                         prefix_rounds=prefix_rounds,
+                         crash_rounds_limit=crash_rounds_limit))
+        for events in walk(len(proposals), t,
+                           AdversaryBudget.serial(t, prefix_rounds))
+    ]

@@ -4,10 +4,7 @@ import pytest
 
 from repro import EarlyDecidingSCS, Schedule
 from repro.analysis.metrics import check_consensus
-from repro.lowerbound.serial_runs import (
-    enumerate_serial_partial_runs,
-    run_with_events,
-)
+from repro.lowerbound.adversary import AdversaryBudget, run_leaves
 from repro.sim.kernel import run_algorithm
 from repro.sim.random_schedules import random_scs_schedule, random_proposals
 from repro.workloads import serial_cascade, value_hiding_chain
@@ -44,10 +41,10 @@ class TestExhaustiveUniformAgreement:
     @pytest.mark.parametrize("n,t", [(3, 1), (4, 1), (4, 2)])
     def test_all_serial_runs_safe(self, n, t):
         proposals = list(range(n))
-        for events in enumerate_serial_partial_runs(n, t, t + 1):
-            trace = run_with_events(
-                EarlyDecidingSCS, proposals, events, t=t, horizon=t + 4
-            )
+        budget = AdversaryBudget.serial(t, t + 1)
+        for events, trace in run_leaves(
+            EarlyDecidingSCS, proposals, t=t, budget=budget, horizon=t + 4
+        ):
             problems = check_consensus(trace)
             assert not problems, (events, problems)
 

@@ -4,11 +4,8 @@ import pytest
 
 from repro import FloodSet, Schedule
 from repro.analysis.metrics import check_consensus
-from repro.lowerbound.serial_runs import (
-    enumerate_serial_partial_runs,
-    run_with_events,
-    worst_case_serial,
-)
+from repro.lowerbound.adversary import AdversaryBudget, run_leaves
+from repro.lowerbound.model_check import worst_case_serial
 from repro.sim.kernel import run_algorithm
 from repro.sim.random_schedules import random_scs_schedule
 from repro.workloads import value_hiding_chain
@@ -71,10 +68,10 @@ class TestExhaustiveSafety:
     @pytest.mark.parametrize("n,t", [(3, 1), (4, 1), (4, 2)])
     def test_all_serial_runs_safe(self, n, t):
         proposals = list(range(n))
-        for events in enumerate_serial_partial_runs(n, t, t + 1):
-            trace = run_with_events(
-                FloodSet, proposals, events, t=t, horizon=t + 3
-            )
+        budget = AdversaryBudget.serial(t, t + 1)
+        for events, trace in run_leaves(
+            FloodSet, proposals, t=t, budget=budget, horizon=t + 3
+        ):
             problems = check_consensus(trace)
             assert not problems, (events, problems)
             assert trace.global_decision_round() == t + 1

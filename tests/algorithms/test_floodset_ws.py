@@ -10,10 +10,7 @@ import pytest
 
 from repro import ATt2, FloodSetWS, Schedule
 from repro.analysis.metrics import check_agreement, check_consensus
-from repro.lowerbound.serial_runs import (
-    enumerate_serial_partial_runs,
-    run_with_events,
-)
+from repro.lowerbound.adversary import AdversaryBudget, run_leaves
 from repro.model.schedule import ScheduleBuilder
 from repro.sim.kernel import run_algorithm
 from tests.conftest import run_and_check
@@ -29,10 +26,10 @@ class TestUnderPerfectDetection:
     @pytest.mark.parametrize("n,t", [(3, 1), (4, 1), (4, 2)])
     def test_all_serial_runs_safe(self, n, t):
         proposals = list(range(n))
-        for events in enumerate_serial_partial_runs(n, t, t + 1):
-            trace = run_with_events(
-                FloodSetWS, proposals, events, t=t, horizon=t + 3
-            )
+        budget = AdversaryBudget.serial(t, t + 1)
+        for events, trace in run_leaves(
+            FloodSetWS, proposals, t=t, budget=budget, horizon=t + 3
+        ):
             problems = check_consensus(trace)
             assert not problems, (events, problems)
 

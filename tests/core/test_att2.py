@@ -6,10 +6,7 @@ from repro import ATt2, ChandraTouegES, HurfinRaynalES, Schedule
 from repro.algorithms.base import make_automata
 from repro.analysis.metrics import check_consensus
 from repro.core.att2 import NEWESTIMATE
-from repro.lowerbound.serial_runs import (
-    enumerate_serial_partial_runs,
-    run_with_events,
-)
+from repro.lowerbound.adversary import AdversaryBudget, run_leaves
 from repro.model.schedule import ScheduleBuilder
 from repro.sim.kernel import execute, run_algorithm
 from repro.types import is_bottom
@@ -43,10 +40,10 @@ class TestFastDecision:
     @pytest.mark.parametrize("n,t", [(3, 1), (4, 1)])
     def test_every_serial_run_decides_at_t_plus_2(self, n, t):
         proposals = list(range(n))
-        for events in enumerate_serial_partial_runs(n, t, t + 2):
-            trace = run_with_events(
-                ATt2.factory(), proposals, events, t=t, horizon=t + 8
-            )
+        budget = AdversaryBudget.serial(t, t + 2)
+        for events, trace in run_leaves(
+            ATt2.factory(), proposals, t=t, budget=budget, horizon=t + 8
+        ):
             problems = check_consensus(trace)
             assert not problems, (events, problems)
             assert trace.global_decision_round() == t + 2, (

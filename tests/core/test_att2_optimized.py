@@ -4,10 +4,7 @@ import pytest
 
 from repro import ATt2Optimized, Schedule
 from repro.analysis.metrics import check_consensus
-from repro.lowerbound.serial_runs import (
-    enumerate_serial_partial_runs,
-    run_with_events,
-)
+from repro.lowerbound.adversary import AdversaryBudget, run_leaves
 from repro.model.schedule import ScheduleBuilder
 from repro.workloads import serial_cascade
 from tests.conftest import run_and_check
@@ -67,11 +64,11 @@ class TestWithFailures:
     def test_all_serial_runs_still_safe_and_fast(self, n, t):
         # The optimization must preserve the t + 2 fast decision bound.
         proposals = list(range(n))
-        for events in enumerate_serial_partial_runs(n, t, t + 2):
-            trace = run_with_events(
-                ATt2Optimized.factory(), proposals, events,
-                t=t, horizon=t + 8,
-            )
+        budget = AdversaryBudget.serial(t, t + 2)
+        for events, trace in run_leaves(
+            ATt2Optimized.factory(), proposals,
+            t=t, budget=budget, horizon=t + 8,
+        ):
             problems = check_consensus(trace)
             assert not problems, (events, problems)
             assert trace.global_decision_round() <= t + 2, (

@@ -14,7 +14,7 @@ Exhaustively over serial runs (small systems):
 import pytest
 
 from repro import ATt2, ADiamondS, FloodSet, HurfinRaynalES
-from repro.lowerbound.serial_runs import worst_case_serial
+from repro.lowerbound.model_check import worst_case_serial
 from repro.workloads import coordinator_killer
 from tests.conftest import run_and_check
 

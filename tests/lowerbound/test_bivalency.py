@@ -75,7 +75,7 @@ class TestLemmaFour:
         # (benchmarks/bench_valency.py); here we verify the canonical
         # witness: p0 (holding the hidden minimum) crashes in round 1
         # delivering only to p1 — the carrier's fate stays undecided.
-        from repro.lowerbound.serial_runs import CrashEvent
+        from repro.lowerbound.adversary import CrashEvent
         from repro.lowerbound.valency import is_bivalent
 
         witness = (

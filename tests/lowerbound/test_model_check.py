@@ -3,10 +3,8 @@
 import pytest
 
 from repro import ATt2, AFPlus2, FloodSetWS, HurfinRaynalES
-from repro.lowerbound.model_check import (
-    AdversaryBudget,
-    check_consensus_safety,
-)
+from repro.lowerbound.adversary import AdversaryBudget
+from repro.lowerbound.model_check import check_consensus_safety
 
 SMALL = AdversaryBudget(
     max_crashes=1, crash_rounds=2, async_rounds=2, max_delays_per_round=1

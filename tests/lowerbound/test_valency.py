@@ -1,7 +1,7 @@
 """Tests for valency computation (Lemma 2 / Lemma 5 dichotomy)."""
 
 from repro import ATt2, FloodSet
-from repro.lowerbound.serial_runs import CrashEvent
+from repro.lowerbound.adversary import CrashEvent
 from repro.lowerbound.valency import classify_partial_runs, is_bivalent, valency
 
 
