@@ -13,12 +13,13 @@ produced them changes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import sys
 from dataclasses import dataclass
-from types import ModuleType
-from typing import Callable
+from types import MappingProxyType, ModuleType
+from typing import Callable, Mapping
 
 from repro.algorithms.base import AlgorithmFactory
 
@@ -40,9 +41,12 @@ class AlgorithmInfo:
     summary: str
 
 
-def _entries() -> dict[str, AlgorithmInfo]:
+@functools.cache
+def _entries() -> Mapping[str, AlgorithmInfo]:
     # Imports are local so that `repro.algorithms` never imports
     # `repro.core` at module load time (core depends on algorithms).
+    # Built once: every case's factory lookup goes through here.  The
+    # table is read-only because every caller shares it.
     from repro.algorithms.amr_leader import AMRLeaderES
     from repro.algorithms.chandra_toueg import ChandraTouegES
     from repro.algorithms.early_deciding import EarlyDecidingSCS
@@ -96,12 +100,12 @@ def _entries() -> dict[str, AlgorithmInfo]:
             "A_{f+2}: eventual fast decision, t < n/3 (Figure 5)",
         ),
     ]
-    return {info.name: info for info in infos}
+    return MappingProxyType({info.name: info for info in infos})
 
 
 def available_algorithms() -> dict[str, AlgorithmInfo]:
-    """All registered algorithms, keyed by name."""
-    return _entries()
+    """All registered algorithms, keyed by name (a fresh dict per call)."""
+    return dict(_entries())
 
 
 def _require(name: str) -> AlgorithmInfo:

@@ -40,6 +40,7 @@ from typing import Iterable, Iterator, Protocol, Sequence
 from repro.analysis.sweep import SweepRecord, run_case
 from repro.engine.cases import Case
 from repro.errors import ReproError
+from repro.model.schedule import Schedule
 
 #: CLI names of the stock backends, in documentation order.
 BACKENDS = ("serial", "processes", "threads")
@@ -94,12 +95,45 @@ def execute_group(cases: Sequence[Case]) -> list[tuple[int, SweepRecord]]:
 
 
 def group_by_schedule(cases: Iterable[Case]) -> list[list[Case]]:
-    """*cases* grouped by :meth:`Schedule.digest`, in first-appearance
-    order — equal schedules share a group even as distinct objects."""
-    groups: dict[str, list[Case]] = {}
-    for case in cases:
-        groups.setdefault(case.schedule.digest(), []).append(case)
-    return list(groups.values())
+    """*cases* grouped by equal schedule, in first-appearance order.
+
+    Equal schedules share a group even as distinct objects, but the
+    digest is computed only where it is needed to tell them apart.
+    Cases are bucketed by the schedule's cheap shape (the size of every
+    component) first; a bucket holding one schedule object — the common
+    case, since :func:`~repro.engine.grids.expand_grid` shares one
+    ``Schedule`` across every algorithm's case for a family instance —
+    is a group as it stands.  Only buckets holding distinct objects are
+    split by :meth:`Schedule.digest`, so a schedule of unique shape, such
+    as a large random-ES one, is never hashed on this path.
+    """
+    by_shape: dict[tuple[int, ...], list[tuple[int, Case]]] = {}
+    for position, case in enumerate(cases):
+        by_shape.setdefault(_shape(case.schedule), []).append(
+            (position, case)
+        )
+    groups: list[list[tuple[int, Case]]] = []
+    for bucket in by_shape.values():
+        first = bucket[0][1].schedule
+        if all(case.schedule is first for _position, case in bucket):
+            groups.append(bucket)
+            continue
+        by_digest: dict[str, list[tuple[int, Case]]] = {}
+        for position, case in bucket:
+            by_digest.setdefault(case.schedule.digest(), []).append(
+                (position, case)
+            )
+        groups.extend(by_digest.values())
+    groups.sort(key=lambda group: group[0][0])
+    return [[case for _position, case in group] for group in groups]
+
+
+def _shape(schedule: Schedule) -> tuple[int, ...]:
+    """Sizes that equal schedules share; cheap to read, unlike the digest."""
+    return (
+        schedule.n, schedule.t, schedule.horizon, len(schedule.crashes),
+        len(schedule.delays), len(schedule.losses),
+    )
 
 
 def resolve_workers(workers: int | None, n_cases: int) -> int:

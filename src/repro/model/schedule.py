@@ -363,35 +363,39 @@ class Schedule:
         hashes a normalized rendering of :meth:`_key` — the same structure
         that defines equality, with unordered sets flattened to sorted
         tuples and nested dataclasses (``CrashSpec``) expanded field by
-        field, so any field added to the identity automatically reaches
-        the digest too.  Independent of construction order, process
-        identity and Python hash randomization, this is the schedule
-        component of the batch engine's content-addressed cache keys
-        (:mod:`repro.engine.cache`) and is safe to persist across runs,
-        machines and Python versions.  Memoized per instance (schedules
-        are immutable and shared across a grid's algorithms).
+        field, so a field added to ``CrashSpec`` reaches the digest too.
+        Independent of construction order, process identity and Python
+        hash randomization, this is the schedule component of the batch
+        engine's content-addressed cache keys (:mod:`repro.engine.cache`)
+        and is safe to persist across runs, machines and Python versions.
+        Memoized per instance (schedules are immutable and shared across a
+        grid's algorithms).
         """
         cached = self.__dict__.get("_digest_cache")
         if cached is not None:
             return cached
-
-        def normalize(value):
-            if isinstance(value, CrashSpec):
-                return tuple(
-                    normalize(getattr(value, f.name))
-                    for f in dataclass_fields(value)
-                )
-            if isinstance(value, frozenset):
-                return tuple(sorted(value))
-            if isinstance(value, tuple):
-                return tuple(normalize(item) for item in value)
-            return value
-
-        # The delay and loss components are tuples of ints, on which
-        # normalize is the identity; only the crash items need it.
-        n, t, horizon, crashes, delays, losses = self._key()
-        payload = repr(
-            (n, t, horizon, normalize(crashes), delays, losses)
+        # The payload is repr() of (n, t, horizon, crashes, delays, losses)
+        # with the components sorted as in _key(), built in one pass: the
+        # delays (tens of thousands of entries at n = 100) sort by key
+        # alone and each entry is formatted directly, never materialized
+        # as a nested tuple first.
+        crashes_repr = repr(tuple(
+            (pid, _canonical_crash(self.crashes[pid]))
+            for pid in sorted(self.crashes)
+        ))
+        delays = self.delays
+        delay_entries = [
+            f"(({sender!r}, {receiver!r}, {sent!r}), "
+            f"{delays[sender, receiver, sent]!r})"
+            for sender, receiver, sent in sorted(delays)
+        ]
+        if len(delay_entries) == 1:
+            delays_repr = f"({delay_entries[0]},)"
+        else:
+            delays_repr = f"({', '.join(delay_entries)})"
+        payload = (
+            f"({self.n!r}, {self.t!r}, {self.horizon!r}, {crashes_repr}, "
+            f"{delays_repr}, {tuple(sorted(self.losses))!r})"
         )
         value = hashlib.sha256(payload.encode()).hexdigest()
         object.__setattr__(self, "_digest_cache", value)
@@ -416,6 +420,14 @@ class Schedule:
         for s, r, k in sorted(self.losses):
             lines.append(f"  lose   r{k} {s}->{r}")
         return "\n".join(lines)
+
+
+def _canonical_crash(spec: CrashSpec) -> tuple:
+    """*spec*'s fields in declaration order, frozensets as sorted tuples."""
+    return tuple(
+        tuple(sorted(value)) if isinstance(value, frozenset) else value
+        for value in (getattr(spec, f.name) for f in dataclass_fields(spec))
+    )
 
 
 def _check_delivery(delivery: Round, horizon: Round) -> None:

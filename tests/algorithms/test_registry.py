@@ -43,3 +43,15 @@ class TestRegistry:
         factory = get_factory("floodset")
         automaton = factory(0, 3, 1, 42)
         assert automaton.proposal == 42
+
+    def test_table_is_built_once_and_never_handed_out_mutable(self):
+        from repro.algorithms import registry
+
+        assert registry._entries() is registry._entries()
+        handed_out = available_algorithms()
+        handed_out.pop("att2")
+        handed_out["bogus"] = handed_out["floodset"]
+        assert "att2" in available_algorithms()
+        assert "bogus" not in available_algorithms()
+        with pytest.raises(TypeError):
+            registry._entries()["bogus"] = handed_out["floodset"]

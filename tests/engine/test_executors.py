@@ -116,6 +116,53 @@ class TestScheduleGroups:
             [0, 2], [1, 3], [4],
         ]
 
+    def test_equal_es_schedules_of_one_shape_share_a_group(self):
+        from repro.engine.executors import group_by_schedule
+        from repro.model.schedule import ScheduleBuilder
+        from repro.sim.random_schedules import random_es_schedule
+
+        def delayed(receiver):
+            builder = ScheduleBuilder(5, 2, 12)
+            builder.delay(0, receiver, 1, 3)
+            return builder.build()
+
+        es, es_copy = random_es_schedule(9, 2, 5), random_es_schedule(9, 2, 5)
+        assert es is not es_copy and es.delays
+        schedules = [es, delayed(1), es_copy, delayed(2), es, delayed(1)]
+        cases = [
+            Case(index=i, algorithm="att2", workload=f"w{i}",
+                 schedule=schedule, proposals=tuple(range(schedule.n)))
+            for i, schedule in enumerate(schedules)
+        ]
+        groups = group_by_schedule(cases)
+        assert [[case.index for case in group] for group in groups] == [
+            [0, 2, 4], [1, 5], [3],
+        ]
+
+    def test_xlarge_pool_never_digests_the_es_schedule(self, monkeypatch):
+        # The n = 100 random-ES schedule is the only one of its shape, so
+        # grouping it for the pool must not pay for its digest.
+        from repro.engine.grids import expand_grid, profile_grids
+
+        digested = []
+        real_digest = Schedule.digest
+
+        def counting_digest(schedule):
+            digested.append(schedule)
+            return real_digest(schedule)
+
+        monkeypatch.setattr(Schedule, "digest", counting_digest)
+        _label, grid = profile_grids("xlarge", seed=3)[0]
+        cases = expand_grid(grid)
+        es = next(
+            case.schedule for case in cases if case.workload.startswith("es[")
+        )
+        assert len(es.delays) > 1000
+        pooled = run_cases(cases, executor=ProcessExecutor(workers=2))
+        assert sum(schedule is es for schedule in digested) == 0
+        assert pooled == run_cases(expand_grid(grid),
+                                   executor=SerialExecutor())
+
     def test_execute_group_returns_execute_case_pairs(self):
         from repro.engine.executors import execute_case, execute_group
 

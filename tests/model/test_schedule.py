@@ -351,3 +351,83 @@ class TestScheduleDigest:
         ]
         digests = [schedule.digest() for schedule in variants]
         assert len(set(digests)) == len(digests)
+
+
+def _reference_digest(schedule):
+    """The digest formula the one-pass rendering must reproduce: repr of
+    the sorted ``_key()`` with every CrashSpec expanded field by field and
+    every frozenset as a sorted tuple, hashed with SHA-256."""
+    import hashlib
+    from dataclasses import fields
+
+    def normalize(value):
+        if isinstance(value, CrashSpec):
+            return tuple(
+                normalize(getattr(value, f.name)) for f in fields(value)
+            )
+        if isinstance(value, frozenset):
+            return tuple(sorted(value))
+        if isinstance(value, tuple):
+            return tuple(normalize(item) for item in value)
+        return value
+
+    payload = repr(normalize(schedule._key()))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _edge_schedules():
+    """Single-entry schedules: each component at its 1-tuple form."""
+    one_delay = ScheduleBuilder(3, 1, 6)
+    one_delay.delay(0, 1, 1, 3)
+    one_loss = ScheduleBuilder(3, 1, 6)
+    one_loss.lose(2, 0, 2)
+    same_round = ScheduleBuilder(3, 1, 6)
+    same_round.crash(1, 2, delivered_to=[0])
+    delayed_crash = ScheduleBuilder(3, 1, 6)
+    delayed_crash.crash(2, 1, delayed={0: 3})
+    return {
+        "one_delay": one_delay.build(),
+        "one_loss": one_loss.build(),
+        "same_round": same_round.build(),
+        "delayed_crash": delayed_crash.build(),
+        "failure_free": Schedule.failure_free(3, 1, 6),
+    }
+
+
+class TestDigestMatchesReferenceFormula:
+    @pytest.mark.parametrize("n", [3, 4, 9, 25])
+    def test_random_schedules(self, n):
+        from repro.sim.random_schedules import (
+            random_es_schedule,
+            random_scs_schedule,
+            random_serial_schedule,
+        )
+
+        t = (n - 1) // 3 or 1
+        for seed in range(12):
+            for schedule in (
+                random_es_schedule(n, t, seed),
+                random_scs_schedule(n, t, seed),
+                random_serial_schedule(n, t, seed),
+            ):
+                assert schedule.digest() == _reference_digest(schedule)
+
+    def test_grid_expansion(self):
+        from repro.engine.grids import default_sweep_grid, expand_grid
+
+        cases = expand_grid(default_sweep_grid(9, 2, seed=3))
+        assert cases
+        for case in cases:
+            assert case.schedule.digest() == _reference_digest(case.schedule)
+
+    @pytest.mark.parametrize("name", sorted(_edge_schedules()))
+    def test_edge_cases(self, name):
+        schedule = _edge_schedules()[name]
+        assert schedule.digest() == _reference_digest(schedule)
+
+    def test_one_delay_digest_is_pinned(self):
+        # A literal value, so a formula drift that moved the reference
+        # above in step would still be caught.
+        assert _edge_schedules()["one_delay"].digest() == (
+            "59c013827a70aa4588278b4ba09860c8827aa55c1feb7a15653c2f3c21351432"
+        )
