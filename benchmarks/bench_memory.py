@@ -1,15 +1,15 @@
 """Driver-memory bench: a streamed XXL sweep stays under a fixed RSS budget.
 
-The streaming path (``repro sweep --spool``, :func:`repro.engine.runner.
-stream_batch`) bounds the driver to one record in flight: everything
-else lands in the append-only JSONL spool as it completes, and the
-canonical export is rebuilt from the spool afterwards.  This bench runs
-an n = 250 lean sweep through that path in a child interpreter and
-checks the child's peak RSS against the budget in
-``benchmarks/memory_floor.json`` — the same pattern as the nightly
-speedup floors: a deliberately generous ceiling, so only structural
-regressions (the driver quietly accumulating records or traces again)
-trip it, never allocator noise.
+The streaming path (``repro sweep --spool``, which passes a spool sink to
+:func:`repro.engine.runner.run_cases`) bounds the driver to one record
+in flight: everything else lands in the append-only JSONL spool as it
+completes, and the canonical export is rebuilt from the spool
+afterwards.  This bench runs an n = 250 lean sweep through that path
+in a child interpreter and checks the child's peak RSS against the
+budget in ``benchmarks/memory_floor.json`` — the same pattern as the
+nightly speedup floors: a deliberately generous ceiling, so only
+structural regressions (the driver quietly accumulating records or
+traces again) trip it, never allocator noise.
 
 Peak RSS is a low-noise measurement (unlike one-shot wall-clock), so
 the ``kernel-bench`` CI lane asserts the ceiling on every push via

@@ -15,19 +15,10 @@ Reproduces the paper's central comparison on worst-case synchronous runs:
   2t + 2.
 """
 
-from repro import (
-    ATt2,
-    ChandraTouegES,
-    FloodSet,
-    FloodSetWS,
-    HurfinRaynalES,
-    Schedule,
-    ScheduleBuilder,
-    run_algorithm,
-)
+from repro import FloodSetWS, Schedule, ScheduleBuilder, run_algorithm
 from repro.analysis.metrics import check_agreement
-from repro.analysis.sweep import worst_case_round
 from repro.analysis.tables import format_table
+from repro.engine import cases_from, run_batch
 from repro.workloads import coordinator_killer, serial_cascade, value_hiding_chain
 
 
@@ -39,15 +30,21 @@ def worst_case_table(n, t):
         ("killer2", coordinator_killer(n, t, 24, rounds_per_cycle=2)),
         ("killer3", coordinator_killer(n, t, 24, rounds_per_cycle=3)),
     ]
+    algorithms = (
+        ("FloodSet (SCS, not indulgent)", "floodset", f"t+1 = {t + 1}"),
+        ("A_t+2 (ES, this paper)", "att2", f"t+2 = {t + 2}"),
+        ("Hurfin-Raynal (ES)", "hurfin_raynal", f"2t+2 = {2 * t + 2}"),
+        ("Chandra-Toueg (ES)", "chandra_toueg", f"3t+3 = {3 * t + 3}"),
+    )
+    result = run_batch(cases_from(
+        (algorithm, workload, schedule, range(n))
+        for _title, algorithm, _formula in algorithms
+        for workload, schedule in workloads
+    ))
     rows = []
-    for name, factory, formula in (
-        ("FloodSet (SCS, not indulgent)", FloodSet, f"t+1 = {t + 1}"),
-        ("A_t+2 (ES, this paper)", ATt2.factory(), f"t+2 = {t + 2}"),
-        ("Hurfin-Raynal (ES)", HurfinRaynalES, f"2t+2 = {2 * t + 2}"),
-        ("Chandra-Toueg (ES)", ChandraTouegES, f"3t+3 = {3 * t + 3}"),
-    ):
-        worst, witness = worst_case_round(factory, workloads, list(range(n)))
-        rows.append((name, worst, formula, witness))
+    for title, algorithm, formula in algorithms:
+        worst, witness = result.worst_case(algorithm)
+        rows.append((title, worst, formula, witness))
     return rows
 
 

@@ -9,7 +9,7 @@ from repro.analysis.metrics import (
     check_validity,
     summarize,
 )
-from repro.analysis.sweep import SweepRecord, run_case, sweep, worst_case_round
+from repro.analysis.sweep import SweepRecord, run_case
 from repro.analysis.tables import format_records, format_table
 
 __all__ = [
@@ -22,8 +22,6 @@ __all__ = [
     "summarize",
     "SweepRecord",
     "run_case",
-    "sweep",
-    "worst_case_round",
     "format_table",
     "format_records",
 ]

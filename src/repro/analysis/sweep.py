@@ -1,17 +1,16 @@
-"""Parameter sweeps: run (algorithm × workload) grids and collect records.
+"""Sweep records: the measurement primitives of the analysis stack.
 
-:class:`SweepRecord` and :func:`run_case` are the measurement primitives
-of the whole analysis stack; the grid entry points (:func:`sweep`,
-:func:`worst_case_round`) delegate execution to the batch engine
-(:mod:`repro.engine`), which also powers ``python -m repro sweep`` and
-the benches — these wrappers remain for call sites that already hold
-factories and schedules in hand.
+:class:`SweepRecord` and :func:`run_case` measure one case; grids of
+cases run on the batch engine (:mod:`repro.engine`), which powers
+``python -m repro sweep``, the benches and the examples.  The worst
+global decision round over a batch is
+:meth:`~repro.engine.results.BatchResult.worst_case`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.algorithms.base import AlgorithmFactory
 from repro.analysis.metrics import check_agreement, check_validity
@@ -123,81 +122,3 @@ def case_record(algorithm: str, workload: str, trace: Trace) -> SweepRecord:
         ),
     )
 
-
-def _as_cases(
-    cases: Iterable[tuple[str, AlgorithmFactory, str, Schedule, Sequence[Value]]],
-):
-    from repro.engine.cases import Case
-
-    return [
-        Case(
-            index=i,
-            algorithm=algorithm,
-            workload=workload,
-            schedule=schedule,
-            proposals=tuple(proposals),
-            factory=factory,
-        )
-        for i, (algorithm, factory, workload, schedule, proposals)
-        in enumerate(cases)
-    ]
-
-
-def sweep(
-    cases: Iterable[
-        tuple[str, AlgorithmFactory | None, str, Schedule, Sequence[Value]]
-    ],
-    *,
-    executor=None,
-    cache=None,
-) -> list[SweepRecord]:
-    """Run every case on the engine and return the records in input order.
-
-    ``executor`` selects the execution backend
-    (:mod:`repro.engine.executors`; default serial) and ``cache`` is
-    forwarded to the engine (:class:`~repro.engine.cache.ResultCache`).
-    A case's factory may be ``None``, in which case its algorithm name is
-    resolved from the registry inside the engine — that is also what
-    makes the case cacheable: explicit factories have no reliable code
-    fingerprint, so the cache declines to key them (and they force
-    process-pool executors onto their serial fallback).
-    """
-    from repro.engine.runner import run_cases
-
-    return run_cases(_as_cases(cases), executor=executor, cache=cache)
-
-
-def worst_case_round(
-    factory: AlgorithmFactory | str,
-    schedules: Iterable[tuple[str, Schedule]],
-    proposals: Sequence[Value],
-    *,
-    executor=None,
-    cache=None,
-) -> tuple[Round, str]:
-    """The maximum global decision round over the schedules, with its witness.
-
-    Schedules on which the run does not decide within the horizon count as
-    ``horizon + 1`` (a conservative lower estimate of the true round).
-
-    ``factory`` may be a registry name instead of a factory callable; the
-    engine then resolves it by name, which also makes the cases eligible
-    for the forwarded ``cache`` (explicit factory callables never are —
-    their captured state has no reliable fingerprint).  ``executor``
-    selects the execution backend (default serial).
-    """
-    from repro.engine.results import BatchResult
-    from repro.engine.runner import run_cases
-
-    if isinstance(factory, str):
-        algorithm, explicit = factory, None
-    else:
-        algorithm, explicit = "<worst-case>", factory
-    cases = _as_cases(
-        (algorithm, explicit, name, schedule, proposals)
-        for name, schedule in schedules
-    )
-    result = BatchResult(
-        records=tuple(run_cases(cases, executor=executor, cache=cache))
-    )
-    return result.worst_case(algorithm)

@@ -35,7 +35,7 @@ Examples::
         --n 7 --t 3 --cases-per-family 40 --seed 7
     python -m repro sweep --cache .sweep-cache --workers 4
     python -m repro sweep --save-grid grid.json
-    python -m repro sweep --grid grid.json --backend threads \
+    python -m repro sweep --grid grid.json --backend serial \
         --shard 0/2 --json shard0.json
     python -m repro sweep --grid experiments/ --json all.json
     python -m repro sweep --profile large
@@ -112,10 +112,10 @@ Backends and shards
 
 ``--backend`` picks the execution backend (:mod:`repro.engine.executors`):
 ``processes`` (default; ``--workers N`` sizes the pool, omit to
-auto-size), ``threads``, or ``serial``.  Expansion is a pure function of
-the spec, records are re-sorted into expansion order after execution, and
-every backend therefore yields byte-identical output — any ``--json``
-export of the same grid and seed diffs empty.
+auto-size) or ``serial``.  Expansion is a pure function of the spec,
+records are re-sorted into expansion order after execution, and both
+backends therefore yield byte-identical output — any ``--json`` export
+of the same grid and seed diffs empty.
 
 ``--shard I/N`` runs only the cases with ``index % N == I``, so N
 machines can split one grid file without coordination; each shard's
@@ -199,7 +199,10 @@ def _cmd_list(_args) -> int:
 def _cmd_run(args) -> int:
     if args.horizon < 1:
         raise SystemExit(f"--horizon must be >= 1, got {args.horizon}")
-    factory = get_factory(args.algorithm)
+    try:
+        factory = get_factory(args.algorithm)
+    except KeyError as exc:
+        raise SystemExit(exc.args[0])
     try:
         schedule = _build_workload(
             args.workload, args.n, args.t, args.horizon, args.sync_after
@@ -385,11 +388,11 @@ def _load_grids(args) -> list:
             ]
             return grids if len(grids) > 1 else [(None, grids[0][1])]
         return [(None, _load_grid_file(args.grid))]
-    algorithms = (
-        tuple(name.strip() for name in args.algorithms.split(",") if name)
-        if args.algorithms
-        else DEFAULT_SWEEP_ALGORITHMS
-    )
+    if args.algorithms:
+        stripped = (name.strip() for name in args.algorithms.split(","))
+        algorithms = tuple(name for name in stripped if name)
+    else:
+        algorithms = DEFAULT_SWEEP_ALGORITHMS
     if args.cases_per_family is not None and args.cases_per_family < 1:
         raise SystemExit(
             f"--cases-per-family must be >= 1, got {args.cases_per_family}"
@@ -407,6 +410,8 @@ def _load_grids(args) -> list:
             ),
             proposal_mode=args.proposals_mode or "random",
         )
+    except GridError as exc:
+        raise SystemExit(str(exc))
     except ValueError as exc:
         raise SystemExit(f"invalid system size: {exc}")
     return [(None, grid)]
@@ -451,7 +456,7 @@ def _cmd_sweep(args) -> int:
         ResultCache,
         resolve_executor,
         run_batch,
-        stream_batch,
+        runner,
     )
 
     workers = _parse_workers(args)
@@ -526,15 +531,17 @@ def _cmd_sweep(args) -> int:
         # accumulated in memory.  The canonical result (summaries,
         # --json export) is then rebuilt from the spool — byte-identical
         # to the in-memory path, per the engine's determinism contract.
+        # ``runner.run_cases`` is looked up at call time, so wrappers
+        # installed on the module see this path too.
         sink = JsonlRecordSink(args.spool)
         try:
-            streamed = stream_batch(
-                cases, sink=sink, executor=executor, cache=cache,
+            runner.run_cases(
+                cases, executor=executor, cache=cache, sink=sink,
             )
         finally:
             sink.close()
-        print(f"spooled {streamed} records to {args.spool}")
         result = BatchResult.load_spool(args.spool)
+        print(f"spooled {result.case_count} records to {args.spool}")
     else:
         result = run_batch(cases, executor=executor, cache=cache)
     rows = [summary.row() for summary in result.summaries()]
@@ -960,13 +967,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--seed", type=int, default=None,
                               help="master seed for the grid (default 0)")
     sweep_parser.add_argument(
-        "--backend", choices=("serial", "processes", "threads"),
+        "--backend", choices=("serial", "processes"),
         default="processes",
         help="execution backend (default processes)",
     )
     sweep_parser.add_argument(
         "--workers", type=int, default=None,
-        help="pool size for processes/threads backends "
+        help="pool size for the processes backend "
              "(default: auto-size to the machine)",
     )
     sweep_parser.add_argument(
@@ -1048,7 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 15; 0 disables)",
     )
     orch_parser.add_argument(
-        "--worker-backend", choices=("serial", "processes", "threads"),
+        "--worker-backend", choices=("serial", "processes"),
         default="serial",
         help="execution backend inside each worker process (default "
              "serial: the orchestrator owns the parallelism)",

@@ -3,9 +3,8 @@
 Declarative case grids (:mod:`repro.engine.grids`), expanded into concrete
 :class:`~repro.engine.cases.Case` lists and executed by
 :mod:`repro.engine.runner` on a pluggable execution backend
-(:mod:`repro.engine.executors`: serial, process-pool or thread-pool —
-anything satisfying the :class:`~repro.engine.executors.Executor`
-protocol), with records aggregated into
+(:mod:`repro.engine.executors`: serial or process-pool — anything
+satisfying the :class:`~repro.engine.executors.Executor` protocol), with records aggregated into
 :class:`~repro.engine.results.BatchResult`.  Every backend produces
 identical record sequences for the same grid; see the runner module
 docstring for the determinism contract.
@@ -27,7 +26,6 @@ from repro.engine.executors import (
     ExecutorError,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     execute_case,
     resolve_executor,
     resolve_workers,
@@ -48,7 +46,7 @@ from repro.engine.grids import (
     profile_grids,
 )
 from repro.engine.results import AlgorithmSummary, BatchResult
-from repro.engine.runner import run_batch, run_cases, stream_batch
+from repro.engine.runner import run_batch, run_cases
 from repro.engine.sink import JsonlRecordSink, RecordSink, read_spool
 
 __all__ = [
@@ -66,7 +64,6 @@ __all__ = [
     "ResultCache",
     "SerialExecutor",
     "ShardSpec",
-    "ThreadExecutor",
     "DEFAULT_SWEEP_ALGORITHMS",
     "SWEEP_PROFILES",
     "cache_gc",
@@ -83,7 +80,6 @@ __all__ = [
     "resolve_workers",
     "run_batch",
     "run_cases",
-    "stream_batch",
     "JsonlRecordSink",
     "RecordSink",
     "read_spool",

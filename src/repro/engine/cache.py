@@ -330,15 +330,11 @@ class ResultCache:
     def case_key(self, case: Case) -> str | None:
         """The content key for *case*, or ``None`` if it is uncacheable.
 
-        Cases carrying an explicit in-process ``factory`` are never cached:
-        the factory's captured state has no reliable fingerprint, and a
-        false hit would silently return another algorithm's record.  The
-        same goes for proposals outside the canonically-``repr``-able
-        types (``Value`` is ``Any``; a default object repr embeds a memory
-        address, which would at best never hit and at worst collide).
+        Proposals outside the canonically-``repr``-able types are never
+        cached (``Value`` is ``Any``; a default object repr embeds a
+        memory address, which would at best never hit and at worst
+        collide).
         """
-        if case.factory is not None:
-            return None
         if self._runtime_hash is None:
             return None
         if not all(

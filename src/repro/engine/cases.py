@@ -3,21 +3,15 @@
 A :class:`Case` pins down one run completely: which algorithm (by registry
 name), which adversary schedule, and which proposals.  Cases are plain
 frozen dataclasses so that a worker process can receive one over a
-``multiprocessing`` pipe and execute it without any shared state.
-
-The optional ``factory`` field lets in-process callers (the legacy
-:mod:`repro.analysis.sweep` entry points) attach a pre-built automaton
-factory that is *not* registered under ``algorithm``.  Such cases are not
-generally picklable, so the runner executes them on the serial path.
+``multiprocessing`` pipe and execute it without any shared state: the
+worker resolves the automaton factory from the registry by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.algorithms.base import AlgorithmFactory
-from repro.algorithms.registry import get_factory
 from repro.model.schedule import Schedule
 from repro.types import Value
 
@@ -36,8 +30,6 @@ class Case:
             label embeds the derived seed so any case can be regenerated.
         schedule: the adversary schedule to execute against.
         proposals: one proposal per process.
-        factory: optional pre-built factory overriding registry resolution
-            (serial execution only).
     """
 
     index: int
@@ -45,13 +37,6 @@ class Case:
     workload: str
     schedule: Schedule
     proposals: tuple[Value, ...]
-    factory: AlgorithmFactory | None = field(default=None, compare=False)
-
-    def resolve_factory(self) -> AlgorithmFactory:
-        """The automaton factory this case runs: explicit or from the registry."""
-        if self.factory is not None:
-            return self.factory
-        return get_factory(self.algorithm)
 
 
 def cases_from(

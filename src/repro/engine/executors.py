@@ -7,27 +7,21 @@ The engine's unit of work is one :class:`~repro.engine.cases.Case`; an
 so an executor's scheduling policy is never observable in the output —
 that is the determinism contract that makes backends interchangeable.
 
-Three backends ship with the engine:
+Two backends ship with the engine:
 
 * :class:`SerialExecutor` — inline, in-process, zero overhead; the
   reference implementation every other backend must match byte-for-byte.
-* :class:`ProcessExecutor` — a ``multiprocessing`` pool.  Cases cross a
-  pipe, so they must be picklable; cases carrying an explicit in-process
-  ``factory`` (the legacy :mod:`repro.analysis.sweep` path) are split
-  off and executed inline while everything else still runs on the pool,
-  one task per schedule (:func:`group_by_schedule`).
-* :class:`ThreadExecutor` — a ``concurrent.futures.ThreadPoolExecutor``.
-  Threads share the interpreter, so explicit factories are fine; the GIL
-  bounds speedup for the pure-Python kernel, but the backend is the right
-  shape for I/O-heavy executors (and exercises the protocol without
-  pickling).
+* :class:`ProcessExecutor` — a ``multiprocessing`` pool, one task per
+  schedule (:func:`group_by_schedule`).  Cases cross a pipe and name
+  their algorithm, which the worker resolves from the registry.
 
 :func:`resolve_executor` maps the CLI's ``--backend`` names to instances;
 :func:`resolve_workers` clamps requested pool sizes.  Distributed
-sharding composes with any backend: a :class:`~repro.engine.grids.ShardSpec`
-slices the expanded grid, each shard runs under whatever executor its
-machine prefers, and :meth:`~repro.engine.results.BatchResult.merge`
-recombines the exports canonically.
+sharding composes with either backend: a
+:class:`~repro.engine.grids.ShardSpec` slices the expanded grid, each
+shard runs under whatever executor its machine prefers, and
+:meth:`~repro.engine.results.BatchResult.merge` recombines the exports
+canonically.
 """
 
 from __future__ import annotations
@@ -37,13 +31,14 @@ import os
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Protocol, Sequence
 
+from repro.algorithms.registry import get_factory
 from repro.analysis.sweep import SweepRecord, run_case
 from repro.engine.cases import Case
 from repro.errors import ReproError
 from repro.model.schedule import Schedule
 
 #: CLI names of the stock backends, in documentation order.
-BACKENDS = ("serial", "processes", "threads")
+BACKENDS = ("serial", "processes")
 
 
 class ExecutorError(ReproError):
@@ -76,7 +71,7 @@ def execute_case(case: Case) -> tuple[int, SweepRecord]:
     """
     record, _trace = run_case(
         case.algorithm,
-        case.resolve_factory(),
+        get_factory(case.algorithm),
         case.workload,
         case.schedule,
         list(case.proposals),
@@ -172,14 +167,11 @@ class SerialExecutor:
 class ProcessExecutor:
     """A ``multiprocessing`` pool backend.
 
-    ``workers=None`` auto-sizes to the machine.  Cases carrying an
-    explicit in-process factory (unpicklable in general) are partitioned
-    out and executed inline, so one legacy case no longer forces the
-    whole batch onto the serial path; the pool runs everything else,
-    one task per schedule (:func:`execute_group`), so a schedule is
-    pickled once per task and compiled once per sweep.  Falls back to
-    serial entirely when the pool cannot help: a single worker or fewer
-    than two schedules to spread.
+    ``workers=None`` auto-sizes to the machine.  The pool runs one task
+    per schedule (:func:`execute_group`), so a schedule is pickled once
+    per task and compiled once per sweep.  Falls back to serial when the
+    pool cannot help: a single worker or fewer than two schedules to
+    spread.
 
     Pool results are drained *inside* the pool context and forwarded
     afterwards, so the pool is torn down deterministically even when the
@@ -195,10 +187,7 @@ class ProcessExecutor:
     ) -> Iterator[tuple[int, SweepRecord]]:
         cases = list(cases)
         workers = resolve_workers(self.workers, len(cases))
-        inline = [case for case in cases if case.factory is not None]
-        groups = group_by_schedule(
-            case for case in cases if case.factory is None
-        )
+        groups = group_by_schedule(cases)
         if workers <= 1 or len(groups) < 2:
             yield from SerialExecutor().map_cases(cases)
             return
@@ -211,44 +200,12 @@ class ProcessExecutor:
         pool.join()
         for pairs in drained:
             yield from pairs
-        yield from SerialExecutor().map_cases(inline)
-
-
-@dataclass(frozen=True)
-class ThreadExecutor:
-    """A ``concurrent.futures.ThreadPoolExecutor`` backend.
-
-    Shares the interpreter, so explicit in-process factories execute
-    fine; the GIL bounds speedup for the CPU-bound kernel, but the
-    backend exercises the executor protocol without any pickling and is
-    the right shape for future I/O-bound executors.
-    """
-
-    workers: int | None = None
-    name = "threads"
-
-    def map_cases(
-        self, cases: Sequence[Case]
-    ) -> Iterator[tuple[int, SweepRecord]]:
-        from concurrent.futures import ThreadPoolExecutor
-
-        cases = list(cases)
-        workers = resolve_workers(self.workers, len(cases))
-        if workers <= 1 or len(cases) < 2:
-            yield from SerialExecutor().map_cases(cases)
-            return
-        # Drain inside the with block: yielding lazily from inside the
-        # context would keep the pool alive until GC whenever a consumer
-        # abandons the iterator mid-stream (ORC003, the PR 6 bug class).
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            drained = list(pool.map(execute_case, cases))
-        yield from drained
 
 
 def resolve_executor(backend: str, *, workers: int | None = None) -> Executor:
     """An executor instance for a CLI-style *backend* name.
 
-    ``workers`` is forwarded to pool backends (``None`` auto-sizes) and
+    ``workers`` is forwarded to the pool backend (``None`` auto-sizes) and
     rejected for ``serial`` only if greater than one — asking for a
     parallel serial run is a configuration error, not a silent downgrade.
     """
@@ -256,13 +213,11 @@ def resolve_executor(backend: str, *, workers: int | None = None) -> Executor:
         if workers is not None and workers > 1:
             raise ExecutorError(
                 f"the serial backend runs one case at a time; "
-                f"workers={workers} makes no sense (use processes/threads)"
+                f"workers={workers} makes no sense (use processes)"
             )
         return SerialExecutor()
     if backend == "processes":
         return ProcessExecutor(workers=workers)
-    if backend == "threads":
-        return ThreadExecutor(workers=workers)
     raise ExecutorError(
         f"unknown backend {backend!r}; known: " + ", ".join(BACKENDS)
     )

@@ -29,9 +29,9 @@ class AlgorithmSummary:
     """Per-algorithm aggregate over one batch.
 
     ``worst_round`` follows the convention of
-    :func:`repro.analysis.sweep.worst_case_round`: a case that does not
-    reach a global decision within its horizon counts as ``horizon + 1``,
-    a conservative lower estimate of the true round.
+    :meth:`BatchResult.worst_case`: a case that does not reach a global
+    decision within its horizon counts as ``horizon + 1``, a
+    conservative lower estimate of the true round.
     """
 
     algorithm: str
@@ -109,9 +109,9 @@ class BatchResult:
     def worst_case(self, algorithm: str) -> tuple[Round, str]:
         """Worst global decision round for *algorithm*, with its witness.
 
-        Ties keep the earliest record, matching the serial search in
-        :func:`repro.analysis.sweep.worst_case_round`; undecided cases
-        count as ``horizon + 1``.
+        Ties keep the earliest record in case order; undecided cases
+        count as ``horizon + 1`` (a conservative lower estimate of the
+        true round).
         """
         worst: Round = 0
         witness = "<none>"

@@ -21,9 +21,9 @@ make this hold:
   can be recombined canonically by
   :meth:`~repro.engine.results.BatchResult.merge` in any arrival order.
 
-Backends are selected with ``executor=`` — :class:`SerialExecutor`,
-:class:`ProcessExecutor` or :class:`ThreadExecutor` (or anything else
-satisfying the :class:`~repro.engine.executors.Executor` protocol).
+Backends are selected with ``executor=`` — :class:`SerialExecutor` or
+:class:`ProcessExecutor` (or anything else satisfying the
+:class:`~repro.engine.executors.Executor` protocol).
 
 Passing a :class:`~repro.engine.cache.ResultCache` as ``cache=`` splits
 the cases into hits and misses up front: hits are answered from disk
@@ -32,18 +32,21 @@ reach the executor, and freshly-computed records are stored back.
 Because cached records are byte-identical to recomputed ones, a warm
 cache changes nothing but wall-clock time.
 
-Workers resolve automaton factories from the algorithm registry by name,
-so cases stay picklable.  Cases carrying an explicit in-process ``factory``
-(the legacy ``analysis.sweep`` path) make :class:`ProcessExecutor` fall
-back to serial execution and are never cached (see
-:meth:`~repro.engine.cache.ResultCache.case_key`).
+Passing a :class:`~repro.engine.sink.RecordSink` as ``sink=`` streams
+every record into it as it arrives and holds none in memory, which
+bounds the driver by one record instead of the batch; the canonical
+order is restored when the spool is read back
+(:meth:`~repro.engine.results.BatchResult.load_spool`).
+
+Every case names a registered algorithm; workers resolve its automaton
+factory from the registry by name, so cases stay picklable.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.analysis.sweep import SweepRecord
 from repro.engine.cases import Case
@@ -51,12 +54,11 @@ from repro.engine.executors import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     execute_case,
     resolve_executor,
     resolve_workers,
 )
-from repro.engine.grids import GridError, GridSpec, ShardSpec, expand_grid
+from repro.engine.grids import GridError, GridSpec, expand_grid
 from repro.engine.results import BatchResult
 
 if TYPE_CHECKING:
@@ -67,16 +69,12 @@ __all__ = [
     "Executor",
     "ProcessExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "execute_case",
     "resolve_executor",
     "resolve_workers",
     "run_batch",
     "run_cases",
-    "stream_batch",
 ]
-
-OnRecord = Callable[[int, SweepRecord], None]
 
 
 def _check_unique_indices(cases: Sequence[Case]) -> None:
@@ -99,10 +97,8 @@ def run_cases(
     cases: Iterable[Case],
     *,
     executor: Executor | None = None,
-    on_record: OnRecord | None = None,
     cache: "ResultCache | None" = None,
     sink: "RecordSink | None" = None,
-    collect: bool = True,
 ) -> list[SweepRecord]:
     """Execute *cases* and return their records in canonical case order.
 
@@ -111,20 +107,15 @@ def run_cases(
             order (they need not be contiguous, but must be unique —
             duplicates raise :class:`GridError`).
         executor: execution backend (default :class:`SerialExecutor`).
-        on_record: optional streaming callback, invoked as each record
-            arrives — cache hits first (in case order), then executed
-            misses in the executor's completion order, which under a pool
-            is nondeterministic.  Only the returned list is canonical.
         cache: optional :class:`~repro.engine.cache.ResultCache`; hits
             skip the executor entirely, misses are executed and stored
             back.
-        sink: optional :class:`~repro.engine.sink.RecordSink`; every
-            record is appended as it arrives (same ordering caveat as
-            ``on_record``).  The caller owns the sink's lifecycle.
-        collect: when false, records are *not* accumulated (the return
-            value is an empty list) — combined with ``sink`` this bounds
-            the driver's memory by one record instead of the batch; the
-            canonical order is restored when the spool is read back.
+        sink: optional :class:`~repro.engine.sink.RecordSink`.  Every
+            record is appended as it arrives — cache hits first (in case
+            order), then executed misses in the executor's completion
+            order, which under a pool is nondeterministic — and none is
+            held, so the return value is an empty list.  The caller owns
+            the sink's lifecycle.
     """
     backend = executor if executor is not None else SerialExecutor()
     cases = list(cases)  # tolerate one-shot iterators: we iterate twice
@@ -133,11 +124,9 @@ def run_cases(
     indexed: list[tuple[int, SweepRecord]] = []
 
     def emit(index: int, record: SweepRecord) -> None:
-        if collect:
+        if sink is None:
             indexed.append((index, record))
-        if on_record is not None:
-            on_record(index, record)
-        if sink is not None:
+        else:
             sink.append(record)
 
     pending: Sequence[Case] = cases
@@ -191,74 +180,17 @@ def run_batch(
     grid: GridSpec | Iterable[Case],
     *,
     executor: Executor | None = None,
-    shard: ShardSpec | None = None,
-    on_record: OnRecord | None = None,
     cache: "ResultCache | None" = None,
 ) -> BatchResult:
     """Expand (if needed) and execute a grid, returning the aggregate result.
 
-    ``shard`` selects one deterministic slice of the expanded case list
-    (see :class:`~repro.engine.grids.ShardSpec`); the per-shard
+    A sharded run slices the expanded case list first
+    (:meth:`~repro.engine.grids.ShardSpec.select`); the per-shard
     :class:`~repro.engine.results.BatchResult` exports recombine with
     :meth:`~repro.engine.results.BatchResult.merge` into exactly the
     whole-grid result, regardless of backend or merge order.
     """
-    if isinstance(grid, GridSpec):
-        cases: Sequence[Case] = expand_grid(grid)
-    else:
-        cases = list(grid)
-    if shard is not None:
-        cases = shard.select(cases)
+    cases = expand_grid(grid) if isinstance(grid, GridSpec) else grid
     return BatchResult(
-        records=tuple(
-            run_cases(cases, executor=executor,
-                      on_record=on_record, cache=cache)
-        )
+        records=tuple(run_cases(cases, executor=executor, cache=cache))
     )
-
-
-def stream_batch(
-    grid: GridSpec | Iterable[Case],
-    *,
-    sink: "RecordSink",
-    executor: Executor | None = None,
-    shard: ShardSpec | None = None,
-    on_record: OnRecord | None = None,
-    cache: "ResultCache | None" = None,
-) -> int:
-    """Execute a grid streaming every record to *sink*; returns the count.
-
-    The bounded-memory counterpart of :func:`run_batch`: the driver never
-    holds more than the record in flight — everything lands in the sink
-    (typically a :class:`~repro.engine.sink.JsonlRecordSink` spool) as it
-    completes.  Rebuilding the canonical
-    :class:`~repro.engine.results.BatchResult` from the spool
-    (:meth:`BatchResult.load_spool
-    <repro.engine.results.BatchResult.load_spool>`) yields byte-identical
-    exports to the in-memory path — the engine's determinism contract
-    does not care where the records waited.  The caller owns the sink's
-    lifecycle (close it to guarantee the tail is flushed).
-    """
-    if isinstance(grid, GridSpec):
-        cases: Sequence[Case] = expand_grid(grid)
-    else:
-        cases = list(grid)
-    if shard is not None:
-        cases = shard.select(cases)
-    count = 0
-
-    def counting(index: int, record: SweepRecord) -> None:
-        nonlocal count
-        count += 1
-        if on_record is not None:
-            on_record(index, record)
-
-    run_cases(
-        cases,
-        executor=executor,
-        on_record=counting,
-        cache=cache,
-        sink=sink,
-        collect=False,
-    )
-    return count

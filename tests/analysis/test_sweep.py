@@ -1,7 +1,8 @@
 """Tests for sweep records and worst-case search."""
 
-from repro import ATt2, FloodSet, HurfinRaynalES, Schedule
-from repro.analysis.sweep import SweepRecord, run_case, sweep, worst_case_round
+from repro import ATt2, Schedule
+from repro.analysis.sweep import SweepRecord, run_case
+from repro.engine import cases_from, run_batch, run_cases
 from repro.workloads import coordinator_killer, serial_cascade
 
 
@@ -28,13 +29,11 @@ class TestRunCase:
 
 class TestSweep:
     def test_grid(self):
-        cases = [
-            ("att2", ATt2.factory(), "ff",
-             Schedule.failure_free(3, 1, 8), [1, 2, 3]),
-            ("floodset", FloodSet, "ff",
-             Schedule.failure_free(3, 1, 8), [1, 2, 3]),
-        ]
-        records = sweep(cases)
+        cases = cases_from([
+            ("att2", "ff", Schedule.failure_free(3, 1, 8), [1, 2, 3]),
+            ("floodset", "ff", Schedule.failure_free(3, 1, 8), [1, 2, 3]),
+        ])
+        records = run_cases(cases)
         assert [r.algorithm for r in records] == ["att2", "floodset"]
         assert records[0].global_round == 3  # t + 2
         assert records[1].global_round == 2  # t + 1
@@ -48,16 +47,18 @@ class TestWorstCase:
             ("cascade", serial_cascade(n, t, 12)),
             ("killer", coordinator_killer(n, t, 12, rounds_per_cycle=2)),
         ]
-        worst, witness = worst_case_round(
-            HurfinRaynalES, schedules, list(range(n))
+        cases = cases_from(
+            ("hurfin_raynal", name, schedule, range(n))
+            for name, schedule in schedules
         )
+        worst, witness = run_batch(cases).worst_case("hurfin_raynal")
         assert worst == 2 * t + 2
         assert witness == "killer"
 
     def test_undecided_counts_as_horizon_plus_one(self):
-        schedules = [("tiny", Schedule.failure_free(3, 1, 1))]
-        worst, witness = worst_case_round(
-            ATt2.factory(), schedules, [1, 2, 3]
+        cases = cases_from(
+            [("att2", "tiny", Schedule.failure_free(3, 1, 1), [1, 2, 3])]
         )
+        worst, witness = run_batch(cases).worst_case("att2")
         assert worst == 2
         assert witness == "tiny"

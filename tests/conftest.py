@@ -63,3 +63,21 @@ def run_and_check(factory, schedule, proposals, *, expect_termination=True):
 @pytest.fixture
 def att2_factory():
     return ATt2.factory()
+
+
+class ListSink:
+    """A :class:`~repro.engine.sink.RecordSink` that keeps every record."""
+
+    def __init__(self):
+        self.records = []
+
+    def append(self, record):
+        self.records.append(record)
+
+    def close(self):
+        pass
+
+
+@pytest.fixture
+def list_sink():
+    return ListSink()

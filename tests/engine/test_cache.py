@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import ATt2, Schedule
+from repro import Schedule
 from repro.algorithms import registry
 from repro.algorithms.registry import (
     AlgorithmInfo,
@@ -34,14 +34,13 @@ from repro.engine.cache import DB_FILE
 
 
 def _case(index, algorithm="att2", workload="ff", n=3, t=1, horizon=8,
-          factory=None, proposals=None):
+          proposals=None):
     return Case(
         index=index,
         algorithm=algorithm,
         workload=workload,
         schedule=Schedule.failure_free(n, t, horizon),
         proposals=tuple(proposals if proposals is not None else range(n)),
-        factory=factory,
     )
 
 
@@ -107,6 +106,24 @@ class TestSourceHash:
         }
         assert "repro.core.att2" in names
 
+    def test_runtime_fingerprint_covers_the_record_constructor(
+        self, monkeypatch
+    ):
+        # Every cached record is built by analysis/sweep.py, so editing
+        # it must invalidate every entry.
+        from repro.engine import cache as cache_module
+
+        roots = []
+        monkeypatch.setattr(
+            cache_module, "source_closure_hash",
+            lambda modules: roots.extend(modules) or "hash",
+        )
+        assert cache_module._runtime_source_hash() == "hash"
+        names = {
+            module.__name__ for module in registry._module_closure(roots)
+        }
+        assert "repro.analysis.sweep" in names
+
 
 class TestCaseKey:
     def test_key_is_content_addressed(self, cache):
@@ -119,12 +136,6 @@ class TestCaseKey:
         assert cache.case_key(_case(0, algorithm="floodset")) != base
         assert cache.case_key(_case(0, horizon=9)) != base
         assert cache.case_key(_case(0, proposals=(9, 9, 9))) != base
-
-    def test_explicit_factory_is_uncacheable(self, cache):
-        case = _case(0, factory=ATt2.factory())
-        assert cache.case_key(case) is None
-        assert cache.lookup(case) is None
-        assert (cache.hits, cache.misses) == (0, 0)
 
     def test_non_primitive_proposals_are_uncacheable(self, cache):
         # Value is Any; a default object repr embeds a memory address, so
@@ -177,13 +188,12 @@ class TestHitMissPartitioning:
         run_cases(cases, cache=cache)
         assert executed == [1, 2]
 
-    def test_on_record_streams_hits_and_misses(self, cache):
+    def test_sink_receives_hits_and_misses(self, cache, list_sink):
         cases = _small_batch()
         run_cases(cases[:2], cache=cache)
-        seen = []
-        run_cases(cases, cache=cache,
-                  on_record=lambda index, record: seen.append(index))
-        assert sorted(seen) == [0, 1, 2]
+        assert run_cases(cases, cache=cache, sink=list_sink) == []
+        assert (cache.hits, cache.misses) == (2, 3)
+        assert sorted(r.case_index for r in list_sink.records) == [0, 1, 2]
 
     def test_identical_cases_in_one_batch_execute_once(
         self, cache, monkeypatch
@@ -214,21 +224,18 @@ class TestHitMissPartitioning:
         assert (cache.hits, cache.misses, cache.deduped) == (0, 1, 2)
         assert "2 deduped" in cache.describe()
 
-    def test_wrappers_cache_registry_named_cases(self, cache):
-        from repro.analysis.sweep import sweep, worst_case_round
+    def test_cases_from_caches_registry_named_cases(self, cache):
+        from repro.engine import cases_from
 
         schedule = Schedule.failure_free(3, 1, 8)
-        worst, witness = worst_case_round(
-            "att2", [("ff", schedule)], (0, 1, 2), cache=cache
-        )
+        cases = cases_from([("att2", "ff", schedule, (0, 1, 2))])
+        worst, witness = run_batch(cases, cache=cache).worst_case("att2")
         assert (worst, witness) == (3, "ff")
         assert (cache.hits, cache.misses) == (0, 1)
-        worst_case_round("att2", [("ff", schedule)], (0, 1, 2), cache=cache)
+        assert run_batch(cases, cache=cache).worst_case("att2") == (3, "ff")
         assert (cache.hits, cache.misses) == (1, 1)
 
-        records = sweep(
-            [("att2", None, "ff", schedule, (0, 1, 2))], cache=cache
-        )
+        records = run_cases(cases, cache=cache)
         assert records[0].global_round == 3
         assert cache.hits == 2  # registry-resolved, so the entry hit again
 

@@ -1,22 +1,23 @@
 """Engine determinism: the execution backend must not be observable.
 
 The acceptance criterion lives here: the stock ``sweep`` grid (>= 100
-cases over >= 3 algorithms) executed on a 4-worker process pool — or a
-thread pool — yields records identical (including canonical JSON bytes)
-to serial execution of the same grid, and re-expanding a grid with the
+cases over >= 3 algorithms) executed on a 4-worker process pool yields
+records identical (including canonical JSON bytes) to serial execution
+of the same grid, and re-expanding a grid with the
 same seed replays identically under :mod:`repro.sim.replay`.  Shard
 determinism across backends lives in ``test_shards.py``.
 """
 
+from repro.algorithms.registry import get_factory
 from repro.engine import (
     GridSpec,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     default_sweep_grid,
     expand_grid,
     family,
     run_batch,
+    run_cases,
 )
 from repro.sim.kernel import run_algorithm
 from repro.sim.replay import replay, roundtrip
@@ -45,13 +46,6 @@ class TestWorkerCountInvariance:
         assert serial.records == parallel.records
         assert serial.to_json() == parallel.to_json()
 
-    def test_thread_backend_matches_serial(self):
-        grid = _small_grid()
-        serial = run_batch(grid, executor=SerialExecutor())
-        threaded = run_batch(grid, executor=ThreadExecutor(4))
-        assert serial.records == threaded.records
-        assert serial.to_json() == threaded.to_json()
-
     def test_acceptance_grid_parallel_matches_serial(self):
         """The ISSUE's acceptance check: >= 100 cases, >= 3 algorithms."""
         grid = default_sweep_grid()
@@ -63,14 +57,13 @@ class TestWorkerCountInvariance:
         assert serial.records == parallel.records
         assert serial.to_json() == parallel.to_json()
 
-    def test_streaming_sees_same_records_in_any_order(self):
+    def test_streaming_sees_same_records_in_any_order(self, list_sink):
         grid = _small_grid()
-        streamed: dict[int, object] = {}
-        run_batch(grid, executor=ProcessExecutor(4),
-                  on_record=lambda index, record:
-                      streamed.__setitem__(index, record))
+        run_cases(expand_grid(grid), executor=ProcessExecutor(4),
+                  sink=list_sink)
         serial = run_batch(grid, executor=SerialExecutor())
-        assert [streamed[i] for i in sorted(streamed)] == list(serial.records)
+        streamed = sorted(list_sink.records, key=lambda r: r.case_index)
+        assert streamed == list(serial.records)
 
 
 class TestSeedReplay:
@@ -80,11 +73,12 @@ class TestSeedReplay:
         second = expand_grid(grid)
         assert first == second
         for case in first[:8]:
+            factory = get_factory(case.algorithm)
             trace = run_algorithm(
-                case.resolve_factory(), case.schedule, list(case.proposals)
+                factory, case.schedule, list(case.proposals)
             )
             # replay() raises SimulationError on any divergence.
-            fresh = replay(trace, case.resolve_factory())
+            fresh = replay(trace, factory)
             assert fresh.decisions == trace.decisions
 
     def test_grid_schedules_survive_serialization(self):

@@ -5,13 +5,12 @@ import time
 
 import pytest
 
-from repro import ATt2, Schedule
+from repro import Schedule
 from repro.engine import (
     Case,
     ExecutorError,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     resolve_executor,
     run_batch,
     run_cases,
@@ -20,19 +19,16 @@ from repro.engine import (
 BACKEND_PARAMS = [
     pytest.param(SerialExecutor(), id="serial"),
     pytest.param(ProcessExecutor(workers=3), id="processes"),
-    pytest.param(ThreadExecutor(workers=3), id="threads"),
 ]
 
 
-def _case(index, algorithm="att2", workload="ff", n=3, t=1, horizon=8,
-          factory=None):
+def _case(index, algorithm="att2", workload="ff", n=3, t=1, horizon=8):
     return Case(
         index=index,
         algorithm=algorithm,
         workload=workload,
         schedule=Schedule.failure_free(n, t, horizon),
         proposals=tuple(range(n)),
-        factory=factory,
     )
 
 
@@ -66,7 +62,6 @@ class TestMapCasesProtocol:
     def test_executor_names(self):
         assert SerialExecutor().name == "serial"
         assert ProcessExecutor().name == "processes"
-        assert ThreadExecutor().name == "threads"
 
 
 def _assert_no_live_pool_children(timeout=10.0):
@@ -205,90 +200,6 @@ class TestPoolTeardown:
         _assert_no_live_pool_children()
 
 
-class TestFactoryCases:
-    def _factory_cases(self, count=3, start=0):
-        # A lambda factory cannot cross a process boundary.
-        return [
-            _case(start + i, algorithm="custom",
-                  factory=lambda pid, n, t, proposal:
-                      ATt2.factory()(pid, n, t, proposal))
-            for i in range(count)
-        ]
-
-    def test_process_backend_falls_back_to_serial(self):
-        pairs = list(ProcessExecutor(workers=4).map_cases(
-            self._factory_cases()
-        ))
-        assert [record.global_round for _i, record in pairs] == [3, 3, 3]
-
-    def test_factory_cases_run_inline_beside_schedule_groups(
-        self, monkeypatch
-    ):
-        from repro.engine import executors as executors_module
-
-        grouped = []
-        real_group = executors_module.group_by_schedule
-
-        def recording_group(cases):
-            groups = real_group(cases)
-            grouped.extend(case.index for group in groups for case in group)
-            return groups
-
-        monkeypatch.setattr(
-            executors_module, "group_by_schedule", recording_group
-        )
-        mixed = [_case(i, horizon=8 + i % 2) for i in range(4)]
-        mixed += self._factory_cases(count=2, start=4)
-        pairs = list(ProcessExecutor(workers=2).map_cases(mixed))
-        assert sorted(grouped) == [0, 1, 2, 3]
-        assert [index for index, _record in pairs[-2:]] == [4, 5]
-        assert sorted(index for index, _record in pairs) == list(range(6))
-
-    def test_mixed_batch_pools_picklable_cases(self, monkeypatch):
-        # Regression: one factory case used to force the *entire* batch
-        # onto the serial fallback.  The batch is now partitioned — the
-        # picklable cases still go through the pool, the factory cases
-        # run inline — and the re-sorted output is unchanged.
-        from repro.engine import executors as executors_module
-
-        pool_requested = []
-        real_context = executors_module._pool_context
-
-        def recording_context():
-            pool_requested.append(True)
-            return real_context()
-
-        inline_indices = []
-        real_serial = executors_module.SerialExecutor.map_cases
-
-        def recording_serial(self, cases):
-            inline_indices.extend(case.index for case in cases)
-            return real_serial(self, cases)
-
-        monkeypatch.setattr(
-            executors_module, "_pool_context", recording_context
-        )
-        monkeypatch.setattr(
-            executors_module.SerialExecutor, "map_cases", recording_serial
-        )
-        mixed = (
-            [_case(i, horizon=8 + i) for i in range(4)]
-            + self._factory_cases(count=2, start=4)
-        )
-        records = run_cases(mixed, executor=ProcessExecutor(workers=2))
-        assert pool_requested, "picklable cases should still use the pool"
-        assert sorted(inline_indices) == [4, 5]
-        monkeypatch.undo()
-        assert records == run_cases(mixed, executor=SerialExecutor())
-
-    def test_thread_backend_runs_factories_in_process(self):
-        # Threads share the interpreter, so no fallback is needed.
-        pairs = list(ThreadExecutor(workers=2).map_cases(
-            self._factory_cases()
-        ))
-        assert [record.global_round for _i, record in pairs] == [3, 3, 3]
-
-
 class TestExecutorArgument:
     """``executor=`` is the only way to choose a backend."""
 
@@ -312,7 +223,6 @@ class TestResolveExecutor:
     def test_maps_backend_names(self):
         assert isinstance(resolve_executor("serial"), SerialExecutor)
         assert resolve_executor("processes", workers=4) == ProcessExecutor(4)
-        assert resolve_executor("threads", workers=2) == ThreadExecutor(2)
 
     def test_serial_accepts_one_worker(self):
         assert isinstance(
@@ -326,3 +236,7 @@ class TestResolveExecutor:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ExecutorError, match="unknown backend"):
             resolve_executor("carrier-pigeons")
+
+    def test_threads_is_not_a_backend(self):
+        with pytest.raises(ExecutorError, match="known: serial, processes$"):
+            resolve_executor("threads")

@@ -19,15 +19,13 @@ from repro.engine import (
 )
 
 
-def _case(index, algorithm="att2", workload="ff", n=3, t=1, horizon=8,
-          factory=None):
+def _case(index, algorithm="att2", workload="ff", n=3, t=1, horizon=8):
     return Case(
         index=index,
         algorithm=algorithm,
         workload=workload,
         schedule=Schedule.failure_free(n, t, horizon),
         proposals=tuple(range(n)),
-        factory=factory,
     )
 
 
@@ -41,31 +39,22 @@ class TestRunCases:
         assert records[1].global_round == 3  # t + 2
         assert records[0].global_round == 2  # t + 1
 
-    def test_explicit_factory_overrides_registry(self):
-        # A deliberately wrong registry name proves the factory is used.
-        case = _case(0, algorithm="not_in_registry",
-                     factory=ATt2.factory())
-        (record,) = run_cases([case])
-        assert record.algorithm == "not_in_registry"
-        assert record.global_round == 3
+    def test_sink_receives_every_case_and_nothing_is_held(self, list_sink):
+        cases = [_case(i) for i in range(5)]
+        assert run_cases(cases, sink=list_sink) == []
+        assert sorted(r.case_index for r in list_sink.records) == list(
+            range(5)
+        )
+        assert sorted(
+            list_sink.records, key=lambda r: r.case_index
+        ) == run_cases(cases)
 
-    def test_unpicklable_factory_forces_serial_path(self):
-        # Lambdas cannot cross a process boundary; succeeding under a
-        # 4-worker process pool proves the backend fell back to serial.
-        cases = [
-            _case(i, algorithm="custom",
-                  factory=lambda pid, n, t, proposal:
-                      ATt2.factory()(pid, n, t, proposal))
-            for i in range(3)
-        ]
-        records = run_cases(cases, executor=ProcessExecutor(4))
-        assert [r.global_round for r in records] == [3, 3, 3]
+    def test_case_names_its_algorithm_and_carries_no_factory(self):
+        from dataclasses import fields
 
-    def test_on_record_streams_every_case(self):
-        seen = []
-        run_cases([_case(i) for i in range(5)],
-                  on_record=lambda index, record: seen.append(index))
-        assert sorted(seen) == list(range(5))
+        assert "factory" not in {field.name for field in fields(Case)}
+        with pytest.raises(KeyError, match="unknown algorithm"):
+            run_cases([_case(0, algorithm="not_in_registry")])
 
     def test_record_carries_horizon(self):
         (record,) = run_cases([_case(0, horizon=9)])
@@ -238,7 +227,6 @@ class TestCasesFrom:
         assert [c.index for c in cases] == [0, 1]
         assert [c.algorithm for c in cases] == ["att2", "floodset"]
         assert all(c.proposals == (0, 1, 2) for c in cases)
-        assert all(c.factory is None for c in cases)
 
 
 class TestCorrectUndecided:

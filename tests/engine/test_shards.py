@@ -17,7 +17,6 @@ from repro.engine import (
     ProcessExecutor,
     SerialExecutor,
     ShardSpec,
-    ThreadExecutor,
     expand_grid,
     family,
     run_batch,
@@ -26,7 +25,6 @@ from repro.engine import (
 BACKEND_PARAMS = [
     pytest.param(SerialExecutor(), id="serial"),
     pytest.param(ProcessExecutor(workers=2), id="processes"),
-    pytest.param(ThreadExecutor(workers=2), id="threads"),
 ]
 
 
@@ -42,6 +40,12 @@ def _grid(seed=13):
         seed=seed,
         proposal_mode="random",
     )
+
+
+def _run_shard(grid, index, count, **kwargs):
+    """One shard's result, selected the way ``repro sweep --shard`` does."""
+    cases = ShardSpec(index, count).select(expand_grid(grid))
+    return run_batch(cases, **kwargs)
 
 
 class TestShardSpec:
@@ -97,7 +101,7 @@ class TestShardDeterminism:
         grid = _grid()
         whole = run_batch(grid, executor=SerialExecutor())
         shards = [
-            run_batch(grid, executor=executor, shard=ShardSpec(i, 3))
+            _run_shard(grid, i, 3, executor=executor)
             for i in range(3)
         ]
         for order in ((2, 0, 1), (1, 2, 0), (2, 1, 0)):
@@ -112,9 +116,7 @@ class TestShardDeterminism:
         whole = run_batch(grid, executor=SerialExecutor())
         paths = []
         for i in range(2):
-            result = run_batch(
-                grid, executor=SerialExecutor(), shard=ShardSpec(i, 2)
-            )
+            result = _run_shard(grid, i, 2, executor=SerialExecutor())
             path = tmp_path / f"shard{i}.json"
             result.save(str(path))
             paths.append(path)
@@ -125,9 +127,7 @@ class TestShardDeterminism:
 
     def test_shard_records_keep_canonical_indices(self):
         grid = _grid()
-        shard = run_batch(
-            grid, executor=SerialExecutor(), shard=ShardSpec(1, 3)
-        )
+        shard = _run_shard(grid, 1, 3, executor=SerialExecutor())
         assert [r.case_index for r in shard.records] == [
             case.index for case in ShardSpec(1, 3).select(expand_grid(grid))
         ]
@@ -139,14 +139,8 @@ class TestShardDeterminism:
         grid = _grid()
         whole = run_batch(grid, executor=SerialExecutor())
         cache = ResultCache(tmp_path / "cache")
-        cold = [
-            run_batch(grid, shard=ShardSpec(i, 2), cache=cache)
-            for i in range(2)
-        ]
-        warm = [
-            run_batch(grid, shard=ShardSpec(i, 2), cache=cache)
-            for i in range(2)
-        ]
+        cold = [_run_shard(grid, i, 2, cache=cache) for i in range(2)]
+        warm = [_run_shard(grid, i, 2, cache=cache) for i in range(2)]
         assert cache.hits == grid.case_count
         for shards in (cold, warm):
             merged = BatchResult.merge(reversed(shards))

@@ -1,7 +1,7 @@
 """Tests for the record-streaming path: sinks, spools and recovery.
 
 The contract under test (:mod:`repro.engine.sink`,
-:func:`repro.engine.runner.stream_batch`,
+:func:`repro.engine.runner.run_cases` with ``sink=``,
 :meth:`repro.engine.results.BatchResult.load_spool`): a sweep streamed
 to an append-only JSONL spool rebuilds into a :class:`BatchResult` —
 and a ``--json`` export — byte-identical to the in-memory path; a spool
@@ -20,10 +20,12 @@ from repro.engine import (
     GridSpec,
     JsonlRecordSink,
     RecordSink,
+    ShardSpec,
+    expand_grid,
     family,
     read_spool,
     run_batch,
-    stream_batch,
+    run_cases,
 )
 from repro.model.schedule import Schedule
 
@@ -39,14 +41,19 @@ def _grid(seed=7, count=4):
     )
 
 
-def _spooled(tmp_path, grid, name="spool.jsonl"):
-    path = str(tmp_path / name)
+def _stream(path, cases):
+    """Stream *cases* into a JSONL spool at *path*; the appended count."""
     sink = JsonlRecordSink(path)
     try:
-        count = stream_batch(grid, sink=sink)
+        assert run_cases(cases, sink=sink) == []
     finally:
         sink.close()
-    return path, count
+    return sink.count
+
+
+def _spooled(tmp_path, grid, name="spool.jsonl"):
+    path = str(tmp_path / name)
+    return path, _stream(path, expand_grid(grid))
 
 
 class TestSpoolRoundTrip:
@@ -93,18 +100,12 @@ class TestSpoolRoundTrip:
 
 class TestMergeAfterStream:
     def test_sharded_spools_merge_to_whole_grid(self, tmp_path):
-        from repro.engine import ShardSpec
-
         grid = _grid()
         paths = []
         for index in range(2):
             path = str(tmp_path / f"shard{index}.jsonl")
-            sink = JsonlRecordSink(path)
-            try:
-                stream_batch(grid, sink=sink,
-                             shard=ShardSpec(index=index, count=2))
-            finally:
-                sink.close()
+            shard = ShardSpec(index=index, count=2)
+            _stream(path, shard.select(expand_grid(grid)))
             paths.append(path)
         merged = BatchResult.merge(
             [BatchResult.load(path) for path in reversed(paths)]
@@ -124,11 +125,7 @@ class TestMergeAfterStream:
         # Appending one grid to a spool twice duplicates every case
         # index; the spool must refuse to load rather than double-count.
         path, _ = _spooled(tmp_path, _grid())
-        sink = JsonlRecordSink(path)
-        try:
-            stream_batch(_grid(), sink=sink)
-        finally:
-            sink.close()
+        _stream(path, expand_grid(_grid()))
         with pytest.raises(ValueError, match="shards overlap"):
             BatchResult.load_spool(path)
 
@@ -169,10 +166,8 @@ class TestKilledDriverRecovery:
         assert BatchResult.load_spool(str(path)).case_count == 0
 
 
-class TestStreamBatchBoundsMemory:
-    def test_run_cases_collect_false_returns_nothing(self, tmp_path):
-        from repro.engine import run_cases
-
+class TestSinkBoundsMemory:
+    def test_run_cases_with_a_sink_returns_nothing(self, tmp_path):
         case = Case(
             index=0,
             algorithm="att2",
@@ -182,27 +177,22 @@ class TestStreamBatchBoundsMemory:
         )
         sink = JsonlRecordSink(str(tmp_path / "one.jsonl"))
         try:
-            assert run_cases([case], sink=sink, collect=False) == []
+            assert run_cases([case], sink=sink) == []
         finally:
             sink.close()
         (record,) = read_spool(str(tmp_path / "one.jsonl"))
         assert record.algorithm == "att2"
 
-    def test_stream_batch_counts_and_appends_everything(self, tmp_path):
+    def test_sink_receives_every_record(self, tmp_path, list_sink):
         grid = _grid(count=3)
-        seen = []
         path = str(tmp_path / "counted.jsonl")
-        sink = JsonlRecordSink(path)
-        try:
-            count = stream_batch(
-                grid, sink=sink,
-                on_record=lambda index, record: seen.append(index),
-            )
-        finally:
-            sink.close()
-        assert count == grid.case_count == sink.count
-        assert sorted(seen) == list(range(grid.case_count))
+        count = _stream(path, expand_grid(grid))
+        assert count == grid.case_count
         assert BatchResult.load_spool(path).case_count == grid.case_count
+        assert run_cases(expand_grid(grid), sink=list_sink) == []
+        assert sorted(r.case_index for r in list_sink.records) == list(
+            range(grid.case_count)
+        )
 
     def test_orchestrate_streams_accepted_shards(self, tmp_path):
         # The orchestrator appends each shard's records as the shard
@@ -213,7 +203,7 @@ class TestStreamBatchBoundsMemory:
 
         class GridBackend:
             async def run_shard(self, worker, shard, attempt):
-                return run_batch(grid, shard=shard)
+                return run_batch(shard.select(expand_grid(grid)))
 
             async def warm(self, worker):
                 pass

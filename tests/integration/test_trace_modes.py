@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.algorithms.registry import get_factory
 from repro.analysis.sweep import case_record
 from repro.engine import expand_grid, profile_grids
 from repro.sim.kernel import run_algorithm
@@ -23,7 +24,7 @@ from repro.sim.kernel import run_algorithm
 )
 def test_full_and_lean_traces_agree_on_profile_large(grid):
     for case in expand_grid(grid):
-        factory = case.resolve_factory()
+        factory = get_factory(case.algorithm)
         proposals = list(case.proposals)
         full = run_algorithm(factory, case.schedule, proposals, trace="full")
         lean = run_algorithm(factory, case.schedule, proposals, trace="lean")

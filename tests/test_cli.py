@@ -60,6 +60,14 @@ class TestRun:
         with pytest.raises(SystemExit, match="unknown workload"):
             main(["run", "--workload", "nope"])
 
+    def test_unknown_algorithm_exits_with_one_line(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--algorithm", "nope"])
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith("unknown algorithm 'nope'; known: ")
+        assert "att2, att2_optimized" in message
+
     def test_diagram_renders_the_full_trace(self, capsys):
         # run always records every round, so --diagram needs no flag.
         code = main([
@@ -126,11 +134,19 @@ class TestSweep:
         capsys.readouterr()
         assert serial.read_bytes() == parallel.read_bytes()
 
-    def test_unknown_algorithm_rejected(self):
-        from repro.engine import GridError
+    @pytest.mark.parametrize("algorithms", ["nope", "att2,nope"])
+    def test_unknown_algorithm_exits_with_one_line(self, algorithms):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--algorithms", algorithms])
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith("unknown algorithm 'nope'; known: ")
+        assert "att2, att2_optimized" in message
 
-        with pytest.raises(GridError, match="unknown algorithm"):
-            main(["sweep", "--algorithms", "nope"])
+    def test_algorithm_names_are_stripped_before_empties_drop(self, capsys):
+        assert main(["sweep", "--algorithms", "att2, ",
+                     "--cases-per-family", "1", "--backend", "serial"]) == 0
+        assert "1 algorithms x" in capsys.readouterr().out.splitlines()[0]
 
     def test_default_grid_meets_acceptance_floor(self, capsys):
         assert main(["sweep", "--workers", "2"]) == 0
@@ -321,11 +337,12 @@ class TestSweepShardsAndMerge:
         whole = tmp_path / "whole.json"
         merged = tmp_path / "merged.json"
         shards = [tmp_path / f"shard{i}.json" for i in range(2)]
-        backends = ["threads", "serial"]
+        backends = [["--backend", "processes", "--workers", "2"],
+                    ["--backend", "serial"]]
         assert main(self.ARGS + ["--json", str(whole)]) == 0
         for i, (path, backend) in enumerate(zip(shards, backends)):
-            assert main(self.ARGS + ["--shard", f"{i}/2", "--backend",
-                                     backend, "--json", str(path)]) == 0
+            assert main(self.ARGS + ["--shard", f"{i}/2", *backend,
+                                     "--json", str(path)]) == 0
         # Merge in reversed arrival order: the output must not care.
         assert main(["merge", str(shards[1]), str(shards[0]),
                      "--json", str(merged)]) == 0
