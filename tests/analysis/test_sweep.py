@@ -62,3 +62,16 @@ class TestWorstCase:
         worst, witness = run_batch(cases).worst_case("att2")
         assert worst == 2
         assert witness == "tiny"
+
+
+class TestPackageAttribute:
+    def test_package_attribute_is_the_sweep_module(self):
+        # No package-level name shadows the module, so the cache's
+        # runtime source hash resolves and covers analysis/sweep.py.
+        import types
+
+        import repro.analysis
+
+        assert isinstance(repro.analysis.sweep, types.ModuleType)
+        assert repro.analysis.sweep.SweepRecord is SweepRecord
+        assert "sweep" not in repro.analysis.__all__

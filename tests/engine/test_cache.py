@@ -137,6 +137,16 @@ class TestCaseKey:
         assert cache.case_key(_case(0, horizon=9)) != base
         assert cache.case_key(_case(0, proposals=(9, 9, 9))) != base
 
+    def test_every_registered_algorithm_is_cacheable(self, cache):
+        # Every case names a registered algorithm, so every case has a
+        # source fingerprint and therefore a key of its own.
+        from repro.algorithms.registry import available_algorithms
+
+        names = sorted(available_algorithms())
+        keys = [cache.case_key(_case(0, algorithm=name)) for name in names]
+        assert all(key is not None and len(key) == 64 for key in keys)
+        assert len(set(keys)) == len(names)
+
     def test_non_primitive_proposals_are_uncacheable(self, cache):
         # Value is Any; a default object repr embeds a memory address, so
         # such proposals have no stable fingerprint and must never key.

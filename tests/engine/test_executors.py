@@ -63,6 +63,14 @@ class TestMapCasesProtocol:
         assert SerialExecutor().name == "serial"
         assert ProcessExecutor().name == "processes"
 
+    @pytest.mark.parametrize("executor", BACKEND_PARAMS)
+    def test_unknown_algorithm_fails_on_every_backend(self, executor):
+        # Workers resolve the factory by name; an unregistered name is an
+        # error on the pool too, never a silently dropped case.
+        cases = [_case(0), _case(1, algorithm="not_in_registry", horizon=9)]
+        with pytest.raises(KeyError, match="unknown algorithm"):
+            list(executor.map_cases(cases))
+
 
 def _assert_no_live_pool_children(timeout=10.0):
     """Wait (briefly) for every pool worker process to be reaped."""
@@ -164,6 +172,24 @@ class TestScheduleGroups:
         cases = [_case(i, algorithm=name)
                  for i, name in enumerate(("att2", "floodset"))]
         assert execute_group(cases) == [execute_case(c) for c in cases]
+
+    def test_several_schedules_are_pooled_whole(self, monkeypatch):
+        # No case of a multi-schedule batch runs inline in the driver:
+        # every group becomes a pool task.
+        from repro.engine import executors as executors_module
+
+        cases = [_case(i, algorithm=name, horizon=8 + i // 2)
+                 for i, name in enumerate(("att2", "floodset") * 3)]
+        reference = list(SerialExecutor().map_cases(cases))
+
+        def no_inline(self, cases):
+            raise AssertionError("a multi-schedule batch ran inline")
+
+        monkeypatch.setattr(
+            executors_module.SerialExecutor, "map_cases", no_inline
+        )
+        pairs = list(ProcessExecutor(workers=2).map_cases(cases))
+        assert sorted(pairs) == sorted(reference)
 
     def test_one_schedule_runs_inline(self, monkeypatch):
         # A single group has nothing to spread over workers.

@@ -169,6 +169,69 @@ class TestSweep:
             main(self.ARGS + ["--json", "/nonexistent-dir/sweep.json"])
 
 
+class TestSweepSpool:
+    """``--spool`` streams every record through ``runner.run_cases`` into
+    a JSONL spool and rebuilds the result from it."""
+
+    ARGS = TestSweep.ARGS
+
+    def _sweep(self, tmp_path, name, *extra):
+        export = tmp_path / f"{name}.json"
+        assert main(self.ARGS + [*extra, "--json", str(export)]) == 0
+        return export
+
+    def test_spool_export_matches_in_memory_export(self, capsys, tmp_path):
+        import json
+
+        memory = self._sweep(tmp_path, "memory", "--backend", "serial")
+        spool = tmp_path / "sweep.jsonl"
+        spooled = self._sweep(tmp_path, "spooled", "--backend", "serial",
+                              "--spool", str(spool))
+        count = len(json.loads(memory.read_text())["records"])
+        assert f"spooled {count} records to {spool}" in (
+            capsys.readouterr().out
+        )
+        assert spooled.read_bytes() == memory.read_bytes()
+
+    def test_pooled_spool_matches_serial_export(self, capsys, tmp_path):
+        # Pool completion order reaches the spool unsorted; the reload
+        # restores the canonical order.
+        serial = self._sweep(tmp_path, "serial", "--backend", "serial")
+        pooled = self._sweep(
+            tmp_path, "pooled", "--backend", "processes", "--workers", "2",
+            "--spool", str(tmp_path / "pooled.jsonl"),
+        )
+        capsys.readouterr()
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    def test_spool_runs_through_the_runner_module(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # Wrappers installed on ``repro.engine.runner`` see the spool path.
+        from repro.engine import runner
+
+        sinks = []
+        real = runner.run_cases
+
+        def recording(cases, **kwargs):
+            sinks.append(kwargs["sink"])
+            return real(cases, **kwargs)
+
+        monkeypatch.setattr(runner, "run_cases", recording)
+        self._sweep(tmp_path, "spooled", "--backend", "serial",
+                    "--spool", str(tmp_path / "sweep.jsonl"))
+        capsys.readouterr()
+        assert len(sinks) == 1 and sinks[0] is not None
+
+    def test_non_empty_spool_rejected_before_running(self, tmp_path):
+        spool = tmp_path / "old.jsonl"
+        spool.write_text("{}\n")
+        with pytest.raises(SystemExit, match="already exists and is not "
+                                             "empty"):
+            main(self.ARGS + ["--spool", str(spool)])
+        assert spool.read_text() == "{}\n"
+
+
 class TestSweepCache:
     ARGS = [
         "sweep", "--cases-per-family", "2", "--seed", "3",
@@ -257,6 +320,19 @@ class TestSweepValidation:
     def test_shard_index_at_or_past_count_rejected(self):
         with pytest.raises(SystemExit, match="shard index"):
             main(self.ARGS + ["--shard", "2/2"])
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--backend", "threads"],
+        ["orchestrate", "--profile", "large", "--local", "1",
+         "--worker-backend", "threads"],
+    ])
+    def test_threads_backend_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'threads'" in err
+        assert "'serial', 'processes'" in err
 
     def test_serial_backend_with_parallel_workers_rejected(self):
         with pytest.raises(SystemExit, match="serial backend"):
