@@ -11,11 +11,6 @@ Commands:
   ``--grid`` JSON file or directory of them, or a named ``--profile``)
   on the batch engine (:mod:`repro.engine`), on a selectable execution
   backend, optionally as one shard of a distributed run.
-* ``orchestrate`` — drive a whole distributed sweep: plan shards,
-  launch them on a worker inventory (``--local N`` subprocesses or a
-  ``--workers-file hosts.toml`` of local/SSH machines), retry and
-  reassign failed shards with backoff, and merge incrementally into
-  one export.
 * ``merge`` — recombine per-shard ``--json`` exports into the
   whole-grid result.
 * ``grid validate`` — lint grid JSON files (or directories of them)
@@ -41,9 +36,6 @@ Examples::
     python -m repro sweep --profile large
     python -m repro sweep --profile xlarge
     python -m repro sweep --profile xxlarge --spool xxl.jsonl --json xxl.json
-    python -m repro orchestrate --grid grid.json --local 4 --json all.json
-    python -m repro orchestrate --profile large --workers-file hosts.toml \
-        --cache .sweep-cache --warm-cache --json large.json
     python -m repro merge shard0.json shard1.json --json whole.json
     python -m repro grid validate experiments/
     python -m repro cache stats .sweep-cache
@@ -100,7 +92,7 @@ in-memory path.
 Trace modes
 -----------
 
-``sweep`` and ``orchestrate`` run every case lean
+``sweep`` runs every case lean
 (:func:`repro.sim.kernel.execute` with ``trace="lean"``): the kernel
 records decisions and counters, which is everything a sweep record
 consumes, and skips the per-round records.  ``run`` records the full
@@ -119,9 +111,13 @@ of the same grid and seed diffs empty.
 
 ``--shard I/N`` runs only the cases with ``index % N == I``, so N
 machines can split one grid file without coordination; each shard's
-``--json`` export carries its case indices, and ``repro merge`` (or
-:meth:`repro.engine.results.BatchResult.merge`) recombines the exports —
-in any order — into output byte-identical to the unsharded run.
+``--json`` export (or ``--spool``) carries its case indices, and
+``repro merge`` recombines them — in any order — into output
+byte-identical to the unsharded run.  Overlapping inputs are refused.
+A merge whose case indices are not exactly ``0..N-1`` writes
+``<json>.partial`` instead of ``<json>`` and exits 1; a missing *tail*
+of indices cannot be detected, because an export does not carry its
+grid's size.
 
 The ``sweep`` result cache
 --------------------------
@@ -567,179 +563,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _grid_pass_through_args(args) -> tuple[str, ...]:
-    """The grid-selecting CLI prefix every orchestrated worker re-runs.
-
-    Workers re-expand the grid themselves (``repro sweep --grid ...
-    --shard I/N``), so the orchestrator forwards the *selection* — a
-    grid file/directory path or a profile name (plus ``--seed``) —
-    verbatim; byte-identity of the merged export rests on every worker
-    agreeing on the expansion, which the engine's determinism contract
-    guarantees for identical selections.
-    """
-    if bool(args.grid) == bool(args.profile):
-        raise SystemExit(
-            "orchestrate needs exactly one of --grid or --profile"
-        )
-    if args.grid:
-        if args.seed is not None:
-            raise SystemExit(
-                "--grid and --seed are mutually exclusive: the grid "
-                "file already defines the experiment"
-            )
-        return ("--grid", args.grid)
-    prefix: tuple[str, ...] = ("--profile", args.profile)
-    if args.seed is not None:
-        prefix += ("--seed", str(args.seed))
-    return prefix
-
-
-def _orchestrate_workers(args):
-    """The validated worker inventory (``--local N`` or ``--workers-file``)."""
-    from repro.engine.orchestrator import (
-        OrchestratorError,
-        load_workers_file,
-        local_workers,
-    )
-
-    if bool(args.workers_file) == bool(args.local):
-        raise SystemExit(
-            "orchestrate needs exactly one of --workers-file or --local N"
-        )
-    try:
-        if args.local:
-            return local_workers(args.local)
-        return load_workers_file(args.workers_file)
-    except OrchestratorError as exc:
-        raise SystemExit(str(exc))
-
-
-def _cmd_orchestrate(args) -> int:
-    import shutil
-    import tempfile
-
-    from repro.engine import AlgorithmSummary, JsonlRecordSink
-    from repro.engine.orchestrator import (
-        OrchestratorError,
-        build_backend,
-        orchestrate,
-    )
-
-    grid_args = _grid_pass_through_args(args)
-    workers = _orchestrate_workers(args)
-    if args.grid and not os.path.exists(args.grid) and not any(
-        worker.is_remote for worker in workers
-    ):
-        raise SystemExit(f"cannot read --grid {args.grid!r}: not found")
-    shards = args.shards if args.shards is not None else 2 * len(workers)
-    if shards < 1:
-        raise SystemExit(f"--shards must be >= 1, got {shards}")
-    if args.retries < 0:
-        raise SystemExit(f"--retries must be >= 0, got {args.retries}")
-    if args.timeout is not None and args.timeout < 0:
-        raise SystemExit(f"--timeout must be >= 0, got {args.timeout}")
-    if args.backoff < 0:
-        raise SystemExit(f"--backoff must be >= 0, got {args.backoff}")
-    if args.warm_cache and not args.cache:
-        raise SystemExit("--warm-cache needs --cache DIR to warm from")
-    chaos = frozenset()
-    if args.chaos_kill is not None:
-        if not 0 <= args.chaos_kill < shards:
-            raise SystemExit(
-                f"--chaos-kill shard must be in 0..{shards - 1}, "
-                f"got {args.chaos_kill}"
-            )
-        chaos = frozenset({args.chaos_kill})
-    if args.json:
-        _ensure_writable(args.json)
-    if args.spool:
-        if os.path.exists(args.spool) and os.path.getsize(args.spool):
-            raise SystemExit(
-                f"--spool {args.spool!r} already exists and is not empty; "
-                f"the spool is append-only, so streaming into it again "
-                f"would duplicate case indices — remove it or pick a "
-                f"fresh path"
-            )
-        _ensure_writable(args.spool, flag="--spool")
-
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-orchestrate-")
-    backend = build_backend(
-        workers,
-        grid_args=grid_args,
-        workdir=workdir,
-        cache=args.cache,
-        worker_backend=args.worker_backend,
-        chaos_kill=chaos,
-    )
-
-    def show(event) -> None:
-        print(f"orchestrate {event.describe()}", flush=True)
-
-    print(
-        f"orchestrate: {shards} shards of "
-        f"{' '.join(grid_args)} over {len(workers)} workers "
-        f"({', '.join(worker.describe() for worker in workers)}), "
-        f"retries={args.retries}, timeout={args.timeout or 'none'}"
-    )
-    sink = JsonlRecordSink(args.spool) if args.spool else None
-    try:
-        report = orchestrate(
-            workers,
-            backend,
-            shards,
-            retries=args.retries,
-            timeout=args.timeout or None,
-            backoff=args.backoff,
-            heartbeat=args.heartbeat or None,
-            warm=args.warm_cache,
-            on_event=show,
-            sink=sink,
-        )
-    except OrchestratorError as exc:
-        raise SystemExit(str(exc))
-    finally:
-        if sink is not None:
-            sink.close()
-    if sink is not None:
-        print(f"spooled {sink.count} records to {args.spool}")
-
-    print()
-    print(report.describe())
-    result = report.result
-    if result.case_count:
-        print()
-        print(format_table(
-            list(AlgorithmSummary.ROW_HEADERS),
-            [summary.row() for summary in result.summaries()],
-            title=f"Orchestrated sweep ({len(report.completed)}/"
-                  f"{report.shard_count} shards)",
-        ))
-    if not report.complete:
-        # Keep the per-attempt shard exports around for post-mortems,
-        # and never write a partial result where a complete export is
-        # expected — the .partial suffix makes the difference explicit.
-        if args.json:
-            partial = f"{args.json}.partial"
-            result.save(partial)
-            print(f"\nwrote PARTIAL result ({result.case_count} cases) "
-                  f"to {partial}")
-        print(f"shard attempt files kept in {workdir}")
-        return 1
-    if args.json:
-        result.save(args.json)
-        print(f"\nwrote {result.case_count} records to {args.json}")
-    if not args.workdir:
-        shutil.rmtree(workdir, ignore_errors=True)
-    violations = result.violations()
-    if violations:
-        print(f"\nSAFETY VIOLATIONS in {len(violations)} cases:")
-        for record in violations:
-            print(f"  - {record.algorithm} on {record.workload}")
-        return 1
-    print("\nsafety (agreement + validity): ok on every case")
-    return 0
-
-
 def _cmd_merge(args) -> int:
     """Recombine per-shard ``--json`` exports into the whole-grid result."""
     from repro.engine import BatchResult
@@ -766,6 +589,21 @@ def _cmd_merge(args) -> int:
         merged = BatchResult.merge(results)
     except ValueError as exc:
         raise SystemExit(str(exc))
+    # Indices run 0..N-1 in a whole grid, so a gap means a missing shard.
+    # A missing tail is invisible: the exports do not carry the grid size.
+    present = {record.case_index for record in merged.records}
+    top = max(present, default=-1)
+    missing = [index for index in range(top + 1) if index not in present]
+    if missing:
+        partial = f"{args.json}.partial"
+        merged.save(partial)
+        print(
+            f"merged {merged.case_count} records from {len(args.inputs)} "
+            f"shards, but {len(missing)} case indices in 0..{top} are "
+            f"missing (first: {missing[:10]}); wrote PARTIAL result to "
+            f"{partial}"
+        )
+        return 1
     merged.save(args.json)
     print(
         f"merged {merged.case_count} records from {len(args.inputs)} "
@@ -1004,106 +842,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="bypass --cache (run every case) without editing scripts",
     )
 
-    orch_parser = sub.add_parser(
-        "orchestrate",
-        help="drive a whole distributed sweep: shards on workers, with "
-             "retry/reassign and incremental merge",
-    )
-    orch_parser.add_argument(
-        "--grid", default="",
-        help="grid JSON file or directory to sweep (forwarded to every "
-             "worker; remote workers resolve it against their checkout)",
-    )
-    orch_parser.add_argument(
-        "--profile", default="",
-        help="stock multi-grid preset to sweep instead of --grid "
-             "(large, xlarge, xxlarge)",
-    )
-    orch_parser.add_argument(
-        "--seed", type=int, default=None,
-        help="reseed a --profile's random families (invalid with --grid)",
-    )
-    orch_parser.add_argument(
-        "--workers-file", default="",
-        help="TOML worker inventory (hosts.toml: [[workers]] tables "
-             "with name/host/python/repo; see docs/engine.md)",
-    )
-    orch_parser.add_argument(
-        "--local", type=int, default=0, metavar="N",
-        help="use N local subprocess workers instead of a workers file",
-    )
-    orch_parser.add_argument(
-        "--shards", type=int, default=None,
-        help="shard count to plan (default: 2x the worker count, so "
-             "reassignment always has slack)",
-    )
-    orch_parser.add_argument(
-        "--retries", type=int, default=2,
-        help="retries per shard after its first failure (default 2)",
-    )
-    orch_parser.add_argument(
-        "--timeout", type=float, default=600.0, metavar="SECONDS",
-        help="per-attempt timeout (default 600; 0 disables)",
-    )
-    orch_parser.add_argument(
-        "--backoff", type=float, default=0.5, metavar="SECONDS",
-        help="base retry backoff, doubled per attempt (default 0.5)",
-    )
-    orch_parser.add_argument(
-        "--heartbeat", type=float, default=15.0, metavar="SECONDS",
-        help="liveness-probe interval for in-flight workers "
-             "(default 15; 0 disables)",
-    )
-    orch_parser.add_argument(
-        "--worker-backend", choices=("serial", "processes"),
-        default="serial",
-        help="execution backend inside each worker process (default "
-             "serial: the orchestrator owns the parallelism)",
-    )
-    orch_parser.add_argument(
-        "--cache", default="",
-        help="shared result-cache directory forwarded to workers: a "
-             "retried shard warm-hits everything its predecessor finished",
-    )
-    orch_parser.add_argument(
-        "--warm-cache", action="store_true",
-        help="pre-start cache warm per worker (ships --cache to remote "
-             "workers; local workers share it already)",
-    )
-    orch_parser.add_argument(
-        "--workdir", default="",
-        help="directory for per-attempt shard exports (default: a "
-             "temp dir, removed on success, kept on partial failure)",
-    )
-    orch_parser.add_argument(
-        "--chaos-kill", type=int, default=None, metavar="SHARD",
-        help="fault-injection: SIGKILL this shard's first attempt "
-             "at spawn (CI exercises the retry path with this)",
-    )
-    orch_parser.add_argument(
-        "--json", default="",
-        help="write the merged result to this JSON file (byte-identical "
-             "to a serial whole-grid sweep; partial results get a "
-             ".partial suffix)",
-    )
-    orch_parser.add_argument(
-        "--spool", default="",
-        help="append accepted shards' records to this JSONL spool as "
-             "they merge: a driver killed mid-run leaves every completed "
-             "shard durable and loadable as a clean partial result",
-    )
-
     merge_parser = sub.add_parser(
         "merge",
         help="recombine per-shard sweep --json exports canonically",
     )
     merge_parser.add_argument(
         "inputs", nargs="+",
-        help="shard export files (any order)",
+        help="shard --json exports or --spool files (any order)",
     )
     merge_parser.add_argument(
         "--json", required=True,
-        help="write the merged result to this JSON file",
+        help="write the merged result to this JSON file (if case indices "
+             "are missing, to FILE.partial, exiting 1)",
     )
 
     grid_parser = sub.add_parser(
@@ -1169,7 +919,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "run": _cmd_run,
         "experiments": _cmd_experiments,
         "sweep": _cmd_sweep,
-        "orchestrate": _cmd_orchestrate,
         "merge": _cmd_merge,
         "grid": _cmd_grid,
         "cache": _cmd_cache,

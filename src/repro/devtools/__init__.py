@@ -1,7 +1,7 @@
 """Repo-specific developer tooling: the ``repro lint`` static analyzer.
 
 Every guarantee this reproduction makes — byte-identical sweeps across
-backends, trace modes, shards, spools and killed orchestrator workers —
+backends, trace modes, shards, spools and killed sweeps —
 rests on a handful of coding conventions: deterministic iteration order,
 seeded-only randomness, interning-only frozenset materialization on the
 bitset data plane, pickle hygiene for slots classes, and disciplined

@@ -39,8 +39,8 @@ DETERMINISTIC_DOMAINS = (
 
 #: The subset of :data:`DETERMINISTIC_DOMAINS` where wall-clock reads are
 #: banned outright.  ``engine`` is deliberately absent: cache gc ages and
-#: orchestrator timeouts legitimately read clocks — nothing they feed is
-#: part of a record.
+#: hit recency legitimately read clocks — nothing they feed is part of a
+#: record.
 CLOCK_FREE_DOMAINS = (
     "sim", "algorithms", "core", "model", "detectors", "workloads",
     "lowerbound",

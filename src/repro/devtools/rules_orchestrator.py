@@ -1,14 +1,16 @@
-"""ORC rules: executor and orchestrator failure-handling discipline.
+"""ORC rules: failure-handling discipline for the executors and engine.
 
-The distributed layer's reliability story (PR 6) is explicit: every
-failure is *observed* — counted, retried, reassigned, reported — never
-swallowed; and every pool is torn down deterministically, because a
-worker process leaked past its batch holds memory and file descriptors
-until GC feels like collecting it (the PR 6 pool-drain bug).
+The engine's reliability story is explicit: every failure is *observed*
+— counted or reported — never swallowed; and every pool is torn down
+deterministically, because a worker process leaked past its batch holds
+memory and file descriptors until GC feels like collecting it (the
+pool-drain bug ORC003 guards against).  The module keeps its historical
+name; the rules police :mod:`repro.engine.executors` and every other
+module they scope to.
 
 * **ORC001** — no bare ``except:``.  It catches ``SystemExit`` and
   ``KeyboardInterrupt``, making workers unkillable and hiding infra
-  failures from the retry machinery.
+  failures from whoever has to handle them.
 * **ORC002** — no ``except Exception: pass`` (or ``BaseException``).
   Swallowing the broadest classes silently converts an infra failure
   into a hang or a wrong count; narrow the type (an ``OSError`` touch
@@ -52,9 +54,9 @@ class BareExcept(Rule):
     name = "bare-except"
     rationale = (
         "A bare except: catches SystemExit and KeyboardInterrupt, making "
-        "worker loops unkillable and hiding infra failures from the "
-        "retry/reassign machinery; name the exception type (and at "
-        "minimum count the failure)."
+        "worker loops unkillable and hiding infra failures from their "
+        "handlers; name the exception type (and at minimum count the "
+        "failure)."
     )
     node_types = (ast.ExceptHandler,)
     domains = None

@@ -9,11 +9,10 @@ disk instead of nothing.
 
 A :class:`RecordSink` is the engine-side half of that contract — any
 object with ``append(record)`` / ``close()``.  The runner
-(:func:`repro.engine.runner.run_cases` with ``sink=``) and the
-orchestrator feed every produced
-:class:`~repro.analysis.sweep.SweepRecord` to the sink the moment it
-arrives (cache hits first, then executor completions, in whatever order
-the pool finishes), and hold nothing back.
+(:func:`repro.engine.runner.run_cases` with ``sink=``) feeds every
+produced :class:`~repro.analysis.sweep.SweepRecord` to the sink the
+moment it arrives (cache hits first, then executor completions, in
+whatever order the pool finishes), and holds nothing back.
 
 :class:`JsonlRecordSink` is the stock implementation: an append-only
 JSONL *spool* — one canonically serialized record per line, flushed per

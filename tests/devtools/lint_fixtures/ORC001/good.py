@@ -1,4 +1,4 @@
-# fixture-path: src/repro/engine/orchestrator/worker.py
+# fixture-path: src/repro/engine/executors.py
 """ORC001 good: exception types are named, so SIGINT still kills."""
 
 

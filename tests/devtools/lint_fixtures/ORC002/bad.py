@@ -1,4 +1,4 @@
-# fixture-path: src/repro/engine/orchestrator/worker.py
+# fixture-path: src/repro/engine/executors.py
 """ORC002 bad: the broadest classes swallowed silently."""
 
 

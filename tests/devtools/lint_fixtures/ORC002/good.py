@@ -1,4 +1,4 @@
-# fixture-path: src/repro/engine/orchestrator/worker.py
+# fixture-path: src/repro/engine/executors.py
 """ORC002 good: broad catches record the failure; narrow catches may
 drop (an OSError on a best-effort touch is legitimately ignorable)."""
 

@@ -360,8 +360,8 @@ class TestCorruptionRecovery:
 
 class TestDurability:
     def test_sigkilled_process_keeps_every_finished_store(self, tmp_path):
-        # A shard killed mid-sweep must leave every entry it finished:
-        # the orchestrator's retry warm-hits them.  The child kills
+        # A sweep killed mid-run must leave every entry it finished, so
+        # rerunning it (or its shard) warm-hits them.  The child kills
         # itself right after its third store, so no timer races it.
         import repro
 

@@ -112,6 +112,28 @@ class TestMergeAfterStream:
         )
         assert merged.to_json() == run_batch(grid).to_json()
 
+    def test_cli_shard_spools_merge_to_the_in_memory_export(
+        self, tmp_path, capsys
+    ):
+        # The multi-machine recipe end to end: every shard streams to
+        # its own spool, and `repro merge` reads the spools directly.
+        from repro.cli import main
+
+        grid_path = str(tmp_path / "grid.json")
+        _grid().save(grid_path)
+        whole = tmp_path / "whole.json"
+        merged = tmp_path / "merged.json"
+        assert main(["sweep", "--grid", grid_path,
+                     "--json", str(whole)]) == 0
+        spools = [str(tmp_path / f"shard{i}.jsonl") for i in range(3)]
+        for i, spool in enumerate(spools):
+            assert main(["sweep", "--grid", grid_path, "--backend",
+                         "serial", "--shard", f"{i}/3",
+                         "--spool", spool]) == 0
+        assert main(["merge", *spools, "--json", str(merged)]) == 0
+        capsys.readouterr()
+        assert merged.read_bytes() == whole.read_bytes()
+
     def test_overlapping_spools_are_rejected(self, tmp_path):
         grid = _grid()
         first, _ = _spooled(tmp_path, grid, "a.jsonl")
@@ -131,6 +153,44 @@ class TestMergeAfterStream:
 
 
 class TestKilledDriverRecovery:
+    def test_killed_shard_merges_partial_until_rerun(
+        self, tmp_path, capsys
+    ):
+        # Shard 0/3 is killed after its first record, mid-write of the
+        # second.  Merging its torn spool must not pass for the whole
+        # grid; rerunning the shard into a fresh spool recovers it.
+        from repro.cli import main
+
+        grid_path = str(tmp_path / "grid.json")
+        _grid().save(grid_path)
+        whole = tmp_path / "whole.json"
+        merged = tmp_path / "merged.json"
+        assert main(["sweep", "--grid", grid_path,
+                     "--json", str(whole)]) == 0
+        spools = [str(tmp_path / f"shard{i}.jsonl") for i in range(3)]
+        for i, spool in enumerate(spools):
+            assert main(["sweep", "--grid", grid_path, "--backend",
+                         "serial", "--shard", f"{i}/3",
+                         "--spool", spool]) == 0
+        with open(spools[0], "r", encoding="utf-8") as handle:
+            first, second = handle.read().splitlines()[:2]
+        killed = str(tmp_path / "killed.jsonl")
+        with open(killed, "w", encoding="utf-8") as handle:
+            handle.write(first + "\n" + second[: len(second) // 2])
+        capsys.readouterr()
+        assert main(["merge", killed, *spools[1:],
+                     "--json", str(merged)]) == 1
+        assert "2 case indices in 0..7 are missing (first: [3, 6])" in (
+            capsys.readouterr().out
+        )
+        assert not merged.exists()
+        rerun = str(tmp_path / "rerun.jsonl")
+        assert main(["sweep", "--grid", grid_path, "--backend", "serial",
+                     "--shard", "0/3", "--spool", rerun]) == 0
+        assert main(["merge", rerun, *spools[1:],
+                     "--json", str(merged)]) == 0
+        assert merged.read_bytes() == whole.read_bytes()
+
     def test_torn_tail_loads_as_clean_partial(self, tmp_path):
         # A driver killed mid-write leaves a truncated final line; the
         # spool must recover every complete record and drop the tail.
@@ -192,36 +252,4 @@ class TestSinkBoundsMemory:
         assert run_cases(expand_grid(grid), sink=list_sink) == []
         assert sorted(r.case_index for r in list_sink.records) == list(
             range(grid.case_count)
-        )
-
-    def test_orchestrate_streams_accepted_shards(self, tmp_path):
-        # The orchestrator appends each shard's records as the shard
-        # merges; by completion the spool equals the merged result.
-        from repro.engine.orchestrator import local_workers, orchestrate
-
-        grid = _grid()
-
-        class GridBackend:
-            async def run_shard(self, worker, shard, attempt):
-                return run_batch(shard.select(expand_grid(grid)))
-
-            async def warm(self, worker):
-                pass
-
-            async def probe(self, worker):
-                return True
-
-        path = str(tmp_path / "orch.jsonl")
-        sink = JsonlRecordSink(path)
-        try:
-            report = orchestrate(
-                local_workers(2), GridBackend(), 3,
-                backoff=0.01, heartbeat=None, sink=sink,
-            )
-        finally:
-            sink.close()
-        assert report.complete
-        assert (
-            BatchResult.load_spool(path).to_json()
-            == report.result.to_json()
         )

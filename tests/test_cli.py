@@ -321,14 +321,9 @@ class TestSweepValidation:
         with pytest.raises(SystemExit, match="shard index"):
             main(self.ARGS + ["--shard", "2/2"])
 
-    @pytest.mark.parametrize("command", [
-        ["sweep", "--backend", "threads"],
-        ["orchestrate", "--profile", "large", "--local", "1",
-         "--worker-backend", "threads"],
-    ])
-    def test_threads_backend_rejected(self, command, capsys):
+    def test_threads_backend_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(command)
+            main(["sweep", "--backend", "threads"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "invalid choice: 'threads'" in err
@@ -446,6 +441,94 @@ class TestSweepShardsAndMerge:
         bad.write_text("{not json")
         with pytest.raises(SystemExit, match="invalid shard export"):
             main(["merge", str(bad), "--json", str(tmp_path / "out.json")])
+
+    def test_merge_rejects_records_without_case_indices(self, tmp_path):
+        from repro.analysis.sweep import SweepRecord
+        from repro.engine import BatchResult
+
+        export = tmp_path / "shard.json"
+        assert main(self.ARGS + ["--backend", "serial",
+                                 "--json", str(export)]) == 0
+        record = BatchResult.load(str(export)).records[0]
+        hand_built = SweepRecord(**{**record.to_data(), "case_index": -1})
+        BatchResult(records=(hand_built,)).save(str(export))
+        with pytest.raises(SystemExit, match="without case indices"):
+            main(["merge", str(export), "--json",
+                  str(tmp_path / "out.json")])
+
+    def test_merge_missing_input_fails_cleanly(self, tmp_path):
+        with pytest.raises(SystemExit, match="cannot read shard"):
+            main(["merge", str(tmp_path / "nope.json"),
+                  "--json", str(tmp_path / "out.json")])
+
+    @pytest.mark.parametrize("count,missing", [
+        (count, missing) for count in (2, 3, 4) for missing in range(count)
+    ])
+    def test_merge_detects_any_one_missing_shard(
+        self, capsys, tmp_path, count, missing
+    ):
+        # 9 cases, so every shard holds at least two indices: whichever
+        # shard is absent, one of them lies below the top index left.
+        from repro.engine import ShardSpec, expand_grid, run_batch
+        from repro.engine.grids import default_sweep_grid
+
+        grid = default_sweep_grid(5, 2, seed=3, algorithms=("att2",),
+                                  cases_per_family=2)
+        cases = expand_grid(grid)
+        inputs = []
+        for index in range(count):
+            if index == missing:
+                continue
+            path = tmp_path / f"shard{index}.json"
+            run_batch(ShardSpec(index, count).select(cases)).save(str(path))
+            inputs.append(str(path))
+        merged = tmp_path / "merged.json"
+        assert main(["merge", *inputs, "--json", str(merged)]) == 1
+        assert "are missing" in capsys.readouterr().out
+        assert not merged.exists()
+        assert (tmp_path / "merged.json.partial").exists()
+
+    LARGE = ["sweep", "--profile", "large", "--backend", "serial"]
+
+    def _large_shards(self, tmp_path, capsys):
+        shards = [tmp_path / f"large{i}.json" for i in range(3)]
+        for i, path in enumerate(shards):
+            assert main(self.LARGE + ["--shard", f"{i}/3",
+                                      "--json", str(path)]) == 0
+        capsys.readouterr()
+        return shards
+
+    def test_merge_with_a_missing_shard_writes_only_partial(
+        self, capsys, tmp_path
+    ):
+        shards = self._large_shards(tmp_path, capsys)
+        merged = tmp_path / "merged.json"
+        # Shard 1/3 holds indices 1, 4, ..., 109 of 0..109.  All but 109
+        # sit below the top index left (108); 109 is a missing tail,
+        # which no export records, so it goes uncounted.
+        assert main(["merge", str(shards[0]), str(shards[2]),
+                     "--json", str(merged)]) == 1
+        out = capsys.readouterr().out
+        assert "36 case indices in 0..108 are missing" in out
+        assert "[1, 4, 7, 10," in out
+        assert not merged.exists()
+        partial = tmp_path / "merged.json.partial"
+        from repro.engine import BatchResult
+        assert BatchResult.load(str(partial)).case_count == 73
+
+    def test_reversed_merge_of_every_large_shard_matches_whole(
+        self, capsys, tmp_path
+    ):
+        shards = self._large_shards(tmp_path, capsys)
+        whole = tmp_path / "whole.json"
+        merged = tmp_path / "merged.json"
+        assert main(["sweep", "--profile", "large",
+                     "--json", str(whole)]) == 0
+        assert main(["merge", *map(str, reversed(shards)),
+                     "--json", str(merged)]) == 0
+        assert "merged 110 records from 3 shards" in capsys.readouterr().out
+        assert not (tmp_path / "merged.json.partial").exists()
+        assert merged.read_bytes() == whole.read_bytes()
 
 
 class TestCacheStats:
@@ -637,118 +720,12 @@ class TestCacheGcCommand:
         assert "last gc: never" in capsys.readouterr().out
 
 
-class TestOrchestrate:
-    """The distributed-sweep driver behind ``repro orchestrate``."""
-
-    def _grid_file(self, tmp_path, capsys):
-        import json
-
-        from repro.engine import GridSpec, family
-
-        grid = GridSpec(
-            n=3,
-            t=1,
-            algorithms=("att2", "floodset"),
-            families=(
-                family("es", "random_es", count=3, horizon=10),
-                family("ff", "failure_free", horizon=10),
-            ),
-            seed=3,
-            proposal_mode="random",
-        )
-        grid_path = tmp_path / "grid.json"
-        grid_path.write_text(json.dumps(grid.to_data()))
-        return grid_path
-
-    def test_local_workers_match_serial_sweep_byte_identically(
-        self, capsys, tmp_path
-    ):
-        grid_path = self._grid_file(tmp_path, capsys)
-        serial = tmp_path / "serial.json"
-        orchestrated = tmp_path / "orch.json"
-        assert main(["sweep", "--grid", str(grid_path),
-                     "--json", str(serial)]) == 0
-        assert main(["orchestrate", "--grid", str(grid_path),
-                     "--local", "2", "--json", str(orchestrated)]) == 0
-        out = capsys.readouterr().out
-        assert "4/4 shards completed" in out
-        assert orchestrated.read_bytes() == serial.read_bytes()
-
-    def test_chaos_killed_worker_retries_to_identical_output(
-        self, capsys, tmp_path
-    ):
-        # The acceptance contract end to end: SIGKILL one shard's first
-        # attempt and the merged export must still match serial bytes.
-        grid_path = self._grid_file(tmp_path, capsys)
-        serial = tmp_path / "serial.json"
-        orchestrated = tmp_path / "orch.json"
-        assert main(["sweep", "--grid", str(grid_path),
-                     "--json", str(serial)]) == 0
-        assert main(["orchestrate", "--grid", str(grid_path),
-                     "--local", "2", "--chaos-kill", "0",
-                     "--backoff", "0.05",
-                     "--json", str(orchestrated)]) == 0
-        out = capsys.readouterr().out
-        assert "[retry] shard 0" in out
-        assert orchestrated.read_bytes() == serial.read_bytes()
-
-    def test_workers_file_inventory_drives_the_sweep(
-        self, capsys, tmp_path
-    ):
-        grid_path = self._grid_file(tmp_path, capsys)
-        hosts = tmp_path / "hosts.toml"
-        hosts.write_text('[[workers]]\nname = "a"\n[[workers]]\nname = "b"\n')
-        orchestrated = tmp_path / "orch.json"
-        assert main(["orchestrate", "--grid", str(grid_path),
-                     "--workers-file", str(hosts),
-                     "--json", str(orchestrated)]) == 0
-        out = capsys.readouterr().out
-        assert "a (local), b (local)" in out
-        assert orchestrated.exists()
-
-    def test_needs_exactly_one_grid_source(self, tmp_path):
-        with pytest.raises(SystemExit, match="exactly one of --grid"):
-            main(["orchestrate", "--local", "2"])
-        with pytest.raises(SystemExit, match="exactly one of --grid"):
-            main(["orchestrate", "--grid", "g.json", "--profile", "large",
-                  "--local", "2"])
-
-    def test_needs_exactly_one_worker_source(self, tmp_path):
-        with pytest.raises(SystemExit, match="exactly one of --workers"):
-            main(["orchestrate", "--grid", "g.json"])
-        with pytest.raises(SystemExit, match="exactly one of --workers"):
-            main(["orchestrate", "--grid", "g.json", "--local", "2",
-                  "--workers-file", "hosts.toml"])
-
-    def test_grid_excludes_seed(self):
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            main(["orchestrate", "--grid", "g.json", "--seed", "3",
-                  "--local", "2"])
-
-    def test_missing_grid_file_rejected_before_launch(self, tmp_path):
-        with pytest.raises(SystemExit, match="not found"):
-            main(["orchestrate", "--grid", str(tmp_path / "nope.json"),
-                  "--local", "2"])
-
-    def test_warm_cache_requires_cache_dir(self, capsys, tmp_path):
-        grid_path = self._grid_file(tmp_path, capsys)
-        with pytest.raises(SystemExit, match="needs --cache"):
-            main(["orchestrate", "--grid", str(grid_path), "--local", "2",
-                  "--warm-cache"])
-
-    def test_chaos_kill_must_name_a_real_shard(self, capsys, tmp_path):
-        grid_path = self._grid_file(tmp_path, capsys)
-        with pytest.raises(SystemExit, match="chaos-kill shard"):
-            main(["orchestrate", "--grid", str(grid_path), "--local", "2",
-                  "--chaos-kill", "99"])
-
-    def test_invalid_workers_file_fails_cleanly(self, capsys, tmp_path):
-        grid_path = self._grid_file(tmp_path, capsys)
-        hosts = tmp_path / "hosts.toml"
-        hosts.write_text('[[workers]]\nhost = "node1"\n')  # remote, no repo
-        with pytest.raises(SystemExit, match="needs repo="):
-            main(["orchestrate", "--grid", str(grid_path),
-                  "--workers-file", str(hosts)])
+class TestRemovedCommands:
+    def test_orchestrate_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["orchestrate", "--profile", "large", "--local", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'orchestrate'" in capsys.readouterr().err
 
 
 class TestSizeErrors:
@@ -783,7 +760,6 @@ class TestNoTraceFlag:
     @pytest.mark.parametrize("command", [
         ["run"],
         ["sweep", "--backend", "serial"],
-        ["orchestrate", "--profile", "large", "--local", "1"],
     ])
     def test_trace_flag_rejected(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
