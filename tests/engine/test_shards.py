@@ -6,6 +6,7 @@ backend) it likes, and :meth:`BatchResult.merge` recombines the exports
 into a result byte-identical to executing the grid whole.
 """
 
+import itertools
 import json
 
 import pytest
@@ -46,6 +47,21 @@ def _run_shard(grid, index, count, **kwargs):
     """One shard's result, selected the way ``repro sweep --shard`` does."""
     cases = ShardSpec(index, count).select(expand_grid(grid))
     return run_batch(cases, **kwargs)
+
+
+# Fewer shards than the grid's 10 cases, as many, and more.
+SHARD_COUNTS = (1, 2, 3, 4, 5, 7, 10, 16)
+
+
+@pytest.fixture(scope="module")
+def three_shards():
+    """(whole, [shard 0/3, 1/3, 2/3]) of the default test grid, run once."""
+    grid = _grid()
+    whole = run_batch(grid, executor=SerialExecutor())
+    shards = [
+        _run_shard(grid, i, 3, executor=SerialExecutor()) for i in range(3)
+    ]
+    return whole, shards
 
 
 class TestShardSpec:
@@ -92,6 +108,30 @@ class TestShardSpec:
         cases = expand_grid(_grid())[:2]
         assert ShardSpec(9, 10).select(cases) == []
 
+    @pytest.mark.parametrize("count", SHARD_COUNTS)
+    def test_every_shard_count_partitions_the_expansion(self, count):
+        # Hosts that each slice the same grid file must, between them,
+        # run every case exactly once, whatever N the operator picked.
+        cases = expand_grid(_grid())
+        selected = [
+            case.index
+            for i in range(count)
+            for case in ShardSpec(i, count).select(cases)
+        ]
+        assert sorted(selected) == [case.index for case in cases]
+
+    @pytest.mark.parametrize("count", SHARD_COUNTS)
+    def test_round_robin_balances_shard_sizes(self, count):
+        cases = expand_grid(_grid())
+        sizes = [len(ShardSpec(i, count).select(cases)) for i in range(count)]
+        assert sum(sizes) == len(cases)
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_describe_names_the_cli_form(self):
+        spec = ShardSpec(2, 5)
+        assert spec.describe() == "shard 2/5"
+        assert ShardSpec.parse(spec.describe().split()[1]) == spec
+
 
 class TestShardDeterminism:
     @pytest.mark.parametrize("executor", BACKEND_PARAMS)
@@ -124,6 +164,41 @@ class TestShardDeterminism:
             BatchResult.load(str(path)) for path in reversed(paths)
         )
         assert merged.to_json() == whole.to_json()
+
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations(range(3))),
+        ids=lambda order: "".join(map(str, order)),
+    )
+    def test_every_merge_order_is_byte_identical(self, three_shards, order):
+        whole, shards = three_shards
+        merged = BatchResult.merge(shards[i] for i in order)
+        assert merged.to_json() == whole.to_json()
+
+    @pytest.mark.parametrize("repeated", range(3))
+    def test_any_shard_merged_twice_is_rejected(self, three_shards, repeated):
+        # A shard exported twice (say, a host rerun whose first export
+        # was not discarded) must not double-count its cases.
+        _, shards = three_shards
+        first = shards[repeated].records[0].case_index
+        overlap = rf"shards overlap: case indices \[{first},"
+        with pytest.raises(ValueError, match=overlap):
+            BatchResult.merge([*shards, shards[repeated]])
+
+    def test_library_merge_keeps_a_gapped_subset(self, three_shards):
+        # Only `repro merge` refuses a gap; the library merge stays
+        # lenient, because loading a torn spool relies on it.
+        _, shards = three_shards
+        merged = BatchResult.merge([shards[2], shards[0]])
+        indices = [record.case_index for record in merged.records]
+        assert indices == sorted(
+            record.case_index
+            for shard in (shards[0], shards[2])
+            for record in shard.records
+        )
+        assert 1 not in indices
+
+    def test_merge_of_nothing_is_empty(self):
+        assert BatchResult.merge([]).case_count == 0
 
     def test_shard_records_keep_canonical_indices(self):
         grid = _grid()

@@ -220,6 +220,27 @@ class TestKilledDriverRecovery:
         with pytest.raises(ValueError, match=r":1: malformed"):
             list(read_spool(corrupt))
 
+    def test_reopened_spool_is_appended_not_truncated(self, tmp_path):
+        # A driver that resumes into its own spool keeps what the
+        # killed run already wrote.
+        grid = _grid()
+        cases = expand_grid(grid)
+        path = str(tmp_path / "resumed.jsonl")
+        half = len(cases) // 2
+        assert _stream(path, cases[:half]) == half
+        assert _stream(path, cases[half:]) == len(cases) - half
+        assert BatchResult.load(path).to_json() == run_batch(grid).to_json()
+
+    def test_sink_context_manager_leaves_every_record_readable(
+        self, tmp_path
+    ):
+        grid = _grid(count=2)
+        path = str(tmp_path / "managed.jsonl")
+        with JsonlRecordSink(path) as sink:
+            assert run_cases(expand_grid(grid), sink=sink) == []
+        assert sink.count == grid.case_count
+        assert BatchResult.load_spool(path).records == run_batch(grid).records
+
     def test_empty_spool_is_an_empty_result(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -321,6 +321,15 @@ class TestSweepValidation:
         with pytest.raises(SystemExit, match="shard index"):
             main(self.ARGS + ["--shard", "2/2"])
 
+    @pytest.mark.parametrize("text,reason", [
+        ("3/2", "shard index"),
+        ("-1/2", "shard index"),
+        ("0/0", "shard count"),
+    ])
+    def test_out_of_range_shard_rejected(self, text, reason):
+        with pytest.raises(SystemExit, match=reason):
+            main(self.ARGS + [f"--shard={text}"])
+
     def test_threads_backend_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--backend", "threads"])
@@ -436,6 +445,21 @@ class TestSweepShardsAndMerge:
         with pytest.raises(SystemExit, match="shards overlap"):
             main(["merge", str(shard), str(shard), "--json", str(merged)])
 
+    def test_overlap_is_rejected_before_any_gap_is_reported(
+        self, capsys, tmp_path
+    ):
+        # Shard 0/3 twice both overlaps and leaves gaps; the overlap is
+        # the error, and no partial export is written for it.
+        shard = tmp_path / "shard.json"
+        merged = tmp_path / "merged.json"
+        assert main(self.ARGS + ["--shard", "0/3", "--json",
+                                 str(shard)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit, match="shards overlap"):
+            main(["merge", str(shard), str(shard), "--json", str(merged)])
+        assert not merged.exists()
+        assert not (tmp_path / "merged.json.partial").exists()
+
     def test_merge_rejects_malformed_input(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -460,6 +484,117 @@ class TestSweepShardsAndMerge:
         with pytest.raises(SystemExit, match="cannot read shard"):
             main(["merge", str(tmp_path / "nope.json"),
                   "--json", str(tmp_path / "out.json")])
+
+    def test_merge_checks_its_output_before_reading_inputs(self, tmp_path):
+        out = tmp_path / "no-such-dir" / "out.json"
+        with pytest.raises(SystemExit, match="cannot write --json output"):
+            main(["merge", str(tmp_path / "nope.json"), "--json", str(out)])
+
+    def test_merge_requires_an_output(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["merge", str(tmp_path / "shard.json")])
+        assert exc.value.code == 2
+        assert "--json" in capsys.readouterr().err
+
+    def test_merge_requires_an_input(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["merge", "--json", str(tmp_path / "out.json")])
+        assert exc.value.code == 2
+        assert "inputs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index,size", [(0, 5), (1, 5), (2, 4), (3, 4)])
+    def test_each_shard_line_reports_its_slice(self, capsys, index, size):
+        # 18 cases dealt round-robin to 4 hosts: 5, 5, 4, 4.
+        assert main(self.ARGS + ["--shard", f"{index}/4"]) == 0
+        first_line = capsys.readouterr().out.splitlines()[0]
+        assert first_line.startswith(f"sweep: {size} cases")
+        assert f"shard {index}/4 of 18" in first_line
+
+    def test_merge_mixes_json_exports_and_spools(self, capsys, tmp_path):
+        # One host kept a --json export, the other only its --spool.
+        whole = tmp_path / "whole.json"
+        export = tmp_path / "shard0.json"
+        spool = tmp_path / "shard1.jsonl"
+        merged = tmp_path / "merged.json"
+        assert main(self.ARGS + ["--json", str(whole)]) == 0
+        assert main(self.ARGS + ["--shard", "0/2",
+                                 "--json", str(export)]) == 0
+        assert main(self.ARGS + ["--shard", "1/2",
+                                 "--spool", str(spool)]) == 0
+        assert main(["merge", str(spool), str(export),
+                     "--json", str(merged)]) == 0
+        capsys.readouterr()
+        assert merged.read_bytes() == whole.read_bytes()
+
+    def test_merge_of_the_whole_export_is_the_identity(
+        self, capsys, tmp_path
+    ):
+        whole = tmp_path / "whole.json"
+        merged = tmp_path / "merged.json"
+        assert main(self.ARGS + ["--json", str(whole)]) == 0
+        assert main(["merge", str(whole), "--json", str(merged)]) == 0
+        assert "merged 18 records from 1 shards" in capsys.readouterr().out
+        assert merged.read_bytes() == whole.read_bytes()
+
+    def test_shards_sharing_a_cache_merge_and_warm_the_whole(
+        self, capsys, tmp_path
+    ):
+        # Hosts on one machine may share a --cache: the shards still
+        # merge to the uncached export, and together they fill the
+        # cache for every case of the whole grid.
+        whole = tmp_path / "whole.json"
+        merged = tmp_path / "merged.json"
+        warm = tmp_path / "warm.json"
+        cache = str(tmp_path / "cache")
+        shards = [tmp_path / f"shard{i}.json" for i in range(3)]
+        assert main(self.ARGS + ["--json", str(whole)]) == 0
+        for i, path in enumerate(shards):
+            assert main(self.ARGS + ["--shard", f"{i}/3", "--cache", cache,
+                                     "--json", str(path)]) == 0
+        assert main(["merge", *map(str, shards),
+                     "--json", str(merged)]) == 0
+        capsys.readouterr()
+        assert merged.read_bytes() == whole.read_bytes()
+        assert main(self.ARGS + ["--cache", cache,
+                                 "--json", str(warm)]) == 0
+        assert "cache: 18 hits, 0 misses" in capsys.readouterr().out
+        assert warm.read_bytes() == whole.read_bytes()
+
+    def test_empty_spool_is_refused_without_writing_anything(
+        self, capsys, tmp_path
+    ):
+        # A host killed before its first record leaves an empty spool.
+        # It is not an export, so the merge names it and writes neither
+        # the whole export nor a partial one; rerun that shard.
+        spools = [tmp_path / f"shard{i}.jsonl" for i in range(3)]
+        for i in (0, 2):
+            assert main(self.ARGS + ["--shard", f"{i}/3",
+                                     "--spool", str(spools[i])]) == 0
+        spools[1].write_text("")
+        merged = tmp_path / "merged.json"
+        with pytest.raises(SystemExit, match="invalid shard export.*shard1"):
+            main(["merge", *map(str, spools), "--json", str(merged)])
+        assert not merged.exists()
+        assert not (tmp_path / "merged.json.partial").exists()
+
+    def test_partial_report_lists_the_count_and_first_ten_missing(
+        self, capsys, tmp_path
+    ):
+        from repro.engine import BatchResult
+
+        whole = tmp_path / "whole.json"
+        ends = tmp_path / "ends.json"
+        merged = tmp_path / "merged.json"
+        assert main(self.ARGS + ["--json", str(whole)]) == 0
+        records = BatchResult.load(str(whole)).records
+        BatchResult(records=(records[0], records[-1])).save(str(ends))
+        capsys.readouterr()
+        assert main(["merge", str(ends), "--json", str(merged)]) == 1
+        out = capsys.readouterr().out
+        assert "16 case indices in 0..17 are missing" in out
+        assert "(first: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])" in out
+        partial = BatchResult.load(f"{merged}.partial")
+        assert partial.records == (records[0], records[-1])
 
     @pytest.mark.parametrize("count,missing", [
         (count, missing) for count in (2, 3, 4) for missing in range(count)
