@@ -84,10 +84,10 @@ CI without executing them.
 
 ``--spool FILE`` streams every record to an append-only JSONL spool as
 it completes instead of accumulating the batch in memory
-(:mod:`repro.engine.sink`): the driver holds one record at a time, a
-killed run leaves the spool loadable as a clean partial result, and the
-``--json`` export is rebuilt from the spool byte-identical to the
-in-memory path.
+(:mod:`repro.engine.sink`): the driver holds one record plus one
+chunk of cached rows at a time, a killed run leaves the spool loadable
+as a clean partial result, and the ``--json`` export is rebuilt from
+the spool byte-identical to the in-memory path.
 
 Trace modes
 -----------

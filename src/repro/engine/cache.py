@@ -32,14 +32,16 @@ from :func:`repro.engine.sink.record_to_line`, its size and its
 last-used time) and a ``stats`` table of lifetime counters and the last
 gc summary.  Each store commits before it returns (WAL journal,
 ``synchronous=NORMAL``), so a killed process keeps every entry it
-finished and concurrent sweeps can share a directory.  Hits only read:
-their last-used times are written in one batch by
+finished and concurrent sweeps can share a directory.  Hits only read,
+a chunk of keys per query (:meth:`ResultCache.read_rows`), and their
+last-used times are written in one batch by
 :meth:`ResultCache.flush_stats` or :meth:`ResultCache.close`, and
 closing the last connection leaves the directory one database file.
 
-Every failure costs only time: a corrupted or shape-skewed row, or a
-``sqlite3`` error on lookup, is a miss (the next store overwrites the
-row), and an error on store or flush is counted in ``store_failures``.
+Every failure costs only time: a corrupted or shape-skewed row is a
+miss (the next store overwrites the row), a ``sqlite3`` error on a read
+makes every key of that read a miss, and an error on store or flush is
+counted in ``store_failures``.
 Deleting a cache directory is always safe; directories of the old
 one-JSON-file-per-entry layout are neither read nor migrated.
 :func:`cache_gc` (CLI: ``repro cache gc``) evicts entries by age and/or
@@ -60,7 +62,7 @@ import threading
 import time
 from contextlib import closing, contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, cast
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, cast
 
 from repro.algorithms.registry import (
     algorithm_source_hash,
@@ -79,8 +81,13 @@ DB_FILE = "cache.sqlite3"
 #: Seconds a write waits for another connection's write transaction.
 BUSY_TIMEOUT_S = 60.0
 
-#: Page-cache bound per connection, in KiB: hits are point reads.
+#: Page-cache bound per connection, in KiB: hits are keyed reads.
 PAGE_CACHE_KIB = 256
+
+#: Most keys one :meth:`ResultCache.read_rows` call reads, so a batch
+#: read holds one chunk of cached rows and stays under SQLite's
+#: bound-parameter limit on every supported version.
+READ_CHUNK = 256
 
 #: Counters accumulated in the ``stats`` table.
 _STAT_KEYS = ("hits", "misses", "deduped", "store_failures", "sweeps")
@@ -288,6 +295,22 @@ def _runtime_source_hash() -> str | None:
     return source_closure_hash([kernel, metrics, sweep])
 
 
+def _decode(row: tuple[str, str] | None, case: Case) -> SweepRecord | None:
+    """*row*'s record re-stamped for *case*; ``None`` if absent or unusable.
+
+    A row naming another algorithm, corrupted JSON or a record of another
+    shape all read as ``None`` (a miss), never as an error.
+    """
+    if row is None or row[0] != case.algorithm:
+        return None
+    try:
+        data = json.loads(row[1])
+        data.update(workload=case.workload, case_index=case.index)
+        return SweepRecord(**data)
+    except (ValueError, TypeError, AttributeError):
+        return None
+
+
 class ResultCache:
     """A content-addressed cache mapping case keys to sweep records.
 
@@ -357,8 +380,36 @@ class ResultCache:
 
     # -- lookup / store ----------------------------------------------------
 
+    def read_rows(self, keys: Iterable[str]) -> dict[str, tuple[str, str]]:
+        """The stored ``(algorithm, record)`` rows of *keys*, in one read.
+
+        One ``SELECT … WHERE key IN (…)`` for at most :data:`READ_CHUNK`
+        keys (the runner's partition loop reads a chunk of cases at a
+        time; :meth:`lookup` reads one key).  Absent keys have no
+        row, and a database error reads as no rows at all, so every key
+        of the chunk misses: the cache costs only time.
+        """
+        import sqlite3
+
+        wanted = list(keys)
+        if not wanted:
+            return {}
+        query = (
+            "SELECT key, algorithm, record FROM entries WHERE key IN "
+            f"({', '.join('?' * len(wanted))})"
+        )
+        try:
+            with self._lock:
+                rows = self._connection().execute(query, wanted)
+                return {key: (algorithm, line) for key, algorithm, line in rows}
+        except sqlite3.Error:
+            return {}
+
     def lookup(
-        self, case: Case, key: "str | None | object" = _MISSING
+        self,
+        case: Case,
+        key: "str | None | object" = _MISSING,
+        rows: Mapping[str, tuple[str, str]] | None = None,
     ) -> SweepRecord | None:
         """The cached record for *case*, re-stamped with its label and index.
 
@@ -366,38 +417,25 @@ class ResultCache:
         unreadable (corrupted JSON, a record of another shape, a row
         naming another algorithm, a database error).  Uncacheable cases
         return ``None`` without touching the counters.  Callers that
-        already derived the case's key (the runner's partition loop) pass
-        it to skip recomputation.
+        already derived the case's key pass it to skip recomputation, and
+        callers that already read its chunk with :meth:`read_rows` (the
+        runner's partition loop) pass those *rows*; otherwise the one row
+        is read here.
         """
         key = self.case_key(case) if key is _MISSING else cast(
             "str | None", key
         )
         if key is None:
             return None
-        record = self._load(key, case)
+        if rows is None:
+            rows = self.read_rows((key,))
+        record = _decode(rows.get(key), case)
         if record is None:
             self.misses += 1
             return None
         self.hits += 1
         self._served.add(key)
         return record
-
-    def _load(self, key: str, case: Case) -> SweepRecord | None:
-        import sqlite3
-
-        try:
-            with self._lock:
-                row = self._connection().execute(
-                    "SELECT algorithm, record FROM entries WHERE key = ?",
-                    (key,),
-                ).fetchone()
-            if row is None or row[0] != case.algorithm:
-                return None
-            data = json.loads(row[1])
-            data.update(workload=case.workload, case_index=case.index)
-            return SweepRecord(**data)
-        except (sqlite3.Error, ValueError, TypeError, AttributeError):
-            return None
 
     def store(
         self,

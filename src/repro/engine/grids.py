@@ -459,31 +459,36 @@ def expand_grid(spec: GridSpec) -> list[Case]:
     ``Case.index`` fields number the expansion sequentially, defining the
     canonical record order for any execution of this grid.
     """
-    per_family = [
-        expand_family(fam, spec.n, spec.t, spec.seed) for fam in spec.families
-    ]
-    cases: list[Case] = []
-    for algorithm in spec.algorithms:
-        for fam, instances in zip(spec.families, per_family):
-            for i, (label, schedule) in enumerate(instances):
-                if spec.proposal_mode == "random":
-                    proposals = tuple(
-                        random_proposals(
-                            spec.n,
-                            case_seed(spec.seed, f"{fam.name}/proposals", i),
-                        )
-                    )
-                else:
-                    proposals = tuple(range(spec.n))
-                cases.append(
-                    Case(
-                        index=len(cases),
-                        algorithm=algorithm,
-                        workload=label,
-                        schedule=schedule,
-                        proposals=proposals,
+    # Each instance's schedule and proposals are built once and shared by
+    # every algorithm's case (proposals depend on the family and index
+    # only, never on the algorithm).
+    instances: list[tuple[str, Schedule, tuple[int, ...]]] = []
+    for fam in spec.families:
+        for i, (label, schedule) in enumerate(
+            expand_family(fam, spec.n, spec.t, spec.seed)
+        ):
+            if spec.proposal_mode == "random":
+                proposals = tuple(
+                    random_proposals(
+                        spec.n,
+                        case_seed(spec.seed, f"{fam.name}/proposals", i),
                     )
                 )
+            else:
+                proposals = tuple(range(spec.n))
+            instances.append((label, schedule, proposals))
+    cases: list[Case] = []
+    for algorithm in spec.algorithms:
+        for label, schedule, proposals in instances:
+            cases.append(
+                Case(
+                    index=len(cases),
+                    algorithm=algorithm,
+                    workload=label,
+                    schedule=schedule,
+                    proposals=proposals,
+                )
+            )
     return cases
 
 
@@ -509,7 +514,7 @@ DEFAULT_SWEEP_ALGORITHMS = (
 #: *pinned* at the xlarge value (rounds-to-decide scales with t, so
 #: holding t isolates the per-round data-plane cost that n² drives);
 #: run it with the process-pool backend and ``--spool`` so the driver's
-#: memory stays bounded by one record.
+#: memory stays bounded by one record plus one chunk of cached rows.
 SWEEP_PROFILES = ("large", "xlarge", "xxlarge")
 
 

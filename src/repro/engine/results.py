@@ -23,6 +23,18 @@ from repro.types import Round
 #: so older readers fail with a clean version error, not a TypeError.
 FORMAT_VERSION = 2
 
+#: ``"records": []`` as ``json.dumps(indent=2)`` lays it out at the top
+#: level of an export; a raw newline is structural in JSON (strings
+#: escape theirs), so the match is unique.
+_EMPTY_RECORDS = '\n  "records": []'
+
+#: Encodes one flat record with its fields laid out as the indented
+#: encoder lays them out inside ``"records"`` (depth 3), braces aside;
+#: ``indent=None`` keeps it in C.
+_RECORD_ENCODER = json.JSONEncoder(
+    separators=(",\n      ", ": "), sort_keys=True
+)
+
 
 @dataclass(frozen=True)
 class AlgorithmSummary:
@@ -156,8 +168,32 @@ class BatchResult:
         return json.dumps(self.to_data(), indent=indent, sort_keys=True)
 
     def save(self, path: str) -> None:
+        """Write ``to_json(indent=2)`` and a newline to *path*, byte for byte.
+
+        The stdlib encoder runs in pure Python whenever ``indent`` is
+        set, so the ``"records"`` array — all but a few lines of an
+        export — is written one flat record at a time by the C encoder,
+        whose item separator lays the record's fields out at their
+        indented depth; only the short rest of the export goes through
+        ``json.dumps(indent=2)``.
+        """
+        data = self.to_data()
+        records, data["records"] = data["records"], []
+        head, empty, tail = json.dumps(
+            data, indent=2, sort_keys=True
+        ).partition(_EMPTY_RECORDS)
+        encode = _RECORD_ENCODER.encode
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json(indent=2))
+            handle.write(head)
+            if records:
+                handle.write('\n  "records": [\n    {\n      ')
+                handle.write("\n    },\n    {\n      ".join(
+                    encode(record)[1:-1] for record in records
+                ))
+                handle.write("\n    }\n  ]")
+            else:
+                handle.write(empty)
+            handle.write(tail)
             handle.write("\n")
 
     @staticmethod

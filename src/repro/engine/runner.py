@@ -34,9 +34,9 @@ cache changes nothing but wall-clock time.
 
 Passing a :class:`~repro.engine.sink.RecordSink` as ``sink=`` streams
 every record into it as it arrives and holds none in memory, which
-bounds the driver by one record instead of the batch; the canonical
-order is restored when the spool is read back
-(:meth:`~repro.engine.results.BatchResult.load_spool`).
+bounds the driver by one record plus one chunk of cached rows instead
+of the batch; the canonical order is restored when the spool is read
+back (:meth:`~repro.engine.results.BatchResult.load_spool`).
 
 Every case names a registered algorithm; workers resolve its automaton
 factory from the registry by name, so cases stay picklable.
@@ -49,6 +49,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.analysis.sweep import SweepRecord
+from repro.engine.cache import READ_CHUNK
 from repro.engine.cases import Case
 from repro.engine.executors import (
     Executor,
@@ -137,22 +138,29 @@ def run_cases(
         # cases sharing one content key (same algorithm/schedule/proposals
         # under different labels) execute a single representative, whose
         # record serves the rest re-stamped — each distinct computation
-        # pays the kernel at most once per batch.
+        # pays the kernel at most once per batch.  Hits are read one
+        # chunk of keys per query and emitted before the next chunk is
+        # read, so a spooled driver holds one chunk of cached rows.
         pending = []
         seen_keys: dict[str, int] = {}
-        for case in cases:
-            key = cache.case_key(case)
-            if key is not None and key in seen_keys:
-                duplicate_of.setdefault(seen_keys[key], []).append(case)
-                continue
-            record = cache.lookup(case, key)
-            if record is None:
-                if key is not None:
-                    seen_keys[key] = case.index
-                key_by_index[case.index] = key
-                pending.append(case)
-            else:
-                emit(case.index, record)
+        for start in range(0, len(cases), READ_CHUNK):
+            chunk = cases[start:start + READ_CHUNK]
+            keys = [cache.case_key(case) for case in chunk]
+            rows = cache.read_rows(
+                key for key in keys if key is not None and key not in seen_keys
+            )
+            for case, key in zip(chunk, keys):
+                if key is not None and key in seen_keys:
+                    duplicate_of.setdefault(seen_keys[key], []).append(case)
+                    continue
+                record = cache.lookup(case, key, rows)
+                if record is None:
+                    if key is not None:
+                        seen_keys[key] = case.index
+                    key_by_index[case.index] = key
+                    pending.append(case)
+                else:
+                    emit(case.index, record)
 
     by_index = {case.index: case for case in pending}
 

@@ -437,6 +437,13 @@ def _check_delivery(delivery: Round, horizon: Round) -> None:
         )
 
 
+def _check_sending_round(k: Round, horizon: Round) -> None:
+    if not 1 <= k <= horizon:
+        raise ScheduleError(
+            f"sending round {k} is outside rounds 1..{horizon}"
+        )
+
+
 def _check_horizon(
     horizon: Round,
     crashes: Mapping[ProcessId, CrashSpec],
@@ -451,8 +458,9 @@ def _check_horizon(
             )
         for _receiver, delivery in spec.delayed:
             _check_delivery(delivery, horizon)
-    for delivery in delays.values():
-        _check_delivery(delivery, horizon)
+    if delays and max(delays.values()) > horizon:
+        for delivery in delays.values():
+            _check_delivery(delivery, horizon)
 
 
 class ScheduleBuilder:
@@ -508,7 +516,24 @@ class ScheduleBuilder:
     def delay(
         self, sender: ProcessId, receiver: ProcessId, k: Round, until: Round
     ) -> "ScheduleBuilder":
-        """Deliver the (sender → receiver) round-k message in round *until* > k."""
+        """Deliver the (sender → receiver) round-k message in round *until* > k.
+
+        Generators call this once per delayed message (hundreds of
+        thousands of times at n = 1000), so the range tests run inline
+        and only a rejected message pays for the checks that name its
+        fault.
+        """
+        key = (sender, receiver, k)
+        n = self.n
+        if (
+            0 <= sender < n
+            and 0 <= receiver < n
+            and sender != receiver
+            and 1 <= k < until <= self.horizon
+            and key not in self._losses
+        ):
+            self._delays[key] = until
+            return self
         self._check_pid(sender)
         self._check_pid(receiver)
         if sender == receiver:
@@ -518,11 +543,8 @@ class ScheduleBuilder:
                 f"delayed delivery round {until} must exceed sending round {k}"
             )
         _check_delivery(until, self.horizon)
-        key = (sender, receiver, k)
-        if key in self._losses:
-            raise ScheduleError(f"message {key} is already lost")
-        self._delays[key] = until
-        return self
+        _check_sending_round(k, self.horizon)
+        raise ScheduleError(f"message {key} is already lost")
 
     def lose(
         self, sender: ProcessId, receiver: ProcessId, k: Round
@@ -532,6 +554,7 @@ class ScheduleBuilder:
         self._check_pid(receiver)
         if sender == receiver:
             raise ScheduleError("self-delivery cannot be lost")
+        _check_sending_round(k, self.horizon)
         key = (sender, receiver, k)
         if key in self._delays:
             raise ScheduleError(f"message {key} is already delayed")
@@ -540,14 +563,18 @@ class ScheduleBuilder:
 
     def build(self) -> Schedule:
         """Validate cross-entry consistency and freeze into a Schedule."""
-        for (sender, _receiver, k), _until in self._delays.items():
-            spec = self._crashes.get(sender)
-            if spec is not None and spec.round <= k:
-                raise ScheduleError(
-                    f"process {sender} crashes in round {spec.round}; use "
-                    f"CrashSpec.delayed for its crash-round messages, and it "
-                    f"sends nothing after that"
-                )
+        crash_at = {pid: spec.round for pid, spec in self._crashes.items()}
+        after_crash = [
+            sender for sender, _receiver, k in self._delays
+            if sender in crash_at and crash_at[sender] <= k
+        ]
+        if after_crash:
+            sender = after_crash[0]
+            raise ScheduleError(
+                f"process {sender} crashes in round {crash_at[sender]}; use "
+                f"CrashSpec.delayed for its crash-round messages, and it "
+                f"sends nothing after that"
+            )
         for sender, _receiver, k in self._losses:
             spec = self._crashes.get(sender)
             if spec is not None and spec.round <= k:

@@ -5,14 +5,81 @@ ES-legal (and SCS-legal) schedules.  All generators are deterministic
 functions of their seed; the ES generator maintains the three ES
 constraints by construction (and the tests re-validate every emitted
 schedule with :func:`repro.model.es.check_es`).
+
+Every sweep rebuilds its schedules before any case runs, so the
+generators draw through the local helpers :func:`_randint` and
+:func:`_sample` rather than ``random.Random``'s methods.  Each helper
+consumes the generator's ``getrandbits`` stream exactly as CPython's
+``randint``/``randrange`` and ``sample`` do (the same rejection loop,
+the same pool-or-set branch of ``sample``), so a seed yields the same
+schedule, digest and cache key as a method-drawn one;
+``tests/random_schedules_oracle.py`` keeps the method-drawn generators
+as the reference.
 """
 
 from __future__ import annotations
 
 import random
+from math import ceil, log
+from typing import Callable
 
 from repro.model.schedule import Schedule, ScheduleBuilder
 from repro.types import ProcessId, Round, validate_system_size
+
+#: A bound ``random.Random.getrandbits``: the one source every helper reads.
+GetRandBits = Callable[[int], int]
+
+
+def _randint(getrandbits: GetRandBits, a: int, b: int) -> int:
+    """``Random.randint(a, b)``: uniform in ``a .. b`` by bit rejection.
+
+    ``randrange(stop)`` draws exactly as ``randint(0, stop - 1)`` does.
+    """
+    n = b - a + 1
+    if n <= 0:
+        raise ValueError(f"empty range for randint({a}, {b})")
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return a + r
+
+
+def _sample(getrandbits: GetRandBits, pool: list, k: int) -> list:
+    """``Random.sample(pool, k)``, drawing the same bits; reorders *pool*.
+
+    CPython tracks the unselected items in a list when the population
+    is small next to a k-entry set, and the selected indices in a set
+    otherwise; the threshold below is ``sample``'s own, so the same
+    branch runs and the same draws are consumed.  Callers pass a list
+    they own: the pool branch swaps selected items out of it, as
+    ``sample`` does to its private copy.
+    """
+    n = len(pool)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    result = []
+    if n <= setsize:
+        for left in range(n, n - k, -1):
+            bits = left.bit_length()
+            j = getrandbits(bits)
+            while j >= left:
+                j = getrandbits(bits)
+            result.append(pool[j])
+            pool[j] = pool[left - 1]
+    else:
+        bits = n.bit_length()
+        selected: set[int] = set()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+            result.append(pool[j])
+    return result
 
 
 def random_es_schedule(
@@ -40,62 +107,60 @@ def random_es_schedule(
     """
     validate_system_size(n, t)
     rng = random.Random(seed)
+    bits, chance = rng.getrandbits, rng.random
     sync_by = max(1, horizon // 2) if sync_by is None else sync_by
     cap = t if max_crashes is None else min(max_crashes, t)
 
     builder = ScheduleBuilder(n, t, horizon)
-    f = rng.randint(0, cap)
-    faulty = sorted(rng.sample(range(n), f))
-    crash_rounds: dict[ProcessId, Round] = {}
-    for pid in faulty:
-        crash_rounds[pid] = rng.randint(1, horizon)
+    f = _randint(bits, 0, cap)
+    faulty = sorted(_sample(bits, list(range(n)), f))
+    crash_rounds = {pid: _randint(bits, 1, horizon) for pid in faulty}
 
     # Crash specifications: some receivers get the crash-round message now,
     # some later, the rest never.
     same_round_crash_delivery: dict[ProcessId, frozenset[ProcessId]] = {}
     for pid, crash_round in crash_rounds.items():
         others = [q for q in range(n) if q != pid]
-        delivered = sorted(
-            rng.sample(others, rng.randint(0, len(others)))
+        delivered = frozenset(
+            _sample(bits, others, _randint(bits, 0, n - 1))
         )
-        leftovers = [q for q in others if q not in delivered]
         delayed: dict[ProcessId, Round] = {}
-        for q in leftovers:
-            if crash_round < horizon and rng.random() > loss_prob:
-                delayed[q] = rng.randint(
-                    crash_round + 1, min(crash_round + delay_span, horizon)
-                )
-        same_round_crash_delivery[pid] = frozenset(delivered)
+        if crash_round < horizon:
+            last = min(crash_round + delay_span, horizon)
+            for q in range(n):
+                if q != pid and q not in delivered and chance() > loss_prob:
+                    delayed[q] = _randint(bits, crash_round + 1, last)
+        same_round_crash_delivery[pid] = delivered
         builder.crash(pid, crash_round, delivered_to=delivered,
                       delayed=delayed)
 
     # Asynchronous prefix: per-receiver random delays, respecting the
     # t-resilience quota of n - t same-round messages.
+    never = horizon + 1
+    delay = builder.delay
     for k in range(1, min(sync_by - 1, horizon - 1) + 1):
-        crashing_now = [p for p, r in crash_rounds.items() if r == k]
-        steady = [
-            p
-            for p in range(n)
-            if crash_rounds.get(p, horizon + 1) > k
-        ]
-        for receiver in range(n):
-            if crash_rounds.get(receiver, horizon + 1) <= k:
-                continue
-            crash_deliveries = sum(
-                1
-                for p in crashing_now
-                if receiver in same_round_crash_delivery[p]
-            )
-            candidates = [p for p in steady if p != receiver]
-            # Receiver always hears itself; keep >= n - t same-round total.
-            same_round_now = 1 + len(candidates) + crash_deliveries
-            slack = same_round_now - (n - t)
+        # Senders that survive round k; the receivers are the same set,
+        # and each receiver's candidates are the other steady senders.
+        steady = [p for p in range(n) if crash_rounds.get(p, never) > k]
+        choices = len(steady) - 1
+        # Receiver always hears itself; keep >= n - t same-round total.
+        base_slack = 1 + choices - (n - t)
+        crash_heard = [0] * n
+        for p, r in crash_rounds.items():
+            if r == k:
+                for q in same_round_crash_delivery[p]:
+                    crash_heard[q] += 1
+        last = min(k + delay_span, horizon)
+        for position, receiver in enumerate(steady):
+            slack = base_slack + crash_heard[receiver]
             if slack <= 0:
                 continue
-            count = rng.randint(0, min(slack, len(candidates)))
-            for victim in sorted(rng.sample(candidates, count)):
-                until = rng.randint(k + 1, min(k + delay_span, horizon))
-                builder.delay(victim, receiver, k, until)
+            count = _randint(bits, 0, min(slack, choices))
+            if not count:
+                continue
+            candidates = steady[:position] + steady[position + 1:]
+            for victim in sorted(_sample(bits, candidates, count)):
+                delay(victim, receiver, k, _randint(bits, k + 1, last))
 
     return builder.build()
 
@@ -110,14 +175,14 @@ def random_scs_schedule(
 ) -> Schedule:
     """A random SCS-legal (synchronous) schedule: crashes with partial delivery."""
     validate_system_size(n, t)
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     cap = t if max_crashes is None else min(max_crashes, t)
     builder = ScheduleBuilder(n, t, horizon)
-    f = rng.randint(0, cap)
-    for pid in sorted(rng.sample(range(n), f)):
-        crash_round = rng.randint(1, horizon)
+    f = _randint(bits, 0, cap)
+    for pid in sorted(_sample(bits, list(range(n)), f)):
+        crash_round = _randint(bits, 1, horizon)
         others = [q for q in range(n) if q != pid]
-        delivered = sorted(rng.sample(others, rng.randint(0, len(others))))
+        delivered = _sample(bits, others, _randint(bits, 0, n - 1))
         builder.crash(pid, crash_round, delivered_to=delivered)
     return builder.build()
 
@@ -132,15 +197,15 @@ def random_serial_schedule(
 ) -> Schedule:
     """A random *serial* schedule: synchronous, at most one crash per round."""
     validate_system_size(n, t)
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     cap = t if max_crashes is None else min(max_crashes, t)
     builder = ScheduleBuilder(n, t, horizon)
-    f = rng.randint(0, cap)
-    crashers = sorted(rng.sample(range(n), f))
-    rounds = sorted(rng.sample(range(1, horizon + 1), f))
+    f = _randint(bits, 0, cap)
+    crashers = sorted(_sample(bits, list(range(n)), f))
+    rounds = sorted(_sample(bits, list(range(1, horizon + 1)), f))
     for pid, crash_round in zip(crashers, rounds):
         others = [q for q in range(n) if q != pid]
-        delivered = sorted(rng.sample(others, rng.randint(0, len(others))))
+        delivered = _sample(bits, others, _randint(bits, 0, n - 1))
         builder.crash(pid, crash_round, delivered_to=delivered)
     return builder.build()
 
@@ -149,6 +214,6 @@ def random_proposals(
     n: int, seed: int, *, pool: int | None = None
 ) -> list[int]:
     """Deterministic random proposals in ``0 .. pool-1`` (default pool = n)."""
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     pool = n if pool is None else pool
-    return [rng.randrange(pool) for _ in range(n)]
+    return [_randint(bits, 0, pool - 1) for _ in range(n)]

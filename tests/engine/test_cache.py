@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 from contextlib import closing
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from repro.engine import (
     run_cases,
 )
 from repro.engine import executors as executors_module
-from repro.engine.cache import DB_FILE
+from repro.engine.cache import DB_FILE, READ_CHUNK
 
 
 def _case(index, algorithm="att2", workload="ff", n=3, t=1, horizon=8,
@@ -726,3 +727,136 @@ class TestCacheGc:
         assert old_entry.exists()
         assert old_stats.exists()
         assert cache_stats(cache.directory)["entries"] == 0
+
+
+def _chunky_batch(count=600):
+    """*count* cheap cases over ~210 content keys (many repeated keys)."""
+    schedules = [Schedule.failure_free(3, 1, h) for h in (6, 7, 8)]
+    return [
+        Case(
+            index=i,
+            algorithm=("att2", "floodset")[i % 2],
+            workload=f"w{i}",
+            schedule=schedules[i % 3],
+            proposals=(i % 5, (i // 5) % 7, 1),
+        )
+        for i in range(count)
+    ]
+
+
+def _per_key_partition(cache, cases):
+    """The partition loop read one key at a time: (hits, misses, deduped)."""
+    seen = set()
+    deduped = 0
+    for case in cases:
+        key = cache.case_key(case)
+        if key is not None and key in seen:
+            deduped += 1
+            continue
+        if cache.lookup(case, key) is None and key is not None:
+            seen.add(key)
+    return cache.hits, cache.misses, deduped
+
+
+class TestChunkedReads:
+    def test_counters_equal_the_per_key_path(self, cache, tmp_path):
+        import shutil
+
+        cases = _chunky_batch()
+        assert len(cases) > 2 * READ_CHUNK
+        run_cases(cases[::3], cache=cache)  # warm about a third
+        cache.close()
+        shutil.copytree(cache.directory, tmp_path / "copy")
+
+        chunked = ResultCache(cache.directory)
+        records = run_cases(cases, cache=chunked)
+        assert records == run_cases(cases)
+        expected = _per_key_partition(ResultCache(tmp_path / "copy"), cases)
+        assert (chunked.hits, chunked.misses, chunked.deduped) == expected
+        assert chunked.hits and chunked.misses and chunked.deduped
+
+    def test_one_query_per_chunk(self, cache, monkeypatch):
+        cases = _chunky_batch()
+        run_cases(cases, cache=cache)
+        reads = []
+        real = ResultCache.read_rows
+
+        def counting(self, keys):
+            keys = list(keys)
+            reads.append(len(keys))
+            return real(self, keys)
+
+        monkeypatch.setattr(ResultCache, "read_rows", counting)
+        run_cases(cases, cache=cache)
+        assert len(reads) == -(-len(cases) // READ_CHUNK)
+        assert all(0 < size <= READ_CHUNK for size in reads)
+
+    def test_hits_are_emitted_before_the_next_chunk_is_read(
+        self, cache, monkeypatch, list_sink
+    ):
+        cases = _chunky_batch()
+        run_cases(cases, cache=cache)
+        emitted_before_read = []
+        real = ResultCache.read_rows
+
+        def watching(self, keys):
+            emitted_before_read.append(len(list_sink.records))
+            return real(self, keys)
+
+        monkeypatch.setattr(ResultCache, "read_rows", watching)
+        run_cases(cases, cache=cache, sink=list_sink)
+        assert emitted_before_read == [0, READ_CHUNK, 2 * READ_CHUNK]
+
+    def test_corrupt_rows_mid_chunk_miss_and_heal(self, cache):
+        cases = _chunky_batch(2 * READ_CHUNK)
+        cold = run_cases(cases, cache=cache)
+        corrupt, foreign = cases[100], cases[READ_CHUNK + 57]
+        with _raw(cache) as db:
+            db.execute(
+                "UPDATE entries SET record = '{not json' WHERE key = ?",
+                (cache.case_key(corrupt),),
+            )
+            db.execute(
+                "UPDATE entries SET algorithm = 'hurfin_raynal' WHERE key = ?",
+                (cache.case_key(foreign),),
+            )
+        misses = cache.misses
+        assert run_cases(cases, cache=cache) == cold
+        # Each damaged key misses once; its repeats in the batch dedup.
+        assert cache.misses - misses == 2
+        hits = cache.hits
+        assert run_cases(cases, cache=cache) == cold
+        assert (cache.hits - hits, cache.misses - misses) == (len(cases), 2)
+
+    def test_sqlite_error_in_a_chunk_read_is_misses(self, cache, monkeypatch):
+        # Every case its own key, so each chunk reads keys of its own.
+        cases = [
+            replace(case, proposals=(case.index, 0, 1))
+            for case in _chunky_batch()
+        ]
+        cold = run_cases(cases, cache=cache)
+        real_connection = cache._connection
+        reads = []
+
+        class FailingSecondRead:
+            def __init__(self, db):
+                self.db = db
+
+            def execute(self, sql, *args):
+                if sql.startswith("SELECT key, algorithm, record"):
+                    reads.append(sql)
+                    if len(reads) == 2:
+                        raise sqlite3.OperationalError("disk I/O error")
+                return self.db.execute(sql, *args)
+
+        monkeypatch.setattr(
+            cache, "_connection", lambda: FailingSecondRead(real_connection())
+        )
+        hits, misses = cache.hits, cache.misses
+        assert run_cases(cases, cache=cache) == cold
+        assert len(reads) == 3
+        # The second chunk's read failed, so its cases missed and ran
+        # again; the first and third chunks were served from the database.
+        assert cache.misses - misses == READ_CHUNK
+        assert cache.hits - hits == len(cases) - READ_CHUNK
+        assert cache.store_failures == 0

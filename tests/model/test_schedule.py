@@ -92,6 +92,64 @@ class TestScheduleBuilder:
         assert schedule.crashes[0].delivered_same_round == frozenset({1})
 
 
+class TestSendingRoundRange:
+    """Entries for rounds nothing sends in are rejected, not digested.
+
+    The compiler never reads a delay or loss outside rounds 1..horizon,
+    but such an entry would still change ``Schedule.digest()`` (and so
+    every cache key) and make ``check_es`` report a phantom loss.
+    """
+
+    def test_issue_repro_is_rejected(self):
+        builder = ScheduleBuilder(4, 1, 5)
+        with pytest.raises(ScheduleError, match="sending round 0"):
+            builder.delay(0, 1, 0, 2)
+        with pytest.raises(ScheduleError, match="sending round 0"):
+            builder.lose(1, 2, 0)
+        with pytest.raises(ScheduleError, match="sending round 99"):
+            builder.lose(1, 3, 99)
+        assert builder.build() == Schedule.failure_free(4, 1, 5)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_delay_before_round_one(self, k):
+        builder = ScheduleBuilder(3, 1, 5)
+        with pytest.raises(ScheduleError, match="outside rounds 1..5"):
+            builder.delay(0, 1, k, 2)
+
+    @pytest.mark.parametrize("k", [0, -1, 6])
+    def test_loss_outside_the_horizon(self, k):
+        builder = ScheduleBuilder(3, 1, 5)
+        with pytest.raises(ScheduleError, match="outside rounds 1..5"):
+            builder.lose(0, 1, k)
+
+    def test_both_ends_of_the_range_are_accepted(self):
+        builder = ScheduleBuilder(3, 1, 5)
+        builder.delay(0, 1, 1, 2).delay(1, 2, 4, 5)
+        builder.lose(0, 2, 1).lose(2, 0, 5)
+        schedule = builder.build()
+        assert schedule.delays == {(0, 1, 1): 2, (1, 2, 4): 5}
+        assert schedule.losses == {(0, 2, 1), (2, 0, 5)}
+
+    def test_a_late_delay_keeps_its_horizon_message(self):
+        # A sending round at or past the horizon already fails on its
+        # delivery round; the message names that fault as before.
+        builder = ScheduleBuilder(3, 1, 5)
+        with pytest.raises(ScheduleError, match="exceeds horizon 5"):
+            builder.delay(0, 1, 5, 6)
+        with pytest.raises(ScheduleError, match="must exceed sending"):
+            builder.delay(0, 1, 7, 6)
+
+    def test_rejected_entries_leave_the_builder_unchanged(self):
+        builder = ScheduleBuilder(3, 1, 5)
+        for bad in ((0, 1, 0, 2), (0, 1, -3, 1)):
+            with pytest.raises(ScheduleError):
+                builder.delay(*bad)
+        with pytest.raises(ScheduleError):
+            builder.lose(0, 1, 0)
+        schedule = builder.build()
+        assert schedule.digest() == Schedule.failure_free(3, 1, 5).digest()
+
+
 class TestDeliverySemantics:
     def test_default_same_round(self):
         schedule = Schedule.failure_free(3, 1, 5)
