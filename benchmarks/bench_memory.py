@@ -1,4 +1,4 @@
-"""Driver-memory bench: a streamed XXL sweep stays under a fixed RSS budget.
+"""Driver-memory bench: streamed large-n sweeps stay under fixed RSS budgets.
 
 The streaming path (``repro sweep --spool``, which passes a spool sink to
 :func:`repro.engine.runner.run_cases`) bounds the driver to one record
@@ -10,6 +10,12 @@ budget in ``benchmarks/memory_floor.json`` — the same pattern as the
 nightly speedup floors: a deliberately generous ceiling, so only
 structural regressions (the driver quietly accumulating records or
 traces again) trip it, never allocator noise.
+
+A second row runs att2 alone at n = 1000 through the same path.  Its
+Phase 1 grows Halt rows for t + 1 rounds; they live as int masks, so
+the row guards against Halt (or any per-row set) being materialized
+and retained again — when the rows were interned frozensets this
+sweep peaked near 1.2 GB.
 
 Peak RSS is a low-noise measurement (unlike one-shot wall-clock), so
 the ``kernel-bench`` CI lane asserts the ceiling on every push via
@@ -42,6 +48,15 @@ SWEEP_ARGS = (
 )
 EXPECTED_CASES = 16  # 8 schedule families x 2 algorithms
 
+#: The n = 1000 row: att2 only, one instance per family.
+N1000_ARGS = (
+    "sweep", "--n", "1000", "--t", "32",
+    "--algorithms", "att2",
+    "--cases-per-family", "1", "--seed", "0",
+    "--backend", "serial",
+)
+N1000_EXPECTED_CASES = 8  # 8 schedule families x 1 algorithm
+
 #: Child driver: run the CLI in a fresh interpreter and report that
 #: process's own peak RSS, so the measurement can never be polluted by
 #: pytest's (or earlier benches') high-water mark.
@@ -56,15 +71,15 @@ print(json.dumps({"rc": rc, "peak_kb": peak}))
 """
 
 
-def _streamed_sweep_peak_kb(spool: str) -> int:
-    """Peak RSS (KB) of a child driver streaming the bench sweep."""
+def _streamed_sweep_peak_kb(args: tuple[str, ...], spool: str) -> int:
+    """Peak RSS (KB) of a child driver streaming the sweep *args*."""
     src = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, *SWEEP_ARGS, "--spool", spool],
+        [sys.executable, "-c", _CHILD, *args, "--spool", spool],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, (
@@ -76,15 +91,18 @@ def _streamed_sweep_peak_kb(spool: str) -> int:
     return report["peak_kb"]
 
 
-@pytest.mark.smoke
-def test_streamed_sweep_memory_ceiling(tmp_path):
+def _check_row(
+    label: str, args: tuple[str, ...], expected_cases: int,
+    budget_key: str, tmp_path,
+) -> None:
+    """Run one streamed row, report its peak and (on request) assert it."""
     spool = str(tmp_path / "spool.jsonl")
-    peak_kb = _streamed_sweep_peak_kb(spool)
+    peak_kb = _streamed_sweep_peak_kb(args, spool)
 
     with open(FLOOR_FILE, "r", encoding="utf-8") as handle:
-        budget_kb = json.load(handle)["streamed_sweep_peak_rss_kb"]
+        budget_kb = json.load(handle)[budget_key]
     emit(
-        f"streamed n=250 sweep: driver peak RSS {peak_kb} KB "
+        f"streamed {label} sweep: driver peak RSS {peak_kb} KB "
         f"(budget {budget_kb} KB, "
         f"{100 * peak_kb / budget_kb:.0f}% of ceiling)"
     )
@@ -94,12 +112,27 @@ def test_streamed_sweep_memory_ceiling(tmp_path):
     from repro.engine import BatchResult
 
     result = BatchResult.load_spool(spool)
-    assert result.case_count == EXPECTED_CASES
+    assert result.case_count == expected_cases
     assert not result.violations()
 
     if os.environ.get("REPRO_BENCH_ASSERT_MEMORY") == "1":
         assert peak_kb <= budget_kb, (
-            f"streamed sweep driver peaked at {peak_kb} KB, over the "
-            f"{budget_kb} KB budget in {FLOOR_FILE} — the streaming "
-            f"path is accumulating per-case state again"
+            f"streamed {label} sweep driver peaked at {peak_kb} KB, over "
+            f"the {budget_kb} KB budget in {FLOOR_FILE} — the sweep is "
+            f"accumulating per-case or per-row state again"
         )
+
+
+@pytest.mark.smoke
+def test_streamed_sweep_memory_ceiling(tmp_path):
+    _check_row(
+        "n=250", SWEEP_ARGS, EXPECTED_CASES,
+        "streamed_sweep_peak_rss_kb", tmp_path,
+    )
+
+
+def test_n1000_att2_sweep_memory_ceiling(tmp_path):
+    _check_row(
+        "n=1000 att2", N1000_ARGS, N1000_EXPECTED_CASES,
+        "n1000_att2_sweep_peak_rss_kb", tmp_path,
+    )

@@ -24,12 +24,13 @@ outside the old halt mask and its suspecting-me bit is clear — both
 known when its item is scanned; a duplicate-sender inbox that reveals a
 suspicion only after folding that sender's earlier value triggers a
 rare second-scan correction).  The suspected-now set is one
-word-complement, and the Halt union is one ``|`` — the public ``halt``
-frozenset is materialized (interned, so structurally equal rows share
-one object) only when the row actually changed.  No per-step list
-materialization, no ``frozenset(range(n))`` rebuild.  The entry
-point is :meth:`EstimateState.compute_view`, fed by a pre-bucketed
-:class:`~repro.sim.view.RoundView` (flat inboxes go through
+word-complement, and the Halt union is one ``|``.  Halt lives only as
+that int mask — in the state and in the ESTIMATE payload's fourth
+field — so a round builds no per-receiver set object at all; the
+``halt`` frozenset is built on read, for tests and trace consumers.
+No per-step list materialization, no ``frozenset(range(n))`` rebuild.
+The entry point is :meth:`EstimateState.compute_view`, fed by a
+pre-bucketed :class:`~repro.sim.view.RoundView` (flat inboxes go through
 :meth:`~repro.sim.view.RoundView.from_messages`); the equivalence with
 the original two-pass formulation is property-tested in
 ``tests/algorithms/test_suspicion.py``.
@@ -37,10 +38,9 @@ the original two-pass formulation is property-tested in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from repro.sim.bitset import full_mask, interned_set, mask_of
+from repro.sim.bitset import full_mask, iter_bits, mask_of
 from repro.types import Payload, ProcessId, Round, Value
 
 if TYPE_CHECKING:
@@ -49,31 +49,51 @@ if TYPE_CHECKING:
 ESTIMATE = "ESTIMATE"
 
 
-def estimate_payload(
-    k: Round, est: Value, halt: frozenset[ProcessId]
-) -> Payload:
-    return (ESTIMATE, k, est, halt)
+def estimate_payload(k: Round, est: Value, halt_mask: int) -> Payload:
+    """``(ESTIMATE, k, est, Halt)``, with Halt as its int bitmask."""
+    return (ESTIMATE, k, est, halt_mask)
 
 
-@dataclass
 class EstimateState:
     """Mutable Phase-1 state of one process: (est, Halt).
 
-    ``halt`` stays the public frozenset the payloads carry; the batched
-    update works on its bitmask shadow (``_halt_mask``), kept in lock
-    step, so the per-round set algebra is word operations.
+    Halt is stored only as the bitmask ``_halt_mask`` (bit j set iff
+    p_j is in Halt), which the payloads carry and the batched update
+    works on.  ``halt`` is a frozenset view built from the mask on
+    every read; assigning it rewrites the mask, so the two can never
+    disagree.
     """
 
-    pid: ProcessId
-    n: int
-    est: Value
-    halt: frozenset[ProcessId] = frozenset()
+    __slots__ = ("pid", "n", "est", "_halt_mask")
 
-    def __post_init__(self) -> None:
-        self._halt_mask = mask_of(self.halt)
+    def __init__(
+        self,
+        pid: ProcessId,
+        n: int,
+        est: Value,
+        halt: Iterable[ProcessId] = (),
+    ) -> None:
+        self.pid = pid
+        self.n = n
+        self.est = est
+        self._halt_mask = mask_of(halt)
+
+    @property
+    def halt(self) -> frozenset[ProcessId]:
+        return frozenset(iter_bits(self._halt_mask))
+
+    @halt.setter
+    def halt(self, pids: Iterable[ProcessId]) -> None:
+        self._halt_mask = mask_of(pids)
+
+    def __repr__(self) -> str:
+        return (
+            f"EstimateState(pid={self.pid!r}, n={self.n!r}, "
+            f"est={self.est!r}, halt={self.halt!r})"
+        )
 
     def payload(self, k: Round) -> Payload:
-        return estimate_payload(k, self.est, self.halt)
+        return estimate_payload(k, self.est, self._halt_mask)
 
     def compute_view(self, k: Round, view: "RoundView") -> None:
         """The paper's ``compute()`` for round k, from a round view.
@@ -108,7 +128,7 @@ class EstimateState:
         for sender, payload in items:
             bit = 1 << sender
             arrived |= bit
-            if pid in payload[3]:
+            if payload[3] >> pid & 1:
                 suspecting_me |= bit
             elif not (halt_mask | suspecting_me) & bit:
                 contributed |= bit
@@ -121,7 +141,6 @@ class EstimateState:
         if additions:
             halt_mask |= additions
             self._halt_mask = halt_mask
-            self.halt = interned_set(halt_mask)
         if suspecting_me & contributed:
             # Rare duplicate-sender correction: refold against the final
             # exclusion set (suspected-now senders have no items, so the

@@ -28,7 +28,7 @@ from __future__ import annotations
 from repro.algorithms.base import AlgorithmFactory
 from repro.algorithms.hurfin_raynal import HurfinRaynalES
 from repro.core.att2 import ATt2
-from repro.sim.bitset import interned_set
+from repro.sim.bitset import iter_bits
 from repro.sim.view import RoundView
 from repro.types import ProcessId, Round, Value
 
@@ -40,6 +40,8 @@ class ADiamondS(ATt2):
         fd_history: per-round output of the simulated failure detector at
             this process — ``fd_history[k]`` is the set of processes
             suspected in round k (no round-k message received in round k).
+            The rows are stored as int masks and built into frozensets
+            only when this mapping is read.
     """
 
     def __init__(
@@ -59,13 +61,17 @@ class ADiamondS(ATt2):
             underlying=underlying,
             allow_unsafe_resilience=allow_unsafe_resilience,
         )
-        self.fd_history: dict[Round, frozenset[ProcessId]] = {}
+        self._fd_masks: dict[Round, int] = {}
+
+    @property
+    def fd_history(self) -> dict[Round, frozenset[ProcessId]]:
+        return {
+            k: frozenset(iter_bits(mask))
+            for k, mask in self._fd_masks.items()
+        }
 
     def round_deliver_view(self, k: Round, view: RoundView) -> None:
         # One mask operation off the view's absent mask; the detector
-        # never suspects the process itself.  Interning means the n
-        # processes' identical detector rows share one frozenset.
-        self.fd_history[k] = interned_set(
-            view.absent_mask & ~(1 << self.pid)
-        )
+        # never suspects the process itself.
+        self._fd_masks[k] = view.absent_mask & ~(1 << self.pid)
         super().round_deliver_view(k, view)

@@ -111,7 +111,9 @@ class ATt2(ConsensusAutomaton):
             if self.new_estimate is None:
                 # Beginning of round t+2 (Figure 2, line 10): a Halt set
                 # larger than t proves a false suspicion occurred.
-                detected_false_suspicion = len(self.state.halt) > self.t
+                detected_false_suspicion = (
+                    self.state._halt_mask.bit_count() > self.t
+                )
                 self.new_estimate = (
                     BOTTOM if detected_false_suspicion else self.state.est
                 )
@@ -208,8 +210,8 @@ class ATt2(ConsensusAutomaton):
         best: Value = None
         for _sender, payload in view.tagged(ESTIMATE):
             if payload[3]:
-                # A non-empty Halt payload: suspicion already visible,
-                # the optimization does not apply.
+                # A non-empty Halt payload (nonzero mask): suspicion
+                # already visible, the optimization does not apply.
                 return False
             value = payload[2]
             if not count or value < best:

@@ -134,12 +134,21 @@ def _shape(schedule: Schedule) -> tuple[int, ...]:
 def resolve_workers(workers: int | None, n_cases: int) -> int:
     """Clamp a requested worker count to something sensible.
 
-    ``None`` or 0 auto-sizes to the machine (capped at 8 — the per-case
-    work is small, so more workers mostly add IPC overhead).
+    ``None`` or 0 auto-sizes to the CPUs this process may run on — its
+    affinity mask where the platform reports one, so ``taskset`` and
+    cpusets are honoured — capped at 8 (the per-case work is small, so
+    more workers mostly add IPC overhead).
     """
     if workers is None or workers <= 0:
-        workers = min(8, os.cpu_count() or 1)
+        workers = min(8, _usable_cpus())
     return max(1, min(workers, n_cases))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may be scheduled on (at least 1)."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:

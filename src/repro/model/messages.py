@@ -35,7 +35,7 @@ class Message:
         receiver: process id of the receiver.
         payload: the algorithm-level content.  Must be hashable; by
             convention a tuple whose first element is a string tag, e.g.
-            ``("ESTIMATE", 3, est, halt_frozenset)``.
+            ``("ESTIMATE", 3, est, halt_mask)`` (Halt as an int bitmask).
     """
 
     sent_round: Round

@@ -25,14 +25,17 @@ at once*, against the same state rows, with three structural moves:
   never materializes current-round item tuples for any receiver.
 * **An incrementally-maintained bit-transpose of the Halt matrix.**
   ``suspecting-me`` for receiver i is "which arrived senders carry i in
-  their round-k Halt payload".  Payload Halt sets equal the senders'
-  state rows at send time, so the plane keeps ``transpose[i]`` = the
-  mask of processes whose Halt row contains i, and the per-receiver
-  query collapses to ``arrived & transpose[i]`` — one word op instead
-  of n frozenset membership tests.  Halt rows are monotone and change
-  rarely; :meth:`Phase1Plane.begin_round` re-transposes **only the rows
-  that changed** since the previous round (O(n) mask compares plus one
-  word op per new suspicion, ever).
+  their round-k Halt payload".  Payload Halt masks equal the senders'
+  state rows (``EstimateState._halt_mask``) at send time, so the plane
+  keeps ``transpose[i]`` = the mask of processes whose Halt row
+  contains i, and the per-receiver query collapses to ``arrived &
+  transpose[i]`` — one word op instead of n per-payload bit tests.
+  Rows are int masks end to end, so no Halt frozenset is ever built on
+  this path (``EstimateState.halt`` builds one only when read).  Halt
+  rows are monotone and change rarely;
+  :meth:`Phase1Plane.begin_round` re-transposes **only the rows that
+  changed** since the previous round (O(n) mask compares plus one word
+  op per new suspicion, ever).
 * **First-hit min-est fold.**  With the round's ``(est, sender_bit)``
   entries pre-sorted (tuple order: est first, ascending sender bit on
   ties — exactly the strict-``<`` first-minimal fold's tie-break), each
@@ -76,7 +79,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from repro.sim.bitset import full_mask, interned_set
+from repro.sim.bitset import full_mask
 from repro.types import Round, Value
 
 if TYPE_CHECKING:  # runtime stays decoupled from the algorithm layer
@@ -101,9 +104,9 @@ class Phase1Plane:
 
     Holds every process's ``(est, halt_mask)`` row by reference to the
     automata's own :class:`~repro.algorithms.suspicion.EstimateState`
-    objects — the plane writes the same public state the per-receiver
-    path would, so Phase 2 and the Figure-4 fast path read estimates
-    and Halt sets exactly as before.
+    objects — the plane writes the same state the per-receiver path
+    would, so Phase 2 and the Figure-4 fast path read estimates and
+    Halt masks exactly as before.
     """
 
     __slots__ = (
@@ -149,7 +152,7 @@ class Phase1Plane:
         est-sorted ``(est, sender_bit)`` order.  Runs *after* the send
         phase, so the refreshed rows are the rows the round-k ESTIMATE
         payloads carry — which is what makes ``arrived &
-        transpose[pid]`` equal the per-receiver ``pid in payload[3]``
+        transpose[pid]`` equal the per-receiver ``payload[3] >> pid & 1``
         scan.
         """
         rows = self._rows
@@ -244,7 +247,6 @@ class Phase1Plane:
         if additions:
             halt_mask |= additions
             state._halt_mask = halt_mask
-            state.halt = interned_set(halt_mask)
         eligible = arrived & ~halt_mask
         if eligible:
             for est, bit in self._order:

@@ -23,7 +23,8 @@ import os
 
 import pytest
 
-from repro.algorithms.suspicion import EstimateState, estimate_payload
+from repro.algorithms.suspicion import EstimateState
+from repro.sim.bitset import iter_bits
 from repro.sim.phase1_plane import (
     PHASE1_ESTIMATE,
     Phase1Plane,
@@ -84,6 +85,8 @@ def _assert_states_match(states, oracles):
         assert type(state.est) is type(oracle.est), state.pid
         assert state.halt == oracle.halt, state.pid
         assert state._halt_mask == oracle._halt_mask, state.pid
+        assert state.halt == frozenset(iter_bits(state._halt_mask))
+        assert state.payload(1)[3] == state._halt_mask, state.pid
 
 
 def _fresh_pair(n, ests, halts):
@@ -201,7 +204,6 @@ class TestPlaneMatchesOracle:
         _drive_round(plane, states, oracles, 1, broadcasts, deliveries)
         for pair in (states, oracles):
             pair[1].halt = frozenset({0})
-            pair[1]._halt_mask = 1
         broadcasts = {i: states[i].payload(2) for i in range(n)}
         _drive_round(plane, states, oracles, 2, broadcasts, deliveries)
         _assert_states_match(states, oracles)

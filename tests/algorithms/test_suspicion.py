@@ -2,6 +2,7 @@
 
 from repro.algorithms.suspicion import ESTIMATE, EstimateState, estimate_payload
 from repro.model.messages import Message
+from repro.sim.bitset import iter_bits, mask_of
 from repro.sim.view import RoundView
 
 
@@ -10,7 +11,7 @@ def est_message(k, sender, receiver, est, halt=frozenset()):
         sent_round=k,
         sender=sender,
         receiver=receiver,
-        payload=estimate_payload(k, est, frozenset(halt)),
+        payload=estimate_payload(k, est, mask_of(halt)),
     )
 
 
@@ -102,7 +103,43 @@ class TestCompute:
 
     def test_payload_roundtrip(self):
         state = EstimateState(pid=0, n=3, est=5, halt=frozenset({2}))
-        assert state.payload(4) == (ESTIMATE, 4, 5, frozenset({2}))
+        payload = state.payload(4)
+        assert payload == (ESTIMATE, 4, 5, 0b100)
+        assert type(payload[3]) is int  # Halt travels as its bitmask
+
+    def test_halt_assignment_rewrites_the_mask(self):
+        # Assigning ``halt`` must move the mask the payload and the
+        # update read: p1 is in Halt, so its est 1 is not folded.
+        state = EstimateState(pid=0, n=3, est=5)
+        state.halt = frozenset({1})
+        assert state._halt_mask == 0b010
+        assert state.payload(2)[3] == 0b010
+        compute(
+            state,
+            2,
+            (
+                est_message(2, 0, 0, 5),
+                est_message(2, 1, 0, 1),
+                est_message(2, 2, 0, 7),
+            ),
+        )
+        assert state.est == 5
+        assert state.halt == frozenset({1})
+
+    def test_halt_view_tracks_mask_after_updates(self):
+        state = EstimateState(pid=1, n=4, est=5)
+        compute(
+            state,
+            1,
+            (
+                est_message(1, 1, 1, 5),
+                est_message(1, 2, 1, 3, halt={1}),
+                est_message(1, 3, 1, 4),
+            ),
+        )
+        assert state._halt_mask == 0b0101
+        assert state.halt == frozenset(iter_bits(state._halt_mask))
+        assert state.payload(2)[3] == state._halt_mask
 
 
 
@@ -112,7 +149,8 @@ class TwoPassReference:
     The shipped implementation is a batched single pass over the round's
     ESTIMATE items; this is the formulation it replaced (filter, sender
     set, ``frozenset(range(n))`` rebuild, msgSet re-filter), against
-    which the property below holds them equivalent.
+    which the property below holds them equivalent.  Its one adaptation:
+    the payload's Halt field is read as a bitmask.
     """
 
     def __init__(self, pid, n, est, halt=frozenset()):
@@ -130,7 +168,7 @@ class TwoPassReference:
         senders = {m.sender for m in current}
         suspected_now = frozenset(range(self.n)) - senders - {self.pid}
         suspecting_me = frozenset(
-            m.sender for m in current if self.pid in m.payload[3]
+            m.sender for m in current if m.payload[3] >> self.pid & 1
         )
         self.halt = self.halt | suspected_now | suspecting_me
         msg_set = [m for m in current if m.sender not in self.halt]
@@ -154,7 +192,7 @@ class TestBatchedComputeEqualsTwoPassReference:
             estimate = st.builds(
                 lambda k, sender, est, halt: Message(
                     sent_round=k, sender=sender, receiver=0,
-                    payload=estimate_payload(k, est, halt),
+                    payload=estimate_payload(k, est, mask_of(halt)),
                 ),
                 st.integers(min_value=1, max_value=4),
                 pid_st,
@@ -193,6 +231,7 @@ class TestBatchedComputeEqualsTwoPassReference:
             compute(batched, k, messages)
             reference.compute(k, tuple(messages))
             assert batched.halt == reference.halt
+            assert batched.halt == frozenset(iter_bits(batched._halt_mask))
             assert batched.est == reference.est
 
         check()
@@ -214,7 +253,7 @@ class TestBatchedComputeEqualsTwoPassReference:
                 if rng.random() < 0.7:
                     payload = estimate_payload(
                         sent, rng.randint(-5, 5),
-                        frozenset(rng.sample(range(n), rng.randint(0, n))),
+                        mask_of(rng.sample(range(n), rng.randint(0, n))),
                     )
                 else:
                     payload = ("FLOOD", sent, sender)

@@ -7,6 +7,7 @@ from repro.algorithms.suspicion import EstimateState, estimate_payload
 from repro.core.att2_optimized import ATt2Optimized
 from repro.model.messages import Message
 from repro.model.schedule import ScheduleBuilder
+from repro.sim.bitset import mask_of
 from repro.sim.kernel import run_algorithm
 from repro.sim.view import RoundView
 from tests.conftest import run_and_check
@@ -82,21 +83,22 @@ class TestHaltBookkeeping:
         )
         trace = run_algorithm(ATt2.factory(), schedule, [3, 1, 4, 1, 5])
         for pid in range(3):
-            previous = frozenset()
+            previous = 0
             for k in (1, 2, 3):
                 payload = trace.record(k).sent[pid]
                 assert payload[0] == "ESTIMATE"
                 halt = payload[3]
-                assert previous <= halt
+                assert type(halt) is int  # Halt travels as its bitmask
+                assert previous & ~halt == 0  # previous ⊆ halt
                 previous = halt
 
     def test_msgset_excludes_halt_stale_and_foreign(self):
         state = EstimateState(pid=0, n=5, est=7, halt=frozenset({3}))
         messages = (
-            Message(2, 0, 0, estimate_payload(2, 7, frozenset())),
-            Message(2, 1, 0, estimate_payload(2, 4, frozenset())),
-            Message(2, 3, 0, estimate_payload(2, 0, frozenset())),  # in Halt
-            Message(1, 4, 0, estimate_payload(1, 2, frozenset())),  # stale
+            Message(2, 0, 0, estimate_payload(2, 7, 0)),
+            Message(2, 1, 0, estimate_payload(2, 4, 0)),
+            Message(2, 3, 0, estimate_payload(2, 0, 0)),  # in Halt
+            Message(1, 4, 0, estimate_payload(1, 2, 0)),  # stale
             Message(2, 2, 0, ("NEWESTIMATE", 2, 1)),                # foreign
         )
         state.compute_view(2, RoundView.from_messages(2, 0, 5, messages))
@@ -111,7 +113,7 @@ class TestHaltBookkeeping:
         )
         trace = run_algorithm(ATt2.factory(), schedule, [3, 1, 4, 1, 5])
         final_halt = trace.record(3).sent[0][3]
-        assert final_halt == frozenset({3, 4})
+        assert final_halt == mask_of({3, 4})
 
 
 def _round2_view(pid, n, items):
@@ -119,7 +121,7 @@ def _round2_view(pid, n, items):
     return RoundView.from_messages(
         2, pid, n,
         tuple(
-            Message(2, sender, pid, estimate_payload(2, est, frozenset(halt)))
+            Message(2, sender, pid, estimate_payload(2, est, mask_of(halt)))
             for sender, est, halt in items
         ),
     )
@@ -204,9 +206,6 @@ class TestFailureFreeFastPathEdges:
             for sender, est, halt in items:
                 by_pid[sender].state.est = est
                 by_pid[sender].state.halt = frozenset(halt)
-                by_pid[sender].state._halt_mask = sum(
-                    1 << p for p in halt
-                )
             plane = Phase1Plane([a.state for a in by_pid])
             batched.bind_phase1_plane(plane)
             table = SendTable(5)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro import ATt2, ATt2Optimized
 from repro.analysis.metrics import check_consensus
 from repro.core.att2 import NEWESTIMATE
+from repro.sim.bitset import iter_bits
 from repro.sim.kernel import run_algorithm
 from repro.sim.random_schedules import (
     random_es_schedule,
@@ -102,7 +103,7 @@ class TestHaltClaimInSynchronousRuns:
         crash_rounds = trace.crash_rounds()
         for sender, k, halt in halt_sets_sent(trace, t + 2):
             del sender
-            for suspect in halt:
+            for suspect in iter_bits(halt):
                 crash = crash_rounds.get(suspect)
                 assert crash is not None and crash < k, (
                     seed, suspect, k, halt,

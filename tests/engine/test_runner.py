@@ -1,6 +1,7 @@
 """Tests for the batch runner and result aggregation."""
 
 import json
+import os
 
 import pytest
 
@@ -82,6 +83,29 @@ class TestResolveWorkers:
         assert resolve_workers(16, 3) == 3
         assert resolve_workers(4, 0) == 1
         assert resolve_workers(1, 100) == 1
+
+    def test_auto_size_follows_the_affinity_mask(self, monkeypatch):
+        # A 64-CPU machine pinned to one CPU must get one worker, not 8.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {3}, raising=False
+        )
+        assert resolve_workers(None, 100) == 1
+        assert resolve_workers(0, 100) == 1
+        assert resolve_workers(4, 100) == 4  # explicit counts stand
+
+    def test_auto_size_keeps_the_cap_of_eight(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(64)),
+            raising=False,
+        )
+        assert resolve_workers(None, 100) == 8
+
+    def test_auto_size_without_affinity_uses_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert resolve_workers(None, 100) == 3
 
 
 class TestRunBatch:
