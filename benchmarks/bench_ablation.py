@@ -1,4 +1,4 @@
-"""Ablations of A_{t+2} design choices (DESIGN.md §5).
+"""Ablations of A_{t+2} design choices: the DECIDE relay and the plug-in C.
 
 1. **DECIDE relay**: adopters re-broadcast the decision once before
    halting.  Under a delayed original announcement, relaying saves rounds

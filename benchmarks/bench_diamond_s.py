@@ -3,52 +3,25 @@
 On coordinator-killing synchronous runs, A_◇S reaches a global decision at
 round t + 2 for every t, while the Hurfin–Raynal-style algorithm — the
 most efficient previously-known indulgent consensus — needs 2t + 2.  The
-gap grows linearly in t, as the paper reports.  The head-to-head grid runs
-as one engine batch.
+gap grows linearly in t, as the paper reports.  The head-to-head table is
+:func:`repro.analysis.experiments.diamond_s_gap`; this bench times it and
+asserts each measured round against its paper column.
 """
 
 import pytest
 
-from repro.analysis.tables import format_table
+from repro.analysis.experiments import diamond_s_gap, render
 from repro.detectors import EventuallyStrong, simulate_from_schedule
-from repro.engine import cases_from, run_batch
-from repro.workloads import coordinator_killer
 
-from conftest import bench_executor, emit, shared_cache
-
-RESILIENCES = [1, 2, 3, 4]
-
-
-def head_to_head():
-    systems = [(2 * t + 1, t) for t in RESILIENCES]
-    result = run_batch(cases_from(
-        (algorithm, f"killer/t{t}",
-         coordinator_killer(n, t, 2 * t + 6, rounds_per_cycle=2), range(n))
-        for n, t in systems
-        for algorithm in ("adiamond_s", "hurfin_raynal")
-    ), executor=bench_executor(), cache=shared_cache())
-    rows = []
-    for n, t in systems:
-        asd = result.find("adiamond_s", f"killer/t{t}")
-        hr = result.find("hurfin_raynal", f"killer/t{t}")
-        rows.append(
-            (n, t, asd.global_round, t + 2, hr.global_round, 2 * t + 2)
-        )
-    return rows
+from conftest import emit
 
 
 @pytest.mark.smoke
 def test_adiamond_s_vs_hurfin_raynal(benchmark):
-    rows = benchmark(head_to_head)
-    emit(
-        format_table(
-            ["n", "t", "A_dS", "paper t+2", "HR", "paper 2t+2"],
-            rows,
-            title="E6: A_dS vs Hurfin-Raynal on coordinator-killer runs",
-        )
-    )
-    for n, t, asd_round, asd_paper, hr_round, hr_paper in rows:
-        del n
+    table = benchmark(diamond_s_gap)
+    emit(render(table))
+    _title, _headers, rows = table
+    for _n, t, asd_round, asd_paper, hr_round, hr_paper in rows:
         assert asd_round == asd_paper, (t, asd_round)
         assert hr_round == hr_paper, (t, hr_round)
 

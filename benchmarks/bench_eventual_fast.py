@@ -6,59 +6,30 @@ identical schedules: A_{f+2} globally decides by round k + f + 2 (Lemma
 Absolute rounds depend on the workload's kindness — the asserted shape is
 the paper's *guarantee* (upper bounds) plus the A_{f+2} <= AMR ordering.
 
-The (k, f) × algorithm sweep and the Lemma-16 randomized termination
-check both execute as engine batches; the latter draws its schedule
-family from the seeded grid layer.
+The (k, f) × algorithm table is
+:func:`repro.analysis.experiments.eventual_fast_decision`; the Lemma-16
+randomized termination check runs as an engine batch drawing its
+schedule family from the seeded grid layer.
 """
 
 import pytest
 
-from repro.analysis.tables import format_table
+from repro.analysis.experiments import eventual_fast_decision, render
 from repro.engine import cases_from, family, run_batch
 from repro.engine.grids import expand_family
 from repro.sim.random_schedules import random_proposals
 from repro.workloads import async_prefix
 
-from conftest import bench_executor, emit, shared_cache
+from conftest import emit
 
 N, T = 7, 2
-POINTS = [(k, f) for k in (0, 2, 4) for f in (0, 1, 2)]
-
-
-def eventual_fast_rows():
-    result = run_batch(cases_from(
-        (algorithm, f"k{k}f{f}",
-         async_prefix(N, T, k + f + 10, k=k, crashes_after=f), range(N))
-        for k, f in POINTS
-        for algorithm in ("afp2", "amr_leader")
-    ), executor=bench_executor(), cache=shared_cache())
-    rows = []
-    for k, f in POINTS:
-        afp2 = result.find("afp2", f"k{k}f{f}")
-        amr = result.find("amr_leader", f"k{k}f{f}")
-        rows.append(
-            (
-                k,
-                f,
-                afp2.global_round,
-                k + f + 2,
-                amr.global_round,
-                k + 2 * f + 2,
-            )
-        )
-    return rows
 
 
 @pytest.mark.smoke
 def test_eventual_fast_decision(benchmark):
-    rows = benchmark(eventual_fast_rows)
-    emit(
-        format_table(
-            ["k", "f", "A_f+2", "bound k+f+2", "AMR", "bound k+2f+2"],
-            rows,
-            title=f"E8: eventual fast decision (n={N}, t={T})",
-        )
-    )
+    table = benchmark(eventual_fast_decision)
+    emit(render(table))
+    _title, _headers, rows = table
     for k, f, afp2_round, afp2_bound, amr_round, amr_bound in rows:
         assert afp2_round is not None and afp2_round <= afp2_bound, (k, f)
         assert amr_round is not None and amr_round <= amr_bound, (k, f)
@@ -73,7 +44,7 @@ def test_crash_heavy_synchronous_tail(benchmark):
             ("afp2", f"k{k}",
              async_prefix(N, T, k + T + 10, k=k, crashes_after=T), range(N))
             for k in (0, 3)
-        ), executor=bench_executor())
+        ))
         return [
             (k, T, result.find("afp2", f"k{k}").global_round, k + T + 2)
             for k in (0, 3)
@@ -96,7 +67,7 @@ def test_termination_from_any_prefix(benchmark):
         result = run_batch(cases_from(
             ("afp2", label, schedule, random_proposals(N, i))
             for i, (label, schedule) in enumerate(instances)
-        ), executor=bench_executor())
+        ))
         return [
             record.workload
             for record in result.records

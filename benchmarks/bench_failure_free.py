@@ -5,62 +5,27 @@ global decision at round 2 — matching the two-round lower bound for
 well-behaved runs (Keidar & Rajsbaum) — while remaining t + 2 when
 failures or suspicions appear.
 
-Both the per-system comparison grid and the randomized serial-run safety
-sample execute as engine batches; the safety sample draws its schedules
-from the seeded ``random_serial`` family.
+The per-system comparison table is
+:func:`repro.analysis.experiments.failure_free_optimization`; the
+randomized serial-run safety sample runs as an engine batch drawing its
+schedules from the seeded ``random_serial`` family.
 """
 
 import pytest
 
-from repro import Schedule
-from repro.analysis.tables import format_table
+from repro.analysis.experiments import failure_free_optimization, render
 from repro.engine import cases_from, family, run_batch
 from repro.engine.grids import expand_family
-from repro.workloads import serial_cascade
 
-from conftest import bench_executor, emit, shared_cache
-
-SYSTEMS = [(3, 1), (5, 2), (7, 3), (9, 4)]
-
-
-def optimization_rows():
-    def entries():
-        for n, t in SYSTEMS:
-            ff = Schedule.failure_free(n, t, t + 6)
-            crashy = serial_cascade(n, t, t + 6)
-            yield ("att2", f"ff/n{n}", ff, range(n))
-            yield ("att2_optimized", f"ff/n{n}", ff, range(n))
-            yield ("att2_optimized", f"cascade/n{n}", crashy, range(n))
-
-    result = run_batch(cases_from(entries()), executor=bench_executor(),
-                       cache=shared_cache())
-    rows = []
-    for n, t in SYSTEMS:
-        rows.append(
-            (
-                n,
-                t,
-                result.find("att2", f"ff/n{n}").global_round,
-                result.find("att2_optimized", f"ff/n{n}").global_round,
-                result.find("att2_optimized", f"cascade/n{n}").global_round,
-            )
-        )
-    return rows
+from conftest import emit
 
 
 @pytest.mark.smoke
 def test_failure_free_optimization(benchmark):
-    rows = benchmark(optimization_rows)
-    emit(
-        format_table(
-            ["n", "t", "plain A_t+2 (ff)", "optimized (ff)",
-             "optimized (cascade)"],
-            rows,
-            title="E7: Figure-4 optimization — round 2 in failure-free runs",
-        )
-    )
-    for n, t, plain_ff, opt_ff, opt_crashy in rows:
-        del n
+    table = benchmark(failure_free_optimization)
+    emit(render(table))
+    _title, _headers, rows = table
+    for _n, t, plain_ff, opt_ff, opt_crashy in rows:
         assert plain_ff == t + 2
         assert opt_ff == 2  # the well-behaved lower bound, met exactly
         assert opt_crashy == t + 2  # degradation is graceful
@@ -77,7 +42,7 @@ def test_optimization_never_violates_safety(benchmark):
         result = run_batch(cases_from(
             ("att2_optimized", label, schedule, (3, 1, 4, 1, 5))
             for label, schedule in instances
-        ), executor=bench_executor())
+        ))
         return [
             record.workload
             for record in result.records

@@ -9,65 +9,23 @@ global decision round over synchronous runs, per algorithm and model.
     Hurfin-Raynal (ES/◇S) : 2t + 2  — previously best indulgent algorithm
     Chandra-Toueg (ES/◇S) : 3t + 3  — classic rotating coordinator
 
-The price of indulgence is exactly one round.  The (algorithm × workload)
-grid is executed as one batch on the engine; worst cases and witnesses
-come from the aggregated :class:`~repro.engine.results.BatchResult`.
+The price of indulgence is exactly one round.  The table is
+:func:`repro.analysis.experiments.price_of_indulgence`; this bench times
+it and asserts every row against its ``paper`` column.
 """
 
 import pytest
 
-from repro import Schedule
-from repro.analysis.tables import format_table
-from repro.engine import cases_from, run_batch
-from repro.workloads import coordinator_killer, serial_cascade, value_hiding_chain
+from repro.analysis.experiments import price_of_indulgence, render
 
-from conftest import bench_executor, emit, shared_cache
-
-N, T = 5, 2
-HORIZON = 24
-
-ALGORITHMS = [
-    ("floodset", "FloodSet (SCS)", T + 1),
-    ("att2", "A_t+2 (ES)", T + 2),
-    ("adiamond_s", "A_dS (ES)", T + 2),
-    ("hurfin_raynal", "Hurfin-Raynal (ES)", 2 * T + 2),
-    ("chandra_toueg", "Chandra-Toueg (ES)", 3 * T + 3),
-]
-
-
-def synchronous_workloads():
-    return [
-        ("failure_free", Schedule.failure_free(N, T, HORIZON)),
-        ("cascade", serial_cascade(N, T, HORIZON)),
-        ("hiding_chain", value_hiding_chain(N, T, HORIZON)),
-        ("killer2", coordinator_killer(N, T, HORIZON, rounds_per_cycle=2)),
-        ("killer3", coordinator_killer(N, T, HORIZON, rounds_per_cycle=3)),
-    ]
-
-
-def price_table():
-    result = run_batch(cases_from(
-        (name, workload, schedule, range(N))
-        for name, _label, _expected in ALGORITHMS
-        for workload, schedule in synchronous_workloads()
-    ), executor=bench_executor(), cache=shared_cache())
-    rows = []
-    for name, label, expected in ALGORITHMS:
-        worst, witness = result.worst_case(name)
-        rows.append((label, worst, expected, witness))
-    return rows
+from conftest import emit
 
 
 @pytest.mark.smoke
 def test_price_of_indulgence(benchmark):
-    rows = benchmark(price_table)
-    emit(
-        format_table(
-            ["algorithm", "worst sync round", "paper", "witness workload"],
-            rows,
-            title=f"E5: the price of indulgence (n={N}, t={T})",
-        )
-    )
+    table = benchmark(price_of_indulgence)
+    emit(render(table))
+    _title, _headers, rows = table
     for name, worst, expected, _witness in rows:
         assert worst == expected, (name, worst, expected)
     # The headline: one-round gap between SCS optimum and ES optimum.

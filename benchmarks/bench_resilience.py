@@ -5,56 +5,25 @@ with t >= n/2 the ES constraints admit a partition into two halves of size
 n − t, each half receives its quota of n − t messages per round, suspects
 the other half, sees |Halt| = t (no false-suspicion evidence!), and
 confidently decides its own minimum at round t + 2.  The same schedule is
-impossible in SCS, where FloodSet tolerates up to n − 1 crashes.
+impossible in SCS, where FloodSet tolerates up to n − 1 crashes.  The
+split-brain table is :func:`repro.analysis.experiments.split_brain`.
 """
 
-from repro import ATt2, FloodSet, Schedule
+from repro import FloodSet, Schedule
+from repro.analysis.experiments import render, split_brain
 from repro.analysis.metrics import check_agreement
-from repro.analysis.tables import format_table
-from repro.model.es import is_es
 from repro.model.scs import check_scs
 from repro.sim.kernel import run_algorithm
 from repro.workloads import partitioned_prefix
 
 from conftest import emit
 
-CASES = [(4, 2), (6, 3), (8, 4)]
-
-
-def split_brain_rows():
-    rows = []
-    for n, t in CASES:
-        schedule = partitioned_prefix(
-            n, t, 2 * t + 6, rounds=2 * t + 4, heal_at=2 * t + 6
-        )
-        assert is_es(schedule, require_sync_by=None)
-        half = n // 2
-        proposals = [0] * half + [1] * (n - half)
-        factory = ATt2.factory(allow_unsafe_resilience=True)
-        trace = run_algorithm(factory, schedule, proposals)
-        rows.append(
-            (
-                n,
-                t,
-                str(sorted(trace.decided_values())),
-                trace.global_decision_round(),
-                "VIOLATED" if check_agreement(trace) else "ok",
-            )
-        )
-    return rows
-
 
 def test_split_brain_disagreement(benchmark):
-    rows = benchmark(split_brain_rows)
-    emit(
-        format_table(
-            ["n", "t", "decisions", "round", "agreement"],
-            rows,
-            title="E10: split-brain under t >= n/2 (ES-legal partition)",
-        )
-    )
-    for n, t, decisions, round_, agreement in rows:
-        del n, round_
+    table = benchmark(split_brain)
+    emit(render(table))
+    _title, _headers, rows = table
+    for _n, t, decisions, _round, agreement in rows:
         assert decisions == "[0, 1]", (t, decisions)
         assert agreement == "VIOLATED"
 

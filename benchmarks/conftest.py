@@ -1,57 +1,15 @@
 """Shared helpers for the experiment benches.
 
-Each bench file reproduces one experiment from DESIGN.md's index (E1–E11):
-it *asserts* the paper's claim (shape, not absolute numbers) and prints the
-reproduced table — run ``pytest benchmarks/ --benchmark-only -s`` to see
-the tables alongside pytest-benchmark's timing output.
+Each bench file reproduces one experiment (E1–E11; ``python -m repro
+experiments`` prints the table-shaped ones): it *asserts* the paper's
+claim (shape, not absolute numbers) and prints the reproduced table —
+run ``pytest benchmarks/ --benchmark-only -s`` to see the tables
+alongside pytest-benchmark's timing output.
 """
 
 from __future__ import annotations
 
-import atexit
-import shutil
 import sys
-import tempfile
-
-_CACHE = None
-
-
-def shared_cache():
-    """The process-wide result cache shared by the comparison benches.
-
-    The E5–E8 grids re-run identical failure-free and structured baselines
-    both across pytest-benchmark iterations and across bench files; the
-    cache is content-addressed (:mod:`repro.engine.cache`), so each
-    distinct (algorithm, schedule, proposals) case pays the kernel exactly
-    once per process and every repeat is a disk read.  Consequence: with
-    ``--benchmark-only``, iterations after the first time warm-cache reads,
-    not kernel execution — use the uncached benches (resilience, ablation,
-    lower-bound) to time the engine itself.  The temp directory is fresh
-    per process (timings never depend on an earlier invocation) and is
-    removed at interpreter exit.
-    """
-    global _CACHE
-    if _CACHE is None:
-        from repro.engine import ResultCache
-
-        directory = tempfile.mkdtemp(prefix="repro-bench-cache-")
-        atexit.register(shutil.rmtree, directory, ignore_errors=True)
-        _CACHE = ResultCache(directory)
-    return _CACHE
-
-
-def bench_executor():
-    """The execution backend the comparison benches run on.
-
-    Explicitly the serial backend: the benches time the kernel and the
-    engine's bookkeeping, and a pool would fold nondeterministic IPC
-    overhead into pytest-benchmark's numbers.  Centralized here so a
-    future profiling lane can flip every bench onto another backend at
-    once.
-    """
-    from repro.engine import SerialExecutor
-
-    return SerialExecutor()
 
 
 def emit(table: str) -> None:

@@ -14,29 +14,10 @@ Two experiments from the paper's Section 6 and introduction:
    the above assumes a correct majority.
 """
 
-from repro import AFPlus2, AMRLeaderES, ATt2, run_algorithm
-from repro.analysis.metrics import assert_consensus, check_agreement
-from repro.analysis.tables import format_table
-from repro.workloads import async_prefix, partitioned_prefix
-
-
-def eventual_fast_table(n=7, t=2):
-    rows = []
-    for k in (0, 2, 4):
-        for f in (0, 1, 2):
-            schedule = async_prefix(n, t, k + f + 10, k=k, crashes_after=f)
-            afp2 = assert_consensus(
-                run_algorithm(AFPlus2, schedule, list(range(n)))
-            )
-            amr = assert_consensus(
-                run_algorithm(AMRLeaderES, schedule, list(range(n)))
-            )
-            rows.append((
-                k, f,
-                afp2.global_decision_round(), k + f + 2,
-                amr.global_decision_round(), k + 2 * f + 2,
-            ))
-    return rows
+from repro import ATt2, run_algorithm
+from repro.analysis.experiments import eventual_fast_decision, render
+from repro.analysis.metrics import check_agreement
+from repro.workloads import partitioned_prefix
 
 
 def split_brain(n=4, t=2):
@@ -47,12 +28,7 @@ def split_brain(n=4, t=2):
 
 
 def main():
-    print(format_table(
-        ["k (async prefix)", "f (late crashes)",
-         "A_f+2", "bound k+f+2", "AMR", "bound k+2f+2"],
-        eventual_fast_table(),
-        title="Eventual fast decision (n=7, t=2): the paper's Lemma 15",
-    ))
+    print(render(eventual_fast_decision()))
     print("\nA_f+2 halves the post-synchrony latency of the leader-based")
     print("baseline by folding leader election into the estimate flood.")
 

@@ -1,16 +1,16 @@
-"""Print the full experiment report: every table from EXPERIMENTS.md.
+"""Print the experiment report: every table-shaped experiment (E5–E11).
 
 Usage::
 
     python examples/experiments_report.py
 
-Runs the compact versions of the paper's experiments (the asserted,
-timed versions live in ``benchmarks/``) and prints each table with its
-paper reference.  This is the script behind EXPERIMENTS.md.
+Runs the paper's table-shaped experiments, each defined once in
+:mod:`repro.analysis.experiments` (the benches in ``benchmarks/`` time
+and assert the same tables), and prints each table with its paper
+reference.
 """
 
-from repro.analysis.experiments import all_experiments
-from repro.analysis.tables import format_table
+from repro.analysis.experiments import all_experiments, render
 
 PAPER_NOTES = {
     "E5": "Sections 1.3-1.4: t+1 (SCS) vs t+2 (ES) vs 2t+2 (prior best).",
@@ -29,11 +29,10 @@ PAPER_NOTES = {
 def main():
     print("The inherent price of indulgence — experiment report")
     print("=" * 68)
-    for title, headers, rows in all_experiments():
-        experiment_id = title.split(":", 1)[0]
+    for table in all_experiments():
         print()
-        print(format_table(headers, rows, title=title))
-        note = PAPER_NOTES.get(experiment_id)
+        print(render(table))
+        note = PAPER_NOTES.get(table[0].split(":", 1)[0])
         if note:
             print(f"  paper: {note}")
     print()

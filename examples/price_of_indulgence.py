@@ -15,37 +15,9 @@ Reproduces the paper's central comparison on worst-case synchronous runs:
   2t + 2.
 """
 
-from repro import FloodSetWS, Schedule, ScheduleBuilder, run_algorithm
+from repro import FloodSetWS, ScheduleBuilder, run_algorithm
+from repro.analysis.experiments import price_of_indulgence, render
 from repro.analysis.metrics import check_agreement
-from repro.analysis.tables import format_table
-from repro.engine import cases_from, run_batch
-from repro.workloads import coordinator_killer, serial_cascade, value_hiding_chain
-
-
-def worst_case_table(n, t):
-    workloads = [
-        ("failure_free", Schedule.failure_free(n, t, 24)),
-        ("cascade", serial_cascade(n, t, 24)),
-        ("hiding_chain", value_hiding_chain(n, t, 24)),
-        ("killer2", coordinator_killer(n, t, 24, rounds_per_cycle=2)),
-        ("killer3", coordinator_killer(n, t, 24, rounds_per_cycle=3)),
-    ]
-    algorithms = (
-        ("FloodSet (SCS, not indulgent)", "floodset", f"t+1 = {t + 1}"),
-        ("A_t+2 (ES, this paper)", "att2", f"t+2 = {t + 2}"),
-        ("Hurfin-Raynal (ES)", "hurfin_raynal", f"2t+2 = {2 * t + 2}"),
-        ("Chandra-Toueg (ES)", "chandra_toueg", f"3t+3 = {3 * t + 3}"),
-    )
-    result = run_batch(cases_from(
-        (algorithm, workload, schedule, range(n))
-        for _title, algorithm, _formula in algorithms
-        for workload, schedule in workloads
-    ))
-    rows = []
-    for title, algorithm, formula in algorithms:
-        worst, witness = result.worst_case(algorithm)
-        rows.append((title, worst, formula, witness))
-    return rows
 
 
 def why_not_floodset(n=3, t=1):
@@ -60,13 +32,7 @@ def why_not_floodset(n=3, t=1):
 
 
 def main():
-    n, t = 5, 2
-    print(format_table(
-        ["algorithm", "worst synchronous round", "paper", "witness"],
-        worst_case_table(n, t),
-        title=f"Worst-case global decision round over synchronous runs "
-              f"(n={n}, t={t})",
-    ))
+    print(render(price_of_indulgence()))
 
     print("\nWhy not just run FloodSet in ES?  Because it is not indulgent:")
     trace, violations = why_not_floodset()

@@ -1,64 +1,93 @@
-"""Compact, importable versions of the paper's experiments.
+"""The paper's table-shaped experiments, each defined exactly once.
 
-The authoritative experiment definitions live in ``benchmarks/`` (one
-bench per experiment, with assertions and timings).  This module exposes
-lightweight row-generators for the table-shaped experiments so that the
-CLI (``python -m repro experiments``) and the report example can print
-them without depending on the bench files.
+E5–E8, E10 and E11 are built here and nowhere else.  The E-benches
+(``benchmarks/bench_*.py``) time these functions and assert the paper's
+claims over the rows they return; ``python -m repro experiments`` and the
+examples print them.  Each bound column (t + 2, 2t + 2, k + f + 2, ...)
+is written once, in the function that builds its table.
 
-The grid-shaped experiments (E5–E8) build declarative case lists and
-execute them on the batch engine (:mod:`repro.engine`); the experiments
-that inspect traces or detector histories directly (E10, E11) run on the
-kernel as before.
+The grid-shaped experiments (E5–E8) build declarative case lists and run
+them on the batch engine (:mod:`repro.engine`), raising
+:class:`~repro.errors.ConsensusViolation` if any run breaks agreement,
+validity or termination.  E10 and E11 inspect traces and detector
+histories directly.
 
-Every function returns ``(title, headers, rows)`` ready for
-:func:`repro.analysis.tables.format_table`.
+Every function returns ``(title, headers, rows)``; :func:`render` formats
+one with :func:`repro.analysis.tables.format_table`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from repro.analysis.metrics import check_agreement
+from repro.analysis.tables import format_table
+from repro.core.att2 import ATt2
+from repro.detectors import (
+    EventuallyPerfect,
+    EventuallyStrong,
+    Perfect,
+    simulate_from_schedule,
+)
+from repro.engine import cases_from, run_batch
+from repro.errors import ConsensusViolation
+from repro.model.es import enforce_es
 from repro.model.schedule import Schedule
 from repro.sim.kernel import run_algorithm
+from repro.sim.random_schedules import random_es_schedule, random_scs_schedule
+from repro.workloads import (
+    async_prefix,
+    coordinator_killer,
+    partitioned_prefix,
+    serial_cascade,
+    value_hiding_chain,
+)
 
 Table = tuple[str, list[str], list[tuple]]
 
 
-def _batch(
-    entries: Iterable[tuple[str, str, Schedule, Sequence[int]]],
-    *,
-    executor=None,
-):
-    """Run ``(algorithm, workload, schedule, proposals)`` entries as a batch.
+def render(table: Table) -> str:
+    """The table as the CLI, the benches and the examples print it."""
+    title, headers, rows = table
+    return format_table(headers, rows, title=title)
 
-    ``executor`` is an engine execution backend
-    (:mod:`repro.engine.executors`); the default serial backend keeps the
-    compact tables deterministic and overhead-free.
+
+def _batch(entries: Iterable[tuple[str, str, Schedule, Sequence[int]]]):
+    """Run ``(algorithm, workload, schedule, proposals)`` entries serially.
+
+    Raises :class:`ConsensusViolation` naming every run that broke
+    agreement or validity, or left a correct process undecided.
     """
-    from repro.engine import cases_from, run_batch
+    result = run_batch(cases_from(entries))
+    bad = [
+        f"{record.algorithm} on {record.workload}"
+        for record in result.records
+        if not (record.agreement_ok and record.validity_ok)
+        or record.correct_undecided
+    ]
+    if bad:
+        raise ConsensusViolation("consensus violated: " + ", ".join(bad))
+    return result
 
-    return run_batch(cases_from(entries), executor=executor)
+
+def _last_crash(schedule: Schedule) -> int:
+    return max((s.round for s in schedule.crashes.values()), default=0)
 
 
-def price_of_indulgence(n: int = 5, t: int = 2) -> Table:
+def price_of_indulgence() -> Table:
     """E5: worst-case synchronous decision rounds, per algorithm."""
-    from repro.workloads import (
-        coordinator_killer,
-        serial_cascade,
-        value_hiding_chain,
-    )
-
+    n, t, horizon = 5, 2, 24
     workloads = [
-        ("failure_free", Schedule.failure_free(n, t, 24)),
-        ("cascade", serial_cascade(n, t, 24)),
-        ("hiding_chain", value_hiding_chain(n, t, 24)),
-        ("killer2", coordinator_killer(n, t, 24, rounds_per_cycle=2)),
-        ("killer3", coordinator_killer(n, t, 24, rounds_per_cycle=3)),
+        ("failure_free", Schedule.failure_free(n, t, horizon)),
+        ("cascade", serial_cascade(n, t, horizon)),
+        ("hiding_chain", value_hiding_chain(n, t, horizon)),
+        ("killer2", coordinator_killer(n, t, horizon, rounds_per_cycle=2)),
+        ("killer3", coordinator_killer(n, t, horizon, rounds_per_cycle=3)),
     ]
     algorithms = [
         ("floodset", "FloodSet (SCS)", t + 1),
         ("att2", "A_t+2 (ES)", t + 2),
+        ("adiamond_s", "A_dS (ES)", t + 2),
         ("hurfin_raynal", "Hurfin-Raynal (ES)", 2 * t + 2),
         ("chandra_toueg", "Chandra-Toueg (ES)", 3 * t + 3),
     ]
@@ -73,16 +102,14 @@ def price_of_indulgence(n: int = 5, t: int = 2) -> Table:
         rows.append((label, worst, paper, witness))
     return (
         f"E5: the price of indulgence (n={n}, t={t})",
-        ["algorithm", "worst sync round", "paper", "witness"],
+        ["algorithm", "worst sync round", "paper", "witness workload"],
         rows,
     )
 
 
-def diamond_s_gap(resiliences: tuple[int, ...] = (1, 2, 3)) -> Table:
+def diamond_s_gap() -> Table:
     """E6: A_◇S (t+2) vs Hurfin–Raynal (2t+2) on coordinator killers."""
-    from repro.workloads import coordinator_killer
-
-    systems = [(2 * t + 1, t) for t in resiliences]
+    systems = [(2 * t + 1, t) for t in (1, 2, 3, 4)]
     result = _batch(
         (algorithm, f"killer/t{t}",
          coordinator_killer(n, t, 2 * t + 6, rounds_per_cycle=2), range(n))
@@ -102,11 +129,9 @@ def diamond_s_gap(resiliences: tuple[int, ...] = (1, 2, 3)) -> Table:
     )
 
 
-def failure_free_optimization(
-    systems: tuple[tuple[int, int], ...] = ((3, 1), (5, 2), (7, 3)),
-) -> Table:
+def failure_free_optimization() -> Table:
     """E7: the Figure-4 optimization decides at round 2 failure-free."""
-    from repro.workloads import serial_cascade
+    systems = [(3, 1), (5, 2), (7, 3), (9, 4)]
 
     def entries():
         for n, t in systems:
@@ -125,16 +150,16 @@ def failure_free_optimization(
         rows.append((n, t, plain.global_round, opt.global_round,
                      opt_crashy.global_round))
     return (
-        "E7: Figure-4 optimization — round 2 when failure-free",
-        ["n", "t", "plain (ff)", "optimized (ff)", "optimized (cascade)"],
+        "E7: Figure-4 optimization — round 2 in failure-free runs",
+        ["n", "t", "plain A_t+2 (ff)", "optimized (ff)",
+         "optimized (cascade)"],
         rows,
     )
 
 
-def eventual_fast_decision(n: int = 7, t: int = 2) -> Table:
+def eventual_fast_decision() -> Table:
     """E8: A_{f+2} vs AMR on sync-after-k runs with f late crashes."""
-    from repro.workloads import async_prefix
-
+    n, t = 7, 2
     points = [(k, f) for k in (0, 2, 4) for f in (0, 1, 2)]
     result = _batch(
         (algorithm, f"k{k}f{f}",
@@ -155,16 +180,15 @@ def eventual_fast_decision(n: int = 7, t: int = 2) -> Table:
     )
 
 
-def split_brain(cases: tuple[tuple[int, int], ...] = ((4, 2), (6, 3))) -> Table:
+def split_brain() -> Table:
     """E10: ES-legal partitions break agreement when t >= n/2."""
-    from repro.analysis.metrics import check_agreement
-    from repro.core.att2 import ATt2
-    from repro.workloads import partitioned_prefix
-
     rows = []
-    for n, t in cases:
-        schedule = partitioned_prefix(
-            n, t, 2 * t + 6, rounds=2 * t + 4, heal_at=2 * t + 6
+    for n, t in ((4, 2), (6, 3), (8, 4)):
+        schedule = enforce_es(
+            partitioned_prefix(
+                n, t, 2 * t + 6, rounds=2 * t + 4, heal_at=2 * t + 6
+            ),
+            require_sync_by=None,
         )
         half = n // 2
         factory = ATt2.factory(allow_unsafe_resilience=True)
@@ -173,53 +197,54 @@ def split_brain(cases: tuple[tuple[int, int], ...] = ((4, 2), (6, 3))) -> Table:
         )
         rows.append((
             n, t, str(sorted(trace.decided_values())),
+            trace.global_decision_round(),
             "VIOLATED" if check_agreement(trace) else "ok",
         ))
     return (
-        "E10: split-brain under t >= n/2",
-        ["n", "t", "decisions", "agreement"],
+        "E10: split-brain under t >= n/2 (ES-legal partition)",
+        ["n", "t", "decisions", "round", "agreement"],
         rows,
     )
 
 
-def detector_simulation(samples: int = 30) -> Table:
-    """E11: the simulated detector is P on SCS runs, ◇P on ES runs."""
-    from repro.detectors import (
-        EventuallyPerfect,
-        Perfect,
-        simulate_from_schedule,
-    )
-    from repro.sim.random_schedules import (
-        random_es_schedule,
-        random_scs_schedule,
-    )
+def detector_simulation() -> Table:
+    """E11: the simulated detector is P on SCS runs, ◇P on ES runs.
 
-    scs_ok = scs_total = es_ok = es_total = 0
-    for seed in range(samples):
+    Runs whose last crash falls at or past the horizon are skipped:
+    completeness is unobservable in the window.
+    """
+    scs_ok = scs_total = 0
+    diamond_p = diamond_s = accurate = es_total = 0
+    for seed in range(60):
         scs = random_scs_schedule(6, 2, seed, horizon=9)
-        last = max((s.round for s in scs.crashes.values()), default=0)
-        if last < scs.horizon:
+        if _last_crash(scs) < scs.horizon:
             scs_total += 1
             scs_ok += Perfect.satisfied_by(simulate_from_schedule(scs))
         es = random_es_schedule(6, 2, seed, horizon=16, sync_by=7)
-        last = max((s.round for s in es.crashes.values()), default=0)
-        if last < es.horizon:
-            es_total += 1
-            es_ok += EventuallyPerfect.satisfied_by(
-                simulate_from_schedule(es)
-            )
+        last = _last_crash(es)
+        if last >= es.horizon:
+            continue
+        es_total += 1
+        history = simulate_from_schedule(es)
+        diamond_p += EventuallyPerfect.satisfied_by(history)
+        diamond_s += EventuallyStrong.satisfied_by(history)
+        accuracy_round = history.eventual_strong_accuracy_round()
+        settle = max(es.sync_from(), last + 1)
+        accurate += accuracy_round is not None and accuracy_round <= settle
     return (
-        "E11: simulated failure detectors",
+        "E11: the Section-4 failure-detector simulation",
         ["property", "satisfied", "checked"],
         [
             ("SCS runs satisfying P", scs_ok, scs_total),
-            ("ES runs satisfying ◇P", es_ok, es_total),
+            ("ES runs satisfying ◇P", diamond_p, es_total),
+            ("ES runs satisfying ◇S", diamond_s, es_total),
+            ("ES accuracy by settle round", accurate, es_total),
         ],
     )
 
 
 def all_experiments() -> list[Table]:
-    """Every compact experiment, in presentation order."""
+    """Every table-shaped experiment, in presentation order."""
     return [
         price_of_indulgence(),
         diamond_s_gap(),

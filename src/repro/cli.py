@@ -5,8 +5,9 @@ Commands:
 * ``list`` — the algorithm registry with models and summaries.
 * ``run`` — execute one algorithm on one workload and print the trace,
   optionally as a space-time diagram.
-* ``experiments`` — print the compact experiment tables (the full,
-  asserted versions live in ``benchmarks/``).
+* ``experiments`` — print the table-shaped experiments (E5–E11), each
+  defined once in :mod:`repro.analysis.experiments`; the benches in
+  ``benchmarks/`` time and assert the same tables.
 * ``sweep`` — execute a declarative case grid (stock, from a versioned
   ``--grid`` JSON file or directory of them, or a named ``--profile``)
   on the batch engine (:mod:`repro.engine`), on a selectable execution
@@ -151,6 +152,7 @@ from repro.algorithms.registry import available_algorithms, get_factory
 from repro.analysis.diagram import render_run
 from repro.analysis.metrics import check_consensus, summarize
 from repro.analysis.tables import format_table
+from repro.errors import AlgorithmError
 from repro.model.schedule import Schedule
 from repro.sim.kernel import run_algorithm
 
@@ -192,6 +194,21 @@ def _cmd_list(_args) -> int:
     return 0
 
 
+def _reject_unsupported_sizes(algorithms, n: int, t: int) -> None:
+    """Exit with one line if an algorithm rejects the system size.
+
+    Algorithms check (n, t) when their automata are built (A_f+2 and AMR
+    need t < n/3, the indulgent ones t < n/2).  Building one automaton
+    per algorithm up front turns that check into a one-line error rather
+    than a traceback from inside a run or a worker process.
+    """
+    for name in algorithms:
+        try:
+            get_factory(name)(0, n, t, 0)
+        except (AlgorithmError, ValueError) as exc:
+            raise SystemExit(f"invalid system size for {name}: {exc}")
+
+
 def _cmd_run(args) -> int:
     if args.horizon < 1:
         raise SystemExit(f"--horizon must be >= 1, got {args.horizon}")
@@ -205,6 +222,7 @@ def _cmd_run(args) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"invalid system size: {exc}")
+    _reject_unsupported_sizes([args.algorithm], args.n, args.t)
     if args.proposals:
         try:
             proposals = [int(v) for v in args.proposals.split(",")]
@@ -458,6 +476,8 @@ def _cmd_sweep(args) -> int:
     workers = _parse_workers(args)
     shard = _parse_shard(args)
     grids = _load_grids(args)
+    for _label, grid in grids:
+        _reject_unsupported_sizes(grid.algorithms, grid.n, grid.t)
     try:
         executor = resolve_executor(args.backend, workers=workers)
     except ExecutorError as exc:
@@ -729,10 +749,10 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_experiments(_args) -> int:
-    from repro.analysis.experiments import all_experiments
+    from repro.analysis.experiments import all_experiments, render
 
-    for title, headers, rows in all_experiments():
-        print(format_table(headers, rows, title=title))
+    for table in all_experiments():
+        print(render(table))
         print()
     print("(Full, asserted experiment suite: "
           "pytest benchmarks/ --benchmark-only)")

@@ -1,6 +1,6 @@
 """Shared primitive types and conventions.
 
-Conventions used throughout the package (see DESIGN.md section 6):
+Conventions used throughout the package:
 
 * **Process ids** are 0-based integers ``0 .. n-1``.  The paper's process
   :math:`p_i` corresponds to id ``i - 1``.

@@ -1,5 +1,11 @@
-"""Tests for the compact experiment row-generators used by the CLI."""
+"""Tests for the one definition of each table-shaped experiment."""
 
+import dataclasses
+import operator
+
+import pytest
+
+from repro.analysis import experiments
 from repro.analysis.experiments import (
     all_experiments,
     detector_simulation,
@@ -9,26 +15,31 @@ from repro.analysis.experiments import (
     price_of_indulgence,
     split_brain,
 )
+from repro.engine import BatchResult
+from repro.errors import ConsensusViolation, ModelViolation
+from repro.model.schedule import ScheduleBuilder
 
 
 class TestPriceOfIndulgence:
     def test_rows_match_paper(self):
-        _title, _headers, rows = price_of_indulgence(5, 2)
+        _title, _headers, rows = price_of_indulgence()
         by_name = {row[0]: row for row in rows}
         assert by_name["FloodSet (SCS)"][1] == 3
         assert by_name["A_t+2 (ES)"][1] == 4
+        assert by_name["A_dS (ES)"][1] == 4
         assert by_name["Hurfin-Raynal (ES)"][1] == 6
         assert by_name["Chandra-Toueg (ES)"][1] == 9
 
     def test_measured_equals_paper_column(self):
-        _title, _headers, rows = price_of_indulgence(5, 2)
+        _title, _headers, rows = price_of_indulgence()
         for _name, worst, paper, _witness in rows:
             assert worst == paper
 
 
 class TestDiamondSGap:
     def test_gap_grows_linearly(self):
-        _title, _headers, rows = diamond_s_gap((1, 2, 3))
+        _title, _headers, rows = diamond_s_gap()
+        assert [row[1] for row in rows] == [1, 2, 3, 4]
         for _n, t, asd, asd_paper, hr, hr_paper in rows:
             assert asd == asd_paper == t + 2
             assert hr == hr_paper == 2 * t + 2
@@ -36,7 +47,8 @@ class TestDiamondSGap:
 
 class TestFailureFree:
     def test_optimized_always_two(self):
-        _title, _headers, rows = failure_free_optimization(((3, 1), (5, 2)))
+        _title, _headers, rows = failure_free_optimization()
+        assert len(rows) == 4
         for _n, t, plain, optimized, crashy in rows:
             assert plain == t + 2
             assert optimized == 2
@@ -45,8 +57,9 @@ class TestFailureFree:
 
 class TestEventualFast:
     def test_bounds_hold(self):
-        _title, _headers, rows = eventual_fast_decision(7, 2)
+        _title, _headers, rows = eventual_fast_decision()
         for k, f, afp2, afp2_bound, amr, amr_bound in rows:
+            assert afp2_bound == k + f + 2 and amr_bound == k + 2 * f + 2
             assert afp2 <= afp2_bound, (k, f)
             assert amr <= amr_bound, (k, f)
             assert afp2 <= amr
@@ -54,16 +67,76 @@ class TestEventualFast:
 
 class TestSplitBrain:
     def test_always_violated(self):
-        _title, _headers, rows = split_brain(((4, 2),))
-        assert rows[0][2] == "[0, 1]"
-        assert rows[0][3] == "VIOLATED"
+        _title, _headers, rows = split_brain()
+        assert [(n, t) for n, t, *_rest in rows] == [(4, 2), (6, 3), (8, 4)]
+        for _n, t, decisions, round_, agreement in rows:
+            assert decisions == "[0, 1]"
+            assert round_ == t + 2
+            assert agreement == "VIOLATED"
+
+    def test_rejects_a_partition_that_is_not_es_legal(self, monkeypatch):
+        def starved(n, t, horizon, **_kwargs):
+            builder = ScheduleBuilder(n, t, horizon)
+            for sender in range(1, n):
+                builder.delay(sender, 0, 1, 3)
+            return builder.build()
+
+        monkeypatch.setattr(experiments, "partitioned_prefix", starved)
+        with pytest.raises(ModelViolation, match="t-resilience"):
+            split_brain()
 
 
 class TestDetectorSimulation:
     def test_all_satisfied(self):
-        _title, _headers, rows = detector_simulation(samples=15)
+        _title, _headers, rows = detector_simulation()
+        assert len(rows) == 4
         for _prop, satisfied, checked in rows:
-            assert satisfied == checked
+            assert satisfied == checked > 0
+
+
+# (experiment, measured column, bound column, relation the paper claims)
+BOUND_COLUMNS = [
+    (price_of_indulgence, 1, 2, operator.eq),
+    (diamond_s_gap, 2, 3, operator.eq),
+    (diamond_s_gap, 4, 5, operator.eq),
+    (eventual_fast_decision, 2, 3, operator.le),
+    (eventual_fast_decision, 4, 5, operator.le),
+    (detector_simulation, 1, 2, operator.eq),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, measured, bound, relation", BOUND_COLUMNS,
+    ids=lambda value: getattr(value, "__name__", str(value)),
+)
+def test_every_row_meets_its_bound_column(experiment, measured, bound,
+                                          relation):
+    _title, headers, rows = experiment()
+    for row in rows:
+        assert row[measured] is not None
+        assert relation(row[measured], row[bound]), (
+            headers[measured], headers[bound], row
+        )
+
+
+@pytest.mark.parametrize("experiment", [
+    price_of_indulgence,
+    diamond_s_gap,
+    failure_free_optimization,
+    eventual_fast_decision,
+])
+def test_grid_experiments_raise_on_disagreement(monkeypatch, experiment):
+    real_run_batch = experiments.run_batch
+
+    def disagreeing(cases):
+        result = real_run_batch(cases)
+        first, *rest = result.records
+        broken = dataclasses.replace(first, agreement_ok=False)
+        return BatchResult(records=(broken, *rest))
+
+    monkeypatch.setattr(experiments, "run_batch", disagreeing)
+    with pytest.raises(ConsensusViolation, match="consensus violated"):
+        experiment()
 
 
 class TestAllExperiments:

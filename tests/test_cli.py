@@ -56,6 +56,20 @@ class TestRun:
                 "run", "--n", "3", "--t", "1", "--proposals", "1,x,3",
             ])
 
+    @pytest.mark.parametrize("algorithm, n, t", [
+        ("afp2", 5, 2), ("amr_leader", 5, 2), ("amr_leader", 7, 3),
+        ("att2", 4, 2),
+    ])
+    def test_algorithm_rejecting_the_size_exits_with_one_line(
+        self, algorithm, n, t
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--algorithm", algorithm, "--n", str(n),
+                  "--t", str(t)])
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"invalid system size for {algorithm}: ")
+
     def test_unknown_workload(self):
         with pytest.raises(SystemExit, match="unknown workload"):
             main(["run", "--workload", "nope"])
@@ -142,6 +156,26 @@ class TestSweep:
         assert isinstance(message, str) and "\n" not in message
         assert message.startswith("unknown algorithm 'nope'; known: ")
         assert "att2, att2_optimized" in message
+
+    @pytest.mark.parametrize("backend", [
+        ["--backend", "serial"], ["--backend", "processes", "--workers", "2"],
+    ])
+    def test_algorithm_rejecting_the_size_exits_with_one_line(
+        self, backend, monkeypatch
+    ):
+        import repro.engine
+
+        def boom(*args, **kwargs):
+            raise AssertionError("grid executed despite an unsupported size")
+
+        monkeypatch.setattr(repro.engine, "run_batch", boom)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--algorithms", "att2,afp2", "--n", "5", "--t",
+                  "2", "--cases-per-family", "1"] + backend)
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith("invalid system size for afp2: "
+                                  "A_f+2 requires t < n/3")
 
     def test_algorithm_names_are_stripped_before_empties_drop(self, capsys):
         assert main(["sweep", "--algorithms", "att2, ",
