@@ -84,13 +84,3 @@ def _delay_annotations(trace: Trace, last: Round) -> list[str]:
                     f"arrives r{until}"
                 )
     return notes
-
-
-def render_side_by_side(
-    traces: dict[str, Trace], *, upto: Round | None = None
-) -> str:
-    """Render several runs one after another with their names."""
-    blocks = []
-    for name, trace in traces.items():
-        blocks.append(render_run(trace, upto=upto, title=f"--- {name} ---"))
-    return "\n\n".join(blocks)

@@ -16,20 +16,27 @@ trace (what the algorithm actually observed, absent for halted processes).
 from __future__ import annotations
 
 from repro.detectors.base import DetectorHistory
-from repro.model.constraints import suspected_by
 from repro.model.schedule import Schedule
+from repro.sim.bitset import full_mask, interned_set
+from repro.sim.compiled import compile_schedule
 from repro.sim.trace import Trace, require_full_trace
 from repro.types import ProcessId, Round
 
 
 def simulate_from_schedule(schedule: Schedule) -> DetectorHistory:
-    """The simulated ◇P output for every process completing each round."""
+    """The simulated ◇P output for every process completing each round.
+
+    Process p suspects q in round k iff q's round-k message does not
+    reach p in round k: the complement of p's compiled current-round
+    mask (p's own bit is always set, so p never suspects itself).
+    """
+    plan = compile_schedule(schedule)
+    everyone = full_mask(schedule.n)
     outputs: dict[tuple[ProcessId, Round], frozenset[ProcessId]] = {}
     for k in range(1, schedule.horizon + 1):
-        for pid in schedule.processes:
-            if not schedule.completes_round(pid, k):
-                continue
-            outputs[(pid, k)] = suspected_by(schedule, pid, k)
+        masks = plan.current_masks[k]
+        for pid in plan.completers[k]:
+            outputs[(pid, k)] = interned_set(everyone & ~masks[pid])
     return DetectorHistory(
         n=schedule.n,
         horizon=schedule.horizon,

@@ -198,6 +198,18 @@ class GridSpec:
         names = [fam.name for fam in self.families]
         if len(names) != len(set(names)):
             raise GridError(f"duplicate family names in {names}")
+        for fam in self.families:
+            if fam.kind != "random_serial":
+                continue
+            # A serial schedule crashes at most one process per round.
+            cap = dict(fam.params).get("max_crashes")
+            most = min(cap, self.t) if isinstance(cap, int) else self.t
+            if most > fam.horizon:
+                raise GridError(
+                    f"family {fam.name!r}: random_serial may crash up to "
+                    f"{most} processes, one per round, but its horizon "
+                    f"has only {fam.horizon} rounds"
+                )
         if self.proposal_mode not in ("range", "random"):
             raise GridError(
                 f"proposal_mode must be 'range' or 'random', "

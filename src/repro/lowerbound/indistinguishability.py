@@ -24,27 +24,6 @@ def distinguishers(
     )
 
 
-def views_equal_for(
-    trace_a: Trace,
-    trace_b: Trace,
-    pids: frozenset[ProcessId] | set[ProcessId],
-    *,
-    upto: Round,
-) -> bool:
-    """True iff none of *pids* can distinguish the runs through *upto*."""
-    return not (distinguishers(trace_a, trace_b, upto=upto) & frozenset(pids))
-
-
-def first_divergence_round(
-    trace_a: Trace, trace_b: Trace, pid: ProcessId, *, upto: Round
-) -> Round | None:
-    """The first round at which *pid*'s views differ, or ``None``."""
-    for k in range(1, upto + 1):
-        if trace_a.view(pid, k) != trace_b.view(pid, k):
-            return k
-    return None
-
-
 def decision_consistency(
     trace_a: Trace, trace_b: Trace, *, upto: Round
 ) -> list[str]:

@@ -21,8 +21,8 @@ skip that check for deliberately asynchronous-window experiments.
 from __future__ import annotations
 
 from repro.errors import ModelViolation
-from repro.model.constraints import same_round_senders
 from repro.model.schedule import Schedule
+from repro.sim.compiled import compile_schedule
 from repro.types import Round
 
 
@@ -46,12 +46,13 @@ def check_es(
             f"{len(schedule.crashes)} crashes exceed the resilience bound t={t}"
         )
 
-    # t-resilience.
+    # t-resilience: a receiver completing round k hears, in round k,
+    # the senders set in its compiled current-round mask (itself too).
+    plan = compile_schedule(schedule)
     for k in range(1, schedule.horizon + 1):
-        for receiver in schedule.processes:
-            if not schedule.completes_round(receiver, k):
-                continue
-            got = len(same_round_senders(schedule, receiver, k))
+        masks = plan.current_masks[k]
+        for receiver in plan.completers[k]:
+            got = masks[receiver].bit_count()
             if got < n - t:
                 violations.append(
                     f"t-resilience: p{receiver} receives only {got} < "

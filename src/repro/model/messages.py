@@ -100,16 +100,6 @@ def fast_message(
     return message
 
 
-def sort_delivery(messages: list[Message]) -> tuple[Message, ...]:
-    """Canonical delivery order: by sending round, then sender id.
-
-    Payloads are excluded from the ordering (dataclass ``compare=False``);
-    a (sent_round, sender, receiver) triple uniquely identifies a message
-    within one run, so the order is total in practice.
-    """
-    return tuple(sorted(messages))
-
-
 DUMMY: Payload = ("DUMMY",)
 """Payload sent when an algorithm has nothing to say in a round.
 

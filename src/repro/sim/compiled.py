@@ -1,9 +1,9 @@
 """Compiled adversary schedules: the kernel's pre-resolved execution plan.
 
-A declarative :class:`~repro.model.schedule.Schedule` answers point
-queries — ``sends_in_round``, ``completes_round``, ``delivery_round`` —
-each a method call over dict-backed crash/delay/loss tables.  The
-execution kernel used to issue O(n²) such calls *per round*, which is
+A declarative :class:`~repro.model.schedule.Schedule` holds dict-backed
+crash/delay/loss tables.  Resolving them one (sender, receiver, round)
+triple at a time — the point queries the tests keep as the oracle in
+``tests/kernel_oracle.py`` — costs O(n²) lookups *per round*, which is
 exactly the bookkeeping that made large-n sweeps impractical.
 
 :func:`compile_schedule` performs that resolution **once per schedule**
@@ -40,6 +40,11 @@ O(n · horizon + |exceptions|) to build, and rows are shared: every
 exception-free round with the same completers reuses one mask row.  The
 plan is memoized on the schedule instance, so a grid running A
 algorithms against one schedule compiles once and executes A times.
+The plan is also the only implementation of the paper's delivery rule
+in ``src/``: the ES validator (:func:`repro.model.es.check_es`) and the
+Section-4 detector simulation
+(:func:`repro.detectors.simulation.simulate_from_schedule`) read
+``completers`` and ``current_masks`` too.
 The memo is stripped from pickles
 (:meth:`~repro.model.schedule.Schedule.__getstate__`); the process pool
 ships all of a schedule's cases in one task
@@ -135,8 +140,8 @@ def _compile(schedule: Schedule) -> CompiledSchedule:
     # round (adds), lost or delayed messages from senders that send in
     # the round and do not crash in it (removes), and the messages each
     # receiver gets in a later round (late).  Loss and delay entries
-    # that Schedule.delivery_round overrides are skipped exactly as it
-    # skips them: self-deliveries and a sender's crash round or later.
+    # that the delivery rule overrides are skipped: self-deliveries
+    # and a sender's crash round or later.
     adds: dict[Round, dict[ProcessId, int]] = {}
     removes: dict[Round, dict[ProcessId, int]] = {}
     late: dict[Round, dict[ProcessId, list[tuple[Round, ProcessId]]]] = {}

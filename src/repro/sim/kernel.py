@@ -16,7 +16,7 @@ receive phase.
 Execution runs on a compiled plan (:mod:`repro.sim.compiled`): the
 schedule's send/completion/delivery structure is resolved once per
 schedule, so the per-round hot loop touches only flat tuples — no
-``sends_in_round``/``delivery_round``/``completes_round`` calls.
+per-message schedule lookups.
 Delivery goes through :class:`~repro.sim.view.RoundView`: the kernel
 builds each receiver's structured inbox (current-round items bucketed
 by tag, delayed messages separate, present-sender mask) straight from

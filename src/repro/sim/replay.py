@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.algorithms.base import AlgorithmFactory
-from repro.errors import SimulationError
-from repro.model.schedule import CrashSpec, Schedule
+from repro.errors import ScheduleError, SimulationError
+from repro.model.schedule import Schedule, ScheduleBuilder
 from repro.sim.kernel import run_algorithm
 from repro.sim.trace import Trace, require_full_trace
 
@@ -50,35 +50,32 @@ def schedule_to_data(schedule: Schedule) -> dict[str, Any]:
 
 
 def schedule_from_data(data: Mapping[str, Any]) -> Schedule:
-    """Rebuild a schedule from :func:`schedule_to_data` output."""
+    """Rebuild a schedule from :func:`schedule_to_data` output.
+
+    Stored data is outside input, so it goes through
+    :class:`ScheduleBuilder`: an entry the builder would reject (a pid
+    out of range, a delivery before its sending round or after the
+    horizon, a self-delay) raises its :class:`ScheduleError`.
+    """
     version = data.get("version")
     if version != FORMAT_VERSION:
         raise SimulationError(
             f"unsupported schedule format version {version!r}"
         )
-    crashes = {
-        entry["pid"]: CrashSpec(
-            round=entry["round"],
-            delivered_same_round=frozenset(entry["delivered_to"]),
-            delayed=tuple(
-                (receiver, until) for receiver, until in entry["delayed"]
-            ),
+    builder = ScheduleBuilder(data["n"], data["t"], data["horizon"])
+    for entry in data["crashes"]:
+        delayed = dict(entry["delayed"])
+        if len(delayed) != len(entry["delayed"]):
+            raise ScheduleError("duplicate receiver in CrashSpec.delayed")
+        builder.crash(
+            entry["pid"], entry["round"],
+            delivered_to=entry["delivered_to"], delayed=delayed,
         )
-        for entry in data["crashes"]
-    }
-    delays = {
-        (sender, receiver, sent): until
-        for sender, receiver, sent, until in data["delays"]
-    }
-    losses = frozenset(tuple(item) for item in data["losses"])
-    return Schedule(
-        n=data["n"],
-        t=data["t"],
-        horizon=data["horizon"],
-        crashes=crashes,
-        delays=delays,
-        losses=losses,
-    )
+    for sender, receiver, sent, until in data["delays"]:
+        builder.delay(sender, receiver, sent, until)
+    for sender, receiver, sent in data["losses"]:
+        builder.lose(sender, receiver, sent)
+    return builder.build()
 
 
 def replay(trace: Trace, factory: "AlgorithmFactory") -> Trace:
@@ -107,11 +104,3 @@ def replay(trace: Trace, factory: "AlgorithmFactory") -> Trace:
         ):
             raise SimulationError(f"replay diverged at p{pid}'s view")
     return fresh
-
-
-def roundtrip(schedule: Schedule) -> Schedule:
-    """Serialize and deserialize; the result compares equal."""
-    rebuilt = schedule_from_data(schedule_to_data(schedule))
-    if rebuilt != schedule:
-        raise SimulationError("schedule serialization round-trip mismatch")
-    return rebuilt

@@ -1,7 +1,7 @@
 """Tests for space-time diagram rendering."""
 
 from repro import ATt2, FloodSet, Schedule
-from repro.analysis.diagram import render_run, render_side_by_side
+from repro.analysis.diagram import render_run
 from repro.model.schedule import ScheduleBuilder
 from repro.sim.kernel import run_algorithm
 
@@ -59,6 +59,14 @@ class TestRenderRun:
         schedule = Schedule.failure_free(3, 1, 6)
         trace = run_algorithm(FloodSet, schedule, [1, 2, 3])
         assert render_run(trace, title="hello").startswith("hello")
+
+
+def render_side_by_side(traces, *, upto=None):
+    """Render several runs one after another with their names."""
+    return "\n\n".join(
+        render_run(trace, upto=upto, title=f"--- {name} ---")
+        for name, trace in traces.items()
+    )
 
 
 class TestSideBySide:

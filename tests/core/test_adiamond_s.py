@@ -33,7 +33,7 @@ class TestFastDecision:
 
 class TestSimulatedDetector:
     def test_fd_history_matches_schedule_suspicions(self):
-        from repro.model.constraints import suspected_by
+        from kernel_oracle import suspected_by
 
         schedule = Schedule.synchronous(5, 2, 10, crashes={4: (2, [0])})
         automata = make_automata(ADiamondS.factory(), 5, 2, [1, 2, 3, 4, 5])

@@ -20,7 +20,7 @@ from repro.engine import (
     run_cases,
 )
 from repro.sim.kernel import run_algorithm
-from repro.sim.replay import replay, roundtrip
+from repro.sim.replay import replay, schedule_from_data, schedule_to_data
 
 
 def _small_grid(seed=5):
@@ -85,4 +85,5 @@ class TestSeedReplay:
         # Schedules exported from a batch can be re-imported bit-for-bit,
         # so archived sweeps can be re-executed elsewhere.
         for case in expand_grid(_small_grid())[:6]:
-            assert roundtrip(case.schedule) == case.schedule
+            data = schedule_to_data(case.schedule)
+            assert schedule_from_data(data) == case.schedule

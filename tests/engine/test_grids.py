@@ -121,6 +121,20 @@ class TestGridSpec:
                      families=(family("es", "random_es"),),
                      proposal_mode="zeros")
 
+    def test_serial_family_needs_a_round_per_crash(self):
+        with pytest.raises(GridError, match="family 'ser'.*horizon has only 8"):
+            GridSpec(n=25, t=12, algorithms=("att2",),
+                     families=(family("ser", "random_serial", horizon=8),))
+        with pytest.raises(GridError, match="up to 9 processes"):
+            GridSpec(n=25, t=12, algorithms=("att2",),
+                     families=(family("ser", "random_serial", horizon=8,
+                                      max_crashes=9),))
+        # A cap of at most the horizon is accepted, at any t.
+        for cap, horizon in ((8, 8), (None, 12)):
+            GridSpec(n=25, t=12, algorithms=("att2",),
+                     families=(family("ser", "random_serial",
+                                      horizon=horizon, max_crashes=cap),))
+
     def test_case_count(self):
         spec = GridSpec(
             n=5, t=2, algorithms=("att2", "floodset"),

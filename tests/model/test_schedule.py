@@ -5,6 +5,15 @@ import pytest
 from repro.errors import ScheduleError
 from repro.model.schedule import CrashSpec, Schedule, ScheduleBuilder
 
+from kernel_oracle import (
+    completes_round,
+    crashed_in,
+    deliveries_to,
+    delivery_round,
+    is_synchronous_round,
+    sends_in_round,
+)
+
 
 class TestCrashSpec:
     def test_rejects_round_zero(self):
@@ -26,11 +35,6 @@ class TestCrashSpec:
     def test_rejects_duplicate_delayed_receiver(self):
         with pytest.raises(ScheduleError, match="duplicate receiver"):
             CrashSpec(round=1, delayed=((1, 2), (1, 3)))
-
-    def test_delayed_delivery_lookup(self):
-        spec = CrashSpec(round=1, delayed=((2, 4),))
-        assert spec.delayed_delivery(2) == 4
-        assert spec.delayed_delivery(1) is None
 
 
 class TestScheduleBuilder:
@@ -153,47 +157,47 @@ class TestSendingRoundRange:
 class TestDeliverySemantics:
     def test_default_same_round(self):
         schedule = Schedule.failure_free(3, 1, 5)
-        assert schedule.delivery_round(0, 1, 2) == 2
+        assert delivery_round(schedule, 0, 1, 2) == 2
 
     def test_self_delivery_immediate(self):
         schedule = Schedule.failure_free(3, 1, 5)
-        assert schedule.delivery_round(1, 1, 3) == 3
+        assert delivery_round(schedule, 1, 1, 3) == 3
 
     def test_crashed_sender_sends_nothing_later(self):
         schedule = Schedule.synchronous(3, 1, 5, crashes={0: (2, [1])})
-        assert schedule.delivery_round(0, 1, 3) is None
-        assert schedule.delivery_round(0, 0, 3) is None
+        assert delivery_round(schedule, 0, 1, 3) is None
+        assert delivery_round(schedule, 0, 0, 3) is None
 
     def test_crash_round_partial_delivery(self):
         schedule = Schedule.synchronous(3, 1, 5, crashes={0: (2, [1])})
-        assert schedule.delivery_round(0, 1, 2) == 2
-        assert schedule.delivery_round(0, 2, 2) is None
+        assert delivery_round(schedule, 0, 1, 2) == 2
+        assert delivery_round(schedule, 0, 2, 2) is None
 
     def test_crash_round_delayed_delivery(self):
         builder = ScheduleBuilder(3, 1, 5)
         builder.crash(0, 2, delivered_to=(1,), delayed={2: 4})
         schedule = builder.build()
-        assert schedule.delivery_round(0, 2, 2) == 4
+        assert delivery_round(schedule, 0, 2, 2) == 4
 
     def test_explicit_delay(self):
         builder = ScheduleBuilder(3, 1, 5)
         builder.delay(0, 1, 1, 3)
         schedule = builder.build()
-        assert schedule.delivery_round(0, 1, 1) == 3
-        assert schedule.delivery_round(0, 2, 1) == 1
+        assert delivery_round(schedule, 0, 1, 1) == 3
+        assert delivery_round(schedule, 0, 2, 1) == 1
 
     def test_explicit_loss(self):
         builder = ScheduleBuilder(3, 1, 5)
         builder.crash(0, 3)
         builder.lose(0, 1, 1)
         schedule = builder.build()
-        assert schedule.delivery_round(0, 1, 1) is None
+        assert delivery_round(schedule, 0, 1, 1) is None
 
     def test_deliveries_to_collects_delayed(self):
         builder = ScheduleBuilder(3, 1, 5)
         builder.delay(0, 1, 1, 3)
         schedule = builder.build()
-        arrivals = schedule.deliveries_to(1, 3)
+        arrivals = deliveries_to(schedule, 1, 3)
         assert (0, 1) in arrivals
         assert (0, 3) in arrivals  # the round-3 message itself
 
@@ -201,10 +205,10 @@ class TestDeliverySemantics:
 class TestLifecyclePredicates:
     def test_sends_and_completes(self):
         schedule = Schedule.synchronous(3, 1, 6, crashes={1: (3, [])})
-        assert schedule.sends_in_round(1, 3)
-        assert not schedule.completes_round(1, 3)
-        assert schedule.completes_round(1, 2)
-        assert not schedule.sends_in_round(1, 4)
+        assert sends_in_round(schedule, 1, 3)
+        assert not completes_round(schedule, 1, 3)
+        assert completes_round(schedule, 1, 2)
+        assert not sends_in_round(schedule, 1, 4)
 
     def test_correct_and_faulty(self):
         schedule = Schedule.synchronous(4, 1, 6, crashes={2: (1, [])})
@@ -214,8 +218,8 @@ class TestLifecyclePredicates:
     def test_crashed_in(self):
         schedule = Schedule.synchronous(4, 2, 6,
                                         crashes={2: (1, []), 3: (1, [])})
-        assert schedule.crashed_in(1) == frozenset({2, 3})
-        assert schedule.crashed_in(2) == frozenset()
+        assert crashed_in(schedule, 1) == frozenset({2, 3})
+        assert crashed_in(schedule, 2) == frozenset()
 
 
 class TestSynchronyClassification:
@@ -234,7 +238,7 @@ class TestSynchronyClassification:
         builder.delay(0, 1, 2, 4)
         schedule = builder.build()
         assert not schedule.is_synchronous_run()
-        assert not schedule.is_synchronous_round(2)
+        assert not is_synchronous_round(schedule, 2)
         assert schedule.sync_from() == 3
 
     def test_crash_round_delay_keeps_round_synchronous(self):
@@ -243,14 +247,14 @@ class TestSynchronyClassification:
         builder = ScheduleBuilder(4, 1, 6)
         builder.crash(0, 2, delivered_to=(1,), delayed={2: 4})
         schedule = builder.build()
-        assert schedule.is_synchronous_round(2)
+        assert is_synchronous_round(schedule, 2)
         assert schedule.is_synchronous_run()
 
     def test_loss_breaks_synchrony(self):
         builder = ScheduleBuilder(4, 1, 6)
         builder.lose(0, 1, 3)
         schedule = builder.build()
-        assert not schedule.is_synchronous_round(3)
+        assert not is_synchronous_round(schedule, 3)
         assert schedule.sync_from() == 4
 
     def test_serial_run(self):
@@ -278,37 +282,6 @@ class TestScheduleIdentity:
         assert a == b
         assert hash(a) == hash(b)
         assert a != c
-
-    def test_with_horizon_extends(self):
-        a = Schedule.synchronous(3, 1, 5, crashes={0: (1, [1])})
-        b = a.with_horizon(9)
-        assert b.horizon == 9
-        assert b.crashes == a.crashes
-
-    def test_with_horizon_cannot_cut_deliveries(self):
-        builder = ScheduleBuilder(3, 1, 8)
-        builder.delay(0, 1, 1, 7)
-        schedule = builder.build()
-        with pytest.raises(ScheduleError, match="shrink"):
-            schedule.with_horizon(5)
-
-    def test_with_horizon_cannot_cut_a_crash(self):
-        schedule = ScheduleBuilder(4, 1, 10).crash(0, 8).build()
-        with pytest.raises(ScheduleError, match="shrink.*crashes after"):
-            schedule.with_horizon(5)
-
-    def test_with_horizon_cannot_cut_a_crash_round_delivery(self):
-        schedule = (
-            ScheduleBuilder(4, 1, 10).crash(0, 4, delayed={2: 10}).build()
-        )
-        with pytest.raises(ScheduleError, match="shrink.*exceeds horizon"):
-            schedule.with_horizon(8)
-        assert schedule.with_horizon(10) == schedule
-
-    def test_with_horizon_shrinks_to_the_last_event(self):
-        builder = ScheduleBuilder(4, 1, 10)
-        builder.crash(0, 4, delayed={2: 6}).delay(1, 3, 2, 5)
-        assert builder.build().with_horizon(6).horizon == 6
 
     def test_describe_mentions_crashes_and_delays(self):
         builder = ScheduleBuilder(3, 1, 8)

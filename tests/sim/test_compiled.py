@@ -13,8 +13,8 @@ tests pin that down three ways:
 * the compiled plan itself must be canonical (sorted inboxes, memoized
   per schedule) and must never leak into pickles, and it must equal,
   field by field, the plan of :func:`_dense_compile` — the original
-  n² · horizon ``delivery_round`` sweep, kept here as the oracle for
-  the exception-driven compiler.
+  n² · horizon sweep of the oracle's ``delivery_round``, kept here as
+  the oracle for the exception-driven compiler.
 """
 
 import pickle
@@ -39,7 +39,15 @@ from repro.sim.random_schedules import (
     random_serial_schedule,
 )
 
-from kernel_oracle import execute_reference
+from kernel_oracle import (
+    completes_round,
+    crashed_in,
+    deliveries_to,
+    delivery_round,
+    execute_reference,
+    sends_in_round,
+    sync_from_by_scan,
+)
 
 SEEDS = range(25)
 
@@ -71,10 +79,10 @@ def _dense_compile(schedule: Schedule) -> CompiledSchedule:
     inboxes = [[[] for _ in range(n)] for _ in range(horizon + 1)]
     for k in range(1, horizon + 1):
         round_senders = tuple(
-            pid for pid in range(n) if schedule.sends_in_round(pid, k)
+            pid for pid in range(n) if sends_in_round(schedule, pid, k)
         )
         round_completers = tuple(
-            pid for pid in range(n) if schedule.completes_round(pid, k)
+            pid for pid in range(n) if completes_round(schedule, pid, k)
         )
         crashing = mask_of(p for p in range(n) if crash_at[p] == k)
         senders.append(round_senders)
@@ -82,7 +90,7 @@ def _dense_compile(schedule: Schedule) -> CompiledSchedule:
         crashed.append(interned_set(crashing))
         for sender in round_senders:
             for receiver in range(n):
-                delivery = schedule.delivery_round(sender, receiver, k)
+                delivery = delivery_round(schedule, sender, receiver, k)
                 if delivery is None or delivery > horizon:
                     continue
                 if crash_at[receiver] <= delivery:
@@ -122,14 +130,6 @@ def _assert_plan_matches_oracle(schedule: Schedule) -> None:
         assert getattr(plan, field.name) == getattr(oracle, field.name), (
             f"{field.name} differs from the dense oracle"
         )
-
-
-def _sync_from_by_scan(schedule: Schedule) -> int:
-    first_bad = 0
-    for k in range(1, schedule.horizon + 1):
-        if not schedule.is_synchronous_round(k):
-            first_bad = k
-    return first_bad + 1
 
 
 class TestCompiledMatchesReference:
@@ -338,29 +338,30 @@ class TestCompiledPlan:
         plan = compile_schedule(schedule)
         for k in range(1, schedule.horizon + 1):
             assert plan.senders[k] == tuple(
-                pid for pid in range(5) if schedule.sends_in_round(pid, k)
+                pid for pid in range(5) if sends_in_round(schedule, pid, k)
             )
             assert plan.completers[k] == tuple(
-                pid for pid in range(5) if schedule.completes_round(pid, k)
+                pid for pid in range(5) if completes_round(schedule, pid, k)
             )
-            assert plan.crashed[k] == schedule.crashed_in(k)
+            assert plan.crashed[k] == crashed_in(schedule, k)
             for receiver in range(5):
-                if not schedule.completes_round(receiver, k):
+                if not completes_round(schedule, receiver, k):
                     continue
                 assert set(_inbox(plan, k, receiver)) == {
                     (sent, sender)
-                    for sender, sent in schedule.deliveries_to(receiver, k)
+                    for sender, sent in deliveries_to(schedule, receiver, k)
                 }
 
     def test_sync_from_matches_per_round_scan(self):
         # sync_from reads only the delay and loss tables; the per-round
-        # is_synchronous_round scan over every message is the oracle.
+        # oracle's is_synchronous_round scan over every message is the
+    # reference.
         for generator in (random_es_schedule, random_scs_schedule):
             for seed in SEEDS:
                 schedule = generator(5, 2, seed, horizon=10)
-                assert schedule.sync_from() == _sync_from_by_scan(schedule)
+                assert schedule.sync_from() == sync_from_by_scan(schedule)
                 assert schedule.is_synchronous_run() == (
-                    _sync_from_by_scan(schedule) == 1
+                    sync_from_by_scan(schedule) == 1
                 )
 
     def test_caches_never_pickled(self):
@@ -380,20 +381,6 @@ class TestCompiledPlan:
         ).decisions == run_algorithm(
             factory, schedule, [0, 1, 0, 1, 1], trace="lean"
         ).decisions
-
-    def test_delayed_delivery_map_matches_linear_scan(self):
-        builder = ScheduleBuilder(5, 2, 10)
-        builder.crash(0, 2, delivered_to=[1], delayed={2: 4, 3: 6})
-        schedule = builder.build()
-        spec = schedule.crashes[0]
-        for receiver in range(5):
-            expected = next(
-                (d for r, d in spec.delayed if r == receiver), None
-            )
-            assert spec.delayed_delivery(receiver) == expected
-        # survives pickling (the lazy map is rebuilt on demand)
-        clone = pickle.loads(pickle.dumps(schedule))
-        assert clone.crashes[0].delayed_delivery(2) == 4
 
 
 GENERATOR_SYSTEMS = [
@@ -449,7 +436,7 @@ class TestPlanMatchesDenseOracle:
             losses=losses,
         )
         _assert_plan_matches_oracle(schedule)
-        assert schedule.sync_from() == _sync_from_by_scan(schedule)
+        assert schedule.sync_from() == sync_from_by_scan(schedule)
 
     def test_crash_in_round_one(self):
         builder = ScheduleBuilder(5, 2, 6)
@@ -533,17 +520,13 @@ class TestRecordEquivalencePerAlgorithm:
             make_automata(factory, schedule.n, schedule.t, proposals),
             schedule,
         )
-        first_bad = 0
-        for k in range(1, schedule.horizon + 1):
-            if not schedule.is_synchronous_round(k):
-                first_bad = k
         return SweepRecord(
             algorithm=name,
             workload=workload,
             n=schedule.n,
             t=schedule.t,
             crashes=len(schedule.crashes),
-            sync_from=first_bad + 1,
+            sync_from=sync_from_by_scan(schedule),
             global_round=trace.global_decision_round(),
             first_round=trace.first_decision_round(),
             deciders=len(trace.decisions),

@@ -21,6 +21,8 @@ from repro.sim.random_schedules import (
     random_proposals,
 )
 
+from kernel_oracle import delivery_round
+
 ALGORITHMS = st.sampled_from(
     ["att2", "att2_optimized", "adiamond_s", "hurfin_raynal",
      "chandra_toueg"]
@@ -75,8 +77,8 @@ class TestDeliveryInvariants:
             for pid, inbox in rec.delivered.items():
                 for message in inbox:
                     assert (
-                        schedule.delivery_round(
-                            message.sender, pid, message.sent_round
+                        delivery_round(
+                            schedule, message.sender, pid, message.sent_round
                         )
                         == rec.round
                     )

@@ -5,13 +5,12 @@ import json
 import pytest
 
 from repro import ATt2, Schedule
-from repro.errors import SimulationError
+from repro.errors import ScheduleError, SimulationError
 from repro.model.schedule import ScheduleBuilder
 from repro.sim.kernel import run_algorithm
 from repro.sim.random_schedules import random_es_schedule
 from repro.sim.replay import (
     replay,
-    roundtrip,
     schedule_from_data,
     schedule_to_data,
 )
@@ -29,7 +28,7 @@ def rich_schedule():
 class TestSerialization:
     def test_roundtrip_identity(self):
         schedule = rich_schedule()
-        assert roundtrip(schedule) == schedule
+        assert schedule_from_data(schedule_to_data(schedule)) == schedule
 
     def test_json_safe(self):
         data = schedule_to_data(rich_schedule())
@@ -39,7 +38,7 @@ class TestSerialization:
     @pytest.mark.parametrize("seed", range(15))
     def test_random_schedules_roundtrip(self, seed):
         schedule = random_es_schedule(6, 2, seed, horizon=12)
-        assert roundtrip(schedule) == schedule
+        assert schedule_from_data(schedule_to_data(schedule)) == schedule
 
     def test_version_checked(self):
         data = schedule_to_data(rich_schedule())
@@ -53,6 +52,48 @@ class TestSerialization:
         assert data["crashes"] == []
         assert data["delays"] == []
         assert schedule_from_data(data) == schedule
+
+
+class TestMalformedData:
+    """Stored data the builder would reject is rejected on load too."""
+
+    @staticmethod
+    def _data(**changes):
+        data = schedule_to_data(Schedule.failure_free(4, 1, 6))
+        data.update(changes)
+        return data
+
+    @pytest.mark.parametrize(
+        "delay, error",
+        [
+            ([0, 7, 1, 2], "out of range"),
+            ([0, 1, 3, 2], "must exceed sending round"),
+            ([0, 1, 1, 99], "exceeds horizon"),
+            ([1, 1, 1, 2], "self-delivery"),
+        ],
+        ids=["receiver-7", "delivered-before-sent", "round-99", "self"],
+    )
+    def test_rejects_a_delay_the_builder_rejects(self, delay, error):
+        with pytest.raises(ScheduleError, match=error):
+            schedule_from_data(self._data(delays=[delay]))
+
+    def test_rejects_a_crash_twice(self):
+        crash = {"pid": 0, "round": 1, "delivered_to": [], "delayed": []}
+        with pytest.raises(ScheduleError, match="already crashes"):
+            schedule_from_data(self._data(crashes=[crash, crash]))
+
+    def test_rejects_a_duplicate_crash_round_receiver(self):
+        crash = {
+            "pid": 0, "round": 1, "delivered_to": [],
+            "delayed": [[2, 3], [2, 4]],
+        }
+        with pytest.raises(ScheduleError, match="duplicate receiver"):
+            schedule_from_data(self._data(crashes=[crash]))
+
+    def test_rejects_a_loss_after_the_senders_crash(self):
+        crash = {"pid": 0, "round": 1, "delivered_to": [], "delayed": []}
+        with pytest.raises(ScheduleError, match="crashes in round 1"):
+            schedule_from_data(self._data(crashes=[crash], losses=[[0, 1, 2]]))
 
 
 class TestReplay:

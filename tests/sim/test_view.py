@@ -31,7 +31,7 @@ from repro.sim.view import (
     build_delayed_buckets,
 )
 
-from kernel_oracle import execute_reference
+from kernel_oracle import completes_round, deliveries_to, execute_reference
 
 
 def entry(sent_round, sender, payload):
@@ -402,11 +402,11 @@ class TestPlanSharingGroups:
         plan = compile_schedule(schedule)
         for k in range(1, plan.horizon + 1):
             for receiver in range(plan.n):
-                if not schedule.completes_round(receiver, k):
+                if not completes_round(schedule, receiver, k):
                     continue
                 expected = {
                     (sent, sender)
-                    for sender, sent in schedule.deliveries_to(receiver, k)
+                    for sender, sent in deliveries_to(schedule, receiver, k)
                 }
                 delayed = plan.delayed_inboxes[k][receiver]
                 current = plan.current_masks[k][receiver]

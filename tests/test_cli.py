@@ -336,6 +336,17 @@ class TestSweepCache:
             main(self.ARGS + ["--cache", str(blocker)])
 
 
+def _serial_grid_with_too_few_rounds(tmp_path):
+    path = tmp_path / "serial.json"
+    path.write_text(
+        '{"version": 1, "n": 25, "t": 12, "algorithms": ["att2"],'
+        ' "families": [{"name": "ser", "kind": "random_serial",'
+        ' "count": 20, "horizon": 8}], "seed": 0, "proposal_mode": "range"}',
+        encoding="utf-8",
+    )
+    return path
+
+
 class TestSweepValidation:
     ARGS = ["sweep", "--cases-per-family", "2", "--algorithms", "att2"]
 
@@ -415,6 +426,13 @@ class TestSweepValidation:
         path = tmp_path / "grid.json"
         path.write_text('{"version": 99}')
         with pytest.raises(SystemExit, match="invalid --grid"):
+            main(["sweep", "--grid", str(path)])
+
+    def test_serial_family_with_too_few_rounds_exits_with_one_line(
+        self, tmp_path
+    ):
+        path = _serial_grid_with_too_few_rounds(tmp_path)
+        with pytest.raises(SystemExit, match="invalid --grid.*'ser'"):
             main(["sweep", "--grid", str(path)])
 
 
@@ -832,6 +850,14 @@ class TestGridValidate:
         assert main(["grid", "validate", str(path)]) == 1
         out = capsys.readouterr().out
         assert "INVALID" in out and "version" in out
+
+    def test_serial_family_with_too_few_rounds_is_invalid(
+        self, capsys, tmp_path
+    ):
+        path = _serial_grid_with_too_few_rounds(tmp_path)
+        assert main(["grid", "validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "INVALID" in out and "family 'ser'" in out
 
     def test_directory_mixes_and_counts(self, capsys, tmp_path):
         from repro.engine import default_sweep_grid
