@@ -454,6 +454,7 @@ def _expand_grids(grids) -> list:
                     case,
                     index=case.index + offset,
                     workload=f"{label}:{case.workload}",
+                    schedule=case.source,  # keep an unbuilt recipe unbuilt
                 )
                 for case in expanded
             ]

@@ -26,26 +26,49 @@ that run the same code on the same inputs share one entry, and
 :meth:`ResultCache.lookup` re-stamps ``workload`` and ``case_index`` from
 the requesting case so a warm run is byte-identical to a cold one.
 
+A grid case's schedule is a :class:`~repro.engine.grids.ScheduleRecipe`,
+built on first use, and its digest is remembered so that a cached case
+is keyed without building the schedule.  The ``digests`` table maps a
+*recipe key* (:meth:`~repro.engine.grids.ScheduleRecipe.key`) to
+``Schedule.digest()`` of the schedule the recipe built.  The recipe key
+is SHA-256 over a scheme tag (``repro-schedule-recipe-v1``), the source
+closure of the generator code (:mod:`repro.engine.grids` and
+:mod:`repro.workloads`, which :func:`~repro.engine.grids.build_schedule`
+imports when it runs; the closure holds the seeded generators and
+``Schedule`` with its digest), and the family kind, params, horizon, n,
+t and seed.  The record key itself is unchanged, so records stored
+before the table existed still hit.  A row is written only from the
+digest of a schedule that was built, and a generator is a pure function
+of those inputs, so a row goes stale only through a source change, which
+the fingerprint sees: the edited generator's recipes get new keys and
+rebuild.  Params are plain data, whose ``repr`` is canonical.  Explicit
+schedules (hand-built cases, replays) are digested as always.
+
 The store is one SQLite database, ``directory/cache.sqlite3``: one
 ``entries`` row per key (the algorithm, the record as key-sorted JSON
 from :func:`repro.engine.sink.record_to_line`, its size and its
-last-used time) and a ``stats`` table of lifetime counters and the last
-gc summary.  Each store commits before it returns (WAL journal,
-``synchronous=NORMAL``), so a killed process keeps every entry it
-finished and concurrent sweeps can share a directory.  Hits only read,
-a chunk of keys per query (:meth:`ResultCache.read_rows`), and their
-last-used times are written in one batch by
-:meth:`ResultCache.flush_stats` or :meth:`ResultCache.close`, and
-closing the last connection leaves the directory one database file.
+last-used time), the ``digests`` memo above, and a ``stats`` table of
+lifetime counters and the last gc summary.  Each store commits before
+it returns (WAL journal, ``synchronous=NORMAL``), so a killed process
+keeps every entry it finished and concurrent sweeps can share a
+directory.  Hits only read, a chunk of keys per query
+(:meth:`ResultCache.read_rows`), and their last-used times are written,
+with the session's new ``digests`` rows, in one transaction by
+:meth:`ResultCache.flush_stats` or :meth:`ResultCache.close`; a killed
+sweep loses only those, which costs one rebuild per lost row.  Concurrent
+sweeps write identical rows.  Closing the last connection leaves the
+directory one database file.
 
 Every failure costs only time: a corrupted or shape-skewed row is a
 miss (the next store overwrites the row), a ``sqlite3`` error on a read
-makes every key of that read a miss, and an error on store or flush is
-counted in ``store_failures``.
+makes every key of that read a miss (and a failed ``digests`` read
+builds the schedule), and an error on store, flush or close is counted
+in ``store_failures``.
 Deleting a cache directory is always safe; directories of the old
 one-JSON-file-per-entry layout are neither read nor migrated.
 :func:`cache_gc` (CLI: ``repro cache gc``) evicts entries by age and/or
-an LRU size bound.
+an LRU size bound, and empties the ``digests`` memo, whose rows are
+rebuilt on demand.
 
 Uncacheable cases (explicit in-process factories, whose captured state
 cannot be fingerprinted; or algorithms whose source is unavailable) are
@@ -70,6 +93,7 @@ from repro.algorithms.registry import (
 )
 from repro.analysis.sweep import SweepRecord
 from repro.engine.cases import Case
+from repro.engine.grids import ScheduleRecipe
 from repro.engine.sink import record_to_line
 
 if TYPE_CHECKING:  # sqlite3 is imported only when a cache is opened
@@ -97,6 +121,8 @@ CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, algorithm TEXT
     NOT NULL, record TEXT NOT NULL, size INTEGER NOT NULL, used REAL NOT NULL
 ) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS stats (name TEXT PRIMARY KEY, value) WITHOUT ROWID;
+CREATE TABLE IF NOT EXISTS digests (recipe TEXT PRIMARY KEY, digest TEXT
+    NOT NULL) WITHOUT ROWID;
 """
 
 #: Add a delta to a counter; a corrupt (non-counter) value counts as 0.
@@ -221,13 +247,14 @@ def cache_gc(
     cache flushes or closes), so hot entries of a shared cache outlive
     cold ones, and every entry is recomputable, so eviction is safe.
 
-    The gc is one write transaction that also stores its summary as
-    ``last_gc`` for ``repro cache stats``.  Returns the summary:
-    ``removed`` / ``removed_bytes`` / ``remaining`` / ``remaining_bytes``
-    / ``at`` (epoch seconds); all zeros, with nothing written, for a
-    directory without a database.  Raises ``ValueError`` for a missing
-    or negative bound and ``OSError`` when *directory* is not a
-    directory or its database is unreadable.
+    The gc is one write transaction that also empties the ``digests``
+    memo (its rows are rebuilt by the next sweep that needs them) and
+    stores its summary as ``last_gc`` for ``repro cache stats``.
+    Returns the summary: ``removed`` / ``removed_bytes`` / ``remaining``
+    / ``remaining_bytes`` / ``at`` (epoch seconds); all zeros, with
+    nothing written, for a directory without a database.  Raises
+    ``ValueError`` for a missing or negative bound and ``OSError`` when
+    *directory* is not a directory or its database is unreadable.
     """
     if max_age_days is None and max_bytes is None:
         raise ValueError(
@@ -256,6 +283,7 @@ def cache_gc(
                 )
             if max_bytes is not None:
                 db.execute(_EVICT_LRU, (max_bytes,))
+            db.execute("DELETE FROM digests")
             remaining, remaining_bytes = db.execute(_TOTALS).fetchone()
             summary.update(
                 removed=entries - remaining,
@@ -341,6 +369,8 @@ class ResultCache:
         self._lock = threading.Lock()
         self._db: "sqlite3.Connection | None" = None
         self._served: set[str] = set()  # hit keys whose recency is unwritten
+        self._digests: dict[str, str] = {}  # recipe key -> schedule digest
+        self._unwritten: dict[str, str] = {}  # built digests not yet rows
 
     def _connection(self) -> "sqlite3.Connection":
         """The open connection, opened on first use (call under the lock)."""
@@ -373,10 +403,45 @@ class ResultCache:
             case.algorithm,
             source,
             self._runtime_hash,
-            case.schedule.digest(),
+            self._schedule_digest(case),
             repr(tuple(case.proposals)),
         ))
         return hashlib.sha256(payload.encode()).hexdigest()
+
+    def _schedule_digest(self, case: Case) -> str:
+        """``case.schedule.digest()``, from the memo where it has a row.
+
+        Only a recipe without a row builds its schedule; the digest then
+        becomes a row at the next session write.
+        """
+        recipe = case.source
+        if not isinstance(recipe, ScheduleRecipe):
+            return recipe.digest()
+        key = recipe.key()
+        if key is None:
+            return recipe.build().digest()
+        digest = self._digests.get(key)
+        if digest is None:
+            digest = self._read_digest(key)
+            if digest is None:
+                digest = recipe.build().digest()
+                self._unwritten[key] = digest
+            self._digests[key] = digest
+        return digest
+
+    def _read_digest(self, key: str) -> str | None:
+        """Recipe *key*'s ``digests`` row; ``None`` if absent or unreadable."""
+        import sqlite3
+
+        try:
+            with self._lock:
+                row = self._connection().execute(
+                    "SELECT digest FROM digests WHERE recipe = ?", (key,)
+                ).fetchone()
+        except sqlite3.Error:
+            return None
+        digest = row[0] if row is not None else None
+        return digest if isinstance(digest, str) else None
 
     # -- lookup / store ----------------------------------------------------
 
@@ -472,13 +537,15 @@ class ResultCache:
     # -- session -----------------------------------------------------------
 
     def _write_session(self, counters: Iterable[tuple[str, int]]) -> bool:
-        """Add *counters* and the pending hit recency in one transaction.
+        """Add *counters*, hit recency and new digest rows in one transaction.
 
-        Returns False (and keeps the pending recency) when it failed.
+        Returns False (and keeps the pending recency and rows) when it
+        failed.
         """
         import sqlite3
 
         served = list(self._served)
+        digests = list(self._unwritten.items())
         try:
             with self._lock:
                 db = self._connection()
@@ -490,9 +557,15 @@ class ResultCache:
                         "UPDATE entries SET used = ? WHERE key = ?",
                         ((now, key) for key in served),
                     )
+                    db.executemany(
+                        "INSERT OR REPLACE INTO digests VALUES (?, ?)",
+                        digests,
+                    )
         except sqlite3.Error:
             return False
         self._served.difference_update(served)
+        for key, _digest in digests:
+            del self._unwritten[key]
         return True
 
     def flush_stats(self) -> None:
@@ -501,7 +574,8 @@ class ResultCache:
         The totals (hits, misses, dedups, store failures and a sweep
         count) let ``repro cache stats`` report a hit rate for a
         long-lived directory.  The same write transaction records when
-        each entry served since the last flush was used.  Counters are
+        each entry served since the last flush was used, and the
+        ``digests`` rows of the schedules built since.  Counters are
         added in SQL under SQLite's write lock, so concurrent sweeps
         sharing a directory never lose each other's deltas.  Success
         zeroes the session counters, so flushing after every sweep never
@@ -518,14 +592,15 @@ class ResultCache:
             self.store_failures += 1
 
     def close(self) -> None:
-        """Write any pending hit recency and close the database.
+        """Write any pending hit recency and digest rows, then close.
 
         Closing the directory's last connection leaves the database as
-        one self-contained file.  A failed recency write is not raised:
-        it only affects gc order.
+        one self-contained file.  A failed write is counted in
+        ``store_failures``, never raised: it only affects gc order and
+        costs rebuilding the unwritten rows' schedules next time.
         """
-        if self._served:
-            self._write_session(())
+        if (self._served or self._unwritten) and not self._write_session(()):
+            self.store_failures += 1
         with self._lock:
             if self._db is not None:
                 self._db.close()

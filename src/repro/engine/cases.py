@@ -5,15 +5,41 @@ name), which adversary schedule, and which proposals.  Cases are plain
 frozen dataclasses so that a worker process can receive one over a
 ``multiprocessing`` pipe and execute it without any shared state: the
 worker resolves the automaton factory from the registry by name.
+
+A case's schedule may be given as a
+:class:`~repro.engine.grids.ScheduleRecipe` instead of a
+:class:`~repro.model.schedule.Schedule`: ``case.schedule`` then builds
+it on first read, so a case answered from the result cache never builds
+one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence, Union
 
 from repro.model.schedule import Schedule
 from repro.types import Value
+
+if TYPE_CHECKING:
+    from repro.engine.grids import ScheduleRecipe
+
+#: What a case's ``schedule`` field is given: a schedule, or its recipe.
+ScheduleSource = Union[Schedule, "ScheduleRecipe"]
+
+
+class _ScheduleField:
+    """``Case.schedule``: stored as given, a recipe built on first read."""
+
+    def __get__(self, case: "Case | None", owner: Any = None) -> Schedule:
+        if case is None:
+            raise AttributeError("schedule")  # the field has no default
+        source = case.source
+        return source if isinstance(source, Schedule) else source.build()
+
+    def __set__(self, case: "Case", source: ScheduleSource) -> None:
+        # Reached only from the generated __init__: the case is frozen.
+        case.__dict__["source"] = source
 
 
 @dataclass(frozen=True)
@@ -28,15 +54,27 @@ class Case:
             resolvable inside a worker process.
         workload: human-readable schedule label; for seeded families the
             label embeds the derived seed so any case can be regenerated.
-        schedule: the adversary schedule to execute against.
+        schedule: the adversary schedule to execute against, given as a
+            :class:`Schedule` or as the recipe that builds it on first
+            read (:attr:`source` is what was given).
         proposals: one proposal per process.
     """
 
     index: int
     algorithm: str
     workload: str
-    schedule: Schedule
+    schedule: _ScheduleField = _ScheduleField()
     proposals: tuple[Value, ...]
+
+    @property
+    def source(self) -> ScheduleSource:
+        """The schedule or recipe this case was given, never building it."""
+        source: ScheduleSource = self.__dict__["source"]
+        return source
+
+    def __getstate__(self) -> dict[str, Any]:
+        # A case crosses a pipe with its schedule built: workers never build.
+        return {**self.__dict__, "source": self.schedule}
 
 
 def cases_from(

@@ -32,12 +32,18 @@ carries its originating case index.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+import sys
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, Sequence
 
-from repro.algorithms.registry import available_algorithms
+from repro.algorithms.registry import (
+    available_algorithms,
+    source_closure_hash,
+)
 from repro.engine.cases import Case
 from repro.errors import ReproError
 from repro.model.schedule import Schedule
@@ -199,6 +205,7 @@ class GridSpec:
         if len(names) != len(set(names)):
             raise GridError(f"duplicate family names in {names}")
         for fam in self.families:
+            _check_params(fam)
             if fam.kind != "random_serial":
                 continue
             # A serial schedule crashes at most one process per round.
@@ -319,6 +326,31 @@ class GridSpec:
 GRID_FORMAT_VERSION = 1
 
 
+def _check_params(fam: FamilySpec) -> None:
+    """Reject params *fam*'s generator would refuse when building.
+
+    Schedules are built lazily, so a family the generator rejects must
+    fail here, before any case of the grid runs.
+    """
+    accepted = _accepted_params(fam.kind)
+    unknown = sorted(
+        name for name, _value in fam.params if name not in accepted
+    )
+    if unknown:
+        raise GridError(
+            f"family {fam.name!r}: {fam.kind} takes no params {unknown}; "
+            f"known: {', '.join(accepted) or 'none'}"
+        )
+    cap = dict(fam.params).get("max_crashes")
+    if cap is not None and (
+        isinstance(cap, bool) or not isinstance(cap, int) or cap < 0
+    ):
+        raise GridError(
+            f"family {fam.name!r}: max_crashes must be an integer >= 0, "
+            f"got {cap!r}"
+        )
+
+
 def _require_mapping(data: Any, what: str) -> None:
     if not isinstance(data, Mapping):
         raise GridError(
@@ -411,10 +443,8 @@ class ShardSpec:
         return f"shard {self.index}/{self.count}"
 
 
-def build_schedule(
-    spec: FamilySpec, n: int, t: int, seed: int
-) -> Schedule:
-    """Instantiate one schedule of *spec* (seeded kinds consume *seed*)."""
+def _generators() -> dict[str, Callable[..., Schedule]]:
+    """The schedule generator behind each family kind."""
     from repro.workloads import (
         async_prefix,
         block_crashes,
@@ -424,43 +454,140 @@ def build_schedule(
         value_hiding_chain,
     )
 
-    params: Mapping[str, Any] = dict(spec.params)
-    h = spec.horizon
-    builders = {
-        "failure_free": lambda: Schedule.failure_free(n, t, h),
-        "cascade": lambda: serial_cascade(n, t, h, **params),
-        "hiding_chain": lambda: value_hiding_chain(n, t, h),
-        "block": lambda: block_crashes(n, t, h, **params),
-        "killer": lambda: coordinator_killer(n, t, h, **params),
-        "async_prefix": lambda: async_prefix(n, t, h, **params),
-        "rotating": lambda: rotating_delays(n, t, h, **params),
-        "random_es": lambda: random_es_schedule(n, t, seed, horizon=h, **params),
-        "random_scs": lambda: random_scs_schedule(n, t, seed, horizon=h, **params),
-        "random_serial": lambda: random_serial_schedule(
-            n, t, seed, horizon=h, **params
-        ),
+    return {
+        "failure_free": Schedule.failure_free,
+        "cascade": serial_cascade,
+        "hiding_chain": value_hiding_chain,
+        "block": block_crashes,
+        "killer": coordinator_killer,
+        "async_prefix": async_prefix,
+        "rotating": rotating_delays,
+        "random_es": random_es_schedule,
+        "random_scs": random_scs_schedule,
+        "random_serial": random_serial_schedule,
     }
-    return builders[spec.kind]()
 
 
-def expand_family(
-    spec: FamilySpec, n: int, t: int, master_seed: int
-) -> list[tuple[str, Schedule]]:
-    """All ``(label, schedule)`` instances of one family.
+def _accepted_params(kind: str) -> tuple[str, ...]:
+    """The family params the generator of *kind* takes as keywords.
+
+    Every generator takes ``n``, ``t`` and the horizon from the grid, and
+    the seeded ones the derived seed; the rest of its signature is what
+    a family's ``params`` may set.
+    """
+    from_grid = {"n", "t", "horizon", "seed"}
+    signature = inspect.signature(_generators()[kind])
+    return tuple(
+        name for name in signature.parameters if name not in from_grid
+    )
+
+
+def build_schedule(
+    spec: FamilySpec, n: int, t: int, seed: int
+) -> Schedule:
+    """Instantiate one schedule of *spec* (seeded kinds consume *seed*)."""
+    generator = _generators()[spec.kind]
+    params: Mapping[str, Any] = dict(spec.params)
+    if spec.kind in SEEDED_KINDS:
+        return generator(n, t, seed, horizon=spec.horizon, **params)
+    return generator(n, t, spec.horizon, **params)
+
+
+#: Scheme tag mixed into every recipe key; bumped when its meaning changes.
+RECIPE_SCHEME = "repro-schedule-recipe-v1"
+
+
+@functools.cache
+def generator_source_hash() -> str | None:
+    """Fingerprint of the code that builds a grid instance's schedule.
+
+    :func:`build_schedule` imports :mod:`repro.workloads` when it runs,
+    so that package is a root beside this module, whose closure holds the
+    seeded generators and ``Schedule`` (its digest included).  ``None``
+    when the source is unavailable.
+    """
+    from repro import workloads
+
+    return source_closure_hash([sys.modules[__name__], workloads])
+
+
+class ScheduleRecipe:
+    """One grid instance's schedule, built on first use.
+
+    Holds exactly what :func:`build_schedule` takes (family, system size
+    and derived seed), so the instance is identified without building
+    it: the result cache maps the recipe's :meth:`key` to the schedule's
+    digest, and only a case that must execute builds the schedule.
+    :func:`expand_grid` gives every algorithm's case of an instance the
+    same recipe, so they all read one :class:`Schedule` object.
+    """
+
+    __slots__ = ("family", "n", "t", "seed", "_schedule", "_key")
+
+    def __init__(self, family: FamilySpec, n: int, t: int, seed: int) -> None:
+        self.family = family
+        self.n = n
+        self.t = t
+        self.seed = seed
+        self._schedule: Schedule | None = None
+        self._key: str | None = None
+
+    def key(self) -> str | None:
+        """SHA-256 identity of the schedule :meth:`build` returns.
+
+        Hashes the scheme tag, :func:`generator_source_hash` and the
+        family kind, params, horizon, n, t and seed: a generator is a pure
+        function of these, and params are plain data whose ``repr`` is
+        canonical.  ``None`` when the generator source is unavailable.
+        Memoized.
+        """
+        if self._key is None:
+            fingerprint = generator_source_hash()
+            if fingerprint is None:
+                return None
+            fam = self.family
+            payload = "\n".join((
+                RECIPE_SCHEME, fingerprint, fam.kind, repr(fam.params),
+                str(fam.horizon), str(self.n), str(self.t), str(self.seed),
+            ))
+            self._key = hashlib.sha256(payload.encode()).hexdigest()
+        return self._key
+
+    def build(self) -> Schedule:
+        """The instance's schedule, built by the first call."""
+        if self._schedule is None:
+            self._schedule = build_schedule(
+                self.family, self.n, self.t, self.seed
+            )
+        return self._schedule
+
+
+def _instances(spec: FamilySpec, master_seed: int) -> list[tuple[str, int]]:
+    """The ``(label, seed)`` of every instance of *spec*.
 
     Seeded labels embed the derived seed (``name[i]@seed``) so that a
-    failing case can be regenerated directly with the family's generator.
+    failing case can be regenerated directly with the family's generator;
+    deterministic instances take seed 0.
     """
     instances = []
     for i in range(spec.count):
         if spec.kind in SEEDED_KINDS:
             seed = case_seed(master_seed, spec.name, i)
-            label = f"{spec.name}[{i}]@{seed}"
+            instances.append((f"{spec.name}[{i}]@{seed}", seed))
         else:
-            seed = 0
             label = spec.name if spec.count == 1 else f"{spec.name}[{i}]"
-        instances.append((label, build_schedule(spec, n, t, seed)))
+            instances.append((label, 0))
     return instances
+
+
+def expand_family(
+    spec: FamilySpec, n: int, t: int, master_seed: int
+) -> list[tuple[str, Schedule]]:
+    """All ``(label, schedule)`` instances of one family, built."""
+    return [
+        (label, build_schedule(spec, n, t, seed))
+        for label, seed in _instances(spec, master_seed)
+    ]
 
 
 def expand_grid(spec: GridSpec) -> list[Case]:
@@ -469,16 +596,16 @@ def expand_grid(spec: GridSpec) -> list[Case]:
     Order is algorithm-major (all of algorithm 0's cases, then algorithm
     1's, …), families in declaration order, instances by index — and the
     ``Case.index`` fields number the expansion sequentially, defining the
-    canonical record order for any execution of this grid.
+    canonical record order for any execution of this grid.  Schedules
+    are given as :class:`ScheduleRecipe` objects and built on first read
+    of ``case.schedule``.
     """
-    # Each instance's schedule and proposals are built once and shared by
+    # Each instance's recipe and proposals are made once and shared by
     # every algorithm's case (proposals depend on the family and index
-    # only, never on the algorithm).
-    instances: list[tuple[str, Schedule, tuple[int, ...]]] = []
+    # only, never on the algorithm).  No schedule is built here.
+    instances: list[tuple[str, ScheduleRecipe, tuple[int, ...]]] = []
     for fam in spec.families:
-        for i, (label, schedule) in enumerate(
-            expand_family(fam, spec.n, spec.t, spec.seed)
-        ):
+        for i, (label, seed) in enumerate(_instances(fam, spec.seed)):
             if spec.proposal_mode == "random":
                 proposals = tuple(
                     random_proposals(
@@ -488,16 +615,17 @@ def expand_grid(spec: GridSpec) -> list[Case]:
                 )
             else:
                 proposals = tuple(range(spec.n))
-            instances.append((label, schedule, proposals))
+            recipe = ScheduleRecipe(fam, spec.n, spec.t, seed)
+            instances.append((label, recipe, proposals))
     cases: list[Case] = []
     for algorithm in spec.algorithms:
-        for label, schedule, proposals in instances:
+        for label, recipe, proposals in instances:
             cases.append(
                 Case(
                     index=len(cases),
                     algorithm=algorithm,
                     workload=label,
-                    schedule=schedule,
+                    schedule=recipe,
                     proposals=proposals,
                 )
             )

@@ -389,6 +389,8 @@ class ScheduleBuilder:
         if delayed:
             for receiver, delivery in delayed.items():
                 self._check_pid(receiver)
+                if receiver == pid:
+                    raise ScheduleError("self-delivery cannot be delayed")
                 _check_delivery(delivery, self.horizon)
             delayed_items = tuple(sorted(delayed.items()))
         self._crashes[pid] = CrashSpec(

@@ -81,3 +81,23 @@ class ListSink:
 @pytest.fixture
 def list_sink():
     return ListSink()
+
+
+@pytest.fixture
+def built_schedules(monkeypatch):
+    """``(n, family name, seed)`` of every grid schedule built in the test.
+
+    Counts calls of ``grids.build_schedule``, the one place a grid
+    instance's schedule is built.
+    """
+    from repro.engine import grids
+
+    built = []
+    original = grids.build_schedule
+
+    def counting(spec, n, t, seed):
+        built.append((n, spec.name, seed))
+        return original(spec, n, t, seed)
+
+    monkeypatch.setattr(grids, "build_schedule", counting)
+    return built

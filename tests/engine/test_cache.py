@@ -2,6 +2,7 @@
 
 import linecache
 import os
+import re
 import signal
 import sqlite3
 import subprocess
@@ -30,8 +31,19 @@ from repro.engine import (
     run_batch,
     run_cases,
 )
+from repro.cli import main
 from repro.engine import executors as executors_module
+from repro.engine import grids as grids_module
 from repro.engine.cache import DB_FILE, READ_CHUNK
+from repro.engine.grids import (
+    SEEDED_KINDS,
+    GridSpec,
+    ShardSpec,
+    build_schedule,
+    default_sweep_grid,
+    expand_grid,
+    family,
+)
 
 
 def _case(index, algorithm="att2", workload="ff", n=3, t=1, horizon=8,
@@ -860,3 +872,223 @@ class TestChunkedReads:
         assert cache.misses - misses == READ_CHUNK
         assert cache.hits - hits == len(cases) - READ_CHUNK
         assert cache.store_failures == 0
+
+
+#: One family of every kind, with params valid at every tested size.
+_EVERY_KIND = (
+    ("es", "random_es", {}),
+    ("scs", "random_scs", {}),
+    ("serial", "random_serial", {}),
+    ("ff", "failure_free", {}),
+    ("cascade", "cascade", {}),
+    ("chain", "hiding_chain", {}),
+    ("block", "block", {}),
+    ("killer", "killer", {"rounds_per_cycle": 2}),
+    ("async", "async_prefix", {"k": 2}),
+    ("rotating", "rotating", {"async_rounds": 2}),
+)
+
+
+def _every_kind_grid(n, t):
+    horizon = max(12, 3 * t + 6)
+    return GridSpec(
+        n=n, t=t, algorithms=("att2", "floodset"),
+        families=tuple(
+            family(name, kind, count=2 if kind in SEEDED_KINDS else 1,
+                   horizon=horizon, **params)
+            for name, kind, params in _EVERY_KIND
+        ),
+        seed=5,
+    )
+
+
+def _memo_grid():
+    """10 cases over 5 instances."""
+    return GridSpec(
+        n=4, t=1, algorithms=("att2", "floodset"),
+        families=(family("es", "random_es", count=3),
+                  family("ff", "failure_free"),
+                  family("killer", "killer", rounds_per_cycle=2)),
+        seed=2,
+    )
+
+
+def _fresh_digest(case):
+    """The digest of *case*'s schedule, built anew by the generator."""
+    recipe = case.source
+    return build_schedule(recipe.family, recipe.n, recipe.t,
+                          recipe.seed).digest()
+
+
+def _memo_rows(cache):
+    with _raw(cache) as db:
+        return dict(db.execute("SELECT recipe, digest FROM digests"))
+
+
+class TestDigestMemo:
+    """The ``digests`` table: grid cases are keyed without a build."""
+
+    @pytest.mark.parametrize("n, t", [(4, 1), (9, 4), (25, 8)])
+    def test_memo_digest_equals_a_fresh_build(
+        self, cache, built_schedules, n, t
+    ):
+        grid = _every_kind_grid(n, t)
+        cold_keys = [cache.case_key(case) for case in expand_grid(grid)]
+        cache.flush_stats()
+        cases = expand_grid(grid)
+        assert _memo_rows(cache) == {
+            case.source.key(): _fresh_digest(case) for case in cases
+        }
+        built_schedules.clear()
+        warm = ResultCache(cache.directory)
+        assert [warm.case_key(case) for case in cases] == cold_keys
+        assert built_schedules == []
+        # The record key is still the one the schedule's digest gives.
+        explicit = [
+            replace(case, schedule=case.schedule) for case in cases
+        ]
+        assert [warm.case_key(case) for case in explicit] == cold_keys
+
+    def test_explicit_schedules_write_no_memo_row(self, cache):
+        run_cases(_small_batch(), cache=cache)
+        cache.flush_stats()
+        assert _memo_rows(cache) == {}
+
+    def test_changed_generator_fingerprint_misses_and_rebuilds(
+        self, cache, monkeypatch, built_schedules
+    ):
+        grid = _memo_grid()
+        cold = run_batch(grid, cache=cache)
+        cache.flush_stats()
+        monkeypatch.setattr(
+            grids_module, "generator_source_hash", lambda: "edited"
+        )
+        built_schedules.clear()
+        warm = ResultCache(cache.directory)
+        assert run_batch(grid, cache=warm).to_json() == cold.to_json()
+        assert (warm.hits, warm.misses) == (10, 0)
+        assert len(built_schedules) == 5 == len(set(built_schedules))
+        warm.flush_stats()
+        assert len(_memo_rows(cache)) == 10  # old and new fingerprint
+
+    def test_warm_rerun_builds_nothing_cold_run_builds_each_once(
+        self, cache, built_schedules
+    ):
+        grid = _memo_grid()
+        cold = run_batch(grid, cache=cache)
+        assert len(built_schedules) == 5 == len(set(built_schedules))
+        cache.flush_stats()
+        cache.close()
+        built_schedules.clear()
+        warm = ResultCache(cache.directory)
+        assert run_batch(grid, cache=warm).to_json() == cold.to_json()
+        assert (warm.hits, warm.misses) == (10, 0)
+        assert built_schedules == []
+
+    def test_shard_builds_only_its_slice(
+        self, tmp_path, built_schedules, capsys
+    ):
+        grid = default_sweep_grid(
+            5, 2, seed=3, algorithms=("att2",), cases_per_family=4
+        )
+        wanted = sorted(
+            (5, case.source.family.name, case.source.seed)
+            for case in ShardSpec(1, 2).select(expand_grid(grid))
+        )
+        for cache_args in ([], ["--cache", str(tmp_path / "cache")]):
+            built_schedules.clear()
+            assert main([
+                "sweep", "--n", "5", "--t", "2", "--cases-per-family", "4",
+                "--algorithms", "att2", "--seed", "3", "--backend", "serial",
+                "--shard", "1/2", *cache_args,
+            ]) == 0
+            assert sorted(built_schedules) == wanted
+        assert len(wanted) < sum(fam.count for fam in grid.families)
+        capsys.readouterr()
+
+    def test_deleted_memo_rows_still_hit_byte_identically(
+        self, cache, built_schedules
+    ):
+        grid = _memo_grid()
+        cold = run_batch(grid, cache=cache)
+        cache.flush_stats()
+        with _raw(cache) as db:
+            db.execute("DELETE FROM digests")
+        built_schedules.clear()
+        warm = ResultCache(cache.directory)
+        assert run_batch(grid, cache=warm).to_json() == cold.to_json()
+        assert (warm.hits, warm.misses) == (10, 0)
+        assert len(built_schedules) == 5
+        warm.close()  # the rows are written back
+        assert len(_memo_rows(cache)) == 5
+
+    def test_two_processes_lose_no_memo_row_and_no_store(self, tmp_path):
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        directory = tmp_path / "cache"
+        grid_args = ["--n", "5", "--t", "2", "--cases-per-family", "6"]
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "repro", "sweep", *grid_args,
+                 "--seed", str(seed), "--backend", "serial",
+                 "--cache", str(directory)],
+                env=env, stdout=subprocess.PIPE, text=True,
+            )
+            for seed in (11, 12)
+        ]
+        outs = [proc.communicate(timeout=120)[0] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        misses = 0
+        for out in outs:
+            found = re.search(r"^cache: 0 hits, (\d+) misses \(", out, re.M)
+            assert found, out
+            misses += int(found.group(1))
+        stats = cache_stats(directory)
+        assert stats["entries"] == misses
+        assert stats["store_failures"] == 0
+        with closing(sqlite3.connect(directory / DB_FILE)) as db:
+            rows = dict(db.execute("SELECT recipe, digest FROM digests"))
+        # The seeds share the structured families' recipes: one row each.
+        cases = [
+            case
+            for seed in (11, 12)
+            for case in expand_grid(
+                default_sweep_grid(5, 2, seed=seed, cases_per_family=6)
+            )
+        ]
+        assert rows == {
+            case.source.key(): _fresh_digest(case) for case in cases
+        }
+
+    def test_gc_empties_the_memo_and_leaves_a_consistent_database(
+        self, cache, built_schedules
+    ):
+        grid = _memo_grid()
+        cold = run_batch(grid, cache=cache)
+        cache.flush_stats()
+        assert len(_memo_rows(cache)) == 5
+        cache_gc(cache.directory, max_age_days=365, now=time.time())
+        assert _memo_rows(cache) == {}
+        with _raw(cache) as db:
+            assert db.execute("PRAGMA integrity_check").fetchall() == [
+                ("ok",)
+            ]
+        built_schedules.clear()
+        warm = ResultCache(cache.directory)
+        assert run_batch(grid, cache=warm).to_json() == cold.to_json()
+        assert (warm.hits, len(built_schedules)) == (10, 5)
+
+    def test_memo_write_failure_is_counted_never_raised(self, cache):
+        run_batch(_memo_grid(), cache=cache)
+        with _raw(cache) as db:
+            db.execute(
+                "CREATE TRIGGER refuse BEFORE INSERT ON digests "
+                "BEGIN SELECT RAISE(ABORT, 'read-only share'); END"
+            )
+        cache.flush_stats()
+        assert cache.store_failures == 1
+        cache.close()  # retries the rows once more
+        assert cache.store_failures == 2
+        assert _memo_rows(cache) == {}

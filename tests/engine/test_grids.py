@@ -1,13 +1,18 @@
 """Tests for declarative grids and the seeded schedule-family layer."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
+from repro.engine import grids
 from repro.engine.grids import (
     DETERMINISTIC_KINDS,
     SEEDED_KINDS,
     FamilySpec,
     GridError,
     GridSpec,
+    ScheduleRecipe,
     build_schedule,
     case_seed,
     default_sweep_grid,
@@ -135,6 +140,31 @@ class TestGridSpec:
                      families=(family("ser", "random_serial",
                                       horizon=horizon, max_crashes=cap),))
 
+    @pytest.mark.parametrize("kind", SEEDED_KINDS)
+    @pytest.mark.parametrize("cap", [-1, 1.5, "2", True])
+    def test_max_crashes_must_be_a_non_negative_int(self, kind, cap):
+        # The generators draw randint(0, cap): -1 is an empty range.
+        with pytest.raises(GridError, match="family 'f': max_crashes"):
+            GridSpec(n=9, t=4, algorithms=("att2",),
+                     families=(family("f", kind, max_crashes=cap),))
+
+    def test_zero_or_unset_max_crashes_accepted(self):
+        for cap in (0, None):
+            GridSpec(n=9, t=4, algorithms=("att2",),
+                     families=(family("f", "random_es", max_crashes=cap),))
+
+    @pytest.mark.parametrize("kind, params", [
+        ("killer", {"bogus": 1}),
+        ("random_es", {"bogus": 1}),
+        ("failure_free", {"rounds_per_cycle": 2}),
+        ("hiding_chain", {"k": 2}),
+        ("cascade", {"max_crashes": 1}),
+    ])
+    def test_params_the_generator_does_not_take_rejected(self, kind, params):
+        with pytest.raises(GridError, match=f"family 'f': {kind} takes no"):
+            GridSpec(n=9, t=4, algorithms=("att2",),
+                     families=(family("f", kind, **params),))
+
     def test_case_count(self):
         spec = GridSpec(
             n=5, t=2, algorithms=("att2", "floodset"),
@@ -257,11 +287,83 @@ class TestXLargeProfile:
         )
 
     def test_xlarge_expands_without_building_schedules_eagerly(self):
-        # Expansion builds the 100-process schedules; it must stay a
-        # sub-second operation so the CLI can print its banner fast.
+        # Expansion builds nothing; each 100-process schedule is built
+        # when a case first reads it.
         from repro.engine.grids import profile_grids
 
         _label, grid = profile_grids("xlarge")[0]
         cases = expand_grid(grid)
         assert len(cases) == grid.case_count
         assert all(case.schedule.n == 100 for case in cases)
+
+
+class TestScheduleRecipe:
+    def _spec(self):
+        return GridSpec(
+            n=5, t=2, algorithms=("att2", "hurfin_raynal"),
+            families=(family("es", "random_es", count=3),
+                      family("ff", "failure_free")),
+            seed=11,
+        )
+
+    def test_expansion_builds_no_schedule(self, built_schedules):
+        cases = expand_grid(self._spec())
+        assert built_schedules == []
+        assert all(isinstance(case.source, ScheduleRecipe) for case in cases)
+
+    def test_first_read_builds_one_schedule_per_instance(
+        self, built_schedules
+    ):
+        cases = expand_grid(self._spec())
+        assert cases[4].schedule is cases[0].schedule  # same instance
+        assert cases[1].schedule is cases[5].schedule
+        assert len(built_schedules) == 2
+        for case in cases:
+            case.schedule
+        assert len(built_schedules) == 4 == len(set(built_schedules))
+
+    def test_built_schedule_equals_the_family_expansion(self):
+        cases = expand_grid(self._spec())
+        expected = [
+            schedule
+            for fam in self._spec().families
+            for _label, schedule in expand_family(fam, 5, 2, 11)
+        ]
+        assert [case.schedule for case in cases[:4]] == expected
+
+    def test_pickled_case_carries_the_built_schedule(self):
+        case = expand_grid(self._spec())[0]
+        clone = pickle.loads(pickle.dumps(case))
+        assert isinstance(clone.source, Schedule)
+        assert clone == case
+        assert case.source.build() is case.schedule
+
+    def test_relabelled_case_keeps_the_recipe_unbuilt(self, built_schedules):
+        case = expand_grid(self._spec())[0]
+        moved = replace(case, index=9, schedule=case.source)
+        assert moved.source is case.source
+        assert built_schedules == []
+
+    def test_key_identifies_the_instance(self):
+        cases = expand_grid(self._spec())
+        again = expand_grid(self._spec())
+        keys = [case.source.key() for case in cases[:4]]
+        assert len(set(keys)) == 4
+        assert keys == [case.source.key() for case in again[:4]]
+        assert all(len(key) == 64 for key in keys)
+        assert cases[0].source.key() == cases[4].source.key()
+        first = cases[0].source
+        assert ScheduleRecipe(first.family, 5, 2, first.seed + 1).key() != (
+            first.key()
+        )
+
+    def test_key_covers_the_generator_source(self, monkeypatch):
+        recipe = expand_grid(self._spec())[0].source
+        before = recipe.key()
+        monkeypatch.setattr(grids, "generator_source_hash", lambda: "edited")
+        fresh = ScheduleRecipe(recipe.family, recipe.n, recipe.t, recipe.seed)
+        assert fresh.key() != before
+
+    def test_unfingerprintable_generators_have_no_key(self, monkeypatch):
+        monkeypatch.setattr(grids, "generator_source_hash", lambda: None)
+        assert expand_grid(self._spec())[0].source.key() is None

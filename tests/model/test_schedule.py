@@ -54,6 +54,13 @@ class TestScheduleBuilder:
         with pytest.raises(ScheduleError, match="self-delivery"):
             builder.delay(1, 1, 1, 2)
 
+    def test_rejects_crash_round_self_delay(self):
+        # It would run like the crash without the entry, yet compare
+        # unequal to it and have another digest (another cache key).
+        builder = ScheduleBuilder(3, 1, 5)
+        with pytest.raises(ScheduleError, match="self-delivery"):
+            builder.crash(0, 1, delayed={0: 3})
+
     def test_rejects_delay_not_after_send(self):
         builder = ScheduleBuilder(3, 1, 5)
         with pytest.raises(ScheduleError, match="must exceed"):

@@ -90,6 +90,11 @@ class TestMalformedData:
         with pytest.raises(ScheduleError, match="duplicate receiver"):
             schedule_from_data(self._data(crashes=[crash]))
 
+    def test_rejects_a_crash_round_self_delay(self):
+        crash = {"pid": 0, "round": 1, "delivered_to": [], "delayed": [[0, 3]]}
+        with pytest.raises(ScheduleError, match="self-delivery"):
+            schedule_from_data(self._data(crashes=[crash]))
+
     def test_rejects_a_loss_after_the_senders_crash(self):
         crash = {"pid": 0, "round": 1, "delivered_to": [], "delayed": []}
         with pytest.raises(ScheduleError, match="crashes in round 1"):

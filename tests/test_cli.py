@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import main
@@ -347,6 +350,33 @@ def _serial_grid_with_too_few_rounds(tmp_path):
     return path
 
 
+def _grid_with_family(tmp_path, entry):
+    """A n = 9, t = 4 grid file whose one family is *entry*."""
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({
+        "version": 1, "n": 9, "t": 4, "algorithms": ["att2"],
+        "families": [entry], "seed": 0, "proposal_mode": "range",
+    }), encoding="utf-8")
+    return path
+
+
+#: Families the generators would reject when building a schedule.
+_REJECTED_FAMILIES = [
+    pytest.param(
+        {"name": "bad", "kind": kind, "count": 3, "horizon": 18,
+         "params": {"max_crashes": -1}},
+        "max_crashes must be an integer >= 0", id=f"{kind}-negative-cap",
+    )
+    for kind in ("random_es", "random_scs", "random_serial")
+] + [
+    pytest.param(
+        {"name": "bad", "kind": "killer", "horizon": 18,
+         "params": {"bogus": 1}},
+        "killer takes no params \\['bogus'\\]", id="killer-bogus",
+    ),
+]
+
+
 class TestSweepValidation:
     ARGS = ["sweep", "--cases-per-family", "2", "--algorithms", "att2"]
 
@@ -433,6 +463,15 @@ class TestSweepValidation:
     ):
         path = _serial_grid_with_too_few_rounds(tmp_path)
         with pytest.raises(SystemExit, match="invalid --grid.*'ser'"):
+            main(["sweep", "--grid", str(path)])
+
+    @pytest.mark.parametrize("entry, reason", _REJECTED_FAMILIES)
+    def test_family_the_generator_rejects_exits_with_one_line(
+        self, tmp_path, entry, reason
+    ):
+        path = _grid_with_family(tmp_path, entry)
+        match = f"invalid --grid.*'bad'.*{reason}"
+        with pytest.raises(SystemExit, match=match):
             main(["sweep", "--grid", str(path)])
 
 
@@ -858,6 +897,16 @@ class TestGridValidate:
         assert main(["grid", "validate", str(path)]) == 1
         out = capsys.readouterr().out
         assert "INVALID" in out and "family 'ser'" in out
+
+    @pytest.mark.parametrize("entry, reason", _REJECTED_FAMILIES)
+    def test_family_the_generator_rejects_is_invalid(
+        self, capsys, tmp_path, entry, reason
+    ):
+        path = _grid_with_family(tmp_path, entry)
+        assert main(["grid", "validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "INVALID" in out and "family 'bad'" in out
+        assert re.search(reason, out)
 
     def test_directory_mixes_and_counts(self, capsys, tmp_path):
         from repro.engine import default_sweep_grid
