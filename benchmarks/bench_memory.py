@@ -11,7 +11,14 @@ nightly speedup floors: a deliberately generous ceiling, so only
 structural regressions (the driver quietly accumulating records or
 traces again) trip it, never allocator noise.
 
-A second row runs att2 alone at n = 1000 through the same path.  Its
+A pooled row runs the n = 250 sweep at the ``xxlarge`` profile's
+t = 32 (horizon 102) on a two-worker process pool.  Its budget bounds
+the driver only: workers build their own schedules from the cases'
+recipes, so the driver holds no schedule it does not need for a cache
+key.  When the driver built every schedule before the pool forked it
+peaked near 48 MB.
+
+A further row runs att2 alone at n = 1000 through the streamed path.  Its
 Phase 1 grows Halt rows for t + 1 rounds; they live as int masks, so
 the row guards against Halt (or any per-row set) being materialized
 and retained again — when the rows were interned frozensets this
@@ -48,6 +55,14 @@ SWEEP_ARGS = (
 )
 EXPECTED_CASES = 16  # 8 schedule families x 2 algorithms
 
+#: The pooled row: the same algorithms at t = 32 on a two-worker pool.
+POOLED_ARGS = (
+    "sweep", "--n", "250", "--t", "32",
+    "--algorithms", "adiamond_s,chandra_toueg",
+    "--cases-per-family", "1", "--seed", "20260730",
+    "--backend", "processes", "--workers", "2",
+)
+
 #: The n = 1000 row: att2 only, one instance per family.
 N1000_ARGS = (
     "sweep", "--n", "1000", "--t", "32",
@@ -59,7 +74,9 @@ N1000_EXPECTED_CASES = 8  # 8 schedule families x 1 algorithm
 
 #: Child driver: run the CLI in a fresh interpreter and report that
 #: process's own peak RSS, so the measurement can never be polluted by
-#: pytest's (or earlier benches') high-water mark.
+#: pytest's (or earlier benches') high-water mark.  Linux keeps the
+#: spawning process's peak in ``ru_maxrss`` across ``exec``, so there
+#: the child reads its own image's high-water mark, ``VmHWM``.
 _CHILD = """\
 import json, resource, sys
 from repro.cli import main
@@ -67,6 +84,14 @@ rc = main(sys.argv[1:])
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 if sys.platform == "darwin":  # ru_maxrss is bytes there, KB on Linux
     peak //= 1024
+try:
+    with open("/proc/self/status", encoding="ascii") as status:
+        peak = next(
+            int(line.split()[1]) for line in status
+            if line.startswith("VmHWM:")
+        )
+except (OSError, StopIteration):
+    pass
 print(json.dumps({"rc": rc, "peak_kb": peak}))
 """
 
@@ -128,6 +153,14 @@ def test_streamed_sweep_memory_ceiling(tmp_path):
     _check_row(
         "n=250", SWEEP_ARGS, EXPECTED_CASES,
         "streamed_sweep_peak_rss_kb", tmp_path,
+    )
+
+
+@pytest.mark.smoke
+def test_pooled_sweep_driver_memory_ceiling(tmp_path):
+    _check_row(
+        "pooled n=250", POOLED_ARGS, EXPECTED_CASES,
+        "pooled_sweep_driver_peak_rss_kb", tmp_path,
     )
 
 

@@ -52,8 +52,9 @@ lifetime counters and the last gc summary.  Each store commits before
 it returns (WAL journal, ``synchronous=NORMAL``), so a killed process
 keeps every entry it finished and concurrent sweeps can share a
 directory.  Hits only read, a chunk of keys per query
-(:meth:`ResultCache.read_rows`), and their last-used times are written,
-with the session's new ``digests`` rows, in one transaction by
+(:meth:`ResultCache.read_rows`, and :meth:`ResultCache.read_digests`
+for the chunk's ``digests`` rows), and their last-used times are
+written, with the session's new ``digests`` rows, in one transaction by
 :meth:`ResultCache.flush_stats` or :meth:`ResultCache.close`; a killed
 sweep loses only those, which costs one rebuild per lost row.  Concurrent
 sweeps write identical rows.  Closing the last connection leaves the
@@ -62,8 +63,8 @@ directory one database file.
 Every failure costs only time: a corrupted or shape-skewed row is a
 miss (the next store overwrites the row), a ``sqlite3`` error on a read
 makes every key of that read a miss (and a failed ``digests`` read
-builds the schedule), and an error on store, flush or close is counted
-in ``store_failures``.
+builds the schedules of that chunk), and an error on store, flush or
+close is counted in ``store_failures``.
 Deleting a cache directory is always safe; directories of the old
 one-JSON-file-per-entry layout are neither read nor migrated.
 :func:`cache_gc` (CLI: ``repro cache gc``) evicts entries by age and/or
@@ -369,7 +370,8 @@ class ResultCache:
         self._lock = threading.Lock()
         self._db: "sqlite3.Connection | None" = None
         self._served: set[str] = set()  # hit keys whose recency is unwritten
-        self._digests: dict[str, str] = {}  # recipe key -> schedule digest
+        # Recipe key -> schedule digest, or None: the database has no row.
+        self._digests: dict[str, str | None] = {}
         self._unwritten: dict[str, str] = {}  # built digests not yet rows
 
     def _connection(self) -> "sqlite3.Connection":
@@ -420,28 +422,47 @@ class ResultCache:
         key = recipe.key()
         if key is None:
             return recipe.build().digest()
-        digest = self._digests.get(key)
+        if key not in self._digests:
+            self.read_digests((case,))
+        digest = self._digests[key]
         if digest is None:
-            digest = self._read_digest(key)
-            if digest is None:
-                digest = recipe.build().digest()
-                self._unwritten[key] = digest
-            self._digests[key] = digest
+            digest = recipe.build().digest()
+            self._digests[key] = self._unwritten[key] = digest
         return digest
 
-    def _read_digest(self, key: str) -> str | None:
-        """Recipe *key*'s ``digests`` row; ``None`` if absent or unreadable."""
+    def read_digests(self, cases: Iterable[Case]) -> None:
+        """Memoize the ``digests`` rows of *cases*' recipes, in one read.
+
+        One ``SELECT … WHERE recipe IN (…)`` for the recipes not yet in
+        the memo (the runner's partition loop passes a chunk of at most
+        :data:`READ_CHUNK` cases, like :meth:`read_rows`).  A recipe
+        without a row is memoized as absent, so its case builds the
+        schedule without a second read; a database error reads as no
+        rows, so every recipe of the chunk builds.
+        """
         import sqlite3
 
+        keys = (
+            case.source.key() for case in cases
+            if isinstance(case.source, ScheduleRecipe)
+        )
+        wanted = list(dict.fromkeys(
+            key for key in keys if key is not None and key not in self._digests
+        ))
+        if not wanted:
+            return
+        query = (
+            "SELECT recipe, digest FROM digests WHERE recipe IN "
+            f"({', '.join('?' * len(wanted))})"
+        )
         try:
             with self._lock:
-                row = self._connection().execute(
-                    "SELECT digest FROM digests WHERE recipe = ?", (key,)
-                ).fetchone()
+                rows = dict(self._connection().execute(query, wanted))
         except sqlite3.Error:
-            return None
-        digest = row[0] if row is not None else None
-        return digest if isinstance(digest, str) else None
+            rows = {}
+        for key in wanted:
+            digest = rows.get(key)
+            self._digests[key] = digest if isinstance(digest, str) else None
 
     # -- lookup / store ----------------------------------------------------
 

@@ -10,7 +10,10 @@ A case's schedule may be given as a
 :class:`~repro.engine.grids.ScheduleRecipe` instead of a
 :class:`~repro.model.schedule.Schedule`: ``case.schedule`` then builds
 it on first read, so a case answered from the result cache never builds
-one.
+one.  A case pickles with its source as given, so a recipe crosses a
+pipe as a recipe and the worker that runs the case builds its schedule
+(unless the sending process had already built it, see
+:class:`~repro.engine.grids.ScheduleRecipe`).
 """
 
 from __future__ import annotations
@@ -71,10 +74,6 @@ class Case:
         """The schedule or recipe this case was given, never building it."""
         source: ScheduleSource = self.__dict__["source"]
         return source
-
-    def __getstate__(self) -> dict[str, Any]:
-        # A case crosses a pipe with its schedule built: workers never build.
-        return {**self.__dict__, "source": self.schedule}
 
 
 def cases_from(

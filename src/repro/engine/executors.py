@@ -13,7 +13,8 @@ Two backends ship with the engine:
   reference implementation every other backend must match byte-for-byte.
 * :class:`ProcessExecutor` — a ``multiprocessing`` pool, one task per
   schedule (:func:`group_by_schedule`).  Cases cross a pipe and name
-  their algorithm, which the worker resolves from the registry.
+  their algorithm, which the worker resolves from the registry; a grid
+  case carries its schedule's recipe, and the worker builds it.
 
 :func:`resolve_executor` maps the CLI's ``--backend`` names to instances;
 :func:`resolve_workers` clamps requested pool sizes.  Distributed
@@ -34,6 +35,7 @@ from typing import Iterable, Iterator, Protocol, Sequence
 from repro.algorithms.registry import get_factory
 from repro.analysis.sweep import SweepRecord, run_case
 from repro.engine.cases import Case
+from repro.engine.grids import ScheduleRecipe
 from repro.errors import ReproError
 from repro.model.schedule import Schedule
 
@@ -82,9 +84,10 @@ def execute_case(case: Case) -> tuple[int, SweepRecord]:
 def execute_group(cases: Sequence[Case]) -> list[tuple[int, SweepRecord]]:
     """Run cases that share one schedule; one pool task per schedule.
 
-    The schedule crosses the pipe once per task and its compiled plan
-    (memoized on the instance) serves every case in the group.  Each
-    pair is :func:`execute_case`'s result, unchanged.
+    The group crosses the pipe in one pickle, so its cases share one
+    unpickled recipe (or schedule): the first case builds the schedule,
+    and its compiled plan (memoized on the instance) serves every case
+    in the group.  Each pair is :func:`execute_case`'s result, unchanged.
     """
     return [execute_case(case) for case in cases]
 
@@ -92,25 +95,32 @@ def execute_group(cases: Sequence[Case]) -> list[tuple[int, SweepRecord]]:
 def group_by_schedule(cases: Iterable[Case]) -> list[list[Case]]:
     """*cases* grouped by equal schedule, in first-appearance order.
 
-    Equal schedules share a group even as distinct objects, but the
-    digest is computed only where it is needed to tell them apart.
-    Cases are bucketed by the schedule's cheap shape (the size of every
-    component) first; a bucket holding one schedule object — the common
-    case, since :func:`~repro.engine.grids.expand_grid` shares one
-    ``Schedule`` across every algorithm's case for a family instance —
-    is a group as it stands.  Only buckets holding distinct objects are
-    split by :meth:`Schedule.digest`, so a schedule of unique shape, such
-    as a large random-ES one, is never hashed on this path.
+    Nothing is built here.  Cases given a
+    :class:`~repro.engine.grids.ScheduleRecipe` (every
+    :func:`~repro.engine.grids.expand_grid` case) are grouped by the
+    recipe's :meth:`~repro.engine.grids.ScheduleRecipe.content`, so the
+    pool worker that runs a group builds its schedule.  Cases given a
+    ``Schedule`` are bucketed by its cheap shape (the size of every
+    component) first; a bucket holding one schedule object is a group
+    as it stands, and only buckets holding distinct objects are split by
+    :meth:`Schedule.digest`, so equal schedules share a group even as
+    distinct objects while one of unique shape is never hashed here.
     """
-    by_shape: dict[tuple[int, ...], list[tuple[int, Case]]] = {}
+    # Recipe content is strings and a shape is ints: keys never collide.
+    buckets: dict[tuple[object, ...], list[tuple[int, Case]]] = {}
     for position, case in enumerate(cases):
-        by_shape.setdefault(_shape(case.schedule), []).append(
-            (position, case)
+        source = case.source
+        key = (
+            source.content() if isinstance(source, ScheduleRecipe)
+            else _shape(source)
         )
+        buckets.setdefault(key, []).append((position, case))
     groups: list[list[tuple[int, Case]]] = []
-    for bucket in by_shape.values():
-        first = bucket[0][1].schedule
-        if all(case.schedule is first for _position, case in bucket):
+    for bucket in buckets.values():
+        first = bucket[0][1].source
+        if isinstance(first, ScheduleRecipe) or all(
+            case.source is first for _position, case in bucket
+        ):
             groups.append(bucket)
             continue
         by_digest: dict[str, list[tuple[int, Case]]] = {}
@@ -177,10 +187,12 @@ class ProcessExecutor:
     """A ``multiprocessing`` pool backend.
 
     ``workers=None`` auto-sizes to the machine.  The pool runs one task
-    per schedule (:func:`execute_group`), so a schedule is pickled once
-    per task and compiled once per sweep.  Falls back to serial when the
-    pool cannot help: a single worker or fewer than two schedules to
-    spread.
+    per schedule (:func:`execute_group`).  A grid case's task carries
+    the schedule's recipe, so the worker builds and compiles the
+    schedule once and the parent holds none it did not need for a cache
+    key; an explicit schedule is pickled once per task.  Falls back to
+    serial when the pool cannot help: a single worker or fewer than two
+    schedules to spread.
 
     Pool results are drained *inside* the pool context and forwarded
     afterwards, so the pool is torn down deterministically even when the

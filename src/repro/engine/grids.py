@@ -520,6 +520,10 @@ class ScheduleRecipe:
     digest, and only a case that must execute builds the schedule.
     :func:`expand_grid` gives every algorithm's case of an instance the
     same recipe, so they all read one :class:`Schedule` object.
+
+    A recipe pickles as its build inputs, so a pool worker builds the
+    schedule itself; one the parent already built (keying a cold cache
+    builds it) travels with it instead, so nothing builds twice.
     """
 
     __slots__ = ("family", "n", "t", "seed", "_schedule", "_key")
@@ -532,24 +536,37 @@ class ScheduleRecipe:
         self._schedule: Schedule | None = None
         self._key: str | None = None
 
+    def __getstate__(self) -> tuple[Any, ...]:
+        return (self.family, self.n, self.t, self.seed, self._schedule)
+
+    def __setstate__(self, state: tuple[Any, ...]) -> None:
+        self.family, self.n, self.t, self.seed, self._schedule = state
+        self._key = None
+
+    def content(self) -> tuple[str, ...]:
+        """What :meth:`build` reads: family kind, params, horizon, n, t, seed.
+
+        Recipes with equal content build equal schedules; params are
+        plain data whose ``repr`` is canonical.
+        """
+        fam = self.family
+        return (
+            fam.kind, repr(fam.params), str(fam.horizon),
+            str(self.n), str(self.t), str(self.seed),
+        )
+
     def key(self) -> str | None:
         """SHA-256 identity of the schedule :meth:`build` returns.
 
         Hashes the scheme tag, :func:`generator_source_hash` and the
-        family kind, params, horizon, n, t and seed: a generator is a pure
-        function of these, and params are plain data whose ``repr`` is
-        canonical.  ``None`` when the generator source is unavailable.
-        Memoized.
+        :meth:`content`, of which a generator is a pure function.  ``None``
+        when the generator source is unavailable.  Memoized.
         """
         if self._key is None:
             fingerprint = generator_source_hash()
             if fingerprint is None:
                 return None
-            fam = self.family
-            payload = "\n".join((
-                RECIPE_SCHEME, fingerprint, fam.kind, repr(fam.params),
-                str(fam.horizon), str(self.n), str(self.t), str(self.seed),
-            ))
+            payload = "\n".join((RECIPE_SCHEME, fingerprint, *self.content()))
             self._key = hashlib.sha256(payload.encode()).hexdigest()
         return self._key
 

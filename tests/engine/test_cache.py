@@ -1080,6 +1080,53 @@ class TestDigestMemo:
         assert run_batch(grid, cache=warm).to_json() == cold.to_json()
         assert (warm.hits, len(built_schedules)) == (10, 5)
 
+    def test_digests_are_read_one_query_per_chunk(
+        self, cache, built_schedules
+    ):
+        grid = default_sweep_grid(5, 2, seed=6, cases_per_family=40)
+        cases = expand_grid(grid)
+        recipes = len({case.source.key() for case in cases})
+        assert len(cases) > READ_CHUNK > recipes
+        for session in ("cold", "warm"):
+            statements: list[str] = []
+            reader = ResultCache(cache.directory)
+            reader._connection().set_trace_callback(statements.append)
+            built_schedules.clear()
+            run_batch(grid, cache=reader)
+            reader.close()
+            reads = [sql for sql in statements if "FROM digests" in sql]
+            # The first chunk holds every recipe (the grid is
+            # algorithm-major), so the later chunks read nothing.
+            assert len(reads) == 1, session
+            built = 0 if session == "warm" else recipes
+            assert len(built_schedules) == built, session
+
+    def test_failed_digest_read_builds_and_still_hits(
+        self, cache, monkeypatch, built_schedules
+    ):
+        grid = _memo_grid()
+        cold = run_batch(grid, cache=cache)
+        cache.close()
+        warm = ResultCache(cache.directory)
+        real_connection = warm._connection
+
+        class FailingDigestRead:
+            def __init__(self, db):
+                self.db = db
+
+            def execute(self, sql, *args):
+                if "FROM digests" in sql:
+                    raise sqlite3.OperationalError("disk I/O error")
+                return self.db.execute(sql, *args)
+
+        monkeypatch.setattr(
+            warm, "_connection", lambda: FailingDigestRead(real_connection())
+        )
+        built_schedules.clear()
+        assert run_batch(grid, cache=warm).to_json() == cold.to_json()
+        assert (warm.hits, warm.misses) == (10, 0)
+        assert len(built_schedules) == 5
+
     def test_memo_write_failure_is_counted_never_raised(self, cache):
         run_batch(_memo_grid(), cache=cache)
         with _raw(cache) as db:

@@ -11,6 +11,7 @@ from repro.engine import (
     ExecutorError,
     ProcessExecutor,
     SerialExecutor,
+    execute_case,
     resolve_executor,
     run_batch,
     run_cases,
@@ -172,6 +173,58 @@ class TestScheduleGroups:
         cases = [_case(i, algorithm=name)
                  for i, name in enumerate(("att2", "floodset"))]
         assert execute_group(cases) == [execute_case(c) for c in cases]
+
+    def test_execute_group_on_an_unpickled_group_builds_once(
+        self, built_schedules
+    ):
+        import pickle
+
+        from repro.engine.executors import execute_group, group_by_schedule
+        from repro.engine.grids import default_sweep_grid, expand_grid
+
+        cases = expand_grid(default_sweep_grid(5, 2, seed=4))
+        group = group_by_schedule(cases)[0]
+        clone = pickle.loads(pickle.dumps(group))
+        assert len(clone) == 5 and built_schedules == []
+        pairs = execute_group(clone)
+        assert len(built_schedules) == 1
+        assert pairs == [execute_case(case) for case in group]
+
+    def test_pooled_batch_without_cache_builds_nothing_in_the_parent(
+        self, built_schedules
+    ):
+        # Workers build the schedules; the parent only groups recipes.
+        from repro.engine.grids import default_sweep_grid
+
+        grid = default_sweep_grid(5, 2, seed=4, cases_per_family=2)
+        pooled = run_batch(grid, executor=ProcessExecutor(workers=2))
+        assert built_schedules == []
+        assert pooled == run_batch(grid, executor=SerialExecutor())
+
+    def test_recipe_cases_group_by_content_without_building(
+        self, built_schedules
+    ):
+        from repro.engine.executors import group_by_schedule
+        from repro.engine.grids import (
+            GridSpec, ScheduleRecipe, expand_grid, family,
+        )
+
+        grid = GridSpec(
+            n=5, t=2, algorithms=("att2", "floodset"),
+            families=(family("es", "random_es", count=2),
+                      family("ff", "failure_free")),
+            seed=1,
+        )
+        cases = expand_grid(grid)
+        twin = cases[1].source
+        copy = ScheduleRecipe(twin.family, twin.n, twin.t, twin.seed)
+        cases.append(Case(index=6, algorithm="att2", workload="copy",
+                          schedule=copy, proposals=cases[1].proposals))
+        groups = group_by_schedule(cases)
+        assert [[case.index for case in group] for group in groups] == [
+            [0, 3], [1, 4, 6], [2, 5],
+        ]
+        assert built_schedules == []
 
     def test_several_schedules_are_pooled_whole(self, monkeypatch):
         # No case of a multi-schedule batch runs inline in the driver:

@@ -331,12 +331,28 @@ class TestScheduleRecipe:
         ]
         assert [case.schedule for case in cases[:4]] == expected
 
-    def test_pickled_case_carries_the_built_schedule(self):
+    def test_unbuilt_recipe_pickles_unbuilt_and_builds_an_equal_schedule(
+        self, built_schedules
+    ):
         case = expand_grid(self._spec())[0]
         clone = pickle.loads(pickle.dumps(case))
-        assert isinstance(clone.source, Schedule)
+        assert isinstance(clone.source, ScheduleRecipe)
+        assert clone.source.content() == case.source.content()
+        assert clone.source.key() == case.source.key()
+        assert built_schedules == []
+        assert isinstance(clone.schedule, Schedule)
+        assert len(built_schedules) == 1
+        assert clone.schedule == case.schedule
+        assert len(built_schedules) == 2  # one build on each side
+
+    def test_built_recipe_pickles_with_its_schedule(self, built_schedules):
+        case = expand_grid(self._spec())[0]
+        schedule = case.schedule
+        clone = pickle.loads(pickle.dumps(case))
+        assert isinstance(clone.source, ScheduleRecipe)
+        assert clone.schedule == schedule
+        assert len(built_schedules) == 1  # the clone did not build again
         assert clone == case
-        assert case.source.build() is case.schedule
 
     def test_relabelled_case_keeps_the_recipe_unbuilt(self, built_schedules):
         case = expand_grid(self._spec())[0]
