@@ -14,9 +14,12 @@ traces again) trip it, never allocator noise.
 A pooled row runs the n = 250 sweep at the ``xxlarge`` profile's
 t = 32 (horizon 102) on a two-worker process pool.  Its budget bounds
 the driver only: workers build their own schedules from the cases'
-recipes, so the driver holds no schedule it does not need for a cache
-key.  When the driver built every schedule before the pool forked it
-peaked near 48 MB.
+recipes, so the driver holds no schedule.  When the driver built every
+schedule before the pool forked it peaked near 48 MB.  A second pooled
+row runs the same sweep against a fresh ``--cache``: the driver keys
+each grid case by its recipe, so it builds nothing there either.  When
+keying a cold cache built and digested every schedule in the driver it
+peaked near 69 MB.
 
 A further row runs att2 alone at n = 1000 through the streamed path.  Its
 Phase 1 grows Halt rows for t + 1 rounds; they live as int masks, so
@@ -161,6 +164,15 @@ def test_pooled_sweep_driver_memory_ceiling(tmp_path):
     _check_row(
         "pooled n=250", POOLED_ARGS, EXPECTED_CASES,
         "pooled_sweep_driver_peak_rss_kb", tmp_path,
+    )
+
+
+@pytest.mark.smoke
+def test_pooled_cold_cache_driver_memory_ceiling(tmp_path):
+    _check_row(
+        "pooled cold-cache n=250",
+        (*POOLED_ARGS, "--cache", str(tmp_path / "cache")),
+        EXPECTED_CASES, "pooled_cold_cache_driver_peak_rss_kb", tmp_path,
     )
 
 

@@ -128,11 +128,16 @@ The ``sweep`` result cache
 through the engine: each case is keyed by SHA-256 over (key-scheme tag,
 algorithm name, a source hash of the algorithm's transitive module
 closure, a source hash of the simulation kernel and record machinery,
-the schedule's canonical digest, the proposals), so only cache *misses*
-ever reach the kernel.  Re-running an identical grid against a warm
-cache executes zero cases and produces byte-identical ``--json`` output; editing an algorithm's source
-invalidates only that algorithm's entries (and its dependents'), while
-editing the kernel or metrics invalidates everything.  The CLI prints
+the schedule's identity, the proposals), so only cache *misses* ever
+reach the kernel.  A grid case's schedule is identified by its recipe
+(a source hash of the schedule generators, family, size and seed), so
+keying builds no schedule; only a hand-built schedule is identified by
+its canonical digest.  Re-running an identical grid against a warm
+cache executes zero cases and produces byte-identical ``--json``
+output; editing an algorithm's source invalidates only that
+algorithm's entries (and its dependents'), editing the schedule
+generators invalidates the grid cases' entries, and editing the kernel
+or metrics invalidates everything.  The CLI prints
 the hit/miss tally after each cached sweep, then closes the database,
 so an idle cache directory is that one file; ``--no-cache`` bypasses a
 configured ``--cache`` without having to edit scripted invocations, and

@@ -17,62 +17,56 @@ each :class:`~repro.analysis.sweep.SweepRecord` by SHA-256 over
   :mod:`repro.analysis.metrics`, :mod:`repro.analysis.sweep` and
   everything they import), so editing how records are *produced*
   invalidates everything,
-* :meth:`repro.model.schedule.Schedule.digest` — the canonical schedule
-  identity, and
+* the schedule's identity, and
 * the proposals tuple.
+
+A grid case's schedule is a :class:`~repro.engine.grids.ScheduleRecipe`,
+and its identity is the recipe key
+(:meth:`~repro.engine.grids.ScheduleRecipe.key`): SHA-256 over a scheme
+tag (``repro-schedule-recipe-v1``), the source closure of the generator
+code (:mod:`repro.engine.grids` and :mod:`repro.workloads`, which
+:func:`~repro.engine.grids.build_schedule` imports when it runs), and
+the family kind, params, horizon, n, t and seed, of which a generator
+is a pure function.  So a grid case is keyed without building its
+schedule: a warm sweep builds none, and a cold one builds each only in
+the process that runs it.  Editing the generator code changes every
+recipe key, so grid records are recomputed after such an edit; a
+recipe without a key (generator source unavailable) makes its case
+uncacheable.  Any other schedule (hand-built cases, replays) is
+identified by :meth:`repro.model.schedule.Schedule.digest`.  The scheme
+tag keeps the two kinds of identity apart.
 
 Workload labels and case indices are *not* part of the key: two cases
 that run the same code on the same inputs share one entry, and
 :meth:`ResultCache.lookup` re-stamps ``workload`` and ``case_index`` from
 the requesting case so a warm run is byte-identical to a cold one.
 
-A grid case's schedule is a :class:`~repro.engine.grids.ScheduleRecipe`,
-built on first use, and its digest is remembered so that a cached case
-is keyed without building the schedule.  The ``digests`` table maps a
-*recipe key* (:meth:`~repro.engine.grids.ScheduleRecipe.key`) to
-``Schedule.digest()`` of the schedule the recipe built.  The recipe key
-is SHA-256 over a scheme tag (``repro-schedule-recipe-v1``), the source
-closure of the generator code (:mod:`repro.engine.grids` and
-:mod:`repro.workloads`, which :func:`~repro.engine.grids.build_schedule`
-imports when it runs; the closure holds the seeded generators and
-``Schedule`` with its digest), and the family kind, params, horizon, n,
-t and seed.  The record key itself is unchanged, so records stored
-before the table existed still hit.  A row is written only from the
-digest of a schedule that was built, and a generator is a pure function
-of those inputs, so a row goes stale only through a source change, which
-the fingerprint sees: the edited generator's recipes get new keys and
-rebuild.  Params are plain data, whose ``repr`` is canonical.  Explicit
-schedules (hand-built cases, replays) are digested as always.
-
 The store is one SQLite database, ``directory/cache.sqlite3``: one
 ``entries`` row per key (the algorithm, the record as key-sorted JSON
 from :func:`repro.engine.sink.record_to_line`, its size and its
-last-used time), the ``digests`` memo above, and a ``stats`` table of
-lifetime counters and the last gc summary.  Each store commits before
-it returns (WAL journal, ``synchronous=NORMAL``), so a killed process
-keeps every entry it finished and concurrent sweeps can share a
-directory.  Hits only read, a chunk of keys per query
-(:meth:`ResultCache.read_rows`, and :meth:`ResultCache.read_digests`
-for the chunk's ``digests`` rows), and their last-used times are
-written, with the session's new ``digests`` rows, in one transaction by
+last-used time), and a ``stats`` table of lifetime counters and the last
+gc summary.  Each store commits before it returns (WAL journal,
+``synchronous=NORMAL``), so a killed process keeps every entry it
+finished and concurrent sweeps can share a directory.  Hits only read,
+a chunk of keys per query (:meth:`ResultCache.read_rows`), and their
+last-used times are written in one transaction by
 :meth:`ResultCache.flush_stats` or :meth:`ResultCache.close`; a killed
-sweep loses only those, which costs one rebuild per lost row.  Concurrent
-sweeps write identical rows.  Closing the last connection leaves the
-directory one database file.
+sweep loses only those.  Closing the last connection leaves the
+directory one database file.  Tables of older schemas (such as a
+``digests`` table) are left in place and never read.
 
 Every failure costs only time: a corrupted or shape-skewed row is a
 miss (the next store overwrites the row), a ``sqlite3`` error on a read
-makes every key of that read a miss (and a failed ``digests`` read
-builds the schedules of that chunk), and an error on store, flush or
+makes every key of that read a miss, and an error on store, flush or
 close is counted in ``store_failures``.
 Deleting a cache directory is always safe; directories of the old
 one-JSON-file-per-entry layout are neither read nor migrated.
 :func:`cache_gc` (CLI: ``repro cache gc``) evicts entries by age and/or
-an LRU size bound, and empties the ``digests`` memo, whose rows are
-rebuilt on demand.
+an LRU size bound.
 
 Uncacheable cases (explicit in-process factories, whose captured state
-cannot be fingerprinted; or algorithms whose source is unavailable) are
+cannot be fingerprinted; or algorithms or schedule generators whose
+source is unavailable) are
 passed through to the kernel untouched and counted in neither ``hits``
 nor ``misses``.
 """
@@ -122,8 +116,6 @@ CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, algorithm TEXT
     NOT NULL, record TEXT NOT NULL, size INTEGER NOT NULL, used REAL NOT NULL
 ) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS stats (name TEXT PRIMARY KEY, value) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS digests (recipe TEXT PRIMARY KEY, digest TEXT
-    NOT NULL) WITHOUT ROWID;
 """
 
 #: Add a delta to a counter; a corrupt (non-counter) value counts as 0.
@@ -248,9 +240,8 @@ def cache_gc(
     cache flushes or closes), so hot entries of a shared cache outlive
     cold ones, and every entry is recomputable, so eviction is safe.
 
-    The gc is one write transaction that also empties the ``digests``
-    memo (its rows are rebuilt by the next sweep that needs them) and
-    stores its summary as ``last_gc`` for ``repro cache stats``.
+    The gc is one write transaction that also stores its summary as
+    ``last_gc`` for ``repro cache stats``.
     Returns the summary: ``removed`` / ``removed_bytes`` / ``remaining``
     / ``remaining_bytes`` / ``at`` (epoch seconds); all zeros, with
     nothing written, for a directory without a database.  Raises
@@ -284,7 +275,6 @@ def cache_gc(
                 )
             if max_bytes is not None:
                 db.execute(_EVICT_LRU, (max_bytes,))
-            db.execute("DELETE FROM digests")
             remaining, remaining_bytes = db.execute(_TOTALS).fetchone()
             summary.update(
                 removed=entries - remaining,
@@ -370,9 +360,6 @@ class ResultCache:
         self._lock = threading.Lock()
         self._db: "sqlite3.Connection | None" = None
         self._served: set[str] = set()  # hit keys whose recency is unwritten
-        # Recipe key -> schedule digest, or None: the database has no row.
-        self._digests: dict[str, str | None] = {}
-        self._unwritten: dict[str, str] = {}  # built digests not yet rows
 
     def _connection(self) -> "sqlite3.Connection":
         """The open connection, opened on first use (call under the lock)."""
@@ -385,6 +372,8 @@ class ResultCache:
     def case_key(self, case: Case) -> str | None:
         """The content key for *case*, or ``None`` if it is uncacheable.
 
+        A grid case's schedule is identified by its recipe key, so no
+        schedule is built here; a recipe without a key is uncacheable.
         Proposals outside the canonically-``repr``-able types are never
         cached (``Value`` is ``Any``; a default object repr embeds a
         memory address, which would at best never hit and at worst
@@ -400,69 +389,22 @@ class ResultCache:
         source = algorithm_source_hash(case.algorithm)
         if source is None:
             return None
+        given = case.source
+        schedule = (
+            given.key() if isinstance(given, ScheduleRecipe)
+            else given.digest()
+        )
+        if schedule is None:
+            return None
         payload = "\n".join((
             KEY_SCHEME,
             case.algorithm,
             source,
             self._runtime_hash,
-            self._schedule_digest(case),
+            schedule,
             repr(tuple(case.proposals)),
         ))
         return hashlib.sha256(payload.encode()).hexdigest()
-
-    def _schedule_digest(self, case: Case) -> str:
-        """``case.schedule.digest()``, from the memo where it has a row.
-
-        Only a recipe without a row builds its schedule; the digest then
-        becomes a row at the next session write.
-        """
-        recipe = case.source
-        if not isinstance(recipe, ScheduleRecipe):
-            return recipe.digest()
-        key = recipe.key()
-        if key is None:
-            return recipe.build().digest()
-        if key not in self._digests:
-            self.read_digests((case,))
-        digest = self._digests[key]
-        if digest is None:
-            digest = recipe.build().digest()
-            self._digests[key] = self._unwritten[key] = digest
-        return digest
-
-    def read_digests(self, cases: Iterable[Case]) -> None:
-        """Memoize the ``digests`` rows of *cases*' recipes, in one read.
-
-        One ``SELECT … WHERE recipe IN (…)`` for the recipes not yet in
-        the memo (the runner's partition loop passes a chunk of at most
-        :data:`READ_CHUNK` cases, like :meth:`read_rows`).  A recipe
-        without a row is memoized as absent, so its case builds the
-        schedule without a second read; a database error reads as no
-        rows, so every recipe of the chunk builds.
-        """
-        import sqlite3
-
-        keys = (
-            case.source.key() for case in cases
-            if isinstance(case.source, ScheduleRecipe)
-        )
-        wanted = list(dict.fromkeys(
-            key for key in keys if key is not None and key not in self._digests
-        ))
-        if not wanted:
-            return
-        query = (
-            "SELECT recipe, digest FROM digests WHERE recipe IN "
-            f"({', '.join('?' * len(wanted))})"
-        )
-        try:
-            with self._lock:
-                rows = dict(self._connection().execute(query, wanted))
-        except sqlite3.Error:
-            rows = {}
-        for key in wanted:
-            digest = rows.get(key)
-            self._digests[key] = digest if isinstance(digest, str) else None
 
     # -- lookup / store ----------------------------------------------------
 
@@ -558,15 +500,13 @@ class ResultCache:
     # -- session -----------------------------------------------------------
 
     def _write_session(self, counters: Iterable[tuple[str, int]]) -> bool:
-        """Add *counters*, hit recency and new digest rows in one transaction.
+        """Add *counters* and hit recency in one transaction.
 
-        Returns False (and keeps the pending recency and rows) when it
-        failed.
+        Returns False (and keeps the pending recency) when it failed.
         """
         import sqlite3
 
         served = list(self._served)
-        digests = list(self._unwritten.items())
         try:
             with self._lock:
                 db = self._connection()
@@ -578,15 +518,9 @@ class ResultCache:
                         "UPDATE entries SET used = ? WHERE key = ?",
                         ((now, key) for key in served),
                     )
-                    db.executemany(
-                        "INSERT OR REPLACE INTO digests VALUES (?, ?)",
-                        digests,
-                    )
         except sqlite3.Error:
             return False
         self._served.difference_update(served)
-        for key, _digest in digests:
-            del self._unwritten[key]
         return True
 
     def flush_stats(self) -> None:
@@ -595,8 +529,7 @@ class ResultCache:
         The totals (hits, misses, dedups, store failures and a sweep
         count) let ``repro cache stats`` report a hit rate for a
         long-lived directory.  The same write transaction records when
-        each entry served since the last flush was used, and the
-        ``digests`` rows of the schedules built since.  Counters are
+        each entry served since the last flush was used.  Counters are
         added in SQL under SQLite's write lock, so concurrent sweeps
         sharing a directory never lose each other's deltas.  Success
         zeroes the session counters, so flushing after every sweep never
@@ -613,14 +546,13 @@ class ResultCache:
             self.store_failures += 1
 
     def close(self) -> None:
-        """Write any pending hit recency and digest rows, then close.
+        """Write any pending hit recency, then close.
 
         Closing the directory's last connection leaves the database as
         one self-contained file.  A failed write is counted in
-        ``store_failures``, never raised: it only affects gc order and
-        costs rebuilding the unwritten rows' schedules next time.
+        ``store_failures``, never raised: it only affects gc order.
         """
-        if (self._served or self._unwritten) and not self._write_session(()):
+        if self._served and not self._write_session(()):
             self.store_failures += 1
         with self._lock:
             if self._db is not None:

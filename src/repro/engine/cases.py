@@ -10,10 +10,10 @@ A case's schedule may be given as a
 :class:`~repro.engine.grids.ScheduleRecipe` instead of a
 :class:`~repro.model.schedule.Schedule`: ``case.schedule`` then builds
 it on first read, so a case answered from the result cache never builds
-one.  A case pickles with its source as given, so a recipe crosses a
-pipe as a recipe and the worker that runs the case builds its schedule
-(unless the sending process had already built it, see
-:class:`~repro.engine.grids.ScheduleRecipe`).
+one.  A case pickles with its source as given, and a recipe pickles as
+its build inputs, so the worker that runs the case builds its schedule.
+Cases compare, hash and print by their source, so none of that builds
+a schedule either.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class _ScheduleField:
         case.__dict__["source"] = source
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Case:
     """One fully-specified run of the batch engine.
 
@@ -74,6 +74,24 @@ class Case:
         """The schedule or recipe this case was given, never building it."""
         source: ScheduleSource = self.__dict__["source"]
         return source
+
+    # Compared, hashed and printed by the source, so none of it builds.
+    def _fields(self) -> tuple[Any, ...]:
+        return (
+            self.index, self.algorithm, self.workload, self.source,
+            self.proposals,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Case) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        names = ("index", "algorithm", "workload", "schedule", "proposals")
+        pairs = zip(names, self._fields())
+        return f"Case({', '.join(f'{n}={v!r}' for n, v in pairs)})"
 
 
 def cases_from(

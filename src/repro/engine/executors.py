@@ -37,7 +37,6 @@ from repro.analysis.sweep import SweepRecord, run_case
 from repro.engine.cases import Case
 from repro.engine.grids import ScheduleRecipe
 from repro.errors import ReproError
-from repro.model.schedule import Schedule
 
 #: CLI names of the stock backends, in documentation order.
 BACKENDS = ("serial", "processes")
@@ -100,45 +99,18 @@ def group_by_schedule(cases: Iterable[Case]) -> list[list[Case]]:
     :func:`~repro.engine.grids.expand_grid` case) are grouped by the
     recipe's :meth:`~repro.engine.grids.ScheduleRecipe.content`, so the
     pool worker that runs a group builds its schedule.  Cases given a
-    ``Schedule`` are bucketed by its cheap shape (the size of every
-    component) first; a bucket holding one schedule object is a group
-    as it stands, and only buckets holding distinct objects are split by
-    :meth:`Schedule.digest`, so equal schedules share a group even as
-    distinct objects while one of unique shape is never hashed here.
+    ``Schedule`` are grouped by :meth:`Schedule.digest`.
     """
-    # Recipe content is strings and a shape is ints: keys never collide.
-    buckets: dict[tuple[object, ...], list[tuple[int, Case]]] = {}
-    for position, case in enumerate(cases):
+    # Recipe content is a tuple and a digest a string: keys never collide.
+    groups: dict[object, list[Case]] = {}
+    for case in cases:
         source = case.source
         key = (
             source.content() if isinstance(source, ScheduleRecipe)
-            else _shape(source)
+            else source.digest()
         )
-        buckets.setdefault(key, []).append((position, case))
-    groups: list[list[tuple[int, Case]]] = []
-    for bucket in buckets.values():
-        first = bucket[0][1].source
-        if isinstance(first, ScheduleRecipe) or all(
-            case.source is first for _position, case in bucket
-        ):
-            groups.append(bucket)
-            continue
-        by_digest: dict[str, list[tuple[int, Case]]] = {}
-        for position, case in bucket:
-            by_digest.setdefault(case.schedule.digest(), []).append(
-                (position, case)
-            )
-        groups.extend(by_digest.values())
-    groups.sort(key=lambda group: group[0][0])
-    return [[case for _position, case in group] for group in groups]
-
-
-def _shape(schedule: Schedule) -> tuple[int, ...]:
-    """Sizes that equal schedules share; cheap to read, unlike the digest."""
-    return (
-        schedule.n, schedule.t, schedule.horizon, len(schedule.crashes),
-        len(schedule.delays), len(schedule.losses),
-    )
+        groups.setdefault(key, []).append(case)
+    return list(groups.values())
 
 
 def resolve_workers(workers: int | None, n_cases: int) -> int:
@@ -189,10 +161,9 @@ class ProcessExecutor:
     ``workers=None`` auto-sizes to the machine.  The pool runs one task
     per schedule (:func:`execute_group`).  A grid case's task carries
     the schedule's recipe, so the worker builds and compiles the
-    schedule once and the parent holds none it did not need for a cache
-    key; an explicit schedule is pickled once per task.  Falls back to
-    serial when the pool cannot help: a single worker or fewer than two
-    schedules to spread.
+    schedule once and the parent builds none; an explicit schedule is
+    pickled once per task.  Falls back to serial when the pool cannot
+    help: a single worker or fewer than two schedules to spread.
 
     Pool results are drained *inside* the pool context and forwarded
     afterwards, so the pool is torn down deterministically even when the

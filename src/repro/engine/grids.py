@@ -516,14 +516,15 @@ class ScheduleRecipe:
 
     Holds exactly what :func:`build_schedule` takes (family, system size
     and derived seed), so the instance is identified without building
-    it: the result cache maps the recipe's :meth:`key` to the schedule's
-    digest, and only a case that must execute builds the schedule.
-    :func:`expand_grid` gives every algorithm's case of an instance the
-    same recipe, so they all read one :class:`Schedule` object.
+    it: the result cache keys a grid case by the recipe's :meth:`key`,
+    the process pool groups cases by its :meth:`content`, and only a
+    case that must execute builds the schedule.  :func:`expand_grid`
+    gives every algorithm's case of an instance the same recipe, so
+    they all read one :class:`Schedule` object.
 
-    A recipe pickles as its build inputs, so a pool worker builds the
-    schedule itself; one the parent already built (keying a cold cache
-    builds it) travels with it instead, so nothing builds twice.
+    A recipe pickles as its build inputs alone, so the pool worker that
+    runs its cases builds the schedule.  Recipes compare, hash and print
+    by those inputs, never building.
     """
 
     __slots__ = ("family", "n", "t", "seed", "_schedule", "_key")
@@ -536,12 +537,23 @@ class ScheduleRecipe:
         self._schedule: Schedule | None = None
         self._key: str | None = None
 
-    def __getstate__(self) -> tuple[Any, ...]:
-        return (self.family, self.n, self.t, self.seed, self._schedule)
+    def __reduce__(self) -> tuple[Any, ...]:
+        return (ScheduleRecipe, (self.family, self.n, self.t, self.seed))
 
-    def __setstate__(self, state: tuple[Any, ...]) -> None:
-        self.family, self.n, self.t, self.seed, self._schedule = state
-        self._key = None
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, ScheduleRecipe)
+            and self.content() == other.content()
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.content())
+
+    def __repr__(self) -> str:
+        return (
+            f"ScheduleRecipe({self.family.name!r}, n={self.n}, t={self.t}, "
+            f"seed={self.seed})"
+        )
 
     def content(self) -> tuple[str, ...]:
         """What :meth:`build` reads: family kind, params, horizon, n, t, seed.

@@ -140,13 +140,11 @@ def run_cases(
         # record serves the rest re-stamped — each distinct computation
         # pays the kernel at most once per batch.  Hits are read one
         # chunk of keys per query and emitted before the next chunk is
-        # read, so a spooled driver holds one chunk of cached rows.  The
-        # chunk's remembered schedule digests are read in one query too.
+        # read, so a spooled driver holds one chunk of cached rows.
         pending = []
         seen_keys: dict[str, int] = {}
         for start in range(0, len(cases), READ_CHUNK):
             chunk = cases[start:start + READ_CHUNK]
-            cache.read_digests(chunk)
             keys = [cache.case_key(case) for case in chunk]
             rows = cache.read_rows(
                 key for key in keys if key is not None and key not in seen_keys

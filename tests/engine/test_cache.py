@@ -26,6 +26,7 @@ from repro.engine import (
     Case,
     ProcessExecutor,
     ResultCache,
+    SerialExecutor,
     cache_gc,
     cache_stats,
     run_batch,
@@ -39,7 +40,6 @@ from repro.engine.grids import (
     SEEDED_KINDS,
     GridSpec,
     ShardSpec,
-    build_schedule,
     default_sweep_grid,
     expand_grid,
     family,
@@ -902,7 +902,7 @@ def _every_kind_grid(n, t):
     )
 
 
-def _memo_grid():
+def _recipe_grid():
     """10 cases over 5 instances."""
     return GridSpec(
         n=4, t=1, algorithms=("att2", "floodset"),
@@ -913,68 +913,65 @@ def _memo_grid():
     )
 
 
-def _fresh_digest(case):
-    """The digest of *case*'s schedule, built anew by the generator."""
-    recipe = case.source
-    return build_schedule(recipe.family, recipe.n, recipe.t,
-                          recipe.seed).digest()
-
-
-def _memo_rows(cache):
-    with _raw(cache) as db:
-        return dict(db.execute("SELECT recipe, digest FROM digests"))
-
-
-class TestDigestMemo:
-    """The ``digests`` table: grid cases are keyed without a build."""
+class TestRecipeKeys:
+    """A grid case is keyed by its recipe: no schedule is built to key it."""
 
     @pytest.mark.parametrize("n, t", [(4, 1), (9, 4), (25, 8)])
-    def test_memo_digest_equals_a_fresh_build(
-        self, cache, built_schedules, n, t
+    def test_pooled_cold_and_warm_exports_equal_the_uncached_serial_one(
+        self, cache, n, t
     ):
         grid = _every_kind_grid(n, t)
-        cold_keys = [cache.case_key(case) for case in expand_grid(grid)]
-        cache.flush_stats()
-        cases = expand_grid(grid)
-        assert _memo_rows(cache) == {
-            case.source.key(): _fresh_digest(case) for case in cases
-        }
-        built_schedules.clear()
-        warm = ResultCache(cache.directory)
-        assert [warm.case_key(case) for case in cases] == cold_keys
-        assert built_schedules == []
-        # The record key is still the one the schedule's digest gives.
-        explicit = [
-            replace(case, schedule=case.schedule) for case in cases
-        ]
-        assert [warm.case_key(case) for case in explicit] == cold_keys
+        uncached = run_batch(grid, executor=SerialExecutor()).to_json()
+        pool = ProcessExecutor(workers=2)
+        cold = run_batch(grid, executor=pool, cache=cache)
+        assert (cache.hits, cache.misses) == (0, grid.case_count)
+        warm = run_batch(grid, executor=pool, cache=cache)
+        assert cache.hits == grid.case_count
+        assert cold.to_json() == warm.to_json() == uncached
 
-    def test_explicit_schedules_write_no_memo_row(self, cache):
-        run_cases(_small_batch(), cache=cache)
-        cache.flush_stats()
-        assert _memo_rows(cache) == {}
-
-    def test_changed_generator_fingerprint_misses_and_rebuilds(
-        self, cache, monkeypatch, built_schedules
+    def test_grid_keys_hash_the_recipe_and_explicit_keys_the_digest(
+        self, cache, built_schedules
     ):
-        grid = _memo_grid()
-        cold = run_batch(grid, cache=cache)
+        cases = expand_grid(_recipe_grid())
+        keys = [cache.case_key(case) for case in cases]
+        assert built_schedules == []
+        assert len(set(keys)) == 10
+        explicit = [replace(case, schedule=case.schedule) for case in cases]
+        explicit_keys = [cache.case_key(case) for case in explicit]
+        assert len(set(explicit_keys)) == 10
+        assert not set(explicit_keys) & set(keys)
+
+    def test_changed_generator_source_recomputes_only_grid_cases(
+        self, cache, monkeypatch
+    ):
+        grid = _recipe_grid()
+        explicit = [
+            replace(case, index=case.index + 10, schedule=case.schedule)
+            for case in expand_grid(grid)[:2]
+        ]
+        cold = run_batch([*expand_grid(grid), *explicit], cache=cache)
         cache.flush_stats()
         monkeypatch.setattr(
             grids_module, "generator_source_hash", lambda: "edited"
         )
-        built_schedules.clear()
         warm = ResultCache(cache.directory)
-        assert run_batch(grid, cache=warm).to_json() == cold.to_json()
-        assert (warm.hits, warm.misses) == (10, 0)
-        assert len(built_schedules) == 5 == len(set(built_schedules))
-        warm.flush_stats()
-        assert len(_memo_rows(cache)) == 10  # old and new fingerprint
+        again = run_batch([*expand_grid(grid), *explicit], cache=warm)
+        assert again.to_json() == cold.to_json()
+        assert (warm.hits, warm.misses) == (2, 10)
+
+    def test_unkeyed_recipe_is_uncacheable(self, cache, monkeypatch):
+        monkeypatch.setattr(grids_module, "generator_source_hash", lambda: None)
+        grid = _recipe_grid()
+        assert all(cache.case_key(case) is None for case in expand_grid(grid))
+        cached = run_batch(grid, cache=cache)
+        assert (cache.hits, cache.misses) == (0, 0)
+        assert cache.entry_count() == 0
+        assert cached.to_json() == run_batch(grid).to_json()
 
     def test_warm_rerun_builds_nothing_cold_run_builds_each_once(
         self, cache, built_schedules
     ):
-        grid = _memo_grid()
+        grid = _recipe_grid()
         cold = run_batch(grid, cache=cache)
         assert len(built_schedules) == 5 == len(set(built_schedules))
         cache.flush_stats()
@@ -1006,23 +1003,27 @@ class TestDigestMemo:
         assert len(wanted) < sum(fam.count for fam in grid.families)
         capsys.readouterr()
 
-    def test_deleted_memo_rows_still_hit_byte_identically(
-        self, cache, built_schedules
-    ):
-        grid = _memo_grid()
+    def test_leftover_digests_table_opens_and_serves(self, cache):
+        # Older caches kept a ``digests`` table in the same file.
+        grid = _recipe_grid()
         cold = run_batch(grid, cache=cache)
-        cache.flush_stats()
+        cache.close()
         with _raw(cache) as db:
-            db.execute("DELETE FROM digests")
-        built_schedules.clear()
+            db.execute(
+                "CREATE TABLE digests (recipe TEXT PRIMARY KEY, digest TEXT "
+                "NOT NULL) WITHOUT ROWID"
+            )
+            db.execute("INSERT INTO digests VALUES ('recipe', 'digest')")
         warm = ResultCache(cache.directory)
         assert run_batch(grid, cache=warm).to_json() == cold.to_json()
         assert (warm.hits, warm.misses) == (10, 0)
-        assert len(built_schedules) == 5
-        warm.close()  # the rows are written back
-        assert len(_memo_rows(cache)) == 5
+        warm.flush_stats()
+        warm.close()
+        assert warm.store_failures == 0
+        cache_gc(cache.directory, max_age_days=365, now=time.time())
+        assert cache_stats(cache.directory)["entries"] == 10
 
-    def test_two_processes_lose_no_memo_row_and_no_store(self, tmp_path):
+    def test_two_processes_lose_no_store(self, tmp_path):
         import repro
 
         env = dict(os.environ)
@@ -1048,29 +1049,12 @@ class TestDigestMemo:
         stats = cache_stats(directory)
         assert stats["entries"] == misses
         assert stats["store_failures"] == 0
-        with closing(sqlite3.connect(directory / DB_FILE)) as db:
-            rows = dict(db.execute("SELECT recipe, digest FROM digests"))
-        # The seeds share the structured families' recipes: one row each.
-        cases = [
-            case
-            for seed in (11, 12)
-            for case in expand_grid(
-                default_sweep_grid(5, 2, seed=seed, cases_per_family=6)
-            )
-        ]
-        assert rows == {
-            case.source.key(): _fresh_digest(case) for case in cases
-        }
 
-    def test_gc_empties_the_memo_and_leaves_a_consistent_database(
-        self, cache, built_schedules
-    ):
-        grid = _memo_grid()
+    def test_gc_leaves_a_consistent_database(self, cache, built_schedules):
+        grid = _recipe_grid()
         cold = run_batch(grid, cache=cache)
         cache.flush_stats()
-        assert len(_memo_rows(cache)) == 5
         cache_gc(cache.directory, max_age_days=365, now=time.time())
-        assert _memo_rows(cache) == {}
         with _raw(cache) as db:
             assert db.execute("PRAGMA integrity_check").fetchall() == [
                 ("ok",)
@@ -1078,64 +1062,4 @@ class TestDigestMemo:
         built_schedules.clear()
         warm = ResultCache(cache.directory)
         assert run_batch(grid, cache=warm).to_json() == cold.to_json()
-        assert (warm.hits, len(built_schedules)) == (10, 5)
-
-    def test_digests_are_read_one_query_per_chunk(
-        self, cache, built_schedules
-    ):
-        grid = default_sweep_grid(5, 2, seed=6, cases_per_family=40)
-        cases = expand_grid(grid)
-        recipes = len({case.source.key() for case in cases})
-        assert len(cases) > READ_CHUNK > recipes
-        for session in ("cold", "warm"):
-            statements: list[str] = []
-            reader = ResultCache(cache.directory)
-            reader._connection().set_trace_callback(statements.append)
-            built_schedules.clear()
-            run_batch(grid, cache=reader)
-            reader.close()
-            reads = [sql for sql in statements if "FROM digests" in sql]
-            # The first chunk holds every recipe (the grid is
-            # algorithm-major), so the later chunks read nothing.
-            assert len(reads) == 1, session
-            built = 0 if session == "warm" else recipes
-            assert len(built_schedules) == built, session
-
-    def test_failed_digest_read_builds_and_still_hits(
-        self, cache, monkeypatch, built_schedules
-    ):
-        grid = _memo_grid()
-        cold = run_batch(grid, cache=cache)
-        cache.close()
-        warm = ResultCache(cache.directory)
-        real_connection = warm._connection
-
-        class FailingDigestRead:
-            def __init__(self, db):
-                self.db = db
-
-            def execute(self, sql, *args):
-                if "FROM digests" in sql:
-                    raise sqlite3.OperationalError("disk I/O error")
-                return self.db.execute(sql, *args)
-
-        monkeypatch.setattr(
-            warm, "_connection", lambda: FailingDigestRead(real_connection())
-        )
-        built_schedules.clear()
-        assert run_batch(grid, cache=warm).to_json() == cold.to_json()
-        assert (warm.hits, warm.misses) == (10, 0)
-        assert len(built_schedules) == 5
-
-    def test_memo_write_failure_is_counted_never_raised(self, cache):
-        run_batch(_memo_grid(), cache=cache)
-        with _raw(cache) as db:
-            db.execute(
-                "CREATE TRIGGER refuse BEFORE INSERT ON digests "
-                "BEGIN SELECT RAISE(ABORT, 'read-only share'); END"
-            )
-        cache.flush_stats()
-        assert cache.store_failures == 1
-        cache.close()  # retries the rows once more
-        assert cache.store_failures == 2
-        assert _memo_rows(cache) == {}
+        assert (warm.hits, len(built_schedules)) == (10, 0)

@@ -190,14 +190,19 @@ class TestScheduleGroups:
         assert len(built_schedules) == 1
         assert pairs == [execute_case(case) for case in group]
 
-    def test_pooled_batch_without_cache_builds_nothing_in_the_parent(
-        self, built_schedules
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_pooled_batch_builds_nothing_in_the_parent(
+        self, built_schedules, tmp_path, cached
     ):
-        # Workers build the schedules; the parent only groups recipes.
+        # Workers build the schedules; the parent only groups recipes and,
+        # with a cold cache, keys them by recipe.
+        from repro.engine import ResultCache
         from repro.engine.grids import default_sweep_grid
 
         grid = default_sweep_grid(5, 2, seed=4, cases_per_family=2)
-        pooled = run_batch(grid, executor=ProcessExecutor(workers=2))
+        cache = ResultCache(tmp_path / "cache") if cached else None
+        pooled = run_batch(grid, executor=ProcessExecutor(workers=2),
+                           cache=cache)
         assert built_schedules == []
         assert pooled == run_batch(grid, executor=SerialExecutor())
 

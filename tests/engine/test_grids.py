@@ -345,14 +345,30 @@ class TestScheduleRecipe:
         assert clone.schedule == case.schedule
         assert len(built_schedules) == 2  # one build on each side
 
-    def test_built_recipe_pickles_with_its_schedule(self, built_schedules):
+    def test_built_recipe_pickles_without_its_schedule(self, built_schedules):
         case = expand_grid(self._spec())[0]
         schedule = case.schedule
         clone = pickle.loads(pickle.dumps(case))
         assert isinstance(clone.source, ScheduleRecipe)
+        assert len(pickle.dumps(case)) == len(
+            pickle.dumps(expand_grid(self._spec())[0])
+        )
+        assert len(built_schedules) == 1
         assert clone.schedule == schedule
-        assert len(built_schedules) == 1  # the clone did not build again
+        assert len(built_schedules) == 2  # the clone built its own
         assert clone == case
+
+    def test_eq_hash_and_repr_build_nothing(self, built_schedules):
+        cases = expand_grid(self._spec())
+        again = expand_grid(self._spec())
+        assert cases == again and cases[0] != cases[1]
+        assert cases[0].source == cases[4].source != cases[1].source
+        assert set(cases) == set(again) and len(set(cases)) == len(cases)
+        text = repr(cases[1])
+        assert built_schedules == []
+        assert f"ScheduleRecipe('es', n=5, t=2, seed={cases[1].source.seed})" \
+            in text
+        assert len(text) < 200
 
     def test_relabelled_case_keeps_the_recipe_unbuilt(self, built_schedules):
         case = expand_grid(self._spec())[0]
