@@ -15,10 +15,9 @@ schedule family from the seeded grid layer.
 import pytest
 
 from repro.analysis.experiments import eventual_fast_decision, render
-from repro.engine import cases_from, family, run_batch
-from repro.engine.grids import expand_family
+from repro.engine import Case, family, run_batch
+from repro.engine.grids import ScheduleRecipe, expand_family
 from repro.sim.random_schedules import random_proposals
-from repro.workloads import async_prefix
 
 from conftest import emit
 
@@ -40,11 +39,16 @@ def test_crash_heavy_synchronous_tail(benchmark):
     """f = t crashes right after the prefix: the bound still holds."""
 
     def run():
-        result = run_batch(cases_from(
-            ("afp2", f"k{k}",
-             async_prefix(N, T, k + T + 10, k=k, crashes_after=T), range(N))
+        tails = [
+            family(f"k{k}", "async_prefix", horizon=k + T + 10, k=k,
+                   crashes_after=T)
             for k in (0, 3)
-        ))
+        ]
+        result = run_batch([
+            Case(i, "afp2", tail.name, ScheduleRecipe(tail, N, T, 0),
+                 tuple(range(N)))
+            for i, tail in enumerate(tails)
+        ])
         return [
             (k, T, result.find("afp2", f"k{k}").global_round, k + T + 2)
             for k in (0, 3)
@@ -64,10 +68,10 @@ def test_termination_from_any_prefix(benchmark):
             family("es", "random_es", count=samples, horizon=22, sync_by=8),
             N, T, master_seed=0,
         )
-        result = run_batch(cases_from(
-            ("afp2", label, schedule, random_proposals(N, i))
-            for i, (label, schedule) in enumerate(instances)
-        ))
+        result = run_batch([
+            Case(i, "afp2", label, recipe, tuple(random_proposals(N, i)))
+            for i, (label, recipe) in enumerate(instances)
+        ])
         return [
             record.workload
             for record in result.records

@@ -14,7 +14,7 @@ schedules from the seeded ``random_serial`` family.
 import pytest
 
 from repro.analysis.experiments import failure_free_optimization, render
-from repro.engine import cases_from, family, run_batch
+from repro.engine import Case, family, run_batch
 from repro.engine.grids import expand_family
 
 from conftest import emit
@@ -39,10 +39,10 @@ def test_optimization_never_violates_safety(benchmark):
             family("serial", "random_serial", count=samples, horizon=10),
             5, 2, master_seed=0,
         )
-        result = run_batch(cases_from(
-            ("att2_optimized", label, schedule, (3, 1, 4, 1, 5))
-            for label, schedule in instances
-        ))
+        result = run_batch([
+            Case(i, "att2_optimized", label, recipe, (3, 1, 4, 1, 5))
+            for i, (label, recipe) in enumerate(instances)
+        ])
         return [
             record.workload
             for record in result.records

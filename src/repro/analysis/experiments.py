@@ -29,19 +29,14 @@ from repro.detectors import (
     Perfect,
     simulate_from_schedule,
 )
-from repro.engine import cases_from, run_batch
+from repro.engine import Case, family, run_batch
+from repro.engine.grids import ScheduleRecipe
 from repro.errors import ConsensusViolation
 from repro.model.es import enforce_es
 from repro.model.schedule import Schedule
 from repro.sim.kernel import run_algorithm
 from repro.sim.random_schedules import random_es_schedule, random_scs_schedule
-from repro.workloads import (
-    async_prefix,
-    coordinator_killer,
-    partitioned_prefix,
-    serial_cascade,
-    value_hiding_chain,
-)
+from repro.workloads import partitioned_prefix
 
 Table = tuple[str, list[str], list[tuple]]
 
@@ -52,13 +47,27 @@ def render(table: Table) -> str:
     return format_table(headers, rows, title=title)
 
 
-def _batch(entries: Iterable[tuple[str, str, Schedule, Sequence[int]]]):
-    """Run ``(algorithm, workload, schedule, proposals)`` entries serially.
+def _recipe(
+    kind: str, n: int, t: int, horizon: int, **params: int
+) -> ScheduleRecipe:
+    """The schedule of the deterministic family *kind*, as a recipe."""
+    spec = family(kind, kind, horizon=horizon, **params)
+    return ScheduleRecipe(spec, n, t, 0)
+
+
+def _batch(
+    entries: Iterable[tuple[str, str, ScheduleRecipe, Sequence[int]]],
+):
+    """Run ``(algorithm, workload, recipe, proposals)`` entries serially.
 
     Raises :class:`ConsensusViolation` naming every run that broke
     agreement or validity, or left a correct process undecided.
     """
-    result = run_batch(cases_from(entries))
+    result = run_batch([
+        Case(index, algorithm, workload, recipe, tuple(proposals))
+        for index, (algorithm, workload, recipe, proposals)
+        in enumerate(entries)
+    ])
     bad = [
         f"{record.algorithm} on {record.workload}"
         for record in result.records
@@ -78,11 +87,11 @@ def price_of_indulgence() -> Table:
     """E5: worst-case synchronous decision rounds, per algorithm."""
     n, t, horizon = 5, 2, 24
     workloads = [
-        ("failure_free", Schedule.failure_free(n, t, horizon)),
-        ("cascade", serial_cascade(n, t, horizon)),
-        ("hiding_chain", value_hiding_chain(n, t, horizon)),
-        ("killer2", coordinator_killer(n, t, horizon, rounds_per_cycle=2)),
-        ("killer3", coordinator_killer(n, t, horizon, rounds_per_cycle=3)),
+        ("failure_free", _recipe("failure_free", n, t, horizon)),
+        ("cascade", _recipe("cascade", n, t, horizon)),
+        ("hiding_chain", _recipe("hiding_chain", n, t, horizon)),
+        ("killer2", _recipe("killer", n, t, horizon, rounds_per_cycle=2)),
+        ("killer3", _recipe("killer", n, t, horizon, rounds_per_cycle=3)),
     ]
     algorithms = [
         ("floodset", "FloodSet (SCS)", t + 1),
@@ -92,9 +101,9 @@ def price_of_indulgence() -> Table:
         ("chandra_toueg", "Chandra-Toueg (ES)", 3 * t + 3),
     ]
     result = _batch(
-        (name, workload, schedule, range(n))
+        (name, workload, recipe, range(n))
         for name, _label, _paper in algorithms
-        for workload, schedule in workloads
+        for workload, recipe in workloads
     )
     rows = []
     for name, label, paper in algorithms:
@@ -112,7 +121,7 @@ def diamond_s_gap() -> Table:
     systems = [(2 * t + 1, t) for t in (1, 2, 3, 4)]
     result = _batch(
         (algorithm, f"killer/t{t}",
-         coordinator_killer(n, t, 2 * t + 6, rounds_per_cycle=2), range(n))
+         _recipe("killer", n, t, 2 * t + 6, rounds_per_cycle=2), range(n))
         for n, t in systems
         for algorithm in ("adiamond_s", "hurfin_raynal")
     )
@@ -135,8 +144,8 @@ def failure_free_optimization() -> Table:
 
     def entries():
         for n, t in systems:
-            ff = Schedule.failure_free(n, t, t + 6)
-            crashy = serial_cascade(n, t, t + 6)
+            ff = _recipe("failure_free", n, t, t + 6)
+            crashy = _recipe("cascade", n, t, t + 6)
             yield ("att2", f"ff/n{n}", ff, range(n))
             yield ("att2_optimized", f"ff/n{n}", ff, range(n))
             yield ("att2_optimized", f"cascade/n{n}", crashy, range(n))
@@ -163,7 +172,8 @@ def eventual_fast_decision() -> Table:
     points = [(k, f) for k in (0, 2, 4) for f in (0, 1, 2)]
     result = _batch(
         (algorithm, f"k{k}f{f}",
-         async_prefix(n, t, k + f + 10, k=k, crashes_after=f), range(n))
+         _recipe("async_prefix", n, t, k + f + 10, k=k, crashes_after=f),
+         range(n))
         for k, f in points
         for algorithm in ("afp2", "amr_leader")
     )

@@ -129,19 +129,18 @@ through the engine: each case is keyed by SHA-256 over (key-scheme tag,
 algorithm name, a source hash of the algorithm's transitive module
 closure, a source hash of the simulation kernel and record machinery,
 the schedule's identity, the proposals), so only cache *misses* ever
-reach the kernel.  A grid case's schedule is identified by its recipe
-(a source hash of the schedule generators, family, size and seed), so
-keying builds no schedule; only a hand-built schedule is identified by
-its canonical digest.  Re-running an identical grid against a warm
+reach the kernel.  A case's schedule is identified by its recipe (a
+source hash of the schedule generators, family, size and seed), so
+keying builds no schedule.  Re-running an identical grid against a warm
 cache executes zero cases and produces byte-identical ``--json``
 output; editing an algorithm's source invalidates only that
-algorithm's entries (and its dependents'), editing the schedule
-generators invalidates the grid cases' entries, and editing the kernel
-or metrics invalidates everything.  The CLI prints
-the hit/miss tally after each cached sweep, then closes the database,
-so an idle cache directory is that one file; ``--no-cache`` bypasses a
-configured ``--cache`` without having to edit scripted invocations, and
-deleting the directory is always safe — it costs only recomputation.
+algorithm's entries (and its dependents'), and editing the schedule
+generators, the kernel or the metrics invalidates everything.  The CLI
+prints the hit/miss tally after each cached sweep, then closes the
+database, so an idle cache directory is that one file; ``--no-cache``
+bypasses a configured ``--cache`` without having to edit scripted
+invocations, and deleting the directory is always safe — it costs only
+recomputation.
 Directories of the old one-JSON-file-per-entry layout are not read:
 delete them.
 """
@@ -459,7 +458,6 @@ def _expand_grids(grids) -> list:
                     case,
                     index=case.index + offset,
                     workload=f"{label}:{case.workload}",
-                    schedule=case.source,  # keep an unbuilt recipe unbuilt
                 )
                 for case in expanded
             ]

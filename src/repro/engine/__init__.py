@@ -19,7 +19,7 @@ through the runners so repeated grids only execute cache misses.
 """
 
 from repro.engine.cache import ResultCache, cache_gc, cache_stats
-from repro.engine.cases import Case, cases_from
+from repro.engine.cases import Case
 from repro.engine.executors import (
     BACKENDS,
     Executor,
@@ -69,7 +69,6 @@ __all__ = [
     "cache_gc",
     "cache_stats",
     "case_seed",
-    "cases_from",
     "default_sweep_grid",
     "expand_family",
     "expand_grid",

@@ -20,21 +20,19 @@ each :class:`~repro.analysis.sweep.SweepRecord` by SHA-256 over
 * the schedule's identity, and
 * the proposals tuple.
 
-A grid case's schedule is a :class:`~repro.engine.grids.ScheduleRecipe`,
-and its identity is the recipe key
-(:meth:`~repro.engine.grids.ScheduleRecipe.key`): SHA-256 over a scheme
-tag (``repro-schedule-recipe-v1``), the source closure of the generator
-code (:mod:`repro.engine.grids` and :mod:`repro.workloads`, which
-:func:`~repro.engine.grids.build_schedule` imports when it runs), and
-the family kind, params, horizon, n, t and seed, of which a generator
-is a pure function.  So a grid case is keyed without building its
+A case's schedule is named by a
+:class:`~repro.engine.grids.ScheduleRecipe`, and its identity is the
+recipe key (:meth:`~repro.engine.grids.ScheduleRecipe.key`): SHA-256
+over a scheme tag (``repro-schedule-recipe-v1``), the source closure of
+the generator code (:mod:`repro.engine.grids` and :mod:`repro.workloads`,
+which :func:`~repro.engine.grids.build_schedule` imports when it runs),
+and the family kind, params, horizon, n, t and seed, of which a
+generator is a pure function.  So a case is keyed without building its
 schedule: a warm sweep builds none, and a cold one builds each only in
 the process that runs it.  Editing the generator code changes every
-recipe key, so grid records are recomputed after such an edit; a
-recipe without a key (generator source unavailable) makes its case
-uncacheable.  Any other schedule (hand-built cases, replays) is
-identified by :meth:`repro.model.schedule.Schedule.digest`.  The scheme
-tag keeps the two kinds of identity apart.
+recipe key, so records are recomputed after such an edit; a recipe
+without a key (generator source unavailable) makes its case
+uncacheable.
 
 Workload labels and case indices are *not* part of the key: two cases
 that run the same code on the same inputs share one entry, and
@@ -53,7 +51,7 @@ last-used times are written in one transaction by
 :meth:`ResultCache.flush_stats` or :meth:`ResultCache.close`; a killed
 sweep loses only those.  Closing the last connection leaves the
 directory one database file.  Tables of older schemas (such as a
-``digests`` table) are left in place and never read.
+``digests`` table) are never read, and :func:`cache_gc` drops them.
 
 Every failure costs only time: a corrupted or shape-skewed row is a
 miss (the next store overwrites the row), a ``sqlite3`` error on a read
@@ -64,11 +62,10 @@ one-JSON-file-per-entry layout are neither read nor migrated.
 :func:`cache_gc` (CLI: ``repro cache gc``) evicts entries by age and/or
 an LRU size bound.
 
-Uncacheable cases (explicit in-process factories, whose captured state
-cannot be fingerprinted; or algorithms or schedule generators whose
-source is unavailable) are
-passed through to the kernel untouched and counted in neither ``hits``
-nor ``misses``.
+Uncacheable cases (algorithms or schedule generators whose source is
+unavailable, or proposals without a canonical ``repr``) are passed
+through to the kernel untouched and counted in neither ``hits`` nor
+``misses``.
 """
 
 from __future__ import annotations
@@ -88,7 +85,6 @@ from repro.algorithms.registry import (
 )
 from repro.analysis.sweep import SweepRecord
 from repro.engine.cases import Case
-from repro.engine.grids import ScheduleRecipe
 from repro.engine.sink import record_to_line
 
 if TYPE_CHECKING:  # sqlite3 is imported only when a cache is opened
@@ -241,13 +237,19 @@ def cache_gc(
     cold ones, and every entry is recomputable, so eviction is safe.
 
     The gc is one write transaction that also stores its summary as
-    ``last_gc`` for ``repro cache stats``.
+    ``last_gc`` for ``repro cache stats`` and drops the ``digests``
+    table older caches left.  A ``VACUUM`` then returns the freed pages
+    to the file system; when another sweep holds the database so that
+    it cannot run, the file keeps its size until a later gc, and the
+    gc still succeeds, its deletions committed.
     Returns the summary: ``removed`` / ``removed_bytes`` / ``remaining``
     / ``remaining_bytes`` / ``at`` (epoch seconds); all zeros, with
     nothing written, for a directory without a database.  Raises
     ``ValueError`` for a missing or negative bound and ``OSError`` when
     *directory* is not a directory or its database is unreadable.
     """
+    import sqlite3
+
     if max_age_days is None and max_bytes is None:
         raise ValueError(
             "cache_gc needs at least one bound: max_age_days or max_bytes"
@@ -287,6 +289,11 @@ def cache_gc(
                 "VALUES ('last_gc', ?)",
                 (json.dumps(summary, sort_keys=True),),
             )
+            db.execute("DROP TABLE IF EXISTS digests")
+        try:
+            db.execute("VACUUM")
+        except sqlite3.OperationalError:
+            pass  # the database is busy; the deletions stand
     return summary
 
 #: Key-scheme tag mixed into every key; bumped whenever key semantics change.
@@ -372,7 +379,7 @@ class ResultCache:
     def case_key(self, case: Case) -> str | None:
         """The content key for *case*, or ``None`` if it is uncacheable.
 
-        A grid case's schedule is identified by its recipe key, so no
+        A case's schedule is identified by its recipe key, so no
         schedule is built here; a recipe without a key is uncacheable.
         Proposals outside the canonically-``repr``-able types are never
         cached (``Value`` is ``Any``; a default object repr embeds a
@@ -389,11 +396,7 @@ class ResultCache:
         source = algorithm_source_hash(case.algorithm)
         if source is None:
             return None
-        given = case.source
-        schedule = (
-            given.key() if isinstance(given, ScheduleRecipe)
-            else given.digest()
-        )
+        schedule = case.recipe.key()
         if schedule is None:
             return None
         payload = "\n".join((

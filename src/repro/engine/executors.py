@@ -13,8 +13,8 @@ Two backends ship with the engine:
   reference implementation every other backend must match byte-for-byte.
 * :class:`ProcessExecutor` — a ``multiprocessing`` pool, one task per
   schedule (:func:`group_by_schedule`).  Cases cross a pipe and name
-  their algorithm, which the worker resolves from the registry; a grid
-  case carries its schedule's recipe, and the worker builds it.
+  their algorithm, which the worker resolves from the registry, and
+  carry their schedule's recipe, which the worker builds.
 
 :func:`resolve_executor` maps the CLI's ``--backend`` names to instances;
 :func:`resolve_workers` clamps requested pool sizes.  Distributed
@@ -35,7 +35,6 @@ from typing import Iterable, Iterator, Protocol, Sequence
 from repro.algorithms.registry import get_factory
 from repro.analysis.sweep import SweepRecord, run_case
 from repro.engine.cases import Case
-from repro.engine.grids import ScheduleRecipe
 from repro.errors import ReproError
 
 #: CLI names of the stock backends, in documentation order.
@@ -84,7 +83,7 @@ def execute_group(cases: Sequence[Case]) -> list[tuple[int, SweepRecord]]:
     """Run cases that share one schedule; one pool task per schedule.
 
     The group crosses the pipe in one pickle, so its cases share one
-    unpickled recipe (or schedule): the first case builds the schedule,
+    unpickled recipe: the first case builds the schedule,
     and its compiled plan (memoized on the instance) serves every case
     in the group.  Each pair is :func:`execute_case`'s result, unchanged.
     """
@@ -94,22 +93,13 @@ def execute_group(cases: Sequence[Case]) -> list[tuple[int, SweepRecord]]:
 def group_by_schedule(cases: Iterable[Case]) -> list[list[Case]]:
     """*cases* grouped by equal schedule, in first-appearance order.
 
-    Nothing is built here.  Cases given a
-    :class:`~repro.engine.grids.ScheduleRecipe` (every
-    :func:`~repro.engine.grids.expand_grid` case) are grouped by the
-    recipe's :meth:`~repro.engine.grids.ScheduleRecipe.content`, so the
-    pool worker that runs a group builds its schedule.  Cases given a
-    ``Schedule`` are grouped by :meth:`Schedule.digest`.
+    Cases are grouped by their recipe's
+    :meth:`~repro.engine.grids.ScheduleRecipe.content`, so nothing is
+    built here: the pool worker that runs a group builds its schedule.
     """
-    # Recipe content is a tuple and a digest a string: keys never collide.
-    groups: dict[object, list[Case]] = {}
+    groups: dict[tuple[str, ...], list[Case]] = {}
     for case in cases:
-        source = case.source
-        key = (
-            source.content() if isinstance(source, ScheduleRecipe)
-            else source.digest()
-        )
-        groups.setdefault(key, []).append(case)
+        groups.setdefault(case.recipe.content(), []).append(case)
     return list(groups.values())
 
 
@@ -159,10 +149,9 @@ class ProcessExecutor:
     """A ``multiprocessing`` pool backend.
 
     ``workers=None`` auto-sizes to the machine.  The pool runs one task
-    per schedule (:func:`execute_group`).  A grid case's task carries
-    the schedule's recipe, so the worker builds and compiles the
-    schedule once and the parent builds none; an explicit schedule is
-    pickled once per task.  Falls back to serial when the pool cannot
+    per schedule (:func:`execute_group`).  A task carries the schedule's
+    recipe, so the worker builds and compiles the schedule once and the
+    parent builds none.  Falls back to serial when the pool cannot
     help: a single worker or fewer than two schedules to spread.
 
     Pool results are drained *inside* the pool context and forwarded

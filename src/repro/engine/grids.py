@@ -503,8 +503,8 @@ def generator_source_hash() -> str | None:
 
     :func:`build_schedule` imports :mod:`repro.workloads` when it runs,
     so that package is a root beside this module, whose closure holds the
-    seeded generators and ``Schedule`` (its digest included).  ``None``
-    when the source is unavailable.
+    seeded generators and ``Schedule``.  ``None`` when the source is
+    unavailable.
     """
     from repro import workloads
 
@@ -516,9 +516,9 @@ class ScheduleRecipe:
 
     Holds exactly what :func:`build_schedule` takes (family, system size
     and derived seed), so the instance is identified without building
-    it: the result cache keys a grid case by the recipe's :meth:`key`,
-    the process pool groups cases by its :meth:`content`, and only a
-    case that must execute builds the schedule.  :func:`expand_grid`
+    it: the result cache keys a case by the recipe's :meth:`key`, the
+    process pool groups cases by its :meth:`content`, and only a case
+    that must execute builds the schedule.  :func:`expand_grid`
     gives every algorithm's case of an instance the same recipe, so
     they all read one :class:`Schedule` object.
 
@@ -591,8 +591,10 @@ class ScheduleRecipe:
         return self._schedule
 
 
-def _instances(spec: FamilySpec, master_seed: int) -> list[tuple[str, int]]:
-    """The ``(label, seed)`` of every instance of *spec*.
+def expand_family(
+    spec: FamilySpec, n: int, t: int, master_seed: int
+) -> list[tuple[str, ScheduleRecipe]]:
+    """The ``(label, recipe)`` of every instance of *spec*, none built.
 
     Seeded labels embed the derived seed (``name[i]@seed``) so that a
     failing case can be regenerated directly with the family's generator;
@@ -602,21 +604,12 @@ def _instances(spec: FamilySpec, master_seed: int) -> list[tuple[str, int]]:
     for i in range(spec.count):
         if spec.kind in SEEDED_KINDS:
             seed = case_seed(master_seed, spec.name, i)
-            instances.append((f"{spec.name}[{i}]@{seed}", seed))
+            label = f"{spec.name}[{i}]@{seed}"
         else:
+            seed = 0
             label = spec.name if spec.count == 1 else f"{spec.name}[{i}]"
-            instances.append((label, 0))
+        instances.append((label, ScheduleRecipe(spec, n, t, seed)))
     return instances
-
-
-def expand_family(
-    spec: FamilySpec, n: int, t: int, master_seed: int
-) -> list[tuple[str, Schedule]]:
-    """All ``(label, schedule)`` instances of one family, built."""
-    return [
-        (label, build_schedule(spec, n, t, seed))
-        for label, seed in _instances(spec, master_seed)
-    ]
 
 
 def expand_grid(spec: GridSpec) -> list[Case]:
@@ -625,16 +618,17 @@ def expand_grid(spec: GridSpec) -> list[Case]:
     Order is algorithm-major (all of algorithm 0's cases, then algorithm
     1's, …), families in declaration order, instances by index — and the
     ``Case.index`` fields number the expansion sequentially, defining the
-    canonical record order for any execution of this grid.  Schedules
-    are given as :class:`ScheduleRecipe` objects and built on first read
-    of ``case.schedule``.
+    canonical record order for any execution of this grid.  No schedule
+    is built here: ``case.schedule`` builds it on first read.
     """
     # Each instance's recipe and proposals are made once and shared by
     # every algorithm's case (proposals depend on the family and index
-    # only, never on the algorithm).  No schedule is built here.
+    # only, never on the algorithm).
     instances: list[tuple[str, ScheduleRecipe, tuple[int, ...]]] = []
     for fam in spec.families:
-        for i, (label, seed) in enumerate(_instances(fam, spec.seed)):
+        for i, (label, recipe) in enumerate(
+            expand_family(fam, spec.n, spec.t, spec.seed)
+        ):
             if spec.proposal_mode == "random":
                 proposals = tuple(
                     random_proposals(
@@ -644,19 +638,12 @@ def expand_grid(spec: GridSpec) -> list[Case]:
                 )
             else:
                 proposals = tuple(range(spec.n))
-            recipe = ScheduleRecipe(fam, spec.n, spec.t, seed)
             instances.append((label, recipe, proposals))
     cases: list[Case] = []
     for algorithm in spec.algorithms:
         for label, recipe, proposals in instances:
             cases.append(
-                Case(
-                    index=len(cases),
-                    algorithm=algorithm,
-                    workload=label,
-                    schedule=recipe,
-                    proposals=proposals,
-                )
+                Case(len(cases), algorithm, label, recipe, proposals)
             )
     return cases
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import operator
+from pathlib import Path
 
 import pytest
 
@@ -148,3 +149,13 @@ class TestAllExperiments:
             assert rows
             for row in rows:
                 assert len(row) == len(headers)
+
+    def test_cli_output_equals_the_golden_tables(self, capsys):
+        # Every table byte for byte, E5's witness column and E8's
+        # measured rounds included.  The fixture changes only with a
+        # deliberate change to an experiment.
+        from repro.cli import main
+
+        golden = Path(__file__).with_name("experiments_golden.txt")
+        assert main(["experiments"]) == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")

@@ -2,8 +2,19 @@
 
 from repro import ATt2, Schedule
 from repro.analysis.sweep import SweepRecord, run_case
-from repro.engine import cases_from, run_batch, run_cases
-from repro.workloads import coordinator_killer, serial_cascade
+from repro.engine import Case, family, run_batch, run_cases
+from repro.engine.grids import ScheduleRecipe
+
+
+def _cases(entries):
+    """Indexed cases from ``(algorithm, workload, family, n, t,
+    proposals)`` entries."""
+    return [
+        Case(i, algorithm, workload, ScheduleRecipe(fam, n, t, 0),
+             tuple(proposals))
+        for i, (algorithm, workload, fam, n, t, proposals)
+        in enumerate(entries)
+    ]
 
 
 class TestRunCase:
@@ -29,9 +40,10 @@ class TestRunCase:
 
 class TestSweep:
     def test_grid(self):
-        cases = cases_from([
-            ("att2", "ff", Schedule.failure_free(3, 1, 8), [1, 2, 3]),
-            ("floodset", "ff", Schedule.failure_free(3, 1, 8), [1, 2, 3]),
+        ff = family("ff", "failure_free", horizon=8)
+        cases = _cases([
+            ("att2", "ff", ff, 3, 1, [1, 2, 3]),
+            ("floodset", "ff", ff, 3, 1, [1, 2, 3]),
         ])
         records = run_cases(cases)
         assert [r.algorithm for r in records] == ["att2", "floodset"]
@@ -42,23 +54,22 @@ class TestSweep:
 class TestWorstCase:
     def test_worst_case_finds_coordinator_killer(self):
         n, t = 5, 2
-        schedules = [
-            ("ff", Schedule.failure_free(n, t, 12)),
-            ("cascade", serial_cascade(n, t, 12)),
-            ("killer", coordinator_killer(n, t, 12, rounds_per_cycle=2)),
+        families = [
+            family("ff", "failure_free"),
+            family("cascade", "cascade"),
+            family("killer", "killer", rounds_per_cycle=2),
         ]
-        cases = cases_from(
-            ("hurfin_raynal", name, schedule, range(n))
-            for name, schedule in schedules
+        cases = _cases(
+            ("hurfin_raynal", fam.name, fam, n, t, range(n))
+            for fam in families
         )
         worst, witness = run_batch(cases).worst_case("hurfin_raynal")
         assert worst == 2 * t + 2
         assert witness == "killer"
 
     def test_undecided_counts_as_horizon_plus_one(self):
-        cases = cases_from(
-            [("att2", "tiny", Schedule.failure_free(3, 1, 1), [1, 2, 3])]
-        )
+        tiny = family("tiny", "failure_free", horizon=1)
+        cases = _cases([("att2", "tiny", tiny, 3, 1, [1, 2, 3])])
         worst, witness = run_batch(cases).worst_case("att2")
         assert worst == 2
         assert witness == "tiny"

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import Schedule
 from repro.algorithms import registry
 from repro.algorithms.registry import (
     AlgorithmInfo,
@@ -39,11 +38,18 @@ from repro.engine.cache import DB_FILE, READ_CHUNK
 from repro.engine.grids import (
     SEEDED_KINDS,
     GridSpec,
+    ScheduleRecipe,
     ShardSpec,
     default_sweep_grid,
     expand_grid,
     family,
 )
+
+
+def _ff(n, t, horizon):
+    """The recipe of a failure-free schedule."""
+    spec = family("ff", "failure_free", horizon=horizon)
+    return ScheduleRecipe(spec, n, t, 0)
 
 
 def _case(index, algorithm="att2", workload="ff", n=3, t=1, horizon=8,
@@ -52,7 +58,7 @@ def _case(index, algorithm="att2", workload="ff", n=3, t=1, horizon=8,
         index=index,
         algorithm=algorithm,
         workload=workload,
-        schedule=Schedule.failure_free(n, t, horizon),
+        recipe=_ff(n, t, horizon),
         proposals=tuple(proposals if proposals is not None else range(n)),
     )
 
@@ -246,22 +252,6 @@ class TestHitMissPartitioning:
         # keeps its "0 hits" invariant (the CI lane greps for it).
         assert (cache.hits, cache.misses, cache.deduped) == (0, 1, 2)
         assert "2 deduped" in cache.describe()
-
-    def test_cases_from_caches_registry_named_cases(self, cache):
-        from repro.engine import cases_from
-
-        schedule = Schedule.failure_free(3, 1, 8)
-        cases = cases_from([("att2", "ff", schedule, (0, 1, 2))])
-        worst, witness = run_batch(cases, cache=cache).worst_case("att2")
-        assert (worst, witness) == (3, "ff")
-        assert (cache.hits, cache.misses) == (0, 1)
-        assert run_batch(cases, cache=cache).worst_case("att2") == (3, "ff")
-        assert (cache.hits, cache.misses) == (1, 1)
-
-        records = run_cases(cases, cache=cache)
-        assert records[0].global_round == 3
-        assert cache.hits == 2  # registry-resolved, so the entry hit again
-
 
 class TestInvalidation:
     def test_source_change_invalidates_only_that_algorithm(
@@ -740,16 +730,83 @@ class TestCacheGc:
         assert old_stats.exists()
         assert cache_stats(cache.directory)["entries"] == 0
 
+    def test_gc_returns_the_freed_pages_to_the_file(self, cache):
+        run_cases(_chunky_batch(), cache=cache)
+        cache.close()
+        path = cache.directory / DB_FILE
+        before = path.stat().st_size
+        assert cache_gc(cache.directory, max_bytes=0)["remaining"] == 0
+        assert path.stat().st_size < before
+        with _raw(cache) as db:
+            assert db.execute("PRAGMA integrity_check").fetchall() == [
+                ("ok",)
+            ]
+        # The vacuumed database still stores, then hits.
+        fresh = ResultCache(cache.directory)
+        (record,) = run_cases([_case(0)], cache=fresh)
+        assert run_cases([_case(1)], cache=fresh) == [
+            replace(record, case_index=1)
+        ]
+        assert (fresh.hits, fresh.misses) == (1, 1)
+        fresh.close()
+
+    def test_gc_drops_a_leftover_digests_table(self, cache):
+        self._filled(cache, [100.0])
+        with _raw(cache) as db:
+            db.execute(
+                "CREATE TABLE digests (recipe TEXT PRIMARY KEY, digest TEXT "
+                "NOT NULL) WITHOUT ROWID"
+            )
+        cache.close()
+        cache_gc(cache.directory, max_age_days=365, now=1000.0)
+        with _raw(cache) as db:
+            tables = db.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            ).fetchall()
+        assert sorted(tables) == [("entries",), ("stats",)]
+        assert cache_stats(cache.directory)["entries"] == 1
+
+    def test_gc_stands_when_another_writer_blocks_the_vacuum(
+        self, cache, monkeypatch
+    ):
+        from repro.engine import cache as cache_module
+
+        self._filled(cache, [100.0, 200.0])
+        cache.close()
+        blocker = sqlite3.connect(
+            cache.directory / DB_FILE, isolation_level=None
+        )
+        real_connect = cache_module._connect
+
+        def connect(path):
+            # Another sweep takes the write lock just as the VACUUM starts.
+            db = real_connect(path)
+            db.set_trace_callback(
+                lambda sql: sql == "VACUUM"
+                and blocker.execute("BEGIN IMMEDIATE")
+            )
+            return db
+
+        monkeypatch.setattr(cache_module, "BUSY_TIMEOUT_S", 0.05)
+        monkeypatch.setattr(cache_module, "_connect", connect)
+        with closing(blocker):
+            summary = cache_gc(cache.directory, max_bytes=0, now=1000.0)
+            assert blocker.in_transaction
+            blocker.execute("ROLLBACK")
+        monkeypatch.undo()
+        assert summary["removed"] == 2
+        assert cache_stats(cache.directory)["entries"] == 0
+
 
 def _chunky_batch(count=600):
     """*count* cheap cases over ~210 content keys (many repeated keys)."""
-    schedules = [Schedule.failure_free(3, 1, h) for h in (6, 7, 8)]
+    recipes = [_ff(3, 1, h) for h in (6, 7, 8)]
     return [
         Case(
             index=i,
             algorithm=("att2", "floodset")[i % 2],
             workload=f"w{i}",
-            schedule=schedules[i % 3],
+            recipe=recipes[i % 3],
             proposals=(i % 5, (i // 5) % 7, 1),
         )
         for i in range(count)
@@ -929,35 +986,29 @@ class TestRecipeKeys:
         assert cache.hits == grid.case_count
         assert cold.to_json() == warm.to_json() == uncached
 
-    def test_grid_keys_hash_the_recipe_and_explicit_keys_the_digest(
-        self, cache, built_schedules
-    ):
+    def test_keys_hash_the_recipe(self, cache, built_schedules):
         cases = expand_grid(_recipe_grid())
         keys = [cache.case_key(case) for case in cases]
         assert built_schedules == []
         assert len(set(keys)) == 10
-        explicit = [replace(case, schedule=case.schedule) for case in cases]
-        explicit_keys = [cache.case_key(case) for case in explicit]
-        assert len(set(explicit_keys)) == 10
-        assert not set(explicit_keys) & set(keys)
+        # An equal recipe built apart from the grid keys the same.
+        first = cases[0].recipe
+        copy = ScheduleRecipe(first.family, first.n, first.t, first.seed)
+        assert cache.case_key(replace(cases[0], recipe=copy)) == keys[0]
 
-    def test_changed_generator_source_recomputes_only_grid_cases(
+    def test_changed_generator_source_recomputes_every_case(
         self, cache, monkeypatch
     ):
         grid = _recipe_grid()
-        explicit = [
-            replace(case, index=case.index + 10, schedule=case.schedule)
-            for case in expand_grid(grid)[:2]
-        ]
-        cold = run_batch([*expand_grid(grid), *explicit], cache=cache)
+        cold = run_batch(grid, cache=cache)
         cache.flush_stats()
         monkeypatch.setattr(
             grids_module, "generator_source_hash", lambda: "edited"
         )
         warm = ResultCache(cache.directory)
-        again = run_batch([*expand_grid(grid), *explicit], cache=warm)
+        again = run_batch(grid, cache=warm)
         assert again.to_json() == cold.to_json()
-        assert (warm.hits, warm.misses) == (2, 10)
+        assert (warm.hits, warm.misses) == (0, 10)
 
     def test_unkeyed_recipe_is_uncacheable(self, cache, monkeypatch):
         monkeypatch.setattr(grids_module, "generator_source_hash", lambda: None)
@@ -989,7 +1040,7 @@ class TestRecipeKeys:
             5, 2, seed=3, algorithms=("att2",), cases_per_family=4
         )
         wanted = sorted(
-            (5, case.source.family.name, case.source.seed)
+            (5, case.recipe.family.name, case.recipe.seed)
             for case in ShardSpec(1, 2).select(expand_grid(grid))
         )
         for cache_args in ([], ["--cache", str(tmp_path / "cache")]):

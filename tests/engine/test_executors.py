@@ -12,10 +12,12 @@ from repro.engine import (
     ProcessExecutor,
     SerialExecutor,
     execute_case,
+    family,
     resolve_executor,
     run_batch,
     run_cases,
 )
+from repro.engine.grids import ScheduleRecipe
 
 BACKEND_PARAMS = [
     pytest.param(SerialExecutor(), id="serial"),
@@ -28,7 +30,9 @@ def _case(index, algorithm="att2", workload="ff", n=3, t=1, horizon=8):
         index=index,
         algorithm=algorithm,
         workload=workload,
-        schedule=Schedule.failure_free(n, t, horizon),
+        recipe=ScheduleRecipe(
+            family("ff", "failure_free", horizon=horizon), n, t, 0
+        ),
         proposals=tuple(range(n)),
     )
 
@@ -85,16 +89,25 @@ def _assert_no_live_pool_children(timeout=10.0):
         time.sleep(0.05)
 
 
+@pytest.fixture
+def forbid_digest(monkeypatch):
+    """Make any call of ``Schedule.digest`` fail the test."""
+
+    def digest(schedule):
+        raise AssertionError("Schedule.digest was called")
+
+    monkeypatch.setattr(Schedule, "digest", digest)
+
+
 class TestScheduleGroups:
     """The pool ships one task per schedule (``execute_group``)."""
 
     def test_grouped_pool_output_equals_serial(self):
-        from repro.sim.random_schedules import random_es_schedule
-
-        schedules = [random_es_schedule(5, 2, seed) for seed in range(4)]
+        es = family("es", "random_es")
+        recipes = [ScheduleRecipe(es, 5, 2, seed) for seed in range(4)]
         cases = [
             Case(index=i, algorithm=name, workload=f"es/{j}",
-                 schedule=schedules[j], proposals=(0, 1, 0, 1, 1))
+                 recipe=recipes[j], proposals=(0, 1, 0, 1, 1))
             for i, (name, j) in enumerate(
                 (name, j)
                 for j in (0, 1, 2, 3, 1, 0)
@@ -114,48 +127,45 @@ class TestScheduleGroups:
             _case(0, horizon=9), _case(1, horizon=8), _case(2, horizon=9),
             _case(3, horizon=8), _case(4, horizon=10),
         ]
-        assert cases[0].schedule is not cases[2].schedule
+        assert cases[0].recipe is not cases[2].recipe
         groups = group_by_schedule(cases)
         assert [[case.index for case in group] for group in groups] == [
             [0, 2], [1, 3], [4],
         ]
 
-    def test_equal_es_schedules_of_one_shape_share_a_group(self):
+    def test_recipes_differing_only_in_params_split(self, built_schedules):
+        # Two families of one kind, horizon and seed that differ in a
+        # param build different schedules, so they never share a task.
         from repro.engine.executors import group_by_schedule
-        from repro.model.schedule import ScheduleBuilder
-        from repro.sim.random_schedules import random_es_schedule
 
-        def delayed(receiver):
-            builder = ScheduleBuilder(5, 2, 12)
-            builder.delay(0, receiver, 1, 3)
-            return builder.build()
+        def prefix(k):
+            return ScheduleRecipe(
+                family(f"k{k}", "async_prefix", k=k), 5, 2, 0
+            )
 
-        es, es_copy = random_es_schedule(9, 2, 5), random_es_schedule(9, 2, 5)
-        assert es is not es_copy and es.delays
-        schedules = [es, delayed(1), es_copy, delayed(2), es, delayed(1)]
+        es = family("es", "random_es")
+        recipes = [
+            ScheduleRecipe(es, 5, 2, 5), prefix(1),
+            ScheduleRecipe(es, 5, 2, 5), prefix(2), prefix(1),
+        ]
         cases = [
             Case(index=i, algorithm="att2", workload=f"w{i}",
-                 schedule=schedule, proposals=tuple(range(schedule.n)))
-            for i, schedule in enumerate(schedules)
+                 recipe=recipe, proposals=tuple(range(5)))
+            for i, recipe in enumerate(recipes)
         ]
         groups = group_by_schedule(cases)
         assert [[case.index for case in group] for group in groups] == [
-            [0, 2, 4], [1, 5], [3],
+            [0, 2], [1, 4], [3],
         ]
+        assert built_schedules == []
 
-    def test_xlarge_pool_never_digests_the_es_schedule(self, monkeypatch):
-        # The n = 100 random-ES schedule is the only one of its shape, so
-        # grouping it for the pool must not pay for its digest.
+    def test_xlarge_pool_never_digests_the_es_schedule(
+        self, forbid_digest
+    ):
+        # Grouping the n = 100 random-ES schedule, over 1,000 delays, for
+        # the pool must not pay for its digest.
         from repro.engine.grids import expand_grid, profile_grids
 
-        digested = []
-        real_digest = Schedule.digest
-
-        def counting_digest(schedule):
-            digested.append(schedule)
-            return real_digest(schedule)
-
-        monkeypatch.setattr(Schedule, "digest", counting_digest)
         _label, grid = profile_grids("xlarge", seed=3)[0]
         cases = expand_grid(grid)
         es = next(
@@ -163,9 +173,35 @@ class TestScheduleGroups:
         )
         assert len(es.delays) > 1000
         pooled = run_cases(cases, executor=ProcessExecutor(workers=2))
-        assert sum(schedule is es for schedule in digested) == 0
         assert pooled == run_cases(expand_grid(grid),
                                    executor=SerialExecutor())
+
+    @pytest.mark.parametrize("run", ["pooled_cold", "pooled_warm",
+                                     "experiments"])
+    def test_no_engine_path_digests_a_schedule(
+        self, forbid_digest, tmp_path, run
+    ):
+        # Every case names its schedule by a recipe: keying, grouping and
+        # running one never reads Schedule.digest (pool workers are
+        # forked, so they inherit the patch).
+        from repro.analysis.experiments import all_experiments
+        from repro.engine import ResultCache
+        from repro.engine.grids import default_sweep_grid
+
+        if run == "experiments":
+            assert len(all_experiments()) == 6
+            return
+        grid = default_sweep_grid(5, 2, seed=4)
+        executor = ProcessExecutor(workers=2)
+        if run == "pooled_warm":
+            run_batch(grid, executor=executor, cache=ResultCache(tmp_path))
+        cache = ResultCache(tmp_path)
+        result = run_batch(grid, executor=executor, cache=cache)
+        assert (cache.hits, cache.misses) == (
+            (grid.case_count, 0) if run == "pooled_warm"
+            else (0, grid.case_count)
+        )
+        assert result == run_batch(grid, executor=SerialExecutor())
 
     def test_execute_group_returns_execute_case_pairs(self):
         from repro.engine.executors import execute_case, execute_group
@@ -221,10 +257,10 @@ class TestScheduleGroups:
             seed=1,
         )
         cases = expand_grid(grid)
-        twin = cases[1].source
+        twin = cases[1].recipe
         copy = ScheduleRecipe(twin.family, twin.n, twin.t, twin.seed)
         cases.append(Case(index=6, algorithm="att2", workload="copy",
-                          schedule=copy, proposals=cases[1].proposals))
+                          recipe=copy, proposals=cases[1].proposals))
         groups = group_by_schedule(cases)
         assert [[case.index for case in group] for group in groups] == [
             [0, 3], [1, 4, 6], [2, 5],

@@ -86,17 +86,32 @@ class TestExpandFamily:
         fam = family("es", "random_es", count=3)
         instances = expand_family(fam, 5, 2, master_seed=7)
         assert len(instances) == 3
-        for i, (label, _schedule) in enumerate(instances):
+        for i, (label, _recipe) in enumerate(instances):
             assert label == f"es[{i}]@{case_seed(7, 'es', i)}"
 
     def test_singleton_deterministic_label_is_bare_name(self):
         fam = family("cascade", "cascade")
-        (label, _schedule), = expand_family(fam, 5, 2, master_seed=0)
+        (label, _recipe), = expand_family(fam, 5, 2, master_seed=0)
         assert label == "cascade"
 
     def test_reexpansion_identical(self):
         fam = family("scs", "random_scs", count=5)
-        assert expand_family(fam, 5, 2, 3) == expand_family(fam, 5, 2, 3)
+
+        def built():
+            return [
+                (label, recipe.build())
+                for label, recipe in expand_family(fam, 5, 2, 3)
+            ]
+
+        assert built() == built()
+
+    def test_expansion_builds_nothing(self, built_schedules):
+        fam = family("es", "random_es", count=3)
+        recipes = [recipe for _label, recipe in expand_family(fam, 5, 2, 7)]
+        assert built_schedules == []
+        assert [recipe.seed for recipe in recipes] == [
+            case_seed(7, "es", i) for i in range(3)
+        ]
 
 
 class TestGridSpec:
@@ -309,7 +324,7 @@ class TestScheduleRecipe:
     def test_expansion_builds_no_schedule(self, built_schedules):
         cases = expand_grid(self._spec())
         assert built_schedules == []
-        assert all(isinstance(case.source, ScheduleRecipe) for case in cases)
+        assert all(isinstance(case.recipe, ScheduleRecipe) for case in cases)
 
     def test_first_read_builds_one_schedule_per_instance(
         self, built_schedules
@@ -325,9 +340,9 @@ class TestScheduleRecipe:
     def test_built_schedule_equals_the_family_expansion(self):
         cases = expand_grid(self._spec())
         expected = [
-            schedule
+            recipe.build()
             for fam in self._spec().families
-            for _label, schedule in expand_family(fam, 5, 2, 11)
+            for _label, recipe in expand_family(fam, 5, 2, 11)
         ]
         assert [case.schedule for case in cases[:4]] == expected
 
@@ -336,9 +351,9 @@ class TestScheduleRecipe:
     ):
         case = expand_grid(self._spec())[0]
         clone = pickle.loads(pickle.dumps(case))
-        assert isinstance(clone.source, ScheduleRecipe)
-        assert clone.source.content() == case.source.content()
-        assert clone.source.key() == case.source.key()
+        assert isinstance(clone.recipe, ScheduleRecipe)
+        assert clone.recipe.content() == case.recipe.content()
+        assert clone.recipe.key() == case.recipe.key()
         assert built_schedules == []
         assert isinstance(clone.schedule, Schedule)
         assert len(built_schedules) == 1
@@ -349,7 +364,7 @@ class TestScheduleRecipe:
         case = expand_grid(self._spec())[0]
         schedule = case.schedule
         clone = pickle.loads(pickle.dumps(case))
-        assert isinstance(clone.source, ScheduleRecipe)
+        assert isinstance(clone.recipe, ScheduleRecipe)
         assert len(pickle.dumps(case)) == len(
             pickle.dumps(expand_grid(self._spec())[0])
         )
@@ -362,35 +377,35 @@ class TestScheduleRecipe:
         cases = expand_grid(self._spec())
         again = expand_grid(self._spec())
         assert cases == again and cases[0] != cases[1]
-        assert cases[0].source == cases[4].source != cases[1].source
+        assert cases[0].recipe == cases[4].recipe != cases[1].recipe
         assert set(cases) == set(again) and len(set(cases)) == len(cases)
         text = repr(cases[1])
         assert built_schedules == []
-        assert f"ScheduleRecipe('es', n=5, t=2, seed={cases[1].source.seed})" \
+        assert f"ScheduleRecipe('es', n=5, t=2, seed={cases[1].recipe.seed})" \
             in text
         assert len(text) < 200
 
     def test_relabelled_case_keeps_the_recipe_unbuilt(self, built_schedules):
         case = expand_grid(self._spec())[0]
-        moved = replace(case, index=9, schedule=case.source)
-        assert moved.source is case.source
+        moved = replace(case, index=9, workload="moved")
+        assert moved.recipe is case.recipe
         assert built_schedules == []
 
     def test_key_identifies_the_instance(self):
         cases = expand_grid(self._spec())
         again = expand_grid(self._spec())
-        keys = [case.source.key() for case in cases[:4]]
+        keys = [case.recipe.key() for case in cases[:4]]
         assert len(set(keys)) == 4
-        assert keys == [case.source.key() for case in again[:4]]
+        assert keys == [case.recipe.key() for case in again[:4]]
         assert all(len(key) == 64 for key in keys)
-        assert cases[0].source.key() == cases[4].source.key()
-        first = cases[0].source
+        assert cases[0].recipe.key() == cases[4].recipe.key()
+        first = cases[0].recipe
         assert ScheduleRecipe(first.family, 5, 2, first.seed + 1).key() != (
             first.key()
         )
 
     def test_key_covers_the_generator_source(self, monkeypatch):
-        recipe = expand_grid(self._spec())[0].source
+        recipe = expand_grid(self._spec())[0].recipe
         before = recipe.key()
         monkeypatch.setattr(grids, "generator_source_hash", lambda: "edited")
         fresh = ScheduleRecipe(recipe.family, recipe.n, recipe.t, recipe.seed)
@@ -398,4 +413,4 @@ class TestScheduleRecipe:
 
     def test_unfingerprintable_generators_have_no_key(self, monkeypatch):
         monkeypatch.setattr(grids, "generator_source_hash", lambda: None)
-        assert expand_grid(self._spec())[0].source.key() is None
+        assert expand_grid(self._spec())[0].recipe.key() is None

@@ -18,6 +18,7 @@ from repro.engine import (
     run_batch,
     run_cases,
 )
+from repro.engine.grids import ScheduleRecipe
 
 
 def _case(index, algorithm="att2", workload="ff", n=3, t=1, horizon=8):
@@ -25,7 +26,9 @@ def _case(index, algorithm="att2", workload="ff", n=3, t=1, horizon=8):
         index=index,
         algorithm=algorithm,
         workload=workload,
-        schedule=Schedule.failure_free(n, t, horizon),
+        recipe=ScheduleRecipe(
+            family("ff", "failure_free", horizon=horizon), n, t, 0
+        ),
         proposals=tuple(range(n)),
     )
 
@@ -239,18 +242,23 @@ class TestBatchResult:
         assert [r.workload for r in merged.records] == ["w1", "w0"]
 
 
-class TestCasesFrom:
-    def test_builds_indexed_cases(self):
-        from repro.engine import cases_from
+class TestCase:
+    def test_a_case_is_its_fields_and_builds_its_schedule_on_read(
+        self, built_schedules
+    ):
+        from dataclasses import replace
 
-        schedule = Schedule.failure_free(3, 1, 8)
-        cases = cases_from(
-            (name, "ff", schedule, range(3))
-            for name in ("att2", "floodset")
+        case, twin = _case(0), _case(0)
+        assert case == twin and hash(case) == hash(twin)
+        assert case != replace(case, index=1)
+        assert repr(case).startswith(
+            "Case(index=0, algorithm='att2', workload='ff', "
+            "recipe=ScheduleRecipe('ff', n=3, t=1, seed=0)"
         )
-        assert [c.index for c in cases] == [0, 1]
-        assert [c.algorithm for c in cases] == ["att2", "floodset"]
-        assert all(c.proposals == (0, 1, 2) for c in cases)
+        assert built_schedules == []
+        assert case.schedule == Schedule.failure_free(3, 1, 8)
+        assert case.schedule is case.schedule  # the recipe builds once
+        assert len(built_schedules) == 1
 
 
 class TestCorrectUndecided:

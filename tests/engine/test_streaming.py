@@ -27,7 +27,7 @@ from repro.engine import (
     run_batch,
     run_cases,
 )
-from repro.model.schedule import Schedule
+from repro.engine.grids import ScheduleRecipe
 
 
 def _grid(seed=7, count=4):
@@ -253,7 +253,8 @@ class TestSinkBoundsMemory:
             index=0,
             algorithm="att2",
             workload="ff",
-            schedule=Schedule.failure_free(3, 1, 8),
+            recipe=ScheduleRecipe(family("ff", "failure_free", horizon=8),
+                                  3, 1, 0),
             proposals=(0, 1, 2),
         )
         sink = JsonlRecordSink(str(tmp_path / "one.jsonl"))
