@@ -15,7 +15,7 @@ inboxes) wrap it with :meth:`~repro.sim.view.RoundView.from_messages`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, Collection, Sequence
 
 from repro.errors import AlgorithmError
 from repro.types import Payload, ProcessId, Round, Value, validate_system_size
@@ -39,10 +39,13 @@ class Automaton(ABC):
     #: When every automaton in a run declares the same known protocol,
     #: the kernel builds one shared plane for the run and hands it to
     #: each automaton via :meth:`bind_phase1_plane`; see
-    #: :mod:`repro.sim.phase1_plane`.  Declaring a protocol is a
-    #: contract about the automaton's state layout — subclasses of a
-    #: declaring class that change Phase-1 state handling must reset
-    #: this to ``None``.
+    #: :mod:`repro.sim.phase1_plane`.  In the rounds every class in the
+    #: run lists in :meth:`phase1_plane_rounds`, and only while nobody
+    #: has decided, the plane claims the whole round and the kernel
+    #: calls no :meth:`deliver_view` at all.  Declaring a protocol is a
+    #: contract about the automaton's state layout and its plane
+    #: rounds — subclasses of a declaring class that change Phase-1
+    #: state handling must reset this to ``None``.
     phase1_plane_protocol: ClassVar[str | None] = None
 
     def __init__(self, pid: ProcessId, n: int, t: int, proposal: Value):
@@ -96,6 +99,15 @@ class Automaton(ABC):
             f"{type(self).phase1_plane_protocol!r} but does not "
             f"implement bind_phase1_plane"
         )
+
+    @classmethod
+    def phase1_plane_rounds(cls, t: int) -> Collection[Round]:
+        """The rounds whose receive phase, while no process has decided,
+        is exactly the plane's ``compute()`` for every receiver (none by
+        default).  Read only for classes declaring a
+        :attr:`phase1_plane_protocol`.
+        """
+        return ()
 
     # -- decision / halting -----------------------------------------------
 

@@ -19,6 +19,8 @@ demonstrate the failure mode the extra round repairs.
 
 from __future__ import annotations
 
+from typing import Collection
+
 from repro.algorithms.common import ConsensusAutomaton
 from repro.algorithms.suspicion import EstimateState
 from repro.sim.phase1_plane import PHASE1_ESTIMATE, Phase1Plane
@@ -43,6 +45,11 @@ class FloodSetWS(ConsensusAutomaton):
 
     def bind_phase1_plane(self, plane: Phase1Plane) -> None:
         self._plane = plane
+
+    @classmethod
+    def phase1_plane_rounds(cls, t: int) -> Collection[Round]:
+        # Round t+1 decides after its compute().
+        return range(1, t + 1)
 
     def round_payload(self, k: Round) -> Payload | None:
         return self.state.payload(k)

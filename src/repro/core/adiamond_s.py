@@ -29,6 +29,7 @@ from repro.algorithms.base import AlgorithmFactory
 from repro.algorithms.hurfin_raynal import HurfinRaynalES
 from repro.core.att2 import ATt2
 from repro.sim.bitset import iter_bits
+from repro.sim.phase1_plane import Phase1Plane
 from repro.sim.view import RoundView
 from repro.types import ProcessId, Round, Value
 
@@ -69,6 +70,12 @@ class ADiamondS(ATt2):
             k: frozenset(iter_bits(mask))
             for k, mask in self._fd_masks.items()
         }
+
+    def bind_phase1_plane(self, plane: Phase1Plane) -> None:
+        super().bind_phase1_plane(plane)
+        # Rounds the plane claims skip round_deliver_view below, so the
+        # plane writes this detector history in them.
+        plane.log_suspicions(self.pid, self._fd_masks)
 
     def round_deliver_view(self, k: Round, view: RoundView) -> None:
         # One mask operation off the view's absent mask; the detector

@@ -35,6 +35,8 @@ are non-⊥ and equal, and everyone decides at round t + 2.
 
 from __future__ import annotations
 
+from typing import Collection
+
 from repro.algorithms.base import AlgorithmFactory
 from repro.algorithms.chandra_toueg import ChandraTouegES
 from repro.algorithms.common import ConsensusAutomaton
@@ -101,6 +103,11 @@ class ATt2(ConsensusAutomaton):
 
     def bind_phase1_plane(self, plane: Phase1Plane) -> None:
         self._plane = plane
+
+    @classmethod
+    def phase1_plane_rounds(cls, t: int) -> Collection[Round]:
+        # Phase 1: rounds 1 .. t+1 are compute() and nothing else.
+        return range(1, t + 2)
 
     # -- rounds ------------------------------------------------------------
 

@@ -20,10 +20,18 @@ every failure-free synchronous run — reproduced as experiment E7.
 
 from __future__ import annotations
 
+from typing import Collection
+
 from repro.core.att2 import ATt2
+from repro.types import Round
 
 
 class ATt2Optimized(ATt2):
     """A_{t+2} with the Figure-4 failure-free fast path enabled."""
 
     optimize_failure_free = True
+
+    @classmethod
+    def phase1_plane_rounds(cls, t: int) -> Collection[Round]:
+        # Round 2 runs the fast path before compute().
+        return [k for k in super().phase1_plane_rounds(t) if k != 2]

@@ -24,11 +24,17 @@ the plan — current buckets shared across receivers that heard the same
 senders, delayed buckets across receivers with equal delayed rows — and
 drives the automata through
 :meth:`~repro.algorithms.base.Automaton.deliver_view`, the one receive
-hook.  One loop serves both trace modes: full mode additionally stores
-each receiver's flat inbox and appends a per-round record.  The
-original query-at-a-time loop lives on with the tests
-(``tests/kernel_oracle.py``); the equivalence tests and the kernel
-microbenchmark hold this kernel byte-identical to it.
+hook.  The exception is a round the run's Phase-1 plane claims
+(:mod:`repro.sim.phase1_plane`): while no process has decided, a round
+that every automaton class lists as a plane round is ``compute()`` for
+every receiver, so the plane runs it for all of them from the plan's
+masks and the kernel builds no view and calls no hook.  One loop
+serves both trace modes: full mode additionally stores each receiver's
+flat inbox (claimed rounds included) and appends a per-round record.
+The original query-at-a-time loop lives on with the tests
+(``tests/kernel_oracle.py``), calling the hook for every receiver; the
+equivalence tests and the kernel microbenchmark hold this kernel
+byte-identical to it.
 
 The kernel is *model-agnostic*: it executes any schedule.  Whether the
 schedule obeys SCS or ES is checked separately by the validators in
@@ -37,7 +43,7 @@ schedule obeys SCS or ES is checked separately by the validators in
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.algorithms.base import AlgorithmFactory, Automaton
 from repro.errors import SimulationError
@@ -53,7 +59,7 @@ from repro.sim.view import (
     SendTable,
     build_delayed_buckets,
 )
-from repro.types import Payload, ProcessId, Round, Value
+from repro.types import ProcessId, Round, Value
 
 #: The supported ``trace=`` modes, in documentation order.
 TRACE_MODES = ("full", "lean")
@@ -62,48 +68,6 @@ TRACE_MODES = ("full", "lean")
 #: (``None`` cannot serve — the kernel substitutes DUMMY for it, and no
 #: payload may legitimately be the sentinel itself.)
 _NOT_SENT = object()
-
-
-def _round_view_factory(
-    k: Round,
-    n: int,
-    plan: CompiledSchedule,
-    table: SendTable,
-    payloads: Sequence[Sequence[Payload]],
-    shared_current: dict[int, CurrentCell],
-    shared_delayed: dict[tuple, tuple],
-) -> Callable[[ProcessId], RoundView]:
-    """One round's view builder, sharing buckets across receivers.
-
-    Returns ``view_for(pid)``.  ``shared_current``/``shared_delayed``
-    are the run's preallocated bucket maps; the caller clears them
-    between rounds instead of allocating fresh dicts.
-
-    Sharing is keyed by the data itself.  A receiver's arrived-sender
-    mask (its compiled plan mask ANDed with the round's broadcaster
-    mask) keys one shared, lazily built :class:`CurrentCell`, and its
-    delayed row keys one shared delayed bucket.  A receiver whose round
-    never touches ``current``/``by_tag``/``decides`` — the batched
-    Phase-1 plane path — skips the current bucket build entirely.
-    """
-    delayed_plan = plan.delayed_inboxes[k]
-    cmasks = plan.current_masks[k]
-    sender_mask = table.sender_mask
-
-    def view_for(pid: ProcessId) -> RoundView:
-        cmask = cmasks[pid] & sender_mask
-        cell = shared_current.get(cmask)
-        if cell is None:
-            cell = shared_current[cmask] = CurrentCell(table, cmask)
-        row = delayed_plan[pid]
-        dly = shared_delayed.get(row)
-        if dly is None:
-            dly = shared_delayed[row] = build_delayed_buckets(
-                row, payloads, _NOT_SENT
-            )
-        return RoundView.lazy(k, pid, n, dly[0], dly[1], cell)
-
-    return view_for
 
 
 def _check_run(automata: Sequence[Automaton], schedule: Schedule) -> None:
@@ -236,30 +200,54 @@ def _run(
         halted_now = 0
         shared_current.clear()
         shared_delayed.clear()
-        view_for = _round_view_factory(
-            k, n, plan, table, payloads, shared_current, shared_delayed
-        )
+        sender_mask = table.sender_mask
+        cmasks = plan.current_masks[k]
+        delayed_plan = plan.delayed_inboxes[k]
+        claimed = False
         if plane is not None:
             # Post-send, pre-receive: the plane's refreshed rows are
-            # exactly the Halt sets this round's payloads carry, and
-            # the filled table is the round's broadcast universe.
-            plane.begin_round(k, table)
-        for pid in plan.completers[k]:
-            if pid in halted:
-                continue
-            view = view_for(pid)
-            if full:
-                delivered[pid] = view.messages
-            automaton = automata[pid]
-            automaton.deliver_view(k, view)
-            message_count += view.size
-            if automaton.decided and pid not in decided_at:
-                decided_at[pid] = (automaton.decision, k)
-                decided_now[pid] = automaton.decision
-            if automaton.halted:
-                halted.add(pid)
-                halted_rounds[pid] = k
-                halted_now |= 1 << pid
+            # exactly the Halt sets this round's payloads carry.  Until
+            # somebody decides there is no DECIDE payload, current or
+            # delayed, and nobody has halted (halting follows deciding),
+            # so a plane round is compute() for every completer and the
+            # plane claims it whole.  Only completers have delayed rows.
+            claimed = plane.begin_round(k, table) and not decided_at
+            if claimed:
+                message_count += plane.claim(
+                    k, plan.completers[k], cmasks, sender_mask
+                ) + sum(map(len, delayed_plan))
+        if full or not claimed:
+            for pid in plan.completers[k]:
+                if pid in halted:
+                    continue
+                # Buckets are shared by every receiver that heard the
+                # same senders (or has the same delayed row) this round.
+                heard = cmasks[pid] & sender_mask
+                cell = shared_current.get(heard)
+                if cell is None:
+                    cell = shared_current[heard] = CurrentCell(table, heard)
+                row = delayed_plan[pid]
+                dly = shared_delayed.get(row)
+                if dly is None:
+                    dly = shared_delayed[row] = build_delayed_buckets(
+                        row, payloads, _NOT_SENT
+                    )
+                view = RoundView.lazy(k, pid, n, dly[0], dly[1], cell)
+                if full:
+                    delivered[pid] = view.messages
+                    if claimed:
+                        continue
+                automaton = automata[pid]
+                automaton.deliver_view(k, view)
+                message_count += heard.bit_count() + len(dly[0])
+                decision = automaton._decision
+                if decision is not None and pid not in decided_at:
+                    decided_at[pid] = (decision, k)
+                    decided_now[pid] = decision
+                if automaton._halted:
+                    halted.add(pid)
+                    halted_rounds[pid] = k
+                    halted_now |= 1 << pid
         if plane is not None:
             plane.end_round()
 

@@ -18,11 +18,9 @@ at once*, against the same state rows, with three structural moves:
   derives the round's *entire* fold input once, globally: the
   ESTIMATE-broadcaster bitmask and one est-sorted ``(est, sender_bit)``
   order.  A receiver's arrived-ESTIMATE set is then a single word op —
-  ``est_mask & view.current_mask`` — because each sender broadcasts
-  exactly one payload per round; no per-receiver (or even per-mask)
-  bucket, scan, or sort exists on this path at all.  Combined with the
-  lazy :class:`~repro.sim.view.RoundView` buckets, a Phase-1 round
-  never materializes current-round item tuples for any receiver.
+  ``est_mask & heard`` — because each sender broadcasts exactly one
+  payload per round; no per-receiver (or even per-mask) bucket, scan,
+  or sort exists on this path at all.
 * **An incrementally-maintained bit-transpose of the Halt matrix.**
   ``suspecting-me`` for receiver i is "which arrived senders carry i in
   their round-k Halt payload".  Payload Halt masks equal the senders'
@@ -49,29 +47,39 @@ at once*, against the same state rows, with three structural moves:
 The plane is **opt-in and run-scoped**.  Automata declare the protocol
 via :attr:`~repro.algorithms.base.Automaton.phase1_plane_protocol`;
 :func:`build_run_plane` builds and binds one plane per execution only
-when *every* automaton in the run speaks it (a mixed run falls back to
-the untouched per-automaton ``deliver_view`` path — out-of-tree
-automata never see a plane).  The kernel drives
+when *every* automaton in the run speaks it (a mixed run keeps the
+per-automaton ``deliver_view`` path).  The kernel drives
 :meth:`Phase1Plane.begin_round` / :meth:`Phase1Plane.end_round` once
-per round around the receive phase; between the two, bound automata
-route their Phase-1 state updates through
-:meth:`Phase1Plane.compute_view`, which falls back to the exact
-per-receiver :meth:`~repro.algorithms.suspicion.EstimateState.
-compute_view` whenever the plane is not mid-round (direct ``deliver_view``
-calls, the tests' reference kernel, post-run pokes) — so every entry
-point computes the identical update and the byte-identity suite can
-hold the batched kernel to the reference kernel in both trace modes.
+per round around the receive phase, and **claims** round k — calls
+:meth:`Phase1Plane.claim` and no ``deliver_view`` at all — when no
+process has decided yet (so no DECIDE payload exists, current or
+delayed, and nobody has halted), the round's ests sorted, and k is a
+plane round of every automaton class in the run
+(:meth:`~repro.algorithms.base.Automaton.phase1_plane_rounds`: rounds
+1..t+1 for A_{t+2} and A_◇S, the same without round 2, where Figure 4's
+fast path runs, for its optimized variant, and 1..t for FloodSetWS,
+which decides in round t+1).  ``claim`` folds every completer straight
+from its plan mask, writes A_◇S's detector history (registered through
+:meth:`Phase1Plane.log_suspicions`) and appends k to
+:attr:`Phase1Plane.claimed_rounds`.  In other rounds bound automata call
+:meth:`Phase1Plane.compute_view`, the same fold on the view's mask,
+which falls back to the exact per-receiver
+:meth:`~repro.algorithms.suspicion.EstimateState.compute_view` whenever
+the plane is not mid-round (direct ``deliver_view`` calls, the tests'
+reference kernel) — so every entry point computes the identical update
+and the byte-identity suite holds the kernel to the reference kernel in
+both trace modes.
 
 Protocol contract (what declaring ``PHASE1_ESTIMATE`` promises): the
 automaton owns an :class:`~repro.algorithms.suspicion.EstimateState`
 at ``self.state`` for the run's lifetime, its Phase-1 broadcasts are
-``state.payload(k)`` (or non-ESTIMATE payloads, e.g. DECIDE), and all
-Phase-1 state changes go through ``compute_view``.  The
-:meth:`begin_round` row refresh makes the plane robust to out-of-band
-halt-row changes *between* rounds (it diffs against the live states),
-but mid-round mutation outside the plane would desynchronize the
-transpose — exactly the invariant the property suite in
-``tests/algorithms/test_phase1_plane.py`` drives against the preserved
+``state.payload(k)`` (or non-ESTIMATE payloads, e.g. DECIDE), all
+Phase-1 state changes go through ``compute_view``, and in its plane
+rounds an undecided process's receive phase is ``compute()`` and
+nothing else.  The :meth:`begin_round` row refresh absorbs
+out-of-band halt-row changes *between* rounds, but mid-round mutation
+outside the plane would desynchronize the transpose — the invariant
+``tests/algorithms/test_phase1_plane.py`` drives against the
 per-receiver oracle.
 """
 
@@ -79,8 +87,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from repro.sim.bitset import full_mask
-from repro.types import Round, Value
+from repro.sim.bitset import full_mask, mask_of, select_bits
+from repro.types import ProcessId, Round, Value
 
 if TYPE_CHECKING:  # runtime stays decoupled from the algorithm layer
     from repro.algorithms.base import Automaton
@@ -112,9 +120,14 @@ class Phase1Plane:
     __slots__ = (
         "n", "_states", "_full", "_rows", "_transpose", "_nonempty_rows",
         "_est_mask", "_order", "_sortable", "_round", "_active",
+        "_plane_rounds", "_fd_logs", "claimed_rounds",
     )
 
-    def __init__(self, states: Sequence["EstimateState"]) -> None:
+    def __init__(
+        self,
+        states: Sequence["EstimateState"],
+        plane_rounds: int = 0,
+    ) -> None:
         self.n = len(states)
         self._states = tuple(states)
         self._full = full_mask(self.n)
@@ -140,10 +153,17 @@ class Phase1Plane:
         self._sortable = True
         self._round: Round = 0
         self._active = False
+        # Bit k set iff the kernel may claim round k; per receiver, the
+        # detector log claimed rounds write.
+        self._plane_rounds = plane_rounds
+        self._fd_logs: list[dict[Round, int] | None] = [None] * self.n
+        #: The rounds this plane claimed, in order; its length is the
+        #: run's claimed-round count.  A plain counter, never a clock.
+        self.claimed_rounds: list[Round] = []
 
     # -- kernel-facing round protocol -------------------------------------
 
-    def begin_round(self, k: Round, table: "SendTable") -> None:
+    def begin_round(self, k: Round, table: "SendTable") -> bool:
         """Open round *k*'s receive phase (kernel, once per round).
 
         Re-transposes exactly the Halt rows that changed since the last
@@ -153,7 +173,8 @@ class Phase1Plane:
         phase, so the refreshed rows are the rows the round-k ESTIMATE
         payloads carry — which is what makes ``arrived &
         transpose[pid]`` equal the per-receiver ``payload[3] >> pid & 1``
-        scan.
+        scan.  Returns whether *k* is a plane round whose ests sorted,
+        i.e. one the kernel may :meth:`claim`.
         """
         rows = self._rows
         transpose = self._transpose
@@ -181,12 +202,10 @@ class Phase1Plane:
         mask = table.sender_mask
         if table.single_tag == _ESTIMATE:
             est_mask = mask
-            while mask:
-                low = mask & -mask
-                item = items[low.bit_length() - 1]
-                assert item is not None
-                entries.append((item[1][2], low))
-                mask ^= low
+            entries = [
+                (payload[2], 1 << sender)
+                for sender, payload in select_bits(items, mask)
+            ]
         elif mask:
             tags = table.tags
             while mask:
@@ -210,6 +229,32 @@ class Phase1Plane:
         self._order = entries
         self._round = k
         self._active = True
+        return self._sortable and bool(self._plane_rounds >> k & 1)
+
+    def claim(
+        self,
+        k: Round,
+        receivers: Sequence[ProcessId],
+        current_masks: Sequence[int],
+        sender_mask: int,
+    ) -> int:
+        """Run claimed round *k*'s receive phase for every receiver, each
+        of which heard ``current_masks[pid] & sender_mask``; return the
+        number of current-round messages delivered."""
+        states = self._states
+        logs = self._fd_logs
+        full = self._full
+        compute = self._compute
+        delivered = 0
+        for pid in receivers:
+            heard = current_masks[pid] & sender_mask
+            delivered += heard.bit_count()
+            compute(states[pid], heard)
+            log = logs[pid]
+            if log is not None:
+                log[k] = full & ~heard & ~(1 << pid)
+        self.claimed_rounds.append(k)
+        return delivered
 
     def end_round(self) -> None:
         """Close the receive phase (kernel, once per round).
@@ -237,7 +282,12 @@ class Phase1Plane:
         if not self._active or k != self._round or not self._sortable:
             state.compute_view(k, view)
             return
-        arrived = self._est_mask & view.current_mask
+        self._compute(state, view.current_mask)
+
+    def _compute(self, state: "EstimateState", heard: int) -> None:
+        """The one batched ``compute()`` fold, for a receiver that heard
+        the senders in *heard* this round."""
+        arrived = self._est_mask & heard
         pid = state.pid
         halt_mask = state._halt_mask
         additions = (
@@ -253,6 +303,11 @@ class Phase1Plane:
                 if eligible & bit:
                     state.est = est
                     return
+
+    def log_suspicions(self, pid: ProcessId, log: dict[Round, int]) -> None:
+        """Have claimed rounds write *pid*'s suspected-set mask (senders
+        not heard this round, itself excluded) into ``log[k]``."""
+        self._fd_logs[pid] = log
 
     def round2_stats(
         self, k: Round, view: "RoundView"
@@ -290,18 +345,23 @@ def build_run_plane(
 
     The batched dispatch engages only when **every** automaton in the
     run declares the (one) known protocol — a mixed run keeps the
-    untouched per-automaton delivery path.  On success the plane is
-    bound into each automaton via
+    untouched per-automaton delivery path.  On success the plane, whose
+    plane rounds are those every automaton class in the run declares,
+    is bound into each automaton via
     :meth:`~repro.algorithms.base.Automaton.bind_phase1_plane` and
-    returned for the kernel's per-round ``begin_round``/``end_round``
-    dispatch.
+    returned for the kernel's per-round dispatch.
     """
     if not automata:
         return None
+    classes: dict = {}
     for automaton in automata:
         if type(automaton).phase1_plane_protocol != PHASE1_ESTIMATE:
             return None
-    plane = Phase1Plane(tuple(a.state for a in automata))  # type: ignore[attr-defined]
+        classes[type(automaton), automaton.t] = None
+    rounds = -1
+    for cls, t in classes:
+        rounds &= mask_of(cls.phase1_plane_rounds(t))
+    plane = Phase1Plane(tuple(a.state for a in automata), rounds)  # type: ignore[attr-defined]
     for automaton in automata:
         automaton.bind_phase1_plane(plane)
     return plane

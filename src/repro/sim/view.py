@@ -31,19 +31,20 @@ them, which is where most of the large-n delivery speedup comes from.
 On the kernel path (:meth:`RoundView.lazy`) a view carries only its
 arrived-sender *mask* — one ``&`` of the compiled plan's per-receiver
 mask against the :class:`SendTable`'s broadcaster mask — and a
-:class:`CurrentCell` that materializes the ``(sender, payload)`` buckets
-on first structured access.  The kernel keys cells by that mask, so all
-receivers that heard the same senders share one cell per round (in an
-all-to-all round, one cell for everybody), and delayed buckets are
-likewise shared per distinct delayed row.  A receiver whose round
-consumes only masks — the batched Phase-1 suspicion plane
-(:mod:`repro.sim.phase1_plane`) is the flagship — never builds its
-bucket set at all.  The DECIDE scan stays O(1) on bucket-free rounds:
-the send table already knows whether *any* broadcast this round was a
-DECIDE, so :attr:`RoundView.decides` materializes buckets only in
-announcement rounds (plus whatever delayed DECIDEs the eager delayed
-bucket carries).  Payload tags are classified once per broadcast, when
-the kernel fills the send table, not once per receiver.
+:class:`CurrentCell` that materializes the ``(sender, payload)``
+buckets on first structured access.  The kernel keys cells by that
+mask, so all receivers that heard the same senders share one cell per
+round (in an all-to-all round, one cell for everybody), and delayed
+buckets are likewise shared per distinct delayed row.  A receiver whose
+round consumes only masks never builds its bucket set, and a round the
+batched Phase-1 plane claims (:mod:`repro.sim.phase1_plane`) builds no
+view at all outside full-trace mode.  The DECIDE scan stays O(1) on
+bucket-free rounds: the send table already knows whether *any*
+broadcast this round was a DECIDE, so :attr:`RoundView.decides`
+materializes buckets only in announcement rounds (plus whatever delayed
+DECIDEs the eager delayed bucket carries).  Payload tags are classified
+once per broadcast, when the kernel fills the send table, not once per
+receiver.
 """
 
 from __future__ import annotations
@@ -239,18 +240,6 @@ class RoundView:
         return full_mask(self.n) & ~self.current_mask
 
     @property
-    def size(self) -> int:
-        """Number of messages delivered this round (all ages)."""
-        current = self._current
-        if current is None:
-            # Lazy (kernel-built) views carry at most one current-round
-            # message per sender, so the popcount IS the count — no need
-            # to build the buckets.  Eager hand-built views may carry
-            # duplicate senders; their tuple length is authoritative.
-            return len(self.delayed) + self.current_mask.bit_count()
-        return len(self.delayed) + len(current)
-
-    @property
     def messages(self) -> tuple[Message, ...]:
         """The flat inbox, in canonical delivery order.
 
@@ -384,8 +373,7 @@ class CurrentCell:
     round and hands it to every :meth:`RoundView.lazy` view with that
     mask; the first structured access on *any* of them runs
     :func:`build_current_buckets` and the result is shared by the rest.
-    Rounds whose receivers consume only masks (the batched Phase-1
-    plane) never trigger the build at all.
+    Rounds whose receivers consume only masks never trigger the build.
 
     *mask* must be a subset of the table's broadcaster mask.
     """

@@ -362,7 +362,138 @@ class TestBuildRunPlane:
             automaton.bind_phase1_plane(object())
 
 
-def _export_divergence(schedule, proposals, label):
+class TestClaimedRounds:
+    """Which rounds the kernel lets the plane claim, at n = 9, t = 4.
+
+    ``Phase1Plane.claimed_rounds`` lists them in order: a deterministic
+    counter, kept on the plane and out of every trace and record.
+    """
+
+    N, T = 9, 4
+
+    def _claimed(self, name, schedule, proposals=None, **kwargs):
+        from repro.algorithms.base import make_automata
+        from repro.algorithms.registry import get_factory
+        from repro.sim.kernel import execute
+
+        proposals = list(range(self.N)) if proposals is None else proposals
+        automata = make_automata(get_factory(name), self.N, self.T, proposals)
+        execute(automata, schedule, trace="lean", **kwargs)
+        plane = automata[0]._plane
+        assert all(a._plane is plane for a in automata)
+        return plane.claimed_rounds
+
+    def _failure_free(self):
+        from repro.model.schedule import Schedule
+
+        return Schedule.failure_free(self.N, self.T, 3 * self.T + 6)
+
+    @pytest.mark.parametrize("name", ["att2", "adiamond_s"])
+    def test_failure_free_phase_one_is_claimed_whole(self, name):
+        assert self._claimed(name, self._failure_free()) == [1, 2, 3, 4, 5]
+
+    def test_failure_free_fast_path_leaves_round_one(self):
+        # Round 2 is the fast path's, and everybody decides in it.
+        assert self._claimed("att2_optimized", self._failure_free()) == [1]
+
+    def test_round_one_crash_skips_only_the_fast_path_round(self):
+        from repro.model.schedule import ScheduleBuilder
+
+        builder = ScheduleBuilder(self.N, self.T, 3 * self.T + 6)
+        builder.crash(3, 1, delivered_to=[0, 1])
+        claimed = self._claimed("att2_optimized", builder.build())
+        assert claimed == [1, 3, 4, 5]
+
+    @pytest.mark.parametrize("trace", ["full", "lean"])
+    def test_a_decision_ends_claims(self, trace):
+        from dataclasses import replace
+
+        from kernel_oracle import execute_reference
+        from repro.algorithms.base import make_automata
+        from repro.algorithms.registry import get_factory
+        from repro.model.schedule import ScheduleBuilder
+        from repro.sim.kernel import execute
+
+        # Only p0 hears all n round-2 messages, so only p0 decides in
+        # round 2 (the fast path).  Its round-3 DECIDE reaches the others
+        # in round 5, so round 4 carries no DECIDE at all; p0 has halted
+        # by then and must receive nothing, so the plane may not claim
+        # round 4 although it is a plane round.
+        n, t = self.N, self.T
+        builder = ScheduleBuilder(n, t, 3 * t + 6)
+        for receiver in range(1, n):
+            builder.delay(receiver % (n - 1) + 1, receiver, 2, 3)
+            builder.delay(0, receiver, 3, 5)
+        schedule = builder.build()
+        factory = get_factory("att2_optimized")
+        automata = make_automata(factory, n, t, list(range(n)))
+        run = execute(automata, schedule, trace=trace)
+        assert automata[0]._plane.claimed_rounds == [1]
+        assert run.decisions[0] == (0, 2)
+        assert all(run.decisions[pid] == (0, 5) for pid in range(1, n))
+        reference = execute_reference(
+            make_automata(factory, n, t, list(range(n))), schedule
+        )
+        if trace == "lean":
+            reference = replace(reference, rounds=None)
+        assert run == reference
+
+    def test_floodset_ws_decision_round_is_not_claimed(self):
+        assert self._claimed("floodset_ws", self._failure_free()) == [
+            1, 2, 3, 4,
+        ]
+
+    @pytest.mark.parametrize(
+        "name, max_rounds", [("floodset_ws", None), ("att2", 5)]
+    )
+    def test_unorderable_estimates_claim_no_round(self, name, max_rounds):
+        from kernel_oracle import execute_reference
+        from repro.algorithms.base import make_automata
+        from repro.algorithms.registry import get_factory
+        from repro.model.schedule import ScheduleBuilder
+        from repro.sim.kernel import run_algorithm
+
+        # p8 proposes a str and hears nobody, nor is heard, so no inbox
+        # mixes str and int, but every round's global sort raises.
+        horizon = self.T + 1
+        builder = ScheduleBuilder(self.N, self.T, horizon)
+        for k in range(1, horizon + 1):
+            for other in range(self.N - 1):
+                builder.lose(self.N - 1, other, k)
+                builder.lose(other, self.N - 1, k)
+        schedule = builder.build()
+        proposals = list(range(self.N - 1)) + ["x"]
+        kwargs = {} if max_rounds is None else {"max_rounds": max_rounds}
+        assert self._claimed(name, schedule, proposals, **kwargs) == []
+        trace = run_algorithm(
+            get_factory(name), schedule, proposals, trace="full", **kwargs
+        )
+        reference = execute_reference(
+            make_automata(get_factory(name), self.N, self.T, proposals),
+            schedule, **kwargs,
+        )
+        assert trace == reference
+
+    def test_mixed_classes_claim_only_shared_plane_rounds(self):
+        from repro.algorithms.floodset_ws import FloodSetWS
+        from repro.core.att2_optimized import ATt2Optimized
+        from repro.model.schedule import ScheduleBuilder
+        from repro.sim.kernel import execute
+
+        automata = [
+            (FloodSetWS if pid % 2 else ATt2Optimized)(
+                pid, self.N, self.T, pid
+            )
+            for pid in range(self.N)
+        ]
+        builder = ScheduleBuilder(self.N, self.T, 3 * self.T + 6)
+        builder.crash(3, 1, delivered_to=[0, 1])
+        execute(automata, builder.build(), trace="lean")
+        # FloodSetWS's plane rounds end at 4; ATt2Optimized's skip 2.
+        assert automata[0]._plane.claimed_rounds == [1, 3, 4]
+
+
+def _export_divergence(schedule, proposals, label, algorithm):
     from repro.sim.replay import schedule_to_data
 
     directory = os.environ.get(
@@ -374,7 +505,7 @@ def _export_divergence(schedule, proposals, label):
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(
                 {
-                    "algorithm": "att2_optimized",
+                    "algorithm": algorithm,
                     "workload": label,
                     "proposals": list(proposals),
                     "schedule": schedule_to_data(schedule),
@@ -387,8 +518,11 @@ def _export_divergence(schedule, proposals, label):
     return directory
 
 
+@pytest.mark.parametrize(
+    "name", ["att2", "att2_optimized", "adiamond_s", "floodset_ws"]
+)
 @pytest.mark.parametrize("seed", range(4))
-def test_plane_vs_oracle_at_sweep_scale(seed):
+def test_plane_vs_oracle_at_sweep_scale(seed, name):
     """Cranked-lane tier: full n = 250 kernel runs, plane vs opt-out.
 
     The strongest end-to-end form of the oracle property — every round
@@ -402,31 +536,37 @@ def test_plane_vs_oracle_at_sweep_scale(seed):
             f"(REPRO_PROPERTY_SAMPLES > {XXL_THRESHOLD})"
         )
     from repro.algorithms.base import make_automata
-    from repro.core.att2_optimized import ATt2Optimized
+    from repro.algorithms.registry import get_factory
     from repro.sim.kernel import execute
     from repro.sim.random_schedules import (
         random_es_schedule,
         random_proposals,
     )
 
-    class OptOut(ATt2Optimized):
-        phase1_plane_protocol = None
-
+    factory = get_factory(name)
     n, t = 250, 32
     schedule = random_es_schedule(n, t, seed, horizon=12)
     proposals = random_proposals(n, seed)
     batched = execute(
-        make_automata(ATt2Optimized.factory(), n, t, proposals),
-        schedule, trace="full",
+        make_automata(factory, n, t, proposals), schedule, trace="full",
     )
-    oracle = execute(
-        make_automata(OptOut.factory(), n, t, proposals),
-        schedule, trace="full",
+    opted_out = make_automata(factory, n, t, proposals)
+    # Same automata, same constructor arguments, minus the declaration:
+    # no plane is bound and every round runs per receiver.
+    no_plane = type(
+        "NoPlane", (type(opted_out[0]),), {"phase1_plane_protocol": None}
     )
+    for automaton in opted_out:
+        automaton.__class__ = no_plane
+    oracle = execute(opted_out, schedule, trace="full")
+    assert all(a._plane is None for a in opted_out)
     if batched != oracle:
-        exported = _export_divergence(schedule, proposals, f"seed{seed}")
+        exported = _export_divergence(
+            schedule, proposals, f"{name}-seed{seed}", name
+        )
         pytest.fail(
-            f"plane diverged from oracle on random_es(seed={seed}); "
+            f"{name}: plane diverged from oracle on "
+            f"random_es(seed={seed}); "
             + (
                 f"schedule exported to {exported}/"
                 if exported

@@ -46,6 +46,36 @@ class TestSimulatedDetector:
                     schedule, pid, k
                 )
 
+    @pytest.mark.parametrize("trace", ["full", "lean"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fd_history_matches_suspicions_on_es_schedules(self, seed, trace):
+        # Rounds the Phase-1 plane claims write the history without
+        # calling round_deliver_view; both paths must record exactly the
+        # schedule-level suspicion sets of Section 4.
+        from kernel_oracle import completes_round, suspected_by
+
+        n, t = 9, 4
+        schedule = random_es_schedule(n, t, seed)
+        automata = make_automata(
+            ADiamondS.factory(), n, t, random_proposals(n, seed)
+        )
+        run = execute(automata, schedule, trace=trace)
+        assert automata[0]._plane.claimed_rounds, "no round was claimed"
+        for pid, automaton in enumerate(automata):
+            history = automaton.fd_history
+            decided = automaton.decision_round
+            for k in range(1, run.rounds_executed + 1):
+                if not completes_round(schedule, pid, k):
+                    continue
+                if decided is None or k < decided:
+                    # Undecided through round k: the round was recorded.
+                    assert k in history, (pid, k)
+                if k in history:
+                    assert history[k] == suspected_by(schedule, pid, k), (
+                        pid, k,
+                    )
+            assert all(k <= (decided or k) for k in history), pid
+
     def test_underlying_defaults_to_diamond_s_algorithm(self):
         from repro.algorithms.hurfin_raynal import HurfinRaynalES
 

@@ -4,7 +4,9 @@ Sweeps run every case lean, so a sweep record must not depend on the
 per-round records a full trace adds.  Every case of the ``--profile
 large`` grids (n = 25 and n = 50) runs in both modes here: the full
 trace with its ``rounds`` dropped must equal the lean trace, and the
-records built from the two must be equal.
+records built from the two must be equal.  The grids run their own
+algorithms plus ``floodset_ws``, so all four algorithms whose Phase-1
+rounds the plane claims have those rounds stored in full mode too.
 """
 
 from dataclasses import replace
@@ -16,11 +18,18 @@ from repro.analysis.sweep import case_record
 from repro.engine import expand_grid, profile_grids
 from repro.sim.kernel import run_algorithm
 
+GRIDS = [
+    *profile_grids("large"),
+    *(
+        (f"{label}-floodset_ws", replace(grid, algorithms=("floodset_ws",)))
+        for label, grid in profile_grids("large")
+    ),
+]
+
 
 @pytest.mark.parametrize(
-    "grid",
-    [grid for _label, grid in profile_grids("large")],
-    ids=[label for label, _grid in profile_grids("large")],
+    "grid", [grid for _label, grid in GRIDS],
+    ids=[label for label, _grid in GRIDS],
 )
 def test_full_and_lean_traces_agree_on_profile_large(grid):
     for case in expand_grid(grid):

@@ -195,18 +195,34 @@ class TestPhase1PlaneDispatch:
     PLANE_ALGORITHMS = ("att2", "att2_optimized", "floodset_ws",
                         "adiamond_s")
 
+    #: (n, t, seeds): claimed and per-receiver plane rounds at three
+    #: widths, fewer seeds where the reference kernel is slow.
+    SYSTEMS = ((5, 2, SEEDS[:10]), (9, 4, SEEDS[:6]), (25, 8, SEEDS[:3]))
+
+    @pytest.mark.parametrize("trace", ["full", "lean"])
+    @pytest.mark.parametrize(
+        "generator", [random_es_schedule, random_scs_schedule],
+        ids=["es", "scs"],
+    )
+    @pytest.mark.parametrize(
+        "n, t, seeds", SYSTEMS, ids=[f"n{n}" for n, _t, _s in SYSTEMS]
+    )
     @pytest.mark.parametrize("name", PLANE_ALGORITHMS)
-    def test_plane_engages_and_matches_reference(self, name):
+    def test_plane_engages_and_matches_reference(
+        self, name, n, t, seeds, generator, trace
+    ):
         factory = get_factory(name)
-        for seed in SEEDS[:10]:
-            schedule = random_es_schedule(5, 2, seed)
-            proposals = random_proposals(5, seed)
-            automata = make_automata(factory, 5, 2, proposals)
-            compiled = execute(automata, schedule, trace="full")
+        for seed in seeds:
+            schedule = generator(n, t, seed)
+            proposals = random_proposals(n, seed)
+            automata = make_automata(factory, n, t, proposals)
+            compiled = execute(automata, schedule, trace=trace)
             assert all(a._plane is not None for a in automata), name
             reference = execute_reference(
-                make_automata(factory, 5, 2, proposals), schedule
+                make_automata(factory, n, t, proposals), schedule
             )
+            if trace == "lean":
+                reference = replace(reference, rounds=None)
             assert compiled == reference, f"{name} diverged on seed {seed}"
 
     @pytest.mark.parametrize("name", ["chandra_toueg", "hurfin_raynal"])

@@ -51,7 +51,7 @@ class TestBucketStructure:
         )
         assert view.delayed == ((1, 2, ("A", 1)),)
         assert view.current == ((0, ("A", 2)), (1, ("B", 3)))
-        assert view.size == 3
+        assert len(view.messages) == 3
 
     def test_tag_partition(self):
         view = view_of(
@@ -424,7 +424,7 @@ _PAYLOADS = st.one_of(
     st.sampled_from(["DECIDE", "EST", 5, ()]),
 )
 _TAGS = ["EST", "DECIDE", "PH2", 7, 5, (), "MISSING"]
-_ACCESSORS = ["current", "tagged", "decides", "size", "messages"]
+_ACCESSORS = ["current", "tagged", "decides", "messages"]
 _NOT_SENT = object()
 
 
