@@ -51,6 +51,7 @@ from repro.analysis.sweep import SweepRecord, case_record, run_case
 from repro.analysis.tables import format_table
 from repro.engine.grids import DEFAULT_SWEEP_ALGORITHMS
 from repro.model.schedule import Schedule
+from repro.sim.compiled import compile_schedule
 from repro.sim.kernel import execute, run_algorithm
 from repro.sim.random_schedules import random_es_schedule
 from conftest import emit
@@ -409,6 +410,22 @@ def test_kernel_xxl_scaling(benchmark):
                 )
 
 
+def _fold_share(algorithm: str, schedules, proposals) -> float:
+    """Folds the Phase-1 plane computed per receiver of its claimed
+    rounds, over lean runs of *schedules* (1.0: nothing shared)."""
+    folds = receivers = 0
+    for _workload, schedule in schedules:
+        automata = make_automata(
+            get_factory(algorithm), schedule.n, schedule.t, proposals
+        )
+        execute(automata, schedule, trace="lean")
+        plane = automata[0]._plane
+        completers = compile_schedule(schedule).completers
+        folds += plane.claimed_folds
+        receivers += sum(len(completers[k]) for k in plane.claimed_rounds)
+    return folds / receivers
+
+
 def att2_focus_measurements() -> list[dict]:
     """Plane-attribution rows at the :data:`ATT2_FOCUS_SYSTEM` size.
 
@@ -417,7 +434,9 @@ def att2_focus_measurements() -> list[dict]:
     protocol cleared, everything else identical).  A few seconds of
     work, so the per-push kernel-bench lane runs it under an explicit
     timeout and a plane regression surfaces long before the nightly
-    XXL floors see it.
+    XXL floors see it.  Each row also carries the plane's fold share
+    (:func:`_fold_share`), so the uploaded ``BENCH_kernel.json`` tracks
+    how often claimed rounds reuse one receiver's fold.
     """
     n, t = ATT2_FOCUS_SYSTEM
     proposals = list(range(n))
@@ -446,6 +465,9 @@ def att2_focus_measurements() -> list[dict]:
             "plane_ms": round(plane * 1e3, 3),
             "noplane_ms": round(noplane * 1e3, 3),
             "plane_speedup": round(noplane / plane, 2),
+            "fold_share": round(
+                _fold_share(algorithm, schedules, proposals), 4
+            ),
         })
     return rows
 
@@ -460,13 +482,15 @@ def test_kernel_att2_focus(benchmark):
     _merge_rows("att2_focus", rows)
     table_rows = [
         (r["algorithm"], r["n"], r["t"], f"{r['plane_ms']:.2f}",
-         f"{r['noplane_ms']:.2f}", f"{r['plane_speedup']:.2f}x")
+         f"{r['noplane_ms']:.2f}", f"{r['plane_speedup']:.2f}x",
+         f"{r['fold_share']:.4f}")
         for r in rows
     ]
     emit(
         format_table(
             ["algorithm", "n", "t", "plane ms/case",
-             "no-plane ms/case", "plane speedup"],
+             "no-plane ms/case", "plane speedup",
+             "folds / claimed receiver"],
             table_rows,
             title="att2 focus: batched Phase-1 plane vs opted-out fold "
                   "(lean trace, ff + random ES)",

@@ -106,6 +106,10 @@ class Automaton(ABC):
         is exactly the plane's ``compute()`` for every receiver (none by
         default).  Read only for classes declaring a
         :attr:`phase1_plane_protocol`.
+
+        In these rounds, while undecided, :meth:`payload` must be
+        ``self.state.payload(k)``: in lean runs the plane builds those
+        payloads itself and never calls :meth:`payload`.
         """
         return ()
 

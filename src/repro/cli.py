@@ -153,7 +153,6 @@ import sys
 from typing import Sequence
 
 from repro.algorithms.registry import available_algorithms, get_factory
-from repro.analysis.diagram import render_run
 from repro.analysis.metrics import check_consensus, summarize
 from repro.analysis.tables import format_table
 from repro.errors import AlgorithmError
@@ -246,6 +245,8 @@ def _cmd_run(args) -> int:
     print(schedule.describe())
     print()
     if args.diagram:
+        from repro.analysis.diagram import render_run
+
         print(render_run(trace, title=f"{args.algorithm} on "
                                       f"{args.workload}"))
         print()
@@ -763,6 +764,48 @@ def _cmd_experiments(_args) -> int:
     return 0
 
 
+#: ``repro lint``'s default baseline, relative to the invocation
+#: directory (the repo root in CI and the tier-1 self-check).
+LINT_BASELINE = "lint-baseline.json"
+
+
+def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach ``repro lint``'s arguments to its subparser.
+
+    The wiring lives here, not in :mod:`repro.devtools.cli`, so building
+    the parser for any other command imports no lint code.
+    """
+    parser.add_argument(
+        "paths", nargs="*", default=["src"],
+        help="files and/or directories to lint (default: src)",
+    )
+    parser.add_argument(
+        "--json", dest="json_out", metavar="FILE", default=None,
+        help="also write the machine-readable report to FILE",
+    )
+    parser.add_argument(
+        "--baseline", default=LINT_BASELINE, metavar="FILE",
+        help="allowed-findings file (default: %(default)s; a missing "
+             "file is an empty baseline)",
+    )
+    parser.add_argument(
+        "--no-baseline", action="store_true",
+        help="ignore the baseline and report all findings (nightly mode)",
+    )
+    parser.add_argument(
+        "--update-baseline", action="store_true",
+        help="rewrite the baseline to allow exactly the current findings",
+    )
+    parser.add_argument(
+        "--select", default=None, metavar="CODES",
+        help="comma-separated rule codes to run (default: all)",
+    )
+    parser.add_argument(
+        "--list-rules", action="store_true",
+        help="print the rule catalogue and exit",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -902,7 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="AST lint the tree against the repo's determinism, bitset, "
              "pickle and executor invariants",
     )
-    from repro.devtools.cli import add_lint_arguments
     add_lint_arguments(lint_parser)
 
     cache_parser = sub.add_parser(

@@ -15,13 +15,12 @@ import json
 import sys
 from typing import Callable, Sequence, TextIO
 
+from repro.cli import add_lint_arguments
 from repro.devtools.analyzer import LintReport, lint_paths
 from repro.devtools.baseline import Baseline
 from repro.devtools.rules import Rule, all_rules
 
-#: Default baseline location, relative to the invocation directory
-#: (the repo root in CI and the tier-1 self-check).
-DEFAULT_BASELINE = "lint-baseline.json"
+__all__ = ["add_lint_arguments", "main", "run_lint"]
 
 
 def _make_select(codes: str | None) -> Callable[[Rule], bool] | None:
@@ -124,39 +123,6 @@ def run_lint(
             handle.write("\n")
     _print_report(report, out)
     return 0 if report.clean else 1
-
-
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach ``repro lint``'s arguments to its subparser."""
-    parser.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files and/or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--json", dest="json_out", metavar="FILE", default=None,
-        help="also write the machine-readable report to FILE",
-    )
-    parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE, metavar="FILE",
-        help="allowed-findings file (default: %(default)s; a missing "
-             "file is an empty baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline and report all findings (nightly mode)",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to allow exactly the current findings",
-    )
-    parser.add_argument(
-        "--select", default=None, metavar="CODES",
-        help="comma-separated rule codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit",
-    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -28,7 +28,8 @@ hook.  The exception is a round the run's Phase-1 plane claims
 (:mod:`repro.sim.phase1_plane`): while no process has decided, a round
 that every automaton class lists as a plane round is ``compute()`` for
 every receiver, so the plane runs it for all of them from the plan's
-masks and the kernel builds no view and calls no hook.  One loop
+masks and the kernel builds no view and calls no hook; in lean runs the
+plane also builds the round's payloads, so no automaton sends.  One loop
 serves both trace modes: full mode additionally stores each receiver's
 flat inbox (claimed rounds included) and appends a per-round record.
 The original query-at-a-time loop lives on with the tests
@@ -177,18 +178,23 @@ def _run(
         rounds_executed = k
 
         # --- send phase ---------------------------------------------------
-        table.reset()
-        record_send = table.record
-        for pid in plan.senders[k]:
-            if pid in halted:
-                continue
-            payload = automata[pid].payload(k)
-            if payload is None:
-                payload = DUMMY
-            else:
-                hash(payload)  # fail fast on unhashable payloads
-            payloads[pid][k] = payload
-            record_send(pid, payload)
+        # Lean runs let the plane send the rounds it will claim.
+        claimed = not (full or decided_at) and plane is not None and (
+            plane.send(k, plan.senders[k], payloads)
+        )
+        if not claimed:
+            table.reset()
+            record_send = table.record
+            for pid in plan.senders[k]:
+                if pid in halted:
+                    continue
+                payload = automata[pid].payload(k)
+                if payload is None:
+                    payload = DUMMY
+                else:
+                    hash(payload)  # fail fast on unhashable payloads
+                payloads[pid][k] = payload
+                record_send(pid, payload)
 
         # --- receive phase --------------------------------------------------
         # Message objects are built only for the full trace's records:
@@ -203,7 +209,6 @@ def _run(
         sender_mask = table.sender_mask
         cmasks = plan.current_masks[k]
         delayed_plan = plan.delayed_inboxes[k]
-        claimed = False
         if plane is not None:
             # Post-send, pre-receive: the plane's refreshed rows are
             # exactly the Halt sets this round's payloads carry.  Until
@@ -211,10 +216,11 @@ def _run(
             # delayed, and nobody has halted (halting follows deciding),
             # so a plane round is compute() for every completer and the
             # plane claims it whole.  Only completers have delayed rows.
-            claimed = plane.begin_round(k, table) and not decided_at
+            if not claimed:
+                claimed = plane.begin_round(k, table) and not decided_at
             if claimed:
                 message_count += plane.claim(
-                    k, plan.completers[k], cmasks, sender_mask
+                    k, plan.completers[k], cmasks
                 ) + sum(map(len, delayed_plan))
         if full or not claimed:
             for pid in plan.completers[k]:

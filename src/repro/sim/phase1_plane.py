@@ -6,62 +6,64 @@ EstimateState`) is the last O(n²)-per-round *automaton-state* loop in
 the system: every receiver independently re-scans all n round-k
 ``(sender, payload)`` ESTIMATE items to find who arrived, who suspects
 it, and the minimum circulating estimate.  At n = 1000 that scan —
-n receivers × n items × t+1 rounds — dominates every att2 sweep row
-(see the ``xxl_systems`` breakdown in ``BENCH_kernel.json``).
+n receivers × n items × t+1 rounds — dominates every att2 sweep row.
 
 :class:`Phase1Plane` computes the same round for *every live receiver
 at once*, against the same state rows, with three structural moves:
 
-* **Send-table-driven round setup.**  Every Phase-1 broadcast of a
-  round already sits in the kernel's :class:`~repro.sim.view.SendTable`
-  when the receive phase opens, so :meth:`Phase1Plane.begin_round`
-  derives the round's *entire* fold input once, globally: the
+* **Global round setup.**  The round's *entire* fold input — the
   ESTIMATE-broadcaster bitmask and one est-sorted ``(est, sender_bit)``
-  order.  A receiver's arrived-ESTIMATE set is then a single word op —
-  ``est_mask & heard`` — because each sender broadcasts exactly one
-  payload per round; no per-receiver (or even per-mask) bucket, scan,
-  or sort exists on this path at all.
+  order — is derived once, from the kernel's filled
+  :class:`~repro.sim.view.SendTable` (:meth:`Phase1Plane.begin_round`)
+  or while the plane runs the send phase itself
+  (:meth:`Phase1Plane.send`, below).  A receiver's arrived-ESTIMATE
+  set is then a single word op — ``est_mask & heard`` — because each
+  sender broadcasts exactly one payload per round.
 * **An incrementally-maintained bit-transpose of the Halt matrix.**
   ``suspecting-me`` for receiver i is "which arrived senders carry i in
   their round-k Halt payload".  Payload Halt masks equal the senders'
   state rows (``EstimateState._halt_mask``) at send time, so the plane
   keeps ``transpose[i]`` = the mask of processes whose Halt row
   contains i, and the per-receiver query collapses to ``arrived &
-  transpose[i]`` — one word op instead of n per-payload bit tests.
-  Rows are int masks end to end, so no Halt frozenset is ever built on
-  this path (``EstimateState.halt`` builds one only when read).  Halt
-  rows are monotone and change rarely;
-  :meth:`Phase1Plane.begin_round` re-transposes **only the rows that
-  changed** since the previous round (O(n) mask compares plus one word
-  op per new suspicion, ever).
+  transpose[i]`` — one word op instead of n per-payload bit tests, and
+  no Halt frozenset is built.  Halt rows are monotone and change
+  rarely; the one row refresh re-transposes **only the bits a row
+  gained** — every row's in ``begin_round``, each sender's in ``send``
+  (no other process can be in an arrived mask).
 * **First-hit min-est fold.**  With the round's ``(est, sender_bit)``
   entries pre-sorted (tuple order: est first, ascending sender bit on
   ties — exactly the strict-``<`` first-minimal fold's tie-break), each
   receiver's new estimate is the first entry whose sender is delivered
-  and outside its updated Halt mask — usually the very first entry —
-  instead of an O(n) re-scan.  Rounds whose est values are mutually
-  unorderable (the sort raises ``TypeError``) mark themselves unsorted
-  and every receiver falls back to the exact per-receiver scan, which
-  only compares values that actually meet in one inbox.
+  and outside its updated Halt mask — usually the very first entry.
+  Rounds whose est values are mutually unorderable (the sort raises
+  ``TypeError``) mark themselves unsorted and every receiver falls back
+  to the exact per-receiver scan, which only compares values that
+  actually meet in one inbox.
 
 The plane is **opt-in and run-scoped**.  Automata declare the protocol
 via :attr:`~repro.algorithms.base.Automaton.phase1_plane_protocol`;
 :func:`build_run_plane` builds and binds one plane per execution only
 when *every* automaton in the run speaks it (a mixed run keeps the
-per-automaton ``deliver_view`` path).  The kernel drives
-:meth:`Phase1Plane.begin_round` / :meth:`Phase1Plane.end_round` once
-per round around the receive phase, and **claims** round k — calls
-:meth:`Phase1Plane.claim` and no ``deliver_view`` at all — when no
+per-automaton ``deliver_view`` path).  The kernel **claims** round k —
+calls :meth:`Phase1Plane.claim` and no ``deliver_view`` at all — when no
 process has decided yet (so no DECIDE payload exists, current or
 delayed, and nobody has halted), the round's ests sorted, and k is a
 plane round of every automaton class in the run
 (:meth:`~repro.algorithms.base.Automaton.phase1_plane_rounds`: rounds
 1..t+1 for A_{t+2} and A_◇S, the same without round 2, where Figure 4's
 fast path runs, for its optimized variant, and 1..t for FloodSetWS,
-which decides in round t+1).  ``claim`` folds every completer straight
-from its plan mask, writes A_◇S's detector history (registered through
-:meth:`Phase1Plane.log_suspicions`) and appends k to
-:attr:`Phase1Plane.claimed_rounds`.  In other rounds bound automata call
+which decides in round t+1).  Every send of such a round is the
+sender's ``state.payload(k)``, so in lean runs :meth:`Phase1Plane.send`
+writes the payload grid itself: no automaton ``payload``, send table or
+``begin_round`` runs (full traces and unsorted rounds keep them).
+``claim`` folds each completer from its plan mask, reusing the previous
+receiver's fold while heard mask, Halt row and transpose row repeat
+(exact: a completer hears its own ESTIMATE, so nothing else of it
+enters the fold; :attr:`Phase1Plane.claimed_folds` counts the folds),
+writes A_◇S's detector history (:meth:`Phase1Plane.log_suspicions`)
+and appends k to :attr:`Phase1Plane.claimed_rounds`.  Other rounds run
+:meth:`Phase1Plane.begin_round` / :meth:`Phase1Plane.end_round` around
+the receive phase, and bound automata call
 :meth:`Phase1Plane.compute_view`, the same fold on the view's mask,
 which falls back to the exact per-receiver
 :meth:`~repro.algorithms.suspicion.EstimateState.compute_view` whenever
@@ -73,12 +75,13 @@ both trace modes.
 Protocol contract (what declaring ``PHASE1_ESTIMATE`` promises): the
 automaton owns an :class:`~repro.algorithms.suspicion.EstimateState`
 at ``self.state`` for the run's lifetime, its Phase-1 broadcasts are
-``state.payload(k)`` (or non-ESTIMATE payloads, e.g. DECIDE), all
+``state.payload(k)`` (or non-ESTIMATE payloads, e.g. DECIDE; in its
+plane rounds, while undecided, always ``state.payload(k)``), all
 Phase-1 state changes go through ``compute_view``, and in its plane
 rounds an undecided process's receive phase is ``compute()`` and
-nothing else.  The :meth:`begin_round` row refresh absorbs
-out-of-band halt-row changes *between* rounds, but mid-round mutation
-outside the plane would desynchronize the transpose — the invariant
+nothing else.  The row refresh absorbs out-of-band halt-row changes
+*between* rounds, but mid-round mutation outside the plane would
+desynchronize the transpose — the invariant
 ``tests/algorithms/test_phase1_plane.py`` drives against the
 per-receiver oracle.
 """
@@ -120,7 +123,7 @@ class Phase1Plane:
     __slots__ = (
         "n", "_states", "_full", "_rows", "_transpose", "_nonempty_rows",
         "_est_mask", "_order", "_sortable", "_round", "_active",
-        "_plane_rounds", "_fd_logs", "claimed_rounds",
+        "_plane_rounds", "_fd_logs", "claimed_rounds", "claimed_folds",
     )
 
     def __init__(
@@ -134,20 +137,12 @@ class Phase1Plane:
         # Last-seen halt rows, refreshed per round; transpose[i] is the
         # mask of processes whose (last-seen) Halt row contains i, and
         # _nonempty_rows the mask of processes with a non-empty row.
-        self._rows = [state._halt_mask for state in self._states]
-        transpose = [0] * self.n
-        nonempty = 0
-        for j, row in enumerate(self._rows):
-            if row:
-                nonempty |= 1 << j
-            bit = 1 << j
-            while row:
-                low = row & -row
-                transpose[low.bit_length() - 1] |= bit
-                row ^= low
-        self._transpose = transpose
-        self._nonempty_rows = nonempty
-        # Round-scoped fold inputs, rebuilt by begin_round.
+        self._rows = [0] * self.n
+        self._transpose = [0] * self.n
+        self._nonempty_rows = 0
+        for j, state in enumerate(self._states):
+            self._refresh_row(j, state._halt_mask)
+        # Round-scoped fold inputs, rebuilt by begin_round or send.
         self._est_mask = 0
         self._order: list[tuple[Value, int]] = []
         self._sortable = True
@@ -157,14 +152,62 @@ class Phase1Plane:
         # detector log claimed rounds write.
         self._plane_rounds = plane_rounds
         self._fd_logs: list[dict[Round, int] | None] = [None] * self.n
-        #: The rounds this plane claimed, in order; its length is the
-        #: run's claimed-round count.  A plain counter, never a clock.
+        #: The rounds this plane claimed, in order, and the folds they
+        #: computed.  Plain counters, never a clock.
         self.claimed_rounds: list[Round] = []
+        self.claimed_folds = 0
 
     # -- kernel-facing round protocol -------------------------------------
 
+    def _refresh_row(self, j: ProcessId, mask: int) -> None:
+        """Transpose the bits process *j*'s Halt row *mask* gained since
+        its last refresh (the one row refresh)."""
+        rows = self._rows
+        added = mask & ~rows[j]
+        if added:
+            bit = 1 << j
+            if not rows[j]:
+                self._nonempty_rows |= bit
+            while added:
+                low = added & -added
+                self._transpose[low.bit_length() - 1] |= bit
+                added ^= low
+            rows[j] = mask
+
+    def send(
+        self, k: Round, senders: Sequence[ProcessId], payloads: list
+    ) -> bool:
+        """Send round *k* for the kernel (lean runs, nobody decided): each
+        sender's hash-checked ``state.payload(k)`` into ``payloads[pid][k]``,
+        its Halt row refreshed, the fold inputs built.  ``False`` (the
+        kernel sends) unless *k* is a plane round whose ests sort."""
+        if not self._plane_rounds >> k & 1:
+            return False
+        states = self._states
+        rows = self._rows
+        entries: list[tuple[Value, int]] = []
+        est_mask = 0
+        for pid in senders:
+            state = states[pid]
+            payload = state.payload(k)
+            hash(payload)  # fail fast on unhashable payloads
+            payloads[pid][k] = payload
+            est_mask |= 1 << pid
+            entries.append((state.est, 1 << pid))
+            if state._halt_mask != rows[pid]:
+                self._refresh_row(pid, state._halt_mask)
+        try:
+            entries.sort()
+        except TypeError:
+            return False  # the kernel re-sends; begin_round marks it unsorted
+        self._est_mask = est_mask
+        self._order = entries
+        self._round = k
+        self._sortable = self._active = True
+        return True
+
     def begin_round(self, k: Round, table: "SendTable") -> bool:
-        """Open round *k*'s receive phase (kernel, once per round).
+        """Open round *k*'s receive phase (kernel, unless :meth:`send` ran).
 
         Re-transposes exactly the Halt rows that changed since the last
         refresh, then derives the round's global fold inputs from the
@@ -177,19 +220,9 @@ class Phase1Plane:
         i.e. one the kernel may :meth:`claim`.
         """
         rows = self._rows
-        transpose = self._transpose
         for j, state in enumerate(self._states):
-            mask = state._halt_mask
-            added = mask & ~rows[j]
-            if added:
-                bit = 1 << j
-                if not rows[j]:
-                    self._nonempty_rows |= bit
-                while added:
-                    low = added & -added
-                    transpose[low.bit_length() - 1] |= bit
-                    added ^= low
-                rows[j] = mask
+            if state._halt_mask != rows[j]:
+                self._refresh_row(j, state._halt_mask)
         # The round's ESTIMATE broadcasters and their ests, in one walk
         # of the send table.  Built in ascending sender order, so the
         # tuple sort's tie-break (equal ests compare on the int bit)
@@ -236,24 +269,35 @@ class Phase1Plane:
         k: Round,
         receivers: Sequence[ProcessId],
         current_masks: Sequence[int],
-        sender_mask: int,
     ) -> int:
         """Run claimed round *k*'s receive phase for every receiver, each
-        of which heard ``current_masks[pid] & sender_mask``; return the
-        number of current-round messages delivered."""
+        of which heard ``current_masks[pid]`` of the (ESTIMATE) senders;
+        return the number of current-round messages delivered."""
         states = self._states
+        transpose = self._transpose
         logs = self._fd_logs
         full = self._full
-        compute = self._compute
-        delivered = 0
+        sender_mask = self._est_mask
+        delivered = folds = 0
+        last = None
         for pid in receivers:
             heard = current_masks[pid] & sender_mask
             delivered += heard.bit_count()
-            compute(states[pid], heard)
+            state = states[pid]
+            halt = state._halt_mask
+            key = (heard, halt, transpose[pid])
+            if key != last:
+                # A completer's own ESTIMATE is always eligible, so the
+                # fold never returns the est argument of this receiver.
+                last = key
+                result = self._fold(pid, heard, halt, state.est)
+                folds += 1
+            state._halt_mask, state.est = result
             log = logs[pid]
             if log is not None:
                 log[k] = full & ~heard & ~(1 << pid)
         self.claimed_rounds.append(k)
+        self.claimed_folds += folds
         return delivered
 
     def end_round(self) -> None:
@@ -282,27 +326,27 @@ class Phase1Plane:
         if not self._active or k != self._round or not self._sortable:
             state.compute_view(k, view)
             return
-        self._compute(state, view.current_mask)
+        state._halt_mask, state.est = self._fold(
+            state.pid, view.current_mask, state._halt_mask, state.est
+        )
 
-    def _compute(self, state: "EstimateState", heard: int) -> None:
-        """The one batched ``compute()`` fold, for a receiver that heard
-        the senders in *heard* this round."""
+    def _fold(
+        self, pid: ProcessId, heard: int, halt_mask: int, est: Value
+    ) -> tuple[int, Value]:
+        """The one batched ``compute()`` fold: the updated Halt row and
+        est of receiver *pid* (Halt row *halt_mask*, estimate *est*)
+        that heard the senders in *heard* this round."""
         arrived = self._est_mask & heard
-        pid = state.pid
-        halt_mask = state._halt_mask
-        additions = (
+        halt_mask |= (
             (self._full & ~arrived & ~(1 << pid))   # suspected now
             | (arrived & self._transpose[pid])      # suspecting me
-        ) & ~halt_mask
-        if additions:
-            halt_mask |= additions
-            state._halt_mask = halt_mask
+        )
         eligible = arrived & ~halt_mask
         if eligible:
-            for est, bit in self._order:
+            for value, bit in self._order:
                 if eligible & bit:
-                    state.est = est
-                    return
+                    return halt_mask, value
+        return halt_mask, est
 
     def log_suspicions(self, pid: ProcessId, log: dict[Round, int]) -> None:
         """Have claimed rounds write *pid*'s suspected-set mask (senders

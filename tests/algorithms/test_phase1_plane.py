@@ -376,12 +376,20 @@ class TestClaimedRounds:
         from repro.algorithms.registry import get_factory
         from repro.sim.kernel import execute
 
+        # Lean runs send claimed rounds on the plane, full runs through
+        # the automata; both claim the same rounds.
         proposals = list(range(self.N)) if proposals is None else proposals
-        automata = make_automata(get_factory(name), self.N, self.T, proposals)
-        execute(automata, schedule, trace="lean", **kwargs)
-        plane = automata[0]._plane
-        assert all(a._plane is plane for a in automata)
-        return plane.claimed_rounds
+        claimed = {}
+        for trace in ("full", "lean"):
+            automata = make_automata(
+                get_factory(name), self.N, self.T, proposals
+            )
+            execute(automata, schedule, trace=trace, **kwargs)
+            plane = automata[0]._plane
+            assert all(a._plane is plane for a in automata)
+            claimed[trace] = plane.claimed_rounds
+        assert claimed["full"] == claimed["lean"]
+        return claimed["lean"]
 
     def _failure_free(self):
         from repro.model.schedule import Schedule
@@ -493,6 +501,175 @@ class TestClaimedRounds:
         assert automata[0]._plane.claimed_rounds == [1, 3, 4]
 
 
+class TestPlaneSends:
+    """Claimed rounds of lean runs are sent by the plane
+    (:meth:`Phase1Plane.send`) and fold once per run of identical
+    receivers; each test holds the kernel to ``execute_reference``."""
+
+    N, T = 9, 4
+    PLANE_ALGORITHMS = ("att2", "att2_optimized", "adiamond_s",
+                        "floodset_ws")
+
+    @staticmethod
+    def _run(name, schedule, proposals, trace):
+        from dataclasses import replace
+
+        from kernel_oracle import execute_reference
+        from repro.algorithms.base import make_automata
+        from repro.algorithms.registry import get_factory
+        from repro.sim.kernel import execute
+
+        n, t = schedule.n, schedule.t
+        automata = make_automata(get_factory(name), n, t, proposals)
+        run = execute(automata, schedule, trace=trace)
+        reference = execute_reference(
+            make_automata(get_factory(name), n, t, proposals), schedule
+        )
+        if trace == "lean":
+            reference = replace(reference, rounds=None)
+        assert run == reference
+        return automata[0]._plane
+
+    @pytest.mark.parametrize("n, t", [(9, 4), (25, 8)], ids=["n9", "n25"])
+    @pytest.mark.parametrize("name", PLANE_ALGORITHMS)
+    def test_plane_round_payload_is_state_payload(self, name, n, t):
+        from kernel_oracle import execute_reference
+        from repro.algorithms.base import make_automata
+        from repro.algorithms.registry import get_factory
+        from repro.model.schedule import Schedule
+        from repro.sim.random_schedules import (
+            random_es_schedule,
+            random_scs_schedule,
+        )
+
+        schedules = [Schedule.failure_free(n, t, 3 * t + 6)]
+        schedules += [random_es_schedule(n, t, seed) for seed in range(2)]
+        schedules += [random_scs_schedule(n, t, seed) for seed in range(2)]
+        checked = []
+        for schedule in schedules:
+            automata = make_automata(get_factory(name), n, t, list(range(n)))
+            rounds = set(type(automata[0]).phase1_plane_rounds(t))
+            for automaton in automata:
+                def payload(k, automaton=automaton,
+                            inner=automaton.payload):
+                    sent = inner(k)
+                    if k in rounds and not automaton.decided:
+                        checked.append(sent == automaton.state.payload(k))
+                    return sent
+
+                automaton.payload = payload
+            execute_reference(automata, schedule)
+        assert checked and all(checked)
+
+    @pytest.mark.parametrize("trace", ["full", "lean"])
+    def test_unorderable_round_falls_back_and_later_rounds_claim(
+        self, trace
+    ):
+        from repro.model.schedule import ScheduleBuilder
+
+        # p8's str est meets the others only in round 1's global sort
+        # (its crash-round message reaches nobody): round 1 falls back
+        # to the automaton sends, rounds 2..t+1 are claimed again.
+        builder = ScheduleBuilder(self.N, self.T, 3 * self.T + 6)
+        builder.crash(self.N - 1, 1, delivered_to=[])
+        proposals = list(range(self.N - 1)) + ["x"]
+        plane = self._run("att2", builder.build(), proposals, trace)
+        assert plane.claimed_rounds == [2, 3, 4, 5]
+
+    @pytest.mark.parametrize("trace", ["full", "lean"])
+    def test_unhashable_proposal_raises_in_round_one(self, trace):
+        from repro.algorithms.base import make_automata
+        from repro.core.att2 import ATt2
+        from repro.model.schedule import Schedule
+        from repro.sim.kernel import execute
+
+        class OptOut(ATt2):
+            phase1_plane_protocol = None
+
+        schedule = Schedule.failure_free(self.N, self.T, 3 * self.T + 6)
+        # Lists sort among themselves, so only the hash check can fail.
+        proposals = [[pid] for pid in range(self.N)]
+        errors = []
+        for factory in (ATt2.factory(), OptOut.factory()):
+            automata = make_automata(factory, self.N, self.T, proposals)
+            with pytest.raises(TypeError) as exc:
+                execute(automata, schedule, trace=trace)
+            errors.append(str(exc.value))
+            # Raised in round 1's send phase: nobody received anything.
+            for automaton, proposal in zip(automata, proposals):
+                assert automaton.state.est is proposal
+                assert automaton.state._halt_mask == 0
+        assert errors[0] == errors[1] == "unhashable type: 'list'"
+
+    @pytest.mark.parametrize("trace", ["full", "lean"])
+    def test_late_phase_one_messages_deliver_plane_payloads(self, trace):
+        from dataclasses import replace
+
+        from kernel_oracle import execute_reference
+        from repro.algorithms.base import make_automata
+        from repro.algorithms.registry import get_factory
+        from repro.sim.kernel import execute
+        from repro.sim.random_schedules import random_es_schedule
+
+        def record_delayed(automata):
+            seen = {}
+            for automaton in automata:
+                def deliver_view(k, view, pid=automaton.pid,
+                                 inner=automaton.deliver_view):
+                    if view.delayed:
+                        seen[k, pid] = view.delayed
+                    inner(k, view)
+
+                automaton.deliver_view = deliver_view
+            return seen
+
+        schedule = random_es_schedule(self.N, self.T, 0)
+        factory = get_factory("att2")
+        proposals = list(range(self.N))
+        automata = make_automata(factory, self.N, self.T, proposals)
+        seen = record_delayed(automata)
+        run = execute(automata, schedule, trace=trace)
+        oracle = make_automata(factory, self.N, self.T, proposals)
+        expected = record_delayed(oracle)
+        reference = execute_reference(oracle, schedule)
+        if trace == "lean":
+            reference = replace(reference, rounds=None)
+        assert run == reference
+        claimed = automata[0]._plane.claimed_rounds
+        assert claimed == [1, 2, 3, 4, 5]
+        # Claimed rounds call no deliver_view; every other round's
+        # delayed items equal the reference kernel's.
+        assert seen == {
+            key: delayed for key, delayed in expected.items()
+            if key[0] not in claimed
+        }
+        assert any(
+            sent in claimed
+            for (k, _pid), delayed in seen.items() if k not in claimed
+            for sent, _sender, _payload in delayed
+        )
+
+    def test_failure_free_att2_folds_once_per_claimed_round(self):
+        from repro.model.schedule import Schedule
+
+        schedule = Schedule.failure_free(self.N, self.T, 3 * self.T + 6)
+        for trace in ("full", "lean"):
+            plane = self._run("att2", schedule, list(range(self.N)), trace)
+            assert plane.claimed_rounds == [1, 2, 3, 4, 5]
+            assert plane.claimed_folds == 5
+
+    def test_random_es_schedule_folds_once_per_receiver(self):
+        from repro.sim.compiled import compile_schedule
+        from repro.sim.random_schedules import random_es_schedule
+
+        schedule = random_es_schedule(self.N, self.T, 0)
+        completers = compile_schedule(schedule).completers
+        for trace in ("full", "lean"):
+            plane = self._run("att2", schedule, list(range(self.N)), trace)
+            receivers = sum(len(completers[k]) for k in plane.claimed_rounds)
+            assert plane.claimed_folds == receivers == 45
+
+
 def _export_divergence(schedule, proposals, label, algorithm):
     from repro.sim.replay import schedule_to_data
 
@@ -523,7 +700,8 @@ def _export_divergence(schedule, proposals, label, algorithm):
 )
 @pytest.mark.parametrize("seed", range(4))
 def test_plane_vs_oracle_at_sweep_scale(seed, name):
-    """Cranked-lane tier: full n = 250 kernel runs, plane vs opt-out.
+    """Cranked-lane tier: n = 250 kernel runs in both trace modes,
+    plane vs opt-out.
 
     The strongest end-to-end form of the oracle property — every round
     of a real random-ES execution, all trace fields — at a width no
@@ -535,6 +713,8 @@ def test_plane_vs_oracle_at_sweep_scale(seed, name):
             "n=250 plane-vs-oracle cases run only in cranked lanes "
             f"(REPRO_PROPERTY_SAMPLES > {XXL_THRESHOLD})"
         )
+    from dataclasses import replace
+
     from repro.algorithms.base import make_automata
     from repro.algorithms.registry import get_factory
     from repro.sim.kernel import execute
@@ -550,6 +730,10 @@ def test_plane_vs_oracle_at_sweep_scale(seed, name):
     batched = execute(
         make_automata(factory, n, t, proposals), schedule, trace="full",
     )
+    # Lean runs send their claimed rounds on the plane.
+    lean = execute(
+        make_automata(factory, n, t, proposals), schedule, trace="lean",
+    )
     opted_out = make_automata(factory, n, t, proposals)
     # Same automata, same constructor arguments, minus the declaration:
     # no plane is bound and every round runs per receiver.
@@ -560,7 +744,7 @@ def test_plane_vs_oracle_at_sweep_scale(seed, name):
         automaton.__class__ = no_plane
     oracle = execute(opted_out, schedule, trace="full")
     assert all(a._plane is None for a in opted_out)
-    if batched != oracle:
+    if batched != oracle or lean != replace(oracle, rounds=None):
         exported = _export_divergence(
             schedule, proposals, f"{name}-seed{seed}", name
         )

@@ -1018,3 +1018,43 @@ class TestNoTraceFlag:
         ]) == 0
         banner = capsys.readouterr().out.splitlines()[0]
         assert banner.endswith("backend=serial")
+
+
+class TestParserImports:
+    """Building the parser loads no lint code and no diagram renderer:
+    ``repro lint``'s arguments are wired in :mod:`repro.cli` and
+    ``run --diagram`` imports the renderer when it draws."""
+
+    def test_build_parser_imports_no_devtools(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        child = (
+            "import sys\n"
+            "from repro.cli import build_parser\n"
+            "build_parser()\n"
+            "print('\\n'.join(sorted(\n"
+            "    name for name in sys.modules\n"
+            "    if name.startswith('repro.devtools')\n"
+            "    or name == 'repro.analysis.diagram'\n"
+            ")))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", child], env=env, timeout=120,
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
+
+    def test_lint_subcommand_still_parses_its_arguments(self):
+        from repro.cli import LINT_BASELINE, build_parser
+
+        args = build_parser().parse_args(["lint", "src", "--select", "DET001"])
+        assert (args.paths, args.select) == (["src"], "DET001")
+        assert args.baseline == LINT_BASELINE
