@@ -115,11 +115,15 @@ def _reference_case(
 class _NoPlaneATt2(ATt2):
     """Stock A_{t+2} minus the batched Phase-1 plane opt-in."""
 
-    phase1_plane_protocol = None
+    @classmethod
+    def phase1_plane_rounds(cls, t):
+        return ()
 
 
 class _NoPlaneATt2Optimized(ATt2Optimized):
-    phase1_plane_protocol = None
+    @classmethod
+    def phase1_plane_rounds(cls, t):
+        return ()
 
 
 _PLANE_OPT_OUTS = {
@@ -131,10 +135,10 @@ _PLANE_OPT_OUTS = {
 def _plane_opt_out_factory(algorithm: str):
     """A factory whose automata opt out of the batched Phase-1 plane.
 
-    Clearing the class-level protocol declaration keeps every other
-    optimization (lazy round-view buckets, single-pass folds) in place,
-    so plane-vs-opt-out ratios attribute exactly the plane's batching —
-    not the rest of the view pipeline.
+    Declaring no plane rounds keeps every other optimization (lazy
+    round-view buckets, single-pass folds) in place, so plane-vs-opt-out
+    ratios attribute exactly the plane's batching — not the rest of the
+    view pipeline.
     """
     return _PLANE_OPT_OUTS[algorithm].factory()
 
@@ -430,8 +434,8 @@ def att2_focus_measurements() -> list[dict]:
     """Plane-attribution rows at the :data:`ATT2_FOCUS_SYSTEM` size.
 
     Times only the two A_{t+2} variants at n = 500 — the batched
-    Phase-1 plane engaged (stock factories) vs opted out (class-level
-    protocol cleared, everything else identical).  A few seconds of
+    Phase-1 plane engaged (stock factories) vs opted out (no plane
+    rounds declared, everything else identical).  A few seconds of
     work, so the per-push kernel-bench lane runs it under an explicit
     timeout and a plane regression surfaces long before the nightly
     XXL floors see it.  Each row also carries the plane's fold share
@@ -454,6 +458,13 @@ def att2_focus_measurements() -> list[dict]:
         lean_arm("att2", workload, schedule)
     rows = []
     for algorithm in ATT2_FOCUS_ALGORITHMS:
+        # An opt-out that still built a plane would time the plane
+        # against itself.
+        automata = make_automata(
+            _plane_opt_out_factory(algorithm), n, t, proposals
+        )
+        execute(automata, schedules[0][1], trace="lean")
+        assert automata[0]._plane is None, algorithm
         plane = _per_case_seconds(lean_arm, schedules, 1, (algorithm,))
         noplane = _per_case_seconds(
             noplane_arm, schedules, 1, (algorithm,)

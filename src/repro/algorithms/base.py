@@ -15,7 +15,7 @@ inboxes) wrap it with :meth:`~repro.sim.view.RoundView.from_messages`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, ClassVar, Collection, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from repro.errors import AlgorithmError
 from repro.types import Payload, ProcessId, Round, Value, validate_system_size
@@ -34,19 +34,9 @@ class Automaton(ABC):
     stops driving the automaton — it sends nothing and receives nothing).
     """
 
-    #: The run-level batched-delivery protocol this automaton class
-    #: speaks, or ``None`` (the default — per-automaton delivery only).
-    #: When every automaton in a run declares the same known protocol,
-    #: the kernel builds one shared plane for the run and hands it to
-    #: each automaton via :meth:`bind_phase1_plane`; see
-    #: :mod:`repro.sim.phase1_plane`.  In the rounds every class in the
-    #: run lists in :meth:`phase1_plane_rounds`, and only while nobody
-    #: has decided, the plane claims the whole round and the kernel
-    #: calls no :meth:`deliver_view` at all.  Declaring a protocol is a
-    #: contract about the automaton's state layout and its plane
-    #: rounds — subclasses of a declaring class that change Phase-1
-    #: state handling must reset this to ``None``.
-    phase1_plane_protocol: ClassVar[str | None] = None
+    #: The run's shared Phase-1 plane once :meth:`bind_phase1_plane`
+    #: ran, else ``None`` (per-automaton delivery).
+    _plane: "Phase1Plane | None" = None
 
     def __init__(self, pid: ProcessId, n: int, t: int, proposal: Value):
         validate_system_size(n, t)
@@ -86,30 +76,27 @@ class Automaton(ABC):
         """
 
     def bind_phase1_plane(self, plane: "Phase1Plane") -> None:
-        """Accept the run's shared Phase-1 plane (kernel, once per run).
-
-        Called only on automata whose class declares a
-        :attr:`phase1_plane_protocol`; such classes must override this
-        to stash the plane and route their Phase-1 updates through it.
-        The base implementation refuses — declaring a protocol without
-        implementing the bind is a bug, not a silent fallback.
-        """
-        raise AlgorithmError(
-            f"{type(self).__name__} declares plane protocol "
-            f"{type(self).phase1_plane_protocol!r} but does not "
-            f"implement bind_phase1_plane"
-        )
+        """Accept the run's shared Phase-1 plane (kernel, once per run,
+        only for classes with :meth:`phase1_plane_rounds`)."""
+        self._plane = plane
 
     @classmethod
     def phase1_plane_rounds(cls, t: int) -> Collection[Round]:
-        """The rounds whose receive phase, while no process has decided,
-        is exactly the plane's ``compute()`` for every receiver (none by
-        default).  Read only for classes declaring a
-        :attr:`phase1_plane_protocol`.
+        """The rounds the run's Phase-1 plane may claim; returning ``()``
+        (the default) opts the class out of the plane.
 
-        In these rounds, while undecided, :meth:`payload` must be
-        ``self.state.payload(k)``: in lean runs the plane builds those
-        payloads itself and never calls :meth:`payload`.
+        Listing any round is the whole opt-in, and this contract
+        (:mod:`repro.sim.phase1_plane`): the automaton keeps an
+        :class:`~repro.algorithms.suspicion.EstimateState` at
+        ``self.state`` for the run's lifetime; every ESTIMATE payload it
+        sends is ``self.state.payload(k)``; its Phase-1 state changes go
+        through ``self._plane.compute_view`` when a plane is bound; and
+        in a listed round, while no process has decided, its payload is
+        ``self.state.payload(k)`` and its receive phase is ``compute()``
+        and nothing else.  The plane then sends and receives those
+        rounds itself: neither :meth:`payload` nor :meth:`deliver_view`
+        is called.  A subclass that breaks any of this must return
+        ``()`` (or drop the rounds it changes).
         """
         return ()
 

@@ -23,7 +23,6 @@ from typing import Collection
 
 from repro.algorithms.common import ConsensusAutomaton
 from repro.algorithms.suspicion import EstimateState
-from repro.sim.phase1_plane import PHASE1_ESTIMATE, Phase1Plane
 from repro.sim.view import RoundView
 from repro.types import Payload, ProcessId, Round, Value
 
@@ -33,18 +32,9 @@ class FloodSetWS(ConsensusAutomaton):
 
     announce_decision = False
 
-    #: Every round is an EstimateState ``compute()`` — the whole run
-    #: batches onto one suspicion plane (see
-    #: :mod:`repro.sim.phase1_plane`).
-    phase1_plane_protocol = PHASE1_ESTIMATE
-
     def __init__(self, pid: ProcessId, n: int, t: int, proposal: Value):
         super().__init__(pid, n, t, proposal)
         self.state = EstimateState(pid=pid, n=n, est=proposal)
-        self._plane: Phase1Plane | None = None
-
-    def bind_phase1_plane(self, plane: Phase1Plane) -> None:
-        self._plane = plane
 
     @classmethod
     def phase1_plane_rounds(cls, t: int) -> Collection[Round]:

@@ -41,7 +41,6 @@ from repro.algorithms.base import AlgorithmFactory
 from repro.algorithms.chandra_toueg import ChandraTouegES
 from repro.algorithms.common import ConsensusAutomaton
 from repro.algorithms.suspicion import ESTIMATE, EstimateState
-from repro.sim.phase1_plane import PHASE1_ESTIMATE, Phase1Plane
 from repro.sim.view import RoundView
 from repro.types import (
     BOTTOM,
@@ -76,11 +75,6 @@ class ATt2(ConsensusAutomaton):
     #: Subclasses (Figure 4) flip this to enable the failure-free fast path.
     optimize_failure_free = False
 
-    #: Phase 1 is EstimateState-backed end to end, so a run of A_{t+2}
-    #: automata can share one batched suspicion plane (see
-    #: :mod:`repro.sim.phase1_plane`).
-    phase1_plane_protocol = PHASE1_ESTIMATE
-
     def __init__(
         self,
         pid: ProcessId,
@@ -96,13 +90,9 @@ class ATt2(ConsensusAutomaton):
         self.state = EstimateState(pid=pid, n=n, est=proposal)
         self.new_estimate: Value | None = None
         self.vc: Value = proposal
-        self._plane: Phase1Plane | None = None
         self._underlying_factory = underlying
         self._underlying = None
         self._offset = t + 2  # C's round r is ES round r + offset
-
-    def bind_phase1_plane(self, plane: Phase1Plane) -> None:
-        self._plane = plane
 
     @classmethod
     def phase1_plane_rounds(cls, t: int) -> Collection[Round]:

@@ -27,11 +27,13 @@ drives the automata through
 hook.  The exception is a round the run's Phase-1 plane claims
 (:mod:`repro.sim.phase1_plane`): while no process has decided, a round
 that every automaton class lists as a plane round is ``compute()`` for
-every receiver, so the plane runs it for all of them from the plan's
-masks and the kernel builds no view and calls no hook; in lean runs the
-plane also builds the round's payloads, so no automaton sends.  One loop
-serves both trace modes: full mode additionally stores each receiver's
-flat inbox (claimed rounds included) and appends a per-round record.
+every receiver, so the plane sends it from the senders' states and
+runs its receive phase for all of them from the plan's masks — no
+automaton sends, no view is built, no hook is called.  One loop serves
+both trace modes: full mode additionally stores each receiver's flat
+inbox (claimed rounds included) and appends a per-round record.  A run
+ends at the schedule's horizon, or earlier once every process has
+crashed or halted (its outcome can no longer change).
 The original query-at-a-time loop lives on with the tests
 (``tests/kernel_oracle.py``), calling the hook for every receiver; the
 equivalence tests and the kernel microbenchmark hold this kernel
@@ -72,6 +74,10 @@ _NOT_SENT = object()
 
 
 def _check_run(automata: Sequence[Automaton], schedule: Schedule) -> None:
+    if schedule.horizon < 0:
+        raise SimulationError(
+            f"schedule horizon {schedule.horizon} is negative"
+        )
     n = schedule.n
     if len(automata) != n:
         raise SimulationError(
@@ -84,33 +90,18 @@ def _check_run(automata: Sequence[Automaton], schedule: Schedule) -> None:
             )
 
 
-def _bounded_horizon(schedule: Schedule, max_rounds: Round | None) -> Round:
-    horizon = schedule.horizon
-    if horizon < 0:
-        raise SimulationError(f"schedule horizon {horizon} is negative")
-    if max_rounds is not None:
-        if max_rounds < 0:
-            raise SimulationError(f"max_rounds {max_rounds} is negative")
-        horizon = min(horizon, max_rounds)
-    return horizon
-
-
 def execute(
     automata: Sequence[Automaton],
     schedule: Schedule,
     *,
-    max_rounds: Round | None = None,
-    stop_when_quiescent: bool = True,
     trace: str = "full",
 ) -> Trace:
     """Execute one run and return its trace.
 
     Args:
         automata: one automaton per process, index = process id.
-        schedule: the adversary schedule; its ``horizon`` bounds the run.
-        max_rounds: optional tighter bound on the number of rounds.
-        stop_when_quiescent: stop early once every process has crashed or
-            halted (the run's outcome can no longer change).
+        schedule: the adversary schedule; its ``horizon`` bounds the run,
+            which stops early once every process has crashed or halted.
         trace: ``"full"`` records every round into the trace's
             ``rounds``; ``"lean"`` skips per-round records and leaves
             ``rounds`` ``None``.  Both modes drive the automata
@@ -121,7 +112,7 @@ def execute(
         The run's trace.  The kernel never raises on non-termination —
         a run that fails to decide simply ends at the horizon with missing
         decisions, which the analysis layer reports.  A negative horizon
-        or ``max_rounds`` raises :class:`~repro.errors.SimulationError`.
+        raises :class:`~repro.errors.SimulationError`.
     """
     _check_run(automata, schedule)
     if trace not in TRACE_MODES:
@@ -129,26 +120,20 @@ def execute(
             f"unknown trace mode {trace!r}; known: " + ", ".join(TRACE_MODES)
         )
     plan = compile_schedule(schedule)
-    horizon = _bounded_horizon(schedule, max_rounds)
     proposals = tuple(a.proposal for a in automata)
-    # The run-level batched-delivery plane (None unless every automaton
-    # declares the protocol — see repro.sim.phase1_plane).  The plane is
-    # active only between begin_round/end_round in the loop, so automata
+    # The run-level batched-delivery plane (None unless the automata
+    # share plane rounds — see repro.sim.phase1_plane).  The plane is
+    # active only between send/begin_round and end_round, so automata
     # driven outside this kernel (the reference oracle, direct
     # deliver_view calls) always take their per-automaton path.
     plane = build_run_plane(automata)
-    return _run(
-        automata, schedule, plan, horizon, stop_when_quiescent,
-        proposals, plane, trace == "full",
-    )
+    return _run(automata, schedule, plan, proposals, plane, trace == "full")
 
 
 def _run(
     automata: Sequence[Automaton],
     schedule: Schedule,
     plan: CompiledSchedule,
-    horizon: Round,
-    stop_when_quiescent: bool,
     proposals: tuple[Value, ...],
     plane: Phase1Plane | None,
     full: bool,
@@ -161,6 +146,7 @@ def _run(
     :class:`~repro.sim.trace.RoundRecord` per round.
     """
     n = schedule.n
+    horizon = schedule.horizon
     halted: set[ProcessId] = set()
     halted_rounds: dict[ProcessId, Round] = {}
     decided_at: dict[ProcessId, tuple[Value, Round]] = {}
@@ -178,14 +164,18 @@ def _run(
         rounds_executed = k
 
         # --- send phase ---------------------------------------------------
-        # Lean runs let the plane send the rounds it will claim.
-        claimed = not (full or decided_at) and plane is not None and (
-            plane.send(k, plan.senders[k], payloads)
+        # Until somebody decides there is no DECIDE payload, current or
+        # delayed, and nobody has halted (halting follows deciding), so a
+        # plane round is compute() for every completer: the plane sends
+        # it and claims it whole.
+        senders = plan.senders[k]
+        claimed = not decided_at and plane is not None and (
+            plane.send(k, senders, payloads)
         )
+        table.reset()
+        record_send = table.record
         if not claimed:
-            table.reset()
-            record_send = table.record
-            for pid in plan.senders[k]:
+            for pid in senders:
                 if pid in halted:
                     continue
                 payload = automata[pid].payload(k)
@@ -195,6 +185,10 @@ def _run(
                     hash(payload)  # fail fast on unhashable payloads
                 payloads[pid][k] = payload
                 record_send(pid, payload)
+        elif full:
+            # Only for the receivers' stored inboxes.
+            for pid in senders:
+                record_send(pid, payloads[pid][k])
 
         # --- receive phase --------------------------------------------------
         # Message objects are built only for the full trace's records:
@@ -210,18 +204,15 @@ def _run(
         cmasks = plan.current_masks[k]
         delayed_plan = plan.delayed_inboxes[k]
         if plane is not None:
-            # Post-send, pre-receive: the plane's refreshed rows are
-            # exactly the Halt sets this round's payloads carry.  Until
-            # somebody decides there is no DECIDE payload, current or
-            # delayed, and nobody has halted (halting follows deciding),
-            # so a plane round is compute() for every completer and the
-            # plane claims it whole.  Only completers have delayed rows.
-            if not claimed:
-                claimed = plane.begin_round(k, table) and not decided_at
             if claimed:
+                # Only completers have delayed rows.
                 message_count += plane.claim(
                     k, plan.completers[k], cmasks
                 ) + sum(map(len, delayed_plan))
+            else:
+                # Post-send, pre-receive: the senders' refreshed rows
+                # are exactly the Halt sets this round's payloads carry.
+                plane.begin_round(k, senders, payloads)
         if full or not claimed:
             for pid in plan.completers[k]:
                 if pid in halted:
@@ -272,9 +263,7 @@ def _run(
                 )
             )
 
-        if stop_when_quiescent and all(
-            pid in halted for pid in plan.completers[k]
-        ):
+        if all(pid in halted for pid in plan.completers[k]):
             break
 
     return Trace(
@@ -293,7 +282,6 @@ def run_algorithm(
     schedule: Schedule,
     proposals: Sequence[Value],
     *,
-    max_rounds: Round | None = None,
     trace: str = "full",
 ) -> Trace:
     """Convenience wrapper: build automata from *factory* and execute.
@@ -305,4 +293,4 @@ def run_algorithm(
     from repro.algorithms.base import make_automata
 
     automata = make_automata(factory, schedule.n, schedule.t, proposals)
-    return execute(automata, schedule, max_rounds=max_rounds, trace=trace)
+    return execute(automata, schedule, trace=trace)

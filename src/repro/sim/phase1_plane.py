@@ -13,11 +13,9 @@ at once*, against the same state rows, with three structural moves:
 
 * **Global round setup.**  The round's *entire* fold input — the
   ESTIMATE-broadcaster bitmask and one est-sorted ``(est, sender_bit)``
-  order — is derived once, from the kernel's filled
-  :class:`~repro.sim.view.SendTable` (:meth:`Phase1Plane.begin_round`)
-  or while the plane runs the send phase itself
-  (:meth:`Phase1Plane.send`, below).  A receiver's arrived-ESTIMATE
-  set is then a single word op — ``est_mask & heard`` — because each
+  order — is derived once, from the kernel's payload grid, by
+  :meth:`Phase1Plane.begin_round`.  A receiver's arrived-ESTIMATE set
+  is then a single word op — ``est_mask & heard`` — because each
   sender broadcasts exactly one payload per round.
 * **An incrementally-maintained bit-transpose of the Halt matrix.**
   ``suspecting-me`` for receiver i is "which arrived senders carry i in
@@ -27,9 +25,8 @@ at once*, against the same state rows, with three structural moves:
   contains i, and the per-receiver query collapses to ``arrived &
   transpose[i]`` — one word op instead of n per-payload bit tests, and
   no Halt frozenset is built.  Halt rows are monotone and change
-  rarely; the one row refresh re-transposes **only the bits a row
-  gained** — every row's in ``begin_round``, each sender's in ``send``
-  (no other process can be in an arrived mask).
+  rarely; ``begin_round`` re-transposes **only the bits an ESTIMATE
+  sender's row gained** (no other process can be in an arrived mask).
 * **First-hit min-est fold.**  With the round's ``(est, sender_bit)``
   entries pre-sorted (tuple order: est first, ascending sender bit on
   ties — exactly the strict-``<`` first-minimal fold's tie-break), each
@@ -40,46 +37,32 @@ at once*, against the same state rows, with three structural moves:
   to the exact per-receiver scan, which only compares values that
   actually meet in one inbox.
 
-The plane is **opt-in and run-scoped**.  Automata declare the protocol
-via :attr:`~repro.algorithms.base.Automaton.phase1_plane_protocol`;
-:func:`build_run_plane` builds and binds one plane per execution only
-when *every* automaton in the run speaks it (a mixed run keeps the
-per-automaton ``deliver_view`` path).  The kernel **claims** round k —
-calls :meth:`Phase1Plane.claim` and no ``deliver_view`` at all — when no
-process has decided yet (so no DECIDE payload exists, current or
-delayed, and nobody has halted), the round's ests sorted, and k is a
-plane round of every automaton class in the run
-(:meth:`~repro.algorithms.base.Automaton.phase1_plane_rounds`: rounds
-1..t+1 for A_{t+2} and A_◇S, the same without round 2, where Figure 4's
-fast path runs, for its optimized variant, and 1..t for FloodSetWS,
-which decides in round t+1).  Every send of such a round is the
-sender's ``state.payload(k)``, so in lean runs :meth:`Phase1Plane.send`
-writes the payload grid itself: no automaton ``payload``, send table or
-``begin_round`` runs (full traces and unsorted rounds keep them).
-``claim`` folds each completer from its plan mask, reusing the previous
-receiver's fold while heard mask, Halt row and transpose row repeat
-(exact: a completer hears its own ESTIMATE, so nothing else of it
-enters the fold; :attr:`Phase1Plane.claimed_folds` counts the folds),
-writes A_◇S's detector history (:meth:`Phase1Plane.log_suspicions`)
-and appends k to :attr:`Phase1Plane.claimed_rounds`.  Other rounds run
-:meth:`Phase1Plane.begin_round` / :meth:`Phase1Plane.end_round` around
-the receive phase, and bound automata call
+The plane is **opt-in and run-scoped**.  An automaton class opts in by
+listing rounds in :meth:`~repro.algorithms.base.Automaton.
+phase1_plane_rounds` (whose docstring is the whole contract);
+:func:`build_run_plane` builds and binds one plane per execution when
+the classes in the run share at least one such round.  While no
+process has decided (so no DECIDE payload exists, current or delayed,
+and nobody has halted) a shared plane round whose ests sort is
+**claimed**: :meth:`Phase1Plane.send` writes every sender's
+``state.payload(k)`` into the kernel's payload grid and opens the
+round, and :meth:`Phase1Plane.claim` folds every completer from its
+plan mask — no automaton ``payload`` or ``deliver_view`` runs, in
+either trace mode.  ``claim`` reuses the previous receiver's fold while
+heard mask, Halt row and transpose row repeat (exact: a completer
+hears its own ESTIMATE, so nothing else of it enters the fold;
+:attr:`Phase1Plane.claimed_folds` counts the folds), writes A_◇S's
+detector history (:meth:`Phase1Plane.log_suspicions`) and appends k to
+:attr:`Phase1Plane.claimed_rounds`.  Every other round the automata
+send, the kernel opens it with :meth:`Phase1Plane.begin_round` and
+closes it with :meth:`Phase1Plane.end_round`, and bound automata call
 :meth:`Phase1Plane.compute_view`, the same fold on the view's mask,
 which falls back to the exact per-receiver
 :meth:`~repro.algorithms.suspicion.EstimateState.compute_view` whenever
 the plane is not mid-round (direct ``deliver_view`` calls, the tests'
 reference kernel) — so every entry point computes the identical update
 and the byte-identity suite holds the kernel to the reference kernel in
-both trace modes.
-
-Protocol contract (what declaring ``PHASE1_ESTIMATE`` promises): the
-automaton owns an :class:`~repro.algorithms.suspicion.EstimateState`
-at ``self.state`` for the run's lifetime, its Phase-1 broadcasts are
-``state.payload(k)`` (or non-ESTIMATE payloads, e.g. DECIDE; in its
-plane rounds, while undecided, always ``state.payload(k)``), all
-Phase-1 state changes go through ``compute_view``, and in its plane
-rounds an undecided process's receive phase is ``compute()`` and
-nothing else.  The row refresh absorbs out-of-band halt-row changes
+both trace modes.  The row refresh absorbs out-of-band Halt-row changes
 *between* rounds, but mid-round mutation outside the plane would
 desynchronize the transpose — the invariant
 ``tests/algorithms/test_phase1_plane.py`` drives against the
@@ -90,19 +73,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from repro.sim.bitset import full_mask, mask_of, select_bits
+from repro.sim.bitset import full_mask, mask_of
 from repro.types import ProcessId, Round, Value
 
 if TYPE_CHECKING:  # runtime stays decoupled from the algorithm layer
     from repro.algorithms.base import Automaton
     from repro.algorithms.suspicion import EstimateState
-    from repro.sim.view import RoundView, SendTable
+    from repro.sim.view import RoundView
 
-__all__ = ["PHASE1_ESTIMATE", "Phase1Plane", "build_run_plane"]
-
-#: The one plane protocol this module implements (see the module
-#: docstring for the contract an automaton accepts by declaring it).
-PHASE1_ESTIMATE = "phase1/estimate"
+__all__ = ["Phase1Plane", "build_run_plane"]
 
 #: The ESTIMATE payload tag (mirrors ``repro.algorithms.suspicion.
 #: ESTIMATE``; defined here so the plane's hot loop never imports the
@@ -142,7 +121,7 @@ class Phase1Plane:
         self._nonempty_rows = 0
         for j, state in enumerate(self._states):
             self._refresh_row(j, state._halt_mask)
-        # Round-scoped fold inputs, rebuilt by begin_round or send.
+        # Round-scoped fold inputs, rebuilt by begin_round.
         self._est_mask = 0
         self._order: list[tuple[Value, int]] = []
         self._sortable = True
@@ -177,79 +156,53 @@ class Phase1Plane:
     def send(
         self, k: Round, senders: Sequence[ProcessId], payloads: list
     ) -> bool:
-        """Send round *k* for the kernel (lean runs, nobody decided): each
+        """Send round *k* for the kernel (nobody decided yet): each
         sender's hash-checked ``state.payload(k)`` into ``payloads[pid][k]``,
-        its Halt row refreshed, the fold inputs built.  ``False`` (the
-        kernel sends) unless *k* is a plane round whose ests sort."""
+        then :meth:`begin_round`.  Returns whether the plane claims *k*;
+        ``False`` (the kernel sends) unless *k* is a plane round whose
+        ests sort."""
         if not self._plane_rounds >> k & 1:
             return False
         states = self._states
-        rows = self._rows
-        entries: list[tuple[Value, int]] = []
-        est_mask = 0
         for pid in senders:
-            state = states[pid]
-            payload = state.payload(k)
+            payload = states[pid].payload(k)
             hash(payload)  # fail fast on unhashable payloads
             payloads[pid][k] = payload
-            est_mask |= 1 << pid
-            entries.append((state.est, 1 << pid))
-            if state._halt_mask != rows[pid]:
-                self._refresh_row(pid, state._halt_mask)
-        try:
-            entries.sort()
-        except TypeError:
-            return False  # the kernel re-sends; begin_round marks it unsorted
-        self._est_mask = est_mask
-        self._order = entries
-        self._round = k
-        self._sortable = self._active = True
-        return True
+        self.begin_round(k, senders, payloads)
+        return self._sortable
 
-    def begin_round(self, k: Round, table: "SendTable") -> bool:
-        """Open round *k*'s receive phase (kernel, unless :meth:`send` ran).
+    def begin_round(
+        self, k: Round, senders: Sequence[ProcessId], payloads: list
+    ) -> None:
+        """Open round *k*'s receive phase, after its send phase.
 
-        Re-transposes exactly the Halt rows that changed since the last
-        refresh, then derives the round's global fold inputs from the
-        filled send *table*: the ESTIMATE-broadcaster mask and the
-        est-sorted ``(est, sender_bit)`` order.  Runs *after* the send
-        phase, so the refreshed rows are the rows the round-k ESTIMATE
-        payloads carry — which is what makes ``arrived &
-        transpose[pid]`` equal the per-receiver ``payload[3] >> pid & 1``
-        scan.  Returns whether *k* is a plane round whose ests sorted,
-        i.e. one the kernel may :meth:`claim`.
+        Builds the round's fold inputs from the kernel's payload grid
+        (``payloads[pid][k]`` for *senders*; anything not an ESTIMATE
+        tuple is skipped): the ESTIMATE-sender mask, the est-sorted
+        ``(est, sender_bit)`` order, and those senders' Halt rows.  The
+        rows come from the senders' states, never from payloads, so a
+        payload that merely reuses the ESTIMATE tag cannot write one;
+        post-send they are the rows the round-k ESTIMATE payloads carry,
+        which is what makes ``arrived & transpose[pid]`` equal the
+        per-receiver ``payload[3] >> pid & 1`` scan.
         """
+        states = self._states
         rows = self._rows
-        for j, state in enumerate(self._states):
-            if state._halt_mask != rows[j]:
-                self._refresh_row(j, state._halt_mask)
-        # The round's ESTIMATE broadcasters and their ests, in one walk
-        # of the send table.  Built in ascending sender order, so the
-        # tuple sort's tie-break (equal ests compare on the int bit)
-        # ranks equal-est senders ascending — the first entry a
-        # receiver's eligibility mask hits is exactly the value object
-        # its strict-< first-minimal fold would keep.
-        items = table.items
         entries: list[tuple[Value, int]] = []
+        append = entries.append
         est_mask = 0
-        mask = table.sender_mask
-        if table.single_tag == _ESTIMATE:
-            est_mask = mask
-            entries = [
-                (payload[2], 1 << sender)
-                for sender, payload in select_bits(items, mask)
-            ]
-        elif mask:
-            tags = table.tags
-            while mask:
-                low = mask & -mask
-                sender = low.bit_length() - 1
-                if tags[sender] == _ESTIMATE:
-                    est_mask |= low
-                    item = items[sender]
-                    assert item is not None
-                    entries.append((item[1][2], low))
-                mask ^= low
+        for pid in senders:
+            payload = payloads[pid][k]
+            if (
+                isinstance(payload, tuple) and payload
+                and payload[0] == _ESTIMATE
+            ):
+                bit = 1 << pid
+                est_mask |= bit
+                append((payload[2], bit))
+                row = states[pid]._halt_mask
+                if row != rows[pid]:
+                    self._refresh_row(pid, row)
         try:
             entries.sort()
             self._sortable = True
@@ -262,7 +215,6 @@ class Phase1Plane:
         self._order = entries
         self._round = k
         self._active = True
-        return self._sortable and bool(self._plane_rounds >> k & 1)
 
     def claim(
         self,
@@ -387,24 +339,19 @@ def build_run_plane(
 ) -> Phase1Plane | None:
     """Build and bind one plane for *automata*, or ``None``.
 
-    The batched dispatch engages only when **every** automaton in the
-    run declares the (one) known protocol — a mixed run keeps the
-    untouched per-automaton delivery path.  On success the plane, whose
-    plane rounds are those every automaton class in the run declares,
-    is bound into each automaton via
+    The plane's rounds are those every automaton class in the run lists
+    in :meth:`~repro.algorithms.base.Automaton.phase1_plane_rounds`;
+    when they share none (an empty run, or any class keeping the base
+    class's ``()``) the run keeps the per-automaton delivery path.  The
+    plane is bound into each automaton via
     :meth:`~repro.algorithms.base.Automaton.bind_phase1_plane` and
     returned for the kernel's per-round dispatch.
     """
-    if not automata:
-        return None
-    classes: dict = {}
-    for automaton in automata:
-        if type(automaton).phase1_plane_protocol != PHASE1_ESTIMATE:
-            return None
-        classes[type(automaton), automaton.t] = None
-    rounds = -1
-    for cls, t in classes:
+    rounds = -1 if automata else 0
+    for cls, t in {(type(a), a.t): None for a in automata}:
         rounds &= mask_of(cls.phase1_plane_rounds(t))
+    if not rounds:
+        return None
     plane = Phase1Plane(tuple(a.state for a in automata), rounds)  # type: ignore[attr-defined]
     for automaton in automata:
         automaton.bind_phase1_plane(plane)

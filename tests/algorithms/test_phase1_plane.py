@@ -5,10 +5,11 @@ preserved :meth:`~repro.algorithms.suspicion.EstimateState.compute_view`
 — the same oracle pattern as ``test_suspicion.py``, lifted to whole
 rounds: for random suspicion patterns, crash sets, and per-receiver
 delivery subsets, drive both implementations through the *real* kernel
-wiring (a filled :class:`~repro.sim.view.SendTable`, lazy
+wiring (a payload grid opened by ``begin_round``, lazy
 :class:`~repro.sim.view.RoundView` views over shared
-:class:`~repro.sim.view.CurrentCell` buckets, ``begin_round`` /
-``end_round``) and assert every receiver's ``(est, halt)`` matches.
+:class:`~repro.sim.view.CurrentCell` buckets of a filled
+:class:`~repro.sim.view.SendTable`, ``end_round``) and assert every
+receiver's ``(est, halt)`` matches.
 
 The cranked tier (``REPRO_PROPERTY_SAMPLES`` > 500, the nightly lane)
 additionally replays full n = 250 kernel executions with the plane
@@ -25,11 +26,7 @@ import pytest
 
 from repro.algorithms.suspicion import EstimateState
 from repro.sim.bitset import iter_bits
-from repro.sim.phase1_plane import (
-    PHASE1_ESTIMATE,
-    Phase1Plane,
-    build_run_plane,
-)
+from repro.sim.phase1_plane import Phase1Plane, build_run_plane
 from repro.sim.view import CurrentCell, RoundView, SendTable
 
 
@@ -56,19 +53,32 @@ def _lazy_view(k, pid, n, delivered, table):
     return RoundView.lazy(k, pid, n, (), (), CurrentCell(table, mask))
 
 
-def _drive_round(plane, states, oracles, k, broadcasts, deliveries):
-    """One kernel-shaped round: send phase, plane round, receive phase.
-
-    *broadcasts* maps sender -> payload (senders absent from it crashed
-    or halted before sending); *deliveries* maps receiver -> iterable of
-    senders whose broadcast arrives.  Both the plane-backed states and
-    the oracle copies receive identical views.
-    """
-    n = len(states)
+def _send_table(n, broadcasts):
+    """The filled send table the receivers' views read."""
     table = SendTable(n)
     for sender, payload in sorted(broadcasts.items()):
         table.record(sender, payload)
-    plane.begin_round(k, table)
+    return table
+
+
+def _open_round(plane, k, broadcasts):
+    """The kernel's send phase for *broadcasts* (sender -> payload;
+    senders absent from it crashed or halted before sending): the round
+    opened on the plane from a payload grid.  Returns the send table."""
+    senders = sorted(broadcasts)
+    plane.begin_round(k, senders, {s: {k: broadcasts[s]} for s in senders})
+    return _send_table(plane.n, broadcasts)
+
+
+def _drive_round(plane, states, oracles, k, broadcasts, deliveries):
+    """One kernel-shaped round: send phase, plane round, receive phase.
+
+    *broadcasts* maps sender -> payload; *deliveries* maps receiver ->
+    iterable of senders whose broadcast arrives.  Both the plane-backed
+    states and the oracle copies receive identical views.
+    """
+    n = len(states)
+    table = _open_round(plane, k, broadcasts)
     for pid, delivered in sorted(deliveries.items()):
         delivered = [s for s in delivered if s in broadcasts]
         view = _lazy_view(k, pid, n, delivered, table)
@@ -194,7 +204,7 @@ class TestPlaneMatchesOracle:
         assert all(type(state.est) is float for state in states)
 
     def test_out_of_band_halt_growth_is_absorbed_at_begin_round(self):
-        # The protocol allows state mutation *between* rounds; the row
+        # The contract allows state mutation *between* rounds; the row
         # refresh must fold it into the transpose before the round runs.
         n = 3
         states, oracles = _fresh_pair(n, [5, 3, 7], [frozenset()] * n)
@@ -250,11 +260,9 @@ class TestRound2Stats:
             halts = [halt - {i} for i, halt in enumerate(halts)]
             states, _ = _fresh_pair(n, ests, halts)
             plane = Phase1Plane(states)
-            table = SendTable(n)
-            for i in range(n):
-                if i not in crashed:
-                    table.record(i, states[i].payload(2))
-            plane.begin_round(2, table)
+            table = _open_round(plane, 2, {
+                i: states[i].payload(2) for i in range(n) if i not in crashed
+            })
             view = _lazy_view(2, 0, n, delivered - crashed, table)
             stats = plane.round2_stats(2, view)
             plane.end_round()
@@ -266,10 +274,9 @@ class TestRound2Stats:
         # The fast path's degenerate input: nothing delivered at all.
         states, _ = _fresh_pair(3, [1, 2, 3], [frozenset()] * 3)
         plane = Phase1Plane(states)
-        table = SendTable(3)
-        for i in range(3):
-            table.record(i, states[i].payload(2))
-        plane.begin_round(2, table)
+        table = _open_round(
+            plane, 2, {i: states[i].payload(2) for i in range(3)}
+        )
         view = _lazy_view(2, 0, 3, (), table)
         assert plane.round2_stats(2, view) == (0, False, None)
         plane.end_round()
@@ -281,14 +288,12 @@ class TestDispatchGuards:
     def _armed(self):
         states, oracles = _fresh_pair(3, [5, 3, 7], [frozenset()] * 3)
         plane = Phase1Plane(states)
-        table = SendTable(3)
-        for i in range(3):
-            table.record(i, states[i].payload(1))
-        return plane, states, oracles, table
+        broadcasts = {i: states[i].payload(1) for i in range(3)}
+        return plane, states, oracles, broadcasts
 
     def test_inactive_plane_falls_back_to_oracle(self):
-        plane, states, oracles, table = self._armed()
-        view = _lazy_view(1, 0, 3, {0, 1, 2}, table)
+        plane, states, oracles, broadcasts = self._armed()
+        view = _lazy_view(1, 0, 3, {0, 1, 2}, _send_table(3, broadcasts))
         plane.compute_view(states[0], 1, view)        # never opened
         oracles[0].compute_view(1, view)
         assert states[0].est == oracles[0].est
@@ -296,8 +301,8 @@ class TestDispatchGuards:
         assert plane.round2_stats(1, view) is None
 
     def test_closed_round_falls_back(self):
-        plane, states, oracles, table = self._armed()
-        plane.begin_round(1, table)
+        plane, states, oracles, broadcasts = self._armed()
+        table = _open_round(plane, 1, broadcasts)
         plane.end_round()
         view = _lazy_view(1, 0, 3, {0, 1}, table)
         plane.compute_view(states[0], 1, view)
@@ -306,8 +311,8 @@ class TestDispatchGuards:
         assert states[0].halt == oracles[0].halt
 
     def test_stale_round_number_falls_back(self):
-        plane, states, oracles, table = self._armed()
-        plane.begin_round(2, table)
+        plane, states, oracles, broadcasts = self._armed()
+        table = _open_round(plane, 2, broadcasts)
         view = _lazy_view(1, 0, 3, {0, 1}, table)
         plane.compute_view(states[0], 1, view)        # k=1, plane at k=2
         oracles[0].compute_view(1, view)
@@ -317,7 +322,7 @@ class TestDispatchGuards:
 
 
 class TestBuildRunPlane:
-    """Protocol opt-in rules for binding a run's plane."""
+    """Opt-in rules for binding a run's plane."""
 
     def test_all_declaring_automata_get_one_shared_plane(self):
         from repro.algorithms.base import make_automata
@@ -334,7 +339,9 @@ class TestBuildRunPlane:
         from repro.core.att2 import ATt2
 
         class OptOut(ATt2):
-            phase1_plane_protocol = None
+            @classmethod
+            def phase1_plane_rounds(cls, t):
+                return ()
 
         automata = list(make_automata(ATt2.factory(), 5, 2, range(5)))
         automata[3] = OptOut(3, 5, 2, 3)
@@ -343,23 +350,6 @@ class TestBuildRunPlane:
 
     def test_empty_run_gets_no_plane(self):
         assert build_run_plane(()) is None
-
-    def test_declaring_without_binding_hook_raises(self):
-        from repro.algorithms.base import Automaton
-        from repro.errors import AlgorithmError
-
-        class Declares(Automaton):
-            phase1_plane_protocol = PHASE1_ESTIMATE
-
-            def payload(self, k):
-                return None
-
-            def deliver_view(self, k, view):
-                pass
-
-        automaton = Declares(0, 3, 1, 0)
-        with pytest.raises(AlgorithmError):
-            automaton.bind_phase1_plane(object())
 
 
 class TestClaimedRounds:
@@ -371,20 +361,18 @@ class TestClaimedRounds:
 
     N, T = 9, 4
 
-    def _claimed(self, name, schedule, proposals=None, **kwargs):
+    def _claimed(self, name, schedule, proposals=None):
         from repro.algorithms.base import make_automata
         from repro.algorithms.registry import get_factory
         from repro.sim.kernel import execute
 
-        # Lean runs send claimed rounds on the plane, full runs through
-        # the automata; both claim the same rounds.
         proposals = list(range(self.N)) if proposals is None else proposals
         claimed = {}
         for trace in ("full", "lean"):
             automata = make_automata(
                 get_factory(name), self.N, self.T, proposals
             )
-            execute(automata, schedule, trace=trace, **kwargs)
+            execute(automata, schedule, trace=trace)
             plane = automata[0]._plane
             assert all(a._plane is plane for a in automata)
             claimed[trace] = plane.claimed_rounds
@@ -451,10 +439,8 @@ class TestClaimedRounds:
             1, 2, 3, 4,
         ]
 
-    @pytest.mark.parametrize(
-        "name, max_rounds", [("floodset_ws", None), ("att2", 5)]
-    )
-    def test_unorderable_estimates_claim_no_round(self, name, max_rounds):
+    @pytest.mark.parametrize("name", ["floodset_ws", "att2"])
+    def test_unorderable_estimates_claim_no_round(self, name):
         from kernel_oracle import execute_reference
         from repro.algorithms.base import make_automata
         from repro.algorithms.registry import get_factory
@@ -471,14 +457,13 @@ class TestClaimedRounds:
                 builder.lose(other, self.N - 1, k)
         schedule = builder.build()
         proposals = list(range(self.N - 1)) + ["x"]
-        kwargs = {} if max_rounds is None else {"max_rounds": max_rounds}
-        assert self._claimed(name, schedule, proposals, **kwargs) == []
+        assert self._claimed(name, schedule, proposals) == []
         trace = run_algorithm(
-            get_factory(name), schedule, proposals, trace="full", **kwargs
+            get_factory(name), schedule, proposals, trace="full"
         )
         reference = execute_reference(
             make_automata(get_factory(name), self.N, self.T, proposals),
-            schedule, **kwargs,
+            schedule,
         )
         assert trace == reference
 
@@ -502,9 +487,9 @@ class TestClaimedRounds:
 
 
 class TestPlaneSends:
-    """Claimed rounds of lean runs are sent by the plane
-    (:meth:`Phase1Plane.send`) and fold once per run of identical
-    receivers; each test holds the kernel to ``execute_reference``."""
+    """Claimed rounds are sent by the plane (:meth:`Phase1Plane.send`)
+    in both trace modes and fold once per run of identical receivers;
+    each test holds the kernel to ``execute_reference``."""
 
     N, T = 9, 4
     PLANE_ALGORITHMS = ("att2", "att2_optimized", "adiamond_s",
@@ -584,7 +569,9 @@ class TestPlaneSends:
         from repro.sim.kernel import execute
 
         class OptOut(ATt2):
-            phase1_plane_protocol = None
+            @classmethod
+            def phase1_plane_rounds(cls, t):
+                return ()
 
         schedule = Schedule.failure_free(self.N, self.T, 3 * self.T + 6)
         # Lists sort among themselves, so only the hash check can fail.
@@ -647,6 +634,34 @@ class TestPlaneSends:
             sent in claimed
             for (k, _pid), delayed in seen.items() if k not in claimed
             for sent, _sender, _payload in delayed
+        )
+
+    def test_full_trace_claimed_rounds_call_no_payload(self):
+        from kernel_oracle import execute_reference
+        from repro.algorithms.base import make_automata
+        from repro.algorithms.registry import get_factory
+        from repro.model.schedule import Schedule
+        from repro.sim.kernel import execute
+
+        schedule = Schedule.failure_free(self.N, self.T, 3 * self.T + 6)
+        factory = get_factory("att2")
+        proposals = list(range(self.N))
+        automata = make_automata(factory, self.N, self.T, proposals)
+        payload_rounds = set()
+        for automaton in automata:
+            def payload(k, inner=automaton.payload):
+                payload_rounds.add(k)
+                return inner(k)
+
+            automaton.payload = payload
+        run = execute(automata, schedule, trace="full")
+        claimed = automata[0]._plane.claimed_rounds
+        assert claimed == [1, 2, 3, 4, 5]
+        # Only rounds t+2 (NEWESTIMATE) and t+3 (DECIDE) are the
+        # automata's own sends.
+        assert payload_rounds == {self.T + 2, self.T + 3}
+        assert run == execute_reference(
+            make_automata(factory, self.N, self.T, proposals), schedule
         )
 
     def test_failure_free_att2_folds_once_per_claimed_round(self):
@@ -730,15 +745,15 @@ def test_plane_vs_oracle_at_sweep_scale(seed, name):
     batched = execute(
         make_automata(factory, n, t, proposals), schedule, trace="full",
     )
-    # Lean runs send their claimed rounds on the plane.
     lean = execute(
         make_automata(factory, n, t, proposals), schedule, trace="lean",
     )
     opted_out = make_automata(factory, n, t, proposals)
-    # Same automata, same constructor arguments, minus the declaration:
-    # no plane is bound and every round runs per receiver.
+    # Same automata, same constructor arguments, no plane rounds: no
+    # plane is bound and every round runs per receiver.
     no_plane = type(
-        "NoPlane", (type(opted_out[0]),), {"phase1_plane_protocol": None}
+        "NoPlane", (type(opted_out[0]),),
+        {"phase1_plane_rounds": classmethod(lambda cls, t: ())},
     )
     for automaton in opted_out:
         automaton.__class__ = no_plane

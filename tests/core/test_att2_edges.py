@@ -187,11 +187,10 @@ class TestFailureFreeFastPathEdges:
 
     def test_plane_backed_fast_path_matches_local_scan(self):
         # The same edges through the batched plane's round2_stats.  The
-        # plane's protocol contract says payloads ARE state.payload(k),
+        # plane's contract says payloads ARE state.payload(k),
         # so each case's sender states carry the est/Halt the payloads
         # show.
         from repro.sim.phase1_plane import Phase1Plane
-        from repro.sim.view import SendTable
 
         cases = (
             ((), False, 9),                                    # empty
@@ -208,10 +207,12 @@ class TestFailureFreeFastPathEdges:
                 by_pid[sender].state.halt = frozenset(halt)
             plane = Phase1Plane([a.state for a in by_pid])
             batched.bind_phase1_plane(plane)
-            table = SendTable(5)
-            for sender, _est, _halt in items:
-                table.record(sender, by_pid[sender].state.payload(2))
-            plane.begin_round(2, table)
+            senders = [sender for sender, _est, _halt in items]
+            payloads = {
+                sender: {2: by_pid[sender].state.payload(2)}
+                for sender in senders
+            }
+            plane.begin_round(2, senders, payloads)
             view = _round2_view(0, 5, items)
             assert (
                 batched._failure_free_fast_path(2, view)

@@ -24,7 +24,7 @@ from typing import Sequence
 from repro.algorithms.base import Automaton
 from repro.model.messages import DUMMY, Message
 from repro.model.schedule import Schedule
-from repro.sim.kernel import _bounded_horizon, _check_run
+from repro.sim.kernel import _check_run
 from repro.sim.trace import RoundRecord, Trace
 from repro.sim.view import RoundView
 from repro.types import ProcessId, Round, Value
@@ -151,9 +151,6 @@ def sort_delivery(messages: list[Message]) -> tuple[Message, ...]:
 def execute_reference(
     automata: Sequence[Automaton],
     schedule: Schedule,
-    *,
-    max_rounds: Round | None = None,
-    stop_when_quiescent: bool = True,
 ) -> Trace:
     """The original query-at-a-time kernel, kept as the oracle.
 
@@ -165,7 +162,7 @@ def execute_reference(
     """
     _check_run(automata, schedule)
     n = schedule.n
-    horizon = _bounded_horizon(schedule, max_rounds)
+    horizon = schedule.horizon
 
     proposals = tuple(a.proposal for a in automata)
     halted: set[ProcessId] = set()
@@ -253,14 +250,13 @@ def execute_reference(
             )
         )
 
-        if stop_when_quiescent:
-            still_running = [
-                pid
-                for pid in range(n)
-                if pid not in halted and completes_round(schedule, pid, k)
-            ]
-            if not still_running:
-                break
+        still_running = [
+            pid
+            for pid in range(n)
+            if pid not in halted and completes_round(schedule, pid, k)
+        ]
+        if not still_running:
+            break
 
     return Trace(
         schedule=schedule,

@@ -134,12 +134,6 @@ class TestTraceRecording:
         trace = execute(automata, schedule)
         assert trace.rounds_executed == 2
 
-    def test_max_rounds_caps_run(self):
-        schedule = Schedule.failure_free(2, 1, 50)
-        automata = make(Recorder, schedule)
-        trace = execute(automata, schedule, max_rounds=5)
-        assert trace.rounds_executed == 5
-
     def test_proposals_captured(self):
         schedule = Schedule.failure_free(3, 1, 1)
         automata = make(Recorder, schedule, proposals=[7, 8, 9])
@@ -164,18 +158,6 @@ class TestKernelValidation:
         schedule = Schedule.failure_free(4, 1, -2)
         with pytest.raises(SimulationError, match="horizon -2 is negative"):
             execute(make(Recorder, schedule), schedule)
-
-    @pytest.mark.parametrize("trace", ["full", "lean"])
-    def test_negative_max_rounds_rejected(self, trace):
-        from repro import ATt2
-        from repro.sim.kernel import run_algorithm
-
-        schedule = Schedule.failure_free(4, 1, 8)
-        with pytest.raises(SimulationError, match="max_rounds -3"):
-            run_algorithm(
-                ATt2.factory(), schedule, [0, 1, 2, 3], max_rounds=-3,
-                trace=trace,
-            )
 
     def test_zero_horizon_runs_no_rounds(self):
         schedule = Schedule.failure_free(3, 1, 0)
@@ -245,7 +227,7 @@ class TestDepartedReceiverBuffering:
             Recorder(1, 3, 1, 1),
             Recorder(2, 3, 1, 2),
         ]
-        execute(automata, schedule, stop_when_quiescent=False)
+        execute(automata, schedule)
         # p0 halts at the end of round 2; rounds 3+ must not buffer
         # messages addressed to it.
         late_to_halted = [
