@@ -351,6 +351,29 @@ class TestBuildRunPlane:
     def test_empty_run_gets_no_plane(self):
         assert build_run_plane(()) is None
 
+    def test_declaring_without_binding_hook_stores_plane(self):
+        from repro.algorithms.base import Automaton
+
+        class Declares(Automaton):
+            def __init__(self, pid, n, t, proposal):
+                super().__init__(pid, n, t, proposal)
+                self.state = EstimateState(pid, n, proposal)
+
+            @classmethod
+            def phase1_plane_rounds(cls, t):
+                return range(1, t + 2)
+
+            def payload(self, k):
+                return self.state.payload(k)
+
+            def deliver_view(self, k, view):
+                pass
+
+        automata = [Declares(pid, 3, 1, pid) for pid in range(3)]
+        plane = build_run_plane(automata)
+        assert plane is not None
+        assert all(a._plane is plane for a in automata)
+
 
 class TestClaimedRounds:
     """Which rounds the kernel lets the plane claim, at n = 9, t = 4.

@@ -152,6 +152,20 @@ class TestCompiledMatchesReference:
                     f"{name} diverged on {generator.__name__}(seed={seed})"
                 )
 
+    def test_halting_stop_parity(self):
+        # Both kernels stop once every completer has halted, well before
+        # a long horizon, and agree on the round they stop at.
+        schedule = Schedule.failure_free(5, 2, 40)
+        factory = get_factory("att2")
+        reference = execute_reference(
+            make_automata(factory, 5, 2, [1, 0, 1, 0, 1]), schedule,
+        )
+        compiled = execute(
+            make_automata(factory, 5, 2, [1, 0, 1, 0, 1]), schedule,
+        )
+        assert compiled == reference
+        assert compiled.rounds_executed < schedule.horizon
+
     def test_out_of_horizon_delivery_never_delivered(self):
         # Schedules built directly (bypassing the builder's validation)
         # may carry deliveries beyond the horizon; both kernels must

@@ -134,6 +134,14 @@ class TestTraceRecording:
         trace = execute(automata, schedule)
         assert trace.rounds_executed == 2
 
+    def test_schedule_horizon_caps_run(self):
+        # Recorder never halts, so the horizon is the only round bound.
+        schedule = Schedule.failure_free(2, 1, 5)
+        automata = make(Recorder, schedule)
+        trace = execute(automata, schedule)
+        assert trace.rounds_executed == 5
+        assert sorted(automata[0].inbox_log) == [1, 2, 3, 4, 5]
+
     def test_proposals_captured(self):
         schedule = Schedule.failure_free(3, 1, 1)
         automata = make(Recorder, schedule, proposals=[7, 8, 9])
@@ -158,6 +166,15 @@ class TestKernelValidation:
         schedule = Schedule.failure_free(4, 1, -2)
         with pytest.raises(SimulationError, match="horizon -2 is negative"):
             execute(make(Recorder, schedule), schedule)
+
+    @pytest.mark.parametrize("trace", ["full", "lean"])
+    def test_negative_horizon_rejected_by_run_algorithm(self, trace):
+        from repro import ATt2
+        from repro.sim.kernel import run_algorithm
+
+        schedule = Schedule.failure_free(4, 1, -3)
+        with pytest.raises(SimulationError, match="horizon -3 is negative"):
+            run_algorithm(ATt2.factory(), schedule, [0, 1, 2, 3], trace=trace)
 
     def test_zero_horizon_runs_no_rounds(self):
         schedule = Schedule.failure_free(3, 1, 0)
