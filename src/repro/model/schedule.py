@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
-from itertools import chain
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from repro.errors import ScheduleError
@@ -86,8 +86,15 @@ class Schedule:
         horizon: number of rounds the kernel will simulate at most.  All
             delayed deliveries must land within the horizon.
         crashes: per-process crash specifications.
-        delays: delivery round for delayed non-crash-round messages, keyed
-            by ``(sender, receiver, sent_round)``.
+        delay_rows: the delayed non-crash-round messages, one row per
+            ``(sent_round, receiver)``: the row maps each delivery round
+            to the mask of senders (bit ``i`` for process ``i``) whose
+            round-``sent_round`` message reaches *receiver* then.  A
+            sender appears in at most one mask of a row.  An ES
+            schedule's asynchronous prefix has hundreds of thousands of
+            delayed messages at n = 1000 but a few delivery rounds per
+            row, so the generator, the compiler and the kernel all work
+            on rows; :attr:`delays` is the per-message view.
         losses: lost non-crash-round messages, as ``(sender, receiver,
             sent_round)`` triples.  (Whether a loss is *legal* depends on
             the model; the ES validator flags correct→correct losses.)
@@ -97,7 +104,7 @@ class Schedule:
     t: int
     horizon: Round
     crashes: Mapping[ProcessId, CrashSpec] = field(default_factory=dict)
-    delays: Mapping[tuple[ProcessId, ProcessId, Round], Round] = field(
+    delay_rows: Mapping[tuple[Round, ProcessId], Mapping[Round, int]] = field(
         default_factory=dict
     )
     losses: frozenset[tuple[ProcessId, ProcessId, Round]] = frozenset()
@@ -133,6 +140,31 @@ class Schedule:
             object.__setattr__(self, "_correct_cache", cached)
         return cached
 
+    @property
+    def delays(self) -> Mapping[tuple[ProcessId, ProcessId, Round], Round]:
+        """:attr:`delay_rows` one message at a time, read-only.
+
+        Maps ``(sender, receiver, sent_round)`` to the delivery round.
+        Built on first read and memoized: only cold readers (the SCS
+        validator, replay export, diagrams, :meth:`describe`,
+        :meth:`digest` and equality) use it, never a sweep's generate,
+        compile and execute path.
+        """
+        cached = self.__dict__.get("_delays_cache")
+        if cached is None:
+            entries: dict[tuple[ProcessId, ProcessId, Round], Round] = {}
+            for (sent, receiver), row in self.delay_rows.items():
+                for delivery, mask in row.items():
+                    while mask:
+                        low = mask & -mask
+                        entries[low.bit_length() - 1, receiver, sent] = (
+                            delivery
+                        )
+                        mask ^= low
+            cached = MappingProxyType(entries)
+            object.__setattr__(self, "_delays_cache", cached)
+        return cached
+
     def crash_round(self, pid: ProcessId) -> Round | None:
         spec = self.crashes.get(pid)
         return spec.round if spec is not None else None
@@ -141,27 +173,33 @@ class Schedule:
         """Smallest K such that every round >= K is synchronous.
 
         A fully synchronous schedule returns 1; the result is the
-        paper's (unknown-to-the-algorithm) K.  Only a ``losses`` or
-        ``delays`` entry can make a round asynchronous — crash-round
-        messages are unconstrained — so K comes from those tables in
-        O(|delays| + |losses|): round k is asynchronous iff some entry
-        ``(s, r, k)`` within the horizon has s sending in round k and
-        not crashing in it, r ≠ s completing round k, and a delivery
-        other than round k.  That is the module docstring's synchronous
-        round, evaluated on the exceptions only; the tests hold it to a
-        scan over every message (``tests/kernel_oracle.py``).  Memoized
-        per instance.
+        paper's (unknown-to-the-algorithm) K.  Only a loss or a delay
+        can make a round asynchronous — crash-round messages are
+        unconstrained — so K comes from those tables in
+        O(|delay_rows| + |losses|): round k is asynchronous iff some
+        message ``(s, r, k)`` within the horizon is lost or delivered in
+        another round, with s sending in round k and not crashing in
+        it, and r ≠ s completing round k.  That is the module
+        docstring's synchronous round, evaluated on the exceptions only;
+        the tests hold it to a scan over every message
+        (``tests/kernel_oracle.py``).  Memoized per instance.
         """
         cached = self.__dict__.get("_sync_from_cache")
         if cached is not None:
             return cached
         never = self.horizon + 1
         crash_at = {pid: spec.round for pid, spec in self.crashes.items()}
-        late = (
-            key for key, delivery in self.delays.items() if delivery != key[2]
-        )
+        gone = crashed_by_round(self.crashes, self.horizon)
         first_bad = 0
-        for sender, receiver, k in chain(self.losses, late):
+        for (k, receiver), row in self.delay_rows.items():
+            if first_bad < k < never and crash_at.get(receiver, never) > k:
+                late = 0
+                for delivery, mask in row.items():
+                    if delivery != k:
+                        late |= mask
+                if late & ~(gone[k] | 1 << receiver):
+                    first_bad = k
+        for sender, receiver, k in self.losses:
             if (
                 first_bad < k < never
                 and sender != receiver
@@ -231,10 +269,11 @@ class Schedule:
     def __getstate__(self) -> dict:
         """Pickle only the dataclass fields, never the lazy caches.
 
-        Schedules memoize their digest, synchrony round and compiled
-        execution plan (:mod:`repro.sim.compiled`) on the instance.  A
-        pool worker receives each schedule once per task and recomputes
-        the caches on first use, which is cheaper than shipping them.
+        Schedules memoize their digest, synchrony round, per-message
+        delay view and compiled execution plan (:mod:`repro.sim.compiled`)
+        on the instance.  A pool worker receives each schedule once per
+        task and recomputes the caches on first use, which is cheaper
+        than shipping them.
         """
         return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
 
@@ -315,6 +354,20 @@ def _canonical_crash(spec: CrashSpec) -> tuple:
     )
 
 
+def crashed_by_round(
+    crashes: Mapping[ProcessId, CrashSpec], horizon: Round
+) -> list[int]:
+    """Per round k in 0..*horizon*, the mask of the processes crashing in
+    round k or earlier: the senders a delay row of round k may not name."""
+    gone = [0] * (horizon + 1)
+    for pid, spec in crashes.items():
+        if spec.round <= horizon:
+            gone[spec.round] |= 1 << pid
+    for k in range(1, horizon + 1):
+        gone[k] |= gone[k - 1]
+    return gone
+
+
 def _check_delivery(delivery: Round, horizon: Round) -> None:
     if delivery > horizon:
         raise ScheduleError(
@@ -330,11 +383,9 @@ def _check_sending_round(k: Round, horizon: Round) -> None:
 
 
 def _check_horizon(
-    horizon: Round,
-    crashes: Mapping[ProcessId, CrashSpec],
-    delays: Mapping[tuple[ProcessId, ProcessId, Round], Round],
+    horizon: Round, crashes: Mapping[ProcessId, CrashSpec]
 ) -> None:
-    """Reject a crash or a delayed delivery after *horizon*."""
+    """Reject a crash or a crash-round delivery after *horizon*."""
     for pid, spec in crashes.items():
         if spec.round > horizon:
             raise ScheduleError(
@@ -343,13 +394,18 @@ def _check_horizon(
             )
         for _receiver, delivery in spec.delayed:
             _check_delivery(delivery, horizon)
-    if delays and max(delays.values()) > horizon:
-        for delivery in delays.values():
-            _check_delivery(delivery, horizon)
 
 
 class ScheduleBuilder:
-    """Mutable builder for :class:`Schedule` with consistency checking."""
+    """Mutable builder for :class:`Schedule` with consistency checking.
+
+    Delays are kept as the schedule stores them, one row per
+    ``(sent_round, receiver)`` (see :attr:`Schedule.delay_rows`):
+    :meth:`delay` writes one bit of a row and :meth:`delay_row` a whole
+    row at once, so a generator never holds one entry per message.
+    Rows are replaced, never changed in place, so built schedules can
+    share them.
+    """
 
     def __init__(self, n: int, t: int, horizon: Round) -> None:
         validate_system_size(n, t)
@@ -359,7 +415,7 @@ class ScheduleBuilder:
         self.t = t
         self.horizon = horizon
         self._crashes: dict[ProcessId, CrashSpec] = {}
-        self._delays: dict[tuple[ProcessId, ProcessId, Round], Round] = {}
+        self._rows: dict[tuple[Round, ProcessId], dict[Round, int]] = {}
         self._losses: set[tuple[ProcessId, ProcessId, Round]] = set()
 
     def _check_pid(self, pid: ProcessId) -> None:
@@ -405,10 +461,9 @@ class ScheduleBuilder:
     ) -> "ScheduleBuilder":
         """Deliver the (sender → receiver) round-k message in round *until* > k.
 
-        Generators call this once per delayed message (hundreds of
-        thousands of times at n = 1000), so the range tests run inline
-        and only a rejected message pays for the checks that name its
-        fault.
+        Delaying the same message again replaces its delivery round.
+        The range tests run inline and only a rejected message pays for
+        the checks that name its fault.
         """
         key = (sender, receiver, k)
         n = self.n
@@ -419,7 +474,17 @@ class ScheduleBuilder:
             and 1 <= k < until <= self.horizon
             and key not in self._losses
         ):
-            self._delays[key] = until
+            bit = 1 << sender
+            row = dict(self._rows.get((k, receiver), {}))
+            for delivery, mask in row.items():
+                if mask & bit:
+                    if mask == bit:
+                        del row[delivery]
+                    else:
+                        row[delivery] = mask ^ bit
+                    break
+            row[until] = row.get(until, 0) | bit
+            self._rows[k, receiver] = row
             return self
         self._check_pid(sender)
         self._check_pid(receiver)
@@ -433,6 +498,45 @@ class ScheduleBuilder:
         _check_sending_round(k, self.horizon)
         raise ScheduleError(f"message {key} is already lost")
 
+    def delay_row(
+        self, k: Round, receiver: ProcessId, row: Mapping[Round, int]
+    ) -> "ScheduleBuilder":
+        """Delay, for each ``until: mask`` of *row*, the round-k messages
+        of the senders in *mask* to *receiver* until round *until*.
+
+        Equal to one :meth:`delay` call per message, bits ascending.  A
+        new row of disjoint, in-range masks, with no loss recorded
+        anywhere, is stored whole (what the ES generator writes, one
+        row per receiver and round); any other row goes through
+        :meth:`delay` message by message, which also names a fault.
+        """
+        n = self.n
+        if row and (k, receiver) not in self._rows and 0 <= receiver < n and (
+            not self._losses
+        ):
+            senders = 0
+            for until, mask in row.items():
+                if not (
+                    1 <= k < until <= self.horizon
+                    and 0 < mask
+                    and not mask >> n
+                    and not mask & senders
+                ):
+                    break
+                senders |= mask
+            else:
+                if not senders >> receiver & 1:
+                    self._rows[k, receiver] = dict(row)
+                    return self
+        for until, mask in row.items():
+            if mask < 0:
+                raise ScheduleError(f"negative sender mask {mask}")
+            while mask:
+                low = mask & -mask
+                self.delay(low.bit_length() - 1, receiver, k, until)
+                mask ^= low
+        return self
+
     def lose(
         self, sender: ProcessId, receiver: ProcessId, k: Round
     ) -> "ScheduleBuilder":
@@ -443,25 +547,30 @@ class ScheduleBuilder:
             raise ScheduleError("self-delivery cannot be lost")
         _check_sending_round(k, self.horizon)
         key = (sender, receiver, k)
-        if key in self._delays:
+        row = self._rows.get((k, receiver), {})
+        if any(mask >> sender & 1 for mask in row.values()):
             raise ScheduleError(f"message {key} is already delayed")
         self._losses.add(key)
         return self
 
     def build(self) -> Schedule:
         """Validate cross-entry consistency and freeze into a Schedule."""
-        crash_at = {pid: spec.round for pid, spec in self._crashes.items()}
-        after_crash = [
-            sender for sender, _receiver, k in self._delays
-            if sender in crash_at and crash_at[sender] <= k
-        ]
-        if after_crash:
-            sender = after_crash[0]
-            raise ScheduleError(
-                f"process {sender} crashes in round {crash_at[sender]}; use "
-                f"CrashSpec.delayed for its crash-round messages, and it "
-                f"sends nothing after that"
-            )
+        horizon = self.horizon
+        if self._crashes:
+            gone = crashed_by_round(self._crashes, horizon)
+            for (k, _receiver), row in self._rows.items():
+                senders = 0
+                for mask in row.values():
+                    senders |= mask
+                after_crash = senders & gone[k]
+                if after_crash:
+                    sender = (after_crash & -after_crash).bit_length() - 1
+                    raise ScheduleError(
+                        f"process {sender} crashes in round "
+                        f"{self._crashes[sender].round}; use "
+                        f"CrashSpec.delayed for its crash-round messages, "
+                        f"and it sends nothing after that"
+                    )
         for sender, _receiver, k in self._losses:
             spec = self._crashes.get(sender)
             if spec is not None and spec.round <= k:
@@ -469,12 +578,12 @@ class ScheduleBuilder:
                     f"process {sender} crashes in round {spec.round}; "
                     f"round-{k} losses are implied or impossible"
                 )
-        _check_horizon(self.horizon, self._crashes, self._delays)
+        _check_horizon(horizon, self._crashes)
         return Schedule(
             n=self.n,
             t=self.t,
-            horizon=self.horizon,
+            horizon=horizon,
             crashes=dict(self._crashes),
-            delays=dict(self._delays),
+            delay_rows=dict(self._rows),
             losses=frozenset(self._losses),
         )

@@ -18,12 +18,15 @@ and freezes the answers into a :class:`CompiledSchedule`:
   receiver's arrived-sender mask in O(1), and that mask is also the key
   under which receivers share one lazily built current-round bucket set
   (:class:`~repro.sim.view.CurrentCell`);
-* ``delayed_inboxes[k][receiver]`` — the canonically ordered
-  earlier-round ``(sent_round, sender)`` pairs delivered in round k.
-  The per-message age test is resolved at compile time, and messages to
-  receivers that leave the computation before the delivery round are
-  already filtered out, so the kernel never buffers anything it would
-  later drop;
+* ``delayed_inboxes[k][receiver]`` — the earlier-round messages
+  delivered in round k, as ``(sent_round, sender_mask)`` entries sorted
+  by sent round: one entry per sent round, not one per message (an
+  n = 100 ES plan holds about 13,500 entries for 78,780 delayed
+  messages).  The kernel expands a mask into senders only when the
+  receiver reads the row.  The per-message age test is resolved at
+  compile time, and messages to receivers that leave the computation
+  before the delivery round are already filtered out, so the kernel
+  never buffers anything it would later drop;
 * ``crashed[k]`` — the processes crashing in round k (trace metadata).
 
 The plan captures everything the *schedule* contributes to a run; only
@@ -34,12 +37,14 @@ cost drops from O(n²) schedule method calls to plain list indexing.
 Compilation reads the schedule's *exceptions*, never its n² · horizon
 message triples.  By default a receiver completing round k hears every
 sender that does not crash in round k; only the crash specs'
-same-round deliveries, ``losses`` and ``delays`` deviate from that, and
-only delayed messages land in ``delayed_inboxes``.  So a plan costs
-O(n · horizon + |exceptions|) to build, and rows are shared: every
-exception-free round with the same completers reuses one mask row.  The
-plan is memoized on the schedule instance, so a grid running A
-algorithms against one schedule compiles once and executes A times.
+same-round deliveries, ``losses`` and ``delay_rows`` deviate from
+that, and only delayed messages land in ``delayed_inboxes``.  A delay
+row is merged mask by mask, never message by message, so a plan costs
+O(n · horizon + |crash specs| + |losses| + |delay rows|) to build, and
+rows are shared: every exception-free round with the same completers
+reuses one mask row.  The plan is memoized on the schedule instance,
+so a grid running A algorithms against one schedule compiles once and
+executes A times.
 The plan is also the only implementation of the paper's delivery rule
 in ``src/``: the ES validator (:func:`repro.model.es.check_es`) and the
 Section-4 detector simulation
@@ -56,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.model.schedule import Schedule
+from repro.model.schedule import Schedule, crashed_by_round
 from repro.sim.bitset import full_mask, interned_set, mask_of
 from repro.types import ProcessId, Round
 
@@ -84,10 +89,12 @@ class CompiledSchedule:
             receive phase per the schedule (ascending pids; dynamic
             halting is the kernel's concern).
         delayed_inboxes: per round and receiver, the earlier-round
-            ``(sent_round, sender)`` pairs delivered to that receiver
-            in that round, in canonical order and already filtered of
-            messages whose receiver leaves the computation before
-            delivery.
+            messages delivered to that receiver in that round, as
+            ``(sent_round, sender_mask)`` entries sorted by sent round
+            (each sent round once, its mask non-zero), already filtered
+            of messages whose receiver leaves the computation before
+            delivery.  Walking each mask from its low bit up gives the
+            canonical ``(sent_round, sender)`` order.
         current_masks: per round and receiver, the senders whose
             round-k message arrives in round k, as an int bitmask.
         crashed: per round, the processes crashing in that round.
@@ -104,21 +111,19 @@ class CompiledSchedule:
     horizon: Round
     senders: tuple[tuple[ProcessId, ...], ...]
     completers: tuple[tuple[ProcessId, ...], ...]
-    delayed_inboxes: tuple[
-        tuple[tuple[tuple[Round, ProcessId], ...], ...], ...
-    ]
+    delayed_inboxes: tuple[tuple[tuple[tuple[Round, int], ...], ...], ...]
     current_masks: tuple[tuple[int, ...], ...]
     crashed: tuple[frozenset[ProcessId], ...]
 
 
-def _set_bit(
+def _add_bits(
     table: dict[Round, dict[ProcessId, int]],
     k: Round,
     receiver: ProcessId,
-    sender: ProcessId,
+    senders: int,
 ) -> None:
     row = table.setdefault(k, {})
-    row[receiver] = row.get(receiver, 0) | 1 << sender
+    row[receiver] = row.get(receiver, 0) | senders
 
 
 def _compile(schedule: Schedule) -> CompiledSchedule:
@@ -138,40 +143,51 @@ def _compile(schedule: Schedule) -> CompiledSchedule:
     # The exceptions to the default round, bucketed by round and
     # receiver: crash-round messages that still arrive in the crash
     # round (adds), lost or delayed messages from senders that send in
-    # the round and do not crash in it (removes), and the messages each
-    # receiver gets in a later round (late).  Loss and delay entries
-    # that the delivery rule overrides are skipped: self-deliveries
-    # and a sender's crash round or later.
+    # the round and do not crash in it (removes), and the sender mask
+    # of each sent round a receiver gets in a later round (late).  Loss
+    # and delay entries that the delivery rule overrides are skipped:
+    # self-deliveries and a sender's crash round or later.
     adds: dict[Round, dict[ProcessId, int]] = {}
     removes: dict[Round, dict[ProcessId, int]] = {}
-    late: dict[Round, dict[ProcessId, list[tuple[Round, ProcessId]]]] = {}
+    late: dict[Round, dict[ProcessId, dict[Round, int]]] = {}
 
     def arrives_late(
-        sender: ProcessId, receiver: ProcessId, sent: Round, delivery: Round
+        senders: int, receiver: ProcessId, sent: Round, delivery: Round
     ) -> None:
         # A receiver that leaves the computation before the delivery
-        # round never receives the message.
-        if sent < delivery <= horizon and crash_at[receiver] > delivery:
-            late.setdefault(delivery, {}).setdefault(receiver, []).append(
-                (sent, sender)
-            )
+        # round never receives the messages.
+        if senders and sent < delivery <= horizon and (
+            crash_at[receiver] > delivery
+        ):
+            row = late.setdefault(delivery, {}).setdefault(receiver, {})
+            row[sent] = row.get(sent, 0) | senders
 
     for pid, spec in schedule.crashes.items():
         k = spec.round
         if k <= horizon:
             for receiver in spec.delivered_same_round:
-                _set_bit(adds, k, receiver, pid)
+                _add_bits(adds, k, receiver, 1 << pid)
             for receiver, delivery in spec.delayed:
-                arrives_late(pid, receiver, k, delivery)
-    losses = schedule.losses
-    for sender, receiver, k in losses:
+                arrives_late(1 << pid, receiver, k, delivery)
+    for sender, receiver, k in schedule.losses:
         if sender != receiver and 1 <= k < crash_at[sender]:
-            _set_bit(removes, k, receiver, sender)
-    for (sender, receiver, k), delivery in schedule.delays.items():
-        if sender != receiver and 1 <= k < crash_at[sender] and delivery != k:
-            _set_bit(removes, k, receiver, sender)
-            if (sender, receiver, k) not in losses:
-                arrives_late(sender, receiver, k, delivery)
+            _add_bits(removes, k, receiver, 1 << sender)
+    gone = crashed_by_round(schedule.crashes, horizon)
+    for (k, receiver), by_delivery in schedule.delay_rows.items():
+        if not 1 <= k <= horizon:
+            continue
+        kept = ~(gone[k] | 1 << receiver)
+        # Until this row, the only one of (k, receiver), adds its moved
+        # senders, the (k, receiver) removes are exactly its losses.
+        lost = removes.get(k, {}).get(receiver, 0)
+        moved = 0
+        for delivery, delayed in by_delivery.items():
+            delayed &= kept
+            if delivery != k:
+                moved |= delayed
+                arrives_late(delayed & ~lost, receiver, k, delivery)
+        if moved:
+            _add_bits(removes, k, receiver, moved)
 
     senders: list[tuple[ProcessId, ...]] = [()]
     completers: list[tuple[ProcessId, ...]] = [()]
@@ -229,9 +245,8 @@ def _compile(schedule: Schedule) -> CompiledSchedule:
             delayed_inboxes.append(no_delayed)
         else:
             round_delayed: list[tuple] = [()] * n
-            for receiver, pairs in arrivals.items():
-                pairs.sort()
-                round_delayed[receiver] = tuple(pairs)
+            for receiver, by_sent in arrivals.items():
+                round_delayed[receiver] = tuple(sorted(by_sent.items()))
             delayed_inboxes.append(tuple(round_delayed))
 
     return CompiledSchedule(

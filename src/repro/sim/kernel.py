@@ -205,10 +205,13 @@ def _run(
         delayed_plan = plan.delayed_inboxes[k]
         if plane is not None:
             if claimed:
-                # Only completers have delayed rows.
-                message_count += plane.claim(
-                    k, plan.completers[k], cmasks
-                ) + sum(map(len, delayed_plan))
+                message_count += plane.claim(k, plan.completers[k], cmasks)
+                if any(delayed_plan):
+                    # Only completers have delayed rows.
+                    message_count += sum(
+                        senders.bit_count()
+                        for row in delayed_plan for _sent, senders in row
+                    )
             else:
                 # Post-send, pre-receive: the senders' refreshed rows
                 # are exactly the Halt sets this round's payloads carry.

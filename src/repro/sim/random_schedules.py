@@ -137,7 +137,7 @@ def random_es_schedule(
     # Asynchronous prefix: per-receiver random delays, respecting the
     # t-resilience quota of n - t same-round messages.
     never = horizon + 1
-    delay = builder.delay
+    delay_row = builder.delay_row
     for k in range(1, min(sync_by - 1, horizon - 1) + 1):
         # Senders that survive round k; the receivers are the same set,
         # and each receiver's candidates are the other steady senders.
@@ -159,8 +159,11 @@ def random_es_schedule(
             if not count:
                 continue
             candidates = steady[:position] + steady[position + 1:]
+            row: dict[Round, int] = {}
             for victim in sorted(_sample(bits, candidates, count)):
-                delay(victim, receiver, k, _randint(bits, k + 1, last))
+                until = _randint(bits, k + 1, last)
+                row[until] = row.get(until, 0) | 1 << victim
+            delay_row(k, receiver, row)
 
     return builder.build()
 

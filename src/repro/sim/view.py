@@ -497,25 +497,32 @@ def build_current_buckets(mask: int, table: SendTable) -> tuple:
 
 
 def build_delayed_buckets(
-    delayed_plan: Sequence[tuple[Round, ProcessId]],
+    delayed_plan: Sequence[tuple[Round, int]],
     payloads: Sequence[Sequence[Payload]],
     not_sent: object,
 ) -> tuple:
     """One delayed row's shared buckets: ``(delayed, decides)``.
 
-    *payloads* is the kernel's ``payloads[sender][sent_round]`` grid
-    with *not_sent* marking senders that never broadcast in the
+    *delayed_plan* is a plan row of ``(sent_round, sender_mask)``
+    entries, sorted by sent round; each mask is walked from its low bit
+    up, so the items come out in canonical ``(sent_round, sender)``
+    order.  *payloads* is the kernel's ``payloads[sender][sent_round]``
+    grid with *not_sent* marking senders that never broadcast in the
     message's round (halted before it).
     """
     if not delayed_plan:
         return ((), ())
     delayed: list = []
     decides: list = []
-    for sent_round, sender in delayed_plan:
-        payload = payloads[sender][sent_round]
-        if payload is not_sent:
-            continue
-        delayed.append((sent_round, sender, payload))
-        if _is_decide_payload(payload):
-            decides.append(payload)
+    for sent_round, senders in delayed_plan:
+        while senders:
+            low = senders & -senders
+            senders ^= low
+            sender = low.bit_length() - 1
+            payload = payloads[sender][sent_round]
+            if payload is not_sent:
+                continue
+            delayed.append((sent_round, sender, payload))
+            if _is_decide_payload(payload):
+                decides.append(payload)
     return tuple(delayed), tuple(decides)

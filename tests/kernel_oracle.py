@@ -19,7 +19,7 @@ import it from here.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.algorithms.base import Automaton
 from repro.model.messages import DUMMY, Message
@@ -136,6 +136,31 @@ def sync_from_by_scan(schedule: Schedule) -> Round:
         if not is_synchronous_round(schedule, k):
             first_bad = k
     return first_bad + 1
+
+
+def delay_rows_of(
+    delays: Mapping[tuple[ProcessId, ProcessId, Round], Round],
+) -> dict[tuple[Round, ProcessId], dict[Round, int]]:
+    """``Schedule.delay_rows`` for a per-message ``{(sender, receiver,
+    sent_round): delivery}`` table, for schedules built directly."""
+    rows: dict[tuple[Round, ProcessId], dict[Round, int]] = {}
+    for (sender, receiver, sent), delivery in delays.items():
+        row = rows.setdefault((sent, receiver), {})
+        row[delivery] = row.get(delivery, 0) | 1 << sender
+    return rows
+
+
+def delayed_pairs(
+    row: Sequence[tuple[Round, int]],
+) -> tuple[tuple[Round, ProcessId], ...]:
+    """A plan's delayed row, ``(sent_round, sender_mask)`` entries, as
+    the ``(sent_round, sender)`` pairs it stands for, in plan order."""
+    return tuple(
+        (sent, sender)
+        for sent, senders in row
+        for sender in range(senders.bit_length())
+        if senders >> sender & 1
+    )
 
 
 def sort_delivery(messages: list[Message]) -> tuple[Message, ...]:

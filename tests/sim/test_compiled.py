@@ -42,6 +42,8 @@ from repro.sim.random_schedules import (
 from kernel_oracle import (
     completes_round,
     crashed_in,
+    delay_rows_of,
+    delayed_pairs,
     deliveries_to,
     delivery_round,
     execute_reference,
@@ -118,18 +120,35 @@ def _dense_compile(schedule: Schedule) -> CompiledSchedule:
 def _inbox(plan: CompiledSchedule, k: int, receiver: int) -> tuple:
     """*receiver*'s merged round-*k* plan: the canonically ordered
     ``(sent_round, sender)`` pairs, delayed ones first."""
-    return plan.delayed_inboxes[k][receiver] + tuple(
+    return delayed_pairs(plan.delayed_inboxes[k][receiver]) + tuple(
         (k, sender) for sender in iter_bits(plan.current_masks[k][receiver])
     )
 
 
 def _assert_plan_matches_oracle(schedule: Schedule) -> None:
+    """The plan equals the pair-shaped dense oracle once its delayed
+    mask rows are expanded, and every delayed row is canonical: sent
+    rounds strictly ascending, each with a non-zero sender mask."""
     plan = compile_schedule(schedule)
     oracle = _dense_compile(schedule)
     for field in fields(CompiledSchedule):
+        if field.name == "delayed_inboxes":
+            continue
         assert getattr(plan, field.name) == getattr(oracle, field.name), (
             f"{field.name} differs from the dense oracle"
         )
+    expanded = tuple(
+        tuple(delayed_pairs(row) for row in round_rows)
+        for round_rows in plan.delayed_inboxes
+    )
+    assert expanded == oracle.delayed_inboxes, (
+        "delayed_inboxes differs from the dense oracle"
+    )
+    for round_rows in plan.delayed_inboxes:
+        for row in round_rows:
+            sent_rounds = [sent for sent, _senders in row]
+            assert sent_rounds == sorted(set(sent_rounds))
+            assert all(senders > 0 for _sent, senders in row)
 
 
 class TestCompiledMatchesReference:
@@ -171,7 +190,7 @@ class TestCompiledMatchesReference:
         # may carry deliveries beyond the horizon; both kernels must
         # simply never deliver them.
         schedule = Schedule(
-            n=3, t=1, horizon=4, delays={(0, 1, 2): 9}
+            n=3, t=1, horizon=4, delay_rows={(2, 1): {9: 1 << 0}}
         )
         factory = get_factory("att2")
         reference = execute_reference(
@@ -447,8 +466,8 @@ class TestPlanMatchesDenseOracle:
         }
         losses = data.draw(st.frozensets(triple, max_size=8))
         schedule = Schedule(
-            n=n, t=n - 1, horizon=horizon, crashes=crashes, delays=delays,
-            losses=losses,
+            n=n, t=n - 1, horizon=horizon, crashes=crashes,
+            delay_rows=delay_rows_of(delays), losses=losses,
         )
         _assert_plan_matches_oracle(schedule)
         assert schedule.sync_from() == sync_from_by_scan(schedule)
@@ -471,7 +490,7 @@ class TestPlanMatchesDenseOracle:
         )
         _assert_plan_matches_oracle(schedule)
         plan = compile_schedule(schedule)
-        assert plan.delayed_inboxes[3][3] == ((2, 0),)
+        assert plan.delayed_inboxes[3][3] == ((2, 1 << 0),)
         assert all(not plan.delayed_inboxes[4][r] for r in range(5))
 
     def test_delay_to_receiver_crashing_before_delivery(self):
@@ -483,7 +502,7 @@ class TestPlanMatchesDenseOracle:
         schedule = builder.build()
         _assert_plan_matches_oracle(schedule)
         plan = compile_schedule(schedule)
-        assert plan.delayed_inboxes[3][2] == ((2, 1),)
+        assert plan.delayed_inboxes[3][2] == ((2, 1 << 1),)
         assert plan.delayed_inboxes[4][2] == ()
 
     def test_loss_to_receiver_crashing_in_the_send_round(self):
@@ -500,14 +519,16 @@ class TestPlanMatchesDenseOracle:
             crashes={
                 0: CrashSpec(round=3, delivered_same_round=frozenset({1}))
             },
-            delays={(0, 1, 3): 5, (0, 2, 4): 6, (1, 2, 2): 4},
+            delay_rows=delay_rows_of(
+                {(0, 1, 3): 5, (0, 2, 4): 6, (1, 2, 2): 4}
+            ),
             losses=frozenset({(0, 1, 3), (0, 3, 5), (2, 3, 1)}),
         )
         _assert_plan_matches_oracle(schedule)
         plan = compile_schedule(schedule)
         assert plan.current_masks[3][1] & (1 << 0)
         assert plan.delayed_inboxes[5][1] == ()
-        assert plan.delayed_inboxes[4][2] == ((2, 1),)
+        assert plan.delayed_inboxes[4][2] == ((2, 1 << 1),)
 
     def test_exception_free_rounds_share_rows(self):
         plan = compile_schedule(Schedule.failure_free(6, 2, 9))

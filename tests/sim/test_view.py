@@ -31,7 +31,12 @@ from repro.sim.view import (
     build_delayed_buckets,
 )
 
-from kernel_oracle import completes_round, deliveries_to, execute_reference
+from kernel_oracle import (
+    completes_round,
+    delayed_pairs,
+    deliveries_to,
+    execute_reference,
+)
 
 
 def entry(sent_round, sender, payload):
@@ -408,7 +413,7 @@ class TestPlanSharingGroups:
                     (sent, sender)
                     for sender, sent in deliveries_to(schedule, receiver, k)
                 }
-                delayed = plan.delayed_inboxes[k][receiver]
+                delayed = delayed_pairs(plan.delayed_inboxes[k][receiver])
                 current = plan.current_masks[k][receiver]
                 assert all(sent < k for sent, _sender in delayed)
                 assert list(delayed) == sorted(delayed)
@@ -472,8 +477,17 @@ class TestLazyBucketBuilder:
         for (sent, sender), payload in late.items():
             if payload is not None:
                 grid[sender][sent] = payload
+        # The plan's delayed row: one sender mask per sent round.
+        row: dict = {}
+        for sent, sender in late:
+            row[sent] = row.get(sent, 0) | 1 << sender
         delayed, delayed_decides = build_delayed_buckets(
-            tuple(sorted(late)), grid, _NOT_SENT
+            tuple(sorted(row.items())), grid, _NOT_SENT
+        )
+        assert delayed == tuple(
+            (sent, sender, payload)
+            for (sent, sender), payload in sorted(late.items())
+            if payload is not None
         )
         lazy = RoundView.lazy(
             k, 0, n, delayed, delayed_decides, CurrentCell(table, mask)
