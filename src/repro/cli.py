@@ -160,31 +160,31 @@ from repro.model.schedule import Schedule
 from repro.sim.kernel import run_algorithm
 
 
-def _build_workload(name: str, n: int, t: int, horizon: int,
-                    sync_after: int):
-    from repro.workloads import (
-        async_prefix,
-        block_crashes,
-        coordinator_killer,
-        serial_cascade,
-        value_hiding_chain,
-    )
+#: ``repro run --workload`` names: the grid family kind each builds, and
+#: its params (``async_prefix`` also takes ``k`` from ``--sync-after``).
+_RUN_WORKLOADS = {
+    "failure_free": ("failure_free", {}),
+    "cascade": ("cascade", {}),
+    "hiding_chain": ("hiding_chain", {}),
+    "block": ("block", {}),
+    "killer2": ("killer", {"rounds_per_cycle": 2}),
+    "killer3": ("killer", {"rounds_per_cycle": 3}),
+    "async_prefix": ("async_prefix", {}),
+}
 
-    builders = {
-        "failure_free": lambda: Schedule.failure_free(n, t, horizon),
-        "cascade": lambda: serial_cascade(n, t, horizon),
-        "hiding_chain": lambda: value_hiding_chain(n, t, horizon),
-        "block": lambda: block_crashes(n, t, horizon),
-        "killer2": lambda: coordinator_killer(n, t, horizon,
-                                              rounds_per_cycle=2),
-        "killer3": lambda: coordinator_killer(n, t, horizon,
-                                              rounds_per_cycle=3),
-        "async_prefix": lambda: async_prefix(n, t, horizon, k=sync_after),
-    }
-    if name not in builders:
-        known = ", ".join(sorted(builders))
+
+def _build_workload(name: str, n: int, t: int, horizon: int,
+                    sync_after: int) -> Schedule:
+    from repro.engine.grids import build_schedule, family
+
+    if name not in _RUN_WORKLOADS:
+        known = ", ".join(sorted(_RUN_WORKLOADS))
         raise SystemExit(f"unknown workload {name!r}; known: {known}")
-    return builders[name]()
+    kind, params = _RUN_WORKLOADS[name]
+    if kind == "async_prefix":
+        params = {"k": sync_after}
+    spec = family(name, kind, horizon=horizon, **params)
+    return build_schedule(spec, n, t, seed=0)
 
 
 def _cmd_list(_args) -> int:
@@ -764,11 +764,6 @@ def _cmd_experiments(_args) -> int:
     return 0
 
 
-#: ``repro lint``'s default baseline, relative to the invocation
-#: directory (the repo root in CI and the tier-1 self-check).
-LINT_BASELINE = "lint-baseline.json"
-
-
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach ``repro lint``'s arguments to its subparser.
 
@@ -782,19 +777,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json", dest="json_out", metavar="FILE", default=None,
         help="also write the machine-readable report to FILE",
-    )
-    parser.add_argument(
-        "--baseline", default=LINT_BASELINE, metavar="FILE",
-        help="allowed-findings file (default: %(default)s; a missing "
-             "file is an empty baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline and report all findings (nightly mode)",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to allow exactly the current findings",
     )
     parser.add_argument(
         "--select", default=None, metavar="CODES",

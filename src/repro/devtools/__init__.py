@@ -12,8 +12,8 @@ invariants (``rules_*`` modules), and the analyzer front end
 (:mod:`repro.devtools.analyzer`) exposed as ``python -m repro lint``.
 
 See ``docs/static-analysis.md`` for the rule catalogue, the invariant
-each rule protects, suppression syntax (``# repro: noqa[CODE]``) and the
-baseline workflow.
+each rule protects, and the suppression syntax (``# repro: noqa[CODE]``),
+the only way to keep a finding out of the gate.
 """
 
 from repro.devtools.analyzer import (
@@ -22,12 +22,10 @@ from repro.devtools.analyzer import (
     lint_source,
     iter_python_files,
 )
-from repro.devtools.baseline import Baseline
 from repro.devtools.findings import Finding
 from repro.devtools.rules import Rule, all_rules
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintReport",
     "Rule",

@@ -4,9 +4,8 @@ Per file: parse to an AST, build the :class:`~repro.devtools.rules.
 LintContext` (parent map + source lines), collect the rules in scope for
 the file's path, and dispatch every node to the rules registered for its
 type.  Findings are then filtered through the file's ``# repro:
-noqa[...]`` suppressions; baseline filtering happens one level up
-(:mod:`repro.devtools.baseline`), where findings from every file are
-visible.
+noqa[...]`` suppressions, the only filter: every finding that survives
+them fails the gate.
 
 Suppression syntax, on the offending line::
 
@@ -36,7 +35,7 @@ from repro.devtools.findings import Finding
 from repro.devtools.rules import LintContext, Rule, rules_for
 
 #: Pseudo-code reported for unparsable files (not a registered rule; it
-#: cannot be suppressed or baselined away — broken source is always new).
+#: cannot be suppressed — broken source always fails the gate).
 PARSE_ERROR_CODE = "PARSE"
 
 _NOQA_PATTERN = re.compile(
@@ -83,8 +82,8 @@ def _suppressed(
 
 def normalize_path(path: str) -> str:
     """The canonical (posix-separator, ``./``-free) form of *path* used
-    in findings and baseline keys; repo-root-relative when linted from
-    the repo root, which is how CI and the self-check run."""
+    in findings and for rule scoping; repo-root-relative when linted
+    from the repo root, which is how CI runs."""
     return os.path.normpath(path).replace(os.sep, "/")
 
 
@@ -183,14 +182,11 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
 class LintReport:
     """The outcome of one analyzer run over a set of paths.
 
-    ``findings`` are the violations that survived noqa and baseline
-    filtering; ``baselined`` counts the legacy findings the baseline
-    absorbed (reported so burn-down progress is visible);
+    ``findings`` are the violations that survived noqa filtering;
     ``files_checked`` the number of modules analyzed.
     """
 
     findings: tuple[Finding, ...]
-    baselined: int = 0
     files_checked: int = 0
 
     @property
@@ -206,9 +202,8 @@ class LintReport:
     def to_data(self) -> dict:
         """JSON-safe report (``repro lint --json``), canonically ordered."""
         return {
-            "version": 1,
+            "version": 2,
             "files_checked": self.files_checked,
-            "baselined": self.baselined,
             "counts": self.counts_by_code(),
             "findings": [finding.to_data() for finding in self.findings],
         }
@@ -217,14 +212,12 @@ class LintReport:
 def lint_paths(
     paths: Sequence[str],
     *,
-    baseline: "object | None" = None,
     select: Callable[[Rule], bool] | None = None,
 ) -> LintReport:
-    """Lint every Python file under *paths* and apply the *baseline*.
+    """Lint every Python file under *paths*.
 
-    ``baseline`` is a :class:`~repro.devtools.baseline.Baseline` (or
-    ``None`` for no filtering).  Findings are globally sorted — path,
-    then line — so two runs over the same tree emit identical reports.
+    Findings are globally sorted — path, then line — so two runs over
+    the same tree emit identical reports.
     """
     all_findings: list[Finding] = []
     files_checked = 0
@@ -232,12 +225,6 @@ def lint_paths(
         files_checked += 1
         all_findings.extend(lint_file(path, select=select))
     all_findings.sort()
-    baselined = 0
-    if baseline is not None:
-        kept, baselined = baseline.filter(all_findings)
-        all_findings = kept
     return LintReport(
-        findings=tuple(all_findings),
-        baselined=baselined,
-        files_checked=files_checked,
+        findings=tuple(all_findings), files_checked=files_checked
     )

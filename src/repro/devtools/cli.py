@@ -4,8 +4,8 @@ Argument wiring lives in :mod:`repro.cli` next to the other
 subcommands; this module owns the behavior so tests can drive it
 without a subprocess.
 
-Exit codes: 0 clean (after noqa + baseline filtering), 1 findings,
-2 usage error (unknown path, unknown rule code, malformed baseline).
+Exit codes: 0 clean (after noqa filtering), 1 findings, 2 usage error
+(unknown path, unknown rule code).
 """
 
 from __future__ import annotations
@@ -13,14 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Sequence, TextIO
+from typing import Callable, TextIO
 
-from repro.cli import add_lint_arguments
 from repro.devtools.analyzer import LintReport, lint_paths
-from repro.devtools.baseline import Baseline
 from repro.devtools.rules import Rule, all_rules
 
-__all__ = ["add_lint_arguments", "main", "run_lint"]
+__all__ = ["run_lint"]
 
 
 def _make_select(codes: str | None) -> Callable[[Rule], bool] | None:
@@ -59,23 +57,10 @@ def _print_report(report: LintReport, stream: TextIO) -> None:
             f"{len(report.findings)} finding(s) in "
             f"{report.files_checked} file(s)"
             + (f" ({summary})" if summary else "")
-            + (
-                f"; {report.baselined} baselined"
-                if report.baselined
-                else ""
-            )
             + "\n"
         )
     else:
-        stream.write(
-            f"clean: {report.files_checked} file(s)"
-            + (
-                f", {report.baselined} baselined finding(s)"
-                if report.baselined
-                else ""
-            )
-            + "\n"
-        )
+        stream.write(f"clean: {report.files_checked} file(s)\n")
 
 
 def run_lint(
@@ -93,26 +78,8 @@ def run_lint(
         print(exc, file=sys.stderr)
         return 2
 
-    baseline: Baseline | None = None
-    if not args.no_baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-
     try:
-        if args.update_baseline:
-            # Regenerate allowances from the tree as it stands: lint
-            # without the old baseline, persist every finding as debt.
-            raw = lint_paths(args.paths, baseline=None, select=select)
-            Baseline.from_findings(raw.findings).save(args.baseline)
-            out.write(
-                f"baseline updated: {args.baseline} now allows "
-                f"{len(raw.findings)} finding(s)\n"
-            )
-            return 0
-        report = lint_paths(args.paths, baseline=baseline, select=select)
+        report = lint_paths(args.paths, select=select)
     except FileNotFoundError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
@@ -124,16 +91,3 @@ def run_lint(
     _print_report(report, out)
     return 0 if report.clean else 1
 
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Standalone entry point (``python -m repro.devtools.cli``)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description="AST lint for the repro codebase's invariants",
-    )
-    add_lint_arguments(parser)
-    return run_lint(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

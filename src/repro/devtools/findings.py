@@ -1,11 +1,8 @@
-"""Lint findings: what a rule reports, and how findings are keyed.
+"""Lint findings: what a rule reports.
 
 A :class:`Finding` pins down one rule violation: file, position, rule
-code, message, and the stripped source text of the offending line.  The
-*baseline key* deliberately excludes the line **number**: baselines match
-on ``(path, code, line text)`` so that unrelated edits moving a legacy
-finding up or down the file do not churn the committed baseline — only
-adding a new violation (or editing the offending line itself) surfaces.
+code, message, and the stripped source text of the offending line
+(reported alongside the position in ``repro lint --json``).
 """
 
 from __future__ import annotations
@@ -19,13 +16,12 @@ class Finding:
 
     Attributes:
         path: normalized (posix-separator) path of the linted file, as
-            reported to the user and keyed into baselines.
+            as reported to the user.
         line: 1-based line of the violation.
         col: 0-based column of the violation.
         code: the rule code (``DET001``, ``BIT002``, ...).
         message: the human-readable explanation, naming the fix.
-        source_line: the stripped text of the offending line (the
-            position-independent part of the baseline key).
+        source_line: the stripped text of the offending line.
     """
 
     path: str
@@ -34,10 +30,6 @@ class Finding:
     code: str
     message: str
     source_line: str = ""
-
-    def key(self) -> str:
-        """The position-independent baseline key for this finding."""
-        return f"{self.path}::{self.code}::{self.source_line}"
 
     def describe(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}: {self.code} {self.message}"

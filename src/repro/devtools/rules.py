@@ -17,8 +17,7 @@ the rules themselves.
 
 Rules self-register at import time (:func:`register_rule`); the
 ``rules_*`` modules in this package are imported by the analyzer, so the
-stock set is always loaded.  Out-of-tree extensions register the same
-way — see ``docs/static-analysis.md``.
+whole set is always loaded.
 """
 
 from __future__ import annotations
@@ -92,12 +91,6 @@ class LintContext:
                 return ancestor
         return None
 
-    def enclosing_class(self, node: ast.AST) -> ast.ClassDef | None:
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, ast.ClassDef):
-                return ancestor
-        return None
-
     def is_discarded_expression(self, node: ast.AST) -> bool:
         """True iff *node* is the expression of a bare ``Expr`` statement
         — called for effect (e.g. a fail-fast hashability probe), its
@@ -134,8 +127,8 @@ class Rule:
     instances are stateless (one shared instance serves every file).
 
     Attributes:
-        code: unique rule id, ``<GROUP><NNN>`` (suppression and baseline
-            key).
+        code: unique rule id, ``<GROUP><NNN>`` (what a suppression
+            names).
         name: short kebab-case label for listings.
         rationale: one-paragraph statement of the invariant protected.
         node_types: AST node classes the rule wants dispatched.
@@ -186,12 +179,18 @@ _REGISTRY: dict[str, Rule] = {}
 def register_rule(cls: type[Rule]) -> type[Rule]:
     """Class decorator: instantiate and register a rule by its code.
 
-    Re-registering a code replaces the previous rule (last wins), so a
-    repo-local override can shadow a stock rule without forking it.
+    Codes are unique: registering a second rule under a taken code
+    raises ``ValueError`` rather than silently turning the first off.
     """
     rule = cls()
     if not rule.code:
         raise ValueError(f"rule {cls.__name__} has no code")
+    taken = _REGISTRY.get(rule.code)
+    if taken is not None:
+        raise ValueError(
+            f"rule {cls.__name__} reuses code {rule.code} of "
+            f"{type(taken).__name__}"
+        )
     _REGISTRY[rule.code] = rule
     return cls
 

@@ -136,6 +136,28 @@ DELETE FROM entries WHERE key IN (
 """
 
 
+def _use_wal(db: "sqlite3.Connection") -> None:
+    """Switch *db*'s database to WAL unless it already is.
+
+    Connections that open one fresh database together race to switch
+    it.  SQLite fails a loser's switch at once with "database is
+    locked", without waiting out the busy timeout, so a loser reads the
+    mode again (finding the winner's switch) until the timeout ends.
+    """
+    import sqlite3
+
+    deadline = time.monotonic() + BUSY_TIMEOUT_S
+    while True:
+        try:
+            if db.execute("PRAGMA journal_mode").fetchone()[0] != "wal":
+                db.execute("PRAGMA journal_mode = WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() > deadline:
+                raise
+        time.sleep(0.001)
+
+
 def _connect(path: Path) -> "sqlite3.Connection":
     """An autocommit, any-thread connection to *path*, schema ensured."""
     import sqlite3
@@ -145,7 +167,7 @@ def _connect(path: Path) -> "sqlite3.Connection":
         check_same_thread=False,
     )
     try:
-        db.execute("PRAGMA journal_mode = WAL")
+        _use_wal(db)
         db.execute("PRAGMA synchronous = NORMAL")
         db.execute(f"PRAGMA cache_size = -{PAGE_CACHE_KIB}")
         db.executescript(_SCHEMA)

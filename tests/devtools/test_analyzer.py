@@ -7,8 +7,9 @@ import os
 import pytest
 
 from repro.devtools import lint_paths, lint_source, iter_python_files
+from repro.devtools import rules as rules_module
 from repro.devtools.analyzer import PARSE_ERROR_CODE
-from repro.devtools.rules import module_parts
+from repro.devtools.rules import Rule, all_rules, module_parts, register_rule
 
 HOT_PATH = "src/repro/sim/kernel.py"
 
@@ -163,7 +164,26 @@ class TestLintPaths:
     def test_json_payload_shape(self, tmp_path):
         (tmp_path / "ok.py").write_text("x = 1\n")
         data = lint_paths([str(tmp_path)]).to_data()
-        assert data["version"] == 1
+        assert data["version"] == 2
         assert data["files_checked"] == 1
         assert data["findings"] == []
         assert data["counts"] == {}
+
+
+class TestRegistry:
+    def test_duplicate_code_is_rejected(self, monkeypatch):
+        # A copied rule class that reuses a code must not turn the first
+        # rule off.  The registry is swapped for a copy, so even a
+        # registration that wrongly succeeds cannot leak into other tests.
+        before = all_rules()  # loads every rule before the swap
+        monkeypatch.setattr(
+            rules_module, "_REGISTRY", dict(rules_module._REGISTRY)
+        )
+        taken = before[0].code
+
+        class Copy(Rule):
+            code = taken
+
+        with pytest.raises(ValueError, match=taken):
+            register_rule(Copy)
+        assert all_rules() == before

@@ -1,4 +1,4 @@
-"""CLI behavior: exit codes, --json export, baseline flags, rule listing."""
+"""CLI behavior: exit codes, --json export, rule selection, rule listing."""
 
 from __future__ import annotations
 
@@ -6,9 +6,10 @@ import argparse
 import io
 import json
 
+from repro.cli import add_lint_arguments
 from repro.cli import main as repro_main
 from repro.devtools import all_rules
-from repro.devtools.cli import add_lint_arguments, run_lint
+from repro.devtools.cli import run_lint
 
 CLEAN = "x = 1\n"
 DIRTY = "import random\nx = random.random()\n"
@@ -48,13 +49,6 @@ class TestExitCodes:
         code, _ = lint([str(tmp_path), "--select", "NOPE99"])
         assert code == 2
 
-    def test_malformed_baseline_exits_two(self, tmp_path):
-        (tmp_path / "ok.py").write_text(CLEAN)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text("{broken")
-        code, _ = lint([str(tmp_path), "--baseline", str(baseline)])
-        assert code == 2
-
 
 class TestJsonExport:
     def test_report_written(self, tmp_path):
@@ -63,7 +57,7 @@ class TestJsonExport:
         code, _ = lint([str(tmp_path), "--json", str(out_file)])
         assert code == 1
         data = json.loads(out_file.read_text())
-        assert data["version"] == 1
+        assert data["version"] == 2
         assert data["counts"] == {"DET002": 1}
         assert len(data["findings"]) == 1
         finding = data["findings"][0]
@@ -76,35 +70,6 @@ class TestJsonExport:
         code, _ = lint([str(tmp_path), "--json", str(out_file)])
         assert code == 0
         assert json.loads(out_file.read_text())["findings"] == []
-
-
-class TestBaselineFlags:
-    def test_update_then_gate(self, tmp_path):
-        (tmp_path / "bad.py").write_text(DIRTY)
-        baseline = tmp_path / "baseline.json"
-        code, out = lint(
-            [str(tmp_path), "--baseline", str(baseline), "--update-baseline"]
-        )
-        assert code == 0
-        assert "1 finding(s)" in out
-        # Gated run: the legacy finding is absorbed.
-        code, out = lint([str(tmp_path), "--baseline", str(baseline)])
-        assert code == 0
-        assert "1 baselined" in out
-        # A new violation still fails.
-        (tmp_path / "bad.py").write_text(DIRTY + "y = random.choice([1])\n")
-        code, out = lint([str(tmp_path), "--baseline", str(baseline)])
-        assert code == 1
-        assert "choice" in out
-
-    def test_no_baseline_ignores_allowances(self, tmp_path):
-        (tmp_path / "bad.py").write_text(DIRTY)
-        baseline = tmp_path / "baseline.json"
-        lint([str(tmp_path), "--baseline", str(baseline), "--update-baseline"])
-        code, _ = lint(
-            [str(tmp_path), "--baseline", str(baseline), "--no-baseline"]
-        )
-        assert code == 1
 
 
 class TestSelect:
@@ -134,7 +99,7 @@ class TestListRules:
 class TestReproEntryPoint:
     def test_lint_subcommand_wired(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(DIRTY)
-        assert repro_main(["lint", str(tmp_path), "--no-baseline"]) == 1
+        assert repro_main(["lint", str(tmp_path)]) == 1
         assert "DET002" in capsys.readouterr().out
         (tmp_path / "bad.py").write_text(CLEAN)
-        assert repro_main(["lint", str(tmp_path), "--no-baseline"]) == 0
+        assert repro_main(["lint", str(tmp_path)]) == 0

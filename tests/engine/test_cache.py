@@ -516,6 +516,40 @@ class TestStats:
         assert stats["sweeps"] == sessions * rounds
         assert stats["store_failures"] == 0
 
+    def test_sessions_opening_one_fresh_directory_lose_no_store(
+        self, tmp_path
+    ):
+        # A connection switching a fresh database to WAL takes its write
+        # lock while others have read the empty header; SQLite then
+        # fails their own switch at once, without waiting.  A rival
+        # connection holds that lock while several sessions open the
+        # directory together, so each of them meets the race.
+        (record,) = run_cases([_case(0)])
+        directory = tmp_path / "cache"
+        directory.mkdir()
+        rival = sqlite3.connect(directory / DB_FILE, isolation_level=None)
+        rival.execute("BEGIN IMMEDIATE")
+        sessions = [ResultCache(directory) for _ in range(4)]
+        threads = [
+            threading.Thread(
+                target=mine.store,
+                args=(_case(0, proposals=(worker, 0, 0)), record),
+            )
+            for worker, mine in enumerate(sessions)
+        ]
+        for thread in threads:
+            thread.start()
+        time.sleep(0.2)
+        rival.execute("COMMIT")
+        rival.close()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [mine.store_failures for mine in sessions] == [0] * 4
+        for mine in sessions:
+            mine.close()
+        assert cache_stats(directory)["entries"] == 4
+
     def test_unswept_directory_reports_no_rate(self, cache):
         stats = cache_stats(cache.directory)
         assert stats["entries"] == 0

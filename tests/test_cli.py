@@ -1020,6 +1020,25 @@ class TestNoTraceFlag:
         assert banner.endswith("backend=serial")
 
 
+class TestNoLintBaselineFlags:
+    """Inline ``# repro: noqa[CODE]`` is the only way to keep a finding
+    out of the lint gate, so ``lint`` takes no allowance-file flags."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--no-baseline"],
+        ["--baseline", "F"],
+        ["--update-baseline"],
+    ])
+    def test_baseline_flag_rejected(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "src"] + flags)
+        assert exc.value.code == 2
+        assert (
+            f"unrecognized arguments: {' '.join(flags)}"
+            in capsys.readouterr().err
+        )
+
+
 class TestParserImports:
     """Building the parser loads no lint code and no diagram renderer:
     ``repro lint``'s arguments are wired in :mod:`repro.cli` and
@@ -1053,8 +1072,7 @@ class TestParserImports:
         assert proc.stdout.split() == []
 
     def test_lint_subcommand_still_parses_its_arguments(self):
-        from repro.cli import LINT_BASELINE, build_parser
+        from repro.cli import build_parser
 
         args = build_parser().parse_args(["lint", "src", "--select", "DET001"])
         assert (args.paths, args.select) == (["src"], "DET001")
-        assert args.baseline == LINT_BASELINE
