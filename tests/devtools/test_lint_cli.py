@@ -71,6 +71,18 @@ class TestJsonExport:
         assert code == 0
         assert json.loads(out_file.read_text())["findings"] == []
 
+    def test_reports_name_no_allowance(self, tmp_path):
+        # Inline noqa is the only allowance, so neither report counts
+        # findings let through by a file.
+        (tmp_path / "bad.py").write_text(DIRTY)
+        out_file = tmp_path / "report.json"
+        code, out = lint([str(tmp_path), "--json", str(out_file)])
+        assert code == 1
+        assert sorted(json.loads(out_file.read_text())) == [
+            "counts", "files_checked", "findings", "version",
+        ]
+        assert "baselined" not in out
+
 
 class TestSelect:
     def test_select_restricts_rules(self, tmp_path):

@@ -550,6 +550,31 @@ class TestStats:
             mine.close()
         assert cache_stats(directory)["entries"] == 4
 
+    def test_open_switches_an_existing_database_to_wal(self, tmp_path):
+        directory = tmp_path / "cache"
+        directory.mkdir()
+        with closing(sqlite3.connect(directory / DB_FILE)) as db:
+            assert db.execute("PRAGMA journal_mode").fetchone()[0] == "delete"
+        cache = ResultCache(directory)
+        assert cache.entry_count() == 0
+        cache.close()
+        with closing(sqlite3.connect(directory / DB_FILE)) as db:
+            assert db.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+
+    def test_open_reads_while_another_session_holds_the_write_lock(
+        self, cache
+    ):
+        # A database already in WAL needs no switch, so a session opening
+        # it reads while a writer holds its lock instead of waiting it out.
+        run_cases(_small_batch(), cache=cache)
+        cache.close()
+        with _raw(cache) as rival:
+            rival.execute("BEGIN IMMEDIATE")
+            reader = ResultCache(cache.directory)
+            assert reader.entry_count() == 3
+            reader.close()
+            rival.execute("COMMIT")
+
     def test_unswept_directory_reports_no_rate(self, cache):
         stats = cache_stats(cache.directory)
         assert stats["entries"] == 0

@@ -77,6 +77,14 @@ class TestRun:
         with pytest.raises(SystemExit, match="unknown workload"):
             main(["run", "--workload", "nope"])
 
+    def test_unknown_workload_exits_with_one_line(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--workload", "nope"])
+        assert exit_info.value.code == (
+            "unknown workload 'nope'; known: async_prefix, block, cascade, "
+            "failure_free, hiding_chain, killer2, killer3"
+        )
+
     def test_unknown_algorithm_exits_with_one_line(self):
         with pytest.raises(SystemExit) as exit_info:
             main(["run", "--algorithm", "nope"])
@@ -118,6 +126,64 @@ class TestRun:
             "--workload", "failure_free",
         ])
         assert code == 0
+
+
+def _generator_schedule(name, n, t, horizon, sync_after):
+    """The schedule ``run --workload name`` names, from its generator."""
+    from repro.model.schedule import Schedule
+    from repro.workloads import (
+        async_prefix,
+        block_crashes,
+        coordinator_killer,
+        serial_cascade,
+        value_hiding_chain,
+    )
+
+    if name == "failure_free":
+        return Schedule.failure_free(n, t, horizon)
+    if name == "cascade":
+        return serial_cascade(n, t, horizon)
+    if name == "hiding_chain":
+        return value_hiding_chain(n, t, horizon)
+    if name == "block":
+        return block_crashes(n, t, horizon)
+    if name == "killer2":
+        return coordinator_killer(n, t, horizon, rounds_per_cycle=2)
+    if name == "killer3":
+        return coordinator_killer(n, t, horizon, rounds_per_cycle=3)
+    assert name == "async_prefix"
+    return async_prefix(n, t, horizon, k=sync_after)
+
+
+class TestRunWorkloadSchedules:
+    """``run --workload`` builds through the grid's generator table, and
+    each name gives its workload generator's schedule."""
+
+    @pytest.mark.parametrize("name", [
+        "failure_free", "cascade", "hiding_chain", "block",
+        "killer2", "killer3", "async_prefix",
+    ])
+    def test_workload_builds_its_generators_schedule(self, name):
+        from repro.cli import _build_workload
+
+        for n, t, horizon in [(5, 2, 24), (7, 3, 30)]:
+            built = _build_workload(name, n, t, horizon, 3)
+            expected = _generator_schedule(name, n, t, horizon, 3)
+            assert built == expected
+            assert built.digest() == expected.digest()
+
+    def test_sync_after_sets_the_async_prefix(self):
+        from repro.cli import _build_workload
+
+        built = {
+            k: _build_workload("async_prefix", 5, 2, 24, k)
+            for k in (1, 2, 5)
+        }
+        for k, schedule in built.items():
+            assert schedule == _generator_schedule(
+                "async_prefix", 5, 2, 24, k
+            )
+        assert len({schedule.digest() for schedule in built.values()}) == 3
 
 
 class TestExperiments:
@@ -1070,6 +1136,30 @@ class TestParserImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+    def test_lint_module_imports_no_cli(self):
+        # ``repro lint`` is the linter's one entry point: the lint module
+        # has no ``main`` of its own and does not reach back into the CLI.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        child = (
+            "import sys\n"
+            "import repro.devtools.cli as lint_cli\n"
+            "print(hasattr(lint_cli, 'main'), 'repro.cli' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", child], env=env, timeout=120,
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
 
     def test_lint_subcommand_still_parses_its_arguments(self):
         from repro.cli import build_parser
