@@ -1,10 +1,12 @@
 """Driver-memory bench: streamed large-n sweeps stay under fixed RSS budgets.
 
 The streaming path (``repro sweep --spool``, which passes a spool sink to
-:func:`repro.engine.runner.run_cases`) bounds the driver to one record
-in flight: everything else lands in the append-only JSONL spool as it
-completes, and the canonical export is rebuilt from the spool
-afterwards.  This bench runs an n = 250 lean sweep through that path
+:func:`repro.engine.runner.run_cases`) keeps no record in the runner:
+each lands in the append-only JSONL spool as it completes, and the
+summaries and canonical export are rebuilt from the spool afterwards.
+A serial run has one record in flight; a pooled run holds the executed
+records until its pool is torn down; the rebuild holds one slotted
+record per case.  This bench runs an n = 250 lean sweep through that path
 in a child interpreter and checks the child's peak RSS against the
 budget in ``benchmarks/memory_floor.json`` — the same pattern as the
 nightly speedup floors: a deliberately generous ceiling, so only
@@ -20,6 +22,17 @@ row runs the same sweep against a fresh ``--cache``: the driver keys
 each grid case by its recipe, so it builds nothing there either.  When
 keying a cold cache built and digested every schedule in the driver it
 peaked near 69 MB.
+
+A many-case row runs 10,025 small cases (n = 9, t = 4, 1,000 instances
+per family) on a two-worker pool with ``--json`` as well as the spool,
+the path a user takes to get both a spool and an export.  Its driver
+holds a record per case at two points in turn: the pool's drained
+results, then the batch rebuilt from the spool for the summaries and
+the export.  The
+budget guards the per-case size of that state: the driver peaked near
+45 MB when records carried an instance dict each and the export built a
+plain-data copy of every record plus the joined records text; slotted
+records written one at a time brought it near 32 MB.
 
 A further row runs att2 alone at n = 1000 through the streamed path.  Its
 Phase 1 grows Halt rows for t + 1 rounds; they live as int masks, so
@@ -65,6 +78,15 @@ POOLED_ARGS = (
     "--cases-per-family", "1", "--seed", "20260730",
     "--backend", "processes", "--workers", "2",
 )
+
+#: The many-case row: every stock algorithm over 1,000 small instances
+#: per family on a two-worker pool, exported with ``--json`` too.
+MANY_CASE_ARGS = (
+    "sweep", "--n", "9", "--t", "4",
+    "--cases-per-family", "1000", "--seed", "0",
+    "--backend", "processes", "--workers", "2",
+)
+MANY_CASE_EXPECTED_CASES = 10_025
 
 #: The n = 1000 row: att2 only, one instance per family.
 N1000_ARGS = (
@@ -173,6 +195,21 @@ def test_pooled_cold_cache_driver_memory_ceiling(tmp_path):
         "pooled cold-cache n=250",
         (*POOLED_ARGS, "--cache", str(tmp_path / "cache")),
         EXPECTED_CASES, "pooled_cold_cache_driver_peak_rss_kb", tmp_path,
+    )
+
+
+def test_pooled_many_case_export_driver_memory_ceiling(tmp_path):
+    export = tmp_path / "export.json"
+    _check_row(
+        "pooled 10,025-case --json",
+        (*MANY_CASE_ARGS, "--json", str(export)),
+        MANY_CASE_EXPECTED_CASES, "many_case_export_driver_peak_rss_kb",
+        tmp_path,
+    )
+    from repro.engine import BatchResult
+
+    assert BatchResult.load(str(export)) == BatchResult.load_spool(
+        str(tmp_path / "spool.jsonl")
     )
 
 

@@ -168,6 +168,10 @@ def source_closure_hash(roots: list[ModuleType]) -> str | None:
     Returns ``None`` when the closure is empty or any member's source text
     is unavailable (frozen interpreter, interactive definitions) — callers
     treat that as "unfingerprintable", i.e. uncacheable.
+
+    Each module's text is read once through its loader, which decodes it
+    as ``inspect.getsource`` does; unlike ``inspect.getsource`` it leaves
+    no copy of the file in :mod:`linecache` for the rest of the process.
     """
     modules = _module_closure(roots)
     if not modules:
@@ -175,8 +179,10 @@ def source_closure_hash(roots: list[ModuleType]) -> str | None:
     digest = hashlib.sha256()
     for module in modules:
         try:
-            source = inspect.getsource(module)
-        except (OSError, TypeError):
+            source = module.__loader__.get_source(module.__name__)
+        except (ImportError, OSError):
+            return None
+        if source is None:
             return None
         digest.update(module.__name__.encode())
         digest.update(b"\x00")

@@ -20,7 +20,7 @@ from repro.sim.trace import Trace
 from repro.types import Round, Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRecord:
     """One (algorithm, workload) measurement.
 
@@ -29,6 +29,9 @@ class SweepRecord:
     on a cache hit).  It is the explicit sort key that makes
     :meth:`~repro.engine.results.BatchResult.merge` order-independent;
     ``-1`` marks hand-built records that never passed through the engine.
+
+    Slotted: a driver holding a whole batch holds one record per case,
+    and a slotted record is a fraction of one carrying an instance dict.
     """
 
     algorithm: str
@@ -72,6 +75,18 @@ class SweepRecord:
         serialize; unlike ``dataclasses.asdict`` it deep-copies nothing.
         """
         return {name: getattr(self, name) for name in _RECORD_FIELDS}
+
+    # Frozen and slotted, so pickle's default state protocol has no
+    # ``__dict__`` to use and Python 3.10 rejects its slot fallback (see
+    # ``model/messages.py``); records cross the pool's pipe, so the state
+    # methods are explicit.
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in _RECORD_FIELDS)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(_RECORD_FIELDS, state):
+            object.__setattr__(self, name, value)
 
 
 _RECORD_FIELDS = tuple(field.name for field in fields(SweepRecord))

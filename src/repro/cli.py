@@ -79,16 +79,16 @@ instance per family, horizon 102) that the round-view delivery
 pipeline makes a seconds-not-minutes run, and ``--profile xxlarge``
 the n = 250 preset (t pinned at the xlarge value, isolating the
 per-round n² data-plane cost) that the bitset data plane makes
-tractable — pair it with ``--spool`` so the driver's memory stays
-bounded.  ``repro grid validate FILE_OR_DIR...`` lints grid files for
-CI without executing them.
+tractable — pair it with ``--spool`` so a killed run keeps every
+case it finished.  ``repro grid validate FILE_OR_DIR...`` lints grid
+files for CI without executing them.
 
 ``--spool FILE`` streams every record to an append-only JSONL spool as
-it completes instead of accumulating the batch in memory
-(:mod:`repro.engine.sink`): the driver holds one record plus one
-chunk of cached rows at a time, a killed run leaves the spool loadable
-as a clean partial result, and the ``--json`` export is rebuilt from
-the spool byte-identical to the in-memory path.
+it completes (:mod:`repro.engine.sink`): a killed run leaves the spool
+loadable as a clean partial result.  The summaries and the ``--json``
+export are rebuilt from the spool, byte-identical to the in-memory
+path, so the driver still ends up holding one slotted record per case;
+the export writes them one at a time.
 
 Trace modes
 -----------
@@ -155,7 +155,7 @@ from typing import Sequence
 from repro.algorithms.registry import available_algorithms, get_factory
 from repro.analysis.metrics import check_consensus, summarize
 from repro.analysis.tables import format_table
-from repro.errors import AlgorithmError
+from repro.errors import AlgorithmError, ScheduleError
 from repro.model.schedule import Schedule
 from repro.sim.kernel import run_algorithm
 
@@ -225,6 +225,12 @@ def _cmd_run(args) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"invalid system size: {exc}")
+    except ScheduleError as exc:
+        # e.g. a crash the workload places after a short --horizon
+        raise SystemExit(
+            f"cannot build workload {args.workload!r} with "
+            f"--horizon {args.horizon}: {exc}"
+        )
     _reject_unsupported_sizes([args.algorithm], args.n, args.t)
     if args.proposals:
         try:
@@ -548,10 +554,11 @@ def _cmd_sweep(args) -> int:
         f"backend={executor.name}"
     )
     if args.spool:
-        # Stream to the spool with a bounded driver: no record is ever
-        # accumulated in memory.  The canonical result (summaries,
-        # --json export) is then rebuilt from the spool — byte-identical
-        # to the in-memory path, per the engine's determinism contract.
+        # Stream to the spool: the runner keeps no record, but a pool
+        # drains its whole batch before it is torn down.  The canonical
+        # result (summaries, --json export) is then rebuilt from the
+        # spool, every record again — byte-identical to the in-memory
+        # path, per the engine's determinism contract.
         # ``runner.run_cases`` is looked up at call time, so wrappers
         # installed on the module see this path too.
         sink = JsonlRecordSink(args.spool)
@@ -877,9 +884,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--spool", default="",
         help="stream records to this append-only JSONL spool as they "
-             "complete (bounded driver memory; summaries and --json are "
-             "rebuilt from the spool, byte-identical to the in-memory "
-             "path)",
+             "complete (a killed run keeps every finished case; "
+             "summaries and --json are rebuilt from the spool, "
+             "byte-identical to the in-memory path)",
     )
     sweep_parser.add_argument(
         "--cache", default="",

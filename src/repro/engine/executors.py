@@ -27,15 +27,17 @@ canonically.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence
 
 from repro.algorithms.registry import get_factory
 from repro.analysis.sweep import SweepRecord, run_case
 from repro.engine.cases import Case
 from repro.errors import ReproError
+
+if TYPE_CHECKING:
+    from multiprocessing.context import BaseContext
 
 #: CLI names of the stock backends, in documentation order.
 BACKENDS = ("serial", "processes")
@@ -123,8 +125,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer fork (cheap, no re-import) where the platform offers it."""
+def _pool_context() -> BaseContext:
+    """Prefer fork (cheap, no re-import) where the platform offers it.
+
+    ``multiprocessing`` is imported here, by the first sweep that starts
+    a pool, so a sweep that starts none (all cache hits, one worker, one
+    schedule) never loads it.  A pooled sweep still imports it in the
+    parent, before the pool forks.
+    """
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"

@@ -669,8 +669,10 @@ DEFAULT_SWEEP_ALGORITHMS = (
 #: ``xxlarge`` is the bitset data plane's milestone — n = 250 with t
 #: *pinned* at the xlarge value (rounds-to-decide scales with t, so
 #: holding t isolates the per-round data-plane cost that n² drives);
-#: run it with the process-pool backend and ``--spool`` so the driver's
-#: memory stays bounded by one record plus one chunk of cached rows.
+#: run it with the process-pool backend, whose workers build the
+#: schedules and plans (the driver's memory grows only by a case and a
+#: slotted record per case), and with ``--spool``, so a killed run
+#: keeps every case it finished.
 SWEEP_PROFILES = ("large", "xlarge", "xxlarge")
 
 

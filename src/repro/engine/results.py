@@ -11,10 +11,11 @@ JSON regardless of worker count.
 
 from __future__ import annotations
 
+import io
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.analysis.sweep import SweepRecord
 from repro.types import Round
@@ -156,45 +157,63 @@ class BatchResult:
 
     def to_data(self) -> dict:
         """A plain-data (JSON-safe) representation of the whole batch."""
+        return self._data([record.to_data() for record in self.records])
+
+    def _data(self, records: list[dict]) -> dict:
         return {
             "version": FORMAT_VERSION,
             "cases": self.case_count,
-            "records": [record.to_data() for record in self.records],
+            "records": records,
             "summaries": [asdict(summary) for summary in self.summaries()],
         }
 
     def to_json(self, *, indent: int | None = None) -> str:
-        """Canonical JSON: two equal results serialize byte-identically."""
+        """Canonical JSON: two equal results serialize byte-identically.
+
+        ``indent=2`` is the export layout, written by :meth:`_write_export`
+        exactly as :meth:`save` writes it.
+        """
+        if indent == 2:
+            buffer = io.StringIO()
+            self._write_export(buffer.write)
+            return buffer.getvalue()
         return json.dumps(self.to_data(), indent=indent, sort_keys=True)
 
     def save(self, path: str) -> None:
         """Write ``to_json(indent=2)`` and a newline to *path*, byte for byte.
 
-        The stdlib encoder runs in pure Python whenever ``indent`` is
-        set, so the ``"records"`` array — all but a few lines of an
-        export — is written one flat record at a time by the C encoder,
-        whose item separator lays the record's fields out at their
-        indented depth; only the short rest of the export goes through
-        ``json.dumps(indent=2)``.
+        Records are encoded and written one at a time, so the export
+        costs the driver one record's encoding, not a copy of the batch.
         """
-        data = self.to_data()
-        records, data["records"] = data["records"], []
-        head, empty, tail = json.dumps(
-            data, indent=2, sort_keys=True
-        ).partition(_EMPTY_RECORDS)
-        encode = _RECORD_ENCODER.encode
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(head)
-            if records:
-                handle.write('\n  "records": [\n    {\n      ')
-                handle.write("\n    },\n    {\n      ".join(
-                    encode(record)[1:-1] for record in records
-                ))
-                handle.write("\n    }\n  ]")
-            else:
-                handle.write(empty)
-            handle.write(tail)
+            self._write_export(handle.write)
             handle.write("\n")
+
+    def _write_export(self, write: Callable[[str], object]) -> None:
+        """Pass ``json.dumps(self.to_data(), indent=2, sort_keys=True)`` to
+        *write* in pieces.
+
+        The stdlib encoder runs in pure Python whenever ``indent`` is
+        set, so only the short rest of the export goes through
+        ``json.dumps(indent=2)``.  The ``"records"`` array, all but a few
+        lines of an export, is spliced in one flat record at a time by
+        the C encoder, whose item separator lays the record's fields out
+        at their indented depth.
+        """
+        head, empty, tail = json.dumps(
+            self._data([]), indent=2, sort_keys=True
+        ).partition(_EMPTY_RECORDS)
+        write(head)
+        if not self.records:
+            write(empty)
+        else:
+            encode = _RECORD_ENCODER.encode
+            separator = '\n  "records": [\n    {\n      '
+            for record in self.records:
+                write(separator + encode(record.to_data())[1:-1])
+                separator = "\n    },\n    {\n      "
+            write("\n    }\n  ]")
+        write(tail)
 
     @staticmethod
     def load(path: str) -> "BatchResult":

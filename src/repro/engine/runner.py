@@ -33,10 +33,15 @@ Because cached records are byte-identical to recomputed ones, a warm
 cache changes nothing but wall-clock time.
 
 Passing a :class:`~repro.engine.sink.RecordSink` as ``sink=`` streams
-every record into it as it arrives and holds none in memory, which
-bounds the driver by one record plus one chunk of cached rows instead
-of the batch; the canonical order is restored when the spool is read
-back (:meth:`~repro.engine.results.BatchResult.load_spool`).
+every record into it as it arrives, and the runner keeps none of them;
+the canonical order is restored when the spool is read back
+(:meth:`~repro.engine.results.BatchResult.load_spool`).  What that
+bounds is the runner's own state: cache hits are emitted a chunk at a
+time, and the serial backend has one record in flight.  The process
+pool drains its whole batch before the pool is torn down (see
+:class:`~repro.engine.executors.ProcessExecutor`), so a pooled driver
+holds every executed record until the pool is gone.  Whoever reads
+the spool back holds the batch again, one slotted record per case.
 
 Every case names a registered algorithm; workers resolve its automaton
 factory from the registry by name, so cases stay picklable.

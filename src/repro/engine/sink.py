@@ -3,9 +3,10 @@
 Up to the n = 100 milestone every sweep materialized its complete
 :class:`~repro.engine.results.BatchResult` in the driver process before
 a single byte reached disk.  That is the wrong shape for ``--profile
-xxlarge``: the driver's memory should be bounded by *one* record, not by
-the grid, and a run killed half-way should leave every finished case on
-disk instead of nothing.
+xxlarge``: a run killed half-way should leave every finished case on
+disk instead of nothing, and the runner should not hold the batch while
+it runs.  (The pooled backend and the read-back still hold every record;
+see :mod:`repro.engine.runner`.)
 
 A :class:`RecordSink` is the engine-side half of that contract — any
 object with ``append(record)`` / ``close()``.  The runner

@@ -1,5 +1,10 @@
 """Tests for sweep records and worst-case search."""
 
+import dataclasses
+import pickle
+
+import pytest
+
 from repro import ATt2, Schedule
 from repro.analysis.sweep import SweepRecord, run_case
 from repro.engine import Case, family, run_batch, run_cases
@@ -36,6 +41,35 @@ class TestRunCase:
         row = record.row()
         assert len(row) == len(SweepRecord.ROW_HEADERS)
         assert row[-1] == "yes"
+
+
+class TestRecordLayout:
+    """Records are slotted and keep their pickle and ``replace`` behavior."""
+
+    RECORD = SweepRecord(
+        algorithm="att2", workload="es[3]", n=5, t=2, crashes=1,
+        sync_from=2, global_round=None, first_round=3, deciders=4,
+        agreement_ok=True, validity_ok=False, messages=80, horizon=12,
+        correct_undecided=1, case_index=7,
+    )
+
+    def test_has_no_instance_dict(self):
+        assert not hasattr(self.RECORD, "__dict__")
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        clone = pickle.loads(pickle.dumps(self.RECORD, protocol=protocol))
+        assert clone == self.RECORD
+        assert clone.to_data() == self.RECORD.to_data()
+
+    def test_replace_restamps_one_field(self):
+        stamped = dataclasses.replace(self.RECORD, case_index=9)
+        assert stamped.case_index == 9
+        assert dataclasses.replace(stamped, case_index=7) == self.RECORD
+
+    def test_stays_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.RECORD.messages = 0
 
 
 class TestSweep:

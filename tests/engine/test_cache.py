@@ -1,5 +1,7 @@
 """Tests for the content-addressed result cache (repro.engine.cache)."""
 
+import hashlib
+import inspect
 import linecache
 import os
 import re
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.algorithms import registry
 from repro.algorithms.registry import (
     AlgorithmInfo,
@@ -142,6 +145,83 @@ class TestSourceHash:
             module.__name__ for module in registry._module_closure(roots)
         }
         assert "repro.analysis.sweep" in names
+
+
+def _fingerprinted_closures():
+    """Every module closure a cache key fingerprints, by label."""
+    from repro import workloads
+    from repro.analysis import metrics, sweep
+    from repro.sim import kernel
+
+    closures = {
+        name: registry._source_modules(info)
+        for name, info in registry._entries().items()
+    }
+    closures["runtime"] = registry._module_closure([kernel, metrics, sweep])
+    closures["generator"] = registry._module_closure(
+        [grids_module, workloads]
+    )
+    return closures
+
+
+def _getsource_digest(modules):
+    """The closure hash as computed over ``inspect.getsource`` text."""
+    digest = hashlib.sha256()
+    for module in modules:
+        digest.update(module.__name__.encode() + b"\x00")
+        digest.update(inspect.getsource(module).encode() + b"\x00")
+    return digest.hexdigest()
+
+
+class TestSourceText:
+    """Fingerprints hash the text ``inspect.getsource`` returns, read
+    without leaving it in ``linecache``."""
+
+    def test_hashed_text_is_the_getsource_text(self):
+        for label, modules in _fingerprinted_closures().items():
+            assert modules, label
+            for module in modules:
+                assert module.__loader__.get_source(module.__name__) == (
+                    inspect.getsource(module)
+                ), module.__name__
+            assert registry.source_closure_hash(modules) == (
+                _getsource_digest(modules)
+            ), label
+
+    def test_hashing_adds_no_repro_file_to_linecache(self):
+        closures = _fingerprinted_closures()
+        package = os.path.dirname(repro.__file__)
+        linecache.clearcache()
+        clear_source_hash_cache()
+        try:
+            for modules in closures.values():
+                assert registry.source_closure_hash(modules) is not None
+            for name in closures:
+                if name in registry._entries():
+                    assert algorithm_source_hash(name) is not None
+            cached = [
+                path for path in linecache.cache if path.startswith(package)
+            ]
+        finally:
+            clear_source_hash_cache()
+        assert cached == []
+
+    def test_unavailable_source_is_unfingerprintable(self, monkeypatch):
+        class NoSource:
+            @staticmethod
+            def get_source(name):
+                return None
+
+        monkeypatch.setattr(registry, "__loader__", NoSource())
+        assert registry.source_closure_hash([registry]) is None
+
+        class Unreadable:
+            @staticmethod
+            def get_source(name):
+                raise ImportError(name)
+
+        monkeypatch.setattr(registry, "__loader__", Unreadable())
+        assert registry.source_closure_hash([registry]) is None
 
 
 class TestCaseKey:
@@ -304,7 +384,6 @@ class TestInvalidation:
         assert (cache.hits, cache.misses) == (2, 2)
 
         path.write_text(source.format(rev="B"))
-        linecache.clearcache()
         clear_source_hash_cache()
         run_cases(cases, cache=cache)
         # fake_alg missed (source changed), att2 still hit.

@@ -1,10 +1,15 @@
 """Tests for the pluggable execution backends (repro.engine.executors)."""
 
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import Schedule
 from repro.engine import (
     Case,
@@ -318,6 +323,42 @@ class TestPoolTeardown:
         next(iterator)
         del iterator
         _assert_no_live_pool_children()
+
+
+#: Runs ``repro ARGS`` in a fresh interpreter and prints whether the
+#: sweep loaded ``multiprocessing``.
+_POOL_IMPORT_CHILD = """\
+import contextlib, io, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(sys.argv[1:])
+print(rc, "multiprocessing" in sys.modules)
+"""
+
+
+class TestPoolImport:
+    """Only a sweep that starts a pool imports ``multiprocessing``."""
+
+    def _loads_multiprocessing(self, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", _POOL_IMPORT_CHILD, "sweep",
+             "--n", "5", "--t", "2", "--seed", "3", *args],
+            env=env, timeout=120, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rc, loaded = proc.stdout.split()
+        assert rc == "0"
+        return loaded == "True"
+
+    def test_warm_sweep_never_loads_it_and_a_cold_pooled_sweep_does(
+        self, tmp_path
+    ):
+        cache = str(tmp_path / "cache")
+        pooled = ("--backend", "processes", "--workers", "2", "--cache", cache)
+        assert self._loads_multiprocessing(*pooled)
+        assert not self._loads_multiprocessing(*pooled)  # every case hits
 
 
 class TestExecutorArgument:

@@ -1,9 +1,11 @@
 """``BatchResult.save`` writes exactly ``to_json(indent=2)`` plus a newline.
 
-``save`` encodes the records with the C encoder and splices them into
-the indented layout; these tests pin its bytes to the stdlib's indented
-encoding, which is what every archived export, spool rebuild, shard
-merge and pinned digest was written with.
+``save`` encodes the records one at a time with the C encoder and
+writes each into the indented layout as it goes; these tests pin its
+bytes (and ``to_json(indent=2)``, which shares the writer) to the
+stdlib's indented encoding of ``to_data()``, which is what every
+archived export, spool rebuild, shard merge and pinned digest was
+written with.
 """
 
 import json
@@ -72,6 +74,20 @@ def _saved(result, tmp_path):
 def test_save_is_the_indented_encoding(records, tmp_path):
     result = BatchResult(records=records)
     assert _saved(result, tmp_path) == _expected(result).encode("utf-8")
+    assert result.to_json(indent=2) + "\n" == _expected(result)
+
+
+def test_save_builds_no_plain_data_copy_of_the_batch(tmp_path, monkeypatch):
+    # The export streams records; a to_data() list of every record on
+    # top of the batch is what it exists to avoid.
+    result = BatchResult(records=(_record(0), _record(1)))
+    expected = _expected(result)
+
+    def no_batch_copy(self):
+        raise AssertionError("save built the whole batch as plain data")
+
+    monkeypatch.setattr(BatchResult, "to_data", no_batch_copy)
+    assert _saved(result, tmp_path) == expected.encode("utf-8")
 
 
 def test_save_of_a_real_batch(tmp_path):

@@ -109,6 +109,24 @@ class TestRun:
         with pytest.raises(SystemExit, match="--horizon must be >= 1"):
             main(["run", "--horizon", horizon])
 
+    @pytest.mark.parametrize("workload, horizon", [
+        ("killer3", "2"), ("cascade", "1"), ("hiding_chain", "1"),
+    ])
+    def test_horizon_too_short_for_the_workload_exits_with_one_line(
+        self, workload, horizon
+    ):
+        # These workloads crash a process after round 1 or 2, which a
+        # shorter horizon cannot hold.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--algorithm", "att2", "--workload", workload,
+                  "--horizon", horizon])
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(
+            f"cannot build workload {workload!r} with --horizon {horizon}: "
+        )
+        assert "crashes after the horizon" in message
+
     def test_async_prefix_workload(self, capsys):
         code = main([
             "run", "--algorithm", "afp2", "--n", "4", "--t", "1",
