@@ -21,8 +21,9 @@ same file under ``xxl_systems`` — they time the full default sweep set
 with a ``per_algorithm_ms`` breakdown (so the trajectory attributes a
 future ceiling to its owner, not just to a total).  The ``att2_focus``
 rows isolate the
-batched Phase-1 plane: both A_{t+2} variants at n = 500, plane engaged
-vs opted out.
+run plane: both A_{t+2} variants and the Chandra–Toueg baseline at
+n = 500, plane engaged vs opted out, with the share of each kind of
+round (Phase 1, round t + 2, C) the plane claimed.
 
 The ``kernel-bench`` CI lane runs this file (``--benchmark-disable``) on
 every push.  The equivalence assertions are unconditional; the
@@ -44,6 +45,7 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms.base import make_automata
+from repro.algorithms.chandra_toueg import ChandraTouegES
 from repro.algorithms.registry import get_factory
 from repro.core.att2 import ATt2
 from repro.core.att2_optimized import ATt2Optimized
@@ -79,11 +81,14 @@ XXL_BASELINE = (100, 16)
 #: rows now time the full sweep set — with a per-algorithm breakdown
 #: so any future ceiling names its owner.
 XXL_ALGORITHMS = DEFAULT_SWEEP_ALGORITHMS
-#: The att2-focused row (n, t): plane-engaged vs plane-opted-out
-#: per-case cost for both A_{t+2} variants, cheap enough for the
-#: per-push kernel-bench lane.
-ATT2_FOCUS_SYSTEM = (500, 16)
-ATT2_FOCUS_ALGORITHMS = ("att2", "att2_optimized")
+#: The focus rows (n, t): plane-engaged vs plane-opted-out per-case
+#: cost for both A_{t+2} variants and the Chandra–Toueg baseline,
+#: cheap enough for the per-push kernel-bench lane.
+FOCUS_SYSTEM = (500, 16)
+FOCUS_ALGORITHMS = ("att2", "att2_optimized", "chandra_toueg")
+#: The kinds of round the plane claims, as ``Phase1Plane.round_kind``
+#: names them: Phase 1, round t + 2, and C's (Chandra–Toueg) rounds.
+ROUND_KINDS = ("phase1", "t+2", "C")
 SEED = 20260730
 
 #: Where the machine-readable timings land (the CI lane uploads this).
@@ -113,34 +118,41 @@ def _reference_case(
 
 
 class _NoPlaneATt2(ATt2):
-    """Stock A_{t+2} minus the batched Phase-1 plane opt-in."""
+    """Stock A_{t+2} minus the run plane opt-in."""
 
     @classmethod
-    def phase1_plane_rounds(cls, t):
-        return ()
+    def plane_rounds(cls, t):
+        return None
 
 
 class _NoPlaneATt2Optimized(ATt2Optimized):
     @classmethod
-    def phase1_plane_rounds(cls, t):
-        return ()
+    def plane_rounds(cls, t):
+        return None
+
+
+class _NoPlaneChandraToueg(ChandraTouegES):
+    @classmethod
+    def plane_rounds(cls, t):
+        return None
 
 
 _PLANE_OPT_OUTS = {
-    "att2": _NoPlaneATt2,
-    "att2_optimized": _NoPlaneATt2Optimized,
+    "att2": _NoPlaneATt2.factory(),
+    "att2_optimized": _NoPlaneATt2Optimized.factory(),
+    "chandra_toueg": _NoPlaneChandraToueg,
 }
 
 
 def _plane_opt_out_factory(algorithm: str):
-    """A factory whose automata opt out of the batched Phase-1 plane.
+    """A factory whose automata opt out of the run plane.
 
     Declaring no plane rounds keeps every other optimization (lazy
     round-view buckets, single-pass folds) in place, so plane-vs-opt-out
     ratios attribute exactly the plane's batching — not the rest of the
     view pipeline.
     """
-    return _PLANE_OPT_OUTS[algorithm].factory()
+    return _PLANE_OPT_OUTS[algorithm]
 
 
 def _assert_equivalent() -> int:
@@ -414,35 +426,59 @@ def test_kernel_xxl_scaling(benchmark):
                 )
 
 
-def _fold_share(algorithm: str, schedules, proposals) -> float:
-    """Folds the Phase-1 plane computed per receiver of its claimed
-    rounds, over lean runs of *schedules* (1.0: nothing shared)."""
+def _plane_counters(algorithm: str, schedules, proposals) -> dict:
+    """The plane's deterministic counters over lean runs of *schedules*.
+
+    ``fold_share`` is the folds the plane computed per receiver of its
+    claimed Phase-1 rounds (1.0: nothing shared; ``None`` without
+    any); ``claimed_share`` maps each of :data:`ROUND_KINDS` to the
+    share of the rounds of that kind the runs played that the plane
+    claimed (``None`` where none was played).
+    """
     folds = receivers = 0
+    played = dict.fromkeys(ROUND_KINDS, 0)
+    claimed = dict.fromkeys(ROUND_KINDS, 0)
     for _workload, schedule in schedules:
         automata = make_automata(
             get_factory(algorithm), schedule.n, schedule.t, proposals
         )
-        execute(automata, schedule, trace="lean")
+        trace = execute(automata, schedule, trace="lean")
         plane = automata[0]._plane
         completers = compile_schedule(schedule).completers
         folds += plane.claimed_folds
-        receivers += sum(len(completers[k]) for k in plane.claimed_rounds)
-    return folds / receivers
+        for k in range(1, trace.rounds_executed + 1):
+            kind = plane.round_kind(k)
+            if kind is not None:
+                played[kind] += 1
+        for k in plane.claimed_rounds:
+            kind = plane.round_kind(k)
+            claimed[kind] += 1
+            if kind == "phase1":
+                receivers += len(completers[k])
+    return {
+        "fold_share": round(folds / receivers, 4) if receivers else None,
+        "claimed_share": {
+            kind: round(claimed[kind] / played[kind], 4)
+            if played[kind] else None
+            for kind in ROUND_KINDS
+        },
+    }
 
 
 def att2_focus_measurements() -> list[dict]:
-    """Plane-attribution rows at the :data:`ATT2_FOCUS_SYSTEM` size.
+    """Plane-attribution rows at the :data:`FOCUS_SYSTEM` size.
 
-    Times only the two A_{t+2} variants at n = 500 — the batched
-    Phase-1 plane engaged (stock factories) vs opted out (no plane
-    rounds declared, everything else identical).  A few seconds of
-    work, so the per-push kernel-bench lane runs it under an explicit
-    timeout and a plane regression surfaces long before the nightly
-    XXL floors see it.  Each row also carries the plane's fold share
-    (:func:`_fold_share`), so the uploaded ``BENCH_kernel.json`` tracks
-    how often claimed rounds reuse one receiver's fold.
+    Times the two A_{t+2} variants and the Chandra–Toueg baseline at
+    n = 500 — the run plane engaged (stock factories) vs opted out (no
+    plane rounds declared, everything else identical).  A few seconds
+    of work, so the per-push kernel-bench lane runs it under an
+    explicit timeout and a plane regression surfaces long before the
+    nightly XXL floors see it.  Each row also carries the plane's
+    counters (:func:`_plane_counters`), so the uploaded
+    ``BENCH_kernel.json`` tracks how often claimed rounds reuse one
+    receiver's fold and which share of each kind of round was claimed.
     """
-    n, t = ATT2_FOCUS_SYSTEM
+    n, t = FOCUS_SYSTEM
     proposals = list(range(n))
     schedules = _bench_schedules(n, t)
 
@@ -457,7 +493,7 @@ def att2_focus_measurements() -> list[dict]:
     for workload, schedule in schedules:  # warm the compile memos
         lean_arm("att2", workload, schedule)
     rows = []
-    for algorithm in ATT2_FOCUS_ALGORITHMS:
+    for algorithm in FOCUS_ALGORITHMS:
         # An opt-out that still built a plane would time the plane
         # against itself.
         automata = make_automata(
@@ -476,9 +512,7 @@ def att2_focus_measurements() -> list[dict]:
             "plane_ms": round(plane * 1e3, 3),
             "noplane_ms": round(noplane * 1e3, 3),
             "plane_speedup": round(noplane / plane, 2),
-            "fold_share": round(
-                _fold_share(algorithm, schedules, proposals), 4
-            ),
+            **_plane_counters(algorithm, schedules, proposals),
         })
     return rows
 
@@ -491,27 +525,32 @@ def test_kernel_att2_focus(benchmark):
         att2_focus_measurements, rounds=1, iterations=1
     )
     _merge_rows("att2_focus", rows)
+
+    def share(value):
+        return "-" if value is None else f"{value:.4f}"
+
     table_rows = [
         (r["algorithm"], r["n"], r["t"], f"{r['plane_ms']:.2f}",
          f"{r['noplane_ms']:.2f}", f"{r['plane_speedup']:.2f}x",
-         f"{r['fold_share']:.4f}")
+         share(r["fold_share"]),
+         *(share(r["claimed_share"][kind]) for kind in ROUND_KINDS))
         for r in rows
     ]
     emit(
         format_table(
             ["algorithm", "n", "t", "plane ms/case",
              "no-plane ms/case", "plane speedup",
-             "folds / claimed receiver"],
+             "folds / claimed receiver", "claimed phase 1",
+             "claimed t+2", "claimed C"],
             table_rows,
-            title="att2 focus: batched Phase-1 plane vs opted-out fold "
+            title="Focus rows: run plane vs opted out "
                   "(lean trace, ff + random ES)",
         )
     )
-    emit(f"\nmerged att2 focus rows into {BENCH_JSON}")
+    emit(f"\nmerged focus rows into {BENCH_JSON}")
     if os.environ.get("REPRO_BENCH_ASSERT_SPEEDUP") == "1":
         for r in rows:
             assert r["plane_speedup"] >= 2.0, (
-                f"batched Phase-1 plane only {r['plane_speedup']:.2f}x "
-                f"faster than the opted-out fold for {r['algorithm']} "
-                f"at n={r['n']}"
+                f"run plane only {r['plane_speedup']:.2f}x faster than "
+                f"the opted-out path for {r['algorithm']} at n={r['n']}"
             )

@@ -15,13 +15,13 @@ inboxes) wrap it with :meth:`~repro.sim.view.RoundView.from_messages`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, Collection, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import AlgorithmError
 from repro.types import Payload, ProcessId, Round, Value, validate_system_size
 
 if TYPE_CHECKING:  # import cycle: repro.sim.view never imports algorithms
-    from repro.sim.phase1_plane import Phase1Plane
+    from repro.sim.phase1_plane import Phase1Plane, PlaneRounds
     from repro.sim.view import RoundView
 
 
@@ -76,29 +76,37 @@ class Automaton(ABC):
         """
 
     def bind_phase1_plane(self, plane: "Phase1Plane") -> None:
-        """Accept the run's shared Phase-1 plane (kernel, once per run,
-        only for classes with :meth:`phase1_plane_rounds`)."""
+        """Accept the run's shared plane (kernel, once per run, only for
+        classes with :meth:`plane_rounds`)."""
         self._plane = plane
 
     @classmethod
-    def phase1_plane_rounds(cls, t: int) -> Collection[Round]:
-        """The rounds the run's Phase-1 plane may claim; returning ``()``
+    def plane_rounds(cls, t: int) -> "PlaneRounds | None":
+        """What the run plane may claim of this class's rounds; ``None``
         (the default) opts the class out of the plane.
 
-        Listing any round is the whole opt-in, and this contract
-        (:mod:`repro.sim.phase1_plane`): the automaton keeps an
-        :class:`~repro.algorithms.suspicion.EstimateState` at
-        ``self.state`` for the run's lifetime; every ESTIMATE payload it
-        sends is ``self.state.payload(k)``; its Phase-1 state changes go
-        through ``self._plane.compute_view`` when a plane is bound; and
-        in a listed round, while no process has decided, its payload is
-        ``self.state.payload(k)`` and its receive phase is ``compute()``
-        and nothing else.  The plane then sends and receives those
-        rounds itself: neither :meth:`payload` nor :meth:`deliver_view`
-        is called.  A subclass that breaks any of this must return
-        ``()`` (or drop the rounds it changes).
+        Declaring anything is the whole opt-in, and this contract
+        (:mod:`repro.sim.phase1_plane`), for rounds in which no process
+        has decided:
+
+        * In a ``compute`` round the automaton's payload is
+          ``self.state.payload(k)`` and its receive phase is
+          ``compute()`` and nothing else.  A class with ``compute``
+          rounds keeps an :class:`~repro.algorithms.suspicion.
+          EstimateState` at ``self.state`` for the run's lifetime, every
+          ESTIMATE payload it sends is ``self.state.payload(k)``, and
+          its Phase-1 state changes go through
+          ``self._plane.compute_view`` when a plane is bound.
+        * In a round a fold owns, the automaton's payload and receive
+          phase are what that :class:`~repro.sim.phase1_plane.RoundFold`
+          reproduces; the receive phase may decide but never halts.
+
+        The plane then sends and receives those rounds itself: neither
+        :meth:`payload` nor :meth:`deliver_view` is called.  A subclass
+        that breaks any of this must return ``None`` (or drop the rounds
+        it changes).
         """
-        return ()
+        return None
 
     # -- decision / halting -----------------------------------------------
 

@@ -26,11 +26,22 @@ makes everyone decide.
 In worst-case synchronous runs (coordinators crashing one per cycle) the
 algorithm needs **3t + 3** rounds for a global decision — one of the data
 points in the price-of-indulgence comparison (E5).
+
+While nobody has decided, the run plane (:mod:`repro.sim.phase1_plane`)
+claims every round through :class:`ChandraTouegRounds`, which computes
+the same receive phase for all receivers from their heard masks: the
+coordinator collects the estimates it heard, a receiver that heard the
+PROP adopts it, and one that heard more than ⌊n/2⌋ ACKs decides the
+first ACK's value.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.algorithms.common import ConsensusAutomaton
+from repro.model.messages import DUMMY
+from repro.sim.phase1_plane import Phase1Plane, PlaneRounds, RoundFold
 from repro.sim.view import RoundView
 from repro.types import Payload, ProcessId, Round, Value
 
@@ -61,6 +72,10 @@ class ChandraTouegES(ConsensusAutomaton):
     @staticmethod
     def coordinator(cycle: int, n: int) -> ProcessId:
         return (cycle - 1) % n
+
+    @classmethod
+    def plane_rounds(cls, t: int) -> PlaneRounds:
+        return PlaneRounds(folds=((1, ChandraTouegRounds()),))
 
     def round_payload(self, k: Round) -> Payload | None:
         cycle, phase = cycle_of(k)
@@ -110,3 +125,98 @@ class ChandraTouegES(ConsensusAutomaton):
     @classmethod
     def factory(cls):
         return cls
+
+
+class ChandraTouegRounds(RoundFold):
+    """Every round of the Chandra–Toueg automata, *offset* rounds late
+    (run round k is their round k − offset), claimed by the run plane.
+
+    :meth:`consensus` names each sender's Chandra–Toueg automaton; the
+    baseline's are the automata themselves.  Folds of one class and
+    offset are equal, so classes sharing them share the claims.
+    """
+
+    __slots__ = ("offset",)
+    kind = "C"
+
+    def __init__(self, offset: int = 0) -> None:
+        self.offset = offset
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other.offset == self.offset
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.offset))
+
+    def consensus(
+        self, plane: Phase1Plane, senders: Sequence[ProcessId]
+    ) -> "Sequence[ChandraTouegES] | None":
+        """Each sender's Chandra–Toueg automaton, indexed by pid, or
+        ``None`` when some sender runs another algorithm there."""
+        return plane.automata  # type: ignore[return-value]
+
+    def send(self, plane, k, senders, payloads):
+        cts = self.consensus(plane, senders)
+        if cts is None:
+            return None
+        r = k - self.offset
+        sent = acks = 0
+        for pid in senders:
+            payload = cts[pid].round_payload(r)
+            bit = 1 << pid
+            sent |= bit
+            if payload is None:
+                payload = DUMMY
+            else:
+                hash(payload)  # fail fast on unhashable payloads
+                if payload[0] == CT_ACK:
+                    acks |= bit
+            payloads[pid][k] = payload
+        return cts, payloads, sent, acks
+
+    def claim(self, plane, k, opened, receivers, current_masks):
+        cts, payloads, sent, acks = opened
+        r = k - self.offset
+        cycle, phase = cycle_of(r)
+        automata = plane.automata
+        coordinator = ChandraTouegES.coordinator(cycle, plane.n)
+        deciders = 0
+        if phase == 1:
+            # Everybody sent CT_EST; only the coordinator collects.
+            for pid in receivers:
+                ct = cts[pid]
+                ct._collected = {}
+                ct._proposal_seen = None
+                if pid == coordinator:
+                    heard = current_masks[pid] & sent
+                    while heard:
+                        low = heard & -heard
+                        heard ^= low
+                        sender = low.bit_length() - 1
+                        payload = payloads[sender][k]
+                        ct._collected[sender] = (payload[2], payload[3])
+        elif phase == 2:
+            payload = payloads[coordinator][k]
+            if sent >> coordinator & 1 and payload[0] == CT_PROP:
+                value = payload[2]
+                bit = 1 << coordinator
+                for pid in receivers:
+                    if current_masks[pid] & bit:
+                        ct = cts[pid]
+                        ct._proposal_seen = value
+                        ct.est = value
+                        ct.ts = cycle
+        else:
+            majority = plane.n // 2
+            for pid in receivers:
+                heard = current_masks[pid] & acks
+                if heard.bit_count() > majority:
+                    low = heard & -heard
+                    value = payloads[low.bit_length() - 1][k][2]
+                    ct = cts[pid]
+                    ct._decide(value, r)
+                    automaton = automata[pid]
+                    if automaton is not ct:
+                        automaton._decide(value, k)
+                    deciders |= 1 << pid
+        return deciders

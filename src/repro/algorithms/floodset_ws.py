@@ -19,10 +19,9 @@ demonstrate the failure mode the extra round repairs.
 
 from __future__ import annotations
 
-from typing import Collection
-
 from repro.algorithms.common import ConsensusAutomaton
 from repro.algorithms.suspicion import EstimateState
+from repro.sim.phase1_plane import PlaneRounds
 from repro.sim.view import RoundView
 from repro.types import Payload, ProcessId, Round, Value
 
@@ -37,9 +36,9 @@ class FloodSetWS(ConsensusAutomaton):
         self.state = EstimateState(pid=pid, n=n, est=proposal)
 
     @classmethod
-    def phase1_plane_rounds(cls, t: int) -> Collection[Round]:
+    def plane_rounds(cls, t: int) -> PlaneRounds:
         # Round t+1 decides after its compute().
-        return range(1, t + 1)
+        return PlaneRounds(compute=range(1, t + 1))
 
     def round_payload(self, k: Round) -> Payload | None:
         return self.state.payload(k)

@@ -73,8 +73,10 @@ class ADiamondS(ATt2):
 
     def bind_phase1_plane(self, plane: Phase1Plane) -> None:
         super().bind_phase1_plane(plane)
-        # Rounds the plane claims skip round_deliver_view below, so the
-        # plane writes this detector history in them.
+        # Rounds the plane claims skip round_deliver_view below (Phase
+        # 1, round t + 2, and C's rounds when C is Chandra–Toueg, as the
+        # registry's factory makes it), so the plane writes this
+        # detector history in them.
         plane.log_suspicions(self.pid, self._fd_masks)
 
     def round_deliver_view(self, k: Round, view: RoundView) -> None:

@@ -31,16 +31,21 @@ process decide immediately.
 The fast-decision property is independent of C's time complexity: in a
 synchronous run no process ever detects ``|Halt| > t``, all new estimates
 are non-⊥ and equal, and everyone decides at round t + 2.
+
+While nobody has decided, the run plane (:mod:`repro.sim.phase1_plane`)
+claims Phase 1 as ``compute()`` rounds, round t + 2 through
+:class:`PhaseTwoRound` (masks over the NEWESTIMATE senders a receiver
+heard: how many, whether any was ⊥, the least non-⊥ value) and, when C
+is Chandra–Toueg, C's rounds through :class:`UnderlyingRounds`.
 """
 
 from __future__ import annotations
 
-from typing import Collection
-
 from repro.algorithms.base import AlgorithmFactory
-from repro.algorithms.chandra_toueg import ChandraTouegES
+from repro.algorithms.chandra_toueg import ChandraTouegES, ChandraTouegRounds
 from repro.algorithms.common import ConsensusAutomaton
 from repro.algorithms.suspicion import ESTIMATE, EstimateState
+from repro.sim.phase1_plane import PlaneRounds, RoundFold
 from repro.sim.view import RoundView
 from repro.types import (
     BOTTOM,
@@ -95,9 +100,12 @@ class ATt2(ConsensusAutomaton):
         self._offset = t + 2  # C's round r is ES round r + offset
 
     @classmethod
-    def phase1_plane_rounds(cls, t: int) -> Collection[Round]:
+    def plane_rounds(cls, t: int) -> PlaneRounds:
         # Phase 1: rounds 1 .. t+1 are compute() and nothing else.
-        return range(1, t + 2)
+        return PlaneRounds(
+            compute=range(1, t + 2),
+            folds=((t + 2, PHASE_TWO), (t + 3, UnderlyingRounds(t + 2))),
+        )
 
     # -- rounds ------------------------------------------------------------
 
@@ -247,3 +255,86 @@ class ATt2(ConsensusAutomaton):
 
         build.__name__ = f"{cls.__name__}_factory"
         return build
+
+
+#: "No non-⊥ value heard" in :class:`PhaseTwoRound`'s fold.
+_NO_VALUE = object()
+
+
+class PhaseTwoRound(RoundFold):
+    """Round t + 2 (:meth:`ATt2._phase_two`) for every receiver at once.
+
+    The send computes every sender's new estimate; the receive phase
+    needs only the heard NEWESTIMATE senders' count, whether any was ⊥
+    and the least non-⊥ value, the first hit in one value-sorted order
+    (ascending sender on ties, as the per-receiver strict-``<`` scan).
+    """
+
+    __slots__ = ()
+    kind = "t+2"
+
+    def send(self, plane, k, senders, payloads):
+        automata = plane.automata
+        sent = bottoms = 0
+        order = []
+        for pid in senders:
+            payload = automata[pid].round_payload(k)
+            hash(payload)  # fail fast on unhashable payloads
+            payloads[pid][k] = payload
+            bit = 1 << pid
+            sent |= bit
+            value = payload[2]
+            if is_bottom(value):
+                bottoms |= bit
+            else:
+                order.append((value, bit))
+        try:
+            order.sort()
+        except TypeError:
+            # Unorderable new estimates: the per-receiver scan compares
+            # only the values one inbox holds.
+            return None
+        return sent, bottoms, order
+
+    def claim(self, plane, k, opened, receivers, current_masks):
+        sent, bottoms, order = opened
+        automata = plane.automata
+        deciders = 0
+        last = None
+        for pid in receivers:
+            heard = current_masks[pid] & sent
+            if heard != last:
+                last = heard
+                best = _NO_VALUE
+                for value, bit in order:
+                    if heard & bit:
+                        best = value
+                        break
+                decides = heard and not heard & bottoms
+            automaton = automata[pid]
+            if decides:
+                automaton._decide(best, k)
+                deciders |= 1 << pid
+            elif best is not _NO_VALUE:
+                automaton.vc = best
+        return deciders
+
+
+PHASE_TWO = PhaseTwoRound()
+
+
+class UnderlyingRounds(ChandraTouegRounds):
+    """C's rounds, from t + 3 on, when every sender's C is Chandra–Toueg
+    (:meth:`ATt2._run_underlying`); a deciding C decides its A_{t+2}."""
+
+    __slots__ = ()
+
+    def consensus(self, plane, senders):
+        automata = plane.automata
+        for pid in senders:
+            if automata[pid]._underlying_factory is not ChandraTouegES:
+                return None
+        inner = [None] * plane.n
+        for pid in senders:
+            inner[pid] = automata[pid]._underlying_automaton()
+        return inner

@@ -20,10 +20,8 @@ every failure-free synchronous run — reproduced as experiment E7.
 
 from __future__ import annotations
 
-from typing import Collection
-
 from repro.core.att2 import ATt2
-from repro.types import Round
+from repro.sim.phase1_plane import PlaneRounds
 
 
 class ATt2Optimized(ATt2):
@@ -32,6 +30,9 @@ class ATt2Optimized(ATt2):
     optimize_failure_free = True
 
     @classmethod
-    def phase1_plane_rounds(cls, t: int) -> Collection[Round]:
+    def plane_rounds(cls, t: int) -> PlaneRounds:
         # Round 2 runs the fast path before compute().
-        return [k for k in super().phase1_plane_rounds(t) if k != 2]
+        declared = super().plane_rounds(t)
+        return PlaneRounds(
+            [k for k in declared.compute if k != 2], declared.folds
+        )

@@ -9,8 +9,9 @@ that is the determinism contract that makes backends interchangeable.
 
 Two backends ship with the engine:
 
-* :class:`SerialExecutor` — inline, in-process, zero overhead; the
-  reference implementation every other backend must match byte-for-byte.
+* :class:`SerialExecutor` — inline, in-process, zero overhead, one
+  schedule group at a time; the reference implementation every other
+  backend must match byte-for-byte.
 * :class:`ProcessExecutor` — a ``multiprocessing`` pool, one task per
   schedule (:func:`group_by_schedule`).  Cases cross a pipe and name
   their algorithm, which the worker resolves from the registry, and
@@ -143,15 +144,25 @@ def _pool_context() -> BaseContext:
 
 @dataclass(frozen=True)
 class SerialExecutor:
-    """Inline in-process execution — the reference backend."""
+    """Inline in-process execution — the reference backend.
+
+    Runs one schedule group (:func:`group_by_schedule`) at a time, as a
+    pool task does, and releases the group's schedule, with the plan
+    memoized on it, once the group is done: grids list their cases
+    algorithm by algorithm, so running them in grid order would hold
+    every schedule until the sweep ends.
+    """
 
     name = "serial"
 
     def map_cases(
         self, cases: Sequence[Case]
     ) -> Iterator[tuple[int, SweepRecord]]:
-        for case in cases:
-            yield execute_case(case)
+        for group in group_by_schedule(cases):
+            for case in group:
+                yield execute_case(case)
+            for case in group:
+                case.recipe.release()
 
 
 @dataclass(frozen=True)

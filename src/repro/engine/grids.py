@@ -590,6 +590,11 @@ class ScheduleRecipe:
             )
         return self._schedule
 
+    def release(self) -> None:
+        """Drop the built schedule; the next :meth:`build` builds an
+        equal one."""
+        self._schedule = None
+
 
 def expand_family(
     spec: FamilySpec, n: int, t: int, master_seed: int

@@ -24,13 +24,15 @@ the plan — current buckets shared across receivers that heard the same
 senders, delayed buckets across receivers with equal delayed rows — and
 drives the automata through
 :meth:`~repro.algorithms.base.Automaton.deliver_view`, the one receive
-hook.  The exception is a round the run's Phase-1 plane claims
+hook.  The exception is a round the run's plane claims
 (:mod:`repro.sim.phase1_plane`): while no process has decided, a round
-that every automaton class lists as a plane round is ``compute()`` for
-every receiver, so the plane sends it from the senders' states and
-runs its receive phase for all of them from the plan's masks — no
-automaton sends, no view is built, no hook is called.  One loop serves
-both trace modes: full mode additionally stores each receiver's flat
+that every automaton class declares to the plane (Phase 1's
+``compute()``, A_{t+2}'s round t + 2, a Chandra–Toueg round) is sent by
+the plane from the senders' states, and its receive phase runs for all
+receivers at once from the plan's masks — no automaton sends, no view
+is built, no hook is called.  The claim returns the receivers that
+decided, which the kernel records as the per-view path does.  One loop
+serves both trace modes: full mode additionally stores each receiver's flat
 inbox (claimed rounds included) and appends a per-round record.  A run
 ends at the schedule's horizon, or earlier once every process has
 crashed or halted (its outcome can no longer change).
@@ -166,8 +168,8 @@ def _run(
         # --- send phase ---------------------------------------------------
         # Until somebody decides there is no DECIDE payload, current or
         # delayed, and nobody has halted (halting follows deciding), so a
-        # plane round is compute() for every completer: the plane sends
-        # it and claims it whole.
+        # plane round is the same fold for every completer: the plane
+        # sends it and claims it whole.
         senders = plan.senders[k]
         claimed = not decided_at and plane is not None and (
             plane.send(k, senders, payloads)
@@ -205,7 +207,16 @@ def _run(
         delayed_plan = plan.delayed_inboxes[k]
         if plane is not None:
             if claimed:
-                message_count += plane.claim(k, plan.completers[k], cmasks)
+                delivered_now, deciders = plane.claim(
+                    k, plan.completers[k], cmasks
+                )
+                message_count += delivered_now
+                if deciders:
+                    for pid in plan.completers[k]:
+                        if deciders >> pid & 1:
+                            decision = automata[pid]._decision
+                            decided_at[pid] = (decision, k)
+                            decided_now[pid] = decision
                 if any(delayed_plan):
                     # Only completers have delayed rows.
                     message_count += sum(

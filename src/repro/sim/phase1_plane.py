@@ -1,4 +1,4 @@
-"""The run-level Phase-1 suspicion plane: batched ``compute()`` rounds.
+"""The run plane: whole rounds for every receiver at once.
 
 The paper's Phase-1 update (Figure 2's ``compute()``, shared by A_{t+2}
 and FloodSetWS through :class:`~repro.algorithms.suspicion.
@@ -37,25 +37,37 @@ at once*, against the same state rows, with three structural moves:
   to the exact per-receiver scan, which only compares values that
   actually meet in one inbox.
 
-The plane is **opt-in and run-scoped**.  An automaton class opts in by
-listing rounds in :meth:`~repro.algorithms.base.Automaton.
-phase1_plane_rounds` (whose docstring is the whole contract);
+Besides these ``compute()`` rounds the plane claims rounds of other
+kinds through :class:`RoundFold`\\ s that the algorithm modules define:
+A_{t+2}'s round t + 2 (``repro.core.att2``) and every Chandra–Toueg
+round (``repro.algorithms.chandra_toueg``), the baseline's and A_{t+2}'s
+underlying C's alike.  A fold sends its round from the senders' states
+and runs the receive phase for all receivers from their heard masks;
+unlike ``compute()`` it may decide.
+
+The plane is **opt-in and run-scoped**.  An automaton class opts in
+with :meth:`~repro.algorithms.base.Automaton.plane_rounds` (whose
+docstring is the whole contract): its ``compute()`` rounds and the
+first round of each fold, as :class:`PlaneRounds`.
 :func:`build_run_plane` builds and binds one plane per execution when
 the classes in the run share at least one such round.  While no
 process has decided (so no DECIDE payload exists, current or delayed,
-and nobody has halted) a shared plane round whose ests sort is
-**claimed**: :meth:`Phase1Plane.send` writes every sender's
-``state.payload(k)`` into the kernel's payload grid and opens the
-round, and :meth:`Phase1Plane.claim` folds every completer from its
-plan mask — no automaton ``payload`` or ``deliver_view`` runs, in
-either trace mode.  ``claim`` reuses the previous receiver's fold while
-heard mask, Halt row and transpose row repeat (exact: a completer
-hears its own ESTIMATE, so nothing else of it enters the fold;
-:attr:`Phase1Plane.claimed_folds` counts the folds), writes A_◇S's
-detector history (:meth:`Phase1Plane.log_suspicions`) and appends k to
-:attr:`Phase1Plane.claimed_rounds`.  Every other round the automata
-send, the kernel opens it with :meth:`Phase1Plane.begin_round` and
-closes it with :meth:`Phase1Plane.end_round`, and bound automata call
+and nobody has halted) a shared plane round is **claimed** unless its
+values do not sort or its fold declines it (A_{t+2} whose C is not
+Chandra–Toueg): :meth:`Phase1Plane.send` writes every sender's
+payload into the kernel's payload grid, and :meth:`Phase1Plane.claim`
+runs the receive phase of every completer from its plan mask and
+returns the completers that decided — no automaton ``payload`` or
+``deliver_view`` runs, in either trace mode.  A ``compute()`` claim
+reuses the previous receiver's fold while heard mask, Halt row and
+transpose row repeat (exact: a completer hears its own ESTIMATE, so
+nothing else of it enters the fold; :attr:`Phase1Plane.claimed_folds`
+counts the folds).  Every claim writes A_◇S's detector history
+(:meth:`Phase1Plane.log_suspicions`) and appends k to
+:attr:`Phase1Plane.claimed_rounds` (:meth:`Phase1Plane.round_kind`
+names its kind).  Every other round the automata send, the kernel
+opens it with :meth:`Phase1Plane.begin_round` and closes it with
+:meth:`Phase1Plane.end_round`, and bound automata call
 :meth:`Phase1Plane.compute_view`, the same fold on the view's mask,
 which falls back to the exact per-receiver
 :meth:`~repro.algorithms.suspicion.EstimateState.compute_view` whenever
@@ -71,7 +83,7 @@ per-receiver oracle.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Collection, Sequence
 
 from repro.sim.bitset import full_mask, mask_of
 from repro.types import ProcessId, Round, Value
@@ -81,36 +93,103 @@ if TYPE_CHECKING:  # runtime stays decoupled from the algorithm layer
     from repro.algorithms.suspicion import EstimateState
     from repro.sim.view import RoundView
 
-__all__ = ["Phase1Plane", "build_run_plane"]
+__all__ = ["Phase1Plane", "PlaneRounds", "RoundFold", "build_run_plane"]
 
 #: The ESTIMATE payload tag (mirrors ``repro.algorithms.suspicion.
 #: ESTIMATE``; defined here so the plane's hot loop never imports the
 #: algorithm layer — same idiom as ``view._DECIDE``).
 _ESTIMATE = "ESTIMATE"
 
+#: :meth:`Phase1Plane.round_kind` of a ``compute()`` round.
+PHASE1 = "phase1"
+
+
+class RoundFold:
+    """A kind of round the plane claims besides ``compute()``.
+
+    Defined by the algorithm module whose round it is, and declared in
+    :class:`PlaneRounds`.  Both hooks run only while no process has
+    decided, so every sender is undecided and sends its own round
+    payload.
+    """
+
+    __slots__ = ()
+
+    #: The kind's name, as :meth:`Phase1Plane.round_kind` reports it.
+    kind = ""
+
+    def send(
+        self, plane: "Phase1Plane", k: Round,
+        senders: Sequence[ProcessId], payloads: list,
+    ) -> object:
+        """Write each sender's round-*k* payload (what its ``payload(k)``
+        returns, DUMMY for ``None``, hash-checked) into
+        ``payloads[pid][k]`` and return the round's fold input, or
+        ``None`` to leave the round to the automata: before touching any
+        state when the round is not this fold's to claim, or after the
+        sends (which the automata then repeat) when its values do not
+        sort."""
+        raise NotImplementedError
+
+    def claim(
+        self, plane: "Phase1Plane", k: Round, opened: object,
+        receivers: Sequence[ProcessId], current_masks: Sequence[int],
+    ) -> int:
+        """Run round *k*'s receive phase for *receivers*, each of which
+        heard ``current_masks[pid]`` of the senders, from *opened* (what
+        :meth:`send` returned); return the mask of those that decided."""
+        raise NotImplementedError
+
+
+class PlaneRounds:
+    """What one automaton class lets the plane claim
+    (:meth:`~repro.algorithms.base.Automaton.plane_rounds`).
+
+    Attributes:
+        compute: the rounds whose receive phase is ``compute()``.
+        folds: ``(first round, fold)`` pairs by ascending first round;
+            a fold claims its first round and every later round up to
+            the next fold's first, except ``compute`` rounds.
+    """
+
+    __slots__ = ("compute", "folds")
+
+    def __init__(
+        self,
+        compute: Collection[Round] = (),
+        folds: tuple[tuple[Round, RoundFold], ...] = (),
+    ) -> None:
+        self.compute = compute
+        self.folds = folds
+
 
 class Phase1Plane:
-    """One run's shared Phase-1 state plane (see the module docstring).
+    """One run's shared plane (see the module docstring).
 
     Holds every process's ``(est, halt_mask)`` row by reference to the
     automata's own :class:`~repro.algorithms.suspicion.EstimateState`
     objects — the plane writes the same state the per-receiver path
     would, so Phase 2 and the Figure-4 fast path read estimates and
-    Halt masks exactly as before.
+    Halt masks exactly as before — and the automata themselves, whose
+    state the folds write.
     """
 
     __slots__ = (
-        "n", "_states", "_full", "_rows", "_transpose", "_nonempty_rows",
-        "_est_mask", "_order", "_sortable", "_round", "_active",
-        "_plane_rounds", "_fd_logs", "claimed_rounds", "claimed_folds",
+        "n", "automata", "_states", "_full", "_rows", "_transpose",
+        "_nonempty_rows", "_est_mask", "_order", "_sortable", "_round",
+        "_active", "_plane_rounds", "_folds", "_round_fold", "_opened",
+        "_fd_logs", "_logging", "claimed_rounds", "claimed_folds",
     )
 
     def __init__(
         self,
         states: Sequence["EstimateState"],
         plane_rounds: int = 0,
+        folds: Sequence[tuple[Round, RoundFold]] = (),
+        automata: Sequence["Automaton"] = (),
     ) -> None:
-        self.n = len(states)
+        self.automata = tuple(automata)
+        self.n = len(self.automata) or len(states)
         self._states = tuple(states)
         self._full = full_mask(self.n)
         # Last-seen halt rows, refreshed per round; transpose[i] is the
@@ -121,18 +200,23 @@ class Phase1Plane:
         self._nonempty_rows = 0
         for j, state in enumerate(self._states):
             self._refresh_row(j, state._halt_mask)
-        # Round-scoped fold inputs, rebuilt by begin_round.
+        # Round-scoped fold inputs, rebuilt by begin_round (and by a
+        # fold's send: the round's fold and its input).
         self._est_mask = 0
         self._order: list[tuple[Value, int]] = []
         self._sortable = True
         self._round: Round = 0
         self._active = False
-        # Bit k set iff the kernel may claim round k; per receiver, the
-        # detector log claimed rounds write.
+        self._round_fold: RoundFold | None = None
+        self._opened: object = None
+        # Bit k set iff the kernel may claim round k as compute(); the
+        # declared folds; per receiver, the detector log claims write.
         self._plane_rounds = plane_rounds
+        self._folds = tuple(folds)
         self._fd_logs: list[dict[Round, int] | None] = [None] * self.n
-        #: The rounds this plane claimed, in order, and the folds they
-        #: computed.  Plain counters, never a clock.
+        self._logging = False
+        #: The rounds this plane claimed, in order, and the compute()
+        #: folds they computed.  Plain counters, never a clock.
         self.claimed_rounds: list[Round] = []
         self.claimed_folds = 0
 
@@ -153,16 +237,51 @@ class Phase1Plane:
                 added ^= low
             rows[j] = mask
 
+    def _fold_at(self, k: Round) -> RoundFold | None:
+        """The declared fold that owns round *k*, if any."""
+        owner = None
+        for first, fold in self._folds:
+            if first > k:
+                break
+            owner = fold
+        return owner
+
+    def round_kind(self, k: Round) -> str | None:
+        """What kind of round *k* is to this plane: ``"phase1"`` for a
+        ``compute()`` round, a fold's :attr:`RoundFold.kind`, or ``None``
+        for a round the plane never claims."""
+        if self._plane_rounds >> k & 1:
+            return PHASE1
+        fold = self._fold_at(k)
+        return None if fold is None else fold.kind
+
     def send(
         self, k: Round, senders: Sequence[ProcessId], payloads: list
     ) -> bool:
-        """Send round *k* for the kernel (nobody decided yet): each
-        sender's hash-checked ``state.payload(k)`` into ``payloads[pid][k]``,
-        then :meth:`begin_round`.  Returns whether the plane claims *k*;
-        ``False`` (the kernel sends) unless *k* is a plane round whose
-        ests sort."""
+        """Send round *k* for the kernel (nobody decided yet) and return
+        whether the plane claims it; ``False`` (the kernel sends) unless
+        *k* is a plane round whose values sort.
+
+        A ``compute()`` round writes each sender's hash-checked
+        ``state.payload(k)`` into ``payloads[pid][k]``, then runs
+        :meth:`begin_round`; any other plane round is its fold's
+        :meth:`RoundFold.send`.
+        """
         if not self._plane_rounds >> k & 1:
-            return False
+            fold = self._fold_at(k)
+            if fold is None:
+                return False
+            opened = fold.send(self, k, senders, payloads)
+            if opened is None:
+                return False
+            self._round_fold = fold
+            self._opened = opened
+            mask = 0
+            for pid in senders:
+                mask |= 1 << pid
+            self._est_mask = mask  # every sender's message counts
+            return True
+        self._round_fold = None
         states = self._states
         for pid in senders:
             payload = states[pid].payload(k)
@@ -184,9 +303,12 @@ class Phase1Plane:
         payload that merely reuses the ESTIMATE tag cannot write one;
         post-send they are the rows the round-k ESTIMATE payloads carry,
         which is what makes ``arrived & transpose[pid]`` equal the
-        per-receiver ``payload[3] >> pid & 1`` scan.
+        per-receiver ``payload[3] >> pid & 1`` scan.  A plane without
+        ``compute()`` state (only folds) never opens a round.
         """
         states = self._states
+        if not states:
+            return
         rows = self._rows
         entries: list[tuple[Value, int]] = []
         append = entries.append
@@ -221,20 +343,45 @@ class Phase1Plane:
         k: Round,
         receivers: Sequence[ProcessId],
         current_masks: Sequence[int],
-    ) -> int:
+    ) -> tuple[int, int]:
         """Run claimed round *k*'s receive phase for every receiver, each
-        of which heard ``current_masks[pid]`` of the (ESTIMATE) senders;
-        return the number of current-round messages delivered."""
-        states = self._states
-        transpose = self._transpose
-        logs = self._fd_logs
-        full = self._full
+        of which heard ``current_masks[pid]`` of the senders; return the
+        number of current-round messages delivered and the mask of the
+        receivers that decided."""
         sender_mask = self._est_mask
-        delivered = folds = 0
-        last = None
+        fold = self._round_fold
+        if fold is not None:
+            deciders = fold.claim(
+                self, k, self._opened, receivers, current_masks
+            )
+            self._round_fold = self._opened = None
+        else:
+            deciders = 0
+            self._claim_compute(receivers, current_masks)
+        delivered = 0
+        logs = self._fd_logs if self._logging else None
+        full = self._full
         for pid in receivers:
             heard = current_masks[pid] & sender_mask
             delivered += heard.bit_count()
+            if logs is not None:
+                log = logs[pid]
+                if log is not None:
+                    log[k] = full & ~heard & ~(1 << pid)
+        self.claimed_rounds.append(k)
+        return delivered, deciders
+
+    def _claim_compute(
+        self, receivers: Sequence[ProcessId], current_masks: Sequence[int]
+    ) -> None:
+        """A claimed ``compute()`` round's state updates."""
+        states = self._states
+        transpose = self._transpose
+        sender_mask = self._est_mask
+        folds = 0
+        last = None
+        for pid in receivers:
+            heard = current_masks[pid] & sender_mask
             state = states[pid]
             halt = state._halt_mask
             key = (heard, halt, transpose[pid])
@@ -245,12 +392,7 @@ class Phase1Plane:
                 result = self._fold(pid, heard, halt, state.est)
                 folds += 1
             state._halt_mask, state.est = result
-            log = logs[pid]
-            if log is not None:
-                log[k] = full & ~heard & ~(1 << pid)
-        self.claimed_rounds.append(k)
         self.claimed_folds += folds
-        return delivered
 
     def end_round(self) -> None:
         """Close the receive phase (kernel, once per round).
@@ -304,6 +446,7 @@ class Phase1Plane:
         """Have claimed rounds write *pid*'s suspected-set mask (senders
         not heard this round, itself excluded) into ``log[k]``."""
         self._fd_logs[pid] = log
+        self._logging = True
 
     def round2_stats(
         self, k: Round, view: "RoundView"
@@ -339,20 +482,33 @@ def build_run_plane(
 ) -> Phase1Plane | None:
     """Build and bind one plane for *automata*, or ``None``.
 
-    The plane's rounds are those every automaton class in the run lists
-    in :meth:`~repro.algorithms.base.Automaton.phase1_plane_rounds`;
-    when they share none (an empty run, or any class keeping the base
-    class's ``()``) the run keeps the per-automaton delivery path.  The
-    plane is bound into each automaton via
+    The plane claims what every automaton class in the run declares in
+    :meth:`~repro.algorithms.base.Automaton.plane_rounds`: the
+    ``compute()`` rounds they all list, and their folds if they all
+    declare the same ones.  When that is nothing (an empty run, or any
+    class keeping the base class's ``None``) the run keeps the
+    per-automaton delivery path.  The plane is bound into each
+    automaton via
     :meth:`~repro.algorithms.base.Automaton.bind_phase1_plane` and
     returned for the kernel's per-round dispatch.
     """
     rounds = -1 if automata else 0
+    folds = None
     for cls, t in {(type(a), a.t): None for a in automata}:
-        rounds &= mask_of(cls.phase1_plane_rounds(t))
-    if not rounds:
+        declared = cls.plane_rounds(t)
+        if declared is None:
+            return None
+        rounds &= mask_of(declared.compute)
+        if folds is None:
+            folds = declared.folds
+        elif folds != declared.folds:
+            folds = ()
+    if not rounds and not folds:
         return None
-    plane = Phase1Plane(tuple(a.state for a in automata), rounds)  # type: ignore[attr-defined]
+    plane = Phase1Plane(
+        tuple(a.state for a in automata) if rounds else (),  # type: ignore[attr-defined]
+        rounds, folds, automata,
+    )
     for automaton in automata:
         automaton.bind_phase1_plane(plane)
     return plane

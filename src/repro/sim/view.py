@@ -37,8 +37,8 @@ mask, so all receivers that heard the same senders share one cell per
 round (in an all-to-all round, one cell for everybody), and delayed
 buckets are likewise shared per distinct delayed row.  A receiver whose
 round consumes only masks never builds its bucket set, and a round the
-batched Phase-1 plane claims (:mod:`repro.sim.phase1_plane`) builds no
-view at all outside full-trace mode.  The DECIDE scan stays O(1) on
+run plane claims (:mod:`repro.sim.phase1_plane`) builds no view at all
+outside full-trace mode.  The DECIDE scan stays O(1) on
 bucket-free rounds: the send table already knows whether *any*
 broadcast this round was a DECIDE, so :attr:`RoundView.decides`
 materializes buckets only in announcement rounds (plus whatever delayed

@@ -26,7 +26,7 @@ import pytest
 
 from repro.algorithms.suspicion import EstimateState
 from repro.sim.bitset import iter_bits
-from repro.sim.phase1_plane import Phase1Plane, build_run_plane
+from repro.sim.phase1_plane import Phase1Plane, PlaneRounds, build_run_plane
 from repro.sim.view import CurrentCell, RoundView, SendTable
 
 
@@ -105,6 +105,23 @@ def _fresh_pair(n, ests, halts):
         for i in range(n)
     ]
     return states, copy.deepcopy(states)
+
+
+def _automaton_state(automaton):
+    """Everything an automaton holds, nested C included, as plain data
+    (its plane excluded)."""
+    state = {}
+    for key, value in sorted(vars(automaton).items()):
+        if key in ("_plane", "_underlying_factory"):
+            continue
+        if key == "state":
+            value = (value.est, value._halt_mask)
+        elif key == "_underlying" and value is not None:
+            value = _automaton_state(value)
+        state[key] = value
+    if hasattr(automaton, "fd_history"):
+        state["fd_history"] = automaton.fd_history
+    return state
 
 
 class TestPlaneMatchesOracle:
@@ -340,8 +357,8 @@ class TestBuildRunPlane:
 
         class OptOut(ATt2):
             @classmethod
-            def phase1_plane_rounds(cls, t):
-                return ()
+            def plane_rounds(cls, t):
+                return None
 
         automata = list(make_automata(ATt2.factory(), 5, 2, range(5)))
         automata[3] = OptOut(3, 5, 2, 3)
@@ -360,8 +377,8 @@ class TestBuildRunPlane:
                 self.state = EstimateState(pid, n, proposal)
 
             @classmethod
-            def phase1_plane_rounds(cls, t):
-                return range(1, t + 2)
+            def plane_rounds(cls, t):
+                return PlaneRounds(compute=range(1, t + 2))
 
             def payload(self, k):
                 return self.state.payload(k)
@@ -409,7 +426,10 @@ class TestClaimedRounds:
 
     @pytest.mark.parametrize("name", ["att2", "adiamond_s"])
     def test_failure_free_phase_one_is_claimed_whole(self, name):
-        assert self._claimed(name, self._failure_free()) == [1, 2, 3, 4, 5]
+        # Phase 1, then round t + 2, in which everybody decides.
+        assert self._claimed(name, self._failure_free()) == [
+            1, 2, 3, 4, 5, 6,
+        ]
 
     def test_failure_free_fast_path_leaves_round_one(self):
         # Round 2 is the fast path's, and everybody decides in it.
@@ -421,7 +441,7 @@ class TestClaimedRounds:
         builder = ScheduleBuilder(self.N, self.T, 3 * self.T + 6)
         builder.crash(3, 1, delivered_to=[0, 1])
         claimed = self._claimed("att2_optimized", builder.build())
-        assert claimed == [1, 3, 4, 5]
+        assert claimed == [1, 3, 4, 5, 6]
 
     @pytest.mark.parametrize("trace", ["full", "lean"])
     def test_a_decision_ends_claims(self, trace):
@@ -508,6 +528,46 @@ class TestClaimedRounds:
         # FloodSetWS's plane rounds end at 4; ATt2Optimized's skip 2.
         assert automata[0]._plane.claimed_rounds == [1, 3, 4]
 
+    @pytest.mark.parametrize("name, kinds", [
+        ("att2", {"phase1": 5, "t+2": 1, "C": 3}),
+        ("att2_optimized", {"phase1": 4, "t+2": 1, "C": 3}),
+        ("adiamond_s", {"phase1": 5, "t+2": 1, "C": 3}),
+        ("chandra_toueg", {"C": 3}),
+    ])
+    def test_claimed_round_kinds_on_a_fixed_es_case(self, name, kinds):
+        from collections import Counter
+
+        from repro.algorithms.base import make_automata
+        from repro.algorithms.registry import get_factory
+        from repro.sim.kernel import execute
+        from repro.sim.random_schedules import random_es_schedule
+
+        # Nobody decides in round t + 2, so C's first cycle (rounds
+        # 7-9) is claimed up to its deciding ACK round.
+        schedule = random_es_schedule(self.N, self.T, 0)
+        for trace in ("full", "lean"):
+            automata = make_automata(
+                get_factory(name), self.N, self.T, list(range(self.N))
+            )
+            execute(automata, schedule, trace=trace)
+            plane = automata[0]._plane
+            counted = Counter(plane.round_kind(k) for k in plane.claimed_rounds)
+            assert counted == kinds, trace
+
+    def test_hurfin_raynal_c_rounds_stay_per_view(self):
+        from repro.algorithms.base import make_automata
+        from repro.core.adiamond_s import ADiamondS
+        from repro.sim.kernel import execute
+        from repro.sim.random_schedules import random_es_schedule
+
+        # Direct construction gives A_◇S its Hurfin–Raynal C, whose
+        # rounds the plane never claims.
+        automata = make_automata(ADiamondS, self.N, self.T, range(self.N))
+        execute(automata, random_es_schedule(self.N, self.T, 0))
+        plane = automata[0]._plane
+        assert plane.claimed_rounds == [1, 2, 3, 4, 5, 6]
+        assert plane.round_kind(7) == "C"
+
 
 class TestPlaneSends:
     """Claimed rounds are sent by the plane (:meth:`Phase1Plane.send`)
@@ -556,7 +616,7 @@ class TestPlaneSends:
         checked = []
         for schedule in schedules:
             automata = make_automata(get_factory(name), n, t, list(range(n)))
-            rounds = set(type(automata[0]).phase1_plane_rounds(t))
+            rounds = set(type(automata[0]).plane_rounds(t).compute)
             for automaton in automata:
                 def payload(k, automaton=automaton,
                             inner=automaton.payload):
@@ -577,12 +637,12 @@ class TestPlaneSends:
 
         # p8's str est meets the others only in round 1's global sort
         # (its crash-round message reaches nobody): round 1 falls back
-        # to the automaton sends, rounds 2..t+1 are claimed again.
+        # to the automaton sends, rounds 2..t+2 are claimed again.
         builder = ScheduleBuilder(self.N, self.T, 3 * self.T + 6)
         builder.crash(self.N - 1, 1, delivered_to=[])
         proposals = list(range(self.N - 1)) + ["x"]
         plane = self._run("att2", builder.build(), proposals, trace)
-        assert plane.claimed_rounds == [2, 3, 4, 5]
+        assert plane.claimed_rounds == [2, 3, 4, 5, 6]
 
     @pytest.mark.parametrize("trace", ["full", "lean"])
     def test_unhashable_proposal_raises_in_round_one(self, trace):
@@ -593,8 +653,8 @@ class TestPlaneSends:
 
         class OptOut(ATt2):
             @classmethod
-            def phase1_plane_rounds(cls, t):
-                return ()
+            def plane_rounds(cls, t):
+                return None
 
         schedule = Schedule.failure_free(self.N, self.T, 3 * self.T + 6)
         # Lists sort among themselves, so only the hash check can fail.
@@ -646,7 +706,7 @@ class TestPlaneSends:
             reference = replace(reference, rounds=None)
         assert run == reference
         claimed = automata[0]._plane.claimed_rounds
-        assert claimed == [1, 2, 3, 4, 5]
+        assert claimed == [1, 2, 3, 4, 5, 6, 7, 8, 9]
         # Claimed rounds call no deliver_view; every other round's
         # delayed items equal the reference kernel's.
         assert seen == {
@@ -679,10 +739,9 @@ class TestPlaneSends:
             automaton.payload = payload
         run = execute(automata, schedule, trace="full")
         claimed = automata[0]._plane.claimed_rounds
-        assert claimed == [1, 2, 3, 4, 5]
-        # Only rounds t+2 (NEWESTIMATE) and t+3 (DECIDE) are the
-        # automata's own sends.
-        assert payload_rounds == {self.T + 2, self.T + 3}
+        assert claimed == [1, 2, 3, 4, 5, 6]
+        # Only round t+3 (DECIDE) is the automata's own send.
+        assert payload_rounds == {self.T + 3}
         assert run == execute_reference(
             make_automata(factory, self.N, self.T, proposals), schedule
         )
@@ -693,7 +752,8 @@ class TestPlaneSends:
         schedule = Schedule.failure_free(self.N, self.T, 3 * self.T + 6)
         for trace in ("full", "lean"):
             plane = self._run("att2", schedule, list(range(self.N)), trace)
-            assert plane.claimed_rounds == [1, 2, 3, 4, 5]
+            assert plane.claimed_rounds == [1, 2, 3, 4, 5, 6]
+            # Folds count compute() rounds only.
             assert plane.claimed_folds == 5
 
     def test_random_es_schedule_folds_once_per_receiver(self):
@@ -704,8 +764,210 @@ class TestPlaneSends:
         completers = compile_schedule(schedule).completers
         for trace in ("full", "lean"):
             plane = self._run("att2", schedule, list(range(self.N)), trace)
-            receivers = sum(len(completers[k]) for k in plane.claimed_rounds)
+            receivers = sum(
+                len(completers[k]) for k in plane.claimed_rounds
+                if plane.round_kind(k) == "phase1"
+            )
             assert plane.claimed_folds == receivers == 45
+
+    FOLD_ALGORITHMS = ("att2", "att2_optimized", "adiamond_s",
+                       "chandra_toueg")
+
+    @staticmethod
+    def _fold_schedule(name, n, t, few_estimates=False, half_acks=False):
+        """A schedule in which nobody decides before C's first cycle,
+        which starts after round ``offset`` (0 for the baseline)."""
+        from repro.model.schedule import ScheduleBuilder
+
+        offset = 0 if name == "chandra_toueg" else t + 2
+        builder = ScheduleBuilder(n, t, offset + 3 * t + 6)
+        # The last process misses t + 1 round-1 messages, so its Halt
+        # set exceeds t and its round-t+2 new estimate is ⊥.
+        for sender in range(t + 1):
+            builder.lose(sender, n - 1, 1)
+        if few_estimates:
+            # C's first coordinator, p0, hears n - t - 1 estimates.
+            for sender in range(1, t + 2):
+                builder.lose(sender, 0, offset + 1)
+        if half_acks:
+            # p0's PROP reaches ⌊n/2⌋ processes, p0 included; p1's, in
+            # cycle 2, misses p2, which adopted p0's and must NACK.
+            for receiver in range(n // 2, n):
+                builder.lose(0, receiver, offset + 2)
+            builder.lose(1, 2, offset + 5)
+        return builder.build(), offset
+
+    @staticmethod
+    def _run_folds(factory, schedule, proposals, trace):
+        """Kernel vs ``execute_reference``: equal traces, and equal
+        automaton state (C's included, and A_◇S's detector history)."""
+        from dataclasses import replace
+
+        from kernel_oracle import execute_reference
+        from repro.algorithms.base import make_automata
+        from repro.sim.kernel import execute
+
+        n, t = schedule.n, schedule.t
+        automata = make_automata(factory, n, t, proposals)
+        run = execute(automata, schedule, trace=trace)
+        oracle = make_automata(factory, n, t, proposals)
+        reference = execute_reference(oracle, schedule)
+        if trace == "lean":
+            reference = replace(reference, rounds=None)
+        assert run == reference
+        assert [_automaton_state(a) for a in automata] == [
+            _automaton_state(a) for a in oracle
+        ]
+        return run, automata
+
+    @pytest.mark.parametrize("trace", ["full", "lean"])
+    @pytest.mark.parametrize("n, t", [(9, 4), (25, 8)], ids=["n9", "n25"])
+    @pytest.mark.parametrize("name", FOLD_ALGORITHMS)
+    def test_claimed_folds_equal_the_per_view_path(self, name, n, t, trace):
+        from repro.algorithms.registry import get_factory
+        from repro.model.schedule import Schedule
+        from repro.sim.random_schedules import (
+            random_es_schedule,
+            random_proposals,
+            random_scs_schedule,
+        )
+
+        schedules = [Schedule.failure_free(n, t, 3 * t + 6)]
+        schedules += [random_es_schedule(n, t, seed) for seed in range(3)]
+        schedules += [random_scs_schedule(n, t, seed) for seed in range(2)]
+        schedules += [
+            self._fold_schedule(name, n, t, **flags)[0]
+            for flags in ({}, {"few_estimates": True}, {"half_acks": True})
+        ]
+        kinds = set()
+        for seed, schedule in enumerate(schedules):
+            _run, automata = self._run_folds(
+                get_factory(name), schedule, random_proposals(n, seed), trace
+            )
+            plane = automata[0]._plane
+            kinds.update(plane.round_kind(k) for k in plane.claimed_rounds)
+        assert "C" in kinds
+        assert ("t+2" in kinds) == (name != "chandra_toueg")
+
+    @pytest.mark.parametrize("trace", ["full", "lean"])
+    @pytest.mark.parametrize("n, t", [(9, 4), (25, 8)], ids=["n9", "n25"])
+    @pytest.mark.parametrize("name", FOLD_ALGORITHMS)
+    def test_coordinator_short_of_estimates_sends_no_prop(
+        self, name, n, t, trace
+    ):
+        from repro.algorithms.registry import get_factory
+        from repro.model.messages import DUMMY
+
+        schedule, offset = self._fold_schedule(
+            name, n, t, few_estimates=True
+        )
+        run, automata = self._run_folds(
+            get_factory(name), schedule, list(range(n)), trace
+        )
+        # Cycle 1 proposes nothing; cycle 2 (coordinator p1) decides.
+        assert automata[0]._plane.claimed_rounds[-6:] == [
+            offset + r for r in range(1, 7)
+        ]
+        assert all(
+            decision == (0, offset + 6) for decision in run.decisions.values()
+        )
+        if trace == "full":
+            # Every process sent DUMMY in the PROP round, and every
+            # DUMMY counts as a delivered message.
+            prop_round = run.rounds[offset + 1]
+            assert set(prop_round.sent.values()) == {DUMMY}
+            assert sum(
+                len(inbox) for inbox in prop_round.delivered.values()
+            ) == n * n
+
+    @pytest.mark.parametrize("trace", ["full", "lean"])
+    @pytest.mark.parametrize("n, t", [(9, 4), (25, 8)], ids=["n9", "n25"])
+    @pytest.mark.parametrize("name", FOLD_ALGORITHMS)
+    def test_half_the_acks_decide_nothing(self, name, n, t, trace):
+        from repro.algorithms.registry import get_factory
+
+        schedule, offset = self._fold_schedule(name, n, t, half_acks=True)
+        run, automata = self._run_folds(
+            get_factory(name), schedule, list(range(n)), trace
+        )
+        plane = automata[0]._plane
+        # Exactly ⌊n/2⌋ ACKs in cycle 1's ACK round: claimed, nobody
+        # decides, and cycle 2 decides in its ACK round.
+        assert offset + 3 in plane.claimed_rounds
+        assert plane.claimed_rounds[-1] == offset + 6
+        assert sorted({k for _v, k in run.decisions.values()}) == [
+            offset + 6
+        ]
+        inner = [getattr(a, "_underlying", None) or a for a in automata]
+        assert inner[2]._proposal_seen is None
+        assert inner[2].ts == 1 and inner[3].ts == 2
+
+    @pytest.mark.parametrize("trace", ["full", "lean"])
+    @pytest.mark.parametrize("n, t", [(9, 4), (25, 8)], ids=["n9", "n25"])
+    @pytest.mark.parametrize(
+        "name", ["att2", "att2_optimized", "adiamond_s"]
+    )
+    def test_bottom_new_estimate_blocks_round_t_plus_2(
+        self, name, n, t, trace
+    ):
+        from repro.algorithms.registry import get_factory
+        from repro.types import BOTTOM
+
+        schedule, _offset = self._fold_schedule(name, n, t)
+        run, automata = self._run_folds(
+            get_factory(name), schedule, list(range(n)), trace
+        )
+        assert t + 2 in automata[0]._plane.claimed_rounds
+        assert automata[n - 1].new_estimate is BOTTOM
+        assert all(a.new_estimate == 0 for a in automata[:-1])
+        # Everybody heard the ⊥, so nobody decided; all adopted 0.
+        assert all(k > t + 2 for _v, k in run.decisions.values())
+        assert all(a._underlying.proposal == 0 for a in automata)
+        if name == "adiamond_s":
+            assert automata[0].fd_history[t + 2] == frozenset()
+            assert automata[n - 1].fd_history[1] == frozenset(range(t + 1))
+
+    @pytest.mark.parametrize("trace", ["full", "lean"])
+    def test_unorderable_new_estimates_fall_back(self, trace):
+        from repro.core.att2 import ATt2
+        from repro.model.schedule import ScheduleBuilder
+
+        # t >= n/2 (unsafe, as in E10): two partitions keep estimates
+        # of two types into round t + 2, where no global sort works;
+        # each receiver hears one type only.
+        n, t = 9, 5
+        builder = ScheduleBuilder(n, t, t + 4)
+        left, right = range(5), range(5, n)
+        for k in range(1, t + 4):
+            for a in left:
+                for b in right:
+                    builder.lose(a, b, k)
+                    builder.lose(b, a, k)
+        proposals = list(range(5)) + ["w", "x", "y", "z"]
+        run, automata = self._run_folds(
+            ATt2.factory(allow_unsafe_resilience=True),
+            builder.build(), proposals, trace,
+        )
+        assert automata[0]._plane.claimed_rounds == []
+        assert run.decisions[0] == (0, t + 2)
+        assert run.decisions[n - 1] == ("w", t + 2)
+
+    def test_unorderable_new_estimates_refuse_the_claim(self):
+        from repro.algorithms.base import make_automata
+        from repro.core.att2 import NEWESTIMATE, ATt2
+
+        automata = make_automata(
+            ATt2.factory(), self.N, self.T, list(range(self.N))
+        )
+        plane = build_run_plane(automata)
+        automata[self.N - 1].new_estimate = "x"
+        k = self.T + 2
+        payloads = [[None] * (k + 1) for _ in range(self.N)]
+        assert plane.round_kind(k) == "t+2"
+        assert not plane.send(k, range(self.N), payloads)
+        # The sends happened; the automata repeat them.
+        assert payloads[self.N - 1][k] == (NEWESTIMATE, k, "x")
+        assert plane.claimed_rounds == []
 
 
 def _export_divergence(schedule, proposals, label, algorithm):
@@ -776,7 +1038,7 @@ def test_plane_vs_oracle_at_sweep_scale(seed, name):
     # plane is bound and every round runs per receiver.
     no_plane = type(
         "NoPlane", (type(opted_out[0]),),
-        {"phase1_plane_rounds": classmethod(lambda cls, t: ())},
+        {"plane_rounds": classmethod(lambda cls, t: None)},
     )
     for automaton in opted_out:
         automaton.__class__ = no_plane

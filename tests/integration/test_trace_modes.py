@@ -2,11 +2,15 @@
 
 Sweeps run every case lean, so a sweep record must not depend on the
 per-round records a full trace adds.  Every case of the ``--profile
-large`` grids (n = 25 and n = 50) runs in both modes here: the full
-trace with its ``rounds`` dropped must equal the lean trace, and the
-records built from the two must be equal.  The grids run their own
-algorithms plus ``floodset_ws``, so all four algorithms whose Phase-1
-rounds the plane claims have those rounds stored in full mode too.
+large`` grids (n = 25 and n = 50) and of an n = 9, t = 4 grid (25 cases
+per family, seed 3) runs in both modes here: the full trace with its
+``rounds`` dropped must equal the lean trace, and the records built
+from the two must be equal.  The grids run their own algorithms plus
+``floodset_ws``, so every kind of round the run plane claims — Phase 1
+(att2, att2_optimized, adiamond_s, floodset_ws), round t + 2 and the
+Chandra–Toueg rounds (the baseline's, and C's of the A_{t+2} family) —
+is stored in full mode too.  At n = 9 nobody decides in round t + 2 on
+most ES schedules, so C's rounds are claimed there.
 """
 
 from dataclasses import replace
@@ -15,14 +19,18 @@ import pytest
 
 from repro.algorithms.registry import get_factory
 from repro.analysis.sweep import case_record
-from repro.engine import expand_grid, profile_grids
+from repro.engine import default_sweep_grid, expand_grid, profile_grids
 from repro.sim.kernel import run_algorithm
 
-GRIDS = [
+BASE_GRIDS = [
     *profile_grids("large"),
+    ("n9", default_sweep_grid(9, 4, seed=3, cases_per_family=25)),
+]
+GRIDS = [
+    *BASE_GRIDS,
     *(
         (f"{label}-floodset_ws", replace(grid, algorithms=("floodset_ws",)))
-        for label, grid in profile_grids("large")
+        for label, grid in BASE_GRIDS
     ),
 ]
 

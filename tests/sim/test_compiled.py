@@ -208,7 +208,7 @@ class TestPhase1PlaneDispatch:
     kernel path)."""
 
     PLANE_ALGORITHMS = ("att2", "att2_optimized", "floodset_ws",
-                        "adiamond_s")
+                        "adiamond_s", "chandra_toueg")
 
     #: (n, t, seeds): claimed and per-receiver plane rounds at three
     #: widths, fewer seeds where the reference kernel is slow.
@@ -240,13 +240,15 @@ class TestPhase1PlaneDispatch:
                 reference = replace(reference, rounds=None)
             assert compiled == reference, f"{name} diverged on seed {seed}"
 
-    @pytest.mark.parametrize("name", ["chandra_toueg", "hurfin_raynal"])
+    @pytest.mark.parametrize(
+        "name", ["hurfin_raynal", "floodset", "early_deciding"]
+    )
     def test_non_declaring_algorithms_get_no_plane(self, name):
         automata = make_automata(
             get_factory(name), 5, 2, [3, 1, 4, 1, 5]
         )
         execute(automata, Schedule.failure_free(5, 2, 12))
-        assert not type(automata[0]).phase1_plane_rounds(2)
+        assert type(automata[0]).plane_rounds(2) is None
         assert all(a._plane is None for a in automata)
 
     def test_opted_out_run_is_byte_identical(self):
@@ -254,8 +256,8 @@ class TestPhase1PlaneDispatch:
 
         class OptOut(ATt2):
             @classmethod
-            def phase1_plane_rounds(cls, t):
-                return ()
+            def plane_rounds(cls, t):
+                return None
 
         for seed in SEEDS[:10]:
             schedule = random_es_schedule(5, 2, seed)
@@ -272,8 +274,8 @@ class TestPhase1PlaneDispatch:
 
         class OptOut(ATt2):
             @classmethod
-            def phase1_plane_rounds(cls, t):
-                return ()
+            def plane_rounds(cls, t):
+                return None
 
         schedule = random_es_schedule(5, 2, 7)
         proposals = random_proposals(5, 7)
