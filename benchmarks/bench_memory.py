@@ -40,6 +40,14 @@ the row guards against Halt (or any per-row set) being materialized
 and retained again — when the rows were interned frozensets this
 sweep peaked near 1.2 GB.
 
+An import-floor row runs a one-case serial sweep against a fresh
+``--cache`` and subtracts the peak of a bare ``python -c`` from the same
+interpreter, so the row measures what importing and starting the sweep
+path adds.  Its budget guards against OpenSSL coming back: every
+SHA-256 the package computes goes through :mod:`repro.fingerprint`,
+CPython's builtin module, and importing :mod:`hashlib` maps libcrypto,
+3-4 MB more on every supported interpreter.
+
 Peak RSS is a low-noise measurement (unlike one-shot wall-clock), so
 the ``kernel-bench`` CI lane asserts the ceiling on every push via
 ``REPRO_BENCH_ASSERT_MEMORY=1``; without the knob the bench only
@@ -97,15 +105,20 @@ N1000_ARGS = (
 )
 N1000_EXPECTED_CASES = 8  # 8 schedule families x 1 algorithm
 
-#: Child driver: run the CLI in a fresh interpreter and report that
-#: process's own peak RSS, so the measurement can never be polluted by
-#: pytest's (or earlier benches') high-water mark.  Linux keeps the
-#: spawning process's peak in ``ru_maxrss`` across ``exec``, so there
-#: the child reads its own image's high-water mark, ``VmHWM``.
-_CHILD = """\
-import json, resource, sys
-from repro.cli import main
-rc = main(sys.argv[1:])
+#: The import-floor row: one case of att2 at n = 3 (shard 0 of the
+#: eight failure-free and seeded families), serial, with a fresh cache.
+IMPORT_FLOOR_ARGS = (
+    "sweep", "--n", "3", "--t", "1",
+    "--algorithms", "att2",
+    "--cases-per-family", "1", "--seed", "0", "--shard", "0/8",
+    "--backend", "serial",
+)
+
+#: A child's own peak RSS in KB, as ``peak``.  Linux keeps the spawning
+#: process's peak in ``ru_maxrss`` across ``exec``, so there the child
+#: reads its own image's high-water mark, ``VmHWM``.
+_PEAK = """\
+import resource, sys
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 if sys.platform == "darwin":  # ru_maxrss is bytes there, KB on Linux
     peak //= 1024
@@ -117,8 +130,22 @@ try:
         )
 except (OSError, StopIteration):
     pass
-print(json.dumps({"rc": rc, "peak_kb": peak}))
 """
+
+#: Child driver: run the CLI in a fresh interpreter and report that
+#: process's own peak RSS, so the measurement can never be polluted by
+#: pytest's (or earlier benches') high-water mark.
+_CHILD = (
+    "import json, sys\n"
+    "from repro.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    + _PEAK
+    + 'print(json.dumps({"rc": rc, "peak_kb": peak}))\n'
+)
+
+#: A bare interpreter that reports its peak: the floor every sweep
+#: starts from.
+_BARE = _PEAK + "print(peak)\n"
 
 
 def _streamed_sweep_peak_kb(args: tuple[str, ...], spool: str) -> int:
@@ -141,18 +168,36 @@ def _streamed_sweep_peak_kb(args: tuple[str, ...], spool: str) -> int:
     return report["peak_kb"]
 
 
+def _bare_peak_kb() -> int:
+    """Peak RSS (KB) of a bare ``python -c`` of the same interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _BARE], capture_output=True, text=True,
+        check=True,
+    )
+    return int(proc.stdout.split()[-1])
+
+
 def _check_row(
     label: str, args: tuple[str, ...], expected_cases: int,
-    budget_key: str, tmp_path,
+    budget_key: str, tmp_path, *, above_bare: bool = False,
+    cause: str = "accumulating per-case or per-row state again",
 ) -> None:
-    """Run one streamed row, report its peak and (on request) assert it."""
+    """Run one streamed row, report its peak and (on request) assert it.
+
+    With *above_bare* the row's figure is the sweep's peak minus a bare
+    interpreter's.
+    """
     spool = str(tmp_path / "spool.jsonl")
     peak_kb = _streamed_sweep_peak_kb(args, spool)
+    measured = "driver peak RSS"
+    if above_bare:
+        peak_kb -= _bare_peak_kb()
+        measured = "peak RSS over a bare interpreter"
 
     with open(FLOOR_FILE, "r", encoding="utf-8") as handle:
         budget_kb = json.load(handle)[budget_key]
     emit(
-        f"streamed {label} sweep: driver peak RSS {peak_kb} KB "
+        f"streamed {label} sweep: {measured} {peak_kb} KB "
         f"(budget {budget_kb} KB, "
         f"{100 * peak_kb / budget_kb:.0f}% of ceiling)"
     )
@@ -167,9 +212,9 @@ def _check_row(
 
     if os.environ.get("REPRO_BENCH_ASSERT_MEMORY") == "1":
         assert peak_kb <= budget_kb, (
-            f"streamed {label} sweep driver peaked at {peak_kb} KB, over "
+            f"streamed {label} sweep: {measured} {peak_kb} KB, over "
             f"the {budget_kb} KB budget in {FLOOR_FILE} — the sweep is "
-            f"accumulating per-case or per-row state again"
+            f"{cause}"
         )
 
 
@@ -178,6 +223,16 @@ def test_streamed_sweep_memory_ceiling(tmp_path):
     _check_row(
         "n=250", SWEEP_ARGS, EXPECTED_CASES,
         "streamed_sweep_peak_rss_kb", tmp_path,
+    )
+
+
+@pytest.mark.smoke
+def test_import_floor_memory_ceiling(tmp_path):
+    _check_row(
+        "one-case cached",
+        (*IMPORT_FLOOR_ARGS, "--cache", str(tmp_path / "cache")),
+        1, "import_floor_peak_rss_kb", tmp_path, above_bare=True,
+        cause="importing OpenSSL (hashlib) or another large module again",
     )
 
 

@@ -14,14 +14,13 @@ produced them changes.
 from __future__ import annotations
 
 import functools
-import hashlib
-import inspect
 import sys
 from dataclasses import dataclass
 from types import MappingProxyType, ModuleType
 from typing import Callable, Mapping
 
 from repro.algorithms.base import AlgorithmFactory
+from repro.fingerprint import sha256
 
 
 @dataclass(frozen=True)
@@ -126,6 +125,25 @@ def get_factory(name: str) -> AlgorithmFactory:
 
 _SOURCE_HASH_CACHE: dict[str, str] = {}
 
+#: SHA-256 of each module's source text, by module name: closures
+#: overlap (every automaton's holds ``base.py``), so each module is read
+#: and hashed once per process however many closures it belongs to.
+_MODULE_DIGESTS: dict[str, str] = {}
+
+
+def _defining_module(value: object) -> ModuleType | None:
+    """The module *value* is, or the loaded module that defines it.
+
+    Classes, functions and instances name their defining module in
+    ``__module__``; values without one (numbers, strings, containers)
+    have none.
+    """
+    if isinstance(value, ModuleType):
+        return value
+    name = getattr(value, "__module__", None)
+    module = sys.modules.get(name) if isinstance(name, str) else None
+    return module if isinstance(module, ModuleType) else None
+
 
 def _module_closure(roots: list[ModuleType]) -> list[ModuleType]:
     """The transitive repro-module closure of *roots*, sorted by name.
@@ -150,11 +168,10 @@ def _module_closure(roots: list[ModuleType]) -> list[ModuleType]:
             continue
         seen[name] = module
         for value in vars(module).values():
-            dep = (
-                value if isinstance(value, ModuleType)
-                else inspect.getmodule(value)
-            )
-            dep_name = getattr(dep, "__name__", "")
+            dep = _defining_module(value)
+            if dep is None:
+                continue
+            dep_name = dep.__name__
             if dep_name != "repro" and not dep_name.startswith("repro."):
                 continue  # only this package, not e.g. site-packages repro*
             if dep_name not in seen:
@@ -162,32 +179,47 @@ def _module_closure(roots: list[ModuleType]) -> list[ModuleType]:
     return [seen[name] for name in sorted(seen)]
 
 
-def source_closure_hash(roots: list[ModuleType]) -> str | None:
-    """SHA-256 over the source of *roots*' transitive repro-module closure.
+def _module_digest(module: ModuleType) -> str | None:
+    """SHA-256 of *module*'s source text; ``None`` if it is unavailable.
 
-    Returns ``None`` when the closure is empty or any member's source text
-    is unavailable (frozen interpreter, interactive definitions) — callers
-    treat that as "unfingerprintable", i.e. uncacheable.
-
-    Each module's text is read once through its loader, which decodes it
-    as ``inspect.getsource`` does; unlike ``inspect.getsource`` it leaves
+    The text is read through the module's loader, which decodes it as
+    ``inspect.getsource`` does; unlike ``inspect.getsource`` it leaves
     no copy of the file in :mod:`linecache` for the rest of the process.
+    Memoized per module name.
     """
-    modules = _module_closure(roots)
-    if not modules:
-        return None
-    digest = hashlib.sha256()
-    for module in modules:
+    name = module.__name__
+    digest = _MODULE_DIGESTS.get(name)
+    if digest is None:
         try:
-            source = module.__loader__.get_source(module.__name__)
+            source = module.__loader__.get_source(name)
         except (ImportError, OSError):
             return None
         if source is None:
             return None
-        digest.update(module.__name__.encode())
-        digest.update(b"\x00")
-        digest.update(source.encode())
-        digest.update(b"\x00")
+        digest = sha256(source.encode()).hexdigest()
+        _MODULE_DIGESTS[name] = digest
+    return digest
+
+
+def source_closure_hash(roots: list[ModuleType]) -> str | None:
+    """SHA-256 over the per-module source digests of *roots*' closure.
+
+    Hashes ``name NUL digest NUL`` for each module of the transitive
+    repro-module closure, in name order, where ``digest`` is the hex
+    SHA-256 of that module's source (:func:`_module_digest`).  Returns
+    ``None`` when the closure is empty or any member's source text is
+    unavailable (frozen interpreter, interactive definitions) — callers
+    treat that as "unfingerprintable", i.e. uncacheable.
+    """
+    modules = _module_closure(roots)
+    if not modules:
+        return None
+    digest = sha256(b"")
+    for module in modules:
+        source_digest = _module_digest(module)
+        if source_digest is None:
+            return None
+        digest.update(f"{module.__name__}\x00{source_digest}\x00".encode())
     return digest.hexdigest()
 
 
@@ -209,7 +241,7 @@ def _source_modules(info: AlgorithmInfo) -> list[ModuleType]:
             continue
         entries = obj.__mro__ if isinstance(obj, type) else [obj]
         for entry in entries:
-            module = inspect.getmodule(entry)
+            module = _defining_module(entry)
             if module is None or not getattr(module, "__file__", None):
                 continue
             # Stdlib bases (abc.ABC in every automaton's MRO) carry no
@@ -234,8 +266,9 @@ def algorithm_source_hash(name: str) -> str | None:
     simply uncacheable.  Raises ``KeyError`` for unregistered names, like
     :func:`get_factory`.
 
-    Hashes are memoized per name; call :func:`clear_source_hash_cache`
-    after reloading an algorithm module in-process (tests do).
+    Hashes are memoized per name, and module digests per module; call
+    :func:`clear_source_hash_cache` after reloading an algorithm module
+    in-process (tests do).
     """
     if name in _SOURCE_HASH_CACHE:
         return _SOURCE_HASH_CACHE[name]
@@ -246,5 +279,7 @@ def algorithm_source_hash(name: str) -> str | None:
 
 
 def clear_source_hash_cache() -> None:
-    """Forget memoized source fingerprints (after in-process module edits)."""
+    """Forget memoized fingerprints and module digests (after in-process
+    module edits)."""
     _SOURCE_HASH_CACHE.clear()
+    _MODULE_DIGESTS.clear()

@@ -220,8 +220,9 @@ class AddressOrSaltedHash(Rule):
         "id() is a memory address (differs per process) and builtin "
         "hash() is salted per process for str/bytes (PYTHONHASHSEED); "
         "neither may feed a value that reaches a record, sort key or "
-        "cache key. Use hashlib digests for content addressing. A bare "
-        "hash(x) statement (fail-fast hashability probe), __hash__ "
+        "cache key. Use repro.fingerprint.sha256 digests for content "
+        "addressing. A bare hash(x) statement (fail-fast hashability "
+        "probe), __hash__ "
         "implementations, and hash-to-hash comparisons like "
         "hash(a) == hash(b) (the __hash__ contract test) are allowed: "
         "the value never leaves the process."
@@ -251,8 +252,8 @@ class AddressOrSaltedHash(Rule):
                 return  # hash(a) == hash(b): the __hash__ contract test
             yield node, (
                 "builtin hash() is salted per process (PYTHONHASHSEED); "
-                "use hashlib for any value that crosses a process or "
-                "lands in a record"
+                "use repro.fingerprint.sha256 for any value that crosses "
+                "a process or lands in a record"
             )
 
     @staticmethod

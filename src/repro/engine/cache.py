@@ -20,6 +20,13 @@ each :class:`~repro.analysis.sweep.SweepRecord` by SHA-256 over
 * the schedule's identity, and
 * the proposals tuple.
 
+Each source fingerprint is SHA-256 over per-module digests: every
+module's source is hashed once per process, and a closure's
+fingerprint hashes its (module name, source digest) pairs
+(:func:`~repro.algorithms.registry.source_closure_hash`).  All hashing
+goes through :func:`repro.fingerprint.sha256`, CPython's builtin
+SHA-256, so a sweep never loads OpenSSL.
+
 A case's schedule is named by a
 :class:`~repro.engine.grids.ScheduleRecipe`, and its identity is the
 recipe key (:meth:`~repro.engine.grids.ScheduleRecipe.key`): SHA-256
@@ -70,7 +77,6 @@ through to the kernel untouched and counted in neither ``hits`` nor
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -86,6 +92,7 @@ from repro.algorithms.registry import (
 from repro.analysis.sweep import SweepRecord
 from repro.engine.cases import Case
 from repro.engine.sink import record_to_line
+from repro.fingerprint import sha256
 
 if TYPE_CHECKING:  # sqlite3 is imported only when a cache is opened
     import sqlite3
@@ -429,7 +436,7 @@ class ResultCache:
             schedule,
             repr(tuple(case.proposals)),
         ))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return sha256(payload.encode()).hexdigest()
 
     # -- lookup / store ----------------------------------------------------
 

@@ -33,7 +33,6 @@ carries its originating case index.
 from __future__ import annotations
 
 import functools
-import hashlib
 import inspect
 import json
 import sys
@@ -46,6 +45,7 @@ from repro.algorithms.registry import (
 )
 from repro.engine.cases import Case
 from repro.errors import ReproError
+from repro.fingerprint import sha256
 from repro.model.schedule import Schedule
 from repro.sim.random_schedules import (
     random_es_schedule,
@@ -82,7 +82,7 @@ def case_seed(master_seed: int, family: str, index: int) -> int:
     the same schedules.
     """
     key = f"{master_seed}:{family}:{index}".encode()
-    return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+    return int.from_bytes(sha256(key).digest()[:8], "big")
 
 
 @dataclass(frozen=True)
@@ -579,7 +579,7 @@ class ScheduleRecipe:
             if fingerprint is None:
                 return None
             payload = "\n".join((RECIPE_SCHEME, fingerprint, *self.content()))
-            self._key = hashlib.sha256(payload.encode()).hexdigest()
+            self._key = sha256(payload.encode()).hexdigest()
         return self._key
 
     def build(self) -> Schedule:

@@ -25,13 +25,13 @@ Terminology (matching the paper):
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from repro.errors import ScheduleError
+from repro.fingerprint import sha256
 from repro.types import ProcessId, Round, validate_system_size
 
 
@@ -321,7 +321,7 @@ class Schedule:
             f"({self.n!r}, {self.t!r}, {self.horizon!r}, {crashes_repr}, "
             f"{delays_repr}, {tuple(sorted(self.losses))!r})"
         )
-        value = hashlib.sha256(payload.encode()).hexdigest()
+        value = sha256(payload.encode()).hexdigest()
         object.__setattr__(self, "_digest_cache", value)
         return value
 

@@ -165,12 +165,72 @@ def _fingerprinted_closures():
 
 
 def _getsource_digest(modules):
-    """The closure hash as computed over ``inspect.getsource`` text."""
+    """The closure hash as computed over ``inspect.getsource`` text: SHA-256
+    over each module's name and the hex SHA-256 of its source."""
     digest = hashlib.sha256()
     for module in modules:
+        source = hashlib.sha256(inspect.getsource(module).encode())
         digest.update(module.__name__.encode() + b"\x00")
-        digest.update(inspect.getsource(module).encode() + b"\x00")
+        digest.update(source.hexdigest().encode() + b"\x00")
     return digest.hexdigest()
+
+
+def _getmodule_closure(roots):
+    """The repro-module closure of *roots*, walked with ``inspect.getmodule``
+    as the registry once did."""
+    seen = {}
+    stack = list(roots)
+    while stack:
+        module = stack.pop()
+        if module.__name__ in seen or not getattr(module, "__file__", None):
+            continue
+        seen[module.__name__] = module
+        for value in vars(module).values():
+            dep = inspect.getmodule(value)
+            name = getattr(dep, "__name__", "")
+            if name == "repro" or name.startswith("repro."):
+                stack.append(dep)
+    return sorted(seen)
+
+
+def _getmodule_source_modules(info):
+    """:func:`registry._source_modules` with ``inspect.getmodule`` roots."""
+    roots = []
+    owner = getattr(info.make, "__self__", None)
+    for obj in (owner, info.make()):
+        if obj is None:
+            continue
+        for entry in obj.__mro__ if isinstance(obj, type) else [obj]:
+            module = inspect.getmodule(entry)
+            if module is None or not getattr(module, "__file__", None):
+                continue
+            if module.__name__.partition(".")[0] in sys.stdlib_module_names:
+                continue
+            roots.append(module)
+    return _getmodule_closure(roots)
+
+
+class TestClosureWalk:
+    """The closure walk reads ``sys.modules[value.__module__]``; it must
+    find exactly the modules the ``inspect.getmodule`` walk finds."""
+
+    def test_every_algorithm_closure_matches_the_getmodule_walk(self):
+        for name, info in registry._entries().items():
+            modules = registry._source_modules(info)
+            assert [module.__name__ for module in modules] == (
+                _getmodule_source_modules(info)
+            ), name
+
+    def test_runtime_and_generator_closures_match_the_getmodule_walk(self):
+        from repro import workloads
+        from repro.analysis import metrics, sweep
+        from repro.sim import kernel
+
+        for roots in ([kernel, metrics, sweep], [grids_module, workloads]):
+            modules = registry._module_closure(roots)
+            assert [module.__name__ for module in modules] == (
+                _getmodule_closure(roots)
+            )
 
 
 class TestSourceText:
@@ -207,6 +267,10 @@ class TestSourceText:
         assert cached == []
 
     def test_unavailable_source_is_unfingerprintable(self, monkeypatch):
+        # A digest memoized by an earlier test would stand in for the
+        # source this test takes away.
+        clear_source_hash_cache()
+
         class NoSource:
             @staticmethod
             def get_source(name):
